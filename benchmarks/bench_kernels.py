@@ -31,11 +31,11 @@ def bench_dcurves(n_curves=1000, n_steps=1000):
     dt = 1.0 / n_steps
 
     t_np, ref = timeit(_kernels._dcurve_rk4_numpy, U, V, starts, dt, 0)
-    rows = [("dcurve_rk4 numpy", t_np, 0.0)]
+    rows = [(f"dcurve_rk4 numpy B={n_curves}", t_np, 0.0)]
     if _kernels.HAS_NUMBA:
         _kernels._dcurve_rk4_jit(U[:2], V[:2], starts[:2], dt, 0)  # warm up
         t_nb, out = timeit(_kernels._dcurve_rk4_jit, U, V, starts, dt, 0)
-        rows.append(("dcurve_rk4 numba", t_nb, float(np.abs(out - ref).max())))
+        rows.append((f"dcurve_rk4 numba B={n_curves}", t_nb, float(np.abs(out - ref).max())))
     return rows
 
 
@@ -57,7 +57,8 @@ def bench_transport(n_steps=200_000):
 def main():
     print(f"numba available and enabled: {_kernels.HAS_NUMBA}")
     print(f"{'kernel':<24s} {'best time':>10s} {'max |diff|':>12s}")
-    for rows in (bench_dcurves(), bench_transport()):
+    # the single-curve row shows the per-call overhead of the numpy kernel
+    for rows in (bench_dcurves(n_curves=1000), bench_dcurves(n_curves=1), bench_transport()):
         base = rows[0][1]
         for name, t, diff in rows:
             speedup = f"  ({base / t:.1f}x)" if t != base else ""

@@ -132,30 +132,44 @@ def _dcurve_rk4_impl(u_half, v_half, starts, dt, long_chart):
 
 
 def _dcurve_rk4_numpy(u_half, v_half, starts, dt, long_chart):
-    """Vectorized-over-batch fallback; identical arithmetic per step."""
-    B = starts.shape[0]
+    """Vectorized-over-batch fallback: the arithmetic of ``_dcurve_rk4_impl``
+    in the same order, on one array per coordinate.  Steps are written to a
+    step-major buffer, so the (batch, nsteps + 1, 4) result is a transposed
+    view of it."""
     nsteps = (u_half.shape[1] - 1) // 2
-    out = np.empty((B, nsteps + 1, 4))
-    state = starts.astype(float).copy()
-    out[:, 0, :] = state
-
-    def rhs(st, u, v):
-        x, y, z, w = st[:, 0], st[:, 1], st[:, 2], st[:, 3]
-        if long_chart == 0:
-            return np.stack([u, z * u, w * u, v], axis=1)
-        c, s = np.cos(w), np.sin(w)
-        return np.stack([u * c, u * z * c, u * s, v], axis=1)
-
+    buf = np.empty((nsteps + 1, 4, starts.shape[0]))
+    buf[0] = starts.T
+    x, y, z, w = buf[0]
     for k in range(nsteps):
         u0, um, u1 = u_half[:, 2 * k], u_half[:, 2 * k + 1], u_half[:, 2 * k + 2]
         v0, vm, v1 = v_half[:, 2 * k], v_half[:, 2 * k + 1], v_half[:, 2 * k + 2]
-        k1 = rhs(state, u0, v0)
-        k2 = rhs(state + 0.5 * dt * k1, um, vm)
-        k3 = rhs(state + 0.5 * dt * k2, um, vm)
-        k4 = rhs(state + dt * k3, u1, v1)
-        state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[:, k + 1, :] = state
-    return out
+        if long_chart == 0:
+            k1x, k1y, k1z, k1w = u0, z * u0, w * u0, v0
+            z2, w2 = z + 0.5 * dt * k1z, w + 0.5 * dt * k1w
+            k2x, k2y, k2z, k2w = um, z2 * um, w2 * um, vm
+            z3, w3 = z + 0.5 * dt * k2z, w + 0.5 * dt * k2w
+            k3x, k3y, k3z, k3w = um, z3 * um, w3 * um, vm
+            z4, w4 = z + dt * k3z, w + dt * k3w
+            k4x, k4y, k4z, k4w = u1, z4 * u1, w4 * u1, v1
+        else:
+            c = np.cos(w)
+            k1x, k1y, k1z, k1w = u0 * c, u0 * z * c, u0 * np.sin(w), v0
+            z2, t2 = z + 0.5 * dt * k1z, w + 0.5 * dt * k1w
+            c = np.cos(t2)
+            k2x, k2y, k2z, k2w = um * c, um * z2 * c, um * np.sin(t2), vm
+            z3, t3 = z + 0.5 * dt * k2z, w + 0.5 * dt * k2w
+            c = np.cos(t3)
+            k3x, k3y, k3z, k3w = um * c, um * z3 * c, um * np.sin(t3), vm
+            z4, t4 = z + dt * k3z, w + dt * k3w
+            c = np.cos(t4)
+            k4x, k4y, k4z, k4w = u1 * c, u1 * z4 * c, u1 * np.sin(t4), v1
+        nxt = buf[k + 1]
+        np.add(x, dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), out=nxt[0])
+        np.add(y, dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y), out=nxt[1])
+        np.add(z, dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z), out=nxt[2])
+        np.add(w, dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w), out=nxt[3])
+        x, y, z, w = nxt
+    return buf.transpose(2, 0, 1)
 
 
 def _transport_rk4_impl(A_half, dt):

@@ -3,13 +3,12 @@
 Subcommands bind the construction presets to the verification, dynamics, and
 rigidity experiments and emit deterministic JSON/CSV artifacts.  Exit codes:
 0 success (and verification pass), 1 verification failure, 2 configuration
-error.  ``ENGEL_LAB_THREADS`` optionally shards independent trials.
+error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,14 +23,6 @@ from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
 
 KAPPA_SWEEP = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("ENGEL_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _manifest_from_args(args) -> dict:
@@ -172,33 +163,12 @@ def cmd_rigidity(args) -> int:
               "amplitude": float(manifest.get("amplitude", 1.0))}
     if manifest.get("eps_grid"):
         family["eps_grid"] = [float(e) for e in manifest["eps_grid"]]
-    nw = worker_count()
-    if nw > 1 and trials >= 2 * nw:
-        from concurrent.futures import ThreadPoolExecutor
-        chunk = trials // nw
-        sizes = [chunk] * (nw - 1) + [trials - chunk * (nw - 1)]
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(
-                lambda i: rig.rigidity_probe(T=T, n_trials=sizes[i], dt=dt,
-                                             seed=seed + i, **family), range(nw)))
-        regions = {}
-        for p in parts:
-            for k, v in p["regions"].items():
-                regions[k] = regions.get(k, 0) + v
-        probe = parts[0]
-        probe["regions"] = {k: regions[k] for k in sorted(regions)}
-        probe["n_trials"] = trials
-        probe["n_outside_accessible"] = sum(p["n_outside_accessible"] for p in parts)
-        probe["max_cone_value"] = max(p["max_cone_value"] for p in parts)
-    else:
-        probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed, **family)
+    probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed, **family)
 
     rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(100):
-        u, v = rig.random_admissible_controls(rng)
-        c = rig.sample_d_curve((u, v), T, dt)
-        residuals.append(rig.inaba_identity_check(c))
+    curves = rig.sample_d_curves([rig.random_admissible_controls(rng) for _ in range(100)],
+                                 T, dt)
+    residuals = [rig.inaba_identity_check(c) for c in curves]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,

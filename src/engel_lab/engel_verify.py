@@ -28,6 +28,7 @@ from .frame_algebra import (
     bracket_chart,
     rank_with_margin,
 )
+from .serialize import SCHEMA_VERSION
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -113,7 +114,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "provenance": self.provenance,
             "tolerances": self.tolerances,
             "passed": bool(self.passed),

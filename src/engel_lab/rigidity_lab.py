@@ -80,30 +80,37 @@ class DCurve:
         return float(max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0)))
 
 
-def _controls_on_half_grid(controls, T: float, dt: float):
-    u, v = controls
+def _half_step_grid(T: float, dt: float):
     nsteps = max(1, int(round(T / dt)))
-    tgrid = np.linspace(0.0, T, 2 * nsteps + 1)
-    uh = np.atleast_1d(np.asarray(u(tgrid), dtype=float))
-    vh = np.atleast_1d(np.asarray(v(tgrid), dtype=float))
-    uh = np.broadcast_to(uh, tgrid.shape)
-    vh = np.broadcast_to(vh, tgrid.shape)
-    return nsteps, uh, vh
+    return nsteps, np.linspace(0.0, T, 2 * nsteps + 1)
+
+
+def _on_grid(f, tgrid) -> np.ndarray:
+    return np.broadcast_to(np.atleast_1d(np.asarray(f(tgrid), dtype=float)), tgrid.shape)
+
+
+def sample_d_curves(controls: Sequence, T: float, dt: float,
+                    start=(0.0, 0.0, 0.0, 0.0), long_chart: bool = False) -> list:
+    """Integrate the control ODE for each (u, v) pair in one kernel call;
+    tangency holds by construction."""
+    if dt <= 0 or T <= 0:
+        raise StepTooLarge("T and dt must be positive")
+    if dt > T:
+        raise StepTooLarge("dt exceeds the curve length")
+    nsteps, tgrid = _half_step_grid(T, dt)
+    U = np.array([_on_grid(u, tgrid) for u, _ in controls])
+    V = np.array([_on_grid(v, tgrid) for _, v in controls])
+    starts = np.broadcast_to(np.asarray(start, dtype=float), (len(controls), 4))
+    paths = sample_d_curves_batch(U, V, T, dt, start=starts, long_chart=long_chart)
+    times = np.linspace(0.0, T, nsteps + 1)
+    return [DCurve(times=times, points=pts, controls=tuple(c), long_chart=long_chart)
+            for pts, c in zip(paths, controls)]
 
 
 def sample_d_curve(controls, T: float, dt: float,
                    start=(0.0, 0.0, 0.0, 0.0), long_chart: bool = False) -> DCurve:
     """Integrate the control ODE; tangency holds by construction."""
-    if dt <= 0 or T <= 0:
-        raise StepTooLarge("T and dt must be positive")
-    if dt > T:
-        raise StepTooLarge("dt exceeds the curve length")
-    nsteps, uh, vh = _controls_on_half_grid(controls, T, dt)
-    pts = dcurve_rk4(uh[None, :], vh[None, :], np.asarray(start, dtype=float)[None, :],
-                     T / nsteps, long_chart=long_chart)[0]
-    times = np.linspace(0.0, T, nsteps + 1)
-    return DCurve(times=times, points=pts, controls=tuple(controls),
-                  long_chart=long_chart)
+    return sample_d_curves([controls], T, dt, start=start, long_chart=long_chart)[0]
 
 
 def sample_d_curves_batch(u_values: np.ndarray, v_values: np.ndarray,
@@ -178,8 +185,7 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
     the curve onto the W-axis.
     """
     rng = np.random.default_rng(seed)
-    nsteps = max(1, int(round(T / dt)))
-    tgrid = np.linspace(0.0, T, 2 * nsteps + 1)
+    _, tgrid = _half_step_grid(T, dt)
     U = np.empty((n_trials, tgrid.size))
     V = np.ones_like(U)
     for i in range(n_trials):
@@ -191,16 +197,13 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
     cone = np.array([boundary_cone_value(e) for e in ends])
 
     eps_grid = np.array([0.4 / 2 ** k for k in range(8)]) if eps_grid is None else np.asarray(eps_grid)
-    sweep = []
-    for eps in eps_grid:
-        u = lambda t, e=eps: e * np.sin(np.pi * np.atleast_1d(t))
-        c = sample_d_curve((u, lambda t: np.ones_like(np.atleast_1d(t))), T, dt)
-        sweep.append({
-            "eps": float(eps),
-            "abs_yT": float(abs(c.points[-1, 1])),
-            "sup_z": float(np.abs(c.points[:, 2]).max()),
-            "cone_value": boundary_cone_value(c.points[-1]),
-        })
+    U = eps_grid[:, None] * np.sin(np.pi * tgrid)
+    sweep = [{
+        "eps": float(eps),
+        "abs_yT": float(abs(pts[-1, 1])),
+        "sup_z": float(np.abs(pts[:, 2]).max()),
+        "cone_value": boundary_cone_value(pts[-1]),
+    } for eps, pts in zip(eps_grid, sample_d_curves_batch(U, np.ones_like(U), T, dt))]
     y_over_eps2 = [s["abs_yT"] / s["eps"] ** 2 for s in sweep]
     z_over_eps = [s["sup_z"] / s["eps"] for s in sweep]
     return {
@@ -257,26 +260,26 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
     if kind == "w_curve":
         g = perturbation if perturbation is not None else (
             lambda t: np.sin(2.0 * np.atleast_1d(t)) + 0.5 * np.cos(3.0 * np.atleast_1d(t)))
-        norm = None
 
-        def y_of(s):
+        def controls(s):
             # the s^2 term breaks the even parity of y in s, so the central
             # difference genuinely measures a small quantity instead of an
             # exact cancellation; the first-order field is still s*g
             u = lambda t: (s * np.asarray(g(t), dtype=float)
                            + s * s * np.asarray(g(t), dtype=float) ** 2)
-            v = lambda t: np.ones_like(np.atleast_1d(t), dtype=float)
-            c = sample_d_curve((u, v), length, dt, long_chart=True)
-            if c.tangency_residual() > tangency_tol:
-                raise VariationNotDCurve("deformed curve left the D-curve class")
-            return c.points[:, 1]
+            return u, (lambda t: np.ones_like(np.atleast_1d(t), dtype=float))
 
         tgrid = np.linspace(0.0, length, max(1, int(round(length / dt))) + 1)
         norm = float(np.abs(np.asarray(g(tgrid), dtype=float)).max())
         if norm == 0.0:
             return {"max_dy_ds": 0.0, "norm": 0.0, "per_time": np.zeros_like(tgrid)}
-        d1 = (y_of(ds) - y_of(-ds)) / (2 * ds)
-        d2 = (y_of(ds / 2) - y_of(-ds / 2)) / ds
+        curves = sample_d_curves([controls(s) for s in (ds, -ds, ds / 2, -ds / 2)],
+                                 length, dt, long_chart=True)
+        if any(c.tangency_residual() > tangency_tol for c in curves):
+            raise VariationNotDCurve("deformed curve left the D-curve class")
+        y_p, y_m, y_hp, y_hm = (c.points[:, 1] for c in curves)
+        d1 = (y_p - y_m) / (2 * ds)
+        d2 = (y_hp - y_hm) / ds
         deriv = (4.0 * d2 - d1) / 3.0
         return {"max_dy_ds": float(np.abs(deriv).max()), "norm": norm,
                 "per_time": deriv}

@@ -2,14 +2,18 @@
 
 Floats are rendered with 17 significant digits so identical runs produce
 byte-identical artifacts; numpy scalars and arrays are converted on the way
-out.  Key order is the insertion order of the dicts we build, which is fixed
-by construction.
+out.  JSON artifacts are strict JSON: NaN and +-inf become ``null`` and
+strings are escaped as the standard library does.  Key order is the
+insertion order of the dicts we build, which is fixed by construction.
 """
 from __future__ import annotations
 
+import math
+from json.encoder import encode_basestring
+
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _fmt_float(x: float) -> str:
@@ -29,12 +33,12 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, (np.floating, float)):
-        return _fmt_float(float(obj))
+        x = float(obj)
+        return format(x, ".17g") if math.isfinite(x) else "null"
     if isinstance(obj, (np.integer, int)):
         return str(int(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return encode_basestring(obj)
     if isinstance(obj, np.ndarray):
         return dumps_canonical(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -46,7 +50,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = ", ".join(
-            f"{dumps_canonical(str(k))}: {dumps_canonical(v, indent)}"
+            f"{encode_basestring(str(k))}: {dumps_canonical(v, indent)}"
             for k, v in obj.items())
         return "{" + items + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -1,7 +1,10 @@
 """Exit-code contract, artifact determinism, and malformed-config handling."""
 import json
+import math
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from engel_lab.cli import main
 from engel_lab.serialize import dumps_canonical
@@ -105,11 +108,16 @@ class TestRigidityCommand:
         assert doc["probe"]["n_outside_accessible"] == 0
         assert doc["inaba_max_residual"] < 1e-5
 
-    def test_thread_sharding(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ENGEL_LAB_THREADS", "3")
-        code = run(["rigidity", "--trials", "60", "--out", str(tmp_path)])
-        assert code == 0
-        doc = json.loads((tmp_path / "rigidity.json").read_text())
+    def test_artifact_ignores_thread_setting(self, tmp_path, monkeypatch):
+        # a result must not depend on the environment, thread settings included
+        artifacts = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("ENGEL_LAB_THREADS", threads)
+            out = tmp_path / threads
+            assert run(["rigidity", "--trials", "60", "--out", str(out)]) == 0
+            artifacts.append((out / "rigidity.json").read_bytes())
+        assert artifacts[0] == artifacts[1]
+        doc = json.loads(artifacts[0])
         assert doc["probe"]["n_trials"] == 60
         assert doc["probe"]["n_outside_accessible"] == 0
 
@@ -170,3 +178,26 @@ class TestSerializer:
     def test_round_trip(self):
         doc = {"a": [1, 2.5, None, True], "b": {"c": "text"}}
         assert json.loads(dumps_canonical(doc)) == doc
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text() | st.text(st.characters(max_codepoint=0x1f)),
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+        max_leaves=20))
+    @example({"a\tb": ["x\ty\x00\n", float("nan")], "c": [float("inf"), -float("inf")]})
+    @settings(max_examples=200, deadline=None)
+    def test_strict_json_round_trip(self, doc):
+        # strict JSON: control characters escaped, non-finite floats as null
+        def reject(name):
+            raise ValueError(f"non-strict constant {name}")
+
+        def as_strict(obj):
+            if isinstance(obj, float):
+                return obj if math.isfinite(obj) else None
+            if isinstance(obj, list):
+                return [as_strict(v) for v in obj]
+            if isinstance(obj, dict):
+                return {k: as_strict(v) for k, v in obj.items()}
+            return obj
+
+        assert json.loads(dumps_canonical(doc), parse_constant=reject) == as_strict(doc)

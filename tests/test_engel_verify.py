@@ -34,7 +34,7 @@ class TestVerify:
 
     def test_report_serializes(self):
         doc = verify_engel(darboux_standard(), n_samples=10).to_json_dict()
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["passed"] is True
         assert len(doc["records"]) == 10
         rec = doc["records"][0]

@@ -1,4 +1,6 @@
 """Accessible sets, the integral identity, and infinitesimal rigidity."""
+import json
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,20 @@ class TestInabaIdentity:
         with pytest.raises(SingularIntegrand):
             inaba_identity_check(c)
 
+    def test_cli_batch_matches_single_curves(self, tmp_path):
+        # the CLI integrates its 100 curves in one batch; each must equal
+        # the curve integrated on its own from the same seed
+        from engel_lab.cli import main
+        assert main(["rigidity", "--trials", "60", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "rigidity.json").read_text())
+        rng = np.random.default_rng(3)
+        worst = max(inaba_identity_check(sample_d_curve(random_admissible_controls(rng),
+                                                        1.0, 1e-3))
+                    for _ in range(100))
+        assert doc["inaba_n_curves"] == 100
+        assert abs(doc["inaba_max_residual"] - worst) == 0.0
+
     def test_wrong_parameterization_rejected(self):
         c = sample_d_curve((ZEROS, lambda t: 2 * ONES(t)), 1.0, 1e-3)
         with pytest.raises(SingularIntegrand):
@@ -171,6 +187,18 @@ class TestRigidityProbe:
         cones = [s["cone_value"] for s in probe["sweep"]]
         assert all(c < 0 for c in cones)
         assert all(a < b for a, b in zip(cones, cones[1:]))
+
+    def test_sweep_matches_single_curves(self):
+        # the sweep is integrated as one batch; each entry must equal the
+        # curve integrated on its own
+        probe = rigidity_probe(T=1.0, n_trials=4, dt=1e-3, seed=1)
+        for entry in probe["sweep"]:
+            eps = entry["eps"]
+            c = sample_d_curve((lambda t: eps * np.sin(np.pi * np.atleast_1d(t)), ONES),
+                               1.0, 1e-3)
+            assert abs(entry["abs_yT"] - abs(c.points[-1, 1])) == 0.0
+            assert abs(entry["sup_z"] - np.abs(c.points[:, 2]).max()) == 0.0
+            assert abs(entry["cone_value"] - boundary_cone_value(c.points[-1])) == 0.0
 
     def test_zero_control_is_w_curve(self):
         c = sample_d_curve((ZEROS, ONES), 1.0, 1e-3)
