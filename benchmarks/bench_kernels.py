@@ -1,4 +1,5 @@
-"""Benchmark the jitted integration kernels against the numpy fallback.
+"""Benchmark the jitted integration kernels against the numpy fallback,
+and time one characteristic RK4 step.
 
 Run:  python benchmarks/bench_kernels.py
 The same comparison with the fallback forced:
@@ -54,6 +55,24 @@ def bench_transport(n_steps=200_000):
     return rows
 
 
+def bench_characteristic(n_steps=200):
+    """Wall time of one chart RK4 step of the characteristic orbit on
+    lorentz-magnetic, one orbit against a batch of three."""
+    from engel_lab.characteristic_dynamics import integrate_orbits
+    from engel_lab.presets import build_preset
+
+    s = build_preset("lorentz-magnetic", kappa=-0.5)["structure"]
+    starts = s.model.box.mean(axis=1) + np.array(
+        [[0.0, 0.0, 0.0, 0.0], [0.05, -0.05, 0.3, 0.1], [-0.05, 0.05, -0.3, 0.2]])
+    rows = []
+    for B in (1, 3):
+        t, (_, _, kept) = timeit(integrate_orbits, s, starts[:B], n_steps * 1e-3, 1e-3,
+                                 repeat=3)
+        assert np.all(kept == n_steps), "a benchmark orbit left the chart"
+        rows.append((f"characteristic B={B}", t / n_steps))
+    return rows
+
+
 def main():
     print(f"numba available and enabled: {_kernels.HAS_NUMBA}")
     print(f"{'kernel':<24s} {'best time':>10s} {'max |diff|':>12s}")
@@ -63,6 +82,9 @@ def main():
         for name, t, diff in rows:
             speedup = f"  ({base / t:.1f}x)" if t != base else ""
             print(f"{name:<24s} {t * 1e3:9.2f}ms {diff:12.2e}{speedup}")
+    # the ROADMAP target for a single chart orbit is under 100 us per step
+    for name, t in bench_characteristic():
+        print(f"{name:<24s} {t * 1e6:9.1f}us per RK4 step")
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .frame_algebra import LieModel, Section, bracket_chart
 from .geometry_models import LorentzExtension
+from .serialize import write_csv
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,7 @@ class OrbitTrace:
         return self.M / np.sqrt(np.abs(d))[:, None, None]
 
     def to_csv(self, path) -> None:
-        n, dim = self.points.shape
+        dim = self.points.shape[1]
         cols = ["t"] + [f"p{i}" for i in range(dim)]
         data = [self.times] + [self.points[:, i] for i in range(dim)]
         if self.M is not None:
@@ -75,10 +76,7 @@ class OrbitTrace:
         if self.angle is not None:
             cols += ["angle"]
             data += [self.angle]
-        with open(path, "w") as f:
-            f.write(",".join(cols) + "\n")
-            for i in range(n):
-                f.write(",".join(format(float(c[i]), ".17g") for c in data) + "\n")
+        write_csv(path, cols, data)
 
 
 @dataclass
@@ -132,79 +130,124 @@ class ProjectiveType:
 # orbit integration
 # ---------------------------------------------------------------------------
 
-def _rk4_path(f: Callable, p0: np.ndarray, T: float, dt: float):
-    """Fixed-step RK4 returning (times, points); supports negative T."""
-    nsteps = max(1, int(round(abs(T) / dt)))
-    h = np.sign(T) * abs(T) / nsteps
-    pts = np.empty((nsteps + 1, len(p0)))
-    pts[0] = p0
-    p = np.asarray(p0, dtype=float)
+def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
+    """Classical RK4 from every row of ``starts`` (B, dim) at once.
+
+    ``T`` is one signed horizon or one per row of equal size; every row takes
+    n = round(|T| / dt) steps of T / n.  With a chart ``model`` a row stops at
+    the first step whose wrapped point leaves the box.  Returns (times, points
+    (B, n + 1, dim), NaN past each row's end, steps kept per row); each row is
+    bit-identical to a one-row run.
+    """
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    times, nsteps = _time_grid(T, dt)
+    h = np.broadcast_to(times[..., -1:] / nsteps, (len(starts), 1))
+    pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
+    pts[:, 0] = p = starts
+    kept, live = np.full(len(starts), nsteps), np.arange(len(starts))
     for k in range(nsteps):
         k1 = f(p)
         k2 = f(p + 0.5 * h * k1)
         k3 = f(p + 0.5 * h * k2)
         k4 = f(p + h * k3)
         p = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        pts[k + 1] = p
-    times = np.linspace(0.0, np.sign(T) * abs(T), nsteps + 1)
-    return times, pts
+        if model is not None:
+            inside = model.contains(model.wrap(p), pad=1e-9)
+            if not inside.all():
+                kept[live[~inside]] = k
+                live, p, h = live[inside], p[inside], h[inside]
+                if not live.size:
+                    break
+        pts[live, k + 1] = p
+    return times, pts, kept
+
+
+def _time_grid(T, dt: float):
+    T = np.asarray(T, dtype=float)
+    nsteps = max(1, int(round(float(np.abs(T).max()) / dt)))
+    return np.linspace(0.0, T, nsteps + 1, axis=-1), nsteps
+
+
+def _rk4_path(f: Callable, p0: np.ndarray, T: float, dt: float):
+    """Fixed-step RK4 returning (times, points); supports negative T."""
+    times, pts, _ = _rk4_orbits(f, p0, T, dt)
+    return times, pts[0]
+
+
+def _exit_time(times: np.ndarray, kept: int) -> Optional[float]:
+    """t_exit = (kept + 1) h of an orbit that left the chart, else None."""
+    n = len(times) - 1
+    return None if kept == n else (kept + 1) * (times[-1] / n)
+
+
+def _trace(s: EngelStructure, times, points, dt: float) -> OrbitTrace:
+    kind = "lie" if isinstance(s.model, LieModel) else "chart"
+    return OrbitTrace(times=times, points=points,
+                      meta={"provenance": s.provenance, "dt": dt, "kind": kind})
+
+
+def integrate_orbits(s: EngelStructure, starts: np.ndarray, T, dt: float):
+    """Integrate the characteristic field from all ``starts`` in one batch.
+
+    Returns (times, points (B, n + 1, dim), steps kept per row): a chart orbit
+    stops at its chart exit instead of raising.  On a Lie model the orbit of a
+    constant section is the straight line t * W in exponential coordinates
+    based at the start point.
+    """
+    if dt <= 0:
+        raise StepTooLarge("dt must be positive")
+    if not isinstance(s.model, LieModel):
+        return _rk4_orbits(s.W_section.chart_field(s.model), starts, T, dt, s.model)
+    if not s.W_section.is_constant:
+        raise NotImplementedError("Lie-model flow needs constant W coefficients")
+    times, nsteps = _time_grid(T, dt)
+    pts = np.atleast_2d(starts)[:, None, :] + times[..., None] * s.W_section.constant_coeffs()
+    return times, pts, np.full(len(pts), nsteps)
 
 
 def integrate_characteristic(s: EngelStructure, p0: np.ndarray, T: float,
                              dt: float) -> OrbitTrace:
-    """Integrate the characteristic field from p0 for time T.
+    """Integrate the characteristic field from p0 for time T: the one-row
+    :func:`integrate_orbits`, raising :class:`ChartExit` at a chart exit."""
+    times, pts, kept = integrate_orbits(s, p0, T, dt)
+    if (t_exit := _exit_time(times, kept[0])) is not None:
+        raise ChartExit(t_exit)
+    return _trace(s, times, pts[0], dt)
 
-    Chart models use classical 4th-order steps and raise :class:`ChartExit`
-    when the (wrapped) orbit leaves the box.  On a Lie model the orbit of a
-    constant section is the straight line t * W in exponential coordinates
-    based at p0.
+
+def orbits_within_chart(s: EngelStructure, starts: np.ndarray, T: float,
+                        dt: float) -> list[tuple[OrbitTrace, Optional[float]]]:
+    """One batch of orbits, each cut back from its chart exit.
+
+    An orbit that left the chart keeps its first round(|t_cut| / dt) steps,
+    t_cut = max(|t_exit| - 2 dt, 10 dt) signed like T.  Returns (orbit, t_cut)
+    per start, t_cut None for an orbit that stayed inside; raises
+    :class:`ChartExit` if an orbit kept fewer steps.
     """
-    if dt <= 0:
-        raise StepTooLarge("dt must be positive")
-    p0 = np.asarray(p0, dtype=float)
-    if isinstance(s.model, LieModel):
-        if not s.W_section.is_constant:
-            raise NotImplementedError("Lie-model flow needs constant W coefficients")
-        u = s.W_section.constant_coeffs()
-        nsteps = max(1, int(round(abs(T) / dt)))
-        times = np.linspace(0.0, T, nsteps + 1)
-        pts = p0[None, :] + times[:, None] * u[None, :]
-        return OrbitTrace(times=times, points=pts,
-                          meta={"provenance": s.provenance, "dt": dt, "kind": "lie"})
-
-    W = s.W_section.chart_field(s.model)
-    f = lambda p: W(p)
-    nsteps = max(1, int(round(abs(T) / dt)))
-    h = np.sign(T) * abs(T) / nsteps
-    pts = np.empty((nsteps + 1, s.model.dim))
-    pts[0] = p0
-    p = p0.copy()
-    for k in range(nsteps):
-        k1 = f(p)
-        k2 = f(p + 0.5 * h * k1)
-        k3 = f(p + 0.5 * h * k2)
-        k4 = f(p + h * k3)
-        p = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not s.model.contains(s.model.wrap(p), pad=1e-9):
-            raise ChartExit((k + 1) * h)
-        pts[k + 1] = p
-    times = np.linspace(0.0, np.sign(T) * abs(T), nsteps + 1)
-    return OrbitTrace(times=times, points=pts,
-                      meta={"provenance": s.provenance, "dt": dt, "kind": "chart"})
+    times, pts, kept = integrate_orbits(s, starts, T, dt)
+    out = []
+    for p, k in zip(pts, kept):
+        t_exit, t_cut, n = _exit_time(times, k), None, len(times) - 1
+        if t_exit is not None:
+            t_cut = np.copysign(max(abs(t_exit) - 2 * dt, 10 * dt), t_exit)
+            n = max(1, int(round(abs(t_cut) / dt)))
+            if n > k:
+                raise ChartExit(t_exit)
+        out.append((_trace(s, times[:n + 1], p[:n + 1], dt), t_cut))
+    return out
 
 
 def two_sided_orbit(s: EngelStructure, p0: np.ndarray, T: float,
                     dt: float) -> OrbitTrace:
-    """Orbit of total length T centered at p0 (integrated both ways).
-
-    Useful when p0 sits in the middle of the chart and a one-sided orbit of
-    the full length would leave it.
-    """
-    back = integrate_characteristic(s, p0, -T / 2.0, dt)
-    fwd = integrate_characteristic(s, p0, T / 2.0, dt)
-    times = np.concatenate([back.times[::-1], fwd.times[1:]])
-    points = np.concatenate([back.points[::-1], fwd.points[1:]])
-    return OrbitTrace(times=times, points=points, meta=dict(fwd.meta))
+    """Orbit of total length T centered at p0, for a p0 mid-chart whose
+    one-sided orbit of the full length would leave.  Both halves run as one
+    batch; a chart exit of the backward half is reported first."""
+    times, pts, kept = integrate_orbits(s, [p0, p0], [-T / 2.0, T / 2.0], dt)
+    for t, k in zip(times, kept):
+        if (t_exit := _exit_time(t, k)) is not None:
+            raise ChartExit(t_exit)
+    return _trace(s, np.concatenate([times[0, ::-1], times[1, 1:]]),
+                  np.concatenate([pts[0, ::-1], pts[1, 1:]]), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +658,9 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     itself for linear shear (parabolic), else check bounded conformal
     distortion (elliptic).  Genuine vs trans is decided by whether the D/W
     line meets the detected invariant line fields along the samples.
-    Conflicting verdicts return ``unknown`` with the evidence attached.
+    Conflicting verdicts return ``unknown`` with the evidence attached.  All
+    start points are integrated in one batch, and an orbit that leaves the
+    chart is cut back from its exit by :func:`orbits_within_chart`.
     """
     th = thresholds or TypeThresholds()
     model = s.model
@@ -623,16 +668,11 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         starts = [np.zeros(model.dim)]
     else:
         lo, hi = model.box[:, 0], model.box[:, 1]
-        mid, halfw = (lo + hi) / 2.0, (hi - lo) / 2.0
-        pts = sample_box(model, max(n_orbits, 1), skip=300)
-        starts = [mid + 0.5 * (p - mid) for p in pts]   # keep margins
+        mid = (lo + hi) / 2.0
+        # keep margins
+        starts = mid + 0.5 * (sample_box(model, max(n_orbits, 1), skip=300) - mid)
     verdicts, evidence = [], []
-    for p0 in starts:
-        try:
-            orbit = integrate_characteristic(s, p0, T_max, dt)
-        except ChartExit as e:
-            t_cut = max(e.t_exit - 2 * dt, 10 * dt)
-            orbit = integrate_characteristic(s, p0, t_cut, dt)
+    for orbit, _ in orbits_within_chart(s, starts, T_max, dt):
         orbit = transport_EmodW(s, orbit, angles=False)
         n = len(orbit.times)
         sel = np.unique(np.linspace(n // 4, n - 1, 24).astype(int))

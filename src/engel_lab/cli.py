@@ -122,14 +122,7 @@ def cmd_orbit(args) -> int:
     else:
         box = s.model.box
         p0 = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0])
-    truncated = None
-    try:
-        orbit = dyn.integrate_characteristic(s, p0, T, dt)
-    except EngelLabError as e:
-        if not hasattr(e, "t_exit"):
-            raise
-        truncated = max(e.t_exit - 2 * dt, 10 * dt)
-        orbit = dyn.integrate_characteristic(s, p0, truncated, dt)
+    [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, T, dt)
     orbit = dyn.transport_EmodW(s, orbit)
     dev = dyn.developing_map(orbit)
     out = _outdir(manifest)

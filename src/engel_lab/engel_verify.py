@@ -26,6 +26,7 @@ from .frame_algebra import (
     LieModel,
     Section,
     bracket_chart,
+    constant_field,
     rank_with_margin,
 )
 from .serialize import SCHEMA_VERSION
@@ -266,11 +267,6 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
 # Darboux models
 # ---------------------------------------------------------------------------
 
-def _const(vec):
-    v = np.asarray(vec, dtype=float)
-    return lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy()
-
-
 def darboux_standard() -> EngelStructure:
     """The standard Engel structure on the chart box [-2, 2]^4.
 
@@ -293,11 +289,10 @@ def darboux_standard() -> EngelStructure:
         J[:, 2, 3] = 1.0
         return J
 
-    zero_jac = lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 4, 4))
     X = ChartVectorField(4, X_comp, jacobian=X_jac, name="X")
-    Y = ChartVectorField(4, _const([0, 1, 0, 0]), jacobian=zero_jac, name="Y")
-    Z = ChartVectorField(4, _const([0, 0, 1, 0]), jacobian=zero_jac, name="Z")
-    W = ChartVectorField(4, _const([0, 0, 0, 1]), jacobian=zero_jac, name="W")
+    Y = constant_field(4, [0, 1, 0, 0], "Y")
+    Z = constant_field(4, [0, 0, 1, 0], "Z")
+    W = constant_field(4, [0, 0, 0, 1], "W")
     model = ChartModel(4, [[-2, 2]] * 4, [X, Y, Z, W], name="darboux-standard")
 
     D = [Section((0, 0, 0, 1), "W"), Section((1, 0, 0, 0), "X")]
@@ -337,11 +332,10 @@ def darboux_long() -> EngelStructure:
         J[:, 1, 2] = 1.0
         return J
 
-    zero_jac = lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 4, 4))
     Xbar = ChartVectorField(4, Xbar_comp, jacobian=Xbar_jac, name="Xbar")
-    Y = ChartVectorField(4, _const([0, 1, 0, 0]), jacobian=zero_jac, name="Y")
-    Z = ChartVectorField(4, _const([0, 0, 1, 0]), jacobian=zero_jac, name="Z")
-    T = ChartVectorField(4, _const([0, 0, 0, 1]), jacobian=zero_jac, name="T")
+    Y = constant_field(4, [0, 1, 0, 0], "Y")
+    Z = constant_field(4, [0, 0, 1, 0], "Z")
+    T = constant_field(4, [0, 0, 0, 1], "T")
     model = ChartModel(
         4, [[-2, 2], [-2, 2], [-2, 2], [0.0, 2 * np.pi]], [Xbar, Y, Z, T],
         periodic={3: 2 * np.pi}, orbit_periods={3: np.pi}, name="darboux-long")

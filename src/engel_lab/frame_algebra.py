@@ -100,6 +100,15 @@ class ChartVectorField:
         return f"ChartVectorField({self.name or 'anonymous'}, dim={self.dim})"
 
 
+def constant_field(dim: int, vec, name: str = "") -> ChartVectorField:
+    """A chart field with constant components ``vec`` and zero Jacobian."""
+    v = np.asarray(vec, dtype=float)
+    return ChartVectorField(
+        dim, lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy(),
+        jacobian=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], dim, dim)),
+        name=name)
+
+
 def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
     """Central-difference jacobian, batched over points: (n, dim, dim)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ConfigError, NonFiniteEvaluation, SignatureError
-from .frame_algebra import ChartModel, ChartVectorField, LieModel
+from .frame_algebra import ChartModel, ChartVectorField, LieModel, constant_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -381,20 +381,12 @@ def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Loren
             return _embed3(np.atleast_2d(f3(pts[:, :3])), pts.shape[0])
         return comp
 
-    def theta_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], 4))
-        out[:, 3] = 1.0
-        return out
-
     X = ChartVectorField(4, lift(X3), name="X")
     Y = ChartVectorField(4, lift(Y3), name="Y")
     Z = ChartVectorField(4, lift(Z3),
                          jacobian=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 4, 4)),
                          name="Z")
-    Theta = ChartVectorField(4, theta_comp,
-                             jacobian=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 4, 4)),
-                             name="Theta")
+    Theta = constant_field(4, [0, 0, 0, 1], "Theta")
     box = np.vstack([ut.model.box, [0.0, TWO_PI]])
     periodic = {int(kk): v for kk, v in ut.model.periodic.items()}
     periodic[3] = TWO_PI
@@ -445,23 +437,10 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
              + np.cos(th)[:, None] * np.atleast_2d(Y3(pts[:, :3])))
         return _embed3(v, pts.shape[0])
 
-    def Zt_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], 4))
-        out[:, 2] = 1.0
-        return out
-
-    def theta_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], 4))
-        out[:, 3] = 1.0
-        return out
-
-    zero_jac = lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 4, 4))
     Xt = ChartVectorField(4, Xt_comp, name="Xt")
     Yt = ChartVectorField(4, Yt_comp, name="Yt")
-    Zt = ChartVectorField(4, Zt_comp, jacobian=zero_jac, name="Zt")
-    Theta = ChartVectorField(4, theta_comp, jacobian=zero_jac, name="Theta")
+    Zt = constant_field(4, [0, 0, 1, 0], "Zt")
+    Theta = constant_field(4, [0, 0, 0, 1], "Theta")
     box = np.vstack([ut.model.box, [0.0, TWO_PI]])
     periodic = {int(kk): v for kk, v in ut.model.periodic.items()}
     periodic[3] = TWO_PI

@@ -11,7 +11,7 @@ import numpy as np
 
 from .engel_verify import EngelStructure, darboux_long, darboux_standard
 from .errors import ConfigError
-from .frame_algebra import ChartModel, ChartVectorField, Section
+from .frame_algebra import ChartModel, Section, constant_field
 from .geometry_models import (
     ConstantCurvatureUT,
     bump_surface,
@@ -36,13 +36,7 @@ SHEAR_MAP = ((1, 1), (0, 1))
 
 def _integrable_counterexample() -> EngelStructure:
     """A plane field with integrable 'E': fails (D1)/(D2) by construction."""
-    def const4(vec):
-        v = np.asarray(vec, dtype=float)
-        return lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy()
-
-    zero_jac = lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 4, 4))
-    frame = [ChartVectorField(4, const4(v), jacobian=zero_jac, name=n)
-             for v, n in ((np.eye(4)[i], f"e{i}") for i in range(4))]
+    frame = [constant_field(4, np.eye(4)[i], f"e{i}") for i in range(4)]
     model = ChartModel(4, [[-1, 1]] * 4, frame, name="integrable")
     D = [Section((1, 0, 0, 0), "e0"), Section((0, 1, 0, 0), "e1")]
     E = D + [Section((1, 1, 0, 0), "e0+e1")]

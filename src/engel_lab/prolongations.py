@@ -31,6 +31,7 @@ from .frame_algebra import (
     LieModel,
     Section,
     bracket_chart,
+    constant_field,
     rank_with_margin,
 )
 from .geometry_models import LorentzExtension, TWO_PI, constant_curvature_surface, unit_tangent_frames
@@ -78,20 +79,14 @@ def standard_contact_r3(half: float = 2.0) -> ContactModel:
         out[:, 1] = pts[:, 2]
         return out
 
-    def const3(vec):
-        v = np.asarray(vec, dtype=float)
-        return lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy()
-
-    zero_jac = lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
-
     def xbar_jac(pts):
         J = np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
         J[:, 1, 2] = 1.0
         return J
 
     Xbar = ChartVectorField(3, xbar_comp, jacobian=xbar_jac, name="Xbar")
-    Y = ChartVectorField(3, const3([0, 1, 0]), jacobian=zero_jac, name="Y")
-    Z = ChartVectorField(3, const3([0, 0, 1]), jacobian=zero_jac, name="Z")
+    Y = constant_field(3, [0, 1, 0], "Y")
+    Z = constant_field(3, [0, 0, 1], "Z")
     model = ChartModel(3, [[-half, half]] * 3, [Xbar, Y, Z], name="contact-r3")
     l1 = Section((1, 0, 0), "Xbar")
     l2 = Section((0, 0, 1), "Z")
@@ -113,14 +108,6 @@ def _lift_field(f3: ChartVectorField, dim4: int = 4) -> ChartVectorField:
     return ChartVectorField(dim4, comp, name=f3.name)
 
 
-def _const_field(dim, vec, name):
-    v = np.asarray(vec, dtype=float)
-    return ChartVectorField(
-        dim, lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy(),
-        jacobian=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], dim, dim)),
-        name=name)
-
-
 # ---------------------------------------------------------------------------
 # Cartan prolongation
 # ---------------------------------------------------------------------------
@@ -138,7 +125,7 @@ def cartan_prolongation(c: ContactModel) -> EngelStructure:
     l1, l2 = c.legendrian_frame
     base = c.model
     frame = [
-        _const_field(4, [0, 0, 0, 1], "T"),
+        constant_field(4, [0, 0, 0, 1], "T"),
         _lift_field(l1.chart_field(base)),
         _lift_field(l2.chart_field(base)),
         _lift_field(c.transverse.chart_field(base)),
@@ -260,7 +247,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
             return out
         return ChartVectorField(4, comp, name=f"h{i}")
 
-    frame = [h_field(0), h_field(1), h_field(2), _const_field(4, [0, 0, 0, 1], "Theta")]
+    frame = [h_field(0), h_field(1), h_field(2), constant_field(4, [0, 0, 0, 1], "Theta")]
     box = np.vstack([base.box, [0.0, TWO_PI]])
     periodic = dict(base.periodic)
     periodic[3] = TWO_PI
@@ -305,10 +292,6 @@ def prequantum_local() -> EngelStructure:
     After the gauge normalization this is the standard Engel structure in the
     coordinates (x, theta, z, w); the M-chart here is ordered (x, z, w, theta).
     """
-    def const3(vec):
-        v = np.asarray(vec, dtype=float)
-        return lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy()
-
     def xi2_comp(pts):
         pts = np.atleast_2d(pts)
         out = np.zeros_like(pts)
@@ -316,16 +299,14 @@ def prequantum_local() -> EngelStructure:
         out[:, 1] = pts[:, 2]   # d/dx + w d/dz, coords (x, z, w)
         return out
 
-    zero_jac = lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
-
     def xi2_jac(pts):
         J = np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
         J[:, 1, 2] = 1.0
         return J
 
-    E1 = ChartVectorField(3, const3([1, 0, 0]), jacobian=zero_jac, name="dx")
-    E2 = ChartVectorField(3, const3([0, 1, 0]), jacobian=zero_jac, name="dz")
-    E3 = ChartVectorField(3, const3([0, 0, 1]), jacobian=zero_jac, name="dw")
+    E1 = constant_field(3, [1, 0, 0], "dx")
+    E2 = constant_field(3, [0, 1, 0], "dz")
+    E3 = constant_field(3, [0, 0, 1], "dw")
     base = ChartModel(3, [[-2, 2]] * 3, [E1, E2, E3], name="prequantum-base")
     xi = (Section((0, 0, 1), "dw"),
           Section((lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
@@ -433,14 +414,9 @@ def propellor_structure(monodromy: np.ndarray,
     if np.abs(omega).min() < 1e-10 or np.sign(omega).min() != np.sign(omega).max():
         raise NotContact("line path angular velocity must keep a single sign")
 
-    def const3(vec):
-        v = np.asarray(vec, dtype=float)
-        return lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy()
-
-    zero_jac3 = lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
-    E1 = ChartVectorField(3, const3([1, 0, 0]), jacobian=zero_jac3, name="dx")
-    E2 = ChartVectorField(3, const3([0, 1, 0]), jacobian=zero_jac3, name="dy")
-    E3 = ChartVectorField(3, const3([0, 0, 1]), jacobian=zero_jac3, name="dt")
+    E1 = constant_field(3, [1, 0, 0], "dx")
+    E2 = constant_field(3, [0, 1, 0], "dy")
+    E3 = constant_field(3, [0, 0, 1], "dt")
     base = ChartModel(3, [[0, 1], [0, 1], [0, 1]], [E1, E2, E3],
                       periodic={0: 1.0, 1: 1.0}, name="propellor-base")
 
@@ -604,7 +580,7 @@ def suspension(sd: SuspensionData, n_check: int = 40,
 
     l1, l2 = c.legendrian_frame
     frame = [
-        _const_field(4, [0, 0, 0, 1], "T"),
+        constant_field(4, [0, 0, 0, 1], "T"),
         _lift_field(l1.chart_field(base)),
         _lift_field(l2.chart_field(base)),
         _lift_field(c.transverse.chart_field(base)),
@@ -657,7 +633,7 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
     ut = unit_tangent_frames(constant_curvature_surface(kappa))
     X3, Y3, Z3 = ut.model.frame
     frame = [
-        _const_field(4, [0, 0, 0, 1], "T"),
+        constant_field(4, [0, 0, 0, 1], "T"),
         _lift_field(X3),
         _lift_field(Y3),
         _lift_field(Z3),

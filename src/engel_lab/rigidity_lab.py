@@ -158,11 +158,15 @@ def inaba_identity_check(c: DCurve) -> float:
 # accessible-set and rigidity probes
 # ---------------------------------------------------------------------------
 
+def _control_modes(rng: np.random.Generator, n_modes: int, amplitude: float):
+    """Amplitudes and frequencies (in {1, 2, 3}) of one random control."""
+    return rng.uniform(-amplitude, amplitude, size=n_modes), rng.integers(1, 4, size=n_modes)
+
+
 def random_admissible_controls(rng: np.random.Generator, n_modes: int = 3,
                                amplitude: float = 1.0):
     """Smooth u with u(t) = O(t) near zero (and v = 1), for the w = t class."""
-    coeffs = rng.uniform(-amplitude, amplitude, size=n_modes)
-    freqs = rng.integers(1, 4, size=n_modes)
+    coeffs, freqs = _control_modes(rng, n_modes, amplitude)
 
     def u(t):
         t = np.atleast_1d(t)
@@ -186,11 +190,14 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
     """
     rng = np.random.default_rng(seed)
     _, tgrid = _half_step_grid(T, dt)
-    U = np.empty((n_trials, tgrid.size))
+    # the controls of random_admissible_controls, summed in the same order
+    # from one table of the three cosine modes
+    cos_modes = {f: np.cos(np.pi * f * tgrid) for f in (1, 2, 3)}
+    U = np.zeros((n_trials, tgrid.size))
     V = np.ones_like(U)
-    for i in range(n_trials):
-        u, _ = random_admissible_controls(rng, n_modes=n_modes, amplitude=amplitude)
-        U[i] = u(tgrid)
+    for row in U:
+        for a, f in zip(*_control_modes(rng, n_modes, amplitude)):
+            row += a * tgrid * cos_modes[f]
     paths = sample_d_curves_batch(U, V, T, dt)
     ends = paths[:, -1, :]
     regions = [accessible_membership(e).value for e in ends]

@@ -17,11 +17,11 @@ SCHEMA_VERSION = 2
 
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x):
+    if math.isfinite(x):
+        return format(x, ".17g")
+    if math.isnan(x):
         return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:

@@ -5,6 +5,7 @@ import pytest
 
 from engel_lab.characteristic_dynamics import (
     HolonomyLift,
+    _rk4_path,
     classify_projective,
     closed_form_exp,
     closed_orbit_holonomy,
@@ -13,11 +14,13 @@ from engel_lab.characteristic_dynamics import (
     geodesic_projection_check,
     holonomy_closed_form,
     integrate_characteristic,
+    integrate_orbits,
     lift_angle_mod_pi,
     transport_EmodW,
     transport_generator,
+    two_sided_orbit,
 )
-from engel_lab.engel_verify import darboux_standard
+from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.errors import AmbiguousClass, ChartExit, MonotonicityViolation, StepTooLarge
 
 KAPPAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
@@ -50,6 +53,65 @@ class TestIntegrate:
         s = darboux_standard()
         with pytest.raises(ChartExit):
             integrate_characteristic(s, np.zeros(4), 5.0, 1e-2)
+
+    @pytest.mark.parametrize("name, kw, T, n_exits", [
+        ("propellor-cat", {}, 1.0, 0),
+        ("lorentz-magnetic", {"kappa": -1.0}, 1.5, 1),
+    ])
+    def test_batch_rows_match_single_orbits(self, preset_cache, name, kw, T, n_exits):
+        # the start points of estimate_global_type, integrated as one batch
+        s = preset_cache(name, **kw)["structure"]
+        mid = s.model.box.mean(axis=1)
+        starts = mid + 0.5 * (sample_box(s.model, 3, skip=300) - mid)
+        dt = 1e-2
+        times, pts, kept = integrate_orbits(s, starts, T, dt)
+        nsteps = len(times) - 1
+        exits = 0
+        for p0, row, k in zip(starts, pts, kept):
+            try:
+                single = integrate_characteristic(s, p0, T, dt)
+            except ChartExit as e:
+                exits += 1
+                assert k < nsteps and e.t_exit == (k + 1) * (T / nsteps)
+                # the exiting row keeps the unchecked path up to its exit
+                _, path = _rk4_path(s.W_section.chart_field(s.model), p0, T, dt)
+                assert np.array_equal(row[:k + 1], path[:k + 1])
+                assert np.isnan(row[k + 1:]).all()
+            else:
+                assert k == nsteps
+                assert np.array_equal(times, single.times)
+                assert np.array_equal(row, single.points)
+        assert exits == n_exits
+
+    def test_default_orbit_start_exit_time(self, preset_cache):
+        # the start of `orbit --preset lorentz-magnetic --kappa -0.5`
+        s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]
+        box = s.model.box
+        p0 = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0])
+        with pytest.raises(ChartExit) as exc:
+            integrate_characteristic(s, p0, 5.0, 1e-3)
+        assert exc.value.t_exit == 2.073
+
+    def test_two_sided_matches_separate_orbits(self, preset_cache):
+        s = preset_cache("lorentz-magnetic", kappa=-1.0)["structure"]
+        p0 = np.array([0.0, 0.0, np.pi / 2, 0.0])
+        orbit = two_sided_orbit(s, p0, 1.0, 1e-2)
+        back = integrate_characteristic(s, p0, -0.5, 1e-2)
+        fwd = integrate_characteristic(s, p0, 0.5, 1e-2)
+        assert np.array_equal(orbit.times, np.concatenate([back.times[::-1], fwd.times[1:]]))
+        assert np.array_equal(orbit.points, np.concatenate([back.points[::-1], fwd.points[1:]]))
+
+    def test_two_sided_reports_backward_exit_first(self, preset_cache):
+        s = preset_cache("lorentz-magnetic", kappa=1.0)["structure"]
+        box = s.model.box
+        p0 = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0])
+        with pytest.raises(ChartExit) as back:
+            integrate_characteristic(s, p0, -3.0, 1e-2)
+        with pytest.raises(ChartExit):
+            integrate_characteristic(s, p0, 3.0, 1e-2)
+        with pytest.raises(ChartExit) as both:
+            two_sided_orbit(s, p0, 6.0, 1e-2)
+        assert both.value.t_exit == back.value.t_exit < 0
 
     def test_reversibility(self, preset_cache):
         s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]
@@ -347,7 +409,6 @@ class TestGlobalType:
 class TestGeodesicProjection:
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])
     def test_projection_identities(self, preset_cache, kappa):
-        from engel_lab.characteristic_dynamics import two_sided_orbit
         built = preset_cache("lorentz-magnetic", kappa=kappa)
         s, ext = built["structure"], built["extension"]
         # start mid-chart pointing along +y: a length-5 projected horocycle

@@ -6,7 +6,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from engel_lab.characteristic_dynamics import integrate_orbits
 from engel_lab.cli import main
+from engel_lab.presets import build_preset
 from engel_lab.serialize import dumps_canonical
 
 
@@ -98,6 +100,24 @@ class TestOrbitCommand:
         lines = (tmp_path / "orbit_lorentz-product-lie.csv").read_text().splitlines()
         assert lines[0].startswith("t,p0,p1,p2,p3,M11")
         assert len(lines) == 1002
+
+
+    def test_truncated_orbit_is_prefix_of_full_grid(self, tmp_path, capsys):
+        # at dt = 0.01 the default start leaves the chart at t = 2.08; the
+        # artifact keeps the steps up to t_cut = t_exit - 2 dt of the T = 5 grid
+        code = run(["orbit", "--preset", "lorentz-magnetic", "--kappa", "-0.5",
+                    "-T", "5", "--dt", "0.01", "--out", str(tmp_path)])
+        assert code == 0
+        assert "(truncated at chart exit t=2.06)" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "orbit_lorentz-magnetic.json").read_text())
+        s = build_preset("lorentz-magnetic", kappa=-0.5)["structure"]
+        box = s.model.box
+        p0 = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0])
+        times, pts, kept = integrate_orbits(s, p0, 5.0, 1e-2)
+        n = len(doc["t"])
+        assert n == 207 and kept[0] == 207
+        assert np.array_equal(doc["t"], times[:n])
+        assert np.array_equal(doc["points"], pts[0, :n])
 
 
 class TestRigidityCommand:
