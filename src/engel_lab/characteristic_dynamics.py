@@ -31,7 +31,7 @@ from .errors import (
     MonotonicityViolation,
     StepTooLarge,
 )
-from .frame_algebra import LieModel, Section, bracket_chart
+from .frame_algebra import LieModel, Section
 from .geometry_models import LorentzExtension
 from .serialize import write_csv
 
@@ -181,9 +181,8 @@ def _exit_time(times: np.ndarray, kept: int) -> Optional[float]:
 
 
 def _trace(s: EngelStructure, times, points, dt: float) -> OrbitTrace:
-    kind = "lie" if isinstance(s.model, LieModel) else "chart"
     return OrbitTrace(times=times, points=points,
-                      meta={"provenance": s.provenance, "dt": dt, "kind": kind})
+                      meta={"provenance": s.provenance, "dt": dt, "kind": s.model.kind})
 
 
 def integrate_orbits(s: EngelStructure, starts: np.ndarray, T, dt: float):
@@ -196,13 +195,16 @@ def integrate_orbits(s: EngelStructure, starts: np.ndarray, T, dt: float):
     """
     if dt <= 0:
         raise StepTooLarge("dt must be positive")
-    if not isinstance(s.model, LieModel):
-        return _rk4_orbits(s.W_section.chart_field(s.model), starts, T, dt, s.model)
-    if not s.W_section.is_constant:
-        raise NotImplementedError("Lie-model flow needs constant W coefficients")
-    times, nsteps = _time_grid(T, dt)
-    pts = np.atleast_2d(starts)[:, None, :] + times[..., None] * s.W_section.constant_coeffs()
-    return times, pts, np.full(len(pts), nsteps)
+    if isinstance(s.model, LieModel):
+        times, nsteps = _time_grid(T, dt)
+        pts = np.atleast_2d(starts)[:, None, :] + times[..., None] * s.W_section.constant_coeffs()
+        return times, pts, np.full(len(pts), nsteps)
+    return _rk4_orbits(_W_field(s), starts, T, dt, s.model)
+
+
+def _W_field(s: EngelStructure) -> Callable:
+    """Batched characteristic field: points (n, dim) -> values (n, dim)."""
+    return lambda pts: s.model.values([s.W_section], pts)[:, 0]
 
 
 def integrate_characteristic(s: EngelStructure, p0: np.ndarray, T: float,
@@ -264,35 +266,33 @@ def _emw_frame(s: EngelStructure) -> Sequence[Section]:
 def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray:
     """A(p) with columns = coordinates of [e_j, W] mod W in the frame (e1, e2).
 
-    Batched over points for chart models; constant for Lie models.  Raises
-    :class:`FrameDegenerate` when (e1, e2, W) fails to resolve the brackets.
+    Batched over points, (n, 2, 2).  On a Lie model A is one exact solve,
+    returned as (2, 2) without points and broadcast over them otherwise.
+    Raises :class:`FrameDegenerate` when (e1, e2, W) fails to resolve the
+    brackets.
     """
     e1, e2 = _emw_frame(s)
+    frame = [e1, e2, s.W_section]
     if isinstance(s.model, LieModel):
-        cols = np.stack([e1.constant_coeffs(), e2.constant_coeffs(),
-                         s.W_section.constant_coeffs()], axis=1)
+        cols = s.model.values(frame)[0].T
         A = np.empty((2, 2))
         for j, ej in enumerate((e1, e2)):
-            br = s.model.bracket(s.W_section.constant_coeffs(), ej.constant_coeffs())
+            br = s.model.bracket(s.W_section, ej)[0]
             coef, res, rank, sv = np.linalg.lstsq(cols, br, rcond=None)
             if rank < 3 or (res.size and res[0] > 1e-18):
                 raise FrameDegenerate("E/W frame cannot resolve ad_W")
             A[:, j] = -coef[:2]
-        return A
+        return A if pts is None else np.broadcast_to(A, (len(np.atleast_2d(pts)), 2, 2))
 
     pts = np.atleast_2d(pts)
-    model = s.model
-    Wf = s.W_section.chart_field(model)
-    e1f, e2f = e1.chart_field(model), e2.chart_field(model)
-    cols = np.stack([np.atleast_2d(e1f(pts)), np.atleast_2d(e2f(pts)),
-                     np.atleast_2d(Wf(pts))], axis=2)   # (n, dim, 3)
+    cols = np.swapaxes(s.model.values(frame, pts), 1, 2)    # (n, dim, 3)
     sv = np.linalg.svd(cols, compute_uv=False)
     if np.any(sv[:, -1] < 1e-10):
         raise FrameDegenerate("E/W frame lost rank along the orbit")
     pinv = np.linalg.pinv(cols)
     A = np.empty((pts.shape[0], 2, 2))
-    for j, ejf in enumerate((e1f, e2f)):
-        br = np.atleast_2d(bracket_chart(Wf, ejf, pts))
+    for j, ej in enumerate((e1, e2)):
+        br = s.model.bracket(s.W_section, ej, pts)
         coef = np.einsum("nkd,nd->nk", pinv, br)
         resid = br - np.einsum("ndk,nk->nd", cols, coef)
         scale = np.linalg.norm(br, axis=1) + 1.0
@@ -303,30 +303,20 @@ def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray
 
 
 def _dw_coords(s: EngelStructure, pts: np.ndarray) -> np.ndarray:
-    """Coordinates of the line D/W in the E/W frame at each point."""
+    """Coordinates of the line D/W in the E/W frame at each point: of the two
+    D sections, the one with the larger E/W component."""
     e1, e2 = _emw_frame(s)
-    if isinstance(s.model, LieModel):
-        pts = np.atleast_2d(pts)
-        cols = np.stack([e1.constant_coeffs(), e2.constant_coeffs(),
-                         s.W_section.constant_coeffs()], axis=1)
-        best = None
-        for d in s.D_span:
-            coef, *_ = np.linalg.lstsq(cols, d.constant_coeffs(), rcond=None)
-            c = coef[:2]
-            if best is None or np.linalg.norm(c) > np.linalg.norm(best):
-                best = c
-        return np.broadcast_to(best, (pts.shape[0], 2)).copy()
+    sections = [e1, e2, s.W_section, *s.D_span]
     pts = np.atleast_2d(pts)
-    model = s.model
-    cols = np.stack([np.atleast_2d(e1.chart_field(model)(pts)),
-                     np.atleast_2d(e2.chart_field(model)(pts)),
-                     np.atleast_2d(s.W_section.chart_field(model)(pts))], axis=2)
-    pinv = np.linalg.pinv(cols)
-    cands = []
-    for d in s.D_span:
-        dv = np.atleast_2d(d.chart_field(model)(pts))
-        cands.append(np.einsum("nkd,nd->nk", pinv, dv)[:, :2])
-    c0, c1 = cands
+    if isinstance(s.model, LieModel):
+        # one exact solve, broadcast over the points
+        vals = s.model.values(sections)[0]
+        cands = [np.linalg.lstsq(vals[:3].T, d, rcond=None)[0][:2] for d in vals[3:]]
+        best = cands[1] if np.linalg.norm(cands[1]) > np.linalg.norm(cands[0]) else cands[0]
+        return np.broadcast_to(best, (pts.shape[0], 2)).copy()
+    vals = s.model.values(sections, pts)
+    pinv = np.linalg.pinv(np.swapaxes(vals[:, :3], 1, 2))
+    c0, c1 = (np.einsum("nkd,nd->nk", pinv, d)[:, :2] for d in (vals[:, 3], vals[:, 4]))
     pick = np.linalg.norm(c0, axis=1) >= np.linalg.norm(c1, axis=1)
     return np.where(pick[:, None], c0, c1)
 
@@ -348,50 +338,40 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
                     angles: bool = True) -> OrbitTrace:
     """Solve M' = A(t) M along the orbit and track the lifted D/W angle.
 
-    Chart models regenerate the RK4 midpoint stages from the stored points
-    (half-length substeps), so the variational stages keep full order; Lie
-    models use the constant generator.  ``angles=False`` skips the
-    developing-angle pullback (the inverse transport loses all precision
-    once a hyperbolic M(t) has condition number near 1/eps, and the
-    global-type estimator does not need it).
+    The RK4 midpoint stages are regenerated from the stored points
+    (half-length substeps), so the variational stages keep full order.
+    ``angles=False`` skips the developing-angle pullback (the inverse
+    transport loses all precision once a hyperbolic M(t) has condition
+    number near 1/eps, and the global-type estimator does not need it).
     """
     times = orbit.times
     dt_signed = times[1] - times[0]
     n = len(times) - 1
 
-    if isinstance(s.model, LieModel):
-        A = transport_generator(s)
-        A_half = np.broadcast_to(A, (2 * n + 1, 2, 2))
-        M = transport_rk4(A_half, dt_signed)
-        eval_pts = orbit.points
-        A_half_arr = A_half
-    else:
-        W = s.W_section.chart_field(s.model)
-        # midpoint stage positions via one RK4 substep of half length
-        pts = s.model.wrap(orbit.points)
-        h = dt_signed / 2.0
-        p = pts[:-1]
-        k1 = np.atleast_2d(W(p))
-        k2 = np.atleast_2d(W(p + 0.5 * h * k1))
-        k3 = np.atleast_2d(W(p + 0.5 * h * k2))
-        k4 = np.atleast_2d(W(p + h * k3))
-        half = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        pts_half = np.empty((2 * n + 1, s.model.dim))
-        pts_half[0::2] = pts
-        pts_half[1::2] = half
-        A_half = transport_generator(s, pts_half)
-        M = transport_rk4(A_half, dt_signed)
-        eval_pts = pts
-        A_half_arr = A_half
+    W = _W_field(s)
+    # midpoint stage positions via one RK4 substep of half length
+    pts = s.model.wrap(orbit.points)
+    h = dt_signed / 2.0
+    p = pts[:-1]
+    k1 = W(p)
+    k2 = W(p + 0.5 * h * k1)
+    k3 = W(p + 0.5 * h * k2)
+    k4 = W(p + h * k3)
+    half = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    pts_half = np.empty((2 * n + 1, s.model.dim))
+    pts_half[0::2] = pts
+    pts_half[1::2] = half
+    A_half = transport_generator(s, pts_half)
+    M = transport_rk4(A_half, dt_signed)
 
     # det M solves (det)' = tr A det; the quadrature stays accurate where
     # the algebraic determinant of a huge hyperbolic matrix cancels away
-    tr_half = np.trace(A_half_arr, axis1=1, axis2=2)
+    tr_half = np.trace(A_half, axis1=1, axis2=2)
     tr_steps = (tr_half[0:-2:2] + 4.0 * tr_half[1::2] + tr_half[2::2]) * (dt_signed / 6.0)
     dets = np.exp(np.concatenate([[0.0], np.cumsum(tr_steps)]))
     angle = None
     if angles:
-        d = _dw_coords(s, eval_pts)
+        d = _dw_coords(s, pts)
         # adjugate inverse: M is unimodular, so M^{-1} = adj(M) / det(M)
         adj = np.empty_like(M)
         adj[:, 0, 0] = M[:, 1, 1]
@@ -461,12 +441,12 @@ def first_return_time(s: EngelStructure, p0: np.ndarray, dt: float,
                       t_max: float, eps: float = None) -> float:
     """Smallest t with the orbit back within eps of p0 (wrapped distance,
     honoring declared orbit-closure periods)."""
+    if isinstance(s.model, LieModel):
+        # straight-line exponential orbit: closure only through declared periods
+        raise NotImplementedError("closed-orbit detection needs a chart model")
     eps = DEFAULTS.orbit_close_eps if eps is None else eps
     orbit = integrate_characteristic(s, p0, t_max, dt)
     model = s.model
-    if isinstance(model, LieModel):
-        # straight-line exponential orbit: closure only through declared periods
-        raise NotImplementedError("closed-orbit detection needs a chart model")
     dists = np.array([model.distance(p, p0) for p in orbit.points])
     h = orbit.times[1] - orbit.times[0]
     k_min = max(2, int(np.ceil(10 * dt / h)))
@@ -705,8 +685,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
             kind = "elliptic"
         genuine = None
         if kind in ("parabolic", "hyperbolic") and lines:
-            d = _dw_coords(s, orbit.points if isinstance(model, LieModel)
-                           else model.wrap(orbit.points))
+            d = _dw_coords(s, model.wrap(orbit.points))
             crossings = 0
             min_dist = np.inf
             for ln in lines:

@@ -25,7 +25,6 @@ from .frame_algebra import (
     FrameModel,
     LieModel,
     Section,
-    bracket_chart,
     constant_field,
     rank_with_margin,
 )
@@ -83,21 +82,7 @@ class EngelStructure:
 
     def section_values(self, sections, pts):
         """Stack section values at pts -> (n, k, dim)."""
-        if isinstance(self.model, LieModel):
-            rows = np.stack([s.constant_coeffs() for s in sections])
-            return np.broadcast_to(rows, (len(np.atleast_2d(pts)),) + rows.shape)
-        pts = np.atleast_2d(pts)
-        return np.stack(
-            [np.atleast_2d(s.chart_field(self.model)(pts)) for s in sections],
-            axis=1)
-
-    def bracket(self, a: Section, b: Section, pts=None) -> np.ndarray:
-        if isinstance(self.model, LieModel):
-            val = self.model.bracket(a.constant_coeffs(), b.constant_coeffs())
-            return np.broadcast_to(val, (len(np.atleast_2d(pts)), self.model.dim))
-        return np.atleast_2d(
-            bracket_chart(a.chart_field(self.model), b.chart_field(self.model),
-                          np.atleast_2d(pts)))
+        return self.model.values(sections, pts)
 
 
 @dataclass
@@ -144,54 +129,54 @@ def line_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
-def _pairing_matrices(s: EngelStructure, pts: np.ndarray):
-    """Skew matrices B_ij = transverse component of [e_i, e_j] on E, batched.
+def _pairing_kernel(basis: np.ndarray, brEE: Sequence[np.ndarray],
+                    wdecl: np.ndarray, tol: float):
+    """Kernel of the skew bracket pairing on E, batched over points.
 
-    Returns (B, basis) with B of shape (n, 3, 3) and basis the stacked
-    (e_1, e_2, e_3, transverse) values of shape (n, dim, 4).
+    ``basis`` stacks the values of (e_1, e_2, e_3, transverse), shape
+    (n, 4, dim); ``brEE`` holds the brackets [e_1, e_2], [e_1, e_3],
+    [e_2, e_3], each (n, dim).  The pairing B_ij is the transverse component
+    of [e_i, e_j].  Returns the unnormalized kernel vector (n, dim), signed
+    along the declared W values ``wdecl``, and the mask of points where the
+    pairing has rank 2.
     """
-    pts = np.atleast_2d(pts)
-    n = pts.shape[0]
-    Ev = s.section_values(s.E_span, pts)                    # (n, 3, dim)
-    tv = s.section_values([s.transverse_section], pts)[:, 0]  # (n, dim)
-    basis = np.concatenate([Ev, tv[:, None, :]], axis=1)     # (n, 4, dim)
-    basis_T = np.swapaxes(basis, 1, 2)                       # (n, dim, 4)
-    pinv = np.linalg.pinv(basis_T)
+    n = basis.shape[0]
+    pinv = np.linalg.pinv(np.swapaxes(basis, 1, 2))
     B = np.zeros((n, 3, 3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            br = s.bracket(s.E_span[i], s.E_span[j], pts)    # (n, dim)
-            coef = np.einsum("nkd,nd->nk", pinv, br)
-            B[:, i, j] = coef[:, 3]
-            B[:, j, i] = -coef[:, 3]
-    return B, Ev
+    for (i, j), br in zip(((0, 1), (0, 2), (1, 2)), brEE):
+        coef = np.einsum("nkd,nd->nk", pinv, br)
+        B[:, i, j] = coef[:, 3]
+        B[:, j, i] = -coef[:, 3]
+    _, sv, vt = np.linalg.svd(B)
+    wvec = np.einsum("nk,nkd->nd", vt[:, -1, :], basis[:, :3])
+    sign = np.sign(np.einsum("nd,nd->n", wvec, wdecl))
+    sign[sign == 0] = 1.0
+    return wvec * sign[:, None], sv[:, 1] >= tol
+
+
+def _E_brackets(s: EngelStructure, pts: np.ndarray) -> list[np.ndarray]:
+    E = s.E_span
+    return [s.model.bracket(E[i], E[j], pts) for i, j in ((0, 1), (0, 2), (1, 2))]
 
 
 def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
                           tol: float = None) -> np.ndarray:
     """Unit vector spanning the kernel of the bracket pairing on E at ``p``.
 
-    Accepts a single point or a batch; the sign is aligned with the
-    structure's declared W section.  Raises :class:`DegenerateKernel` when
-    the pairing has rank < 2 (E is not even-contact there).
+    Accepts a single point or a batch (``None`` is the origin, the base point
+    of a Lie model); the sign is aligned with the structure's declared W
+    section.  Raises :class:`DegenerateKernel` when the pairing has rank < 2
+    (E is not even-contact there).
     """
     tol = DEFAULTS.rank_tol if tol is None else float(tol)
-    if isinstance(s.model, LieModel):
-        p = np.zeros(s.model.dim) if p is None else np.asarray(p, dtype=float)
-    single = np.asarray(p).ndim == 1
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
-    B, Ev = _pairing_matrices(s, pts)
-    _, sv, vt = np.linalg.svd(B)
-    if np.any(sv[:, 1] < tol):
+    p = np.zeros(s.model.dim) if p is None else np.asarray(p, dtype=float)
+    pts = np.atleast_2d(p)
+    vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
+    wvec, ok = _pairing_kernel(vals[:, :4], _E_brackets(s, pts), vals[:, 4], tol)
+    if not ok.all():
         raise DegenerateKernel("bracket pairing on E has rank < 2")
-    ker = vt[:, -1, :]                                       # (n, 3)
-    wvec = np.einsum("nk,nkd->nd", ker, Ev)
     wvec /= np.linalg.norm(wvec, axis=-1, keepdims=True)
-    wdecl = s.section_values([s.W_section], pts)[:, 0]
-    sign = np.sign(np.einsum("nd,nd->n", wvec, wdecl))
-    sign[sign == 0] = 1.0
-    wvec *= sign[:, None]
-    return wvec[0] if single else wvec
+    return wvec[0] if p.ndim == 1 else wvec
 
 
 def verify_engel(s: EngelStructure, n_samples: int = 1000,
@@ -210,31 +195,23 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
         pts = sample_box(s.model, n_samples, skip=skip)
     n = pts.shape[0]
 
-    Dv = s.section_values(s.D_span, pts)                     # (n, 2, dim)
+    # (e_1, e_2, e_3, transverse, W, D_1, D_2) at every point
+    vals = s.model.values([*s.E_span, s.transverse_section, s.W_section, *s.D_span], pts)
+    Dv = vals[:, 5:]                                         # (n, 2, dim)
     rank_D, marg_D = rank_with_margin(Dv, tol)
 
-    brDD = s.bracket(s.D_span[0], s.D_span[1], pts)          # (n, dim)
+    brDD = s.model.bracket(s.D_span[0], s.D_span[1], pts)    # (n, dim)
     Ederived = np.concatenate([Dv, brDD[:, None, :]], axis=1)
     rank_E, marg_E = rank_with_margin(Ederived, tol)
 
-    Ev = s.section_values(s.E_span, pts)
-    rows = [Ev]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            rows.append(s.bracket(s.E_span[i], s.E_span[j], pts)[:, None, :])
-    EE = np.concatenate(rows, axis=1)
+    brEE = _E_brackets(s, pts)
+    EE = np.concatenate([vals[:, :3]] + [br[:, None, :] for br in brEE], axis=1)
     rank_EE, marg_EE = rank_with_margin(EE, tol)
 
     angle = np.full(n, np.nan)
     try:
-        B, EvB = _pairing_matrices(s, pts)
-        u, sv, vt = np.linalg.svd(B)
-        ok = sv[:, 1] >= tol
-        ker = vt[:, -1, :]
-        wvec = np.einsum("nk,nkd->nd", ker, EvB)
-        wdecl = s.section_values([s.W_section], pts)[:, 0]
-        ang = line_angle(wvec, wdecl)
-        angle[ok] = np.atleast_1d(ang)[ok]
+        wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], tol)
+        angle[ok] = line_angle(wvec, vals[:, 4])[ok]
     except (np.linalg.LinAlgError, ValueError):
         pass   # degenerate declared data; the rank records carry the failure
 

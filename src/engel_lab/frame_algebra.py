@@ -11,8 +11,19 @@ constants or functions of the chart point), which is all the constructions
 here need: brackets of such sections reduce to frame brackets plus directional
 derivatives of coefficients, and both are computable.
 
+Both model kinds answer one batched protocol, so consumers never branch on
+the kind to evaluate anything:
+
+* ``values(sections, pts) -> (n, k, dim)``: chart components of each section
+  (chart) or its constant frame coefficients broadcast over the points (Lie);
+* ``bracket(a, b, pts) -> (n, dim)``: the chart bracket of the realized
+  fields (finite differences through :func:`bracket_chart`) or the exact
+  structure-constant contraction :func:`bracket_lie`;
+* ``contains(pts)`` and ``wrap(pts)``: the chart box and its periodic
+  coordinates, or all-true and the identity on a Lie model.
+
 Points are numpy arrays; every evaluable accepts a single point ``(dim,)`` or
-a batch ``(n, dim)`` and returns matching leading dimensions.
+a batch ``(n, dim)``; the protocol methods always return a leading batch axis.
 """
 from __future__ import annotations
 
@@ -30,6 +41,7 @@ from .errors import (
 )
 
 Coefficient = Union[float, int, Callable[[np.ndarray], np.ndarray]]
+Coefficients = Union[Sequence[Coefficient], Callable[[np.ndarray], np.ndarray]]
 
 
 def _as_batch(p: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
@@ -169,12 +181,28 @@ class LieModel:
     def kind(self) -> str:
         return "lie"
 
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if u.shape != (self.dim,) or v.shape != (self.dim,):
-            raise DimensionMismatch("coefficient vectors must match the frame size")
-        return np.einsum("kij,i,j->k", self.c, u, v)
+    def values(self, sections: Sequence["Section"], pts=None) -> np.ndarray:
+        """Constant frame coefficients broadcast to (n, k, dim); n = 1 without
+        points."""
+        rows = np.stack([s.constant_coeffs() for s in sections])
+        if rows.shape[1] != self.dim:
+            raise DimensionMismatch("section does not match the model frame")
+        return np.broadcast_to(rows, (_count(pts),) + rows.shape)
+
+    def bracket(self, a: "Section", b: "Section", pts=None, h: float = None) -> np.ndarray:
+        """Exact bracket of two constant sections broadcast to (n, dim)."""
+        val = bracket_lie(self, a.constant_coeffs(), b.constant_coeffs())
+        return np.broadcast_to(val, (_count(pts), self.dim))
+
+    def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
+        """Every point lies in the model."""
+        pts, single = _as_batch(p, self.dim)
+        ok = np.ones(pts.shape[0], dtype=bool)
+        return ok[0] if single else ok
+
+    def wrap(self, p: np.ndarray) -> np.ndarray:
+        """No periodic coordinates: the identity."""
+        return np.asarray(p, dtype=float)
 
     def antisymmetry_defect(self) -> float:
         return float(np.abs(self.c + np.swapaxes(self.c, 1, 2)).max())
@@ -194,8 +222,18 @@ class LieModel:
 
 
 def bracket_lie(m: LieModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exact bracket of constant-coefficient sections of a Lie frame."""
-    return m.bracket(u, v)
+    """Exact bracket of constant-coefficient sections of a Lie frame: the
+    structure-constant contraction of their coefficient vectors."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != (m.dim,) or v.shape != (m.dim,):
+        raise DimensionMismatch("coefficient vectors must match the frame size")
+    return np.einsum("kij,i,j->k", m.c, u, v)
+
+
+def _count(pts) -> int:
+    """Number of points in a single point or batch; 1 for ``None``."""
+    return 1 if pts is None else len(np.atleast_2d(pts))
 
 
 @dataclass
@@ -226,6 +264,39 @@ class ChartModel:
     @property
     def kind(self) -> str:
         return "chart"
+
+    def values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
+        """Chart components of the sections at the points: (n, k, dim).
+
+        Each frame field and each section's coefficients are evaluated once;
+        the components accumulate as sum_i c_i F_i in frame order.
+        """
+        if pts is None:
+            raise ValueError("chart sections need a point")
+        pts, _ = _as_batch(pts, self.dim)
+        co = np.empty((pts.shape[0], len(sections), self.dim))
+        for k, s in enumerate(sections):
+            c = s.coeff_at(pts)
+            if c.shape[-1] != self.dim:
+                raise DimensionMismatch("section does not match the model frame")
+            co[:, k] = c
+        # a frame field every section weights by a constant zero adds nothing
+        unused = frozenset.intersection(*(s.zero_coeffs for s in sections))
+        out = np.zeros((pts.shape[0], len(sections), self.dim))
+        for i, f in enumerate(self.frame):
+            if i not in unused:
+                out += co[:, :, i:i + 1] * f(pts)[:, None, :]
+        return out
+
+    def field(self, section: "Section") -> ChartVectorField:
+        """The section as an evaluable chart field (finite-difference jacobian)."""
+        return ChartVectorField(self.dim, lambda pts: self.values([section], pts)[:, 0],
+                                name=section.name or "section")
+
+    def bracket(self, a: "Section", b: "Section", pts: np.ndarray,
+                h: float = None) -> np.ndarray:
+        """Chart bracket of the realized sections at the points: (n, dim)."""
+        return np.atleast_2d(bracket_chart(self.field(a), self.field(b), pts, h=h))
 
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
         pts, single = _as_batch(p, self.dim)
@@ -268,17 +339,22 @@ FrameModel = Union[ChartModel, LieModel]
 class Section:
     """A frame-coefficient combination sum_i c_i(p) e_i.
 
-    Coefficients are scalars or callables of the chart point.  On a Lie model
-    only constant coefficients are meaningful.
+    ``coeffs`` holds one scalar or callable of the chart points per frame
+    field, or is one callable mapping points (n, dim) to all coefficients
+    (n, dim) at once.  On a Lie model only constant coefficients are
+    meaningful.
     """
 
-    def __init__(self, coeffs: Sequence[Coefficient], name: str = ""):
-        self.coeffs = tuple(coeffs)
+    def __init__(self, coeffs: Coefficients, name: str = ""):
+        self.coeffs = coeffs if callable(coeffs) else tuple(coeffs)
         self.name = name
+        # indices of the coefficients that are the constant zero
+        self.zero_coeffs = frozenset() if callable(coeffs) else frozenset(
+            i for i, c in enumerate(self.coeffs) if not callable(c) and float(c) == 0.0)
 
     @property
     def is_constant(self) -> bool:
-        return all(not callable(c) for c in self.coeffs)
+        return not callable(self.coeffs) and not any(callable(c) for c in self.coeffs)
 
     def constant_coeffs(self) -> np.ndarray:
         if not self.is_constant:
@@ -290,52 +366,16 @@ class Section:
         p = np.asarray(p, dtype=float)
         single = p.ndim == 1
         pts = p[None, :] if single else p
-        cols = []
-        for c in self.coeffs:
-            if callable(c):
-                v = np.asarray(c(pts), dtype=float)
-                cols.append(np.broadcast_to(v, (pts.shape[0],)))
-            else:
-                cols.append(np.full(pts.shape[0], float(c)))
-        out = np.stack(cols, axis=-1)
+        if callable(self.coeffs):
+            out = np.asarray(self.coeffs(pts), dtype=float)
+        else:
+            out = np.empty((pts.shape[0], len(self.coeffs)))
+            for j, c in enumerate(self.coeffs):
+                out[:, j] = c(pts) if callable(c) else float(c)
         return out[0] if single else out
-
-    def chart_field(self, model: ChartModel) -> ChartVectorField:
-        """Realize the section as an evaluable chart field."""
-        if len(self.coeffs) != model.dim:
-            raise DimensionMismatch("section does not match the model frame")
-        frame = model.frame
-
-        def components(pts):
-            pts = np.atleast_2d(pts)
-            co = np.atleast_2d(self.coeff_at(pts))
-            out = np.zeros_like(pts)
-            for i, f in enumerate(frame):
-                out += co[:, i:i + 1] * np.atleast_2d(f(pts))
-            return out
-
-        return ChartVectorField(model.dim, components, box=None,
-                                name=self.name or "section")
-
-    def value(self, model: FrameModel, p: np.ndarray = None) -> np.ndarray:
-        """Chart components (chart model) or frame coefficients (Lie model)."""
-        if isinstance(model, LieModel):
-            return self.constant_coeffs()
-        if p is None:
-            raise ValueError("chart sections need a point")
-        return self.chart_field(model)(p)
 
     def __repr__(self):
         return f"Section({self.name or self.coeffs})"
-
-
-def section_bracket(model: FrameModel, a: Section, b: Section,
-                    p: np.ndarray = None, h: float = None) -> np.ndarray:
-    """Bracket of two sections: exact contraction (Lie, constant coefficients)
-    or chart bracket of the realized fields."""
-    if isinstance(model, LieModel):
-        return model.bracket(a.constant_coeffs(), b.constant_coeffs())
-    return bracket_chart(a.chart_field(model), b.chart_field(model), p, h=h)
 
 
 @dataclass
@@ -347,20 +387,13 @@ class DistributionSpec:
 
     def values(self, p: np.ndarray = None) -> np.ndarray:
         """Stack of spanning vectors at p, shape (k, dim) (or (n, k, dim))."""
-        if isinstance(self.model, LieModel):
-            return np.stack([s.constant_coeffs() for s in self.span])
-        pts, single = _as_batch(p, self.model.dim)
-        rows = np.stack([np.atleast_2d(s.chart_field(self.model)(pts))
-                         for s in self.span], axis=1)
-        return rows[0] if single else rows
+        vals = self.model.values(self.span, p)
+        return vals if np.ndim(p) == 2 else vals[0]
 
     def validate(self, pts: np.ndarray = None, tol: float = None) -> None:
         """Spanning sections must stay linearly independent at the samples."""
         tol = DEFAULTS.rank_tol if tol is None else tol
-        vals = self.values(pts)
-        if vals.ndim == 2:
-            vals = vals[None]
-        rank, _ = rank_with_margin(vals, tol)
+        rank, _ = rank_with_margin(self.model.values(self.span, pts), tol)
         if not np.all(rank == len(self.span)):
             raise DimensionMismatch("spanning sections lose independence at a sample")
 
@@ -403,11 +436,9 @@ def derived_distribution(d: DistributionSpec, p: np.ndarray = None,
     together with all pairwise section brackets at ``p``.
     """
     tol = DEFAULTS.rank_tol if tol is None else float(tol)
-    rows = [np.asarray(s.value(d.model, p), dtype=float) for s in d.span]
-    k = len(d.span)
-    for i in range(k):
-        for j in range(i + 1, k):
-            rows.append(section_bracket(d.model, d.span[i], d.span[j], p))
+    rows = [d.model.values(d.span, p)[0]]
+    for i, a in enumerate(d.span):
+        rows += [d.model.bracket(a, b, p)[0] for b in d.span[i + 1:]]
     mat = np.vstack(rows)
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     r = int((sv > tol).sum())

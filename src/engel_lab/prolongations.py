@@ -30,7 +30,6 @@ from .frame_algebra import (
     ChartVectorField,
     LieModel,
     Section,
-    bracket_chart,
     constant_field,
     rank_with_margin,
 )
@@ -58,12 +57,8 @@ class ContactModel:
     def validate(self, n_samples: int = 50, tol: float = None) -> None:
         tol = DEFAULTS.rank_tol if tol is None else tol
         pts = sample_box(self.model, n_samples)
-        f1 = self.xi[0].chart_field(self.model)
-        f2 = self.xi[1].chart_field(self.model)
-        v1 = np.atleast_2d(f1(pts))
-        v2 = np.atleast_2d(f2(pts))
-        br = np.atleast_2d(bracket_chart(f1, f2, pts))
-        stack = np.stack([v1, v2, br], axis=1)
+        br = self.model.bracket(self.xi[0], self.xi[1], pts)
+        stack = np.concatenate([self.model.values(self.xi, pts), br[:, None, :]], axis=1)
         rank, _ = rank_with_margin(stack, tol)
         if not np.all(rank == 3):
             raise NotContact("xi + [xi, xi] fails to have rank 3 at a sample point")
@@ -126,9 +121,9 @@ def cartan_prolongation(c: ContactModel) -> EngelStructure:
     base = c.model
     frame = [
         constant_field(4, [0, 0, 0, 1], "T"),
-        _lift_field(l1.chart_field(base)),
-        _lift_field(l2.chart_field(base)),
-        _lift_field(c.transverse.chart_field(base)),
+        _lift_field(base.field(l1)),
+        _lift_field(base.field(l2)),
+        _lift_field(base.field(c.transverse)),
     ]
     box = np.vstack([base.box, [0.0, TWO_PI]])
     periodic = dict(base.periodic)
@@ -224,7 +219,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     base = c.model
     pts = sample_box(base, n_check)
     db = _fd_dbeta(beta, pts, DEFAULTS.h)
-    wv = np.atleast_2d(w_bar.chart_field(base)(pts))
+    wv = base.values([w_bar], pts)[:, 0]
     rho = np.asarray(vol(pts), dtype=float)
     iv = np.zeros_like(db)
     iv[:, 0, 1] = rho * wv[:, 2]
@@ -255,12 +250,9 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
                        name=f"prequantum({base.name})")
 
     def lift_section(s: Section, name) -> Section:
-        # base-frame coefficients must be chart components for the h-frame
-        f = s.chart_field(base)
-        coeffs = tuple(
-            (lambda pts4, j=j: np.atleast_2d(f(np.atleast_2d(pts4)[:, :3]))[:, j])
-            for j in range(3)) + (0,)
-        return Section(coeffs, name)
+        # base-frame coefficients must be chart components for the h-frame;
+        # one evaluation of the base section gives all four coefficients
+        return Section(_lift_field(base.field(s)), name)
 
     D = [lift_section(c.xi[0], "h-xi1"), lift_section(c.xi[1], "h-xi2")]
     E = [Section((1, 0, 0, 0), "h1"), Section((0, 1, 0, 0), "h2"),
@@ -278,9 +270,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
 
 
 def _sections_parallel(model, a: Section, b: Section) -> bool:
-    p = model.box.mean(axis=1)
-    va = a.chart_field(model)(p)
-    vb = b.chart_field(model)(p)
+    va, vb = model.values([a, b], model.box.mean(axis=1))[0]
     cross = np.linalg.norm(va) * np.linalg.norm(vb) - abs(float(va @ vb))
     return cross < 1e-10
 
@@ -435,15 +425,16 @@ def propellor_structure(monodromy: np.ndarray,
          np.zeros(np.atleast_2d(pts).shape[0])], axis=-1)
     vol = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
 
-    def col(j):
-        def cj(pts):
-            t = np.atleast_2d(pts)[:, 2]
-            return _expm2_family(L, t)[:, :, j]
-        return cj
+    def frame_column(j, name) -> Section:
+        # phi^t(e_j): one exponential per evaluation gives both coefficients
+        def coeffs(pts):
+            pts = np.atleast_2d(pts)
+            out = np.zeros((pts.shape[0], 4))
+            out[:, :2] = _expm2_family(L, pts[:, 2])[:, :, j]
+            return out
+        return Section(coeffs, name)
 
-    colP, colQ = col(0), col(1)
-    P = Section(((lambda pts: colP(pts)[:, 0]), (lambda pts: colP(pts)[:, 1]), 0, 0), "hP")
-    Q = Section(((lambda pts: colQ(pts)[:, 0]), (lambda pts: colQ(pts)[:, 1]), 0, 0), "hQ")
+    P, Q = frame_column(0, "hP"), frame_column(1, "hQ")
 
     s = prequantum_prolongation(contact, w_bar=Section((0, 0, 1), "dt"),
                                 vol=vol, beta=beta, emw=(P, Q))
@@ -486,11 +477,8 @@ def bi_engel_pair(monodromy: np.ndarray = ((2, 1), (1, 1)),
     S = eig_sec(vs, +lmu, "hS")
 
     def diag_sec(sign):
-        def cx(pts):
-            return U.coeff_at(pts)[..., 0] + sign * S.coeff_at(pts)[..., 0]
-        def cy(pts):
-            return U.coeff_at(pts)[..., 1] + sign * S.coeff_at(pts)[..., 1]
-        return Section((cx, cy, 0, 0), f"hU{'+' if sign > 0 else '-'}hS")
+        return Section(lambda pts: U.coeff_at(pts) + sign * S.coeff_at(pts),
+                       f"hU{'+' if sign > 0 else '-'}hS")
 
     W = Section((0, 0, 1, 0), "hW")
     pair = []
@@ -535,14 +523,11 @@ class SuspensionData:
         l1, l2 = self.contact.legendrian_frame
         pts = np.atleast_2d(pts)
         pre = np.atleast_2d(self.phi_inv(pts))
-        v = np.atleast_2d(l1.chart_field(base)(pre))
+        v = base.values([l1], pre)[:, 0]
         J = np.asarray(self.dphi(pre), dtype=float)
         pushed = np.einsum("nij,nj->ni", J, v)
-        basis = np.stack([np.atleast_2d(l1.chart_field(base)(pts)),
-                          np.atleast_2d(l2.chart_field(base)(pts)),
-                          np.atleast_2d(self.contact.transverse.chart_field(base)(pts))],
-                         axis=2)
-        coef = np.einsum("nkd,nd->nk", np.linalg.pinv(basis), pushed)
+        basis = base.values([l1, l2, self.contact.transverse], pts)
+        coef = np.einsum("nkd,nd->nk", np.linalg.pinv(np.swapaxes(basis, 1, 2)), pushed)
         return np.mod(np.arctan2(coef[:, 1], coef[:, 0]), np.pi)
 
 
@@ -581,9 +566,9 @@ def suspension(sd: SuspensionData, n_check: int = 40,
     l1, l2 = c.legendrian_frame
     frame = [
         constant_field(4, [0, 0, 0, 1], "T"),
-        _lift_field(l1.chart_field(base)),
-        _lift_field(l2.chart_field(base)),
-        _lift_field(c.transverse.chart_field(base)),
+        _lift_field(base.field(l1)),
+        _lift_field(base.field(l2)),
+        _lift_field(base.field(c.transverse)),
     ]
     box = np.vstack([base.box, [0.0, 1.0]])
     model = ChartModel(4, box, frame, periodic=dict(base.periodic),

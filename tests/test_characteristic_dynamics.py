@@ -3,6 +3,7 @@ global type estimator."""
 import numpy as np
 import pytest
 
+from engel_lab import characteristic_dynamics as dyn
 from engel_lab.characteristic_dynamics import (
     HolonomyLift,
     _rk4_path,
@@ -11,6 +12,7 @@ from engel_lab.characteristic_dynamics import (
     closed_orbit_holonomy,
     developing_map,
     estimate_global_type,
+    first_return_time,
     geodesic_projection_check,
     holonomy_closed_form,
     integrate_characteristic,
@@ -74,7 +76,7 @@ class TestIntegrate:
                 exits += 1
                 assert k < nsteps and e.t_exit == (k + 1) * (T / nsteps)
                 # the exiting row keeps the unchecked path up to its exit
-                _, path = _rk4_path(s.W_section.chart_field(s.model), p0, T, dt)
+                _, path = _rk4_path(s.model.field(s.W_section), p0, T, dt)
                 assert np.array_equal(row[:k + 1], path[:k + 1])
                 assert np.isnan(row[k + 1:]).all()
             else:
@@ -128,14 +130,18 @@ class TestTransport:
         s = preset_cache("lorentz-magnetic-lie", kappa=kappa)["structure"]
         A = transport_generator(s)
         c = kappa * (kappa + 1.0)
-        assert np.allclose(A, [[0.0, -c], [1.0, 0.0]], atol=1e-12)
+        # the exact solve gives the structural entries to the last bit (a
+        # pseudo-inverse does not) and -c within 4 ulps: exact for kappa in
+        # {-1, -0.5, 0, 0.5}, 2-3 ulps short of |c| = 2 at kappa -2 and 1
+        assert A[0, 0] == 0.0 and A[1, 0] == 1.0 and A[1, 1] == 0.0
+        assert abs(A[0, 1] + c) <= 4 * np.spacing(abs(c))
 
     def test_product_generator(self, preset_cache):
         # (Y, Z) frame: exp(tA) solves the Jacobi equation y'' + kappa y = 0
         for kappa in (1.0, 0.0, -1.0):
             s = preset_cache("lorentz-product-lie", kappa=kappa)["structure"]
             A = transport_generator(s)
-            assert np.allclose(A, [[0.0, 1.0], [-kappa, 0.0]], atol=1e-12)
+            assert np.array_equal(A, [[0.0, 1.0], [-kappa, 0.0]])
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_numeric_matches_closed_form_lie(self, preset_cache, kappa):
@@ -284,6 +290,17 @@ class TestClosedOrbits:
         t = classify_projective(h)
         assert t.kind == "parabolic"
         assert abs(abs(np.trace(h.matrix)) - 2.0) < 1e-9
+
+    def test_lie_model_refused_before_integrating(self, preset_cache, monkeypatch):
+        # a straight-line Lie orbit has no detectable return; refuse up front
+        s = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated before refusing the Lie model")
+
+        monkeypatch.setattr(dyn, "integrate_characteristic", integrate)
+        with pytest.raises(NotImplementedError):
+            first_return_time(s, np.zeros(4), 1e-3, 1e3)
 
 
 class TestDeveloping:

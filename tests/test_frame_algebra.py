@@ -16,7 +16,7 @@ from engel_lab.frame_algebra import (
     fd_jacobian,
 )
 from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT
-from engel_lab.engel_verify import darboux_standard
+from engel_lab.engel_verify import darboux_standard, sample_box
 
 
 def ef_X():
@@ -230,3 +230,60 @@ def test_distribution_spec_validate(rng):
     bad = DistributionSpec(s.model, [Section((1, 0, 0, 0)), Section((2, 0, 0, 0))])
     with pytest.raises(DM):
         bad.validate(np.zeros((1, 4)))
+
+
+class TestModelProtocol:
+    def test_chart_values_match_per_section_fields(self, preset_cache):
+        # one values call over several sections agrees with each realized field
+        s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]
+        pts = sample_box(s.model, 7)
+        sections = [*s.E_span, s.W_section]
+        vals = s.model.values(sections, pts)
+        assert vals.shape == (7, 4, 4)
+        for k, sec in enumerate(sections):
+            assert np.array_equal(vals[:, k], s.model.field(sec)(pts))
+
+    def test_vector_coefficients_match_tuple(self):
+        s = darboux_standard()
+        pts = sample_box(s.model, 5)
+        tup = Section((1, 0, lambda p: -np.atleast_2d(p)[:, 3], 0))
+        vec = Section(lambda p: np.stack([np.ones(len(p)), np.zeros(len(p)),
+                                          -p[:, 3], np.zeros(len(p))], axis=1))
+        assert not vec.is_constant
+        assert np.array_equal(s.model.values([tup], pts), s.model.values([vec], pts))
+        assert np.array_equal(s.model.bracket(tup, s.W_section, pts),
+                              s.model.bracket(vec, s.W_section, pts))
+
+    def test_lie_protocol_broadcasts(self, magnetic):
+        a, b = Section((1, 0, 1, 0)), Section((0, 0, 0, 1))
+        pts = np.ones((3, 4))
+        assert np.array_equal(magnetic.values([a, b], pts)[2], [[1, 0, 1, 0], [0, 0, 0, 1]])
+        assert magnetic.values([a]).shape == (1, 1, 4)
+        expected = bracket_lie(magnetic, a.constant_coeffs(), b.constant_coeffs())
+        assert np.array_equal(magnetic.bracket(a, b, pts), np.tile(expected, (3, 1)))
+        assert magnetic.contains(pts).all() and magnetic.contains(pts[0])
+        assert np.array_equal(magnetic.wrap(pts), pts)
+
+    def test_chart_model_needs_points(self):
+        s = darboux_standard()
+        with pytest.raises(ValueError):
+            s.model.values(s.D_span, None)
+
+    @pytest.mark.parametrize("name", ["lorentz-magnetic", "lorentz-product"])
+    @pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.5, 1.0])
+    def test_lie_twin_brackets_match_chart(self, preset_cache, name, kappa):
+        # every pair of constant D/E sections: the chart bracket, resolved in
+        # the chart frame at interior points, is the twin's exact bracket
+        chart = preset_cache(name, kappa=kappa)["structure"]
+        lie = preset_cache(name + "-lie", kappa=kappa)["structure"]
+        mid = chart.model.box.mean(axis=1)
+        pts = mid + 0.5 * (sample_box(chart.model, 20) - mid)
+        frame = np.stack([f(pts) for f in chart.model.frame], axis=2)
+        pairs = list(zip([*chart.D_span, *chart.E_span], [*lie.D_span, *lie.E_span]))
+        assert all(c.coeffs == t.coeffs and c.is_constant for c, t in pairs)
+        for i, (a, a_lie) in enumerate(pairs):
+            for b, b_lie in pairs[i + 1:]:
+                br = chart.model.bracket(a, b, pts)
+                coef = np.linalg.solve(frame, br[..., None])[..., 0]
+                exact = lie.model.bracket(a_lie, b_lie, pts)
+                assert np.abs(coef - exact).max() < 1e-8, (a.name, b.name)
