@@ -163,13 +163,17 @@ def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
                           tol: float = None) -> np.ndarray:
     """Unit vector spanning the kernel of the bracket pairing on E at ``p``.
 
-    Accepts a single point or a batch (``None`` is the origin, the base point
-    of a Lie model); the sign is aligned with the structure's declared W
+    Accepts a single point or a batch (on a Lie model ``None`` is the origin,
+    its base point); the sign is aligned with the structure's declared W
     section.  Raises :class:`DegenerateKernel` when the pairing has rank < 2
     (E is not even-contact there).
     """
     tol = DEFAULTS.rank_tol if tol is None else float(tol)
-    p = np.zeros(s.model.dim) if p is None else np.asarray(p, dtype=float)
+    if p is None:
+        if s.model.kind != "lie":
+            raise DimensionMismatch("a chart model needs a point")
+        p = np.zeros(s.model.dim)
+    p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
     vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
     wvec, ok = _pairing_kernel(vals[:, :4], _E_brackets(s, pts), vals[:, 4], tol)

@@ -19,8 +19,8 @@ the kind to evaluate anything:
 * ``bracket(a, b, pts) -> (n, dim)``: the chart bracket of the realized
   fields (finite differences through :func:`bracket_chart`) or the exact
   structure-constant contraction :func:`bracket_lie`;
-* ``contains(pts)`` and ``wrap(pts)``: the chart box and its periodic
-  coordinates, or all-true and the identity on a Lie model.
+* ``wrap(pts)``: the chart's periodic coordinates wrapped into the box, or
+  the identity on a Lie model.
 
 Points are numpy arrays; every evaluable accepts a single point ``(dim,)`` or
 a batch ``(n, dim)``; the protocol methods always return a leading batch axis.
@@ -189,16 +189,10 @@ class LieModel:
             raise DimensionMismatch("section does not match the model frame")
         return np.broadcast_to(rows, (_count(pts),) + rows.shape)
 
-    def bracket(self, a: "Section", b: "Section", pts=None, h: float = None) -> np.ndarray:
+    def bracket(self, a: "Section", b: "Section", pts=None) -> np.ndarray:
         """Exact bracket of two constant sections broadcast to (n, dim)."""
         val = bracket_lie(self, a.constant_coeffs(), b.constant_coeffs())
         return np.broadcast_to(val, (_count(pts), self.dim))
-
-    def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
-        """Every point lies in the model."""
-        pts, single = _as_batch(p, self.dim)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        return ok[0] if single else ok
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
         """No periodic coordinates: the identity."""
@@ -280,12 +274,9 @@ class ChartModel:
             if c.shape[-1] != self.dim:
                 raise DimensionMismatch("section does not match the model frame")
             co[:, k] = c
-        # a frame field every section weights by a constant zero adds nothing
-        unused = frozenset.intersection(*(s.zero_coeffs for s in sections))
         out = np.zeros((pts.shape[0], len(sections), self.dim))
         for i, f in enumerate(self.frame):
-            if i not in unused:
-                out += co[:, :, i:i + 1] * f(pts)[:, None, :]
+            out += co[:, :, i:i + 1] * f(pts)[:, None, :]
         return out
 
     def field(self, section: "Section") -> ChartVectorField:
@@ -293,10 +284,9 @@ class ChartModel:
         return ChartVectorField(self.dim, lambda pts: self.values([section], pts)[:, 0],
                                 name=section.name or "section")
 
-    def bracket(self, a: "Section", b: "Section", pts: np.ndarray,
-                h: float = None) -> np.ndarray:
+    def bracket(self, a: "Section", b: "Section", pts: np.ndarray) -> np.ndarray:
         """Chart bracket of the realized sections at the points: (n, dim)."""
-        return np.atleast_2d(bracket_chart(self.field(a), self.field(b), pts, h=h))
+        return np.atleast_2d(bracket_chart(self.field(a), self.field(b), pts))
 
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
         pts, single = _as_batch(p, self.dim)
@@ -348,9 +338,6 @@ class Section:
     def __init__(self, coeffs: Coefficients, name: str = ""):
         self.coeffs = coeffs if callable(coeffs) else tuple(coeffs)
         self.name = name
-        # indices of the coefficients that are the constant zero
-        self.zero_coeffs = frozenset() if callable(coeffs) else frozenset(
-            i for i, c in enumerate(self.coeffs) if not callable(c) and float(c) == 0.0)
 
     @property
     def is_constant(self) -> bool:

@@ -1,5 +1,6 @@
 """Engel-condition verification and the Darboux models."""
 import numpy as np
+import pytest
 
 from engel_lab.engel_verify import (
     cauchy_characteristic,
@@ -9,6 +10,7 @@ from engel_lab.engel_verify import (
     sample_box,
     verify_engel,
 )
+from engel_lab.errors import DimensionMismatch
 from engel_lab.frame_algebra import Section
 
 
@@ -97,6 +99,13 @@ class TestCauchy:
             s2.E_span = new_E
             w1 = cauchy_characteristic(s2, p)
             assert float(line_angle(w0[None], w1[None])[0]) < 1e-6
+
+    def test_no_point_is_the_lie_origin_and_refused_on_a_chart(self, preset_cache):
+        lie = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]
+        assert np.array_equal(cauchy_characteristic(lie, None),
+                              cauchy_characteristic(lie, np.zeros(4)))
+        with pytest.raises(DimensionMismatch):
+            cauchy_characteristic(darboux_standard(), None)
 
     def test_w_line_contained_in_D(self, rng):
         # flag inclusion: the kernel line lies in span(D)

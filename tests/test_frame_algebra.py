@@ -261,7 +261,6 @@ class TestModelProtocol:
         assert magnetic.values([a]).shape == (1, 1, 4)
         expected = bracket_lie(magnetic, a.constant_coeffs(), b.constant_coeffs())
         assert np.array_equal(magnetic.bracket(a, b, pts), np.tile(expected, (3, 1)))
-        assert magnetic.contains(pts).all() and magnetic.contains(pts[0])
         assert np.array_equal(magnetic.wrap(pts), pts)
 
     def test_chart_model_needs_points(self):
