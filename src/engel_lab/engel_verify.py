@@ -19,15 +19,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DegenerateKernel, DimensionMismatch
-from .frame_algebra import (
-    ChartModel,
-    ChartVectorField,
-    FrameModel,
-    LieModel,
-    Section,
-    constant_field,
-    rank_with_margin,
-)
+from .frame_algebra import ChartModel, FrameModel, LieModel, Section, rank_with_margin
 from .serialize import SCHEMA_VERSION
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
@@ -255,26 +247,14 @@ def darboux_standard() -> EngelStructure:
     pair of 1-forms dy - z dx and dz - w dx, E by dy - z dx alone, and the
     Cauchy characteristic is d/dw.
     """
-    def X_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros_like(pts)
-        out[:, 0] = 1.0
-        out[:, 1] = pts[:, 2]
-        out[:, 2] = pts[:, 3]
-        return out
+    def frame(pts):
+        # rows X = d/dx + z d/dy + w d/dz, Y, Z, W
+        F = np.tile(np.eye(4), (len(pts), 1, 1))
+        F[:, 0, 1] = pts[:, 2]
+        F[:, 0, 2] = pts[:, 3]
+        return F
 
-    def X_jac(pts):
-        pts = np.atleast_2d(pts)
-        J = np.zeros((pts.shape[0], 4, 4))
-        J[:, 1, 2] = 1.0
-        J[:, 2, 3] = 1.0
-        return J
-
-    X = ChartVectorField(4, X_comp, jacobian=X_jac, name="X")
-    Y = constant_field(4, [0, 1, 0, 0], "Y")
-    Z = constant_field(4, [0, 0, 1, 0], "Z")
-    W = constant_field(4, [0, 0, 0, 1], "W")
-    model = ChartModel(4, [[-2, 2]] * 4, [X, Y, Z, W], name="darboux-standard")
+    model = ChartModel(4, [[-2, 2]] * 4, frame, name="darboux-standard")
 
     D = [Section((0, 0, 0, 1), "W"), Section((1, 0, 0, 0), "X")]
     E = D + [Section((0, 0, 1, 0), "Z")]
@@ -300,25 +280,14 @@ def darboux_long() -> EngelStructure:
     th in (-pi/2, pi/2) is isomorphic to the standard structure via w = tan th.
     The plane field repeats after th -> th + pi, so orbits close at pi.
     """
-    def Xbar_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros_like(pts)
-        out[:, 0] = 1.0
-        out[:, 1] = pts[:, 2]
-        return out
+    def frame(pts):
+        # rows Xbar = d/dx + z d/dy, Y, Z, T
+        F = np.tile(np.eye(4), (len(pts), 1, 1))
+        F[:, 0, 1] = pts[:, 2]
+        return F
 
-    def Xbar_jac(pts):
-        pts = np.atleast_2d(pts)
-        J = np.zeros((pts.shape[0], 4, 4))
-        J[:, 1, 2] = 1.0
-        return J
-
-    Xbar = ChartVectorField(4, Xbar_comp, jacobian=Xbar_jac, name="Xbar")
-    Y = constant_field(4, [0, 1, 0, 0], "Y")
-    Z = constant_field(4, [0, 0, 1, 0], "Z")
-    T = constant_field(4, [0, 0, 0, 1], "T")
     model = ChartModel(
-        4, [[-2, 2], [-2, 2], [-2, 2], [0.0, 2 * np.pi]], [Xbar, Y, Z, T],
+        4, [[-2, 2], [-2, 2], [-2, 2], [0.0, 2 * np.pi]], frame,
         periodic={3: 2 * np.pi}, orbit_periods={3: np.pi}, name="darboux-long")
 
     cos_t = lambda pts: np.cos(np.atleast_2d(pts)[:, 3])

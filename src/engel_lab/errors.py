@@ -9,10 +9,6 @@ class NonFiniteEvaluation(EngelLabError):
     """A field, coefficient, or metric evaluation returned NaN or inf."""
 
 
-class DomainViolation(EngelLabError):
-    """A point lies outside the declared chart box."""
-
-
 class DimensionMismatch(EngelLabError):
     """Coefficient vectors do not match the frame size."""
 

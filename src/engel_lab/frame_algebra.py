@@ -2,8 +2,9 @@
 
 Every model in this package is parallelizable and comes in one of two kinds:
 
-* a :class:`ChartModel` whose global frame consists of evaluable
-  :class:`ChartVectorField` objects on a coordinate box, or
+* a :class:`ChartModel` on a coordinate box whose global frame is one batched
+  function ``frame(pts (n, dim)) -> (n, dim, dim)``, row ``i`` the chart
+  components of frame field ``i``, or
 * a :class:`LieModel` given by exact structure constants on an abstract frame.
 
 Distribution sections are frame-coefficient combinations (coefficients either
@@ -17,8 +18,9 @@ the kind to evaluate anything:
 * ``values(sections, pts) -> (n, k, dim)``: chart components of each section
   (chart) or its constant frame coefficients broadcast over the points (Lie);
 * ``bracket(a, b, pts) -> (n, dim)``: the chart bracket of the realized
-  fields (finite differences through :func:`bracket_chart`) or the exact
-  structure-constant contraction :func:`bracket_lie`;
+  sections (:class:`ChartVectorField`, differentiated by central differences
+  in :func:`bracket_chart`) or the exact structure-constant contraction
+  :func:`bracket_lie`;
 * ``wrap(pts)``: the chart's periodic coordinates wrapped into the box, or
   the identity on a Lie model.
 
@@ -33,12 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import (
-    DimensionMismatch,
-    DomainViolation,
-    EmptyInput,
-    NonFiniteEvaluation,
-)
+from .errors import DimensionMismatch, EmptyInput, NonFiniteEvaluation
 
 Coefficient = Union[float, int, Callable[[np.ndarray], np.ndarray]]
 Coefficients = Union[Sequence[Coefficient], Callable[[np.ndarray], np.ndarray]]
@@ -57,18 +54,15 @@ def _as_batch(p: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 
 
 class ChartVectorField:
-    """An evaluable vector field on a coordinate chart.
+    """An evaluable vector field on a coordinate chart: a realized section.
 
-    ``components`` maps points to chart components.  When ``jacobian`` is
-    absent, brackets fall back to central finite differences with step ``h``.
-    ``box`` is the optional chart domain, rows ``(lo, hi)`` per coordinate.
+    ``components`` maps points to chart components; :meth:`jac` is the
+    central-difference jacobian with step ``h``.
     """
 
-    def __init__(self, dim, components, jacobian=None, box=None, name=""):
+    def __init__(self, dim, components, name=""):
         self.dim = int(dim)
         self.components = components
-        self.jacobian = jacobian
-        self.box = None if box is None else np.asarray(box, dtype=float)
         self.name = name
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
@@ -80,45 +74,17 @@ class ChartVectorField:
 
     def jac(self, p: np.ndarray, h: float = None) -> np.ndarray:
         pts, single = _as_batch(p, self.dim)
-        if self.jacobian is not None:
-            J = np.asarray(self.jacobian(pts), dtype=float)
-            if J.shape != (pts.shape[0], self.dim, self.dim):
-                J = np.broadcast_to(J, (pts.shape[0], self.dim, self.dim)).copy()
-        else:
-            J = fd_jacobian(self, pts, h if h is not None else DEFAULTS.h)
+        J = fd_jacobian(self, pts, DEFAULTS.h if h is None else h)
         return J[0] if single else J
-
-    def check_domain(self, p: np.ndarray) -> None:
-        if self.box is None:
-            return
-        pts, _ = _as_batch(p, self.dim)
-        lo, hi = self.box[:, 0], self.box[:, 1]
-        if np.any(pts < lo - 1e-12) or np.any(pts > hi + 1e-12):
-            raise DomainViolation("point outside the declared chart box")
-
-    def jacobian_defect(self, pts: np.ndarray, h: float = None) -> float:
-        """Max deviation of the supplied jacobian from central differences.
-
-        O(h^2) on smooth fields; a larger value indicates an inconsistent
-        analytic jacobian.
-        """
-        if self.jacobian is None:
-            return 0.0
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        h = DEFAULTS.h if h is None else h
-        return float(np.abs(self.jac(pts) - fd_jacobian(self, pts, h)).max())
 
     def __repr__(self):
         return f"ChartVectorField({self.name or 'anonymous'}, dim={self.dim})"
 
 
-def constant_field(dim: int, vec, name: str = "") -> ChartVectorField:
-    """A chart field with constant components ``vec`` and zero Jacobian."""
-    v = np.asarray(vec, dtype=float)
-    return ChartVectorField(
-        dim, lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy(),
-        jacobian=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], dim, dim)),
-        name=name)
+def coordinate_frame(dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The coordinate frame d/dq_i as a batched frame function."""
+    eye = np.eye(dim)
+    return lambda pts: np.broadcast_to(eye, (len(pts), dim, dim))
 
 
 def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
@@ -135,15 +101,10 @@ def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
 
 def bracket_chart(a: ChartVectorField, b: ChartVectorField, p: np.ndarray,
                   h: float = None) -> np.ndarray:
-    """Lie bracket [a, b] = Db.a - Da.b at ``p`` (single point or batch).
-
-    Uses analytic jacobians when both fields carry them, otherwise central
-    finite differences with step ``h``.
-    """
+    """Lie bracket [a, b] = Db.a - Da.b at ``p`` (single point or batch),
+    with central-difference jacobians of step ``h``."""
     if a.dim != b.dim:
         raise DimensionMismatch("fields live on charts of different dimension")
-    a.check_domain(p)
-    b.check_domain(p)
     pts, single = _as_batch(p, a.dim)
     av = np.atleast_2d(a(pts))
     bv = np.atleast_2d(b(pts))
@@ -234,7 +195,8 @@ def _count(pts) -> int:
 class ChartModel:
     """A chart box with a designated global frame.
 
-    ``periodic`` maps a coordinate index to its period (used by samplers and
+    ``frame`` maps points (n, dim) to the frame at each point, (n, dim, dim):
+    row ``i`` holds the chart components of frame field ``i``.  ``periodic`` maps a coordinate index to its period (used by samplers and
     wrapped distances).  ``orbit_periods`` declares periods after which the
     *structure* closes up along that coordinate, which may be shorter than the
     chart period (the projectivized fiber of the Cartan prolongation closes
@@ -243,7 +205,7 @@ class ChartModel:
 
     dim: int
     box: np.ndarray
-    frame: Sequence[ChartVectorField]
+    frame: Callable[[np.ndarray], np.ndarray]
     periodic: dict = field(default_factory=dict)
     orbit_periods: dict = field(default_factory=dict)
     name: str = ""
@@ -252,8 +214,6 @@ class ChartModel:
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (self.dim, 2):
             raise DimensionMismatch("box must be (dim, 2)")
-        if len(self.frame) != self.dim:
-            raise DimensionMismatch("frame must have dim fields")
 
     @property
     def kind(self) -> str:
@@ -262,12 +222,16 @@ class ChartModel:
     def values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
         """Chart components of the sections at the points: (n, k, dim).
 
-        Each frame field and each section's coefficients are evaluated once;
-        the components accumulate as sum_i c_i F_i in frame order.
+        The frame and each section's coefficients are evaluated once; the
+        components accumulate as sum_i c_i F_i in frame order.
         """
         if pts is None:
             raise ValueError("chart sections need a point")
         pts, _ = _as_batch(pts, self.dim)
+        F = np.asarray(self.frame(pts), dtype=float)
+        if F.shape != (pts.shape[0], self.dim, self.dim):
+            raise DimensionMismatch(f"frame returned {F.shape}, expected "
+                                    f"{(pts.shape[0], self.dim, self.dim)}")
         co = np.empty((pts.shape[0], len(sections), self.dim))
         for k, s in enumerate(sections):
             c = s.coeff_at(pts)
@@ -275,8 +239,8 @@ class ChartModel:
                 raise DimensionMismatch("section does not match the model frame")
             co[:, k] = c
         out = np.zeros((pts.shape[0], len(sections), self.dim))
-        for i, f in enumerate(self.frame):
-            out += co[:, :, i:i + 1] * f(pts)[:, None, :]
+        for i in range(self.dim):
+            out += co[:, :, i:i + 1] * F[:, None, i, :]
         return out
 
     def field(self, section: "Section") -> ChartVectorField:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import ConfigError, NonFiniteEvaluation, SignatureError
-from .frame_algebra import ChartModel, ChartVectorField, LieModel, constant_field
+from .frame_algebra import ChartModel, LieModel
 
 TWO_PI = 2.0 * np.pi
 
@@ -248,42 +248,26 @@ def unit_tangent_frames(s: ConformalSurface) -> UnitTangentChart:
     X is the horizontal lift of the tautological unit vector, Y of its
     rotate by +pi/2, Z = d/dphi.  The connection coefficient enters through
     u = log(lambda)/2:  lift(v) = v + (u_y v_x - u_x v_y) d/phi.
+    The conformal factor, its log-derivatives and the fiber rotation are
+    evaluated once per frame evaluation.
     """
-    def ut(pts):
-        pts = np.atleast_2d(pts)
+    def frame(pts):
         xy = pts[:, :2]
         lam = s.lam_at(xy)
         du = 0.5 * s.dlog_at(xy)
-        return lam, du[:, 0], du[:, 1], pts[:, 2]
-
-    def X_comp(pts):
-        lam, ux, uy, phi = ut(pts)
+        ux, uy = du[:, 0], du[:, 1]
         sc = lam ** -0.5
-        c, si = np.cos(phi), np.sin(phi)
-        return np.stack([sc * c, sc * si, sc * (uy * c - ux * si)], axis=-1)
+        c, si = np.cos(pts[:, 2]), np.sin(pts[:, 2])
+        F = np.zeros((len(pts), 3, 3))
+        F[:, 0] = np.stack([sc * c, sc * si, sc * (uy * c - ux * si)], axis=-1)     # X
+        F[:, 1] = np.stack([-sc * si, sc * c, -sc * (uy * si + ux * c)], axis=-1)   # Y
+        F[:, 2, 2] = 1.0                                                             # Z
+        return F
 
-    def Y_comp(pts):
-        lam, ux, uy, phi = ut(pts)
-        sc = lam ** -0.5
-        c, si = np.cos(phi), np.sin(phi)
-        return np.stack([-sc * si, sc * c, -sc * (uy * si + ux * c)], axis=-1)
-
-    def Z_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], 3))
-        out[:, 2] = 1.0
-        return out
-
-    def Z_jac(pts):
-        return np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
-
-    X = ChartVectorField(3, X_comp, name="X")
-    Y = ChartVectorField(3, Y_comp, name="Y")
-    Z = ChartVectorField(3, Z_comp, jacobian=Z_jac, name="Z")
     box = np.vstack([s.box, [0.0, TWO_PI]])
     periodic = {int(k): v for k, v in s.periodic.items()}
     periodic[2] = TWO_PI
-    model = ChartModel(3, box, [X, Y, Z], periodic=periodic,
+    model = ChartModel(3, box, frame, periodic=periodic,
                        name=f"S1T({s.name})")
     return UnitTangentChart(surface=s, model=model)
 
@@ -350,12 +334,6 @@ class LorentzExtension:
         return True
 
 
-def _embed3(vec3, n):
-    out = np.zeros((n, 4))
-    out[:, :3] = vec3
-    return out
-
-
 def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> LorentzExtension:
     """(Sigma, dh) x (S^1, -dtheta^2); M = S^1(T Sigma) x S^1.
 
@@ -373,24 +351,18 @@ def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Loren
             v_metric=np.diag([1.0, 1.0, -1.0]))
 
     surface = ut.surface
-    X3, Y3, Z3 = ut.model.frame
 
-    def lift(f3):
-        def comp(pts):
-            pts = np.atleast_2d(pts)
-            return _embed3(np.atleast_2d(f3(pts[:, :3])), pts.shape[0])
-        return comp
+    def frame(pts):
+        # rows X, Y, Z embedded, then Theta = d/dtheta
+        F = np.zeros((len(pts), 4, 4))
+        F[:, :3, :3] = ut.model.frame(pts[:, :3])
+        F[:, 3, 3] = 1.0
+        return F
 
-    X = ChartVectorField(4, lift(X3), name="X")
-    Y = ChartVectorField(4, lift(Y3), name="Y")
-    Z = ChartVectorField(4, lift(Z3),
-                         jacobian=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 4, 4)),
-                         name="Z")
-    Theta = constant_field(4, [0, 0, 0, 1], "Theta")
     box = np.vstack([ut.model.box, [0.0, TWO_PI]])
     periodic = {int(kk): v for kk, v in ut.model.periodic.items()}
     periodic[3] = TWO_PI
-    model = ChartModel(4, box, [X, Y, Z, Theta], periodic=periodic,
+    model = ChartModel(4, box, frame, periodic=periodic,
                        name=f"product({surface.name})")
     return LorentzExtension(
         kind="product", base=ut, model=model,
@@ -421,30 +393,21 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
             v_metric=np.diag([1.0, 1.0, -1.0]))
 
     surface = ut.surface
-    X3, Y3, Z3 = ut.model.frame
 
-    def Xt_comp(pts):
-        pts = np.atleast_2d(pts)
-        th = pts[:, 3]
-        v = (np.cos(th)[:, None] * np.atleast_2d(X3(pts[:, :3]))
-             + np.sin(th)[:, None] * np.atleast_2d(Y3(pts[:, :3])))
-        return _embed3(v, pts.shape[0])
+    def frame(pts):
+        # rows Xt, Yt (X, Y rotated by theta), Zt = Z, Theta = d/dtheta
+        F3 = ut.model.frame(pts[:, :3])
+        c, si = np.cos(pts[:, 3])[:, None], np.sin(pts[:, 3])[:, None]
+        F = np.zeros((len(pts), 4, 4))
+        F[:, 0, :3] = c * F3[:, 0] + si * F3[:, 1]
+        F[:, 1, :3] = -si * F3[:, 0] + c * F3[:, 1]
+        F[:, 2, 2] = F[:, 3, 3] = 1.0
+        return F
 
-    def Yt_comp(pts):
-        pts = np.atleast_2d(pts)
-        th = pts[:, 3]
-        v = (-np.sin(th)[:, None] * np.atleast_2d(X3(pts[:, :3]))
-             + np.cos(th)[:, None] * np.atleast_2d(Y3(pts[:, :3])))
-        return _embed3(v, pts.shape[0])
-
-    Xt = ChartVectorField(4, Xt_comp, name="Xt")
-    Yt = ChartVectorField(4, Yt_comp, name="Yt")
-    Zt = constant_field(4, [0, 0, 1, 0], "Zt")
-    Theta = constant_field(4, [0, 0, 0, 1], "Theta")
     box = np.vstack([ut.model.box, [0.0, TWO_PI]])
     periodic = {int(kk): v for kk, v in ut.model.periodic.items()}
     periodic[3] = TWO_PI
-    model = ChartModel(4, box, [Xt, Yt, Zt, Theta], periodic=periodic,
+    model = ChartModel(4, box, frame, periodic=periodic,
                        name=f"magnetic({surface.name})")
     return LorentzExtension(
         kind="magnetic", base=ut, model=model,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .engel_verify import EngelStructure, darboux_long, darboux_standard
 from .errors import ConfigError
-from .frame_algebra import ChartModel, Section, constant_field
+from .frame_algebra import ChartModel, Section, coordinate_frame
 from .geometry_models import (
     ConstantCurvatureUT,
     bump_surface,
@@ -36,8 +36,7 @@ SHEAR_MAP = ((1, 1), (0, 1))
 
 def _integrable_counterexample() -> EngelStructure:
     """A plane field with integrable 'E': fails (D1)/(D2) by construction."""
-    frame = [constant_field(4, np.eye(4)[i], f"e{i}") for i in range(4)]
-    model = ChartModel(4, [[-1, 1]] * 4, frame, name="integrable")
+    model = ChartModel(4, [[-1, 1]] * 4, coordinate_frame(4), name="integrable")
     D = [Section((1, 0, 0, 0), "e0"), Section((0, 1, 0, 0), "e1")]
     E = D + [Section((1, 1, 0, 0), "e0+e1")]
     return EngelStructure(

@@ -25,14 +25,7 @@ from .errors import (
     SignatureError,
     TwistMonotonicityError,
 )
-from .frame_algebra import (
-    ChartModel,
-    ChartVectorField,
-    LieModel,
-    Section,
-    constant_field,
-    rank_with_margin,
-)
+from .frame_algebra import ChartModel, LieModel, Section, coordinate_frame, rank_with_margin
 from .geometry_models import LorentzExtension, TWO_PI, constant_curvature_surface, unit_tangent_frames
 
 
@@ -67,22 +60,13 @@ class ContactModel:
 def standard_contact_r3(half: float = 2.0) -> ContactModel:
     """(R^3, ker(dy - z dx)) on a chart box, with the Legendrian frame
     (d/dx + z d/dy, d/dz)."""
-    def xbar_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros_like(pts)
-        out[:, 0] = 1.0
-        out[:, 1] = pts[:, 2]
-        return out
+    def frame(pts):
+        # rows Xbar = d/dx + z d/dy, Y, Z
+        F = np.tile(np.eye(3), (len(pts), 1, 1))
+        F[:, 0, 1] = pts[:, 2]
+        return F
 
-    def xbar_jac(pts):
-        J = np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
-        J[:, 1, 2] = 1.0
-        return J
-
-    Xbar = ChartVectorField(3, xbar_comp, jacobian=xbar_jac, name="Xbar")
-    Y = constant_field(3, [0, 1, 0], "Y")
-    Z = constant_field(3, [0, 0, 1], "Z")
-    model = ChartModel(3, [[-half, half]] * 3, [Xbar, Y, Z], name="contact-r3")
+    model = ChartModel(3, [[-half, half]] * 3, frame, name="contact-r3")
     l1 = Section((1, 0, 0), "Xbar")
     l2 = Section((0, 0, 1), "Z")
     return ContactModel(model=model, xi=(l1, l2),
@@ -90,17 +74,16 @@ def standard_contact_r3(half: float = 2.0) -> ContactModel:
                         legendrian_frame=(l1, l2))
 
 
-def _lift_field(f3: ChartVectorField, dim4: int = 4) -> ChartVectorField:
-    """Embed a base field into the product chart (base coords first)."""
-    base_dim = f3.dim
-
-    def comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros((pts.shape[0], dim4))
-        out[:, :base_dim] = np.atleast_2d(f3(pts[:, :base_dim]))
-        return out
-
-    return ChartVectorField(dim4, comp, name=f3.name)
+def _fiber_frame(base_rows: Callable) -> Callable:
+    """Frame (d/d(fiber), three base rows) on a base chart times a fiber
+    coordinate, the fiber coordinate last; ``base_rows`` maps base points
+    (n, 3) to the chart components of the three base fields (n, 3, 3)."""
+    def frame(pts):
+        F = np.zeros((len(pts), 4, 4))
+        F[:, 0, 3] = 1.0
+        F[:, 1:, :3] = base_rows(pts[:, :3])
+        return F
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +102,7 @@ def cartan_prolongation(c: ContactModel) -> EngelStructure:
     c.validate()
     l1, l2 = c.legendrian_frame
     base = c.model
-    frame = [
-        constant_field(4, [0, 0, 0, 1], "T"),
-        _lift_field(base.field(l1)),
-        _lift_field(base.field(l2)),
-        _lift_field(base.field(c.transverse)),
-    ]
+    frame = _fiber_frame(lambda q: base.values([l1, l2, c.transverse], q))
     box = np.vstack([base.box, [0.0, TWO_PI]])
     periodic = dict(base.periodic)
     periodic[3] = TWO_PI
@@ -233,16 +211,14 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
         raise CurvatureMismatch(
             f"d(beta) differs from i_w vol by {defect:.3e} (tol {tol:g})")
 
-    def h_field(i):
-        def comp(pts4):
-            pts4 = np.atleast_2d(pts4)
-            out = np.zeros((pts4.shape[0], 4))
-            out[:, i] = 1.0
-            out[:, 3] = -np.atleast_2d(beta(pts4[:, :3]))[:, i]
-            return out
-        return ChartVectorField(4, comp, name=f"h{i}")
+    def frame(pts):
+        # rows h_i = d/dq_i - beta_i d/dtheta, then Theta = d/dtheta
+        F = np.zeros((len(pts), 4, 4))
+        F[:, :3, :3] = np.eye(3)
+        F[:, :3, 3] = -np.asarray(beta(pts[:, :3]), dtype=float)
+        F[:, 3, 3] = 1.0
+        return F
 
-    frame = [h_field(0), h_field(1), h_field(2), constant_field(4, [0, 0, 0, 1], "Theta")]
     box = np.vstack([base.box, [0.0, TWO_PI]])
     periodic = dict(base.periodic)
     periodic[3] = TWO_PI
@@ -252,7 +228,11 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     def lift_section(s: Section, name) -> Section:
         # base-frame coefficients must be chart components for the h-frame;
         # one evaluation of the base section gives all four coefficients
-        return Section(_lift_field(base.field(s)), name)
+        def coeffs(pts):
+            out = np.zeros((len(pts), 4))
+            out[:, :3] = base.values([s], pts[:, :3])[:, 0]
+            return out
+        return Section(coeffs, name)
 
     D = [lift_section(c.xi[0], "h-xi1"), lift_section(c.xi[1], "h-xi2")]
     E = [Section((1, 0, 0, 0), "h1"), Section((0, 1, 0, 0), "h2"),
@@ -282,22 +262,7 @@ def prequantum_local() -> EngelStructure:
     After the gauge normalization this is the standard Engel structure in the
     coordinates (x, theta, z, w); the M-chart here is ordered (x, z, w, theta).
     """
-    def xi2_comp(pts):
-        pts = np.atleast_2d(pts)
-        out = np.zeros_like(pts)
-        out[:, 0] = 1.0
-        out[:, 1] = pts[:, 2]   # d/dx + w d/dz, coords (x, z, w)
-        return out
-
-    def xi2_jac(pts):
-        J = np.zeros((np.atleast_2d(pts).shape[0], 3, 3))
-        J[:, 1, 2] = 1.0
-        return J
-
-    E1 = constant_field(3, [1, 0, 0], "dx")
-    E2 = constant_field(3, [0, 1, 0], "dz")
-    E3 = constant_field(3, [0, 0, 1], "dw")
-    base = ChartModel(3, [[-2, 2]] * 3, [E1, E2, E3], name="prequantum-base")
+    base = ChartModel(3, [[-2, 2]] * 3, coordinate_frame(3), name="prequantum-base")
     xi = (Section((0, 0, 1), "dw"),
           Section((lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
                    lambda pts: np.atleast_2d(pts)[:, 2], 0), "X0"))
@@ -404,10 +369,7 @@ def propellor_structure(monodromy: np.ndarray,
     if np.abs(omega).min() < 1e-10 or np.sign(omega).min() != np.sign(omega).max():
         raise NotContact("line path angular velocity must keep a single sign")
 
-    E1 = constant_field(3, [1, 0, 0], "dx")
-    E2 = constant_field(3, [0, 1, 0], "dy")
-    E3 = constant_field(3, [0, 0, 1], "dt")
-    base = ChartModel(3, [[0, 1], [0, 1], [0, 1]], [E1, E2, E3],
+    base = ChartModel(3, [[0, 1], [0, 1], [0, 1]], coordinate_frame(3),
                       periodic={0: 1.0, 1: 1.0}, name="propellor-base")
 
     a_of = lambda pts: np.atleast_2d(path(np.atleast_2d(pts)[:, 2]))[:, 0]
@@ -564,12 +526,7 @@ def suspension(sd: SuspensionData, n_check: int = 40,
             raise TwistMonotonicityError("d rho / dt must be positive")
 
     l1, l2 = c.legendrian_frame
-    frame = [
-        constant_field(4, [0, 0, 0, 1], "T"),
-        _lift_field(base.field(l1)),
-        _lift_field(base.field(l2)),
-        _lift_field(base.field(c.transverse)),
-    ]
+    frame = _fiber_frame(lambda q: base.values([l1, l2, c.transverse], q))
     box = np.vstack([base.box, [0.0, 1.0]])
     model = ChartModel(4, box, frame, periodic=dict(base.periodic),
                        name=f"suspension({base.name})")
@@ -616,15 +573,8 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
     of the time-2 pi map; it is isomorphic to the product Lorentz extension.
     """
     ut = unit_tangent_frames(constant_curvature_surface(kappa))
-    X3, Y3, Z3 = ut.model.frame
-    frame = [
-        constant_field(4, [0, 0, 0, 1], "T"),
-        _lift_field(X3),
-        _lift_field(Y3),
-        _lift_field(Z3),
-    ]
     box = np.vstack([ut.model.box, [0.0, TWO_PI]])
-    model = ChartModel(4, box, frame, periodic=dict(ut.model.periodic),
+    model = ChartModel(4, box, _fiber_frame(ut.model.frame), periodic=dict(ut.model.periodic),
                        name=f"suspension-geodesic(k={kappa:g})")
 
     k = float(kappa)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+from engel_lab.frame_algebra import Section
 from engel_lab.presets import build_preset
+
+
+def frame_fields(model):
+    """The frame of a chart model as realized fields, one per frame row."""
+    return [model.field(Section(tuple(row), f"e{i}")) for i, row in enumerate(np.eye(model.dim))]
 
 
 @pytest.fixture(scope="session")

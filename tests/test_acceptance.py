@@ -257,7 +257,7 @@ def test_criterion_11_property_suites(preset_cache, rng):
     developing monotonicity; the full pytest run enforces the 5-minute cap."""
     # bracket antisymmetry on the magnetic chart frame
     s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]
-    f1, f2 = s.model.frame[0], s.model.frame[1]
+    f1, f2 = (s.model.field(el.Section(tuple(np.eye(4)[i]))) for i in (0, 1))
     p = np.array([0.1, -0.05, 0.4, 0.8])
     anti = float(np.abs(bracket_chart(f1, f2, p) + bracket_chart(f2, f1, p)).max())
 

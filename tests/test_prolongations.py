@@ -87,8 +87,7 @@ class TestLorentz:
         pts = np.column_stack([rng.uniform(-0.35, 0.35, (25, 2)),
                                rng.uniform(0, 2 * np.pi, (25, 2))])
         w = cauchy_characteristic(s, pts)
-        X = s.model.frame[0]
-        ref = np.atleast_2d(X(pts))
+        ref = s.model.frame(pts)[:, 0].copy()
         ref[:, 3] += 1.0
         assert np.max(line_angle(w, ref)) < 1e-6
 
@@ -119,7 +118,7 @@ class TestLorentz:
         pts = np.column_stack([rng.uniform(-0.5, 0.5, (15, 2)),
                                rng.uniform(0, 2 * np.pi, (15, 2))])
         w = cauchy_characteristic(s, pts)
-        frame_vals = np.stack([np.atleast_2d(f(pts)) for f in s.model.frame], axis=2)
+        frame_vals = np.swapaxes(s.model.frame(pts), 1, 2)
         coef = np.einsum("nkd,nd->nk", np.linalg.pinv(frame_vals), w)
         coef /= coef[:, 0:1]
         want = -(1.0 + gauss_curvature(surf, pts[:, :2]))
@@ -244,12 +243,11 @@ class TestSuspension:
         # flow map applied to the suspension orbit: integrate X from the
         # base point for time t; theta coordinate equals t
         ut = susp.aux["ut"]
-        X = ut.model.frame[0]
         idx = [200, 500, 800]
         for i in idx:
             t = orb_s.times[i]
             from engel_lab.characteristic_dynamics import _rk4_path
-            _, path = _rk4_path(lambda q: X(q), p0[:3], t, dt)
+            _, path = _rk4_path(lambda q: ut.model.frame(q)[:, 0], p0[:3], t, dt)
             mapped = np.concatenate([path[-1], [t]])
             assert np.abs(mapped - orb_p.points[i]).max() < 1e-8
 
