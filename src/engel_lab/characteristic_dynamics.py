@@ -199,12 +199,7 @@ def integrate_orbits(s: EngelStructure, starts: np.ndarray, T, dt: float):
         times, nsteps = _time_grid(T, dt)
         pts = np.atleast_2d(starts)[:, None, :] + times[..., None] * s.W_section.constant_coeffs()
         return times, pts, np.full(len(pts), nsteps)
-    return _rk4_orbits(_W_field(s), starts, T, dt, s.model)
-
-
-def _W_field(s: EngelStructure) -> Callable:
-    """Batched characteristic field: points (n, dim) -> values (n, dim)."""
-    return lambda pts: s.model.values([s.W_section], pts)[:, 0]
+    return _rk4_orbits(s.model.field(s.W_section), starts, T, dt, s.model)
 
 
 def integrate_characteristic(s: EngelStructure, p0: np.ndarray, T: float,
@@ -348,19 +343,15 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     dt_signed = times[1] - times[0]
     n = len(times) - 1
 
-    W = _W_field(s)
-    # midpoint stage positions via one RK4 substep of half length
+    # midpoint stage positions: one RK4 substep of half length from every
+    # stored point, all points as one batch
     pts = s.model.wrap(orbit.points)
     h = dt_signed / 2.0
-    p = pts[:-1]
-    k1 = W(p)
-    k2 = W(p + 0.5 * h * k1)
-    k3 = W(p + 0.5 * h * k2)
-    k4 = W(p + h * k3)
-    half = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    W = lambda p: s.model.values([s.W_section], p)[:, 0]
+    _, sub, _ = _rk4_orbits(W, pts[:-1], h, abs(h))
     pts_half = np.empty((2 * n + 1, s.model.dim))
     pts_half[0::2] = pts
-    pts_half[1::2] = half
+    pts_half[1::2] = sub[:, 1]
     A_half = transport_generator(s, pts_half)
     M = transport_rk4(A_half, dt_signed)
 
@@ -610,22 +601,40 @@ def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def _invariant_lines(Ms: Sequence[np.ndarray], angle_tol: float):
-    """Common real eigen-directions of the transported matrices."""
+    """Common real eigen-directions of the transported matrices, as
+    (lines, None), or (None, the reason there are none)."""
     lines = []
     for M in Ms:
         evals, vecs = np.linalg.eig(M)
-        if np.abs(evals.imag).max() > 1e-9:
-            return None
+        if (imag := np.abs(evals.imag).max()) > 1e-9:
+            return None, f"complex eigenvalues (|imag| {imag:.3g})"
         idx = np.argsort(evals.real)[::-1]
         lines.append([vecs.real[:, i] / np.linalg.norm(vecs.real[:, i]) for i in idx])
     out = []
     for k in range(2):
         ref = lines[-1][k]
         for lk in lines[:-1]:
-            if float(line_angle(lk[k][None, :], ref[None, :])[0]) > angle_tol:
-                return None
+            if (angle := float(line_angle(lk[k][None, :], ref[None, :])[0])) > angle_tol:
+                return None, f"eigen-direction {k} moves by {angle:.3g} rad along the orbit"
         out.append(ref)
-    return out
+    return out, None
+
+
+def _parabolic_line(M: np.ndarray, angle_tol: float):
+    """Invariant line of a near-parabolic matrix as ([line], None), or (None,
+    the reason).
+
+    The line is the image of the nilpotent part N = M - (tr/2) I, its top left
+    singular vector.  Unlike the eigenvectors of M, which move like the square
+    root of the trace error, it is well conditioned.  sqrt|N^2| / |N| bounds
+    the angle between the two eigen-directions; past ``angle_tol`` M has no
+    single invariant line.
+    """
+    N = M - 0.5 * np.trace(M) * np.eye(2)
+    u, sv, _ = np.linalg.svd(N)
+    if (spread := np.sqrt(np.abs(N @ N).max()) / sv[0]) > angle_tol:
+        return None, f"not unipotent: sqrt|N^2|/|N| = {spread:.3g}"
+    return [u[:, 0]], None
 
 
 def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
@@ -671,16 +680,15 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
               "max_distortion": float(distortion.max()),
               "t_end": float(orbit.times[-1])}
         kind = "unknown"
-        lines = None
+        lines = why = None
         if growing:
             # exponential vs linear growth decided by which law fits better
             if r2_exp >= lin_r2 and slope > th.c_min and r2_exp > th.r2_min:
                 kind = "hyperbolic"
-                lines = _invariant_lines([Mn[-1], Mn[len(Mn) // 2]], th.line_angle_tol)
+                lines, why = _invariant_lines([Mn[-1], Mn[len(Mn) // 2]], th.line_angle_tol)
             elif lin_r2 > r2_exp and lin_r2 > th.r2_min:
                 kind = "parabolic"
-                ln = _invariant_lines([Mn[-1]], th.line_angle_tol)
-                lines = [ln[0]] if ln else None
+                lines, why = _parabolic_line(Mn[-1], th.line_angle_tol)
         elif distortion.max() < th.distortion_bound:
             kind = "elliptic"
         genuine = None
@@ -705,6 +713,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
             ev["crossings"] = crossings
             ev["lines"] = [[float(x) for x in ln] for ln in lines]
         elif kind in ("parabolic", "hyperbolic"):
+            ev["demoted"] = f"{kind} growth without invariant lines: {why}"
             kind = "unknown"
         ev["kind"] = kind
         ev["genuine"] = genuine

@@ -81,6 +81,29 @@ class TestClassifyCommand:
         assert code == 0
         assert "Parabolic (genuine)" in capsys.readouterr().out
 
+    def test_flat_magnetic_chart_agrees_with_lie_twin(self, tmp_path):
+        # at kappa 0 the transport is unipotent up to rounding; its invariant
+        # line must not be lost to the ill-conditioned eigenvectors
+        labels = []
+        for preset in ("lorentz-magnetic", "lorentz-magnetic-lie"):
+            assert run(["classify", "--preset", preset, "--kappa", "0",
+                        "--out", str(tmp_path)]) == 0
+            doc = json.loads((tmp_path / f"classify_{preset}.json").read_text())
+            assert not any("demoted" in ev for ev in doc["evidence"]["orbits"])
+            labels.append(doc["label"])
+        assert labels == ["Parabolic (genuine)"] * 2
+
+    def test_demoted_orbit_states_the_reason(self, tmp_path):
+        # kappa -1 orbits that leave the chart early fit exponential growth but
+        # have no real invariant lines; the demotion is recorded, not silent
+        assert run(["classify", "--preset", "lorentz-magnetic", "--kappa", "-1",
+                    "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "classify_lorentz-magnetic.json").read_text())
+        orbits = doc["evidence"]["orbits"]
+        assert doc["label"] == "Unknown"
+        assert all(("demoted" in ev) == (ev["kind"] == "unknown") for ev in orbits)
+        assert any("demoted" in ev for ev in orbits)
+
     def test_propellor_cat_hyperbolic(self, tmp_path, capsys):
         code = run(["classify", "--preset", "propellor-cat", "-T", "12",
                     "--out", str(tmp_path)])
