@@ -1,5 +1,5 @@
 """Benchmark the jitted integration kernels against the numpy fallback,
-and time one characteristic RK4 step.
+and time one field evaluation and one characteristic RK4 step.
 
 Run:  python benchmarks/bench_kernels.py
 The same comparison with the fallback forced:
@@ -55,6 +55,21 @@ def bench_transport(n_steps=200_000):
     return rows
 
 
+def bench_field(sizes=(1, 1000)):
+    """Wall time of one evaluation of the characteristic field W on
+    lorentz-magnetic (one ``model.values`` call), at one point and in a batch."""
+    from engel_lab.engel_verify import sample_box
+    from engel_lab.presets import build_preset
+
+    s = build_preset("lorentz-magnetic", kappa=-0.5)["structure"]
+    rows = []
+    for B in sizes:
+        pts = sample_box(s.model, B)
+        t, _ = timeit(lambda: [s.model.values([s.W_section], pts) for _ in range(20)])
+        rows.append((f"field W B={B}", t / 20))
+    return rows
+
+
 def bench_characteristic(n_steps=200):
     """Wall time of one chart RK4 step of the characteristic orbit on
     lorentz-magnetic, one orbit against a batch of three."""
@@ -82,7 +97,8 @@ def main():
         for name, t, diff in rows:
             speedup = f"  ({base / t:.1f}x)" if t != base else ""
             print(f"{name:<24s} {t * 1e3:9.2f}ms {diff:12.2e}{speedup}")
-    # the ROADMAP target for a single chart orbit is under 100 us per step
+    for name, t in bench_field():
+        print(f"{name:<24s} {t * 1e6:9.1f}us per evaluation")
     for name, t in bench_characteristic():
         print(f"{name:<24s} {t * 1e6:9.1f}us per RK4 step")
 
