@@ -24,8 +24,9 @@ the kind to evaluate anything:
 * ``wrap(pts)``: the chart's periodic coordinates wrapped into the box, or
   the identity on a Lie model.
 
-Points are numpy arrays; every evaluable accepts a single point ``(dim,)`` or
-a batch ``(n, dim)``; the protocol methods always return a leading batch axis.
+Points are numpy arrays.  A frame function takes a batch ``(n, dim)``; a
+:class:`ChartVectorField` and the protocol methods also accept a single point
+``(dim,)``, and the protocol methods always return a leading batch axis.
 """
 from __future__ import annotations
 
@@ -196,8 +197,9 @@ class ChartModel:
     """A chart box with a designated global frame.
 
     ``frame`` maps points (n, dim) to the frame at each point, (n, dim, dim):
-    row ``i`` holds the chart components of frame field ``i``.  ``periodic`` maps a coordinate index to its period (used by samplers and
-    wrapped distances).  ``orbit_periods`` declares periods after which the
+    row ``i`` holds the chart components of frame field ``i``.  ``periodic``
+    maps a coordinate index to its period (used by samplers and wrapped
+    distances).  ``orbit_periods`` declares periods after which the
     *structure* closes up along that coordinate, which may be shorter than the
     chart period (the projectivized fiber of the Cartan prolongation closes
     after pi while the angle chart runs to 2*pi).

@@ -398,6 +398,17 @@ class TestGlobalType:
         ang = np.arccos(np.clip(abs(line @ [0, 1]) / np.linalg.norm(line), 0, 1))
         assert ang < 1e-6
 
+    def test_parabolic_line_survives_a_perturbed_jordan_block(self):
+        # a 1e-12 perturbation gives M complex eigenvalues 1 +- 4.5e-6 i, so
+        # the eigenvectors are lost; the image of N = M - I is still e2
+        M = np.array([[1.0, -1e-12], [20.0, 1.0]])
+        assert dyn._invariant_lines([M], 1e-3)[0] is None
+        lines, why = dyn._parabolic_line(M, 1e-3)
+        assert why is None and abs(lines[0][0]) < 1e-12 and abs(abs(lines[0][1]) - 1) < 1e-15
+        # a rotation has no invariant line at all
+        lines, why = dyn._parabolic_line(rot(0.7), 1e-3)
+        assert lines is None and why.startswith("not unipotent")
+
     @pytest.mark.parametrize("name,want", [
         ("propellor-identity", ("elliptic", None)),
         ("propellor-parabolic", ("parabolic", False)),
