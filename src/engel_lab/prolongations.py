@@ -25,7 +25,13 @@ from .errors import (
     SignatureError,
     TwistMonotonicityError,
 )
-from .frame_algebra import ChartModel, LieModel, Section, coordinate_frame, rank_with_margin
+from .frame_algebra import (
+    ChartModel,
+    LieModel,
+    Section,
+    coordinate_frame,
+    rank_with_margin,
+)
 from .geometry_models import LorentzExtension, TWO_PI, constant_curvature_surface, unit_tangent_frames
 
 

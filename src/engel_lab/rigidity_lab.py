@@ -333,7 +333,8 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     from .characteristic_dynamics import _rk4_path
 
     ut = unit_tangent_frames(surface)
-    times, pts3 = _rk4_path(lambda p: ut.model.frame(p)[:, 0], np.asarray(p0, dtype=float), T, dt)
+    X = lambda p: ut.model.frame(p)[:, 0]
+    times, pts3 = _rk4_path(X, np.asarray(p0, dtype=float), T, dt)
     xy = pts3[:, :2]
     phi = pts3[:, 2]
     lam = surface.lam_at(xy)
