@@ -1,9 +1,7 @@
-"""Benchmark the jitted integration kernels against the numpy fallback,
-and time one field evaluation and one characteristic RK4 step.
+"""Time the integration kernels, one field evaluation and one
+characteristic RK4 step.
 
 Run:  python benchmarks/bench_kernels.py
-The same comparison with the fallback forced:
-      ENGEL_LAB_NO_NUMBA=1 python benchmarks/bench_kernels.py
 """
 import time
 
@@ -29,30 +27,16 @@ def bench_dcurves(n_curves=1000, n_steps=1000):
     U = np.repeat(U, 1, axis=0) + rng.normal(scale=0.1, size=(n_curves, tg.size)) * tg
     V = np.ones_like(U)
     starts = np.zeros((n_curves, 4))
-    dt = 1.0 / n_steps
-
-    t_np, ref = timeit(_kernels._dcurve_rk4_numpy, U, V, starts, dt, 0)
-    rows = [(f"dcurve_rk4 numpy B={n_curves}", t_np, 0.0)]
-    if _kernels.HAS_NUMBA:
-        _kernels._dcurve_rk4_jit(U[:2], V[:2], starts[:2], dt, 0)  # warm up
-        t_nb, out = timeit(_kernels._dcurve_rk4_jit, U, V, starts, dt, 0)
-        rows.append((f"dcurve_rk4 numba B={n_curves}", t_nb, float(np.abs(out - ref).max())))
-    return rows
+    t, _ = timeit(_kernels.dcurve_rk4, U, V, starts, 1.0 / n_steps)
+    return f"dcurve_rk4 B={n_curves}", t
 
 
 def bench_transport(n_steps=200_000):
     rng = np.random.default_rng(1)
     A = rng.normal(scale=0.3, size=(2 * n_steps + 1, 2, 2))
     A -= 0.5 * np.trace(A, axis1=1, axis2=2)[:, None, None] * np.eye(2)
-    dt = 1e-4
-
-    t_np, ref = timeit(_kernels._transport_rk4_impl, A, dt, repeat=3)
-    rows = [("transport_rk4 numpy", t_np, 0.0)]
-    if _kernels.HAS_NUMBA:
-        _kernels._transport_rk4_jit(A[:5], dt)
-        t_nb, out = timeit(_kernels._transport_rk4_jit, A, dt, repeat=3)
-        rows.append(("transport_rk4 numba", t_nb, float(np.abs(out - ref).max())))
-    return rows
+    t, _ = timeit(_kernels.transport_rk4, A, 1e-4, repeat=3)
+    return f"transport_rk4 {n_steps // 1000}k steps", t
 
 
 def bench_field(sizes=(1, 1000)):
@@ -89,18 +73,13 @@ def bench_characteristic(n_steps=200):
 
 
 def main():
-    print(f"numba available and enabled: {_kernels.HAS_NUMBA}")
-    print(f"{'kernel':<24s} {'best time':>10s} {'max |diff|':>12s}")
-    # the single-curve row shows the per-call overhead of the numpy kernel
-    for rows in (bench_dcurves(n_curves=1000), bench_dcurves(n_curves=1), bench_transport()):
-        base = rows[0][1]
-        for name, t, diff in rows:
-            speedup = f"  ({base / t:.1f}x)" if t != base else ""
-            print(f"{name:<24s} {t * 1e3:9.2f}ms {diff:12.2e}{speedup}")
+    # the single-curve row shows the per-call overhead of the D-curve kernel
+    for name, t in (bench_dcurves(n_curves=1000), bench_dcurves(n_curves=1), bench_transport()):
+        print(f"{name:<28s} {t * 1e3:9.2f}ms")
     for name, t in bench_field():
-        print(f"{name:<24s} {t * 1e6:9.1f}us per evaluation")
+        print(f"{name:<28s} {t * 1e6:9.1f}us per evaluation")
     for name, t in bench_characteristic():
-        print(f"{name:<24s} {t * 1e6:9.1f}us per RK4 step")
+        print(f"{name:<28s} {t * 1e6:9.1f}us per RK4 step")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from ._kernels import transport_rk4
+from ._kernels import expm2, transport_rk4
 from .config import DEFAULTS
 from .engel_verify import EngelStructure, line_angle, sample_box
 from .errors import (
@@ -59,8 +59,8 @@ class OrbitTrace:
     def normalized_M(self) -> np.ndarray:
         if self.M is None:
             raise FrameDegenerate("orbit has no transport data")
-        # the stored determinants come from the quadrature of tr A, which
-        # stays accurate when the matrix entries are too large for the
+        # the stored determinants are exp of the summed Magnus traces, which
+        # stay accurate when the matrix entries are too large for the
         # algebraic determinant
         d = self.dets if self.dets is not None else np.linalg.det(self.M)
         return self.M / np.sqrt(np.abs(d))[:, None, None]
@@ -333,8 +333,9 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
                     angles: bool = True) -> OrbitTrace:
     """Solve M' = A(t) M along the orbit and track the lifted D/W angle.
 
-    The RK4 midpoint stages are regenerated from the stored points
-    (half-length substeps), so the variational stages keep full order.
+    A(t) is sampled at the stored points and at the step midpoints, which
+    one half-length RK4 substep regenerates from every stored point, and M
+    is built from 4th-order Magnus steps (``_kernels.transport_rk4``).
     ``angles=False`` skips the developing-angle pullback (the inverse
     transport loses all precision once a hyperbolic M(t) has condition
     number near 1/eps, and the global-type estimator does not need it).
@@ -353,13 +354,7 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     pts_half[0::2] = pts
     pts_half[1::2] = sub[:, 1]
     A_half = transport_generator(s, pts_half)
-    M = transport_rk4(A_half, dt_signed)
-
-    # det M solves (det)' = tr A det; the quadrature stays accurate where
-    # the algebraic determinant of a huge hyperbolic matrix cancels away
-    tr_half = np.trace(A_half, axis1=1, axis2=2)
-    tr_steps = (tr_half[0:-2:2] + 4.0 * tr_half[1::2] + tr_half[2::2]) * (dt_signed / 6.0)
-    dets = np.exp(np.concatenate([[0.0], np.cumsum(tr_steps)]))
+    M, dets = transport_rk4(A_half, dt_signed)
     angle = None
     if angles:
         d = _dw_coords(s, pts)
@@ -403,8 +398,7 @@ def closed_form_exp(A: np.ndarray, rescaled: bool = False) -> Callable:
     A = np.asarray(A, dtype=float)
     if abs(np.trace(A)) > 1e-12:
         raise FrameDegenerate("closed form expects a trace-free generator")
-    disc = -float(np.linalg.det(A))   # A^2 = disc * I for trace-free A
-    K = np.sqrt(abs(disc))
+    K = np.sqrt(abs(np.linalg.det(A)))   # the rate of the cos or cosh form
     if rescaled and K > 0:
         S = np.diag([K, 1.0])
         Sinv = np.diag([1.0 / K, 1.0])
@@ -412,14 +406,7 @@ def closed_form_exp(A: np.ndarray, rescaled: bool = False) -> Callable:
         S = Sinv = np.eye(2)
 
     def M(t: float) -> np.ndarray:
-        t = float(t)
-        if disc > 1e-14:
-            core = np.cosh(K * t) * np.eye(2) + np.sinh(K * t) / K * A
-        elif disc < -1e-14:
-            core = np.cos(K * t) * np.eye(2) + np.sin(K * t) / K * A
-        else:
-            core = np.eye(2) + t * A
-        return Sinv @ core @ S
+        return Sinv @ expm2(float(t) * A[None])[0] @ S
 
     return M
 

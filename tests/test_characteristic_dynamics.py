@@ -2,8 +2,10 @@
 global type estimator."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from engel_lab import characteristic_dynamics as dyn
+from engel_lab._kernels import expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
     HolonomyLift,
     _rk4_path,
@@ -24,6 +26,8 @@ from engel_lab.characteristic_dynamics import (
 )
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.errors import AmbiguousClass, ChartExit, MonotonicityViolation, StepTooLarge
+
+from conftest import rel_err, sequential_transport
 
 KAPPAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -177,6 +181,52 @@ class TestTransport:
         orbit = integrate_characteristic(s, np.zeros(4), 20.0, 1e-2)
         orbit = transport_EmodW(s, orbit, angles=False)
         assert np.abs(orbit.dets - 1.0).max() < 1e-9
+
+
+class TestMagnus:
+    GENERATORS = {
+        "elliptic": [[0.0, -2.0], [1.0, 0.0]],
+        "hyperbolic": [[0.0, 0.25], [1.0, 0.0]],
+        "nilpotent": [[0.0, 0.0], [1.0, 0.0]],
+        "zero": [[0.0, 0.0], [0.0, 0.0]],
+        "tiny_r2": [[0.0, 1e-11], [1e-11, 0.0]],
+        "traced": [[0.3, -1.0], [2.0, -0.1]],
+    }
+
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_expm2_matches_scipy(self, name):
+        A = np.array(self.GENERATORS[name])
+        for t in (1e-3, 1.0, 20.0):
+            assert rel_err(expm2((t * A)[None])[0], expm(t * A)) < 1e-12
+
+    def test_dets_are_exp_of_summed_traces(self, rng):
+        A = rng.normal(scale=0.3, size=(2 * 40 + 1, 2, 2))
+        M, dets = transport_rk4(A, 1e-2)
+        assert M.shape == (41, 2, 2) and dets.shape == (41,)
+        assert np.abs(np.linalg.det(M) / dets - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_long_lie_orbit_matches_closed_form(self, preset_cache, kappa):
+        # T = 20 at dt = 1e-3: 20,000 steps of a constant generator
+        s = preset_cache("lorentz-magnetic-lie", kappa=kappa)["structure"]
+        orbit = integrate_characteristic(s, np.zeros(4), 20.0, 1e-3)
+        orbit = transport_EmodW(s, orbit, angles=False)
+        Mcf = closed_form_exp(transport_generator(s))
+        sel = np.arange(0, len(orbit.times), 1000)
+        want = np.array([Mcf(t) for t in orbit.times[sel]])
+        assert rel_err(orbit.M[sel], want) < 1e-11
+
+    def test_scan_matches_sequential_product_on_a_large_orbit(self, preset_cache,
+                                                               monkeypatch):
+        # the hyperbolic propellor-cat holonomy grows |M| past 1e8 by T = 20
+        s = preset_cache("propellor-cat")["structure"]
+        orbit = integrate_characteristic(s, s.model.box.mean(axis=1), 20.0, 1e-2)
+        seen = []
+        monkeypatch.setattr(dyn, "transport_rk4",
+                            lambda A, dt: seen.append(A) or transport_rk4(A, dt))
+        M = transport_EmodW(s, orbit, angles=False).M
+        assert np.abs(M).max() > 1e8
+        assert rel_err(M, sequential_transport(seen[0], 1e-2)) < 1e-12
 
 
 class TestClosedForm:

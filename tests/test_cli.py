@@ -171,37 +171,6 @@ class TestRigidityCommand:
         assert run(["rigidity", "--config", str(cfg)]) == 0
 
 
-def test_numba_fallback_path_agrees(tmp_path):
-    # the pure-numpy path (env flag) must reproduce the jitted results
-    import os
-    import subprocess
-    import sys
-
-    import engel_lab
-    # the child imports the same engel_lab as this process, installed or not
-    src_dir = os.path.dirname(os.path.dirname(engel_lab.__file__))
-    script = (
-        "import numpy as np\n"
-        "from engel_lab._kernels import using_numba\n"
-        "from engel_lab.rigidity_lab import sample_d_curve\n"
-        "ONES = lambda t: np.ones_like(np.atleast_1d(t), dtype=float)\n"
-        "c = sample_d_curve((lambda t: np.sin(np.atleast_1d(t)), ONES), 1.0, 1e-3)\n"
-        "np.save(r'%s', c.points)\n"
-        "print(using_numba())\n"
-    )
-    for flag, name in (("0", "jit.npy"), ("1", "numpy.npy")):
-        env = {"ENGEL_LAB_NO_NUMBA": flag, "PATH": "/usr/bin:/bin:/usr/local/bin",
-               "PYTHONPATH": src_dir}
-        out = subprocess.run([sys.executable, "-c", script % (tmp_path / name)],
-                             env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        if flag == "1":
-            assert out.stdout.strip() == "False"
-    a = np.load(tmp_path / "jit.npy")
-    b = np.load(tmp_path / "numpy.npy")
-    assert np.abs(a - b).max() < 1e-13
-
-
 class TestReportCommand:
     def test_kappa_sweep(self, tmp_path, capsys):
         code = run(["report", "--preset", "kappa-sweep", "--out", str(tmp_path)])
