@@ -1,5 +1,5 @@
-"""Time the integration kernels, one field evaluation and one
-characteristic RK4 step.
+"""Time the integration kernels, one field evaluation, one batched section
+bracket call and one characteristic RK4 step.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -54,6 +54,19 @@ def bench_field(sizes=(1, 1000)):
     return rows
 
 
+def bench_brackets(B=1000):
+    """Wall time of the three E brackets [e_i, e_j] on lorentz-magnetic in
+    one ``model.brackets`` call: one central-difference jacobian of the
+    stacked section values."""
+    from engel_lab.engel_verify import sample_box
+    from engel_lab.presets import build_preset
+
+    s = build_preset("lorentz-magnetic", kappa=-0.5)["structure"]
+    pts = sample_box(s.model, B)
+    t, _ = timeit(s.model.brackets, s.E_span, [(0, 1), (0, 2), (1, 2)], pts)
+    return f"E brackets B={B}", t
+
+
 def bench_characteristic(n_steps=200):
     """Wall time of one chart RK4 step of the characteristic orbit on
     lorentz-magnetic, one orbit against a batch of three."""
@@ -78,6 +91,8 @@ def main():
         print(f"{name:<28s} {t * 1e3:9.2f}ms")
     for name, t in bench_field():
         print(f"{name:<28s} {t * 1e6:9.1f}us per evaluation")
+    name, t = bench_brackets()
+    print(f"{name:<28s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_characteristic():
         print(f"{name:<28s} {t * 1e6:9.1f}us per RK4 step")
 

@@ -23,6 +23,7 @@ from .frame_algebra import ChartModel, FrameModel, LieModel, Section, rank_with_
 from .serialize import SCHEMA_VERSION
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
+_E_PAIRS = ((0, 1), (0, 2), (1, 2))   # the brackets [e_i, e_j] of the E span
 
 
 def halton_points(n: int, dim: int, skip: int = 100) -> np.ndarray:
@@ -72,10 +73,6 @@ class EngelStructure:
         if len(self.D_span) != 2 or len(self.E_span) != 3:
             raise DimensionMismatch("need 2 D sections and 3 E sections")
 
-    def section_values(self, sections, pts):
-        """Stack section values at pts -> (n, k, dim)."""
-        return self.model.values(sections, pts)
-
 
 @dataclass
 class VerificationReport:
@@ -121,13 +118,12 @@ def line_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
-def _pairing_kernel(basis: np.ndarray, brEE: Sequence[np.ndarray],
-                    wdecl: np.ndarray, tol: float):
+def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol: float):
     """Kernel of the skew bracket pairing on E, batched over points.
 
     ``basis`` stacks the values of (e_1, e_2, e_3, transverse), shape
-    (n, 4, dim); ``brEE`` holds the brackets [e_1, e_2], [e_1, e_3],
-    [e_2, e_3], each (n, dim).  The pairing B_ij is the transverse component
+    (n, 4, dim); ``brEE`` stacks the brackets [e_1, e_2], [e_1, e_3],
+    [e_2, e_3], shape (n, 3, dim).  The pairing B_ij is the transverse component
     of [e_i, e_j].  Returns the unnormalized kernel vector (n, dim), signed
     along the declared W values ``wdecl``, and the mask of points where the
     pairing has rank 2.
@@ -135,8 +131,8 @@ def _pairing_kernel(basis: np.ndarray, brEE: Sequence[np.ndarray],
     n = basis.shape[0]
     pinv = np.linalg.pinv(np.swapaxes(basis, 1, 2))
     B = np.zeros((n, 3, 3))
-    for (i, j), br in zip(((0, 1), (0, 2), (1, 2)), brEE):
-        coef = np.einsum("nkd,nd->nk", pinv, br)
+    for k, (i, j) in enumerate(_E_PAIRS):
+        coef = np.einsum("nkd,nd->nk", pinv, brEE[:, k])
         B[:, i, j] = coef[:, 3]
         B[:, j, i] = -coef[:, 3]
     _, sv, vt = np.linalg.svd(B)
@@ -144,11 +140,6 @@ def _pairing_kernel(basis: np.ndarray, brEE: Sequence[np.ndarray],
     sign = np.sign(np.einsum("nd,nd->n", wvec, wdecl))
     sign[sign == 0] = 1.0
     return wvec * sign[:, None], sv[:, 1] >= tol
-
-
-def _E_brackets(s: EngelStructure, pts: np.ndarray) -> list[np.ndarray]:
-    E = s.E_span
-    return [s.model.bracket(E[i], E[j], pts) for i, j in ((0, 1), (0, 2), (1, 2))]
 
 
 def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
@@ -168,7 +159,8 @@ def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
     vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
-    wvec, ok = _pairing_kernel(vals[:, :4], _E_brackets(s, pts), vals[:, 4], tol)
+    brEE = s.model.brackets(s.E_span, _E_PAIRS, pts)
+    wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], tol)
     if not ok.all():
         raise DegenerateKernel("bracket pairing on E has rank < 2")
     wvec /= np.linalg.norm(wvec, axis=-1, keepdims=True)
@@ -196,12 +188,13 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
     Dv = vals[:, 5:]                                         # (n, 2, dim)
     rank_D, marg_D = rank_with_margin(Dv, tol)
 
-    brDD = s.model.bracket(s.D_span[0], s.D_span[1], pts)    # (n, dim)
-    Ederived = np.concatenate([Dv, brDD[:, None, :]], axis=1)
+    # [D_1, D_2] and the three [e_i, e_j] from one call over (D_1, D_2, e_1, e_2, e_3)
+    br = s.model.brackets([*s.D_span, *s.E_span], [(0, 1), (2, 3), (2, 4), (3, 4)], pts)
+    Ederived = np.concatenate([Dv, br[:, :1]], axis=1)
     rank_E, marg_E = rank_with_margin(Ederived, tol)
 
-    brEE = _E_brackets(s, pts)
-    EE = np.concatenate([vals[:, :3]] + [br[:, None, :] for br in brEE], axis=1)
+    brEE = br[:, 1:]                                         # (n, 3, dim)
+    EE = np.concatenate([vals[:, :3], brEE], axis=1)
     rank_EE, marg_EE = rank_with_margin(EE, tol)
 
     angle = np.full(n, np.nan)

@@ -17,10 +17,11 @@ the kind to evaluate anything:
 
 * ``values(sections, pts) -> (n, k, dim)``: chart components of each section
   (chart) or its constant frame coefficients broadcast over the points (Lie);
-* ``bracket(a, b, pts) -> (n, dim)``: the chart bracket of the realized
-  sections (:class:`ChartVectorField`, differentiated by central differences
-  in :func:`bracket_chart`) or the exact structure-constant contraction
-  :func:`bracket_lie`;
+* ``brackets(sections, pairs, pts) -> (n, P, dim)``: the bracket of each
+  section pair ``(a, b)`` in ``pairs``.  On a chart all of them come from one
+  central-difference jacobian of the stacked section values
+  (:func:`bracket_chart`); on a Lie model each is the exact
+  structure-constant contraction :func:`bracket_lie`;
 * ``wrap(pts)``: the chart's periodic coordinates wrapped into the box, or
   the identity on a Lie model.
 
@@ -57,8 +58,8 @@ def _as_batch(p: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
 class ChartVectorField:
     """An evaluable vector field on a coordinate chart: a realized section.
 
-    ``components`` maps points to chart components; :meth:`jac` is the
-    central-difference jacobian with step ``h``.
+    ``components`` maps points (n, dim) to chart components (n, dim); a
+    single point (dim,) gives one vector.
     """
 
     def __init__(self, dim, components, name=""):
@@ -73,11 +74,6 @@ class ChartVectorField:
             out = np.broadcast_to(out, pts.shape).copy()
         return out[0] if single else out
 
-    def jac(self, p: np.ndarray, h: float = None) -> np.ndarray:
-        pts, single = _as_batch(p, self.dim)
-        J = fd_jacobian(self, pts, DEFAULTS.h if h is None else h)
-        return J[0] if single else J
-
     def __repr__(self):
         return f"ChartVectorField({self.name or 'anonymous'}, dim={self.dim})"
 
@@ -89,32 +85,40 @@ def coordinate_frame(dim: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference jacobian, batched over points: (n, dim, dim)."""
+    """Central-difference jacobian, batched over points: the shape of
+    ``f(pts)`` with a trailing ``dim`` axis, entry ``[..., j]`` the
+    derivative along coordinate ``j``."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n, d = pts.shape
-    J = np.empty((n, d, d))
+    d = pts.shape[1]
+    cols = []
     for j in range(d):
         e = np.zeros(d)
         e[j] = h
-        J[:, :, j] = (np.atleast_2d(f(pts + e)) - np.atleast_2d(f(pts - e))) / (2.0 * h)
-    return J
+        cols.append((np.asarray(f(pts + e)) - np.asarray(f(pts - e))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
 
 
-def bracket_chart(a: ChartVectorField, b: ChartVectorField, p: np.ndarray,
-                  h: float = None) -> np.ndarray:
-    """Lie bracket [a, b] = Db.a - Da.b at ``p`` (single point or batch),
-    with central-difference jacobians of step ``h``."""
-    if a.dim != b.dim:
-        raise DimensionMismatch("fields live on charts of different dimension")
-    pts, single = _as_batch(p, a.dim)
-    av = np.atleast_2d(a(pts))
-    bv = np.atleast_2d(b(pts))
-    Ja = a.jac(pts, h)
-    Jb = b.jac(pts, h)
-    out = np.einsum("nij,nj->ni", Jb, av) - np.einsum("nij,nj->ni", Ja, bv)
+def bracket_chart(f: Callable[[np.ndarray], np.ndarray], pairs: Sequence[tuple[int, int]],
+                  p: np.ndarray, h: float = None) -> np.ndarray:
+    """Lie brackets [f_a, f_b] = Df_b.f_a - Df_a.f_b for each ``(a, b)`` in
+    ``pairs``, at ``p`` (single point or batch).
+
+    ``f`` maps points (n, dim) to stacked chart components (n, k, dim).  It is
+    called once at ``p`` and 2 dim times for the central-difference jacobian
+    of step ``h``.  Returns (n, P, dim), or (P, dim) for a single point.
+    """
+    p = np.asarray(p, dtype=float)
+    pts = np.atleast_2d(p)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.ndim != 3 or vals.shape[::2] != pts.shape:
+        raise DimensionMismatch(f"sections returned {vals.shape} at points {pts.shape}")
+    J = fd_jacobian(f, pts, DEFAULTS.h if h is None else h)
+    a, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    out = (np.einsum("npij,npj->npi", J[:, b], vals[:, a])
+           - np.einsum("npij,npj->npi", J[:, a], vals[:, b]))
     if not np.all(np.isfinite(out)):
         raise NonFiniteEvaluation("bracket evaluation produced NaN or inf")
-    return out[0] if single else out
+    return out[0] if p.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +155,13 @@ class LieModel:
             raise DimensionMismatch("section does not match the model frame")
         return np.broadcast_to(rows, (_count(pts),) + rows.shape)
 
-    def bracket(self, a: "Section", b: "Section", pts=None) -> np.ndarray:
-        """Exact bracket of two constant sections broadcast to (n, dim)."""
-        val = bracket_lie(self, a.constant_coeffs(), b.constant_coeffs())
-        return np.broadcast_to(val, (_count(pts), self.dim))
+    def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
+                 pts=None) -> np.ndarray:
+        """Exact brackets of the constant section pairs broadcast to
+        (n, P, dim)."""
+        u = [s.constant_coeffs() for s in sections]
+        val = np.array([bracket_lie(self, u[a], u[b]) for a, b in pairs]).reshape(-1, self.dim)
+        return np.broadcast_to(val, (_count(pts),) + val.shape)
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
         """No periodic coordinates: the identity."""
@@ -246,13 +253,15 @@ class ChartModel:
         return out
 
     def field(self, section: "Section") -> ChartVectorField:
-        """The section as an evaluable chart field (finite-difference jacobian)."""
+        """The section as an evaluable chart field, one point or a batch."""
         return ChartVectorField(self.dim, lambda pts: self.values([section], pts)[:, 0],
                                 name=section.name or "section")
 
-    def bracket(self, a: "Section", b: "Section", pts: np.ndarray) -> np.ndarray:
-        """Chart bracket of the realized sections at the points: (n, dim)."""
-        return np.atleast_2d(bracket_chart(self.field(a), self.field(b), pts))
+    def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
+                 pts: np.ndarray) -> np.ndarray:
+        """Chart brackets of the section pairs at the points: (n, P, dim),
+        from one central-difference jacobian of all the section values."""
+        return bracket_chart(lambda q: self.values(sections, q), pairs, np.atleast_2d(pts))
 
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
         pts, single = _as_batch(p, self.dim)
@@ -389,10 +398,9 @@ def derived_distribution(d: DistributionSpec, p: np.ndarray = None,
     together with all pairwise section brackets at ``p``.
     """
     tol = DEFAULTS.rank_tol if tol is None else float(tol)
-    rows = [d.model.values(d.span, p)[0]]
-    for i, a in enumerate(d.span):
-        rows += [d.model.bracket(a, b, p)[0] for b in d.span[i + 1:]]
-    mat = np.vstack(rows)
+    k = len(d.span)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    mat = np.vstack([d.model.values(d.span, p)[0], d.model.brackets(d.span, pairs, p)[0]])
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
     r = int((sv > tol).sum())
     return [vt[i] for i in range(r)]

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._kernels import expm2
 from .config import DEFAULTS
 from .engel_verify import EngelStructure, sample_box
 from .errors import (
@@ -30,6 +31,7 @@ from .frame_algebra import (
     LieModel,
     Section,
     coordinate_frame,
+    fd_jacobian,
     rank_with_margin,
 )
 from .geometry_models import LorentzExtension, TWO_PI, constant_curvature_surface, unit_tangent_frames
@@ -56,8 +58,8 @@ class ContactModel:
     def validate(self, n_samples: int = 50, tol: float = None) -> None:
         tol = DEFAULTS.rank_tol if tol is None else tol
         pts = sample_box(self.model, n_samples)
-        br = self.model.bracket(self.xi[0], self.xi[1], pts)
-        stack = np.concatenate([self.model.values(self.xi, pts), br[:, None, :]], axis=1)
+        br = self.model.brackets(self.xi, [(0, 1)], pts)
+        stack = np.concatenate([self.model.values(self.xi, pts), br], axis=1)
         rank, _ = rank_with_margin(stack, tol)
         if not np.all(rank == 3):
             raise NotContact("xi + [xi, xi] fails to have rank 3 at a sample point")
@@ -173,18 +175,6 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
 # pre-quantum prolongation
 # ---------------------------------------------------------------------------
 
-def _fd_dbeta(beta: Callable, pts: np.ndarray, h: float) -> np.ndarray:
-    """d(beta) as the antisymmetric matrix (d beta)_{ij} = di bj - dj bi."""
-    pts = np.atleast_2d(pts)
-    n = pts.shape[0]
-    grad = np.empty((n, 3, 3))  # grad[:, i, j] = d_i beta_j
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        grad[:, i, :] = (np.atleast_2d(beta(pts + e)) - np.atleast_2d(beta(pts - e))) / (2 * h)
-    return grad - np.swapaxes(grad, 1, 2)
-
-
 def prequantum_prolongation(c: ContactModel, w_bar: Section,
                             vol: Callable, beta: Callable,
                             tol: float = 1e-6,
@@ -202,7 +192,8 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     """
     base = c.model
     pts = sample_box(base, n_check)
-    db = _fd_dbeta(beta, pts, DEFAULTS.h)
+    J = fd_jacobian(beta, pts, DEFAULTS.h)      # J[:, j, i] = d_i beta_j
+    db = np.swapaxes(J, 1, 2) - J               # (d beta)_ij = d_i beta_j - d_j beta_i
     wv = base.values([w_bar], pts)[:, 0]
     rho = np.asarray(vol(pts), dtype=float)
     iv = np.zeros_like(db)
@@ -310,24 +301,6 @@ def _logm2(m: np.ndarray) -> np.ndarray:
     raise ConfigError("propellor supports identity, unipotent, or trace > 2 monodromy")
 
 
-def _expm2_family(L: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(t L) for a trace-free 2x2 generator, batched over t.
-
-    L^2 = disc * I with disc = -det(L), so the exponential is a cosh/cos
-    pencil in (I, L)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    disc = -float(np.linalg.det(L))
-    if disc > 1e-14:
-        w = np.sqrt(disc)
-        c, s = np.cosh(w * t), np.sinh(w * t) / w
-    elif disc < -1e-14:
-        w = np.sqrt(-disc)
-        c, s = np.cos(w * t), np.sin(w * t) / w
-    else:
-        c, s = np.ones_like(t), t
-    return c[:, None, None] * np.eye(2) + s[:, None, None] * L
-
-
 def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
     """Equivariant rotating line path (a, b)(t) = phi^t . (cos, sin)(2 pi turns t).
 
@@ -340,7 +313,7 @@ def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         u = np.stack([np.cos(2 * np.pi * turns * t),
                       np.sin(2 * np.pi * turns * t)], axis=-1)
-        return np.einsum("nij,nj->ni", _expm2_family(L, t), u)
+        return np.einsum("nij,nj->ni", expm2(t[:, None, None] * L), u)
 
     return path
 
@@ -398,7 +371,7 @@ def propellor_structure(monodromy: np.ndarray,
         def coeffs(pts):
             pts = np.atleast_2d(pts)
             out = np.zeros((pts.shape[0], 4))
-            out[:, :2] = _expm2_family(L, pts[:, 2])[:, :, j]
+            out[:, :2] = expm2(pts[:, 2, None, None] * L)[:, :, j]
             return out
         return Section(coeffs, name)
 

@@ -330,11 +330,12 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     computation dies with the geodesic equation and the second is the
     s-derivative of the (vanishing) null defect.
     """
-    from .characteristic_dynamics import _rk4_path
+    from .characteristic_dynamics import _rk4_orbits
 
     ut = unit_tangent_frames(surface)
     X = lambda p: ut.model.frame(p)[:, 0]
-    times, pts3 = _rk4_path(X, np.asarray(p0, dtype=float), T, dt)
+    times, pts3, _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, dt)
+    pts3 = pts3[0]
     xy = pts3[:, :2]
     phi = pts3[:, 2]
     lam = surface.lam_at(xy)

@@ -75,7 +75,7 @@ def test_criterion_2_cauchy_closed_forms(preset_cache):
             s = preset_cache(kind, kappa=k)["structure"]
             pts = sample_box(s.model, 1000)
             w = cauchy_characteristic(s, pts)
-            ref = s.section_values([s.W_section], pts)[:, 0]
+            ref = s.model.values([s.W_section], pts)[:, 0]
             worst = max(worst, float(np.max(line_angle(w, ref))))
     report(2, worst < 1e-6,
            f"dw / X+Theta / Xt+Zt-(1+k)Theta at 1000 pts, max angle {worst:.2e} (<1e-6)")
@@ -257,9 +257,9 @@ def test_criterion_11_property_suites(preset_cache, rng):
     developing monotonicity; the full pytest run enforces the 5-minute cap."""
     # bracket antisymmetry on the magnetic chart frame
     s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]
-    f1, f2 = (s.model.field(el.Section(tuple(np.eye(4)[i]))) for i in (0, 1))
     p = np.array([0.1, -0.05, 0.4, 0.8])
-    anti = float(np.abs(bracket_chart(f1, f2, p) + bracket_chart(f2, f1, p)).max())
+    f12, f21 = bracket_chart(s.model.frame, [(0, 1), (1, 0)], p)
+    anti = float(np.abs(f12 + f21).max())
 
     # Jacobi exact on every Lie preset
     jacobi = 0.0

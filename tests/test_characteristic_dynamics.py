@@ -8,7 +8,7 @@ from engel_lab import characteristic_dynamics as dyn
 from engel_lab._kernels import expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
     HolonomyLift,
-    _rk4_path,
+    _rk4_orbits,
     classify_projective,
     closed_form_exp,
     closed_orbit_holonomy,
@@ -80,7 +80,7 @@ class TestIntegrate:
                 exits += 1
                 assert k < nsteps and e.t_exit == (k + 1) * (T / nsteps)
                 # the exiting row keeps the unchecked path up to its exit
-                _, path = _rk4_path(s.model.field(s.W_section), p0, T, dt)
+                _, (path,), _ = _rk4_orbits(s.model.field(s.W_section), p0, T, dt)
                 assert np.array_equal(row[:k + 1], path[:k + 1])
                 assert np.isnan(row[k + 1:]).all()
             else:
@@ -468,6 +468,20 @@ class TestGlobalType:
         s = preset_cache(name)["structure"]
         est = estimate_global_type(s, n_orbits=2, T_max=20.0, dt=1e-2)
         assert (est.kind, est.genuine) == want
+
+    def test_evidence_is_free_of_rounding_noise(self, preset_cache):
+        # the propellor-cat orbits share one holonomy, so their distortions
+        # agree; sigma1 / sigma2 read 3.8e16 and 1.7e16 because sigma2 =
+        # 1 / sigma1 is below the rounding of the transport
+        s = preset_cache("propellor-cat")["structure"]
+        orbits = estimate_global_type(s, n_orbits=2, T_max=20.0, dt=1e-2).evidence["orbits"]
+        d = np.array([o["max_distortion"] for o in orbits])
+        assert np.ptp(d) / d.max() < 1e-6
+        # a flat sigma1 has no growth law to fit
+        s = preset_cache("lorentz-product-lie", kappa=1.0)["structure"]
+        (orbit,) = estimate_global_type(s, n_orbits=1, T_max=20.0, dt=1e-2).evidence["orbits"]
+        assert orbit["kind"] == "elliptic"
+        assert [orbit[k] for k in ("slope", "r2_exp", "lin_slope", "lin_r2")] == [None] * 4
 
     def test_flat_torus_chart_is_parabolic(self, preset_cache):
         # the periodic chart sustains the full horizon, so the chart path

@@ -113,7 +113,7 @@ class TestCauchy:
         pts = rng.uniform(-1, 1, (10, 4))
         pts[:, 3] = rng.uniform(0, 2 * np.pi, 10)
         w = cauchy_characteristic(s, pts)
-        Dv = s.section_values(s.D_span, pts)
+        Dv = s.model.values(s.D_span, pts)
         for i in range(10):
             q, _ = np.linalg.qr(Dv[i].T)
             resid = w[i] - q @ (q.T @ w[i])
@@ -125,7 +125,7 @@ class TestDarbouxModels:
         # E = ker(dy - z dx): every E section pairs to zero with the form
         s = darboux_standard()
         pts = rng.uniform(-1.5, 1.5, (50, 4))
-        Ev = s.section_values(s.E_span, pts)
+        Ev = s.model.values(s.E_span, pts)
         form = np.zeros((50, 4))
         form[:, 1] = 1.0
         form[:, 0] = -pts[:, 2]
@@ -142,10 +142,10 @@ class TestDarbouxModels:
             p[3] = rng.uniform(-1.2, 1.2)      # inside (-pi/2, pi/2)
             q = p.copy()
             q[3] = np.tan(p[3])
-            Dl = long.section_values(long.D_span, p[None])[0]
+            Dl = long.model.values(long.D_span, p[None])[0]
             push = Dl.copy()
             push[:, 3] = Dl[:, 3] / np.cos(p[3]) ** 2
-            Ds = std.section_values(std.D_span, q[None])[0]
+            Ds = std.model.values(std.D_span, q[None])[0]
             # compare planes via principal angles
             qa, _ = np.linalg.qr(push.T)
             qb, _ = np.linalg.qr(Ds.T)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engel_lab.config import DEFAULTS
 from engel_lab.errors import DimensionMismatch, EmptyInput
 from engel_lab.frame_algebra import (
     ChartModel,
@@ -38,21 +39,27 @@ def const_field(vec):
     return ChartVectorField(4, lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy())
 
 
+def stacked(*fields):
+    """The fields as one function of points (n, 4) -> (n, k, 4)."""
+    return lambda pts: np.stack([f(pts) for f in fields], axis=1)
+
+
 class TestBracketChart:
     def test_dw_with_X_gives_dz(self):
         # [d/dw, X] = d/dz at the origin
-        out = bracket_chart(const_field([0, 0, 0, 1]), ef_X(), np.zeros(4))
-        assert np.allclose(out, [0, 0, 1, 0], atol=1e-9)
+        out = bracket_chart(stacked(const_field([0, 0, 0, 1]), ef_X()), [(0, 1)], np.zeros(4))
+        assert out.shape == (1, 4)
+        assert np.allclose(out[0], [0, 0, 1, 0], atol=1e-9)
 
     def test_self_bracket_vanishes(self):
         p = np.array([0.3, -0.2, 0.6, 0.1])
-        assert np.allclose(bracket_chart(ef_X(), ef_X(), p), 0.0, atol=1e-12)
+        assert np.allclose(bracket_chart(stacked(ef_X()), [(0, 0)], p), 0.0, atol=1e-12)
 
     def test_X_with_dy_vanishes(self, rng):
         # analytic oracle: the coefficients of X do not involve y
         for _ in range(5):
             p = rng.uniform(-1, 1, 4)
-            out = bracket_chart(ef_X(), const_field([0, 1, 0, 0]), p)
+            out = bracket_chart(stacked(ef_X(), const_field([0, 1, 0, 0])), [(0, 1)], p)
             assert np.abs(out).max() < 1e-8
 
     def test_antisymmetry_random_fields(self, rng):
@@ -70,8 +77,7 @@ class TestBracketChart:
             a = trig_field(rng.uniform(-1, 1, (4, 2)))
             b = trig_field(rng.uniform(-1, 1, (4, 2)))
             p = rng.uniform(-1, 1, 4)
-            lhs = bracket_chart(a, b, p)
-            rhs = bracket_chart(b, a, p)
+            lhs, rhs = bracket_chart(stacked(a, b), [(0, 1), (1, 0)], p)
             assert np.abs(lhs + rhs).max() < 1e-9
 
     def test_fd_matches_analytic_to_h_squared(self):
@@ -198,6 +204,15 @@ def test_fd_jacobian_batched_shape():
     f = ef_X()
     pts = np.zeros((7, 4))
     assert fd_jacobian(f, pts, 1e-5).shape == (7, 4, 4)
+    # stacked sections keep their axis: (n, k, dim) -> (n, k, dim, dim)
+    J = fd_jacobian(stacked(f, const_field([0, 1, 0, 0])), pts, 1e-5)
+    assert J.shape == (7, 2, 4, 4)
+    assert np.array_equal(J[:, 0], fd_jacobian(f, pts, 1e-5))
+
+
+def test_bracket_chart_refuses_unstacked_values():
+    with pytest.raises(DimensionMismatch):
+        bracket_chart(ef_X(), [(0, 0)], np.zeros((3, 4)))
 
 
 def test_distribution_spec_validate(rng):
@@ -229,16 +244,19 @@ class TestModelProtocol:
                                           -p[:, 3], np.zeros(len(p))], axis=1))
         assert not vec.is_constant
         assert np.array_equal(s.model.values([tup], pts), s.model.values([vec], pts))
-        assert np.array_equal(s.model.bracket(tup, s.W_section, pts),
-                              s.model.bracket(vec, s.W_section, pts))
+        assert np.array_equal(s.model.brackets([tup, s.W_section], [(0, 1)], pts),
+                              s.model.brackets([vec, s.W_section], [(0, 1)], pts))
 
     def test_lie_protocol_broadcasts(self, magnetic):
         a, b = Section((1, 0, 1, 0)), Section((0, 0, 0, 1))
         pts = np.ones((3, 4))
         assert np.array_equal(magnetic.values([a, b], pts)[2], [[1, 0, 1, 0], [0, 0, 0, 1]])
         assert magnetic.values([a]).shape == (1, 1, 4)
-        expected = bracket_lie(magnetic, a.constant_coeffs(), b.constant_coeffs())
-        assert np.array_equal(magnetic.bracket(a, b, pts), np.tile(expected, (3, 1)))
+        expected = [bracket_lie(magnetic, a.constant_coeffs(), b.constant_coeffs()),
+                    bracket_lie(magnetic, b.constant_coeffs(), a.constant_coeffs())]
+        br = magnetic.brackets([a, b], [(0, 1), (1, 0)], pts)
+        assert np.array_equal(br, np.tile(expected, (3, 1, 1)))
+        assert magnetic.brackets([a, b], [(0, 1)]).shape == (1, 1, 4)
         assert np.array_equal(magnetic.wrap(pts), pts)
 
     def test_chart_model_needs_points(self):
@@ -272,11 +290,30 @@ class TestModelProtocol:
         mid = chart.model.box.mean(axis=1)
         pts = mid + 0.5 * (sample_box(chart.model, 20) - mid)
         frame = np.swapaxes(chart.model.frame(pts), 1, 2)
-        pairs = list(zip([*chart.D_span, *chart.E_span], [*lie.D_span, *lie.E_span]))
-        assert all(c.coeffs == t.coeffs and c.is_constant for c, t in pairs)
-        for i, (a, a_lie) in enumerate(pairs):
-            for b, b_lie in pairs[i + 1:]:
-                br = chart.model.bracket(a, b, pts)
-                coef = np.linalg.solve(frame, br[..., None])[..., 0]
-                exact = lie.model.bracket(a_lie, b_lie, pts)
-                assert np.abs(coef - exact).max() < 1e-8, (a.name, b.name)
+        sections, twins = [*chart.D_span, *chart.E_span], [*lie.D_span, *lie.E_span]
+        assert all(c.coeffs == t.coeffs and c.is_constant for c, t in zip(sections, twins))
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        br = chart.model.brackets(sections, pairs, pts)
+        coef = np.linalg.solve(frame[:, None], br[..., None])[..., 0]
+        exact = lie.model.brackets(twins, pairs, pts)
+        err = np.abs(coef - exact).max(axis=(0, 2))
+        assert err.max() < 1e-8, [(sections[i].name, sections[j].name, e)
+                                  for (i, j), e in zip(pairs, err) if e >= 1e-8]
+
+    @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
+    def test_batched_brackets_equal_one_pair_calls(self, preset_cache, name):
+        # a section's values row does not depend on the other sections in the
+        # call, so one call over all pairs is bit-identical to one pair at a
+        # time from two separately realized fields
+        s = preset_cache(name)["structure"]
+        sections = [*s.D_span, *s.E_span, s.W_section]
+        pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
+        pts = sample_box(s.model, 20)
+        br = s.model.brackets(sections, pairs, pts)
+        assert br.shape == (20, len(pairs), s.model.dim)
+        for k, (i, j) in enumerate(pairs):
+            fa, fb = s.model.field(sections[i]), s.model.field(sections[j])
+            Ja, Jb = (fd_jacobian(f, pts, DEFAULTS.h) for f in (fa, fb))
+            one = np.einsum("nij,nj->ni", Jb, fa(pts)) - np.einsum("nij,nj->ni", Ja, fb(pts))
+            assert np.array_equal(br[:, k], one), (sections[i].name, sections[j].name)
+        assert np.array_equal(s.model.brackets(sections, pairs, pts[0]), br[:1])

@@ -62,7 +62,7 @@ class TestUnitTangentFrames:
         assert np.allclose(X(p), [c, s, 0])
         assert np.allclose(Y(p), [-s, c, 0])
         assert np.allclose(Z(p), [0, 0, 1])
-        assert np.abs(bracket_chart(X, Y, p)).max() < 1e-9
+        assert np.abs(bracket_chart(ut.model.frame, [(0, 1)], p)).max() < 1e-9
 
     @pytest.mark.parametrize("kappa", [1.0, -1.0, -0.5, 0.5, -2.0])
     def test_commutation_relations(self, kappa, rng):
@@ -71,9 +71,10 @@ class TestUnitTangentFrames:
         half = 0.8 * float(ut.model.box[0, 1])
         for _ in range(4):
             p = rng.uniform([-half, -half, 0], [half, half, 2 * np.pi])
-            assert np.abs(bracket_chart(Z, X, p) - Y(p)).max() < 1e-6
-            assert np.abs(bracket_chart(Z, Y, p) + X(p)).max() < 1e-6
-            assert np.abs(bracket_chart(X, Y, p) - kappa * Z(p)).max() < 1e-5
+            ZX, ZY, XY = bracket_chart(ut.model.frame, [(2, 0), (2, 1), (0, 1)], p)
+            assert np.abs(ZX - Y(p)).max() < 1e-6
+            assert np.abs(ZY + X(p)).max() < 1e-6
+            assert np.abs(XY - kappa * Z(p)).max() < 1e-5
 
     def test_variable_curvature_bracket(self, rng):
         surf = bump_surface()
@@ -82,7 +83,8 @@ class TestUnitTangentFrames:
         for _ in range(4):
             p = rng.uniform([-0.5, -0.5, 0], [0.5, 0.5, 2 * np.pi])
             k = gauss_curvature(surf, p[:2])
-            assert np.abs(bracket_chart(X, Y, p) - k * Z(p)).max() < 1e-5
+            XY = bracket_chart(ut.model.frame, [(0, 1)], p)[0]
+            assert np.abs(XY - k * Z(p)).max() < 1e-5
 
 
 class TestLiePresets:
@@ -112,11 +114,9 @@ class TestLiePresets:
 class TestExtensions:
     def test_theta_commutes_in_product(self, rng):
         ext = product_extension(unit_tangent_frames(constant_curvature_surface(-1.0)))
-        frame = frame_fields(ext.model)
-        Theta = frame[3]
-        for f in frame[:3]:
+        for i in range(3):
             p = rng.uniform([-0.4, -0.4, 0, 0], [0.4, 0.4, 6.2, 6.2])
-            assert np.abs(bracket_chart(Theta, f, p)).max() < 1e-9
+            assert np.abs(bracket_chart(ext.model.frame, [(3, i)], p)).max() < 1e-9
 
     def test_signatures(self):
         for builder in (product_extension, magnetic_extension):

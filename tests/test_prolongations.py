@@ -41,8 +41,8 @@ class TestCartan:
         for _ in range(10):
             p = rng.uniform(-1, 1, 4)
             p[3] = rng.uniform(0, np.pi)
-            Dc = cartan.section_values(cartan.D_span, p[None])[0]
-            Dl = long.section_values(long.D_span, p[None])[0]
+            Dc = cartan.model.values(cartan.D_span, p[None])[0]
+            Dl = long.model.values(long.D_span, p[None])[0]
             assert np.abs(Dc - Dl).max() < 1e-9
 
     def test_passes_verification(self, preset_cache):
@@ -53,7 +53,7 @@ class TestCartan:
         # the three E sections annihilate the pulled-back form dy - z dx
         s = preset_cache("cartan-r3")["structure"]
         pts = rng.uniform(-1, 1, (30, 4))
-        Ev = s.section_values(s.E_span, pts)
+        Ev = s.model.values(s.E_span, pts)
         form = np.zeros((30, 4))
         form[:, 1] = 1.0
         form[:, 0] = -pts[:, 2]
@@ -100,7 +100,7 @@ class TestLorentz:
         pts = np.column_stack([rng.uniform(-half, half, (20, 2)),
                                rng.uniform(0, 2 * np.pi, (20, 2))])
         w = cauchy_characteristic(s, pts)
-        ref = s.section_values([s.W_section], pts)[:, 0]
+        ref = s.model.values([s.W_section], pts)[:, 0]
         assert np.max(line_angle(w, ref)) < 1e-6
 
     def test_magnetic_kappa_minus_one_stays_horizontal(self, preset_cache):
@@ -136,8 +136,8 @@ class TestPrequantum:
         for _ in range(10):
             p = rng.uniform(-1, 1, 4)
             q = p[perm]
-            Dv = s.section_values(s.D_span, p[None])[0][:, perm]
-            Ds = std.section_values(std.D_span, q[None])[0]
+            Dv = s.model.values(s.D_span, p[None])[0][:, perm]
+            Ds = std.model.values(std.D_span, q[None])[0]
             qa, _ = np.linalg.qr(Dv.T)
             qb, _ = np.linalg.qr(Ds.T)
             sv = np.linalg.svd(qa.T @ qb, compute_uv=False)
@@ -152,7 +152,7 @@ class TestPrequantum:
         s = preset_cache("prequantum-local")["structure"]
         beta = s.aux["beta"]
         pts = rng.uniform(-1, 1, (20, 4))
-        w = s.section_values([s.W_section], pts)[:, 0]
+        w = s.model.values([s.W_section], pts)[:, 0]
         b = np.atleast_2d(beta(pts[:, :3]))
         pairing = w[:, 3] + np.einsum("ni,ni->n", b, w[:, :3])
         assert np.abs(pairing).max() < 1e-9
@@ -205,8 +205,8 @@ class TestSuspension:
             p[3] = rng.uniform(0, 1)
             q = p.copy()
             q[3] = np.pi * p[3]
-            Cs = susp.section_values([susp.D_span[1]], p[None])[0, 0]
-            Cc = cartan.section_values([cartan.D_span[1]], q[None])[0, 0]
+            Cs = susp.model.values([susp.D_span[1]], p[None])[0, 0]
+            Cc = cartan.model.values([cartan.D_span[1]], q[None])[0, 0]
             assert np.abs(Cs - Cc).max() < 1e-9
 
     def test_monotonicity_guard(self):
@@ -246,8 +246,8 @@ class TestSuspension:
         idx = [200, 500, 800]
         for i in idx:
             t = orb_s.times[i]
-            from engel_lab.characteristic_dynamics import _rk4_path
-            _, path = _rk4_path(lambda q: ut.model.frame(q)[:, 0], p0[:3], t, dt)
+            from engel_lab.characteristic_dynamics import _rk4_orbits
+            _, (path,), _ = _rk4_orbits(lambda q: ut.model.frame(q)[:, 0], p0[:3], t, dt)
             mapped = np.concatenate([path[-1], [t]])
             assert np.abs(mapped - orb_p.points[i]).max() < 1e-8
 
@@ -332,6 +332,6 @@ class TestSuspension:
         assert verify_engel(minus, n_samples=200).passed
         # same even contact structure: identical section values
         pts = np.array([[0.2, 0.3, 0.4, 0.5], [0.8, 0.1, 0.9, 2.0]])
-        Ep = plus.section_values(plus.E_span, pts)
-        Em = minus.section_values(minus.E_span, pts)
+        Ep = plus.model.values(plus.E_span, pts)
+        Em = minus.model.values(minus.E_span, pts)
         assert np.array_equal(Ep, Em)
