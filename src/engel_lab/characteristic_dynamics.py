@@ -135,27 +135,29 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
 
     ``T`` is one signed horizon or one per row of equal size; every row takes
     n = round(|T| / dt) steps of T / n.  With a chart ``model`` a row stops at
-    the first step whose wrapped point leaves the box.  Returns (times, points
-    (B, n + 1, dim), NaN past each row's end, steps kept per row); each row is
-    bit-identical to a one-row run.
+    the first step whose point leaves the box; periodic coordinates never
+    leave it.  Returns (times, points (B, n + 1, dim), NaN past each row's
+    end, steps kept per row); each row is bit-identical to a one-row run.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     times, nsteps = _time_grid(T, dt)
     h = np.broadcast_to(times[..., -1:] / nsteps, (len(starts), 1))
     pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
     pts[:, 0] = p = starts
+    half, sixth = 0.5 * h, h / 6.0
     kept, live = np.full(len(starts), nsteps), np.arange(len(starts))
     for k in range(nsteps):
         k1 = f(p)
-        k2 = f(p + 0.5 * h * k1)
-        k3 = f(p + 0.5 * h * k2)
+        k2 = f(p + half * k1)
+        k3 = f(p + half * k2)
         k4 = f(p + h * k3)
-        p = p + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        p = p + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         if model is not None:
-            inside = model.contains(model.wrap(p), pad=1e-9)
+            inside = model.contains(p, pad=1e-9)
             if not inside.all():
                 kept[live[~inside]] = k
-                live, p, h = live[inside], p[inside], h[inside]
+                live, p = live[inside], p[inside]
+                h, half, sixth = h[inside], half[inside], sixth[inside]
                 if not live.size:
                     break
         pts[live, k + 1] = p

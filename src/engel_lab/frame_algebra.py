@@ -236,7 +236,10 @@ class ChartModel:
         """
         if pts is None:
             raise ValueError("chart sections need a point")
-        pts, _ = _as_batch(pts, self.dim)
+        return self._values(sections, _as_batch(pts, self.dim)[0])
+
+    def _values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
+        """``values`` at a batch already shaped (n, dim)."""
         F = np.asarray(self.frame(pts), dtype=float)
         if F.shape != (pts.shape[0], self.dim, self.dim):
             raise DimensionMismatch(f"frame returned {F.shape}, expected "
@@ -248,13 +251,22 @@ class ChartModel:
                 raise DimensionMismatch("section does not match the model frame")
             co[:, k] = c
         out = np.zeros((pts.shape[0], len(sections), self.dim))
-        for i in range(self.dim):
-            out += co[:, :, i:i + 1] * F[:, None, i, :]
+        # sum_i c_i F_i in frame order.  For a few points one multiply forms
+        # every product, since numpy's per-call cost dominates there; a batch
+        # multiplies one frame field at a time and never holds all
+        # (n, k, dim, dim) products
+        if co.size <= 64:
+            terms = co[:, :, :, None] * F[:, None]
+            for i in range(self.dim):
+                out += terms[:, :, i]
+        else:
+            for i in range(self.dim):
+                out += co[:, :, i:i + 1] * F[:, None, i, :]
         return out
 
     def field(self, section: "Section") -> ChartVectorField:
         """The section as an evaluable chart field, one point or a batch."""
-        return ChartVectorField(self.dim, lambda pts: self.values([section], pts)[:, 0],
+        return ChartVectorField(self.dim, lambda pts: self._values([section], pts)[:, 0],
                                 name=section.name or "section")
 
     def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
@@ -264,13 +276,13 @@ class ChartModel:
         return bracket_chart(lambda q: self.values(sections, q), pairs, np.atleast_2d(pts))
 
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
+        """Whether each point lies in the padded box; periodic coordinates
+        are not checked."""
         pts, single = _as_batch(p, self.dim)
-        lo, hi = self.box[:, 0] - pad, self.box[:, 1] + pad
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for j in range(self.dim):
-            if j in self.periodic:
-                continue
-            ok &= (pts[:, j] >= lo[j]) & (pts[:, j] <= hi[j])
+        inside = (pts >= self.box[:, 0] - pad) & (pts <= self.box[:, 1] + pad)
+        if self.periodic:
+            inside[:, list(self.periodic)] = True
+        ok = inside.all(axis=1)
         return ok[0] if single else ok
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
@@ -313,22 +325,27 @@ class Section:
     def __init__(self, coeffs: Coefficients, name: str = ""):
         self.coeffs = coeffs if callable(coeffs) else tuple(coeffs)
         self.name = name
+        self._row = (np.array([float(c) for c in self.coeffs])
+                     if self.is_constant else None)
 
     @property
     def is_constant(self) -> bool:
         return not callable(self.coeffs) and not any(callable(c) for c in self.coeffs)
 
     def constant_coeffs(self) -> np.ndarray:
-        if not self.is_constant:
+        if self._row is None:
             raise DimensionMismatch(f"section {self.name!r} has non-constant coefficients")
-        return np.array([float(c) for c in self.coeffs])
+        return self._row.copy()
 
     def coeff_at(self, p: np.ndarray) -> np.ndarray:
-        """Coefficient vector(s) at p: shape (len,) or (n, len)."""
+        """Coefficient vector(s) at p: shape (len,) or (n, len); read-only for
+        a constant section."""
         p = np.asarray(p, dtype=float)
         single = p.ndim == 1
         pts = p[None, :] if single else p
-        if callable(self.coeffs):
+        if self._row is not None:
+            out = np.broadcast_to(self._row, (pts.shape[0], len(self._row)))
+        elif callable(self.coeffs):
             out = np.asarray(self.coeffs(pts), dtype=float)
         else:
             out = np.empty((pts.shape[0], len(self.coeffs)))

@@ -33,13 +33,15 @@ class ConformalSurface:
     ``dlog``/``d2log`` are optional analytic derivatives of log(lambda):
     dlog(pts) -> (..., 2) and d2log(pts) -> (..., 3) ordered (xx, xy, yy).
     When absent, central differences with steps from the numeric config are
-    used.
+    used.  ``kappa`` optionally evaluates the Gauss curvature pts -> (...,)
+    in place of :func:`gauss_curvature`'s generic formula.
     """
 
     lam: Callable[[np.ndarray], np.ndarray]
     box: np.ndarray
     dlog: Optional[Callable] = None
     d2log: Optional[Callable] = None
+    kappa: Optional[Callable] = None
     periodic: dict = field(default_factory=dict)
     name: str = ""
 
@@ -48,7 +50,7 @@ class ConformalSurface:
 
     def lam_at(self, pts: np.ndarray) -> np.ndarray:
         val = np.asarray(self.lam(np.atleast_2d(pts)), dtype=float)
-        if np.any(~np.isfinite(val)) or np.any(val <= 0):
+        if not (np.isfinite(val) & (val > 0)).all():
             raise NonFiniteEvaluation("conformal factor must be finite and positive")
         return val
 
@@ -82,10 +84,13 @@ class ConformalSurface:
 def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarray]:
     """kappa = -Laplace(log lambda) / (2 lambda)."""
     pts = np.atleast_2d(np.asarray(p, dtype=float))
-    d2 = s.d2log_at(pts)
-    lam = s.lam_at(pts)
-    k = -(d2[:, 0] + d2[:, 2]) / (2.0 * lam)
-    if not np.all(np.isfinite(k)):
+    if s.kappa is not None:
+        k = np.asarray(s.kappa(pts), dtype=float)
+    else:
+        d2 = s.d2log_at(pts)
+        lam = s.lam_at(pts)
+        k = -(d2[:, 0] + d2[:, 2]) / (2.0 * lam)
+    if not np.isfinite(k).all():
         raise NonFiniteEvaluation("curvature evaluation produced NaN or inf")
     return float(k[0]) if np.asarray(p).ndim == 1 else k
 
@@ -130,19 +135,31 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
         pts = np.atleast_2d(pts)
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         g = -4.0 * kappa / (1.0 + kappa * r2)
-        return np.stack([g * pts[:, 0], g * pts[:, 1]], axis=-1)
+        return g[:, None] * pts[:, :2]
 
-    def d2log(pts):
+    def hessian_terms(pts):
+        # with q = 1 + kappa r^2: d_ij log(lambda) = a delta_ij + b x_i x_j / q^2
         pts = np.atleast_2d(pts)
         x, y = pts[:, 0], pts[:, 1]
         q = 1.0 + kappa * (x * x + y * y)
-        fxx = -4.0 * kappa / q + 8.0 * kappa ** 2 * x * x / q ** 2
-        fyy = -4.0 * kappa / q + 8.0 * kappa ** 2 * y * y / q ** 2
-        fxy = 8.0 * kappa ** 2 * x * y / q ** 2
-        return np.stack([fxx, fxy, fyy], axis=-1)
+        return x, y, -4.0 * kappa / q, 8.0 * kappa ** 2, q ** 2
+
+    def d2log(pts):
+        x, y, a, b, q2 = hessian_terms(pts)
+        out = np.empty((len(x), 3))
+        out[:, 0] = a + b * x * x / q2    # xx
+        out[:, 1] = b * x * y / q2        # xy
+        out[:, 2] = a + b * y * y / q2    # yy
+        return out
+
+    def curvature(pts):
+        # -(d2log_xx + d2log_yy) / (2 lambda) in one pass over the same terms
+        # (lambda = 4 / q^2), so it equals the generic formula bit for bit
+        x, y, a, b, q2 = hessian_terms(pts)
+        return -((a + b * x * x / q2) + (a + b * y * y / q2)) / (2.0 * (4.0 / q2))
 
     name = {1.0: "sphere", -1.0: "disk"}.get(kappa, f"constant({kappa:g})")
-    return ConformalSurface(lam=lam, dlog=dlog, d2log=d2log,
+    return ConformalSurface(lam=lam, dlog=dlog, d2log=d2log, kappa=curvature,
                             box=[[-half, half], [-half, half]], name=name)
 
 
@@ -258,9 +275,10 @@ def unit_tangent_frames(s: ConformalSurface) -> UnitTangentChart:
         ux, uy = du[:, 0], du[:, 1]
         sc = lam ** -0.5
         c, si = np.cos(pts[:, 2]), np.sin(pts[:, 2])
+        sc_c, sc_s = sc * c, sc * si
         F = np.zeros((len(pts), 3, 3))
-        F[:, 0] = np.stack([sc * c, sc * si, sc * (uy * c - ux * si)], axis=-1)     # X
-        F[:, 1] = np.stack([-sc * si, sc * c, -sc * (uy * si + ux * c)], axis=-1)   # Y
+        F[:, 0, 0], F[:, 0, 1], F[:, 0, 2] = sc_c, sc_s, sc * (uy * c - ux * si)     # X
+        F[:, 1, 0], F[:, 1, 1], F[:, 1, 2] = -sc_s, sc_c, -sc * (uy * si + ux * c)   # Y
         F[:, 2, 2] = 1.0                                                             # Z
         return F
 
@@ -397,10 +415,11 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
     def frame(pts):
         # rows Xt, Yt (X, Y rotated by theta), Zt = Z, Theta = d/dtheta
         F3 = ut.model.frame(pts[:, :3])
-        c, si = np.cos(pts[:, 3])[:, None], np.sin(pts[:, 3])[:, None]
+        X, Y = F3[:, 0], F3[:, 1]
+        c, si = np.cos(pts[:, 3:]), np.sin(pts[:, 3:])
         F = np.zeros((len(pts), 4, 4))
-        F[:, 0, :3] = c * F3[:, 0] + si * F3[:, 1]
-        F[:, 1, :3] = -si * F3[:, 0] + c * F3[:, 1]
+        F[:, 0, :3] = c * X + si * Y
+        F[:, 1, :3] = -si * X + c * Y
         F[:, 2, 2] = F[:, 3, 3] = 1.0
         return F
 

@@ -223,8 +223,12 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
                        name=f"prequantum({base.name})")
 
     def lift_section(s: Section, name) -> Section:
-        # base-frame coefficients must be chart components for the h-frame;
-        # one evaluation of the base section gives all four coefficients
+        # base-frame coefficients must be chart components for the h-frame:
+        # a constant section keeps its coefficients, otherwise one evaluation
+        # of the base section gives all four
+        if s.is_constant:
+            return Section((*s.coeffs, 0.0), name)
+
         def coeffs(pts):
             out = np.zeros((len(pts), 4))
             out[:, :3] = base.values([s], pts[:, :3])[:, 0]

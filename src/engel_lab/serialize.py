@@ -5,15 +5,25 @@ byte-identical artifacts; numpy scalars and arrays are converted on the way
 out.  JSON artifacts are strict JSON: NaN and +-inf become ``null`` and
 strings are escaped as the standard library does.  Key order is the
 insertion order of the dicts we build, which is fixed by construction.
+
+A finite float array is written in one ``%`` call: a template with one
+``%.17g`` per element, nested as the array's shape, applied to the flat
+values (``"%.17g" % x`` and ``format(x, ".17g")`` are the same CPython
+routine).  Arrays with NaN or +-inf and non-float arrays take the per-element
+path.  ``write_csv`` builds its rows from the same template; a column with
+non-finite values writes ``NaN``/``Infinity``/``-Infinity`` there.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring
 
 import numpy as np
 
 SCHEMA_VERSION = 2
+
+_FLOAT = "%.17g"
 
 
 def _fmt_float(x: float) -> str:
@@ -24,8 +34,15 @@ def _fmt_float(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    pad = " " * indent
+def _array_template(shape: tuple) -> str:
+    """``%``-template writing an array of ``shape`` as nested JSON lists."""
+    t = _FLOAT
+    for n in reversed(shape):
+        t = "[" + ", ".join([t] * n) + "]"
+    return t
+
+
+def dumps_canonical(obj) -> str:
     if obj is None:
         return "null"
     if obj is True:
@@ -40,17 +57,19 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return encode_basestring(obj)
     if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist(), indent)
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return _array_template(obj.shape) % tuple(obj.ravel().tolist())
+        return dumps_canonical(obj.tolist())
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = ", ".join(dumps_canonical(v, indent) for v in obj)
+        inner = ", ".join(dumps_canonical(v) for v in obj)
         return f"[{inner}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ", ".join(
-            f"{encode_basestring(str(k))}: {dumps_canonical(v, indent)}"
+            f"{encode_basestring(str(k))}: {dumps_canonical(v)}"
             for k, v in obj.items())
         return "{" + items + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -63,9 +82,16 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header, columns) -> None:
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0])
+    fmts, values = [], []
+    for c in columns:
+        c = np.asarray(c, dtype=float)
+        if np.isfinite(c).all():
+            fmts.append(_FLOAT)
+            values.append(c.tolist())
+        else:
+            fmts.append("%s")
+            values.append([_fmt_float(x) for x in c.tolist()])
+    row = ",".join(fmts) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for i in range(n):
-            f.write(",".join(_fmt_float(float(c[i])) for c in columns) + "\n")
+        f.write(row * len(values[0]) % tuple(chain.from_iterable(zip(*values))))

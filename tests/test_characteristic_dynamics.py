@@ -89,6 +89,14 @@ class TestIntegrate:
                 assert np.array_equal(row, single.points)
         assert exits == n_exits
 
+    def test_crossing_a_periodic_seam_is_no_chart_exit(self, preset_cache):
+        # the propellor W is d/dt, and t runs over the box [0, 1] with period 1
+        s = preset_cache("propellor-cat")["structure"]
+        times, pts, kept = integrate_orbits(s, [0.5, 0.5, 0.9, 1.0], 0.5, 1e-2)
+        assert kept[0] == len(times) - 1
+        assert pts[0, -1, 2] > s.model.box[2, 1]
+        assert np.abs(pts[0, :, 2] - (0.9 + times)).max() < 1e-12
+
     def test_default_orbit_start_exit_time(self, preset_cache):
         # the start of `orbit --preset lorentz-magnetic --kappa -0.5`
         s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]

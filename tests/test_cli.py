@@ -5,11 +5,12 @@ import math
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from engel_lab.characteristic_dynamics import integrate_orbits
 from engel_lab.cli import main
 from engel_lab.presets import build_preset
-from engel_lab.serialize import dumps_canonical
+from engel_lab.serialize import _fmt_float, dumps_canonical, write_csv
 
 
 def run(args):
@@ -213,3 +214,45 @@ class TestSerializer:
             return obj
 
         assert json.loads(dumps_canonical(doc), parse_constant=reject) == as_strict(doc)
+
+    @given(st.data(), st.sampled_from([np.float64, np.float32]),
+           st.one_of(st.just((0,)), st.just((3, 0)), st.just((2, 3, 2)),
+                     st.integers(1, 12).map(lambda n: (n,)),
+                     st.integers(1, 12).map(lambda n: (n, 4))),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_array_path_matches_element_path(self, data, dtype, shape, finite):
+        # finite float arrays take the one-template path, the rest the
+        # per-element path; both must write what the nested lists write
+        elements = st.floats(width=np.finfo(dtype).bits, allow_nan=not finite,
+                             allow_infinity=not finite)
+        a = data.draw(hnp.arrays(dtype, shape, elements=elements))
+        assert dumps_canonical(a) == dumps_canonical(a.tolist())
+
+    def test_array_edge_values(self):
+        a = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+        assert dumps_canonical(a) == dumps_canonical(a.tolist()) == (
+            "[-0, 4.9406564584124654e-324, 1.7976931348623157e+308, "
+            "-1.7976931348623157e+308]")
+        for dtype in (np.float64, np.float32):
+            for bad in (np.nan, np.inf, -np.inf):
+                assert dumps_canonical(np.array([[0.5, bad]], dtype=dtype)) == "[[0.5, null]]"
+
+    def test_csv_matches_per_value_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        finite = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+        odd = finite.copy()
+        odd[[3, 10, 20]] = [np.nan, np.inf, -np.inf]
+        edge = np.resize([-0.0, 5e-324, 1.7976931348623157e308], 40)
+        cases = {
+            "mixed": [finite, odd, edge, rng.standard_normal(40).astype(np.float32),
+                      np.arange(40), [True, False] * 20],
+            "one": [odd],
+            "empty": [[], []],
+        }
+        for name, cols in cases.items():
+            header = [f"c{i}" for i in range(len(cols))]
+            write_csv(tmp_path / name, header, cols)
+            rows = [",".join(_fmt_float(float(c[i])) for c in cols) + "\n"
+                    for i in range(len(cols[0]))]
+            assert (tmp_path / name).read_text() == ",".join(header) + "\n" + "".join(rows)

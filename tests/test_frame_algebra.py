@@ -247,6 +247,15 @@ class TestModelProtocol:
         assert np.array_equal(s.model.brackets([tup, s.W_section], [(0, 1)], pts),
                               s.model.brackets([vec, s.W_section], [(0, 1)], pts))
 
+    def test_constant_section_row(self):
+        sec = Section((1, 0, -2.5, 0))
+        pts = np.zeros((3, 4))
+        assert np.array_equal(sec.coeff_at(pts), np.tile([1.0, 0.0, -2.5, 0.0], (3, 1)))
+        assert np.array_equal(sec.coeff_at(pts[0]), [1.0, 0.0, -2.5, 0.0])
+        row = sec.constant_coeffs()
+        row[0] = 7.0
+        assert sec.constant_coeffs()[0] == 1.0 and sec.coeff_at(pts)[0, 0] == 1.0
+
     def test_lie_protocol_broadcasts(self, magnetic):
         a, b = Section((1, 0, 1, 0)), Section((0, 0, 0, 1))
         pts = np.ones((3, 4))
@@ -267,13 +276,33 @@ class TestModelProtocol:
     @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
     def test_frame_is_batched_and_row_independent(self, preset_cache, name):
         # batched RK4 rows are bit-identical to single orbits only if every
-        # frame row is: each row of a batch equals that point evaluated alone
-        model = preset_cache(name)["structure"].model
+        # frame and section row is: each row of a batch equals that point
+        # evaluated alone
+        s = preset_cache(name)["structure"]
+        model = s.model
+        sections = [*s.D_span, *s.E_span, s.W_section]
         pts = sample_box(model, 64)
         F = model.frame(pts)
+        vals = model.values(sections, pts)
         assert F.shape == (64, model.dim, model.dim)
         for i in range(len(pts)):
             assert np.array_equal(F[i], model.frame(pts[i:i + 1])[0])
+            assert np.array_equal(vals[i], model.values(sections, pts[i:i + 1])[0])
+
+    def test_values_sum_in_frame_order(self, rng):
+        # a dense frame and dense coefficients, so any other summation order
+        # shows: one point and a batch both give sum_i c_i F_i accumulated
+        # from zero in frame order
+        B, C, M = rng.standard_normal((3, 4, 4))
+        model = ChartModel(4, [[-1, 1]] * 4, lambda p: np.cos(p[:, None, :] * B + C))
+        sections = [Section(lambda p, j=j: np.sin(p @ M + j)) for j in range(3)]
+        for pts in (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, (50, 4))):
+            F = model.frame(pts)
+            co = np.stack([s.coeff_at(pts) for s in sections], axis=1)
+            want = np.zeros(co.shape)
+            for i in range(4):
+                want += co[:, :, i:i + 1] * F[:, None, i, :]
+            assert np.array_equal(model.values(sections, pts), want)
 
     def test_frame_of_wrong_shape_is_refused(self):
         model = ChartModel(4, [[-1, 1]] * 4, coordinate_frame(3))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from engel_lab.engel_verify import darboux_long, line_angle, verify_engel
+from engel_lab.engel_verify import darboux_long, line_angle, sample_box, verify_engel
 from engel_lab.errors import (
     CurvatureMismatch,
     EquivarianceError,
@@ -156,6 +156,18 @@ class TestPrequantum:
         b = np.atleast_2d(beta(pts[:, :3]))
         pairing = w[:, 3] + np.einsum("ni,ni->n", b, w[:, :3])
         assert np.abs(pairing).max() < 1e-9
+
+    def test_constant_base_section_lifts_to_a_constant_section(self, preset_cache):
+        # xi[0] = d/dw is constant, xi[1] = d/dx + w d/dz is not
+        s = preset_cache("prequantum-local")["structure"]
+        c = s.aux["contact"]
+        assert s.D_span[0].is_constant and s.W_section.is_constant
+        assert not s.D_span[1].is_constant
+        pts = sample_box(s.model, 20)
+        for base, lifted in zip(c.xi, s.D_span):
+            want = np.zeros((20, 4))
+            want[:, :3] = c.model.values([base], pts[:, :3])[:, 0]
+            assert np.array_equal(lifted.coeff_at(pts), want)
 
     def test_curvature_mismatch_raises(self):
         from engel_lab.prolongations import prequantum_local
