@@ -251,11 +251,11 @@ class ChartModel:
                 raise DimensionMismatch("section does not match the model frame")
             co[:, k] = c
         out = np.zeros((pts.shape[0], len(sections), self.dim))
-        # sum_i c_i F_i in frame order.  For a few points one multiply forms
-        # every product, since numpy's per-call cost dominates there; a batch
-        # multiplies one frame field at a time and never holds all
-        # (n, k, dim, dim) products
-        if co.size <= 64:
+        # sum_i c_i F_i in frame order.  Up to a few hundred coefficients one
+        # multiply forms every product, since numpy's per-call cost dominates
+        # there (a single-point field in the orbit RK4); larger stacks multiply
+        # one frame field at a time, which is faster from about 300 on
+        if co.size <= 256:
             terms = co[:, :, :, None] * F[:, None]
             for i in range(self.dim):
                 out += terms[:, :, i]
