@@ -34,7 +34,9 @@ class ConformalSurface:
     dlog(pts) -> (..., 2) and d2log(pts) -> (..., 3) ordered (xx, xy, yy).
     When absent, central differences with steps from the numeric config are
     used.  ``kappa`` optionally evaluates the Gauss curvature pts -> (...,)
-    in place of :func:`gauss_curvature`'s generic formula.
+    in place of :func:`gauss_curvature`'s generic formula;
+    :func:`constant_curvature_surface` sets one that equals that formula
+    bit for bit, so artifacts do not depend on which runs.
     """
 
     lam: Callable[[np.ndarray], np.ndarray]
