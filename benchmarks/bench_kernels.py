@@ -40,17 +40,21 @@ def bench_transport(n_steps=200_000):
 
 
 def bench_field(sizes=(1, 1000)):
-    """Wall time of one evaluation of the characteristic field W on
-    lorentz-magnetic (one ``model.values`` call), at one point and in a batch."""
+    """Wall time of one evaluation of the characteristic field W (one
+    ``model.values`` call): on lorentz-magnetic, whose W is a constant
+    section, at one point and in a batch; on magnetic-bump, whose W evaluates
+    the Gauss curvature, at one point."""
     from engel_lab.engel_verify import sample_box
     from engel_lab.presets import build_preset
 
-    s = build_preset("lorentz-magnetic", kappa=-0.5)["structure"]
+    cases = [("lorentz-magnetic", {"kappa": -0.5}, B) for B in sizes]
+    cases.append(("magnetic-bump", {}, 1))
     rows = []
-    for B in sizes:
+    for name, params, B in cases:
+        s = build_preset(name, **params)["structure"]
         pts = sample_box(s.model, B)
         t, _ = timeit(lambda: [s.model.values([s.W_section], pts) for _ in range(20)])
-        rows.append((f"field W B={B}", t / 20))
+        rows.append((f"field W B={B} {name}", t / 20))
     return rows
 
 
@@ -88,13 +92,13 @@ def bench_characteristic(n_steps=200):
 def main():
     # the single-curve row shows the per-call overhead of the D-curve kernel
     for name, t in (bench_dcurves(n_curves=1000), bench_dcurves(n_curves=1), bench_transport()):
-        print(f"{name:<28s} {t * 1e3:9.2f}ms")
+        print(f"{name:<34s} {t * 1e3:9.2f}ms")
     for name, t in bench_field():
-        print(f"{name:<28s} {t * 1e6:9.1f}us per evaluation")
+        print(f"{name:<34s} {t * 1e6:9.1f}us per evaluation")
     name, t = bench_brackets()
-    print(f"{name:<28s} {t * 1e3:9.2f}ms per call")
+    print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_characteristic():
-        print(f"{name:<28s} {t * 1e6:9.1f}us per RK4 step")
+        print(f"{name:<34s} {t * 1e6:9.1f}us per RK4 step")
 
 
 if __name__ == "__main__":

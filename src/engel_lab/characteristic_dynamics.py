@@ -278,10 +278,13 @@ def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray
 
     pts = np.atleast_2d(pts)
     cols = np.swapaxes(s.model.values(frame, pts), 1, 2)    # (n, dim, 3)
-    sv = np.linalg.svd(cols, compute_uv=False)
+    u, sv, vt = np.linalg.svd(cols, full_matrices=False)
     if np.any(sv[:, -1] < 1e-10):
         raise FrameDegenerate("E/W frame lost rank along the orbit")
-    pinv = np.linalg.pinv(cols)
+    # np.linalg.pinv(cols) from the same SVD (its 1e-15 cutoff drops nothing
+    # here); the factors go before the brackets, which set the peak memory
+    pinv = np.swapaxes(vt, 1, 2) @ ((1.0 / sv)[:, :, None] * np.swapaxes(u, 1, 2))
+    del u, vt
     A = np.empty((pts.shape[0], 2, 2))
     for j, br in enumerate(np.moveaxis(s.model.brackets(frame, pairs, pts), 1, 0)):
         coef = np.einsum("nkd,nd->nk", pinv, br)
@@ -592,7 +595,10 @@ def _invariant_lines(Ms: Sequence[np.ndarray], angle_tol: float):
         if (imag := np.abs(evals.imag).max()) > 1e-9:
             return None, f"complex eigenvalues (|imag| {imag:.3g})"
         idx = np.argsort(evals.real)[::-1]
-        lines.append([vecs.real[:, i] / np.linalg.norm(vecs.real[:, i]) for i in idx])
+        pair = [vecs.real[:, i] / np.linalg.norm(vecs.real[:, i]) for i in idx]
+        if (gap := float(line_angle(pair[0][None, :], pair[1][None, :])[0])) <= angle_tol:
+            return None, f"repeated eigen-direction ({gap:.3g} rad apart)"
+        lines.append(pair)
     out = []
     for k in range(2):
         ref = lines[-1][k]

@@ -10,7 +10,8 @@ horizontal fields satisfy
 
 Constant-curvature models exist twice: as exact Lie models (for closed-form
 holonomy) and as chart realizations via lambda = 4 / (1 + kappa r^2)^2, so
-the exact and numerical paths cross-validate.
+the exact and numerical paths cross-validate.  A chart frame comes from
+lambda; a chart W takes the kappa a constant-curvature surface declares.
 """
 from __future__ import annotations
 
@@ -33,17 +34,16 @@ class ConformalSurface:
     ``dlog``/``d2log`` are optional analytic derivatives of log(lambda):
     dlog(pts) -> (..., 2) and d2log(pts) -> (..., 3) ordered (xx, xy, yy).
     When absent, central differences with steps from the numeric config are
-    used.  ``kappa`` optionally evaluates the Gauss curvature pts -> (...,)
-    in place of :func:`gauss_curvature`'s generic formula;
-    :func:`constant_curvature_surface` sets one that equals that formula
-    bit for bit, so artifacts do not depend on which runs.
+    used.  ``kappa`` is the Gauss curvature of a constant-curvature surface,
+    declared as a number, or ``None``; :func:`gauss_curvature` always
+    computes the curvature from lambda.
     """
 
     lam: Callable[[np.ndarray], np.ndarray]
     box: np.ndarray
     dlog: Optional[Callable] = None
     d2log: Optional[Callable] = None
-    kappa: Optional[Callable] = None
+    kappa: Optional[float] = None
     periodic: dict = field(default_factory=dict)
     name: str = ""
 
@@ -86,12 +86,8 @@ class ConformalSurface:
 def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarray]:
     """kappa = -Laplace(log lambda) / (2 lambda)."""
     pts = np.atleast_2d(np.asarray(p, dtype=float))
-    if s.kappa is not None:
-        k = np.asarray(s.kappa(pts), dtype=float)
-    else:
-        d2 = s.d2log_at(pts)
-        lam = s.lam_at(pts)
-        k = -(d2[:, 0] + d2[:, 2]) / (2.0 * lam)
+    d2 = s.d2log_at(pts)
+    k = -(d2[:, 0] + d2[:, 2]) / (2.0 * s.lam_at(pts))
     if not np.isfinite(k).all():
         raise NonFiniteEvaluation("curvature evaluation produced NaN or inf")
     return float(k[0]) if np.asarray(p).ndim == 1 else k
@@ -108,6 +104,7 @@ def flat_surface(half: float = np.pi, periodic: bool = True) -> ConformalSurface
         dlog=lambda pts: np.zeros(np.atleast_2d(pts).shape),
         d2log=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 3)),
         box=[[-half, half], [-half, half]],
+        kappa=0.0,
         periodic=per,
         name="flat")
 
@@ -139,29 +136,20 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
         g = -4.0 * kappa / (1.0 + kappa * r2)
         return g[:, None] * pts[:, :2]
 
-    def hessian_terms(pts):
+    def d2log(pts):
         # with q = 1 + kappa r^2: d_ij log(lambda) = a delta_ij + b x_i x_j / q^2
         pts = np.atleast_2d(pts)
         x, y = pts[:, 0], pts[:, 1]
         q = 1.0 + kappa * (x * x + y * y)
-        return x, y, -4.0 * kappa / q, 8.0 * kappa ** 2, q ** 2
-
-    def d2log(pts):
-        x, y, a, b, q2 = hessian_terms(pts)
+        a, b, q2 = -4.0 * kappa / q, 8.0 * kappa ** 2, q ** 2
         out = np.empty((len(x), 3))
         out[:, 0] = a + b * x * x / q2    # xx
         out[:, 1] = b * x * y / q2        # xy
         out[:, 2] = a + b * y * y / q2    # yy
         return out
 
-    def curvature(pts):
-        # -(d2log_xx + d2log_yy) / (2 lambda) in one pass over the same terms
-        # (lambda = 4 / q^2), so it equals the generic formula bit for bit
-        x, y, a, b, q2 = hessian_terms(pts)
-        return -((a + b * x * x / q2) + (a + b * y * y / q2)) / (2.0 * (4.0 / q2))
-
     name = {1.0: "sphere", -1.0: "disk"}.get(kappa, f"constant({kappa:g})")
-    return ConformalSurface(lam=lam, dlog=dlog, d2log=d2log, kappa=curvature,
+    return ConformalSurface(lam=lam, dlog=dlog, d2log=d2log, kappa=kappa,
                             box=[[-half, half], [-half, half]], name=name)
 
 
@@ -386,7 +374,8 @@ def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Loren
                        name=f"product({surface.name})")
     return LorentzExtension(
         kind="product", base=ut, model=model,
-        kappa=lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2]),
+        kappa=surface.kappa if surface.kappa is not None else (
+            lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2])),
         m_metric_diag=np.array([1.0, 1.0, 0.0, -1.0]),
         v_metric=np.diag([1.0, 1.0, -1.0]))
 
@@ -432,6 +421,7 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
                        name=f"magnetic({surface.name})")
     return LorentzExtension(
         kind="magnetic", base=ut, model=model,
-        kappa=lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2]),
+        kappa=surface.kappa if surface.kappa is not None else (
+            lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2])),
         m_metric_diag=np.array([1.0, 1.0, -1.0, 0.0]),
         v_metric=np.diag([1.0, 1.0, -1.0]))

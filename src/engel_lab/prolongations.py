@@ -28,7 +28,6 @@ from .errors import (
 )
 from .frame_algebra import (
     ChartModel,
-    LieModel,
     Section,
     coordinate_frame,
     fd_jacobian,
@@ -140,7 +139,8 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
 
     Product kind: W = X + Theta, D = <W, Z>, E = <W, Z, Y>.
     Magnetic kind: D = <Xt + Zt, Theta>, E adds Yt, and the Cauchy
-    characteristic is Xt + Zt - (1 + kappa) Theta.
+    characteristic is Xt + Zt - (1 + kappa) Theta, a constant section when
+    kappa is a number (Lie models and constant-curvature charts).
     """
     ext.check_signature()
     model = ext.model
@@ -151,10 +151,10 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
         emw = (Section((0, 1, 0, 0), "Y"), Section((0, 0, 1, 0), "Z"))
         tau = Section((1, 0, 0, 0), "X")
     elif ext.kind == "magnetic":
-        if isinstance(model, LieModel):
-            theta_coeff = -(1.0 + float(ext.kappa))
-        else:
+        if callable(ext.kappa):
             theta_coeff = lambda pts: -(1.0 + ext.kappa_at(np.atleast_2d(pts)))
+        else:
+            theta_coeff = -(1.0 + float(ext.kappa))
         D = [Section((1, 0, 1, 0), "L"), Section((0, 0, 0, 1), "Theta")]
         E = [Section((1, 0, 1, 0), "L"), Section((0, 1, 0, 0), "Yt"),
              Section((0, 0, 0, 1), "Theta")]

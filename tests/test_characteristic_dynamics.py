@@ -467,6 +467,12 @@ class TestGlobalType:
         lines, why = dyn._parabolic_line(rot(0.7), 1e-3)
         assert lines is None and why.startswith("not unipotent")
 
+    def test_repeated_eigen_direction_gives_no_lines(self):
+        # a unipotent matrix has eigenvalues [1, 1] and one eigen-direction,
+        # which eig returns twice; that is no pair of hyperbolic lines
+        lines, why = dyn._invariant_lines([np.array([[1.0, 0.0], [1.0, 1.0]])], 1e-3)
+        assert lines is None and why.startswith("repeated eigen-direction")
+
     @pytest.mark.parametrize("name,want", [
         ("propellor-identity", ("elliptic", None)),
         ("propellor-parabolic", ("parabolic", False)),

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_long, line_angle, sample_box, verify_engel
 from engel_lab.errors import (
     CurvatureMismatch,
@@ -109,6 +110,15 @@ class TestLorentz:
         p = np.array([0.1, -0.05, 0.4, 1.3])
         w = cauchy_characteristic(s, p)
         assert abs(w[3]) < 1e-7
+
+    @pytest.mark.parametrize("kappa", KAPPA_SWEEP)
+    def test_constant_curvature_chart_W_is_the_lie_W(self, preset_cache, kappa):
+        # the chart takes the declared kappa, so W = Xt + Zt - (1 + kappa) Theta
+        # carries the same constant coefficients as on the Lie twin
+        chart = preset_cache("lorentz-magnetic", kappa=kappa)["structure"].W_section
+        lie = preset_cache("lorentz-magnetic-lie", kappa=kappa)["structure"].W_section
+        assert chart.is_constant and lie.is_constant
+        assert np.array_equal(chart.constant_coeffs(), lie.constant_coeffs())
 
     def test_variable_curvature_theta_coefficient(self, rng):
         # Theta coefficient equals -(1 + kappa(p)) pointwise on a bump surface
