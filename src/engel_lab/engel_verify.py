@@ -109,13 +109,23 @@ class VerificationReport:
 
 
 def line_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Unsigned angle between lines spanned by u and v (batched on axis 0)."""
+    """Unsigned angle between lines spanned by u and v (batched on axis 0),
+    in [0, pi/2]; a zero vector reads pi/2.
+
+    2 atan2(|u' - s v'|, |u' + s v'|) with unit vectors u', v' and s the sign
+    of u.v, which keeps full precision near 0 where arccos(|u.v| / |u||v|)
+    loses half the digits (Kahan, "How futile are mindless assessments of
+    roundoff in floating-point computation?", 2006).
+    """
     u = np.atleast_2d(u)
     v = np.atleast_2d(v)
-    nu = np.linalg.norm(u, axis=-1)
-    nv = np.linalg.norm(v, axis=-1)
-    c = np.abs(np.einsum("ni,ni->n", u, v)) / np.where(nu * nv == 0, 1.0, nu * nv)
-    return np.arccos(np.clip(c, -1.0, 1.0))
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    u = u / np.where(nu == 0, 1.0, nu)
+    v = v / np.where(nv == 0, 1.0, nv)
+    v = np.where(np.einsum("ni,ni->n", u, v)[:, None] < 0, -v, v)
+    angle = 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1))
+    return np.where((nu * nv)[:, 0] == 0, np.pi / 2, angle)
 
 
 def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol: float):

@@ -120,6 +120,18 @@ class TestCauchy:
             assert np.linalg.norm(resid) < 1e-6
 
 
+def test_line_angle_keeps_small_angles():
+    # arccos(|u.v| / |u||v|) reads 0 or 1.5e-8 for every angle below about
+    # 1e-8; the atan2 form resolves them, for either orientation of v
+    a = np.array([1e-12, 1e-10, 1e-8, 1e-4, 0.5, np.pi / 2])
+    u = np.tile([1.0, 0.0, 0.0, 0.0], (len(a), 1))
+    v = np.stack([np.cos(a), np.sin(a), np.zeros_like(a), np.zeros_like(a)], axis=1)
+    for w in (v, -3.0 * v):
+        assert np.allclose(line_angle(u, w), a, rtol=1e-12, atol=0)
+    assert np.array_equal(line_angle([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]),
+                          [np.pi / 2] * 2)
+
+
 class TestDarbouxModels:
     def test_E_annihilates_defining_form(self, rng):
         # E = ker(dy - z dx): every E section pairs to zero with the form
