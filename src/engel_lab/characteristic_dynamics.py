@@ -364,7 +364,10 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
         adj[:, 1, 0] = -M[:, 1, 0]
         adj[:, 1, 1] = M[:, 0, 0]
         u = np.einsum("nij,nj->ni", adj, d) / dets[:, None]
-        raw = np.mod(np.arctan2(u[:, 1], u[:, 0]), np.pi)
+        # the line's angle in (-pi/2, pi/2]: a line along the first frame
+        # vector starts at 0 whatever the sign of a rounding-size u[1]
+        with np.errstate(divide="ignore"):
+            raw = np.where(u[:, 0] == 0, np.pi / 2, np.arctan(u[:, 1] / u[:, 0]))
         angle = lift_angle_mod_pi(raw)
     meta = dict(orbit.meta)
     meta["emw_frame"] = tuple(sec.name for sec in _emw_frame(s))

@@ -369,6 +369,15 @@ class TestDeveloping:
         dev = developing_map(orbit)
         assert np.abs(dev.theta - np.arctan(orbit.times)).max() < 1e-9
 
+    def test_start_on_the_first_frame_vector_has_no_pi_seam(self):
+        # D/W starts at (1, w) in the E/W frame: a rounding-size w of either
+        # sign starts the lifted angle at 0, not at 0 or pi
+        s = darboux_standard()
+        paths = [transport_EmodW(s, integrate_characteristic(
+            s, np.array([0.0, 0.0, 0.0, w]), 1.0, 1e-2)).angle for w in (1e-17, -1e-17)]
+        assert np.abs(paths[0] - paths[1]).max() < 1e-12
+        assert abs(paths[0][0]) < 1e-15
+
     def test_cartan_fiber_advances_pi_per_period(self, preset_cache):
         s = preset_cache("cartan-r3")["structure"]
         orbit = integrate_characteristic(s, np.array([0.1, 0.2, 0.3, 0.0]),
