@@ -589,6 +589,13 @@ def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), r2
 
 
+def _unit_line(v: np.ndarray) -> np.ndarray:
+    """The unit vector of the line through ``v`` with angle in (-pi/2, pi/2],
+    so a line is reported with one sign whatever the solver returned."""
+    v = v / np.linalg.norm(v)
+    return -v if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v
+
+
 def _invariant_lines(Ms: Sequence[np.ndarray], angle_tol: float):
     """Common real eigen-directions of the transported matrices, as
     (lines, None), or (None, the reason there are none)."""
@@ -598,7 +605,7 @@ def _invariant_lines(Ms: Sequence[np.ndarray], angle_tol: float):
         if (imag := np.abs(evals.imag).max()) > 1e-9:
             return None, f"complex eigenvalues (|imag| {imag:.3g})"
         idx = np.argsort(evals.real)[::-1]
-        pair = [vecs.real[:, i] / np.linalg.norm(vecs.real[:, i]) for i in idx]
+        pair = [_unit_line(vecs.real[:, i]) for i in idx]
         if (gap := float(line_angle(pair[0][None, :], pair[1][None, :])[0])) <= angle_tol:
             return None, f"repeated eigen-direction ({gap:.3g} rad apart)"
         lines.append(pair)
@@ -626,7 +633,7 @@ def _parabolic_line(M: np.ndarray, angle_tol: float):
     u, sv, _ = np.linalg.svd(N)
     if (spread := np.sqrt(np.abs(N @ N).max()) / sv[0]) > angle_tol:
         return None, f"not unipotent: sqrt|N^2|/|N| = {spread:.3g}"
-    return [u[:, 0]], None
+    return [_unit_line(u[:, 0])], None
 
 
 def estimate_global_type(s: EngelStructure, n_orbits: int = 5,

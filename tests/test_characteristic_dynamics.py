@@ -476,6 +476,16 @@ class TestGlobalType:
         lines, why = dyn._parabolic_line(rot(0.7), 1e-3)
         assert lines is None and why.startswith("not unipotent")
 
+    def test_lines_are_reported_with_one_sign(self):
+        # the solvers return (-0.526, 0.851) and (-0.707, -0.707); every line
+        # is reported with its angle in (-pi/2, pi/2]
+        lines, _ = dyn._invariant_lines([np.array([[2.0, 1.0], [1.0, 1.0]])], 1e-3)
+        (shear,), _ = dyn._parabolic_line(np.array([[0.0, 1.0], [-1.0, 2.0]]), 1e-3)
+        (vertical,), _ = dyn._parabolic_line(np.array([[1.0, 0.0], [1.0, 1.0]]), 1e-3)
+        assert np.allclose(lines, [[0.85065081, 0.52573111], [0.52573111, -0.85065081]])
+        assert np.allclose(shear, [np.sqrt(0.5)] * 2)
+        assert np.array_equal(vertical, [0.0, 1.0])
+
     def test_repeated_eigen_direction_gives_no_lines(self):
         # a unipotent matrix has eigenvalues [1, 1] and one eigen-direction,
         # which eig returns twice; that is no pair of hyperbolic lines
