@@ -24,6 +24,7 @@ from engel_lab.characteristic_dynamics import (
     transport_generator,
     two_sided_orbit,
 )
+from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.errors import AmbiguousClass, ChartExit, MonotonicityViolation, StepTooLarge
 
@@ -154,6 +155,17 @@ class TestTransport:
             s = preset_cache("lorentz-product-lie", kappa=kappa)["structure"]
             A = transport_generator(s)
             assert np.array_equal(A, [[0.0, 1.0], [-kappa, 0.0]])
+
+    @pytest.mark.parametrize("name", ["lorentz-magnetic", "lorentz-product"])
+    @pytest.mark.parametrize("kappa", KAPPA_SWEEP)
+    def test_chart_generator_matches_lie_twin(self, preset_cache, name, kappa):
+        # the chart A, from central-difference brackets at interior points,
+        # is the exact A of the -lie twin
+        chart = preset_cache(name, kappa=kappa)["structure"]
+        lie = preset_cache(name + "-lie", kappa=kappa)["structure"]
+        mid = chart.model.box.mean(axis=1)
+        pts = mid + 0.5 * (sample_box(chart.model, 20) - mid)
+        assert np.abs(transport_generator(chart, pts) - transport_generator(lie)).max() < 1e-8
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_numeric_matches_closed_form_lie(self, preset_cache, kappa):
