@@ -1,5 +1,5 @@
 """Time the integration kernels, one field evaluation, one batched section
-bracket call and one characteristic RK4 step.
+bracket call, one transport generator call and one characteristic RK4 step.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -71,6 +71,23 @@ def bench_brackets(B=1000):
     return f"E brackets B={B}", t
 
 
+def bench_generator(B=4001):
+    """Wall time of one ``transport_generator`` call at B points (about the
+    half-step grid of a T = 20 orbit at dt = 1e-2): on propellor-cat, one
+    square frame solve per point after central-difference brackets, and on
+    lorentz-magnetic-lie, one exact row for all points."""
+    from engel_lab.characteristic_dynamics import transport_generator
+    from engel_lab.presets import build_preset
+
+    rows = []
+    for name in ("propellor-cat", "lorentz-magnetic-lie"):
+        s = build_preset(name)["structure"]
+        pts = np.broadcast_to(s.model.sample(B), (B, s.model.dim))
+        t, _ = timeit(transport_generator, s, pts)
+        rows.append((f"transport_generator B={B} {name}", t))
+    return rows
+
+
 def bench_characteristic(n_steps=200):
     """Wall time of one chart RK4 step of the characteristic orbit on
     lorentz-magnetic, one orbit against a batch of three."""
@@ -97,6 +114,8 @@ def main():
         print(f"{name:<34s} {t * 1e6:9.1f}us per evaluation")
     name, t = bench_brackets()
     print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
+    for name, t in bench_generator():
+        print(f"{name:<48s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_characteristic():
         print(f"{name:<34s} {t * 1e6:9.1f}us per RK4 step")
 

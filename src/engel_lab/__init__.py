@@ -15,7 +15,6 @@ from .characteristic_dynamics import (
     developing_map,
     estimate_global_type,
     geodesic_projection_check,
-    holonomy_closed_form,
     integrate_characteristic,
     transport_EmodW,
 )

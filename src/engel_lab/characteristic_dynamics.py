@@ -16,13 +16,13 @@ cos/cosh/unipotent in the rescaled frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import expm2, transport_rk4
 from .config import DEFAULTS
-from .engel_verify import EngelStructure, line_angle, sample_box
+from .engel_verify import EngelStructure, line_angle
 from .errors import (
     AmbiguousClass,
     ChartExit,
@@ -31,7 +31,7 @@ from .errors import (
     MonotonicityViolation,
     StepTooLarge,
 )
-from .frame_algebra import LieModel, Section
+from .frame_algebra import Section, _rk4_orbits, frame_coords
 from .geometry_models import LorentzExtension
 from .serialize import write_csv
 
@@ -130,46 +130,6 @@ class ProjectiveType:
 # orbit integration
 # ---------------------------------------------------------------------------
 
-def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
-    """Classical RK4 from every row of ``starts`` (B, dim) at once.
-
-    ``T`` is one signed horizon or one per row of equal size; every row takes
-    n = round(|T| / dt) steps of T / n.  With a chart ``model`` a row stops at
-    the first step whose point leaves the box; periodic coordinates never
-    leave it.  Returns (times, points (B, n + 1, dim), NaN past each row's
-    end, steps kept per row); each row is bit-identical to a one-row run.
-    """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    times, nsteps = _time_grid(T, dt)
-    h = np.broadcast_to(times[..., -1:] / nsteps, (len(starts), 1))
-    pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
-    pts[:, 0] = p = starts
-    half, sixth = 0.5 * h, h / 6.0
-    kept, live = np.full(len(starts), nsteps), np.arange(len(starts))
-    for k in range(nsteps):
-        k1 = f(p)
-        k2 = f(p + half * k1)
-        k3 = f(p + half * k2)
-        k4 = f(p + h * k3)
-        p = p + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        if model is not None:
-            inside = model.contains(p, pad=1e-9)
-            if not inside.all():
-                kept[live[~inside]] = k
-                live, p = live[inside], p[inside]
-                h, half, sixth = h[inside], half[inside], sixth[inside]
-                if not live.size:
-                    break
-        pts[live, k + 1] = p
-    return times, pts, kept
-
-
-def _time_grid(T, dt: float):
-    T = np.asarray(T, dtype=float)
-    nsteps = max(1, int(round(float(np.abs(T).max()) / dt)))
-    return np.linspace(0.0, T, nsteps + 1, axis=-1), nsteps
-
-
 def _exit_time(times: np.ndarray, kept: int) -> Optional[float]:
     """t_exit = (kept + 1) h of an orbit that left the chart, else None."""
     n = len(times) - 1
@@ -184,18 +144,14 @@ def _trace(s: EngelStructure, times, points, dt: float) -> OrbitTrace:
 def integrate_orbits(s: EngelStructure, starts: np.ndarray, T, dt: float):
     """Integrate the characteristic field from all ``starts`` in one batch.
 
-    Returns (times, points (B, n + 1, dim), steps kept per row): a chart orbit
-    stops at its chart exit instead of raising.  On a Lie model the orbit of a
-    constant section is the straight line t * W in exponential coordinates
-    based at the start point.
+    Returns the model's ``flow`` of W, (times, points (B, n + 1, dim), steps
+    kept per row): a chart orbit stops at its chart exit instead of raising.
+    On a Lie model the orbit of a constant section is the straight line t * W
+    in exponential coordinates based at the start point.
     """
     if dt <= 0:
         raise StepTooLarge("dt must be positive")
-    if isinstance(s.model, LieModel):
-        times, nsteps = _time_grid(T, dt)
-        pts = np.atleast_2d(starts)[:, None, :] + times[..., None] * s.W_section.constant_coeffs()
-        return times, pts, np.full(len(pts), nsteps)
-    return _rk4_orbits(s.model.field(s.W_section), starts, T, dt, s.model)
+    return s.model.flow(s.W_section, starts, T, dt)
 
 
 def integrate_characteristic(s: EngelStructure, p0: np.ndarray, T: float,
@@ -257,60 +213,32 @@ def _emw_frame(s: EngelStructure) -> Sequence[Section]:
 def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray:
     """A(p) with columns = coordinates of [e_j, W] mod W in the frame (e1, e2).
 
-    Batched over points, (n, 2, 2).  On a Lie model A is one exact solve,
-    returned as (2, 2) without points and broadcast over them otherwise.
-    Raises :class:`FrameDegenerate` when (e1, e2, W) fails to resolve the
-    brackets.
+    Batched over points, (n, 2, 2); a Lie model answers one row that
+    broadcasts over any points, and without points A itself, (2, 2).  The
+    coordinates come from one square solve in the frame (e1, e2, W,
+    transverse) of TM.  Raises :class:`FrameDegenerate` when (e1, e2, W) fails
+    to resolve the brackets.
     """
     e1, e2 = _emw_frame(s)
-    frame = [e1, e2, s.W_section]
-    pairs = [(2, 0), (2, 1)]                   # [W, e1] and [W, e2]
-    if isinstance(s.model, LieModel):
-        cols = s.model.values(frame)[0].T
-        br = s.model.brackets(frame, pairs)[0]
-        A = np.empty((2, 2))
-        for j in range(2):
-            coef, res, rank, sv = np.linalg.lstsq(cols, br[j], rcond=None)
-            if rank < 3 or (res.size and res[0] > 1e-18):
-                raise FrameDegenerate("E/W frame cannot resolve ad_W")
-            A[:, j] = -coef[:2]
-        return A if pts is None else np.broadcast_to(A, (len(np.atleast_2d(pts)), 2, 2))
-
-    pts = np.atleast_2d(pts)
-    cols = np.swapaxes(s.model.values(frame, pts), 1, 2)    # (n, dim, 3)
-    u, sv, vt = np.linalg.svd(cols, full_matrices=False)
-    if np.any(sv[:, -1] < 1e-10):
-        raise FrameDegenerate("E/W frame lost rank along the orbit")
-    # np.linalg.pinv(cols) from the same SVD (its 1e-15 cutoff drops nothing
-    # here); the factors go before the brackets, which set the peak memory
-    pinv = np.swapaxes(vt, 1, 2) @ ((1.0 / sv)[:, :, None] * np.swapaxes(u, 1, 2))
-    del u, vt
-    A = np.empty((pts.shape[0], 2, 2))
-    for j, br in enumerate(np.moveaxis(s.model.brackets(frame, pairs, pts), 1, 0)):
-        coef = np.einsum("nkd,nd->nk", pinv, br)
-        resid = br - np.einsum("ndk,nk->nd", cols, coef)
-        scale = np.linalg.norm(br, axis=1) + 1.0
-        if np.any(np.linalg.norm(resid, axis=1) / scale > 1e-5):
-            raise FrameDegenerate("[W, E/W frame] does not lie in E along the orbit")
-        A[:, :, j] = -coef[:, :2]
-    return A
+    frame = [e1, e2, s.W_section, s.transverse_section]
+    vals = s.model.values(frame, pts)
+    br = s.model.brackets(frame[:3], [(2, 0), (2, 1)], pts)    # [W, e1] and [W, e2]
+    coef = frame_coords(vals, br, "E/W frame lost rank along the orbit")
+    # the transverse part of a bracket is the part outside E
+    outside = np.abs(coef[:, :, 3]) * np.linalg.norm(vals[:, 3], axis=-1)[:, None]
+    if np.any(outside / (np.linalg.norm(br, axis=-1) + 1.0) > 1e-5):
+        raise FrameDegenerate("[W, E/W frame] does not lie in E along the orbit")
+    A = -np.swapaxes(coef[:, :, :2], 1, 2)
+    return A[0] if pts is None else A
 
 
 def _dw_coords(s: EngelStructure, pts: np.ndarray) -> np.ndarray:
-    """Coordinates of the line D/W in the E/W frame at each point: of the two
-    D sections, the one with the larger E/W component."""
+    """Coordinates of the line D/W in the E/W frame at each point, (n, 2): of
+    the two D sections, the one with the larger E/W component."""
     e1, e2 = _emw_frame(s)
-    sections = [e1, e2, s.W_section, *s.D_span]
-    pts = np.atleast_2d(pts)
-    if isinstance(s.model, LieModel):
-        # one exact solve, broadcast over the points
-        vals = s.model.values(sections)[0]
-        cands = [np.linalg.lstsq(vals[:3].T, d, rcond=None)[0][:2] for d in vals[3:]]
-        best = cands[1] if np.linalg.norm(cands[1]) > np.linalg.norm(cands[0]) else cands[0]
-        return np.broadcast_to(best, (pts.shape[0], 2)).copy()
-    vals = s.model.values(sections, pts)
-    pinv = np.linalg.pinv(np.swapaxes(vals[:, :3], 1, 2))
-    c0, c1 = (np.einsum("nkd,nd->nk", pinv, d)[:, :2] for d in (vals[:, 3], vals[:, 4]))
+    vals = s.model.values([e1, e2, s.W_section, s.transverse_section, *s.D_span], pts)
+    coef = frame_coords(vals[:, :4], vals[:, 4:], "E/W frame lost rank along the orbit")
+    c0, c1 = coef[:, 0, :2], coef[:, 1, :2]
     pick = np.linalg.norm(c0, axis=1) >= np.linalg.norm(c1, axis=1)
     return np.where(pick[:, None], c0, c1)
 
@@ -352,7 +280,7 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     pts_half = np.empty((2 * n + 1, s.model.dim))
     pts_half[0::2] = pts
     pts_half[1::2] = sub[:, 1]
-    A_half = transport_generator(s, pts_half)
+    A_half = np.broadcast_to(transport_generator(s, pts_half), (2 * n + 1, 2, 2))
     M, dets = transport_rk4(A_half, dt_signed)
     angle = None
     if angles:
@@ -373,27 +301,6 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     meta["emw_frame"] = tuple(sec.name for sec in _emw_frame(s))
     return OrbitTrace(times=times, points=orbit.points, M=M, angle=angle,
                       dets=dets, meta=meta)
-
-
-def holonomy_closed_form(m: LieModel, w: Union[Section, np.ndarray],
-                         basis: Sequence[Union[Section, np.ndarray]],
-                         rescaled: bool = False) -> Callable[[float], np.ndarray]:
-    """Closed-form t -> exp(t A) for a constant-coefficient Lie structure.
-
-    With A = [[0, -c], [1, 0]] this is a rotation at rate sqrt(c) for c > 0,
-    cosh/sinh at rate sqrt(-c) for c < 0, and unipotent for c = 0.  With
-    ``rescaled`` the matrix is conjugated into the frame (K e1, e2),
-    K = sqrt(|c|), where it is a pure rotation or symmetric boost.
-    """
-    w = w if isinstance(w, Section) else Section(tuple(np.asarray(w, dtype=float)))
-    basis = [b if isinstance(b, Section) else Section(tuple(np.asarray(b, dtype=float)))
-             for b in basis]
-    probe = EngelStructure.__new__(EngelStructure)
-    probe.model = m
-    probe.W_section = w
-    probe.emw_frame = tuple(basis)
-    A = transport_generator(probe)
-    return closed_form_exp(A, rescaled=rescaled)
 
 
 def closed_form_exp(A: np.ndarray, rescaled: bool = False) -> Callable:
@@ -421,8 +328,8 @@ def first_return_time(s: EngelStructure, p0: np.ndarray, dt: float,
                       t_max: float, eps: float = None) -> float:
     """Smallest t with the orbit back within eps of p0 (wrapped distance,
     honoring declared orbit-closure periods)."""
-    if isinstance(s.model, LieModel):
-        # straight-line exponential orbit: closure only through declared periods
+    if not hasattr(s.model, "distance"):
+        # a straight-line exponential orbit never returns
         raise NotImplementedError("closed-orbit detection needs a chart model")
     eps = DEFAULTS.orbit_close_eps if eps is None else eps
     orbit = integrate_characteristic(s, p0, t_max, dt)
@@ -653,13 +560,9 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     """
     th = thresholds or TypeThresholds()
     model = s.model
-    if isinstance(model, LieModel):
-        starts = [np.zeros(model.dim)]
-    else:
-        lo, hi = model.box[:, 0], model.box[:, 1]
-        mid = (lo + hi) / 2.0
-        # keep margins
-        starts = mid + 0.5 * (sample_box(model, max(n_orbits, 1), skip=300) - mid)
+    mid = model.point(0.5)
+    # keep margins; a Lie model has one start, its base point
+    starts = mid + 0.5 * (model.sample(max(n_orbits, 1), skip=300) - mid)
     verdicts, evidence = [], []
     for orbit, _ in orbits_within_chart(s, starts, T_max, dt):
         orbit = transport_EmodW(s, orbit, angles=False)

@@ -18,7 +18,6 @@ from . import characteristic_dynamics as dyn
 from . import rigidity_lab as rig
 from .engel_verify import verify_engel
 from .errors import AmbiguousClass, ConfigError, EngelLabError
-from .frame_algebra import LieModel
 from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
 
@@ -117,11 +116,9 @@ def cmd_orbit(args) -> int:
     dt = float(manifest.get("dt", 1e-3))
     if args.p0 is not None:
         p0 = np.array([float(v) for v in args.p0.split(",")])
-    elif isinstance(s.model, LieModel):
-        p0 = np.zeros(s.model.dim)
     else:
-        box = s.model.box
-        p0 = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0])
+        # a tenth of the chart box past its center, or a Lie model's base point
+        p0 = s.model.point(0.6)
     [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, T, dt)
     orbit = dyn.transport_EmodW(s, orbit)
     dev = dyn.developing_map(orbit)

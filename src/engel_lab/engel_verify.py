@@ -18,37 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DegenerateKernel, DimensionMismatch
-from .frame_algebra import ChartModel, FrameModel, LieModel, Section, rank_with_margin
+from .errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
+from .frame_algebra import ChartModel, FrameModel, Section, frame_coords, rank_with_margin
+from .frame_algebra import sample_box  # re-exported: the acceptance suite imports it here
 from .serialize import SCHEMA_VERSION
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
 _E_PAIRS = ((0, 1), (0, 2), (1, 2))   # the brackets [e_i, e_j] of the E span
-
-
-def halton_points(n: int, dim: int, skip: int = 100) -> np.ndarray:
-    """Deterministic Halton sequence in [0, 1)^dim."""
-    if dim > len(_PRIMES):
-        raise DimensionMismatch("halton sampler supports dim <= 6")
-    out = np.empty((n, dim))
-    for j in range(dim):
-        b = _PRIMES[j]
-        idx = np.arange(skip + 1, skip + n + 1, dtype=np.int64)
-        col = np.zeros(n)
-        f = 1.0
-        i = idx.copy()
-        while np.any(i > 0):
-            f /= b
-            col += f * (i % b)
-            i //= b
-        out[:, j] = col
-    return out
-
-
-def sample_box(model: ChartModel, n: int, skip: int = 100) -> np.ndarray:
-    u = halton_points(n, model.dim, skip=skip)
-    lo, hi = model.box[:, 0], model.box[:, 1]
-    return lo + u * (hi - lo)
 
 
 @dataclass
@@ -134,17 +109,16 @@ def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol:
     ``basis`` stacks the values of (e_1, e_2, e_3, transverse), shape
     (n, 4, dim); ``brEE`` stacks the brackets [e_1, e_2], [e_1, e_3],
     [e_2, e_3], shape (n, 3, dim).  The pairing B_ij is the transverse component
-    of [e_i, e_j].  Returns the unnormalized kernel vector (n, dim), signed
-    along the declared W values ``wdecl``, and the mask of points where the
-    pairing has rank 2.
+    of [e_i, e_j], from one square solve in that frame of TM.  Returns the
+    unnormalized kernel vector (n, dim), signed along the declared W values
+    ``wdecl``, and the mask of points where the pairing has rank 2.  Raises
+    :class:`FrameDegenerate` where E and the transverse section are no frame.
     """
-    n = basis.shape[0]
-    pinv = np.linalg.pinv(np.swapaxes(basis, 1, 2))
-    B = np.zeros((n, 3, 3))
+    coef = frame_coords(basis, brEE, "E and the transverse section do not span TM")[:, :, 3]
+    B = np.zeros((len(coef), 3, 3))
     for k, (i, j) in enumerate(_E_PAIRS):
-        coef = np.einsum("nkd,nd->nk", pinv, brEE[:, k])
-        B[:, i, j] = coef[:, 3]
-        B[:, j, i] = -coef[:, 3]
+        B[:, i, j] = coef[:, k]
+        B[:, j, i] = -coef[:, k]
     _, sv, vt = np.linalg.svd(B)
     wvec = np.einsum("nk,nkd->nd", vt[:, -1, :], basis[:, :3])
     sign = np.sign(np.einsum("nd,nd->n", wvec, wdecl))
@@ -159,7 +133,8 @@ def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
     Accepts a single point or a batch (on a Lie model ``None`` is the origin,
     its base point); the sign is aligned with the structure's declared W
     section.  Raises :class:`DegenerateKernel` when the pairing has rank < 2
-    (E is not even-contact there).
+    (E is not even-contact there) and :class:`FrameDegenerate` when E and the
+    transverse section do not span TM.
     """
     tol = DEFAULTS.rank_tol if tol is None else float(tol)
     if p is None:
@@ -181,16 +156,14 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
                  tol: float = None, skip: int = 100) -> VerificationReport:
     """Check ranks (2, 3, 4) at quasi-random sample points of the model.
 
-    For a Lie model the data is point-independent and a single record is
-    emitted.  Marginal rank decisions are flagged, never silently resolved.
+    The points are ``s.model.sample(n_samples, skip)``: a Lie model's data is
+    point-independent and it emits a single record at its base point.
+    Marginal rank decisions are flagged, never silently resolved.
     """
     tol = DEFAULTS.rank_tol if tol is None else float(tol)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if isinstance(s.model, LieModel):
-        pts = np.zeros((1, s.model.dim))
-    else:
-        pts = sample_box(s.model, n_samples, skip=skip)
+    pts = s.model.sample(n_samples, skip=skip)
     n = pts.shape[0]
 
     # (e_1, e_2, e_3, transverse, W, D_1, D_2) at every point
@@ -211,7 +184,7 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
     try:
         wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], tol)
         angle[ok] = line_angle(wvec, vals[:, 4])[ok]
-    except (np.linalg.LinAlgError, ValueError):
+    except (FrameDegenerate, np.linalg.LinAlgError, ValueError):
         pass   # degenerate declared data; the rank records carry the failure
 
     marginal = marg_D | marg_E | marg_EE

@@ -13,15 +13,20 @@ here need: brackets of such sections reduce to frame brackets plus directional
 derivatives of coefficients, and both are computable.
 
 Both model kinds answer one batched protocol, so consumers never branch on
-the kind to evaluate anything:
+the kind.  A Lie model is homogeneous: it answers one row, a batch of 1 that
+broadcasts against any batch of points.
 
 * ``values(sections, pts) -> (n, k, dim)``: chart components of each section
-  (chart) or its constant frame coefficients broadcast over the points (Lie);
+  (chart) or its constant frame coefficients (Lie);
 * ``brackets(sections, pairs, pts) -> (n, P, dim)``: the bracket of each
   section pair ``(a, b)`` in ``pairs``.  On a chart all of them come from one
   central-difference jacobian of the stacked section values
   (:func:`bracket_chart`); on a Lie model each is the exact
   structure-constant contraction :func:`bracket_lie`;
+* ``point(u)``, ``sample(n, skip)``: the point at unit-box coordinates ``u``
+  and ``n`` Halton points of the chart box, or the Lie model's base point;
+* ``flow(section, starts, T, dt)``: RK4 orbits stopped at the chart exit, or
+  the straight lines of a constant section in exponential coordinates;
 * ``wrap(pts)``: the chart's periodic coordinates wrapped into the box, or
   the identity on a Lie model.
 
@@ -37,7 +42,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DimensionMismatch, EmptyInput, NonFiniteEvaluation
+from .errors import DimensionMismatch, EmptyInput, FrameDegenerate, NonFiniteEvaluation
 
 Coefficient = Union[float, int, Callable[[np.ndarray], np.ndarray]]
 Coefficients = Union[Sequence[Coefficient], Callable[[np.ndarray], np.ndarray]]
@@ -148,20 +153,33 @@ class LieModel:
         return "lie"
 
     def values(self, sections: Sequence["Section"], pts=None) -> np.ndarray:
-        """Constant frame coefficients broadcast to (n, k, dim); n = 1 without
-        points."""
+        """Constant frame coefficients as one row, (1, k, dim), at any points."""
         rows = np.stack([s.constant_coeffs() for s in sections])
         if rows.shape[1] != self.dim:
             raise DimensionMismatch("section does not match the model frame")
-        return np.broadcast_to(rows, (_count(pts),) + rows.shape)
+        return rows[None]
 
     def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
                  pts=None) -> np.ndarray:
-        """Exact brackets of the constant section pairs broadcast to
-        (n, P, dim)."""
+        """Exact brackets of the constant section pairs as one row,
+        (1, P, dim), at any points."""
         u = [s.constant_coeffs() for s in sections]
-        val = np.array([bracket_lie(self, u[a], u[b]) for a, b in pairs]).reshape(-1, self.dim)
-        return np.broadcast_to(val, (_count(pts),) + val.shape)
+        return np.array([bracket_lie(self, u[a], u[b]) for a, b in pairs]).reshape(1, -1, self.dim)
+
+    def point(self, u=None) -> np.ndarray:
+        """The base point, (1, dim), for any unit-box coordinates."""
+        return np.zeros((1, self.dim))
+
+    def sample(self, n: int, skip: int = 100) -> np.ndarray:
+        """The base point, (1, dim): every point of the model looks the same."""
+        return self.point()
+
+    def flow(self, section: "Section", starts: np.ndarray, T, dt: float):
+        """The lines start + t * section on the time grid of :func:`_rk4_orbits`;
+        every row keeps all its steps."""
+        times, nsteps = _time_grid(T, dt)
+        pts = np.atleast_2d(starts)[:, None, :] + times[..., None] * section.constant_coeffs()
+        return times, pts, np.full(len(pts), nsteps)
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
         """No periodic coordinates: the identity."""
@@ -192,11 +210,6 @@ def bracket_lie(m: LieModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.shape != (m.dim,) or v.shape != (m.dim,):
         raise DimensionMismatch("coefficient vectors must match the frame size")
     return np.einsum("kij,i,j->k", m.c, u, v)
-
-
-def _count(pts) -> int:
-    """Number of points in a single point or batch; 1 for ``None``."""
-    return 1 if pts is None else len(np.atleast_2d(pts))
 
 
 @dataclass
@@ -275,6 +288,19 @@ class ChartModel:
         from one central-difference jacobian of all the section values."""
         return bracket_chart(lambda q: self.values(sections, q), pairs, np.atleast_2d(pts))
 
+    def point(self, u) -> np.ndarray:
+        """The point at unit-box coordinates ``u`` (..., dim): lo + u (hi - lo)."""
+        return self.box[:, 0] + u * (self.box[:, 1] - self.box[:, 0])
+
+    def sample(self, n: int, skip: int = 100) -> np.ndarray:
+        """``n`` Halton points of the box, (n, dim): :func:`sample_box`."""
+        return sample_box(self, n, skip=skip)
+
+    def flow(self, section: "Section", starts: np.ndarray, T, dt: float):
+        """RK4 orbits of the section from every row of ``starts``, each stopped
+        at its chart exit: :func:`_rk4_orbits`."""
+        return _rk4_orbits(self.field(section), starts, T, dt, self)
+
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Whether each point lies in the padded box; periodic coordinates
         are not checked."""
@@ -307,6 +333,87 @@ class ChartModel:
 
 
 FrameModel = Union[ChartModel, LieModel]
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def halton_points(n: int, dim: int, skip: int = 100) -> np.ndarray:
+    """Deterministic Halton sequence in [0, 1)^dim."""
+    if dim > len(_PRIMES):
+        raise DimensionMismatch("halton sampler supports dim <= 6")
+    out = np.empty((n, dim))
+    for j in range(dim):
+        b = _PRIMES[j]
+        i = np.arange(skip + 1, skip + n + 1, dtype=np.int64)
+        col = np.zeros(n)
+        f = 1.0
+        while np.any(i > 0):
+            f /= b
+            col += f * (i % b)
+            i //= b
+        out[:, j] = col
+    return out
+
+
+def sample_box(model: FrameModel, n: int, skip: int = 100) -> np.ndarray:
+    """The points of a model at ``n`` Halton coordinates: in a chart box
+    (n, dim), or a Lie model's base point (1, dim)."""
+    return model.point(halton_points(n, model.dim, skip=skip))
+
+
+def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
+    """Classical RK4 from every row of ``starts`` (B, dim) at once.
+
+    ``T`` is one signed horizon or one per row of equal size; every row takes
+    n = round(|T| / dt) steps of T / n.  With a chart ``model`` a row stops at
+    the first step whose point leaves the box; periodic coordinates never
+    leave it.  Returns (times, points (B, n + 1, dim), NaN past each row's
+    end, steps kept per row); each row is bit-identical to a one-row run.
+    """
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    times, nsteps = _time_grid(T, dt)
+    h = np.broadcast_to(times[..., -1:] / nsteps, (len(starts), 1))
+    pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
+    pts[:, 0] = p = starts
+    half, sixth = 0.5 * h, h / 6.0
+    kept, live = np.full(len(starts), nsteps), np.arange(len(starts))
+    for k in range(nsteps):
+        k1 = f(p)
+        k2 = f(p + half * k1)
+        k3 = f(p + half * k2)
+        k4 = f(p + h * k3)
+        p = p + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        if model is not None:
+            inside = model.contains(p, pad=1e-9)
+            if not inside.all():
+                kept[live[~inside]] = k
+                live, p = live[inside], p[inside]
+                h, half, sixth = h[inside], half[inside], sixth[inside]
+                if not live.size:
+                    break
+        pts[live, k + 1] = p
+    return times, pts, kept
+
+
+def _time_grid(T, dt: float):
+    T = np.asarray(T, dtype=float)
+    nsteps = max(1, int(round(float(np.abs(T).max()) / dt)))
+    return np.linspace(0.0, T, nsteps + 1, axis=-1), nsteps
+
+
+def frame_coords(frame: np.ndarray, vecs: np.ndarray, degenerate: str) -> np.ndarray:
+    """Coordinates of ``vecs`` (n, m, dim) in the rows of ``frame`` (n, dim,
+    dim), a basis of TM at every point: one square solve per point, (n, m, dim).
+
+    Raises :class:`FrameDegenerate` with the message ``degenerate`` up front
+    where |det frame| is at most 1e-10 of the product of its row lengths.
+    """
+    frame = np.asarray(frame, dtype=float)
+    scale = np.prod(np.linalg.norm(frame, axis=-1), axis=-1)
+    if not np.all(np.abs(np.linalg.det(frame)) > 1e-10 * scale):
+        raise FrameDegenerate(degenerate)
+    return np.swapaxes(np.linalg.solve(np.swapaxes(frame, -1, -2),
+                                       np.swapaxes(vecs, -1, -2)), -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +472,8 @@ class DistributionSpec:
     span: Sequence[Section]
 
     def values(self, p: np.ndarray = None) -> np.ndarray:
-        """Stack of spanning vectors at p, shape (k, dim) (or (n, k, dim))."""
+        """Stack of spanning vectors at p, shape (k, dim) (or (n, k, dim), n = 1
+        on a Lie model)."""
         vals = self.model.values(self.span, p)
         return vals if np.ndim(p) == 2 else vals[0]
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._kernels import expm2
 from .config import DEFAULTS
-from .engel_verify import EngelStructure, sample_box
+from .engel_verify import EngelStructure
 from .errors import (
     ConfigError,
     CurvatureMismatch,
@@ -56,7 +56,7 @@ class ContactModel:
 
     def validate(self, n_samples: int = 50, tol: float = None) -> None:
         tol = DEFAULTS.rank_tol if tol is None else tol
-        pts = sample_box(self.model, n_samples)
+        pts = self.model.sample(n_samples)
         br = self.model.brackets(self.xi, [(0, 1)], pts)
         stack = np.concatenate([self.model.values(self.xi, pts), br], axis=1)
         rank, _ = rank_with_margin(stack, tol)
@@ -191,7 +191,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     d(beta) = i_{w_bar} vol is checked at samples.
     """
     base = c.model
-    pts = sample_box(base, n_check)
+    pts = base.sample(n_check)
     J = fd_jacobian(beta, pts, DEFAULTS.h)      # J[:, j, i] = d_i beta_j
     db = np.swapaxes(J, 1, 2) - J               # (d beta)_ij = d_i beta_j - d_j beta_i
     wv = base.values([w_bar], pts)[:, 0]
@@ -488,7 +488,7 @@ def suspension(sd: SuspensionData, n_check: int = 40,
         raise NotContact("suspension needs a Legendrian frame")
     c.validate()
     base = c.model
-    pts = sample_box(base, n_check)
+    pts = base.sample(n_check)
     r0 = np.atleast_1d(sd.rho(np.zeros(pts.shape[0]), pts))
     if np.abs(r0).max() > tol:
         raise TwistMonotonicityError("rho(0, v) must vanish")

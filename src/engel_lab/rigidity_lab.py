@@ -20,6 +20,7 @@ import numpy as np
 
 from ._kernels import dcurve_rk4
 from .errors import NotNull, SingularIntegrand, StepTooLarge, VariationNotDCurve
+from .frame_algebra import _rk4_orbits
 from .geometry_models import ConformalSurface, unit_tangent_frames
 
 
@@ -330,8 +331,6 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     computation dies with the geodesic equation and the second is the
     s-derivative of the (vanishing) null defect.
     """
-    from .characteristic_dynamics import _rk4_orbits
-
     ut = unit_tangent_frames(surface)
     X = lambda p: ut.model.frame(p)[:, 0]
     times, pts3, _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, dt)

@@ -8,7 +8,6 @@ from engel_lab import characteristic_dynamics as dyn
 from engel_lab._kernels import expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
     HolonomyLift,
-    _rk4_orbits,
     classify_projective,
     closed_form_exp,
     closed_orbit_holonomy,
@@ -16,7 +15,6 @@ from engel_lab.characteristic_dynamics import (
     estimate_global_type,
     first_return_time,
     geodesic_projection_check,
-    holonomy_closed_form,
     integrate_characteristic,
     integrate_orbits,
     lift_angle_mod_pi,
@@ -27,6 +25,7 @@ from engel_lab.characteristic_dynamics import (
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.errors import AmbiguousClass, ChartExit, MonotonicityViolation, StepTooLarge
+from engel_lab.frame_algebra import _rk4_orbits
 
 from conftest import rel_err, sequential_transport
 
@@ -101,10 +100,8 @@ class TestIntegrate:
     def test_default_orbit_start_exit_time(self, preset_cache):
         # the start of `orbit --preset lorentz-magnetic --kappa -0.5`
         s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]
-        box = s.model.box
-        p0 = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0])
         with pytest.raises(ChartExit) as exc:
-            integrate_characteristic(s, p0, 5.0, 1e-3)
+            integrate_characteristic(s, s.model.point(0.6), 5.0, 1e-3)
         assert exc.value.t_exit == 2.073
 
     def test_two_sided_matches_separate_orbits(self, preset_cache):
@@ -137,17 +134,13 @@ class TestIntegrate:
 
 
 class TestTransport:
-    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("kappa", KAPPAS + (-3.0, -1.5, 2.0))
     def test_magnetic_generator(self, preset_cache, kappa):
-        # A = [[0, -kappa(kappa+1)], [1, 0]] in the (Theta, Yt) frame
+        # A = [[0, -kappa(kappa+1)], [1, 0]] in the (Theta, Yt) frame; the
+        # square solve in the exact frame gives every entry to the last bit
         s = preset_cache("lorentz-magnetic-lie", kappa=kappa)["structure"]
-        A = transport_generator(s)
         c = kappa * (kappa + 1.0)
-        # the exact solve gives the structural entries to the last bit (a
-        # pseudo-inverse does not) and -c within 4 ulps: exact for kappa in
-        # {-1, -0.5, 0, 0.5}, 2-3 ulps short of |c| = 2 at kappa -2 and 1
-        assert A[0, 0] == 0.0 and A[1, 0] == 1.0 and A[1, 1] == 0.0
-        assert abs(A[0, 1] + c) <= 4 * np.spacing(abs(c))
+        assert np.array_equal(transport_generator(s), [[0.0, -c], [1.0, 0.0]])
 
     def test_product_generator(self, preset_cache):
         # (Y, Z) frame: exp(tA) solves the Jacobi equation y'' + kappa y = 0
@@ -253,22 +246,21 @@ class TestClosedForm:
     def test_elliptic_half_turn(self, preset_cache):
         # kappa = 1: K = sqrt(2); at t = pi / K the rescaled matrix is -I
         s = preset_cache("lorentz-magnetic-lie", kappa=1.0)["structure"]
-        e1, e2 = s.emw_frame
-        M = holonomy_closed_form(s.model, s.W_section, (e1, e2), rescaled=True)
+        M = closed_form_exp(transport_generator(s), rescaled=True)
         out = M(np.pi / np.sqrt(2.0))
         assert np.abs(out + np.eye(2)).max() < 1e-12
 
     def test_hyperbolic_cosh_form(self, preset_cache):
         # kappa = -0.5: K = 0.5, t = 2 gives [[cosh 1, sinh 1], [sinh 1, cosh 1]]
         s = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]
-        M = holonomy_closed_form(s.model, s.W_section, s.emw_frame, rescaled=True)
+        M = closed_form_exp(transport_generator(s), rescaled=True)
         want = np.array([[np.cosh(1.0), np.sinh(1.0)],
                          [np.sinh(1.0), np.cosh(1.0)]])
         assert np.abs(M(2.0) - want).max() < 1e-12
 
     def test_parabolic_unipotent(self, preset_cache):
         s = preset_cache("lorentz-magnetic-lie", kappa=-1.0)["structure"]
-        M = holonomy_closed_form(s.model, s.W_section, s.emw_frame)
+        M = closed_form_exp(transport_generator(s))
         assert np.abs(M(3.0) - np.array([[1.0, 0.0], [3.0, 1.0]])).max() < 1e-12
 
 

@@ -135,9 +135,7 @@ class TestOrbitCommand:
         assert "(truncated at chart exit t=2.06)" in capsys.readouterr().out
         doc = json.loads((tmp_path / "orbit_lorentz-magnetic.json").read_text())
         s = build_preset("lorentz-magnetic", kappa=-0.5)["structure"]
-        box = s.model.box
-        p0 = box.mean(axis=1) + 0.1 * (box[:, 1] - box[:, 0])
-        times, pts, kept = integrate_orbits(s, p0, 5.0, 1e-2)
+        times, pts, kept = integrate_orbits(s, s.model.point(0.6), 5.0, 1e-2)
         n = len(doc["t"])
         assert n == 207 and kept[0] == 207
         assert np.array_equal(doc["t"], times[:n])

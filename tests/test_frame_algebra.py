@@ -257,15 +257,17 @@ class TestModelProtocol:
         assert sec.constant_coeffs()[0] == 1.0 and sec.coeff_at(pts)[0, 0] == 1.0
 
     def test_lie_protocol_broadcasts(self, magnetic):
+        # a Lie model answers one row at any points, which broadcasts
         a, b = Section((1, 0, 1, 0)), Section((0, 0, 0, 1))
         pts = np.ones((3, 4))
-        assert np.array_equal(magnetic.values([a, b], pts)[2], [[1, 0, 1, 0], [0, 0, 0, 1]])
-        assert magnetic.values([a]).shape == (1, 1, 4)
+        for p in (pts, pts[0], None):
+            assert np.array_equal(magnetic.values([a, b], p), [[[1, 0, 1, 0], [0, 0, 0, 1]]])
         expected = [bracket_lie(magnetic, a.constant_coeffs(), b.constant_coeffs()),
                     bracket_lie(magnetic, b.constant_coeffs(), a.constant_coeffs())]
-        br = magnetic.brackets([a, b], [(0, 1), (1, 0)], pts)
-        assert np.array_equal(br, np.tile(expected, (3, 1, 1)))
-        assert magnetic.brackets([a, b], [(0, 1)]).shape == (1, 1, 4)
+        for p in (pts, None):
+            assert np.array_equal(magnetic.brackets([a, b], [(0, 1), (1, 0)], p), [expected])
+        assert np.array_equal(magnetic.sample(7), np.zeros((1, 4)))
+        assert np.array_equal(magnetic.point(0.6), np.zeros((1, 4)))
         assert np.array_equal(magnetic.wrap(pts), pts)
 
     def test_chart_model_needs_points(self):

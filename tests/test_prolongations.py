@@ -268,7 +268,7 @@ class TestSuspension:
         idx = [200, 500, 800]
         for i in idx:
             t = orb_s.times[i]
-            from engel_lab.characteristic_dynamics import _rk4_orbits
+            from engel_lab.frame_algebra import _rk4_orbits
             _, (path,), _ = _rk4_orbits(lambda q: ut.model.frame(q)[:, 0], p0[:3], t, dt)
             mapped = np.concatenate([path[-1], [t]])
             assert np.abs(mapped - orb_p.points[i]).max() < 1e-8
