@@ -28,7 +28,7 @@ def bench_dcurves(n_curves=1000, n_steps=1000):
     V = np.ones_like(U)
     starts = np.zeros((n_curves, 4))
     t, _ = timeit(_kernels.dcurve_rk4, U, V, starts, 1.0 / n_steps)
-    return f"dcurve_rk4 B={n_curves}", t
+    return f"dcurve_rk4 B={n_curves} {n_steps} steps", t
 
 
 def bench_transport(n_steps=200_000):
@@ -107,8 +107,11 @@ def bench_characteristic(n_steps=200):
 
 
 def main():
-    # the single-curve row shows the per-call overhead of the D-curve kernel
-    for name, t in (bench_dcurves(n_curves=1000), bench_dcurves(n_curves=1), bench_transport()):
+    # B = 1 shows the per-call overhead of the D-curve kernel, B = 8 a batch
+    # as small as those of the Inaba-identity tests
+    dcurves = [bench_dcurves(n_curves=1000)] + [bench_dcurves(n_curves=B, n_steps=2000)
+                                                 for B in (1, 8)]
+    for name, t in dcurves + [bench_transport()]:
         print(f"{name:<34s} {t * 1e3:9.2f}ms")
     for name, t in bench_field():
         print(f"{name:<34s} {t * 1e6:9.1f}us per evaluation")

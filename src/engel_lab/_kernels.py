@@ -1,7 +1,8 @@
 """Integration kernels, vectorized with numpy.
 
-``dcurve_rk4`` integrates the D-curve control ODE by classical RK4, one
-step at a time for a whole batch of curves.  ``transport_rk4`` solves the
+``dcurve_rk4`` integrates the D-curve control ODE by classical RK4 as four
+prefix sums (``np.cumsum``), one per coordinate, so no Python loop runs over
+the steps.  ``transport_rk4`` solves the
 E/W transport M' = A(t) M with 4th-order Magnus steps: every step is one
 2x2 exponential (``expm2``), and the steps are multiplied together by a
 log-depth prefix product, so no Python loop runs over the steps.
@@ -15,6 +16,10 @@ import numpy as np
 # there is no numba path; the constant stays for the provenance record
 # that perfbench/run.py writes
 HAS_NUMBA = False
+
+# curves per prefix-sum block: the (block, nsteps) stage arrays stay in
+# cache, and peak memory stays near that of the output
+_DCURVE_BLOCK = 8
 
 
 def dcurve_rk4(u_half: np.ndarray, v_half: np.ndarray, starts: np.ndarray,
@@ -30,48 +35,53 @@ def dcurve_rk4(u_half: np.ndarray, v_half: np.ndarray, starts: np.ndarray,
         x' = u cos(th),  y' = u z cos(th),  z' = u sin(th),  th' = v
 
     ``u_half``/``v_half`` hold control values on the half-step grid
-    t0, t0+dt/2, t0+dt, ... with shape (batch, 2*nsteps + 1).  Steps are
-    written to a step-major buffer, so the (batch, nsteps + 1, 4) result is
-    a transposed view of it.
+    t0, t0+dt/2, t0+dt, ... with shape (batch, 2*nsteps + 1).
+
+    The system is the chained form: the RK4 stages of w (or th) need only
+    the controls, those of z need w, those of y need z and w, and those of x
+    need the controls (and th).  So each coordinate's increments are built
+    for all steps at once from the coordinates already integrated, with the
+    operations of a step-by-step RK4 in the same order, and ``np.cumsum``
+    adds them left to right.  The result is the step-by-step result bit for
+    bit.  Curves go through in blocks of ``_DCURVE_BLOCK``; the result is a
+    (batch, nsteps + 1, 4) view of a coordinate-major buffer.
     """
     u_half = np.asarray(u_half, dtype=float)
     v_half = np.asarray(v_half, dtype=float)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     dt = float(dt)
     nsteps = (u_half.shape[1] - 1) // 2
-    buf = np.empty((nsteps + 1, 4, starts.shape[0]))
-    buf[0] = starts.T
-    x, y, z, w = buf[0]
-    for k in range(nsteps):
-        u0, um, u1 = u_half[:, 2 * k], u_half[:, 2 * k + 1], u_half[:, 2 * k + 2]
-        v0, vm, v1 = v_half[:, 2 * k], v_half[:, 2 * k + 1], v_half[:, 2 * k + 2]
+    out = np.empty((4, starts.shape[0], nsteps + 1))
+
+    def scan(j, rows, k1, k2, k3, k4):
+        # coordinate j of a block: its start, then the running sum of its
+        # RK4 increments; returns its values at the start of each step
+        c = out[j, rows]
+        c[:, 0] = starts[rows, j]
+        c[:, 1:] = dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return np.cumsum(c, axis=1, out=c)[:, :-1]
+
+    for lo in range(0, starts.shape[0], _DCURVE_BLOCK):
+        rows = slice(lo, lo + _DCURVE_BLOCK)
+        u, v = u_half[rows], v_half[rows]
+        u0, um, u1 = u[:, 0:-2:2], u[:, 1::2], u[:, 2::2]
+        v0, vm, v1 = v[:, 0:-2:2], v[:, 1::2], v[:, 2::2]
+        w = scan(3, rows, v0, vm, vm, v1)
+        w2, w3, w4 = w + 0.5 * dt * v0, w + 0.5 * dt * vm, w + dt * vm
         if not long_chart:
-            k1x, k1y, k1z, k1w = u0, z * u0, w * u0, v0
-            z2, w2 = z + 0.5 * dt * k1z, w + 0.5 * dt * k1w
-            k2x, k2y, k2z, k2w = um, z2 * um, w2 * um, vm
-            z3, w3 = z + 0.5 * dt * k2z, w + 0.5 * dt * k2w
-            k3x, k3y, k3z, k3w = um, z3 * um, w3 * um, vm
-            z4, w4 = z + dt * k3z, w + dt * k3w
-            k4x, k4y, k4z, k4w = u1, z4 * u1, w4 * u1, v1
+            kz = (w * u0, w2 * um, w3 * um, w4 * u1)
         else:
-            c = np.cos(w)
-            k1x, k1y, k1z, k1w = u0 * c, u0 * z * c, u0 * np.sin(w), v0
-            z2, t2 = z + 0.5 * dt * k1z, w + 0.5 * dt * k1w
-            c = np.cos(t2)
-            k2x, k2y, k2z, k2w = um * c, um * z2 * c, um * np.sin(t2), vm
-            z3, t3 = z + 0.5 * dt * k2z, w + 0.5 * dt * k2w
-            c = np.cos(t3)
-            k3x, k3y, k3z, k3w = um * c, um * z3 * c, um * np.sin(t3), vm
-            z4, t4 = z + dt * k3z, w + dt * k3w
-            c = np.cos(t4)
-            k4x, k4y, k4z, k4w = u1 * c, u1 * z4 * c, u1 * np.sin(t4), v1
-        nxt = buf[k + 1]
-        np.add(x, dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x), out=nxt[0])
-        np.add(y, dt / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y), out=nxt[1])
-        np.add(z, dt / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z), out=nxt[2])
-        np.add(w, dt / 6.0 * (k1w + 2 * k2w + 2 * k3w + k4w), out=nxt[3])
-        x, y, z, w = nxt
-    return buf.transpose(2, 0, 1)
+            c1, c2, c3, c4 = np.cos(w), np.cos(w2), np.cos(w3), np.cos(w4)
+            kz = (u0 * np.sin(w), um * np.sin(w2), um * np.sin(w3), u1 * np.sin(w4))
+        z = scan(2, rows, *kz)
+        z2, z3, z4 = z + 0.5 * dt * kz[0], z + 0.5 * dt * kz[1], z + dt * kz[2]
+        if not long_chart:
+            scan(1, rows, z * u0, z2 * um, z3 * um, z4 * u1)
+            scan(0, rows, u0, um, um, u1)
+        else:
+            scan(1, rows, u0 * z * c1, um * z2 * c2, um * z3 * c3, u1 * z4 * c4)
+            scan(0, rows, u0 * c1, um * c2, um * c3, u1 * c4)
+    return out.transpose(1, 2, 0)
 
 
 def expm2(O: np.ndarray) -> np.ndarray:

@@ -513,8 +513,9 @@ def _invariant_lines(Ms: Sequence[np.ndarray], angle_tol: float):
             return None, f"complex eigenvalues (|imag| {imag:.3g})"
         idx = np.argsort(evals.real)[::-1]
         pair = [_unit_line(vecs.real[:, i]) for i in idx]
-        if (gap := float(line_angle(pair[0][None, :], pair[1][None, :])[0])) <= angle_tol:
-            return None, f"repeated eigen-direction ({gap:.3g} rad apart)"
+        if float(line_angle(pair[0][None, :], pair[1][None, :])[0]) <= angle_tol:
+            # the gap itself is rounding noise; the threshold reads the same every run
+            return None, f"repeated eigen-direction (within {angle_tol:g} rad)"
         lines.append(pair)
     out = []
     for k in range(2):

@@ -155,10 +155,11 @@ def cmd_rigidity(args) -> int:
         family["eps_grid"] = [float(e) for e in manifest["eps_grid"]]
     probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed, **family)
 
-    rng = np.random.default_rng(seed)
-    curves = rig.sample_d_curves([rig.random_admissible_controls(rng) for _ in range(100)],
-                                 T, dt)
-    residuals = [rig.inaba_identity_check(c) for c in curves]
+    U = rig.random_admissible_table(np.random.default_rng(seed), 100, T, dt)
+    paths = rig.sample_d_curves_batch(U, np.ones_like(U), T, dt)
+    times = np.linspace(0.0, T, paths.shape[1])
+    residuals = [rig.inaba_identity_check(rig.DCurve(times, pts, (None, None)))
+                 for pts in paths]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,

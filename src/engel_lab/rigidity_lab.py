@@ -31,26 +31,39 @@ class AccessRegion(Enum):
     Outside = "outside"
 
 
-def accessible_membership(p: np.ndarray) -> AccessRegion:
-    """Locate a chart point relative to the accessible set from the origin.
+def access_regions(points) -> np.ndarray:
+    """``AccessRegion`` values of chart points (n, 4) relative to the
+    accessible set from the origin.
 
     The x-coordinate is irrelevant for the open regions; the axis region
     requires x = y = z = 0.
     """
-    x, y, z, w = (float(v) for v in p)
-    if max(abs(x), abs(y), abs(z)) < 1e-12:
-        return AccessRegion.AW
-    if w > 0 and y > z * z / (2.0 * w):
-        return AccessRegion.APlus
-    if w < 0 and y < z * z / (2.0 * w):
-        return AccessRegion.AMinus
-    return AccessRegion.Outside
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    _, y, z, w = p.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = z * z / (2.0 * w)
+    region = np.full(len(p), AccessRegion.Outside.value)
+    region[(w < 0) & (y < q)] = AccessRegion.AMinus.value
+    region[(w > 0) & (y > q)] = AccessRegion.APlus.value
+    region[np.abs(p[:, :3]).max(axis=1) < 1e-12] = AccessRegion.AW.value
+    return region
+
+
+def accessible_membership(p: np.ndarray) -> AccessRegion:
+    """The region of one chart point (see ``access_regions``)."""
+    return AccessRegion(access_regions(p)[0])
+
+
+def boundary_cone_values(points) -> np.ndarray:
+    """z^2 - 2 y w of chart points (n, 4): zero on the boundary cone,
+    negative strictly inside."""
+    _, y, z, w = np.atleast_2d(np.asarray(points, dtype=float)).T
+    return z * z - 2.0 * y * w
 
 
 def boundary_cone_value(p: np.ndarray) -> float:
-    """z^2 - 2 y w: zero on the boundary cone, negative strictly inside."""
-    _, y, z, w = (float(v) for v in p)
-    return z * z - 2.0 * y * w
+    """z^2 - 2 y w of one chart point."""
+    return float(boundary_cone_values(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +192,27 @@ def random_admissible_controls(rng: np.random.Generator, n_modes: int = 3,
     return u, (lambda t: np.ones_like(np.atleast_1d(t), dtype=float))
 
 
+def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: float,
+                            n_modes: int = 3, amplitude: float = 1.0) -> np.ndarray:
+    """u of ``n`` successive ``random_admissible_controls(rng, ...)`` on the
+    half-step grid of (T, dt), one row per curve (v = 1).
+
+    The draws come from ``rng`` in the same order and the modes are summed
+    in the same order, so each row equals the closure's values bit for bit.
+    Rows are summed 64 at a time, to keep the temporaries small.
+    """
+    _, tgrid = _half_step_grid(T, dt)
+    coeffs, freqs = map(np.array, zip(*(_control_modes(rng, n_modes, amplitude)
+                                        for _ in range(n))))
+    cos_modes = np.cos(np.pi * np.arange(1, 4)[:, None] * tgrid)
+    U = np.zeros((n, tgrid.size))
+    for lo in range(0, n, 64):
+        rows = slice(lo, lo + 64)
+        for a, f in zip(coeffs[rows].T, freqs[rows].T):
+            U[rows] += a[:, None] * tgrid * cos_modes[f - 1]
+    return U
+
+
 def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
                    seed: int = 0, eps_grid: Sequence[float] = None,
                    n_modes: int = 3, amplitude: float = 1.0) -> dict:
@@ -189,22 +223,13 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
     |y(T)| = O(eps^2) while sup |z| = O(eps), so forcing y(T) to zero forces
     the curve onto the W-axis.
     """
-    rng = np.random.default_rng(seed)
-    _, tgrid = _half_step_grid(T, dt)
-    # the controls of random_admissible_controls, summed in the same order
-    # from one table of the three cosine modes
-    cos_modes = {f: np.cos(np.pi * f * tgrid) for f in (1, 2, 3)}
-    U = np.zeros((n_trials, tgrid.size))
-    V = np.ones_like(U)
-    for row in U:
-        for a, f in zip(*_control_modes(rng, n_modes, amplitude)):
-            row += a * tgrid * cos_modes[f]
-    paths = sample_d_curves_batch(U, V, T, dt)
-    ends = paths[:, -1, :]
-    regions = [accessible_membership(e).value for e in ends]
-    cone = np.array([boundary_cone_value(e) for e in ends])
+    U = random_admissible_table(np.random.default_rng(seed), n_trials, T, dt,
+                                n_modes, amplitude)
+    ends = sample_d_curves_batch(U, np.broadcast_to(1.0, U.shape), T, dt)[:, -1, :]
+    regions = access_regions(ends).tolist()
 
     eps_grid = np.array([0.4 / 2 ** k for k in range(8)]) if eps_grid is None else np.asarray(eps_grid)
+    _, tgrid = _half_step_grid(T, dt)
     U = eps_grid[:, None] * np.sin(np.pi * tgrid)
     sweep = [{
         "eps": float(eps),
@@ -219,7 +244,7 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
         "T": float(T),
         "regions": {r: regions.count(r) for r in sorted(set(regions))},
         "n_outside_accessible": int(sum(r not in ("A+", "AW") for r in regions)),
-        "max_cone_value": float(cone.max()),
+        "max_cone_value": float(boundary_cone_values(ends).max()),
         "sweep": sweep,
         "y_over_eps2": [float(v) for v in y_over_eps2],
         "z_over_eps": [float(v) for v in z_over_eps],

@@ -496,6 +496,14 @@ class TestGlobalType:
         lines, why = dyn._invariant_lines([np.array([[1.0, 0.0], [1.0, 1.0]])], 1e-3)
         assert lines is None and why.startswith("repeated eigen-direction")
 
+    def test_repeated_eigen_direction_reason_ignores_rounding(self):
+        # the two matrices differ by an ulp in their diagonals, and the
+        # eigen-directions returned by eig lie 7.4e-17 and 1.11e-16 rad apart
+        M = np.array([[1.0, 0.0], [3.0, 1.0]])
+        N = np.array([[1.0 + 2.0 ** -52, 0.0], [3.0, 1.0 - 2.0 ** -53]])
+        (_, why_m), (_, why_n) = dyn._invariant_lines([M], 1e-3), dyn._invariant_lines([N], 1e-3)
+        assert why_m == why_n == "repeated eigen-direction (within 0.001 rad)"
+
     @pytest.mark.parametrize("name,want", [
         ("propellor-identity", ("elliptic", None)),
         ("propellor-parabolic", ("parabolic", False)),

@@ -4,18 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from engel_lab._kernels import dcurve_rk4, transport_rk4
+from engel_lab._kernels import _DCURVE_BLOCK, dcurve_rk4, transport_rk4
 from engel_lab.errors import NotNull, SingularIntegrand
 from engel_lab.geometry_models import constant_curvature_surface, flat_surface
 from engel_lab.rigidity_lab import (
     AccessRegion,
+    access_regions,
     accessible_membership,
     boundary_cone_value,
+    boundary_cone_values,
     bump_profile,
     inaba_identity_check,
     infinitesimal_rigidity_check,
     null_variation_check,
     random_admissible_controls,
+    random_admissible_table,
     rigidity_probe,
     sample_d_curve,
 )
@@ -124,6 +127,18 @@ class TestAccessibleSet:
         assert boundary_cone_value([3.0, 0, 0, 0]) == 0.0
         assert boundary_cone_value([0.0, 1, 0, 1]) == -2.0
 
+    def test_regions_of_a_batch(self, rng):
+        # the array forms give each point what the one-point forms give it;
+        # w = 0 and the boundary cone on either side of it are outside
+        pts = np.concatenate([rng.normal(size=(200, 4)),
+                              [[0, 1, 0, 0], [0, 0, 0, 0], [1e-13, 0, 0, 3],
+                               [0, 0.5, 1, 1], [0, -0.5, 1, -1]]])
+        regions = access_regions(pts)
+        assert list(regions[-5:]) == ["outside", "AW", "AW", "outside", "outside"]
+        assert list(regions) == [accessible_membership(p).value for p in pts]
+        assert set(regions) == {"A+", "A-", "AW", "outside"}
+        assert np.array_equal(boundary_cone_values(pts), [boundary_cone_value(p) for p in pts])
+
     def test_forward_curve_lands_inside_cone(self):
         c = sample_d_curve((lambda t: np.sin(np.atleast_1d(t)), ONES), 1.0, 1e-3)
         end = c.points[-1]
@@ -160,16 +175,23 @@ class TestDCurves:
             assert c.tangency_residual() < 1e-6
 
     def test_kernel_paths_agree(self, rng):
-        # the batched kernel against the scalar reference, on both charts
-        nsteps = 400
-        tg = np.linspace(0, 1, 2 * nsteps + 1)
-        U = np.stack([tg * np.cos(3 * tg), np.sin(tg)], axis=0)
-        V = np.ones_like(U)
-        starts = np.zeros((2, 4))
-        for flag in (0, 1):
-            a = dcurve_rk4(U, V, starts, 1.0 / nsteps, long_chart=bool(flag))
-            b = dcurve_rk4_scalar(U, V, starts, 1.0 / nsteps, flag)
-            assert np.abs(a - b).max() < 1e-13
+        # the blocked prefix-sum kernel against the scalar reference, from
+        # random starts with a non-constant v; a B that is no multiple of the
+        # block size ends in a partial block
+        for B in (1, _DCURVE_BLOCK - 1, _DCURVE_BLOCK + 1, 1000):
+            nsteps = 400 if B < 1000 else 30
+            tg = np.linspace(0, 1, 2 * nsteps + 1)
+            U = (tg * np.cos(rng.uniform(1, 4, size=(B, 1)) * tg)
+                 + rng.normal(scale=0.1, size=(B, tg.size)))
+            V = 1.0 + 0.5 * np.sin(rng.uniform(1, 4, size=(B, 1)) * tg)
+            starts = rng.normal(size=(B, 4))
+            a = dcurve_rk4(U, V, starts, 1.0 / nsteps)
+            assert np.array_equal(a, dcurve_rk4_scalar(U, V, starts, 1.0 / nsteps, 0))
+            # the long chart adds the same sums, but the reference calls
+            # numpy's scalar sin/cos, which may differ by an ulp from the SIMD
+            # path that arrays take on some CPUs
+            a = dcurve_rk4(U, V, starts, 1.0 / nsteps, long_chart=True)
+            assert np.abs(a - dcurve_rk4_scalar(U, V, starts, 1.0 / nsteps, 1)).max() < 1e-13
         # the prefix-product scan against the left-to-right product
         A = rng.normal(size=(2 * 50 + 1, 2, 2))
         M, _ = transport_rk4(A, 1e-2)
@@ -239,6 +261,17 @@ class TestInabaIdentity:
 
 
 class TestRigidityProbe:
+    def test_control_table_rows_equal_closures(self):
+        # one table row per closure, from the same draws and bit for bit
+        for n_modes, amplitude in ((3, 1.0), (5, 0.3)):
+            U = random_admissible_table(np.random.default_rng(4), 70, 1.0, 1e-3,
+                                        n_modes, amplitude)
+            rng = np.random.default_rng(4)
+            tgrid = np.linspace(0.0, 1.0, 2001)
+            want = [random_admissible_controls(rng, n_modes, amplitude)[0](tgrid)
+                    for _ in range(70)]
+            assert np.array_equal(U, want)
+
     def test_thousand_trials_stay_accessible(self):
         probe = rigidity_probe(T=1.0, n_trials=1000, dt=1e-3, seed=7)
         assert probe["n_outside_accessible"] == 0
