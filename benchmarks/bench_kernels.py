@@ -1,9 +1,12 @@
 """Time the integration kernels, one field evaluation, one batched section
-bracket call, one transport generator call and one characteristic RK4 step.
+bracket call, one transport generator call, one characteristic RK4 step and
+the writing of one verify artifact.
 
 Run:  python benchmarks/bench_kernels.py
 """
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -106,6 +109,21 @@ def bench_characteristic(n_steps=200):
     return rows
 
 
+def bench_verify_artifact(n=1000):
+    """Wall time of writing one ``verify`` artifact: ``write_json`` of the
+    lorentz-magnetic report at n samples, as ``cmd_verify`` writes it."""
+    from engel_lab.engel_verify import verify_engel
+    from engel_lab.presets import build_preset
+    from engel_lab.serialize import write_json
+
+    report = verify_engel(build_preset("lorentz-magnetic")["structure"], n_samples=n)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "verify_lorentz-magnetic.json"
+        t, _ = timeit(lambda: write_json(path, {**report.to_json_dict(),
+                                                "preset": "lorentz-magnetic"}))
+    return f"verify artifact, {n} records", t
+
+
 def main():
     # B = 1 shows the per-call overhead of the D-curve kernel, B = 8 a batch
     # as small as those of the Inaba-identity tests
@@ -121,6 +139,8 @@ def main():
         print(f"{name:<48s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_characteristic():
         print(f"{name:<34s} {t * 1e6:9.1f}us per RK4 step")
+    name, t = bench_verify_artifact()
+    print(f"{name:<34s} {t * 1e3:9.2f}ms per write")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -214,7 +215,10 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing fills a new
+    namespace on every call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="engel-lab",
         description="Engel structures: construction, verification, and "
@@ -258,9 +262,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="kappa-sweep table for the sign law")
     common(p)
     p.set_defaults(func=cmd_report)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

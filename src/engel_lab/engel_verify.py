@@ -21,7 +21,7 @@ from .config import DEFAULTS
 from .errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
 from .frame_algebra import ChartModel, FrameModel, Section, frame_coords, rank_with_margin
 from .frame_algebra import sample_box  # re-exported: the acceptance suite imports it here
-from .serialize import SCHEMA_VERSION
+from .serialize import SCHEMA_VERSION, Records
 
 _E_PAIRS = ((0, 1), (0, 2), (1, 2))   # the brackets [e_i, e_j] of the E span
 
@@ -69,17 +69,14 @@ class VerificationReport:
             "tolerances": self.tolerances,
             "passed": bool(self.passed),
             "summary": self.summary,
-            "records": [
-                {
-                    "point": [float(x) for x in self.points[i]],
-                    "rank_D": int(self.rank_D[i]),
-                    "rank_E": int(self.rank_E[i]),
-                    "rank_EE": int(self.rank_EE[i]),
-                    "cauchy_angle_error": float(self.cauchy_angle_error[i]),
-                    "marginal": bool(self.marginal[i]),
-                }
-                for i in range(len(self.points))
-            ],
+            "records": Records({
+                "point": self.points,
+                "rank_D": self.rank_D,
+                "rank_E": self.rank_E,
+                "rank_EE": self.rank_EE,
+                "cauchy_angle_error": self.cauchy_angle_error,
+                "marginal": self.marginal,
+            }),
         }
 
 

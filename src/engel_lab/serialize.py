@@ -12,6 +12,15 @@ values (``"%.17g" % x`` and ``format(x, ".17g")`` are the same CPython
 routine).  Arrays with NaN or +-inf and non-float arrays take the per-element
 path.  ``write_csv`` builds its rows from the same template; a column with
 non-finite values writes ``NaN``/``Infinity``/``-Infinity`` there.
+
+A :class:`Records` table (field name -> array whose first axis is the row)
+is written as the JSON list of per-row objects, in one ``%`` call as well:
+one row template (``%.17g`` for a finite float column, ``%d`` for an int
+column, ``%s`` with preformatted ``true``/``false`` or ``null`` strings for a
+bool column or a float column holding NaN or +-inf, nested ``[...]`` for a
+column with more axes), repeated once per row and applied to the column
+values interleaved row by row.  The text is the same as that of the list of
+per-row dicts of Python scalars, so no per-row dict is ever built.
 """
 from __future__ import annotations
 
@@ -34,12 +43,52 @@ def _fmt_float(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def _array_template(shape: tuple) -> str:
+def _array_template(shape: tuple, fmt: str = _FLOAT) -> str:
     """``%``-template writing an array of ``shape`` as nested JSON lists."""
-    t = _FLOAT
+    t = fmt
     for n in reversed(shape):
         t = "[" + ", ".join([t] * n) + "]"
     return t
+
+
+class Records:
+    """A table written as a JSON list of objects, one object per row.
+
+    ``columns`` maps each field name, in output order, to an array whose
+    first axis is the row; every column has the same number of rows.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = {k: np.asarray(v) for k, v in columns.items()}
+        lengths = {len(v) for v in self.columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+        self.n = lengths.pop() if lengths else 0
+
+
+def _column(a: np.ndarray) -> tuple:
+    """``(format, slots)`` of one column: the format of each value and one
+    list of values per position in a row, row-major over the row shape."""
+    slots = a.reshape(len(a), math.prod(a.shape[1:])).T.tolist()
+    if a.dtype.kind == "f" and np.isfinite(a).all():
+        return _FLOAT, slots
+    if a.dtype.kind in "iu":
+        return "%d", slots
+    # bools, and floats with NaN or +-inf: "true"/"false"/"null" strings
+    return "%s", [[dumps_canonical(x) for x in s] for s in slots]
+
+
+def _dumps_records(r: Records) -> str:
+    if not r.n:
+        return "[]"
+    pieces, slots = [], []
+    for k, a in r.columns.items():
+        fmt, col = _column(a)
+        key = encode_basestring(str(k)).replace("%", "%%")
+        pieces.append(f"{key}: {_array_template(a.shape[1:], fmt)}")
+        slots += col
+    row = "{" + ", ".join(pieces) + "}"
+    return ("[" + ", ".join([row] * r.n) + "]") % tuple(chain.from_iterable(zip(*slots)))
 
 
 def dumps_canonical(obj) -> str:
@@ -60,6 +109,8 @@ def dumps_canonical(obj) -> str:
         if obj.dtype.kind == "f" and np.isfinite(obj).all():
             return _array_template(obj.shape) % tuple(obj.ravel().tolist())
         return dumps_canonical(obj.tolist())
+    if isinstance(obj, Records):
+        return _dumps_records(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -3,14 +3,16 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from engel_lab.characteristic_dynamics import integrate_orbits
-from engel_lab.cli import main
-from engel_lab.presets import build_preset
-from engel_lab.serialize import _fmt_float, dumps_canonical, write_csv
+from engel_lab.cli import _parser, main
+from engel_lab.engel_verify import verify_engel
+from engel_lab.presets import build_preset, preset_names
+from engel_lab.serialize import Records, _fmt_float, dumps_canonical, write_csv
 
 
 def run(args):
@@ -55,6 +57,35 @@ class TestVerifyCommand:
         b = (b_dir / "verify_long-darboux.json").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_artifact_bytes_match_per_record_dicts(self, preset, tmp_path):
+        # the artifact written through the record table is the document of
+        # one dict per sample, serialized value by value
+        code = run(["verify", "--preset", preset, "--samples", "50", "--out", str(tmp_path)])
+        r = verify_engel(build_preset(preset)["structure"], n_samples=50, tol=1e-8, skip=100)
+        assert code == (0 if r.passed else 1)
+        doc = {
+            "schema_version": 2,
+            "provenance": r.provenance,
+            "tolerances": r.tolerances,
+            "passed": bool(r.passed),
+            "summary": r.summary,
+            "records": [
+                {
+                    "point": [float(x) for x in r.points[i]],
+                    "rank_D": int(r.rank_D[i]),
+                    "rank_E": int(r.rank_E[i]),
+                    "rank_EE": int(r.rank_EE[i]),
+                    "cauchy_angle_error": float(r.cauchy_angle_error[i]),
+                    "marginal": bool(r.marginal[i]),
+                }
+                for i in range(len(r.points))
+            ],
+            "preset": preset,
+        }
+        written = (tmp_path / f"verify_{preset}.json").read_text()
+        assert written == dumps_canonical(doc) + "\n"
+
     def test_config_manifest(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"preset": "darboux", "samples": 30,
@@ -67,6 +98,27 @@ class TestVerifyCommand:
         assert run(["verify", "--config", str(cfg)]) == 2
         cfg.write_text('["a", "list"]')
         assert run(["verify", "--config", str(cfg)]) == 2
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert _parser() is _parser()
+
+    def test_calls_do_not_share_parsed_values(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["verify", "--preset", "darboux", "--samples", "30", "--seed", "7",
+                    "--tol", "1e-6", "--out", str(a)]) == 0
+        assert run(["orbit", "--preset", "lorentz-product-lie", "--kappa", "-1", "-T", "1",
+                    "--dt", "0.1", "--p0", "0,0,0,0", "--out", str(a)]) == 0
+        assert run(["verify", "--preset", "darboux", "--samples", "20", "--out", str(b)]) == 0
+        doc = json.loads((b / "verify_darboux.json").read_text())
+        assert doc["summary"]["n_samples"] == 20
+        assert doc["tolerances"]["rank_tol"] == 1e-8
+        want = verify_engel(build_preset("darboux")["structure"], n_samples=20, skip=100)
+        assert np.array_equal([rec["point"] for rec in doc["records"]], want.points)
+        args = _parser().parse_args(["orbit", "--preset", "darboux"])
+        assert (args.p0, args.kappa, args.T, args.dt, args.seed, args.out) == (None,) * 6
+        assert not hasattr(args, "samples")
 
 
 class TestClassifyCommand:
@@ -235,6 +287,38 @@ class TestSerializer:
         for dtype in (np.float64, np.float32):
             for bad in (np.nan, np.inf, -np.inf):
                 assert dumps_canonical(np.array([[0.5, bad]], dtype=dtype)) == "[[0.5, null]]"
+
+    @given(st.data(), st.integers(0, 6), st.sampled_from([np.float64, np.float32]),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_records_match_per_row_dicts(self, data, n, dtype, finite):
+        # the one-template table writes what the list of per-row dicts writes
+        floats = st.floats(width=np.finfo(dtype).bits, allow_nan=not finite,
+                           allow_infinity=not finite)
+        cols = {
+            "point": data.draw(hnp.arrays(dtype, (n, 4), elements=floats)),
+            "x": data.draw(hnp.arrays(dtype, (n,), elements=floats)),
+            "rank": data.draw(hnp.arrays(np.int64, (n,))),
+            "flag": data.draw(hnp.arrays(np.bool_, (n,))),
+        }
+        rows = [{k: v[i].tolist() for k, v in cols.items()} for i in range(n)]
+        assert dumps_canonical(Records(cols)) == dumps_canonical(rows)
+
+    def test_records_edge_values(self):
+        edge = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        bad = [np.nan, np.inf, -np.inf, 0.5]
+        cols = {"p": np.array([edge, bad]).T, "e": edge, "b": bad,
+                "k%d\t": [0, -1, 2, 3], "m": [True, False, False, True]}
+        rows = [{k: np.asarray(v)[i].tolist() for k, v in cols.items()} for i in range(4)]
+        text = dumps_canonical(Records(cols))
+        assert text == dumps_canonical(rows)
+        assert text.startswith('[{"p": [-0, null], "e": -0, "b": null, "k%d\\t": 0, "m": true}, '
+                               '{"p": [4.9406564584124654e-324, null], ')
+        assert dumps_canonical(Records({"p": np.zeros((0, 4)), "m": []})) == "[]"
+        assert dumps_canonical(Records({"p": [[1.5, 2.0]], "m": [False]})) == (
+            '[{"p": [1.5, 2], "m": false}]')
+        with pytest.raises(ValueError):
+            Records({"p": [1.0, 2.0], "m": [True]})
 
     def test_csv_matches_per_value_rows(self, tmp_path):
         rng = np.random.default_rng(3)

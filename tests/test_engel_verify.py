@@ -1,4 +1,6 @@
 """Engel-condition verification and the Darboux models."""
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from engel_lab.engel_verify import (
 )
 from engel_lab.errors import DimensionMismatch
 from engel_lab.frame_algebra import Section
+from engel_lab.serialize import dumps_canonical
 
 
 class TestVerify:
@@ -35,7 +38,8 @@ class TestVerify:
         assert np.all(rep.rank_EE == 2)
 
     def test_report_serializes(self):
-        doc = verify_engel(darboux_standard(), n_samples=10).to_json_dict()
+        doc = json.loads(dumps_canonical(
+            verify_engel(darboux_standard(), n_samples=10).to_json_dict()))
         assert doc["schema_version"] == 2
         assert doc["passed"] is True
         assert len(doc["records"]) == 10
