@@ -1,6 +1,6 @@
 """Time the integration kernels, one field evaluation, one batched section
-bracket call, one transport generator call, one characteristic RK4 step and
-the writing of one verify artifact.
+bracket call, one transport generator call, one characteristic RK4 step,
+the writing of one verify artifact and the construction of every preset.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -124,6 +124,16 @@ def bench_verify_artifact(n=1000):
     return f"verify artifact, {n} records", t
 
 
+def bench_presets():
+    """Wall time of building every preset once at its defaults, as
+    ``build_preset`` does at the start of each CLI task."""
+    from engel_lab.presets import build_preset, preset_names
+
+    names = preset_names()
+    t, _ = timeit(lambda: [build_preset(name) for name in names])
+    return f"build all {len(names)} presets", t
+
+
 def main():
     # B = 1 shows the per-call overhead of the D-curve kernel, B = 8 a batch
     # as small as those of the Inaba-identity tests
@@ -141,6 +151,8 @@ def main():
         print(f"{name:<34s} {t * 1e6:9.1f}us per RK4 step")
     name, t = bench_verify_artifact()
     print(f"{name:<34s} {t * 1e3:9.2f}ms per write")
+    name, t = bench_presets()
+    print(f"{name:<34s} {t * 1e3:9.2f}ms")
 
 
 if __name__ == "__main__":

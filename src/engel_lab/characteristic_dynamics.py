@@ -31,7 +31,7 @@ from .errors import (
     MonotonicityViolation,
     StepTooLarge,
 )
-from .frame_algebra import Section, _rk4_orbits, frame_coords
+from .frame_algebra import _rk4_orbits, frame_coords
 from .geometry_models import LorentzExtension
 from .serialize import write_csv
 
@@ -203,13 +203,6 @@ def two_sided_orbit(s: EngelStructure, p0: np.ndarray, T: float,
 # transport of E/W
 # ---------------------------------------------------------------------------
 
-def _emw_frame(s: EngelStructure) -> Sequence[Section]:
-    if s.emw_frame is not None:
-        return s.emw_frame
-    raise FrameDegenerate(
-        f"structure {s.provenance!r} does not designate an E/W frame")
-
-
 def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray:
     """A(p) with columns = coordinates of [e_j, W] mod W in the frame (e1, e2).
 
@@ -219,7 +212,7 @@ def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray
     transverse) of TM.  Raises :class:`FrameDegenerate` when (e1, e2, W) fails
     to resolve the brackets.
     """
-    e1, e2 = _emw_frame(s)
+    e1, e2 = s.emw_frame
     frame = [e1, e2, s.W_section, s.transverse_section]
     vals = s.model.values(frame, pts)
     br = s.model.brackets(frame[:3], [(2, 0), (2, 1)], pts)    # [W, e1] and [W, e2]
@@ -235,7 +228,7 @@ def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray
 def _dw_coords(s: EngelStructure, pts: np.ndarray) -> np.ndarray:
     """Coordinates of the line D/W in the E/W frame at each point, (n, 2): of
     the two D sections, the one with the larger E/W component."""
-    e1, e2 = _emw_frame(s)
+    e1, e2 = s.emw_frame
     vals = s.model.values([e1, e2, s.W_section, s.transverse_section, *s.D_span], pts)
     coef = frame_coords(vals[:, :4], vals[:, 4:], "E/W frame lost rank along the orbit")
     c0, c1 = coef[:, 0, :2], coef[:, 1, :2]
@@ -298,7 +291,7 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
             raw = np.where(u[:, 0] == 0, np.pi / 2, np.arctan(u[:, 1] / u[:, 0]))
         angle = lift_angle_mod_pi(raw)
     meta = dict(orbit.meta)
-    meta["emw_frame"] = tuple(sec.name for sec in _emw_frame(s))
+    meta["emw_frame"] = tuple(sec.name for sec in s.emw_frame)
     return OrbitTrace(times=times, points=orbit.points, M=M, angle=angle,
                       dets=dets, meta=meta)
 
@@ -462,6 +455,9 @@ def developing_map(orbit: OrbitTrace, mono_tol: float = 1e-12) -> DevelopingMap:
 # global type estimation
 # ---------------------------------------------------------------------------
 
+_RISE_TOL = 1e-8    # a sigma1 rise above rounding (bounded transport drifts ~1e-11)
+
+
 @dataclass(frozen=True)
 class TypeThresholds:
     c_min: float = 0.05          # exponential growth slope
@@ -557,7 +553,9 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     line fields along the samples.
     Conflicting verdicts return ``unknown`` with the evidence attached.  All
     start points are integrated in one batch, and an orbit that leaves the
-    chart is cut back from its exit by :func:`orbits_within_chart`.
+    chart is cut back from its exit by :func:`orbits_within_chart`; a cut
+    orbit whose sigma1 still rises below the growth floor is ``unknown``,
+    not elliptic.
     """
     th = thresholds or TypeThresholds()
     model = s.model
@@ -565,7 +563,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     # keep margins; a Lie model has one start, its base point
     starts = mid + 0.5 * (model.sample(max(n_orbits, 1), skip=300) - mid)
     verdicts, evidence = [], []
-    for orbit, _ in orbits_within_chart(s, starts, T_max, dt):
+    for orbit, t_cut in orbits_within_chart(s, starts, T_max, dt):
         orbit = transport_EmodW(s, orbit, angles=False)
         n = len(orbit.times)
         sel = np.unique(np.linspace(n // 4, n - 1, 24).astype(int))
@@ -600,6 +598,12 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
                 lines, why = _parabolic_line(Mn[-1], th.line_angle_tol)
         elif distortion < th.distortion_bound:
             kind = "elliptic"
+            # a bounded sigma1 proves nothing if the chart cut it while rising
+            if (t_cut is not None and monotone > 0.9 and sigma1[-1] >= sigma1.max()
+                    and sigma1[-1] - sigma1[0] > _RISE_TOL):
+                ev["demoted"] = (f"sigma1 still rising ({sigma1[0]:.4g} -> {sigma1[-1]:.4g}) "
+                                 f"at the chart cut t_cut = {t_cut:.4g}")
+                kind = "unknown"
         genuine = None
         if kind in ("parabolic", "hyperbolic") and lines:
             d = _dw_coords(s, model.wrap(orbit.points))

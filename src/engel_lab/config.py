@@ -11,8 +11,6 @@ from dataclasses import dataclass
 class NumericConfig:
     # central-difference step for jacobians of vector fields
     h: float = 1e-5
-    # step for second derivatives (curvature of surfaces given only by lambda)
-    h_hess: float = 1e-4
     # singular values above this count toward a rank
     rank_tol: float = 1e-8
     # a rank decision is flagged marginal if any singular value lies in

@@ -13,7 +13,7 @@ bracket pairing on E read against a declared transverse direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class EngelStructure:
     W_section: Section
     transverse_section: Section
     provenance: str
-    emw_frame: Optional[Sequence[Section]] = None
+    emw_frame: Sequence[Section]
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -242,7 +242,6 @@ def darboux_standard() -> EngelStructure:
         transverse_section=Section((0, 1, 0, 0), "Y"),
         provenance="darboux_standard",
         emw_frame=(e1, e2),
-        aux={"dW_angle_line": "w"},
     )
 
 
@@ -277,5 +276,4 @@ def darboux_long() -> EngelStructure:
         transverse_section=Section((0, 1, 0, 0), "Y"),
         provenance="darboux_long",
         emw_frame=(Section((1, 0, 0, 0), "Xbar"), Section((0, 0, 1, 0), "Z")),
-        aux={"dW_angle_line": "theta"},
     )

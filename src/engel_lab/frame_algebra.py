@@ -37,7 +37,7 @@ Points are numpy arrays.  A frame function takes a batch ``(n, dim)``; a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class LieModel:
 
     names: Sequence[str]
     c: np.ndarray
-    curvature_parameter: Optional[float] = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)

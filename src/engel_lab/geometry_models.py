@@ -11,7 +11,12 @@ horizontal fields satisfy
 Constant-curvature models exist twice: as exact Lie models (for closed-form
 holonomy) and as chart realizations via lambda = 4 / (1 + kappa r^2)^2, so
 the exact and numerical paths cross-validate.  A chart frame comes from
-lambda; a chart W takes the kappa a constant-curvature surface declares.
+lambda and its analytic log-derivatives; a chart W takes the kappa a
+constant-curvature surface declares.
+
+Every chart that adds a last fiber coordinate to a base is laid out by
+:func:`fiber_chart`; both extensions build their Lie twin and their chart
+through one body, :func:`_extension`.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import ConfigError, NonFiniteEvaluation, SignatureError
 from .frame_algebra import ChartModel, LieModel
 
@@ -31,18 +35,17 @@ TWO_PI = 2.0 * np.pi
 class ConformalSurface:
     """Metric lambda (dx^2 + dy^2) on a chart box in R^2.
 
-    ``dlog``/``d2log`` are optional analytic derivatives of log(lambda):
+    ``dlog``/``d2log`` are the analytic derivatives of log(lambda):
     dlog(pts) -> (..., 2) and d2log(pts) -> (..., 3) ordered (xx, xy, yy).
-    When absent, central differences with steps from the numeric config are
-    used.  ``kappa`` is the Gauss curvature of a constant-curvature surface,
+    ``kappa`` is the Gauss curvature of a constant-curvature surface,
     declared as a number, or ``None``; :func:`gauss_curvature` always
     computes the curvature from lambda.
     """
 
     lam: Callable[[np.ndarray], np.ndarray]
     box: np.ndarray
-    dlog: Optional[Callable] = None
-    d2log: Optional[Callable] = None
+    dlog: Callable[[np.ndarray], np.ndarray]
+    d2log: Callable[[np.ndarray], np.ndarray]
     kappa: Optional[float] = None
     periodic: dict = field(default_factory=dict)
     name: str = ""
@@ -57,30 +60,10 @@ class ConformalSurface:
         return val
 
     def dlog_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if self.dlog is not None:
-            return np.asarray(self.dlog(pts), dtype=float)
-        h = DEFAULTS.h
-        out = np.empty(pts.shape)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            out[:, j] = (np.log(self.lam_at(pts + e)) - np.log(self.lam_at(pts - e))) / (2 * h)
-        return out
+        return np.asarray(self.dlog(np.atleast_2d(pts)), dtype=float)
 
     def d2log_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if self.d2log is not None:
-            return np.asarray(self.d2log(pts), dtype=float)
-        h = DEFAULTS.h_hess
-        f = lambda q: np.log(self.lam_at(q))
-        ex, ey = np.array([h, 0.0]), np.array([0.0, h])
-        f0 = f(pts)
-        fxx = (f(pts + ex) - 2 * f0 + f(pts - ex)) / h ** 2
-        fyy = (f(pts + ey) - 2 * f0 + f(pts - ey)) / h ** 2
-        fxy = (f(pts + ex + ey) - f(pts + ex - ey)
-               - f(pts - ex + ey) + f(pts - ex - ey)) / (4 * h ** 2)
-        return np.stack([fxx, fxy, fyy], axis=-1)
+        return np.asarray(self.d2log(np.atleast_2d(pts)), dtype=float)
 
 
 def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarray]:
@@ -117,8 +100,7 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
     """
     kappa = float(kappa)
     if kappa == 0.0:
-        s = flat_surface(half=half if half is not None else np.pi)
-        return s
+        return flat_surface(half=half if half is not None else np.pi)
     if half is None:
         # kappa < 0 charts must stay inside r < 1/sqrt(-kappa); the box is
         # sized so its corners keep a 4% margin, wide enough for length-5
@@ -238,8 +220,25 @@ def surface_from_config(cfg: dict) -> ConformalSurface:
 
 
 # ---------------------------------------------------------------------------
-# unit tangent bundles
+# fiber charts and unit tangent bundles
 # ---------------------------------------------------------------------------
+
+def fiber_chart(base, frame: Callable[[np.ndarray], np.ndarray], name: str,
+                hi: float = TWO_PI, period: Optional[float] = TWO_PI,
+                orbit_periods: Optional[dict] = None) -> ChartModel:
+    """Chart of the base box times a last fiber coordinate in [0, hi].
+
+    ``base`` has a ``box`` and a ``periodic`` map (a :class:`ChartModel` or a
+    :class:`ConformalSurface`); the chart keeps the base's periods and gives
+    the fiber ``period``, ``None`` for a mapping-torus domain.
+    """
+    dim = len(base.box) + 1
+    periodic = {int(k): v for k, v in base.periodic.items()}
+    if period is not None:
+        periodic[dim - 1] = period
+    return ChartModel(dim, np.vstack([base.box, [0.0, hi]]), frame, periodic=periodic,
+                      orbit_periods=orbit_periods or {}, name=name)
+
 
 @dataclass
 class UnitTangentChart:
@@ -272,12 +271,7 @@ def unit_tangent_frames(s: ConformalSurface) -> UnitTangentChart:
         F[:, 2, 2] = 1.0                                                             # Z
         return F
 
-    box = np.vstack([s.box, [0.0, TWO_PI]])
-    periodic = {int(k): v for k, v in s.periodic.items()}
-    periodic[2] = TWO_PI
-    model = ChartModel(3, box, frame, periodic=periodic,
-                       name=f"S1T({s.name})")
-    return UnitTangentChart(surface=s, model=model)
+    return UnitTangentChart(surface=s, model=fiber_chart(s, frame, f"S1T({s.name})"))
 
 
 @dataclass
@@ -294,10 +288,7 @@ class ConstantCurvatureUT:
         c[1, 2, 0], c[1, 0, 2] = 1.0, -1.0     # [Z, X] = Y
         c[0, 2, 1], c[0, 1, 2] = -1.0, 1.0     # [Z, Y] = -X
         c[2, 0, 1], c[2, 1, 0] = k, -k         # [X, Y] = kappa Z
-        self.lie = LieModel(("X", "Y", "Z"), c, curvature_parameter=k)
-
-    def chart(self, half: float = None) -> UnitTangentChart:
-        return unit_tangent_frames(constant_curvature_surface(self.kappa, half=half))
+        self.lie = LieModel(("X", "Y", "Z"), c)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +326,37 @@ class LorentzExtension:
         b = np.asarray(b, dtype=float)
         return np.einsum("...i,i,...i->...", a, self.m_metric_diag, b)
 
-    def check_signature(self, n_samples: int = 100) -> bool:
+    def check_signature(self) -> bool:
         ev = np.linalg.eigvalsh(self.v_metric)
         if not (np.sum(ev > 0) == 2 and np.sum(ev < 0) == 1):
             raise SignatureError("V-frame metric is not of signature (+,+,-)")
         return True
+
+
+def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
+               names: tuple, m_metric_diag: list, theta_brackets: dict,
+               frame: Callable[[np.ndarray], np.ndarray]) -> LorentzExtension:
+    """The extension of ``kind`` over a Lie or a chart unit tangent bundle.
+
+    Lie twin: the (X, Y, Z) structure constants of ``ut`` plus
+    [Theta, e_j] = v e_k for each ``(k, j): v`` in ``theta_brackets``.
+    Chart: ``frame`` on the unit tangent chart times the theta circle, with
+    the surface's declared kappa, else its computed Gauss curvature.
+    """
+    if isinstance(ut, ConstantCurvatureUT):
+        c = np.zeros((4, 4, 4))
+        c[:3, :3, :3] = ut.lie.c
+        for (k, j), v in theta_brackets.items():
+            c[k, 3, j], c[k, j, 3] = v, -v
+        model, kappa = LieModel(names, c), ut.kappa
+    else:
+        surface = ut.surface
+        model = fiber_chart(ut.model, frame, f"{kind}({surface.name})")
+        kappa = surface.kappa if surface.kappa is not None else (
+            lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2]))
+    return LorentzExtension(kind=kind, base=ut, model=model, kappa=kappa,
+                            m_metric_diag=np.array(m_metric_diag),
+                            v_metric=np.diag([1.0, 1.0, -1.0]))
 
 
 def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> LorentzExtension:
@@ -348,18 +365,6 @@ def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Loren
     Theta commutes with X, Y, Z; the null line over (sigma, theta) in the
     v-direction is <v + d/dtheta>.
     """
-    if isinstance(ut, ConstantCurvatureUT):
-        k = ut.kappa
-        c = np.zeros((4, 4, 4))
-        c[:3, :3, :3] = ut.lie.c
-        lie = LieModel(("X", "Y", "Z", "Theta"), c, curvature_parameter=k)
-        return LorentzExtension(
-            kind="product", base=ut, model=lie, kappa=k,
-            m_metric_diag=np.array([1.0, 1.0, 0.0, -1.0]),
-            v_metric=np.diag([1.0, 1.0, -1.0]))
-
-    surface = ut.surface
-
     def frame(pts):
         # rows X, Y, Z embedded, then Theta = d/dtheta
         F = np.zeros((len(pts), 4, 4))
@@ -367,42 +372,17 @@ def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Loren
         F[:, 3, 3] = 1.0
         return F
 
-    box = np.vstack([ut.model.box, [0.0, TWO_PI]])
-    periodic = {int(kk): v for kk, v in ut.model.periodic.items()}
-    periodic[3] = TWO_PI
-    model = ChartModel(4, box, frame, periodic=periodic,
-                       name=f"product({surface.name})")
-    return LorentzExtension(
-        kind="product", base=ut, model=model,
-        kappa=surface.kappa if surface.kappa is not None else (
-            lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2])),
-        m_metric_diag=np.array([1.0, 1.0, 0.0, -1.0]),
-        v_metric=np.diag([1.0, 1.0, -1.0]))
+    return _extension("product", ut, ("X", "Y", "Z", "Theta"),
+                      [1.0, 1.0, 0.0, -1.0], {}, frame)
 
 
 def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> LorentzExtension:
     """dg = dh + (-dtheta^2) on V = S^1(T Sigma) across the splitting.
 
     The M-frame rotates the horizontal fields by the null angle theta:
-    Xt = cos(theta) X + sin(theta) Y, Yt its rotate, Zt = Z, Theta vertical.
+    Xt = cos(theta) X + sin(theta) Y, Yt its rotate, Zt = Z, Theta vertical,
+    so [Theta, Xt] = Yt and [Theta, Yt] = -Xt.
     """
-    if isinstance(ut, ConstantCurvatureUT):
-        k = ut.kappa
-        c = np.zeros((4, 4, 4))
-        # frame order (Xt, Yt, Zt, Theta)
-        c[1, 2, 0], c[1, 0, 2] = 1.0, -1.0     # [Zt, Xt] = Yt
-        c[0, 2, 1], c[0, 1, 2] = -1.0, 1.0     # [Zt, Yt] = -Xt
-        c[2, 0, 1], c[2, 1, 0] = k, -k         # [Xt, Yt] = kappa Zt
-        c[1, 3, 0], c[1, 0, 3] = 1.0, -1.0     # [Theta, Xt] = Yt
-        c[0, 3, 1], c[0, 1, 3] = -1.0, 1.0     # [Theta, Yt] = -Xt
-        lie = LieModel(("Xt", "Yt", "Zt", "Theta"), c, curvature_parameter=k)
-        return LorentzExtension(
-            kind="magnetic", base=ut, model=lie, kappa=k,
-            m_metric_diag=np.array([1.0, 1.0, -1.0, 0.0]),
-            v_metric=np.diag([1.0, 1.0, -1.0]))
-
-    surface = ut.surface
-
     def frame(pts):
         # rows Xt, Yt (X, Y rotated by theta), Zt = Z, Theta = d/dtheta
         F3 = ut.model.frame(pts[:, :3])
@@ -414,14 +394,5 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
         F[:, 2, 2] = F[:, 3, 3] = 1.0
         return F
 
-    box = np.vstack([ut.model.box, [0.0, TWO_PI]])
-    periodic = {int(kk): v for kk, v in ut.model.periodic.items()}
-    periodic[3] = TWO_PI
-    model = ChartModel(4, box, frame, periodic=periodic,
-                       name=f"magnetic({surface.name})")
-    return LorentzExtension(
-        kind="magnetic", base=ut, model=model,
-        kappa=surface.kappa if surface.kappa is not None else (
-            lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2])),
-        m_metric_diag=np.array([1.0, 1.0, -1.0, 0.0]),
-        v_metric=np.diag([1.0, 1.0, -1.0]))
+    return _extension("magnetic", ut, ("Xt", "Yt", "Zt", "Theta"),
+                      [1.0, 1.0, -1.0, 0.0], {(1, 0): 1.0, (0, 1): -1.0}, frame)

@@ -23,6 +23,7 @@ from .geometry_models import (
 from .prolongations import (
     bi_engel_pair,
     cartan_prolongation,
+    lorentz_prolongation,
     prequantum_local,
     propellor_structure,
     standard_contact_r3,
@@ -48,8 +49,6 @@ def _integrable_counterexample() -> EngelStructure:
 
 
 def _lorentz(kind: str, kappa: float, exact: bool):
-    from .prolongations import lorentz_prolongation
-
     base = ConstantCurvatureUT(kappa) if exact else unit_tangent_frames(
         constant_curvature_surface(kappa))
     ext = product_extension(base) if kind == "product" else magnetic_extension(base)
@@ -58,10 +57,13 @@ def _lorentz(kind: str, kappa: float, exact: bool):
 
 
 def _magnetic_bump():
-    from .prolongations import lorentz_prolongation
-
     ext = magnetic_extension(unit_tangent_frames(bump_surface()))
     return {"structure": lorentz_prolongation(ext), "extension": ext}
+
+
+def _propellor(monodromy):
+    return lambda o: {"structure": propellor_structure(
+        np.array(monodromy, dtype=float), turns=int(o.get("turns", 1)))[1]}
 
 
 _PRESETS = {
@@ -74,9 +76,9 @@ _PRESETS = {
     "lorentz-magnetic-lie": lambda o: _lorentz("magnetic", o.get("kappa", 1.0), exact=True),
     "magnetic-bump": lambda o: _magnetic_bump(),
     "prequantum-local": lambda o: {"structure": prequantum_local()},
-    "propellor-identity": lambda o: {"structure": propellor_structure(np.eye(2), turns=int(o.get("turns", 1)))[1]},
-    "propellor-parabolic": lambda o: {"structure": propellor_structure(np.array(SHEAR_MAP, dtype=float), turns=int(o.get("turns", 1)))[1]},
-    "propellor-cat": lambda o: {"structure": propellor_structure(np.array(CAT_MAP, dtype=float), turns=int(o.get("turns", 1)))[1]},
+    "propellor-identity": _propellor(np.eye(2)),
+    "propellor-parabolic": _propellor(SHEAR_MAP),
+    "propellor-cat": _propellor(CAT_MAP),
     "bi-engel-cat": lambda o: {"structure": bi_engel_pair(np.array(CAT_MAP, dtype=float))[0]},
     "suspension-identity": lambda o: {"structure": suspension_identity()},
     "suspension-geodesic": lambda o: {"structure": suspension_geodesic(o.get("kappa", -1.0))},

@@ -6,7 +6,10 @@ whose model carries an explicit global frame; downstream modules verify the
 defining conditions numerically and analyze the Cauchy-characteristic
 dynamics.  Fiber conventions: prolongation fibers use a single angle
 coordinate theta; the Cartan model declares its orbit closure at pi (the
-plane field repeats after a half turn), while the chart itself runs to 2*pi.
+plane field repeats after a half turn), while the chart itself runs to 2*pi;
+a suspension's fiber is mapping-torus time, with no period.  Each chart is
+laid out by :func:`~engel_lab.geometry_models.fiber_chart`, and Cartan and
+the suspension build one rotating plane that differs only in its angle.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .frame_algebra import (
     fd_jacobian,
     rank_with_margin,
 )
-from .geometry_models import LorentzExtension, TWO_PI, constant_curvature_surface, unit_tangent_frames
+from .geometry_models import LorentzExtension, constant_curvature_surface, fiber_chart, unit_tangent_frames
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +49,7 @@ class ContactModel:
 
     ``xi`` spans the contact planes, ``transverse`` is Reeb-transverse
     (anything spanning TM/xi works), and ``legendrian_frame`` trivializes xi
-    when available (required by the Cartan prolongation).
+    when available (required by Cartan and the suspension).
     """
 
     model: ChartModel
@@ -93,6 +96,31 @@ def _fiber_frame(base_rows: Callable) -> Callable:
     return frame
 
 
+def _legendrian_frame(c: ContactModel) -> Callable:
+    """The fiber frame (d/d(fiber), l1, l2, transverse) over a contact model
+    with a Legendrian frame (l1, l2)."""
+    if c.legendrian_frame is None:
+        raise NotContact("a rotating-plane construction needs a Legendrian frame")
+    l1, l2 = c.legendrian_frame
+    return _fiber_frame(lambda q: c.model.values([l1, l2, c.transverse], q))
+
+
+def _rotating_plane(model: ChartModel, angle: Callable, provenance: str,
+                    aux: dict) -> EngelStructure:
+    """D = <W, cos(f) l1 + sin(f) l2> for the angle f(pts) on a chart with the
+    frame (W, l1, l2, R) of :func:`_legendrian_frame`: E = <W, l1, l2>, and
+    the E/W frame is (l1, l2)."""
+    W = Section((1, 0, 0, 0), "W")
+    l1, l2 = Section((0, 1, 0, 0), "l1"), Section((0, 0, 1, 0), "l2")
+    cos_f = lambda pts: np.cos(angle(np.atleast_2d(pts)))
+    sin_f = lambda pts: np.sin(angle(np.atleast_2d(pts)))
+    return EngelStructure(
+        model=model, D_span=[W, Section((0, cos_f, sin_f, 0), "C")],
+        E_span=[W, l1, l2], W_section=W,
+        transverse_section=Section((0, 0, 0, 1), "R"),
+        provenance=provenance, emw_frame=(l1, l2), aux=aux)
+
+
 # ---------------------------------------------------------------------------
 # Cartan prolongation
 # ---------------------------------------------------------------------------
@@ -104,30 +132,10 @@ def cartan_prolongation(c: ContactModel) -> EngelStructure:
     direction; the Cauchy characteristic is the fiber tangent, every fiber is
     a closed orbit, and the plane field repeats after theta -> theta + pi.
     """
-    if c.legendrian_frame is None:
-        raise NotContact("Cartan prolongation needs a Legendrian frame")
+    frame = _legendrian_frame(c)
     c.validate()
-    l1, l2 = c.legendrian_frame
-    base = c.model
-    frame = _fiber_frame(lambda q: base.values([l1, l2, c.transverse], q))
-    box = np.vstack([base.box, [0.0, TWO_PI]])
-    periodic = dict(base.periodic)
-    periodic[3] = TWO_PI
-    model = ChartModel(4, box, frame, periodic=periodic,
-                       orbit_periods={3: np.pi}, name=f"cartan({base.name})")
-
-    cos_t = lambda pts: np.cos(np.atleast_2d(pts)[:, 3])
-    sin_t = lambda pts: np.sin(np.atleast_2d(pts)[:, 3])
-    D = [Section((1, 0, 0, 0), "W"), Section((0, cos_t, sin_t, 0), "C")]
-    E = [Section((1, 0, 0, 0), "W"), Section((0, 1, 0, 0), "l1"),
-         Section((0, 0, 1, 0), "l2")]
-    return EngelStructure(
-        model=model, D_span=D, E_span=E,
-        W_section=Section((1, 0, 0, 0), "W"),
-        transverse_section=Section((0, 0, 0, 1), "R"),
-        provenance="cartan_prolongation",
-        emw_frame=(Section((0, 1, 0, 0), "l1"), Section((0, 0, 1, 0), "l2")),
-        aux={"contact": c})
+    model = fiber_chart(c.model, frame, f"cartan({c.model.name})", orbit_periods={3: np.pi})
+    return _rotating_plane(model, lambda pts: pts[:, 3], "cartan_prolongation", {"contact": c})
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +224,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
         F[:, 3, 3] = 1.0
         return F
 
-    box = np.vstack([base.box, [0.0, TWO_PI]])
-    periodic = dict(base.periodic)
-    periodic[3] = TWO_PI
-    model = ChartModel(4, box, frame, periodic=periodic,
-                       name=f"prequantum({base.name})")
+    model = fiber_chart(base, frame, f"prequantum({base.name})")
 
     def lift_section(s: Section, name) -> Section:
         # base-frame coefficients must be chart components for the h-frame:
@@ -256,6 +260,17 @@ def _sections_parallel(model, a: Section, b: Section) -> bool:
     return cross < 1e-10
 
 
+def _beta(pts):
+    """The connection 1-form -q2 dq1, with d(beta) = dq1 ^ dq2."""
+    pts = np.atleast_2d(pts)
+    zero = np.zeros(pts.shape[0])
+    return np.stack([-pts[:, 1], zero, zero], axis=-1)
+
+
+def _unit_density(pts):
+    return np.ones(np.atleast_2d(pts).shape[0])
+
+
 def prequantum_local() -> EngelStructure:
     """The built-in local model: V = (x, z, w), xi = ker(dz - w dx),
     w_bar = d/dw, vol = dx^dz^dw, beta = -z dx.
@@ -269,12 +284,8 @@ def prequantum_local() -> EngelStructure:
                    lambda pts: np.atleast_2d(pts)[:, 2], 0), "X0"))
     c = ContactModel(model=base, xi=xi, transverse=Section((0, 1, 0), "dz"))
     c.validate()
-    beta = lambda pts: np.stack(
-        [-np.atleast_2d(pts)[:, 1], np.zeros(np.atleast_2d(pts).shape[0]),
-         np.zeros(np.atleast_2d(pts).shape[0])], axis=-1)
-    vol = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
     s = prequantum_prolongation(c, w_bar=Section((0, 0, 1), "dw"),
-                                vol=vol, beta=beta)
+                                vol=_unit_density, beta=_beta)
     s.provenance = "prequantum_local"
     return s
 
@@ -364,12 +375,6 @@ def propellor_structure(monodromy: np.ndarray,
                                ((lambda pts: -b_of(pts)), a_of, 0), "n"))
     contact.validate()
 
-    beta = lambda pts: np.stack(
-        [-np.atleast_2d(pts)[:, 1],
-         np.zeros(np.atleast_2d(pts).shape[0]),
-         np.zeros(np.atleast_2d(pts).shape[0])], axis=-1)
-    vol = lambda pts: np.ones(np.atleast_2d(pts).shape[0])
-
     def frame_column(j, name) -> Section:
         # phi^t(e_j): one exponential per evaluation gives both coefficients
         def coeffs(pts):
@@ -382,7 +387,7 @@ def propellor_structure(monodromy: np.ndarray,
     P, Q = frame_column(0, "hP"), frame_column(1, "hQ")
 
     s = prequantum_prolongation(contact, w_bar=Section((0, 0, 1), "dt"),
-                                vol=vol, beta=beta, emw=(P, Q))
+                                vol=_unit_density, beta=_beta, emw=(P, Q))
     s.provenance = "propellor"
     # the W-flow only moves t; everything entering the transport is
     # 1-periodic in t in the equivariant frame, so long orbits may wrap
@@ -484,8 +489,7 @@ def suspension(sd: SuspensionData, n_check: int = 40,
     the caller's concern and the profile invariants are checked at samples.
     """
     c = sd.contact
-    if c.legendrian_frame is None:
-        raise NotContact("suspension needs a Legendrian frame")
+    frame = _legendrian_frame(c)
     c.validate()
     base = c.model
     pts = base.sample(n_check)
@@ -508,30 +512,10 @@ def suspension(sd: SuspensionData, n_check: int = 40,
         if drho.min() <= 0:
             raise TwistMonotonicityError("d rho / dt must be positive")
 
-    l1, l2 = c.legendrian_frame
-    frame = _fiber_frame(lambda q: base.values([l1, l2, c.transverse], q))
-    box = np.vstack([base.box, [0.0, 1.0]])
-    model = ChartModel(4, box, frame, periodic=dict(base.periodic),
-                       name=f"suspension({base.name})")
+    model = fiber_chart(base, frame, f"suspension({base.name})", hi=1.0, period=None)
 
-    def cos_r(pts4):
-        pts4 = np.atleast_2d(pts4)
-        return np.cos(np.atleast_1d(sd.rho(pts4[:, 3], pts4[:, :3])))
-
-    def sin_r(pts4):
-        pts4 = np.atleast_2d(pts4)
-        return np.sin(np.atleast_1d(sd.rho(pts4[:, 3], pts4[:, :3])))
-
-    D = [Section((1, 0, 0, 0), "W"), Section((0, cos_r, sin_r, 0), "C")]
-    E = [Section((1, 0, 0, 0), "W"), Section((0, 1, 0, 0), "l1"),
-         Section((0, 0, 1, 0), "l2")]
-    return EngelStructure(
-        model=model, D_span=D, E_span=E,
-        W_section=Section((1, 0, 0, 0), "W"),
-        transverse_section=Section((0, 0, 0, 1), "R"),
-        provenance="suspension",
-        emw_frame=(Section((0, 1, 0, 0), "l1"), Section((0, 0, 1, 0), "l2")),
-        aux={"suspension": sd})
+    angle = lambda pts: np.atleast_1d(sd.rho(pts[:, 3], pts[:, :3]))
+    return _rotating_plane(model, angle, "suspension", {"suspension": sd})
 
 
 def suspension_identity(c: ContactModel = None, K: int = 1) -> EngelStructure:
@@ -556,9 +540,8 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
     of the time-2 pi map; it is isomorphic to the product Lorentz extension.
     """
     ut = unit_tangent_frames(constant_curvature_surface(kappa))
-    box = np.vstack([ut.model.box, [0.0, TWO_PI]])
-    model = ChartModel(4, box, _fiber_frame(ut.model.frame), periodic=dict(ut.model.periodic),
-                       name=f"suspension-geodesic(k={kappa:g})")
+    model = fiber_chart(ut.model, _fiber_frame(ut.model.frame),
+                        f"suspension-geodesic(k={kappa:g})", period=None)
 
     k = float(kappa)
 

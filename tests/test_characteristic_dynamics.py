@@ -535,6 +535,24 @@ class TestGlobalType:
         est = estimate_global_type(s, n_orbits=2, T_max=20.0, dt=1e-2)
         assert (est.kind, est.genuine) == ("parabolic", True)
 
+    def test_cut_orbit_with_rising_sigma1_is_not_elliptic(self, preset_cache):
+        # magnetic-bump orbit 2 leaves the chart at t 0.58 while sigma1 rises
+        # 1.03 -> 1.18, below the growth floor; it is unknown, not elliptic
+        s = preset_cache("magnetic-bump")["structure"]
+        orbit = estimate_global_type(s, n_orbits=3, T_max=20.0, dt=1e-2).evidence["orbits"][2]
+        assert orbit["kind"] == "unknown"
+        assert orbit["demoted"].startswith("sigma1 still rising")
+        assert "t_cut = 0.58" in orbit["demoted"]
+
+    @pytest.mark.parametrize("name,params", [
+        ("darboux", {}), ("lorentz-product", {"kappa": 1.0}), ("suspension-identity", {})])
+    def test_cut_orbit_with_flat_sigma1_stays_elliptic(self, preset_cache, name, params):
+        # every orbit here leaves the chart with sigma1 = 1 to rounding
+        s = preset_cache(name, **params)["structure"]
+        est = estimate_global_type(s, n_orbits=3, T_max=20.0, dt=1e-2)
+        assert est.kind == "elliptic"
+        assert all(o["t_end"] < 20.0 and "demoted" not in o for o in est.evidence["orbits"])
+
     def test_short_window_never_promotes_elliptic(self, preset_cache):
         # curved-chart orbits exit early; the estimator may say unknown but
         # must not claim parabolic/hyperbolic for an elliptic structure

@@ -113,15 +113,15 @@ def magnetic():
 
 class TestLieModel:
     def test_structure_relations(self, magnetic):
-        # [Xt, Yt] = kappa Zt and [Theta, Zt] = 0
-        k = magnetic.curvature_parameter
+        # [Xt, Yt] = kappa Zt and [Theta, Zt] = 0, kappa = -0.5
+        k = -0.5
         Xt, Yt, Zt, Th = np.eye(4)
         assert np.allclose(bracket_lie(magnetic, Xt, Yt), k * Zt)
         assert np.allclose(bracket_lie(magnetic, Th, Zt), 0.0)
 
     def test_bilinearity_on_W(self, magnetic):
-        # W = Xt + Zt - (1 + kappa) Theta pairs with Theta to -Yt
-        k = magnetic.curvature_parameter
+        # W = Xt + Zt - (1 + kappa) Theta pairs with Theta to -Yt, kappa = -0.5
+        k = -0.5
         Xt, Yt, Zt, Th = np.eye(4)
         W = Xt + Zt - (1 + k) * Th
         assert np.allclose(bracket_lie(magnetic, W, Th), -Yt)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from engel_lab.errors import ConfigError
-from engel_lab.frame_algebra import bracket_chart
+from engel_lab.frame_algebra import bracket_chart, fd_jacobian
 from engel_lab.geometry_models import (
     ConstantCurvatureUT,
     bump_surface,
@@ -46,15 +46,24 @@ class TestGaussCurvature:
         pts = rng.uniform(s.box[:, 0], s.box[:, 1], (200, 2))
         assert np.abs(gauss_curvature(s, pts) - kappa).max() <= 1e-14
 
-    def test_fd_fallback_matches_analytic(self, rng):
-        sa = bump_surface()
-        sfd = bump_surface()
-        sfd.dlog = None
-        sfd.d2log = None
+    @pytest.mark.parametrize("cfg", [
+        {"catalog": "flat"}, {"catalog": "sphere"}, {"catalog": "disk"},
+        {"catalog": "constant", "params": {"kappa": -0.5}}, {"catalog": "bump"}, "table",
+    ], ids=["flat", "sphere", "disk", "constant", "bump", "table"])
+    def test_analytic_log_derivatives_match_differences(self, cfg, rng):
+        # dlog and d2log against central differences of log(lambda)
+        if cfg == "table":
+            xs, ys = np.linspace(-0.8, 0.8, 40), np.linspace(-0.7, 0.9, 30)
+            s = table_surface(xs, ys, np.exp(0.3 * np.sin(np.add.outer(xs, 2 * ys))))
+        else:
+            s = surface_from_config(cfg)
         pts = rng.uniform(-0.5, 0.5, (15, 2))
-        ka = gauss_curvature(sa, pts)
-        kfd = gauss_curvature(sfd, pts)
-        assert np.abs(ka - kfd).max() < 1e-5
+        h = 1e-4
+        log_lam = lambda q: np.log(s.lam_at(q))
+        assert np.abs(s.dlog_at(pts) - fd_jacobian(log_lam, pts, h)).max() < 1e-6
+        hess = fd_jacobian(lambda q: fd_jacobian(log_lam, q, h), pts, h)
+        want = np.stack([hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]], axis=-1)
+        assert np.abs(s.d2log_at(pts) - want).max() < 1e-5
 
     def test_translation_invariance_for_flat(self):
         s = flat_surface()
@@ -116,7 +125,6 @@ class TestLiePresets:
 
     def test_curvature_parameter_round_trip(self):
         ext = magnetic_extension(ConstantCurvatureUT(0.7))
-        assert ext.model.curvature_parameter == 0.7
         assert ext.kappa == 0.7
 
 

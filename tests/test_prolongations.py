@@ -33,6 +33,7 @@ from engel_lab.characteristic_dynamics import (
     transport_EmodW,
 )
 from engel_lab.engel_verify import cauchy_characteristic
+from engel_lab.presets import preset_names
 
 
 class TestCartan:
@@ -357,3 +358,54 @@ class TestSuspension:
         Ep = plus.model.values(plus.E_span, pts)
         Em = minus.model.values(minus.E_span, pts)
         assert np.array_equal(Ep, Em)
+
+
+TAU = 2 * np.pi
+# per chart preset at its defaults: dim, box, periodic, orbit_periods, name
+_LAYOUTS = {
+    "bi-engel-cat": (4, [[0, 1], [0, 1], [0, 1], [0, TAU]],
+                     {0: 1.0, 1: 1.0, 3: TAU, 2: 1.0}, {}, "prequantum(propellor-base)"),
+    "cartan-r3": (4, [[-2, 2], [-2, 2], [-2, 2], [0, TAU]], {3: TAU}, {3: np.pi},
+                  "cartan(contact-r3)"),
+    "darboux": (4, [[-2, 2]] * 4, {}, {}, "darboux-standard"),
+    "integrable-counterexample": (4, [[-1, 1]] * 4, {}, {}, "integrable"),
+    "long-darboux": (4, [[-2, 2], [-2, 2], [-2, 2], [0, TAU]], {3: TAU}, {3: np.pi},
+                     "darboux-long"),
+    "lorentz-magnetic": (4, [[-1.2, 1.2], [-1.2, 1.2], [0, TAU], [0, TAU]],
+                         {2: TAU, 3: TAU}, {}, "magnetic(sphere)"),
+    "lorentz-product": (4, [[-1.2, 1.2], [-1.2, 1.2], [0, TAU], [0, TAU]],
+                        {2: TAU, 3: TAU}, {}, "product(sphere)"),
+    "magnetic-bump": (4, [[-0.8, 0.8], [-0.8, 0.8], [0, TAU], [0, TAU]],
+                      {2: TAU, 3: TAU}, {}, "magnetic(bump)"),
+    "prequantum-local": (4, [[-2, 2], [-2, 2], [-2, 2], [0, TAU]], {3: TAU}, {},
+                         "prequantum(prequantum-base)"),
+    "propellor-cat": (4, [[0, 1], [0, 1], [0, 1], [0, TAU]],
+                      {0: 1.0, 1: 1.0, 3: TAU, 2: 1.0}, {}, "prequantum(propellor-base)"),
+    "propellor-identity": (4, [[0, 1], [0, 1], [0, 1], [0, TAU]],
+                           {0: 1.0, 1: 1.0, 3: TAU, 2: 1.0}, {}, "prequantum(propellor-base)"),
+    "propellor-parabolic": (4, [[0, 1], [0, 1], [0, 1], [0, TAU]],
+                            {0: 1.0, 1: 1.0, 3: TAU, 2: 1.0}, {}, "prequantum(propellor-base)"),
+    "suspension-geodesic": (4, [[-0.68, 0.68], [-0.68, 0.68], [0, TAU], [0, TAU]],
+                            {2: TAU}, {}, "suspension-geodesic(k=-1)"),
+    "suspension-identity": (4, [[-2, 2], [-2, 2], [-2, 2], [0, 1]], {}, {},
+                            "suspension(contact-r3)"),
+}
+
+
+class TestChartLayouts:
+    def test_every_chart_preset_is_listed(self, preset_cache):
+        charts = {n for n in preset_names() if preset_cache(n)["structure"].model.kind == "chart"}
+        assert charts == set(_LAYOUTS)
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUTS))
+    def test_layout(self, preset_cache, name):
+        # the base box and periods plus the fiber coordinate: Cartan closes
+        # its orbits at pi, the suspensions' fiber has no period, and the
+        # propellor charts wrap the time coordinate at 1
+        dim, box, periodic, orbit_periods, chart_name = _LAYOUTS[name]
+        m = preset_cache(name)["structure"].model
+        assert m.dim == dim
+        assert np.array_equal(m.box, np.array(box, dtype=float))
+        assert m.periodic == periodic
+        assert m.orbit_periods == orbit_periods
+        assert m.name == chart_name
