@@ -1,6 +1,7 @@
 """Time the integration kernels, one field evaluation, one batched section
 bracket call, one transport generator call, one characteristic RK4 step,
-the writing of one verify artifact and the construction of every preset.
+one closed-orbit holonomy, the writing of one verify artifact and the
+construction of every preset.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -109,6 +110,19 @@ def bench_characteristic(n_steps=200):
     return rows
 
 
+def bench_closed_orbit():
+    """Wall time of one ``closed_orbit_holonomy`` call on the flat-torus
+    orbit (lorentz-product, kappa = 0, from (0, 0.4, 0, 0), dt 1e-3, t_max
+    8): one integration over t_max, then transport up to the return."""
+    from engel_lab.characteristic_dynamics import closed_orbit_holonomy
+    from engel_lab.presets import build_preset
+
+    s = build_preset("lorentz-product", kappa=0.0)["structure"]
+    t, _ = timeit(closed_orbit_holonomy, s, np.array([0.0, 0.4, 0.0, 0.0]), 1e-3, 8.0,
+                  repeat=3)
+    return "closed orbit, flat torus t_max=8", t
+
+
 def bench_verify_artifact(n=1000):
     """Wall time of writing one ``verify`` artifact: ``write_json`` of the
     lorentz-magnetic report at n samples, as ``cmd_verify`` writes it."""
@@ -149,6 +163,8 @@ def main():
         print(f"{name:<48s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_characteristic():
         print(f"{name:<34s} {t * 1e6:9.1f}us per RK4 step")
+    name, t = bench_closed_orbit()
+    print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     name, t = bench_verify_artifact()
     print(f"{name:<34s} {t * 1e3:9.2f}ms per write")
     name, t = bench_presets()

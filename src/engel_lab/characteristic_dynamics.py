@@ -114,17 +114,6 @@ class ProjectiveType:
         if self.kind == "elliptic" and self.length is None:
             raise AmbiguousClass("elliptic class requires a length")
 
-    def label(self) -> str:
-        if self.kind == "elliptic":
-            return f"Elliptic(length={self.length:.6g})"
-        if self.kind == "parabolic":
-            return "Parabolic"
-        if self.kind == "hyperbolic":
-            return f"Hyperbolic(|tr|={self.trace:.6g})"
-        if self.kind == "trans-parabolic":
-            return f"TransParabolic(n={self.n}, sign={self.sign:+d})"
-        return f"TransHyperbolic(n={self.n}, |tr|={self.trace:.6g})"
-
 
 # ---------------------------------------------------------------------------
 # orbit integration
@@ -317,49 +306,46 @@ def closed_form_exp(A: np.ndarray, rescaled: bool = False) -> Callable:
 # closed orbits and classification
 # ---------------------------------------------------------------------------
 
-def first_return_time(s: EngelStructure, p0: np.ndarray, dt: float,
-                      t_max: float, eps: float = None) -> float:
-    """Smallest t with the orbit back within eps of p0 (wrapped distance,
-    honoring declared orbit-closure periods)."""
+def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
+                          t_max: float) -> tuple[HolonomyLift, OrbitTrace]:
+    """Holonomy lift of the orbit through p0 at its first return T, from one
+    integration to t_max; raises :class:`ChartExit` without a return.
+
+    T is the first local minimum of the wrapped distance to p0 after 10 dt
+    whose refined parabola vertex lies within ``DEFAULTS.orbit_close_eps``.
+    E/W is transported along the stored steps up to the last sample t_j < T,
+    then over one RK4 step of T - t_j.  Returns the lift and the transported
+    orbit up to t_j, with T as ``meta["return_time"]``."""
     if not hasattr(s.model, "distance"):
         # a straight-line exponential orbit never returns
         raise NotImplementedError("closed-orbit detection needs a chart model")
-    eps = DEFAULTS.orbit_close_eps if eps is None else eps
     orbit = integrate_characteristic(s, p0, t_max, dt)
-    model = s.model
-    dists = np.array([model.distance(p, p0) for p in orbit.points])
-    h = orbit.times[1] - orbit.times[0]
-    k_min = max(2, int(np.ceil(10 * dt / h)))
-    # candidate local minima, then decide by the refined parabola vertex of
-    # the squared distance (exact for a transversal return between samples)
-    for k in range(k_min, len(dists) - 1):
-        if not (dists[k] <= dists[k - 1] and dists[k] <= dists[k + 1]):
-            continue
-        step = abs(dists[k] - dists[k - 1]) + abs(dists[k + 1] - dists[k])
-        if dists[k] > 2.0 * step + eps:
-            continue
-        f0, f1, f2 = dists[k - 1] ** 2, dists[k] ** 2, dists[k + 1] ** 2
-        a = 0.5 * (f0 + f2) - f1
-        b = 0.5 * (f2 - f0)
-        if a > 1e-30:
-            shift = np.clip(-b / (2 * a), -1.0, 1.0)
-            fmin = max(f1 - b * b / (4 * a), 0.0)
-        else:
-            shift, fmin = 0.0, f1
-        if np.sqrt(fmin) < eps:
-            return float(orbit.times[k] + shift * h)
-    raise ChartExit(t_max, "no return within t_max")
+    times, d, eps = orbit.times, s.model.distance(orbit.points, p0), DEFAULTS.orbit_close_eps
+    h = times[1] - times[0]
+    k = np.arange(max(2, int(np.ceil(10 * dt / h))), len(d) - 1)
+    # candidate local minima, decided by the refined parabola vertex of the
+    # squared distance (exact for a transversal return between samples)
+    dm, d0, dp = d[k - 1], d[k], d[k + 1]
+    a, b = 0.5 * (dm ** 2 + dp ** 2) - d0 ** 2, 0.5 * (dp ** 2 - dm ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(a > 1e-30, np.clip(-b / (2 * a), -1.0, 1.0), 0.0)
+        fmin = np.where(a > 1e-30, np.maximum(d0 ** 2 - b * b / (4 * a), 0.0), d0 ** 2)
+    hit = ((d0 <= dm) & (d0 <= dp) & (np.sqrt(fmin) < eps)
+           & (d0 <= 2.0 * (np.abs(d0 - dm) + np.abs(dp - d0)) + eps))
+    if not hit.any():
+        raise ChartExit(t_max, "no return within t_max")
+    T = float((times[k] + shift * h)[np.argmax(hit)])
 
-
-def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
-                          t_max: float) -> tuple[HolonomyLift, OrbitTrace]:
-    """Integrate to first return and package the holonomy lift."""
-    T = first_return_time(s, p0, dt, t_max)
-    nsteps = max(1, int(round(T / dt)))
-    orbit = integrate_characteristic(s, p0, T, T / nsteps)
-    orbit = transport_EmodW(s, orbit)
-    winding = float(orbit.angle[-1] - orbit.angle[0])
-    M = orbit.normalized_M()[-1]
+    j = int(np.searchsorted(np.abs(times), abs(T))) - 1     # |t_j| < |T| <= |t_{j + 1}|
+    orbit = transport_EmodW(s, _trace(s, times[:j + 1], orbit.points[:j + 1], dt))
+    last = transport_EmodW(s, integrate_characteristic(s, orbit.points[j], T - times[j],
+                                                       abs(T - times[j])), angles=False)
+    M = last.normalized_M()[-1] @ orbit.normalized_M()[-1]
+    # the D/W line at the return point, pulled back into the fiber over p0
+    u = np.linalg.solve(M, _dw_coords(s, s.model.wrap(last.points[-1:]))[0])
+    winding = float(lift_angle_mod_pi([orbit.angle[-1], np.arctan2(u[1], u[0])])[-1]
+                    - orbit.angle[0])
+    orbit.meta["return_time"] = T
     if winding < 0:
         # orient so D/W rotates positively: flip the second frame leg
         F = np.diag([1.0, -1.0])

@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -18,11 +19,15 @@ import numpy as np
 from . import characteristic_dynamics as dyn
 from . import rigidity_lab as rig
 from .engel_verify import verify_engel
-from .errors import AmbiguousClass, ConfigError, EngelLabError
+from .errors import AmbiguousClass, ConfigError, EngelLabError, FrameDegenerate
 from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
 
 KAPPA_SWEEP = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
+# run parameters with a range: what a value must be, and the test of it
+_RANGES = {"T": ("a finite nonzero number", lambda v: np.isfinite(v) & (v != 0)),
+           "samples": ("at least 1", lambda v: v >= 1), "trials": ("at least 1", lambda v: v >= 1),
+           "tol": ("positive", lambda v: v > 0), "p0": ("comma-separated numbers", np.isfinite)}
 
 
 def _manifest_from_args(args) -> dict:
@@ -35,10 +40,19 @@ def _manifest_from_args(args) -> dict:
         if not isinstance(manifest, dict):
             raise ConfigError("config manifest must be a JSON object")
     for key in ("preset", "kappa", "T", "dt", "trials", "seed", "tol",
-                "samples", "orbits", "out", "format"):
+                "samples", "orbits", "out", "format", "p0"):
         val = getattr(args, key, None)
         if val is not None:
             manifest[key] = val
+    if isinstance(manifest.get("p0"), str):
+        manifest["p0"] = manifest["p0"].split(",")
+    for key, (want, ok) in _RANGES.items():
+        try:
+            good = key not in manifest or np.all(ok(np.asarray(manifest[key], dtype=float)))
+        except (TypeError, ValueError):
+            good = False
+        if not good:
+            raise ConfigError(f"{key} must be {want}, got {manifest[key]!r}")
     manifest.setdefault("seed", 0)
     manifest.setdefault("format", "json")
     if manifest.get("format") not in ("json", "csv"):
@@ -64,36 +78,47 @@ def _outdir(manifest) -> Path:
     return out
 
 
+def _failed_ranks(summary: dict) -> str:
+    """The failed rank conditions of a verify summary, in the words ``verify`` prints."""
+    bad = [k for k in ("all_rank_D_2", "all_rank_E_3", "all_rank_EE_4") if not summary[k]]
+    return f"failed {', '.join(bad)} over {summary['n_samples']} points"
+
+
+@contextlib.contextmanager
+def _rank_failures_named(s, preset: str):
+    """Add to a :class:`FrameDegenerate` the rank conditions that ``verify`` at
+    its defaults finds failed; for a structure that passes, it goes on unchanged."""
+    try:
+        yield
+    except FrameDegenerate as e:
+        if (report := verify_engel(s)).passed:
+            raise
+        raise FrameDegenerate(f"{e}: {preset} is not Engel, {_failed_ranks(report.summary)}") from e
+
+
 def cmd_verify(args) -> int:
     manifest = _manifest_from_args(args)
-    built = _build(manifest)
-    n = int(manifest.get("samples", 1000))
-    tol = float(manifest.get("tol", 1e-8))
-    report = verify_engel(built["structure"], n_samples=n, tol=tol,
-                          skip=100 + int(manifest["seed"]))
+    report = verify_engel(_build(manifest)["structure"],
+                          n_samples=int(manifest.get("samples", 1000)),
+                          tol=float(manifest.get("tol", 1e-8)), skip=100 + int(manifest["seed"]))
     doc = report.to_json_dict()
     doc["preset"] = manifest["preset"]
     out = _outdir(manifest) / f"verify_{manifest['preset']}.json"
     write_json(out, doc)
     s = doc["summary"]
-    if report.passed:
-        detail = f"ranks (2,3,4) at {s['n_samples']} points, {s['n_marginal']} marginal"
-    else:
-        bad = [k for k in ("all_rank_D_2", "all_rank_E_3", "all_rank_EE_4") if not s[k]]
-        detail = f"failed {', '.join(bad)} over {s['n_samples']} points"
+    detail = (f"ranks (2,3,4) at {s['n_samples']} points, {s['n_marginal']} marginal"
+              if report.passed else _failed_ranks(s))
     print(f"{'PASS' if report.passed else 'FAIL'} {manifest['preset']}: {detail} -> {out}")
     return 0 if report.passed else 1
 
 
 def cmd_classify(args) -> int:
     manifest = _manifest_from_args(args)
-    built = _build(manifest)
-    s = built["structure"]
-    est = dyn.estimate_global_type(
-        s,
-        n_orbits=int(manifest.get("orbits", 3)),
-        T_max=float(manifest.get("T", 20.0)),
-        dt=float(manifest.get("dt", 1e-2)))
+    s = _build(manifest)["structure"]
+    with _rank_failures_named(s, manifest["preset"]):
+        est = dyn.estimate_global_type(s, n_orbits=int(manifest.get("orbits", 3)),
+                                       T_max=float(manifest.get("T", 20.0)),
+                                       dt=float(manifest.get("dt", 1e-2)))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "preset": manifest["preset"],
@@ -111,18 +136,15 @@ def cmd_classify(args) -> int:
 
 def cmd_orbit(args) -> int:
     manifest = _manifest_from_args(args)
-    built = _build(manifest)
-    s = built["structure"]
+    s = _build(manifest)["structure"]
     T = float(manifest.get("T", 5.0))
     dt = float(manifest.get("dt", 1e-3))
-    if args.p0 is not None:
-        p0 = np.array([float(v) for v in args.p0.split(",")])
-    else:
-        # a tenth of the chart box past its center, or a Lie model's base point
-        p0 = s.model.point(0.6)
-    [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, T, dt)
-    orbit = dyn.transport_EmodW(s, orbit)
-    dev = dyn.developing_map(orbit)
+    # by default a tenth of the chart box past its center, or a Lie model's base point
+    p0 = np.array(manifest["p0"], dtype=float) if "p0" in manifest else s.model.point(0.6)
+    with _rank_failures_named(s, manifest["preset"]):
+        [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, T, dt)
+        orbit = dyn.transport_EmodW(s, orbit)
+        dev = dyn.developing_map(orbit)
     out = _outdir(manifest)
     if manifest["format"] == "csv":
         path = out / f"orbit_{manifest['preset']}.csv"

@@ -319,16 +319,13 @@ class ChartModel:
             out[:, j] = lo + np.mod(out[:, j] - lo, per)
         return out[0] if single else out
 
-    def distance(self, p: np.ndarray, q: np.ndarray) -> float:
-        """Chart distance with periodic (and orbit-period) wrapping."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = p - q
-        periods = dict(self.periodic)
-        periods.update(self.orbit_periods)
-        for j, per in periods.items():
+    def distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Chart distance with periodic (and orbit-period) wrapping: one
+        distance per row of ``p``, each equal to its one-row call."""
+        d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+        for j, per in {**self.periodic, **self.orbit_periods}.items():
             d[..., j] = (d[..., j] + per / 2.0) % per - per / 2.0
-        return float(np.linalg.norm(d))
+        return np.linalg.norm(d, axis=-1)
 
 
 FrameModel = Union[ChartModel, LieModel]
@@ -469,12 +466,6 @@ class DistributionSpec:
 
     model: FrameModel
     span: Sequence[Section]
-
-    def values(self, p: np.ndarray = None) -> np.ndarray:
-        """Stack of spanning vectors at p, shape (k, dim) (or (n, k, dim), n = 1
-        on a Lie model)."""
-        vals = self.model.values(self.span, p)
-        return vals if np.ndim(p) == 2 else vals[0]
 
     def validate(self, pts: np.ndarray = None, tol: float = None) -> None:
         """Spanning sections must stay linearly independent at the samples."""

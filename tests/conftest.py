@@ -29,6 +29,33 @@ def sequential_transport(A_half, dt):
     return out
 
 
+def first_return_reference(model, p0, times, points, dt, eps):
+    """The scalar return search over a sampled orbit: one ``model.distance``
+    call per sample, then the first local minimum after max(2, ceil(10 dt /
+    h)) samples within 2 step + eps of p0 whose refined parabola vertex of
+    the squared distance lies within eps.  Returns its time, or None."""
+    dists = np.array([model.distance(p, p0) for p in points])
+    h = times[1] - times[0]
+    k_min = max(2, int(np.ceil(10 * dt / h)))
+    for k in range(k_min, len(dists) - 1):
+        if not (dists[k] <= dists[k - 1] and dists[k] <= dists[k + 1]):
+            continue
+        step = abs(dists[k] - dists[k - 1]) + abs(dists[k + 1] - dists[k])
+        if dists[k] > 2.0 * step + eps:
+            continue
+        f0, f1, f2 = dists[k - 1] ** 2, dists[k] ** 2, dists[k + 1] ** 2
+        a = 0.5 * (f0 + f2) - f1
+        b = 0.5 * (f2 - f0)
+        if a > 1e-30:
+            shift = np.clip(-b / (2 * a), -1.0, 1.0)
+            fmin = max(f1 - b * b / (4 * a), 0.0)
+        else:
+            shift, fmin = 0.0, f1
+        if np.sqrt(fmin) < eps:
+            return float(times[k] + shift * h)
+    return None
+
+
 @pytest.fixture(scope="session")
 def preset_cache():
     """Build each preset once per test session."""

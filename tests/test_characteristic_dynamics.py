@@ -13,7 +13,6 @@ from engel_lab.characteristic_dynamics import (
     closed_orbit_holonomy,
     developing_map,
     estimate_global_type,
-    first_return_time,
     geodesic_projection_check,
     integrate_characteristic,
     integrate_orbits,
@@ -23,11 +22,12 @@ from engel_lab.characteristic_dynamics import (
     two_sided_orbit,
 )
 from engel_lab.cli import KAPPA_SWEEP
+from engel_lab.config import DEFAULTS
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.errors import AmbiguousClass, ChartExit, MonotonicityViolation, StepTooLarge
 from engel_lab.frame_algebra import _rk4_orbits
 
-from conftest import rel_err, sequential_transport
+from conftest import first_return_reference, rel_err, sequential_transport
 
 KAPPAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -335,23 +335,80 @@ class TestClassify:
                     assert abs(t.trace - base.trace) < 1e-9
 
 
+# closed orbits at dt 1e-3: preset, its parameters, p0 and t_max
+CLOSED = {
+    "cartan": ("cartan-r3", {}, [0.2, -0.1, 0.3, 0.0], 4.0),
+    "flat-torus": ("lorentz-product", {"kappa": 0.0}, [0.0, 0.4, 0.0, 0.0], 8.0),
+}
+
+
+@pytest.fixture(scope="module")
+def closed_orbit(preset_cache):
+    """``closed_orbit_holonomy`` on a CLOSED orbit, run once per module:
+    (structure, lift, orbit, [(args, result) of each integrate_orbits call])."""
+    cache = {}
+
+    def get(key):
+        if key not in cache:
+            name, kw, p0, t_max = CLOSED[key]
+            s = preset_cache(name, **kw)["structure"]
+            calls, real = [], dyn.integrate_orbits
+
+            def spy(*args):
+                calls.append((args, real(*args)))
+                return calls[-1][1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dyn, "integrate_orbits", spy)
+                h, orbit = closed_orbit_holonomy(s, np.array(p0), dt=1e-3, t_max=t_max)
+            cache[key] = s, h, orbit, calls
+        return cache[key]
+
+    return get
+
+
 class TestClosedOrbits:
-    def test_cartan_fiber_elliptic_length_pi(self, preset_cache):
-        s = preset_cache("cartan-r3")["structure"]
-        h, orbit = closed_orbit_holonomy(s, np.array([0.2, -0.1, 0.3, 0.0]),
-                                         dt=1e-3, t_max=4.0)
+    def test_cartan_fiber_elliptic_length_pi(self, closed_orbit):
+        _, h, _, _ = closed_orbit("cartan")
         t = classify_projective(h)
         assert t.kind == "elliptic"
         assert abs(t.length - np.pi) < 1e-6
         assert np.abs(h.matrix - np.eye(2)).max() < 1e-8
 
-    def test_flat_torus_closed_characteristic_is_parabolic(self, preset_cache):
-        s = preset_cache("lorentz-product", kappa=0.0)["structure"]
-        h, orbit = closed_orbit_holonomy(s, np.array([0.0, 0.4, 0.0, 0.0]),
-                                         dt=1e-3, t_max=8.0)
+    def test_flat_torus_closed_characteristic_is_parabolic(self, closed_orbit):
+        _, h, _, _ = closed_orbit("flat-torus")
         t = classify_projective(h)
         assert t.kind == "parabolic"
         assert abs(abs(np.trace(h.matrix)) - 2.0) < 1e-9
+
+    @pytest.mark.parametrize("key", CLOSED)
+    def test_orbit_is_integrated_once(self, closed_orbit, key):
+        # one pass over t_max at dt, then one step shorter than h from the
+        # last stored sample to the return point
+        _, _, orbit, [(full, _), (last, (times, _, kept))] = closed_orbit(key)
+        assert full[2:] == (CLOSED[key][3], 1e-3)
+        h = orbit.times[1] - orbit.times[0]
+        assert last[3] == last[2] == times[-1] and 0 < last[2] < h
+        assert len(times) == 2 and kept[0] == 1
+        assert np.array_equal(last[1], orbit.points[-1])
+        assert orbit.times[-1] < orbit.meta["return_time"] <= orbit.times[-1] + h
+
+    @pytest.mark.parametrize("key", CLOSED)
+    def test_return_time_matches_scalar_search(self, closed_orbit, key):
+        s, _, orbit, [(full, (times, pts, _)), _] = closed_orbit(key)
+        want = first_return_reference(s.model, full[1], times, pts[0], 1e-3,
+                                      DEFAULTS.orbit_close_eps)
+        assert orbit.meta["return_time"] == want
+
+    def test_no_return_within_t_max(self, preset_cache):
+        # the Cartan fiber closes after pi
+        s = preset_cache("cartan-r3")["structure"]
+        p0 = np.array([0.2, -0.1, 0.3, 0.0])
+        orbit = integrate_characteristic(s, p0, 2.0, 1e-2)
+        assert first_return_reference(s.model, p0, orbit.times, orbit.points, 1e-2,
+                                      DEFAULTS.orbit_close_eps) is None
+        with pytest.raises(ChartExit):
+            closed_orbit_holonomy(s, p0, dt=1e-2, t_max=2.0)
 
     def test_lie_model_refused_before_integrating(self, preset_cache, monkeypatch):
         # a straight-line Lie orbit has no detectable return; refuse up front
@@ -360,9 +417,9 @@ class TestClosedOrbits:
         def integrate(*args, **kwargs):
             raise AssertionError("integrated before refusing the Lie model")
 
-        monkeypatch.setattr(dyn, "integrate_characteristic", integrate)
+        monkeypatch.setattr(dyn, "integrate_orbits", integrate)
         with pytest.raises(NotImplementedError):
-            first_return_time(s, np.zeros(4), 1e-3, 1e3)
+            closed_orbit_holonomy(s, np.zeros(4), 1e-3, 1e3)
 
 
 class TestDeveloping:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from engel_lab.characteristic_dynamics import integrate_orbits
+from engel_lab import cli
 from engel_lab.cli import _parser, main
 from engel_lab.engel_verify import verify_engel
+from engel_lab.errors import FrameDegenerate
 from engel_lab.presets import build_preset, preset_names
 from engel_lab.serialize import Records, _fmt_float, dumps_canonical, write_csv
 
@@ -119,6 +121,60 @@ class TestParser:
         args = _parser().parse_args(["orbit", "--preset", "darboux"])
         assert (args.p0, args.kappa, args.T, args.dt, args.seed, args.out) == (None,) * 6
         assert not hasattr(args, "samples")
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("argv, why", [
+        (["orbit", "--preset", "darboux", "--p0", "a,b,c,d"],
+         "p0 must be comma-separated numbers"),
+        (["orbit", "--preset", "darboux", "-T", "0"], "T must be a finite nonzero number"),
+        (["verify", "--preset", "darboux", "--samples", "0"], "samples must be at least 1"),
+        (["rigidity", "--trials", "0"], "trials must be at least 1"),
+        # a negative rank tolerance would count every singular value
+        (["verify", "--preset", "integrable-counterexample", "--tol", "-1"],
+         "tol must be positive"),
+    ])
+    def test_exit_2_before_any_work(self, tmp_path, capsys, argv, why):
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {why}, got ")
+        assert not any(tmp_path.iterdir())
+
+    def test_config_p0_is_checked_like_the_option(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "darboux", "p0": [0, "x", 0, 0]}))
+        assert run(["orbit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        cfg.write_text(json.dumps({"preset": "darboux", "p0": [0, 0, 0, 0.5], "T": 0.1}))
+        assert run(["orbit", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "orbit_darboux.json").read_text())
+        assert doc["points"][0] == [0, 0, 0, 0.5]
+
+
+class TestNotEngel:
+    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    def test_frame_failure_names_the_failed_ranks(self, tmp_path, capsys, command):
+        # the words of `verify --preset integrable-counterexample`
+        assert run([command, "--preset", "integrable-counterexample",
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: E/W frame lost rank along the orbit: integrable-counterexample is not "
+            "Engel, failed all_rank_E_3, all_rank_EE_4 over 1000 points\n")
+
+    def test_engel_structure_keeps_the_frame_message(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise FrameDegenerate("E/W frame lost rank along the orbit")
+
+        monkeypatch.setattr(cli.dyn, "estimate_global_type", degenerate)
+        assert run(["classify", "--preset", "darboux", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: E/W frame lost rank along the orbit\n"
+
+    def test_successful_run_does_not_verify(self, tmp_path, monkeypatch):
+        def verify(*args, **kwargs):
+            raise AssertionError("verified a structure whose frame did not fail")
+
+        monkeypatch.setattr(cli, "verify_engel", verify)
+        assert run(["classify", "--preset", "lorentz-magnetic-lie", "--kappa", "1",
+                    "--out", str(tmp_path)]) == 0
+        assert run(["orbit", "--preset", "darboux", "-T", "0.1", "--out", str(tmp_path)]) == 0
 
 
 class TestClassifyCommand:

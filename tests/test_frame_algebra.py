@@ -331,6 +331,21 @@ class TestModelProtocol:
         assert err.max() < 1e-8, [(sections[i].name, sections[j].name, e)
                                   for (i, j), e in zip(pairs, err) if e >= 1e-8]
 
+    @pytest.mark.parametrize("name, closes_after", [
+        ("cartan-r3", np.pi), ("propellor-cat", 2 * np.pi), ("darboux", None)])
+    def test_batched_distance_equals_one_row_calls(self, preset_cache, name, closes_after):
+        # the Cartan fiber closes after pi, inside its chart period 2 pi
+        m = preset_cache(name)["structure"].model
+        q = sample_box(m, 1)[0]
+        pts = sample_box(m, 40, skip=7)
+        turns = np.arange(-5, 5) * np.pi
+        pts[::4] = q + turns[:, None] * np.eye(m.dim)[-1]
+        d = m.distance(pts, q)
+        assert d.shape == (40,)
+        assert np.array_equal(d, [m.distance(p, q) for p in pts])
+        want = turns == 0 if closes_after is None else np.isclose(turns % closes_after, 0)
+        assert np.array_equal(d[::4] < 1e-14, want)
+
     @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
     def test_batched_brackets_equal_one_pair_calls(self, preset_cache, name):
         # a section's values row does not depend on the other sections in the
