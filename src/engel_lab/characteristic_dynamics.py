@@ -35,6 +35,10 @@ from .frame_algebra import _rk4_orbits, frame_coords
 from .geometry_models import LorentzExtension
 from .serialize import write_csv
 
+_ANGLE_GUARD = np.pi / 2    # largest mod-pi increment of a lifted angle
+_CLASS_TOL = 1e-6           # projective classes: band around |tr| = 2, pi multiples, +-I
+_MONO_TOL = 1e-12           # smallest angle step of a strictly increasing developing map
+
 
 # ---------------------------------------------------------------------------
 # traces and holonomy data
@@ -225,12 +229,12 @@ def _dw_coords(s: EngelStructure, pts: np.ndarray) -> np.ndarray:
     return np.where(pick[:, None], c0, c1)
 
 
-def lift_angle_mod_pi(raw: np.ndarray, guard: float = np.pi / 2) -> np.ndarray:
+def lift_angle_mod_pi(raw: np.ndarray) -> np.ndarray:
     """Continuous lift of a mod-pi angle sequence; increments must stay
-    below the guard (step-size check)."""
+    below ``_ANGLE_GUARD`` (step-size check)."""
     raw = np.asarray(raw, dtype=float)
     inc = np.mod(np.diff(raw) + np.pi / 2, np.pi) - np.pi / 2
-    if np.any(np.abs(inc) > guard - 1e-9):
+    if np.any(np.abs(inc) > _ANGLE_GUARD - 1e-9):
         raise StepTooLarge("angle increment exceeded the continuity guard")
     out = np.empty_like(raw)
     out[0] = raw[0]
@@ -355,32 +359,32 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     return HolonomyLift(matrix=M, winding=winding), orbit
 
 
-def classify_projective(h: HolonomyLift, tol: float = 1e-6) -> ProjectiveType:
+def classify_projective(h: HolonomyLift) -> ProjectiveType:
     """Classify a first-return holonomy into the five projective classes.
 
     Trace against the winding of the lifted developing angle: a lifted fixed
     point exists exactly when the winding stays inside (0, pi).  Boundary
-    cases (trace within tol of +-2 while the winding sits within tol of a pi
-    multiple) raise :class:`AmbiguousClass` rather than guessing.
+    cases (trace within ``_CLASS_TOL`` of +-2 while the winding sits within
+    it of a pi multiple) raise :class:`AmbiguousClass` rather than guessing.
     """
     M = h.matrix
     w = h.winding
     if w < 0:
         raise AmbiguousClass("winding must be oriented positively")
     tau = float(np.trace(M))
-    near_pi_multiple = abs(w - np.pi * round(w / np.pi)) <= tol
-    near_band = abs(abs(tau) - 2.0) <= tol
-    is_identity = min(np.abs(M - np.eye(2)).max(), np.abs(M + np.eye(2)).max()) <= tol
+    near_pi_multiple = abs(w - np.pi * round(w / np.pi)) <= _CLASS_TOL
+    near_band = abs(abs(tau) - 2.0) <= _CLASS_TOL
+    is_identity = min(np.abs(M - np.eye(2)).max(), np.abs(M + np.eye(2)).max()) <= _CLASS_TOL
 
     if is_identity:
         return ProjectiveType(kind="elliptic", length=w)
     if near_band and near_pi_multiple:
         raise AmbiguousClass(
-            f"|tr|={abs(tau):.9g} within {tol:g} of 2 and winding {w:.9g} "
-            f"within {tol:g} of a multiple of pi")
-    if abs(tau) < 2.0 - tol:
+            f"|tr|={abs(tau):.9g} within {_CLASS_TOL:g} of 2 and winding {w:.9g} "
+            f"within {_CLASS_TOL:g} of a multiple of pi")
+    if abs(tau) < 2.0 - _CLASS_TOL:
         return ProjectiveType(kind="elliptic", length=w)
-    if abs(tau) > 2.0 + tol:
+    if abs(tau) > 2.0 + _CLASS_TOL:
         if 0.0 < w < np.pi:
             return ProjectiveType(kind="hyperbolic", trace=abs(tau))
         return ProjectiveType(kind="trans-hyperbolic", n=int(np.floor(w / np.pi)),
@@ -416,7 +420,7 @@ class DevelopingMap:
     flipped: bool
 
 
-def developing_map(orbit: OrbitTrace, mono_tol: float = 1e-12) -> DevelopingMap:
+def developing_map(orbit: OrbitTrace) -> DevelopingMap:
     """Lifted angle path of D/W and its projective length.
 
     Oriented so the angle increases; strictly monotone for any verified
@@ -430,7 +434,7 @@ def developing_map(orbit: OrbitTrace, mono_tol: float = 1e-12) -> DevelopingMap:
         theta = -theta
         flipped = True
     d = np.diff(theta)
-    if np.any(d <= mono_tol):
+    if np.any(d <= _MONO_TOL):
         raise MonotonicityViolation(
             f"developing angle not strictly increasing (min step {d.min():.3e})")
     return DevelopingMap(theta=theta, length=float(theta[-1] - theta[0]),
@@ -441,16 +445,12 @@ def developing_map(orbit: OrbitTrace, mono_tol: float = 1e-12) -> DevelopingMap:
 # global type estimation
 # ---------------------------------------------------------------------------
 
-_RISE_TOL = 1e-8    # a sigma1 rise above rounding (bounded transport drifts ~1e-11)
-
-
-@dataclass(frozen=True)
-class TypeThresholds:
-    c_min: float = 0.05          # exponential growth slope
-    r2_min: float = 0.99         # fit quality for growth laws
-    distortion_bound: float = 1e3
-    line_angle_tol: float = 1e-3
-    cross_eps: float = 1e-3      # min D/W distance to an invariant line
+_RISE_TOL = 1e-8          # a sigma1 rise above rounding (bounded transport drifts ~1e-11)
+_C_MIN = 0.05             # exponential growth slope
+_R2_MIN = 0.99            # fit quality for growth laws
+_DISTORTION_BOUND = 1e3   # largest sigma1^2 of an elliptic orbit
+_LINE_ANGLE_TOL = 1e-3    # eigen-directions closer than this are one line
+_CROSS_EPS = 1e-3         # min D/W distance to an invariant line
 
 
 @dataclass
@@ -527,8 +527,7 @@ def _parabolic_line(M: np.ndarray, angle_tol: float):
 
 
 def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
-                         T_max: float = 20.0, dt: float = 1e-2,
-                         thresholds: TypeThresholds = None) -> GlobalTypeEstimate:
+                         T_max: float = 20.0, dt: float = 1e-2) -> GlobalTypeEstimate:
     """Finite-sample estimate of the elliptic/parabolic/hyperbolic type.
 
     Per orbit: while the top singular value sigma1 of the det-normalized
@@ -543,7 +542,6 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     orbit whose sigma1 still rises below the growth floor is ``unknown``,
     not elliptic.
     """
-    th = thresholds or TypeThresholds()
     model = s.model
     mid = model.point(0.5)
     # keep margins; a Lie model has one start, its base point
@@ -576,13 +574,13 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         lines = why = None
         if growing:
             # exponential vs linear growth decided by which law fits better
-            if r2_exp >= lin_r2 and slope > th.c_min and r2_exp > th.r2_min:
+            if r2_exp >= lin_r2 and slope > _C_MIN and r2_exp > _R2_MIN:
                 kind = "hyperbolic"
-                lines, why = _invariant_lines([Mn[-1], Mn[len(Mn) // 2]], th.line_angle_tol)
-            elif lin_r2 > r2_exp and lin_r2 > th.r2_min:
+                lines, why = _invariant_lines([Mn[-1], Mn[len(Mn) // 2]], _LINE_ANGLE_TOL)
+            elif lin_r2 > r2_exp and lin_r2 > _R2_MIN:
                 kind = "parabolic"
-                lines, why = _parabolic_line(Mn[-1], th.line_angle_tol)
-        elif distortion < th.distortion_bound:
+                lines, why = _parabolic_line(Mn[-1], _LINE_ANGLE_TOL)
+        elif distortion < _DISTORTION_BOUND:
             kind = "elliptic"
             # a bounded sigma1 proves nothing if the chart cut it while rising
             if (t_cut is not None and monotone > 0.9 and sigma1[-1] >= sigma1.max()
@@ -606,7 +604,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
                 crossings += int(np.count_nonzero(flips & small))
             if crossings >= 1:
                 genuine = False
-            elif min_dist > th.cross_eps:
+            elif min_dist > _CROSS_EPS:
                 genuine = True
             ev["min_line_distance"] = min_dist
             ev["crossings"] = crossings
@@ -621,8 +619,9 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
 
     kinds = {v[0] for v in verdicts}
     genuines = {v[1] for v in verdicts}
-    summary = {"orbits": evidence,
-               "thresholds": {k: getattr(th, k) for k in th.__dataclass_fields__}}
+    summary = {"orbits": evidence, "thresholds": {
+        "c_min": _C_MIN, "r2_min": _R2_MIN, "distortion_bound": _DISTORTION_BOUND,
+        "line_angle_tol": _LINE_ANGLE_TOL, "cross_eps": _CROSS_EPS}}
     if len(kinds) == 1 and "unknown" not in kinds:
         kind = kinds.pop()
         genuine = genuines.pop() if len(genuines) == 1 else None

@@ -24,13 +24,22 @@ from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
 
 KAPPA_SWEEP = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
-# run parameters with a range: what a value must be, and the test of it
+# the run settings (flags and --config keys); for those with a range, what a
+# value must be and the test of it
+_KEYS = ("preset", "kappa", "T", "dt", "trials", "seed", "tol",
+         "samples", "orbits", "out", "format", "p0")
+_POSITIVE = ("finite and positive", lambda v: np.isfinite(v) & (v > 0))
+_COUNT = ("at least 1", lambda v: v >= 1)
 _RANGES = {"T": ("a finite nonzero number", lambda v: np.isfinite(v) & (v != 0)),
-           "samples": ("at least 1", lambda v: v >= 1), "trials": ("at least 1", lambda v: v >= 1),
-           "tol": ("positive", lambda v: v > 0), "p0": ("comma-separated numbers", np.isfinite)}
+           "dt": _POSITIVE, "tol": _POSITIVE,
+           "samples": _COUNT, "trials": _COUNT, "orbits": _COUNT,
+           "seed": ("an integer, at least 0",
+                    lambda v: np.isfinite(v) & (v >= 0) & (v == np.floor(v))),
+           "p0": ("comma-separated numbers", np.isfinite)}
 
 
-def _manifest_from_args(args) -> dict:
+def _manifest_from_args(args, **ranges) -> dict:
+    """The flags over the ``--config`` manifest, checked by ``{**_RANGES, **ranges}``."""
     manifest = {}
     if getattr(args, "config", None):
         try:
@@ -39,14 +48,15 @@ def _manifest_from_args(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(manifest, dict):
             raise ConfigError("config manifest must be a JSON object")
-    for key in ("preset", "kappa", "T", "dt", "trials", "seed", "tol",
-                "samples", "orbits", "out", "format", "p0"):
+        if unknown := set(manifest) - set(_KEYS):
+            raise ConfigError(f"config {args.config} has unknown keys {sorted(unknown)}")
+    for key in _KEYS:
         val = getattr(args, key, None)
         if val is not None:
             manifest[key] = val
     if isinstance(manifest.get("p0"), str):
         manifest["p0"] = manifest["p0"].split(",")
-    for key, (want, ok) in _RANGES.items():
+    for key, (want, ok) in {**_RANGES, **ranges}.items():
         try:
             good = key not in manifest or np.all(ok(np.asarray(manifest[key], dtype=float)))
         except (TypeError, ValueError):
@@ -141,6 +151,8 @@ def cmd_orbit(args) -> int:
     dt = float(manifest.get("dt", 1e-3))
     # by default a tenth of the chart box past its center, or a Lie model's base point
     p0 = np.array(manifest["p0"], dtype=float) if "p0" in manifest else s.model.point(0.6)
+    if p0.shape[-1:] != (s.model.dim,):
+        raise ConfigError(f"p0 must be {s.model.dim} numbers, got {manifest['p0']!r}")
     with _rank_failures_named(s, manifest["preset"]):
         [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, T, dt)
         orbit = dyn.transport_EmodW(s, orbit)
@@ -166,17 +178,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    manifest = _manifest_from_args(args)
+    manifest = _manifest_from_args(args, T=_POSITIVE)     # D-curves run forward in time
     trials = int(manifest.get("trials", 1000))
     T = float(manifest.get("T", 1.0))
     dt = float(manifest.get("dt", 1e-3))
     seed = int(manifest["seed"])
-    # optional control-family knobs (manifest only)
-    family = {"n_modes": int(manifest.get("modes", 3)),
-              "amplitude": float(manifest.get("amplitude", 1.0))}
-    if manifest.get("eps_grid"):
-        family["eps_grid"] = [float(e) for e in manifest["eps_grid"]]
-    probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed, **family)
+    probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed)
 
     U = rig.random_admissible_table(np.random.default_rng(seed), 100, T, dt)
     paths = rig.sample_d_curves_batch(U, np.ones_like(U), T, dt)

@@ -1,6 +1,6 @@
 """Numeric defaults used throughout the package.
 
-All tolerances are overridable per call; these are the documented defaults.
+Only ``verify_engel``'s ``tol`` overrides one of them (``rank_tol``).
 """
 from __future__ import annotations
 

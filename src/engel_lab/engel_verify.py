@@ -123,8 +123,7 @@ def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol:
     return wvec * sign[:, None], sv[:, 1] >= tol
 
 
-def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
-                          tol: float = None) -> np.ndarray:
+def cauchy_characteristic(s: EngelStructure, p: np.ndarray) -> np.ndarray:
     """Unit vector spanning the kernel of the bracket pairing on E at ``p``.
 
     Accepts a single point or a batch (on a Lie model ``None`` is the origin,
@@ -133,7 +132,6 @@ def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
     (E is not even-contact there) and :class:`FrameDegenerate` when E and the
     transverse section do not span TM.
     """
-    tol = DEFAULTS.rank_tol if tol is None else float(tol)
     if p is None:
         if s.model.kind != "lie":
             raise DimensionMismatch("a chart model needs a point")
@@ -142,7 +140,7 @@ def cauchy_characteristic(s: EngelStructure, p: np.ndarray,
     pts = np.atleast_2d(p)
     vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
     brEE = s.model.brackets(s.E_span, _E_PAIRS, pts)
-    wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], tol)
+    wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], DEFAULTS.rank_tol)
     if not ok.all():
         raise DegenerateKernel("bracket pairing on E has rank < 2")
     wvec /= np.linalg.norm(wvec, axis=-1, keepdims=True)
@@ -158,6 +156,8 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
     Marginal rank decisions are flagged, never silently resolved.
     """
     tol = DEFAULTS.rank_tol if tol is None else float(tol)
+    if not (np.isfinite(tol) and tol > 0):    # tol < 0 would count every singular value
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     pts = s.model.sample(n_samples, skip=skip)

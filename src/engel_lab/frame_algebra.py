@@ -104,20 +104,20 @@ def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
 
 
 def bracket_chart(f: Callable[[np.ndarray], np.ndarray], pairs: Sequence[tuple[int, int]],
-                  p: np.ndarray, h: float = None) -> np.ndarray:
+                  p: np.ndarray) -> np.ndarray:
     """Lie brackets [f_a, f_b] = Df_b.f_a - Df_a.f_b for each ``(a, b)`` in
     ``pairs``, at ``p`` (single point or batch).
 
     ``f`` maps points (n, dim) to stacked chart components (n, k, dim).  It is
     called once at ``p`` and 2 dim times for the central-difference jacobian
-    of step ``h``.  Returns (n, P, dim), or (P, dim) for a single point.
+    of step ``DEFAULTS.h``.  Returns (n, P, dim), or (P, dim) for a single point.
     """
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
     vals = np.asarray(f(pts), dtype=float)
     if vals.ndim != 3 or vals.shape[::2] != pts.shape:
         raise DimensionMismatch(f"sections returned {vals.shape} at points {pts.shape}")
-    J = fd_jacobian(f, pts, DEFAULTS.h if h is None else h)
+    J = fd_jacobian(f, pts, DEFAULTS.h)
     a, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     out = (np.einsum("npij,npj->npi", J[:, b], vals[:, a])
            - np.einsum("npij,npj->npi", J[:, a], vals[:, b]))
@@ -334,9 +334,11 @@ _PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def halton_points(n: int, dim: int, skip: int = 100) -> np.ndarray:
-    """Deterministic Halton sequence in [0, 1)^dim."""
+    """Deterministic Halton sequence in [0, 1)^dim, from index ``skip + 1``."""
     if dim > len(_PRIMES):
         raise DimensionMismatch("halton sampler supports dim <= 6")
+    if skip < 0:    # a negative index has all-zero digits: the corner point
+        raise ValueError(f"skip must be >= 0, got {skip}")
     out = np.empty((n, dim))
     for j in range(dim):
         b = _PRIMES[j]
@@ -467,10 +469,9 @@ class DistributionSpec:
     model: FrameModel
     span: Sequence[Section]
 
-    def validate(self, pts: np.ndarray = None, tol: float = None) -> None:
+    def validate(self, pts: np.ndarray = None) -> None:
         """Spanning sections must stay linearly independent at the samples."""
-        tol = DEFAULTS.rank_tol if tol is None else tol
-        rank, _ = rank_with_margin(self.model.values(self.span, pts), tol)
+        rank, _ = rank_with_margin(self.model.values(self.span, pts), DEFAULTS.rank_tol)
         if not np.all(rank == len(self.span)):
             raise DimensionMismatch("spanning sections lose independence at a sample")
 
@@ -479,43 +480,37 @@ class DistributionSpec:
 # ranks
 # ---------------------------------------------------------------------------
 
-def rank_with_margin(vectors: np.ndarray, tol: float,
-                     band: float = None) -> tuple[np.ndarray, np.ndarray]:
+def rank_with_margin(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Batched rank of stacked row vectors, plus a marginal flag.
 
     ``vectors`` has shape (..., k, dim).  A decision is marginal when some
-    singular value falls within a factor ``band`` of ``tol``.
+    singular value falls within a factor ``DEFAULTS.marginal_band`` of ``tol``.
     """
-    band = DEFAULTS.marginal_band if band is None else band
+    band = DEFAULTS.marginal_band
     sv = np.linalg.svd(np.asarray(vectors, dtype=float), compute_uv=False)
     rank = (sv > tol).sum(axis=-1)
     marginal = ((sv > tol / band) & (sv < tol * band)).any(axis=-1)
     return rank, marginal
 
 
-def distribution_rank(vectors: Sequence[np.ndarray], tol: float = None) -> int:
-    """Number of singular values of the stacked matrix above ``tol``."""
+def distribution_rank(vectors: Sequence[np.ndarray]) -> int:
+    """Number of singular values of the stacked matrix above ``DEFAULTS.rank_tol``."""
     if len(list(vectors)) == 0:
         raise EmptyInput("no vectors supplied")
-    tol = DEFAULTS.rank_tol if tol is None else float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     mat = np.vstack([np.asarray(v, dtype=float) for v in vectors])
-    rank, _ = rank_with_margin(mat, tol)
+    rank, _ = rank_with_margin(mat, DEFAULTS.rank_tol)
     return int(rank)
 
 
-def derived_distribution(d: DistributionSpec, p: np.ndarray = None,
-                         tol: float = None) -> list[np.ndarray]:
+def derived_distribution(d: DistributionSpec, p: np.ndarray = None) -> list[np.ndarray]:
     """Spanning set of D_p + [D, D]_p, reduced by rank.
 
     Returns an orthonormal basis (rows) of the span of the section values
     together with all pairwise section brackets at ``p``.
     """
-    tol = DEFAULTS.rank_tol if tol is None else float(tol)
     k = len(d.span)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     mat = np.vstack([d.model.values(d.span, p)[0], d.model.brackets(d.span, pairs, p)[0]])
     u, sv, vt = np.linalg.svd(mat, full_matrices=False)
-    r = int((sv > tol).sum())
+    r = int((sv > DEFAULTS.rank_tol).sum())
     return [vt[i] for i in range(r)]

@@ -38,6 +38,12 @@ from .frame_algebra import (
 )
 from .geometry_models import LorentzExtension, constant_curvature_surface, fiber_chart, unit_tangent_frames
 
+_CURVATURE_CHECKS = 50    # prequantum_prolongation: points of the d(beta) = i_w vol check
+_CURVATURE_TOL = 1e-6     # ... and its largest |d(beta) - i_w vol|
+_PATH_CHECKS = 64         # propellor_structure: fiber times of the line-path checks
+_TWIST_CHECKS = 40        # suspension: base points of the twist-profile checks
+_TWIST_TOL = 1e-6         # ... and its largest |rho(0, v)|
+
 
 # ---------------------------------------------------------------------------
 # contact models
@@ -57,26 +63,25 @@ class ContactModel:
     transverse: Section
     legendrian_frame: Optional[Sequence[Section]] = None
 
-    def validate(self, n_samples: int = 50, tol: float = None) -> None:
-        tol = DEFAULTS.rank_tol if tol is None else tol
+    def validate(self, n_samples: int = 50) -> None:
         pts = self.model.sample(n_samples)
         br = self.model.brackets(self.xi, [(0, 1)], pts)
         stack = np.concatenate([self.model.values(self.xi, pts), br], axis=1)
-        rank, _ = rank_with_margin(stack, tol)
+        rank, _ = rank_with_margin(stack, DEFAULTS.rank_tol)
         if not np.all(rank == 3):
             raise NotContact("xi + [xi, xi] fails to have rank 3 at a sample point")
 
 
-def standard_contact_r3(half: float = 2.0) -> ContactModel:
-    """(R^3, ker(dy - z dx)) on a chart box, with the Legendrian frame
-    (d/dx + z d/dy, d/dz)."""
+def standard_contact_r3() -> ContactModel:
+    """(R^3, ker(dy - z dx)) on the chart box [-2, 2]^3, with the Legendrian
+    frame (d/dx + z d/dy, d/dz)."""
     def frame(pts):
         # rows Xbar = d/dx + z d/dy, Y, Z
         F = np.tile(np.eye(3), (len(pts), 1, 1))
         F[:, 0, 1] = pts[:, 2]
         return F
 
-    model = ChartModel(3, [[-half, half]] * 3, frame, name="contact-r3")
+    model = ChartModel(3, [[-2.0, 2.0]] * 3, frame, name="contact-r3")
     l1 = Section((1, 0, 0), "Xbar")
     l2 = Section((0, 0, 1), "Z")
     return ContactModel(model=model, xi=(l1, l2),
@@ -185,9 +190,7 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
 
 def prequantum_prolongation(c: ContactModel, w_bar: Section,
                             vol: Callable, beta: Callable,
-                            tol: float = 1e-6,
-                            emw: Optional[Sequence[Section]] = None,
-                            n_check: int = 50) -> EngelStructure:
+                            emw: Optional[Sequence[Section]] = None) -> EngelStructure:
     """Engel structure on V x S^1 from a connection with curvature i_W vol.
 
     The base chart frame must be the coordinate frame: ``beta`` returns the
@@ -199,7 +202,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     d(beta) = i_{w_bar} vol is checked at samples.
     """
     base = c.model
-    pts = base.sample(n_check)
+    pts = base.sample(_CURVATURE_CHECKS)
     J = fd_jacobian(beta, pts, DEFAULTS.h)      # J[:, j, i] = d_i beta_j
     db = np.swapaxes(J, 1, 2) - J               # (d beta)_ij = d_i beta_j - d_j beta_i
     wv = base.values([w_bar], pts)[:, 0]
@@ -212,9 +215,9 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     iv[:, 1, 2] = rho * wv[:, 0]
     iv[:, 2, 1] = -iv[:, 1, 2]
     defect = float(np.abs(db - iv).max())
-    if defect > tol:
+    if defect > _CURVATURE_TOL:
         raise CurvatureMismatch(
-            f"d(beta) differs from i_w vol by {defect:.3e} (tol {tol:g})")
+            f"d(beta) differs from i_w vol by {defect:.3e} (tol {_CURVATURE_TOL:g})")
 
     def frame(pts):
         # rows h_i = d/dq_i - beta_i d/dtheta, then Theta = d/dtheta
@@ -335,8 +338,7 @@ def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
 
 def propellor_structure(monodromy: np.ndarray,
                         line_path: Optional[Callable] = None,
-                        turns: int = 1,
-                        n_check: int = 64) -> tuple[ContactModel, EngelStructure]:
+                        turns: int = 1) -> tuple[ContactModel, EngelStructure]:
     """Mapping-torus contact model with a rotating fiberwise line field and
     its pre-quantum prolongation.
 
@@ -352,7 +354,7 @@ def propellor_structure(monodromy: np.ndarray,
     L = _logm2(m)
     path = line_path if line_path is not None else propellor_line_path(m, turns=turns)
 
-    ts = np.linspace(0.0, 1.0, n_check)
+    ts = np.linspace(0.0, 1.0, _PATH_CHECKS)
     ab0 = np.atleast_2d(path(ts))
     ab1 = np.atleast_2d(path(ts + 1.0))
     if np.abs(ab1 - ab0 @ m.T).max() > 1e-8:
@@ -481,8 +483,7 @@ class SuspensionData:
         return np.mod(np.arctan2(coef[:, 1], coef[:, 0]), np.pi)
 
 
-def suspension(sd: SuspensionData, n_check: int = 40,
-               tol: float = 1e-6) -> EngelStructure:
+def suspension(sd: SuspensionData) -> EngelStructure:
     """Mapping-torus Engel structure: D rotates by the twist profile rho.
 
     The chart covers the fundamental domain t in [0, 1]; deck-gluing data is
@@ -492,9 +493,9 @@ def suspension(sd: SuspensionData, n_check: int = 40,
     frame = _legendrian_frame(c)
     c.validate()
     base = c.model
-    pts = base.sample(n_check)
+    pts = base.sample(_TWIST_CHECKS)
     r0 = np.atleast_1d(sd.rho(np.zeros(pts.shape[0]), pts))
-    if np.abs(r0).max() > tol:
+    if np.abs(r0).max() > _TWIST_TOL:
         raise TwistMonotonicityError("rho(0, v) must vanish")
     r1 = np.atleast_1d(sd.rho(np.ones(pts.shape[0]), pts))
     d = sd.twisting_angle(pts)
@@ -518,9 +519,9 @@ def suspension(sd: SuspensionData, n_check: int = 40,
     return _rotating_plane(model, angle, "suspension", {"suspension": sd})
 
 
-def suspension_identity(c: ContactModel = None, K: int = 1) -> EngelStructure:
-    """Suspension by the identity with rho = K pi t (reproduces Cartan)."""
-    c = standard_contact_r3() if c is None else c
+def suspension_identity(K: int = 1) -> EngelStructure:
+    """Suspension of contact R^3 by the identity, rho = K pi t (reproduces Cartan)."""
+    c = standard_contact_r3()
     ident = lambda pts: np.atleast_2d(pts).copy()
     dident = lambda pts: np.broadcast_to(np.eye(3), (np.atleast_2d(pts).shape[0], 3, 3)).copy()
     sd = SuspensionData(contact=c, phi=ident, dphi=dident, phi_inv=ident,

@@ -122,9 +122,9 @@ def sample_d_curves(controls: Sequence, T: float, dt: float,
 
 
 def sample_d_curve(controls, T: float, dt: float,
-                   start=(0.0, 0.0, 0.0, 0.0), long_chart: bool = False) -> DCurve:
-    """Integrate the control ODE; tangency holds by construction."""
-    return sample_d_curves([controls], T, dt, start=start, long_chart=long_chart)[0]
+                   start=(0.0, 0.0, 0.0, 0.0)) -> DCurve:
+    """Integrate the control ODE in the standard chart (tangent by construction)."""
+    return sample_d_curves([controls], T, dt, start=start)[0]
 
 
 def sample_d_curves_batch(u_values: np.ndarray, v_values: np.ndarray,
@@ -172,15 +172,23 @@ def inaba_identity_check(c: DCurve) -> float:
 # accessible-set and rigidity probes
 # ---------------------------------------------------------------------------
 
-def _control_modes(rng: np.random.Generator, n_modes: int, amplitude: float):
+_N_MODES = 3            # cosine modes of one random control
+_AMPLITUDE = 1.0        # bound of each mode's amplitude
+_EPS_GRID = np.array([0.4 / 2 ** k for k in range(8)])    # amplitudes of the eps sweep
+_DS = 1e-4              # variations: step in s of the central differences
+_DT = 1e-3              # variations: curve step
+_TANGENCY_TOL = 1e-6    # largest tangency residual of a deformed D-curve
+_NULL_TOL = 1e-8        # null-defect bound, or 1e3 dt^2 where that is larger
+
+
+def _control_modes(rng: np.random.Generator):
     """Amplitudes and frequencies (in {1, 2, 3}) of one random control."""
-    return rng.uniform(-amplitude, amplitude, size=n_modes), rng.integers(1, 4, size=n_modes)
+    return rng.uniform(-_AMPLITUDE, _AMPLITUDE, size=_N_MODES), rng.integers(1, 4, size=_N_MODES)
 
 
-def random_admissible_controls(rng: np.random.Generator, n_modes: int = 3,
-                               amplitude: float = 1.0):
+def random_admissible_controls(rng: np.random.Generator):
     """Smooth u with u(t) = O(t) near zero (and v = 1), for the w = t class."""
-    coeffs, freqs = _control_modes(rng, n_modes, amplitude)
+    coeffs, freqs = _control_modes(rng)
 
     def u(t):
         t = np.atleast_1d(t)
@@ -192,9 +200,8 @@ def random_admissible_controls(rng: np.random.Generator, n_modes: int = 3,
     return u, (lambda t: np.ones_like(np.atleast_1d(t), dtype=float))
 
 
-def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: float,
-                            n_modes: int = 3, amplitude: float = 1.0) -> np.ndarray:
-    """u of ``n`` successive ``random_admissible_controls(rng, ...)`` on the
+def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: float) -> np.ndarray:
+    """u of ``n`` successive ``random_admissible_controls(rng)`` on the
     half-step grid of (T, dt), one row per curve (v = 1).
 
     The draws come from ``rng`` in the same order and the modes are summed
@@ -202,8 +209,7 @@ def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: floa
     Rows are summed 64 at a time, to keep the temporaries small.
     """
     _, tgrid = _half_step_grid(T, dt)
-    coeffs, freqs = map(np.array, zip(*(_control_modes(rng, n_modes, amplitude)
-                                        for _ in range(n))))
+    coeffs, freqs = map(np.array, zip(*(_control_modes(rng) for _ in range(n))))
     cos_modes = np.cos(np.pi * np.arange(1, 4)[:, None] * tgrid)
     U = np.zeros((n, tgrid.size))
     for lo in range(0, n, 64):
@@ -214,8 +220,7 @@ def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: floa
 
 
 def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
-                   seed: int = 0, eps_grid: Sequence[float] = None,
-                   n_modes: int = 3, amplitude: float = 1.0) -> dict:
+                   seed: int = 0) -> dict:
     """Two experiments behind the rigidity of W-curves.
 
     (a) every admissible nontrivial D-curve from the origin ends strictly
@@ -223,22 +228,18 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
     |y(T)| = O(eps^2) while sup |z| = O(eps), so forcing y(T) to zero forces
     the curve onto the W-axis.
     """
-    U = random_admissible_table(np.random.default_rng(seed), n_trials, T, dt,
-                                n_modes, amplitude)
+    U = random_admissible_table(np.random.default_rng(seed), n_trials, T, dt)
     ends = sample_d_curves_batch(U, np.broadcast_to(1.0, U.shape), T, dt)[:, -1, :]
     regions = access_regions(ends).tolist()
 
-    eps_grid = np.array([0.4 / 2 ** k for k in range(8)]) if eps_grid is None else np.asarray(eps_grid)
     _, tgrid = _half_step_grid(T, dt)
-    U = eps_grid[:, None] * np.sin(np.pi * tgrid)
+    U = _EPS_GRID[:, None] * np.sin(np.pi * tgrid)
     sweep = [{
         "eps": float(eps),
         "abs_yT": float(abs(pts[-1, 1])),
         "sup_z": float(np.abs(pts[:, 2]).max()),
         "cone_value": boundary_cone_value(pts[-1]),
-    } for eps, pts in zip(eps_grid, sample_d_curves_batch(U, np.ones_like(U), T, dt))]
-    y_over_eps2 = [s["abs_yT"] / s["eps"] ** 2 for s in sweep]
-    z_over_eps = [s["sup_z"] / s["eps"] for s in sweep]
+    } for eps, pts in zip(_EPS_GRID, sample_d_curves_batch(U, np.ones_like(U), T, dt))]
     return {
         "n_trials": int(n_trials),
         "T": float(T),
@@ -246,8 +247,8 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
         "n_outside_accessible": int(sum(r not in ("A+", "AW") for r in regions)),
         "max_cone_value": float(boundary_cone_values(ends).max()),
         "sweep": sweep,
-        "y_over_eps2": [float(v) for v in y_over_eps2],
-        "z_over_eps": [float(v) for v in z_over_eps],
+        "y_over_eps2": [s["abs_yT"] / s["eps"] ** 2 for s in sweep],
+        "z_over_eps": [s["sup_z"] / s["eps"] for s in sweep],
     }
 
 
@@ -273,10 +274,7 @@ def bump_profile(eps: float = 1.0):
 
 
 def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
-                                 perturbation: Callable = None,
-                                 profile: tuple = None,
-                                 ds: float = 1e-4, dt: float = 1e-3,
-                                 tangency_tol: float = 1e-6) -> dict:
+                                 perturbation: Callable = None) -> dict:
     """First-order escape of a variation through D-curves from E.
 
     ``kind == "w_curve"``: the base is the vertical curve (0, 0, 0, theta) in
@@ -285,10 +283,10 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
     d y / d s (0, .) must vanish (IWR), regardless of the projective length.
 
     ``kind == "transverse"``: the base is the x-axis segment, deformed
-    through the 2-jet graphs of s f(x); |d y / d s| reaches sup |f| (LSF).
+    through the 2-jet graphs of s f(x), f the unit bump; |dy/ds| reaches sup |f| (LSF).
 
     Richardson extrapolation over the central difference in s; residuals of
-    the deformed curves are checked against ``tangency_tol``.
+    the deformed curves are checked against ``_TANGENCY_TOL``.
     """
     if kind == "w_curve":
         g = perturbation if perturbation is not None else (
@@ -302,24 +300,24 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
                            + s * s * np.asarray(g(t), dtype=float) ** 2)
             return u, (lambda t: np.ones_like(np.atleast_1d(t), dtype=float))
 
-        tgrid = np.linspace(0.0, length, max(1, int(round(length / dt))) + 1)
+        tgrid = np.linspace(0.0, length, max(1, int(round(length / _DT))) + 1)
         norm = float(np.abs(np.asarray(g(tgrid), dtype=float)).max())
         if norm == 0.0:
             return {"max_dy_ds": 0.0, "norm": 0.0, "per_time": np.zeros_like(tgrid)}
-        curves = sample_d_curves([controls(s) for s in (ds, -ds, ds / 2, -ds / 2)],
-                                 length, dt, long_chart=True)
-        if any(c.tangency_residual() > tangency_tol for c in curves):
+        curves = sample_d_curves([controls(s) for s in (_DS, -_DS, _DS / 2, -_DS / 2)],
+                                 length, _DT, long_chart=True)
+        if any(c.tangency_residual() > _TANGENCY_TOL for c in curves):
             raise VariationNotDCurve("deformed curve left the D-curve class")
         y_p, y_m, y_hp, y_hm = (c.points[:, 1] for c in curves)
-        d1 = (y_p - y_m) / (2 * ds)
-        d2 = (y_hp - y_hm) / ds
+        d1 = (y_p - y_m) / (2 * _DS)
+        d2 = (y_hp - y_hm) / _DS
         deriv = (4.0 * d2 - d1) / 3.0
         return {"max_dy_ds": float(np.abs(deriv).max()), "norm": norm,
                 "per_time": deriv}
 
     if kind == "transverse":
-        f, fp, fpp = profile if profile is not None else bump_profile(1.0)
-        xs = np.linspace(-1.0, 1.0, max(3, int(round(2.0 / dt)) + 1))
+        f, fp, fpp = bump_profile(1.0)
+        xs = np.linspace(-1.0, 1.0, max(3, int(round(2.0 / _DT)) + 1))
         fx = np.asarray(f(xs), dtype=float)
         norm = float(np.abs(fx).max())
 
@@ -327,11 +325,11 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
             return np.stack([xs, s * fx, s * np.asarray(fp(xs), dtype=float),
                              s * np.asarray(fpp(xs), dtype=float)], axis=1)
 
-        for s in (ds, -ds):
+        for s in (_DS, -_DS):
             c = DCurve(times=xs, points=curve(s), controls=(None, None))
-            if c.tangency_residual() > max(tangency_tol, 10 * abs(s) * dt ** 2):
+            if c.tangency_residual() > max(_TANGENCY_TOL, 10 * abs(s) * _DT ** 2):
                 raise VariationNotDCurve("jet-graph variation failed tangency")
-        deriv = (curve(ds)[:, 1] - curve(-ds)[:, 1]) / (2 * ds)
+        deriv = (curve(_DS)[:, 1] - curve(-_DS)[:, 1]) / (2 * _DS)
         return {"max_dy_ds": float(np.abs(deriv).max()), "norm": norm,
                 "per_time": deriv}
 
@@ -343,9 +341,7 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
 # ---------------------------------------------------------------------------
 
 def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
-                         T: float = 3.0, dt: float = 1e-3,
-                         eta: Callable = None, ds: float = 1e-4,
-                         null_tol: float = 1e-8) -> dict:
+                         T: float = 3.0, eta: Callable = None) -> dict:
     """max_t |dg(beta', dB/ds)| for a variation through null curves.
 
     The base is a null geodesic of (Sigma x S^1, dh - dtheta^2): a unit-speed
@@ -358,7 +354,7 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     """
     ut = unit_tangent_frames(surface)
     X = lambda p: ut.model.frame(p)[:, 0]
-    times, pts3, _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, dt)
+    times, pts3, _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, _DT)
     pts3 = pts3[0]
     xy = pts3[:, :2]
     phi = pts3[:, 2]
@@ -375,18 +371,18 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
 
     def theta_of(s):
         curve = xy + s * eta_t
-        vel = np.gradient(curve, dt, axis=0)
+        vel = np.gradient(curve, _DT, axis=0)
         speed = np.sqrt(surface.lam_at(curve) * (vel ** 2).sum(axis=1))
-        theta = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dt)])
+        theta = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * _DT)])
         # null defect of the lifted curve: dh(B', B') - (theta')^2
-        thdot = np.gradient(theta, dt)
+        thdot = np.gradient(theta, _DT)
         defect = surface.lam_at(curve) * (vel ** 2).sum(axis=1) - thdot ** 2
         interior = slice(2, -2)
-        if np.abs(defect[interior]).max() > max(null_tol, 1e3 * dt ** 2):
+        if np.abs(defect[interior]).max() > max(_NULL_TOL, 1e3 * _DT ** 2):
             raise NotNull("null constraint drifted beyond tolerance")
         return theta
 
-    dtheta_ds = (theta_of(ds) - theta_of(-ds)) / (2 * ds)
+    dtheta_ds = (theta_of(_DS) - theta_of(-_DS)) / (2 * _DS)
     pairing = lam * np.einsum("ni,ni->n", beta_dot, eta_t) - dtheta_ds
     interior = slice(2, -2)
     return {

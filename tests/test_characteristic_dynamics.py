@@ -507,6 +507,13 @@ class TestGlobalType:
         est = estimate_global_type(s, n_orbits=1, T_max=20.0, dt=1e-2)
         assert est.kind == want
 
+    def test_thresholds_in_evidence(self, preset_cache):
+        s = preset_cache("lorentz-magnetic-lie", kappa=1.0)["structure"]
+        th = estimate_global_type(s, n_orbits=1, T_max=20.0, dt=1e-2).evidence["thresholds"]
+        assert list(th.items()) == [("c_min", 0.05), ("r2_min", 0.99),
+                                    ("distortion_bound", 1000.0), ("line_angle_tol", 0.001),
+                                    ("cross_eps", 0.001)]
+
     def test_hyperbolic_invariant_lines(self, preset_cache):
         # kappa = -0.5: l^u,s = <0.5 Theta +- Yt> recovered to 1e-3
         s = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]

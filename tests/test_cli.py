@@ -1,6 +1,10 @@
 """Exit-code contract, artifact determinism, and malformed-config handling."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,12 +136,35 @@ class TestOutOfRangeInput:
         (["rigidity", "--trials", "0"], "trials must be at least 1"),
         # a negative rank tolerance would count every singular value
         (["verify", "--preset", "integrable-counterexample", "--tol", "-1"],
-         "tol must be positive"),
+         "tol must be finite and positive"),
+        (["verify", "--preset", "darboux", "--tol", "inf"], "tol must be finite and positive"),
+        (["orbit", "--preset", "darboux", "--p0", "0,0,0"], "p0 must be 4 numbers"),
+        (["orbit", "--preset", "darboux", "--dt", "0"], "dt must be finite and positive"),
+        (["orbit", "--preset", "darboux", "--dt", "-1"], "dt must be finite and positive"),
+        (["rigidity", "-T", "-1"], "T must be finite and positive"),
+        (["classify", "--preset", "darboux", "--orbits", "0"], "orbits must be at least 1"),
+        (["classify", "--preset", "darboux", "--orbits", "-2"], "orbits must be at least 1"),
+        # Halton indices below 0 would put every sample at the box corner
+        (["verify", "--preset", "darboux", "--samples", "5", "--seed", "-200"],
+         "seed must be an integer, at least 0"),
+        (["rigidity", "--seed", "-3"], "seed must be an integer, at least 0"),
     ])
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv, why):
         assert run([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {why}, got ")
         assert not any(tmp_path.iterdir())
+
+    def test_unknown_manifest_key_exit_2(self, tmp_path, capsys):
+        # a misspelled key would leave its setting at the default; rigidity's
+        # control family has no setting
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        for command, manifest, key in (("verify", {"preset": "darboux", "sampels": 3}, "sampels"),
+                                       ("rigidity", {"trials": 30, "modes": 2}, "modes")):
+            cfg.write_text(json.dumps(manifest))
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: config {cfg} has unknown keys ['{key}']\n")
+        assert not out.exists()
 
     def test_config_p0_is_checked_like_the_option(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -258,24 +285,26 @@ class TestRigidityCommand:
         assert doc["probe"]["n_outside_accessible"] == 0
         assert doc["inaba_max_residual"] < 1e-5
 
-    def test_artifact_ignores_thread_setting(self, tmp_path, monkeypatch):
-        # a result must not depend on the environment, thread settings included
-        artifacts = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("ENGEL_LAB_THREADS", threads)
+    def test_artifact_ignores_thread_setting(self, tmp_path):
+        # a result must not depend on the environment, the BLAS thread count
+        # included: each run is a fresh process, since OpenBLAS reads the
+        # setting once when numpy is imported
+        runs = (["verify", "--preset", "lorentz-magnetic", "--kappa", "-0.5"],
+                ["rigidity", "--trials", "60"])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        artifacts = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
             out = tmp_path / threads
-            assert run(["rigidity", "--trials", "60", "--out", str(out)]) == 0
-            artifacts.append((out / "rigidity.json").read_bytes())
-        assert artifacts[0] == artifacts[1]
-        doc = json.loads(artifacts[0])
+            for argv in runs:
+                subprocess.run([sys.executable, "-m", "engel_lab.cli", *argv, "--out", str(out)],
+                               env=env, check=True, capture_output=True)
+            artifacts[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert list(artifacts["1"]) == ["rigidity.json", "verify_lorentz-magnetic.json"]
+        assert artifacts["1"] == artifacts["2"]
+        doc = json.loads(artifacts["1"]["rigidity.json"])
         assert doc["probe"]["n_trials"] == 60
         assert doc["probe"]["n_outside_accessible"] == 0
-
-    def test_manifest_control_family(self, tmp_path):
-        cfg = tmp_path / "rig.json"
-        cfg.write_text(json.dumps({"trials": 30, "modes": 2, "amplitude": 0.5,
-                                   "out": str(tmp_path)}))
-        assert run(["rigidity", "--config", str(cfg)]) == 0
 
 
 class TestReportCommand:

@@ -47,6 +47,14 @@ class TestVerify:
         assert set(rec) == {"point", "rank_D", "rank_E", "rank_EE",
                             "cauchy_angle_error", "marginal"}
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
+    def test_tolerance_must_be_finite_and_positive(self, preset_cache, tol):
+        # a negative tolerance counts every singular value toward a rank, so
+        # the counterexample would pass
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            verify_engel(preset_cache("integrable-counterexample")["structure"],
+                         n_samples=5, tol=tol)
+
     def test_marginal_rank_is_flagged_not_decided(self):
         # a D section sitting a factor of ~2 above the tolerance must be
         # reported as marginal instead of silently rank-decided

@@ -17,6 +17,7 @@ from engel_lab.frame_algebra import (
     derived_distribution,
     distribution_rank,
     fd_jacobian,
+    halton_points,
 )
 from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT
 from engel_lab.engel_verify import darboux_standard, sample_box
@@ -208,6 +209,13 @@ def test_fd_jacobian_batched_shape():
     J = fd_jacobian(stacked(f, const_field([0, 1, 0, 0])), pts, 1e-5)
     assert J.shape == (7, 2, 4, 4)
     assert np.array_equal(J[:, 0], fd_jacobian(f, pts, 1e-5))
+
+
+def test_halton_refuses_negative_skip():
+    # a negative Halton index has no digits: every point would be the corner
+    assert np.array_equal(halton_points(3, 4, skip=0)[0], [0.5, 1 / 3, 0.2, 1 / 7])
+    with pytest.raises(ValueError, match="skip must be >= 0"):
+        halton_points(5, 4, skip=-200)
 
 
 def test_bracket_chart_refuses_unstacked_values():

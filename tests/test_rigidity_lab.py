@@ -263,14 +263,11 @@ class TestInabaIdentity:
 class TestRigidityProbe:
     def test_control_table_rows_equal_closures(self):
         # one table row per closure, from the same draws and bit for bit
-        for n_modes, amplitude in ((3, 1.0), (5, 0.3)):
-            U = random_admissible_table(np.random.default_rng(4), 70, 1.0, 1e-3,
-                                        n_modes, amplitude)
-            rng = np.random.default_rng(4)
-            tgrid = np.linspace(0.0, 1.0, 2001)
-            want = [random_admissible_controls(rng, n_modes, amplitude)[0](tgrid)
-                    for _ in range(70)]
-            assert np.array_equal(U, want)
+        U = random_admissible_table(np.random.default_rng(4), 70, 1.0, 1e-3)
+        rng = np.random.default_rng(4)
+        tgrid = np.linspace(0.0, 1.0, 2001)
+        want = [random_admissible_controls(rng)[0](tgrid) for _ in range(70)]
+        assert np.array_equal(U, want)
 
     def test_thousand_trials_stay_accessible(self):
         probe = rigidity_probe(T=1.0, n_trials=1000, dt=1e-3, seed=7)
@@ -337,12 +334,11 @@ class TestInfinitesimalRigidity:
         assert out_long["max_dy_ds"] <= 1e-6 * out_long["norm"]
 
         # standard chart: controls (s g, 1) with w = t
-        from engel_lab.rigidity_lab import sample_d_curve as sdc
         g = lambda t: np.sin(2 * np.atleast_1d(t))
         ds = 1e-4
 
         def y_of(s):
-            c = sdc((lambda t: s * g(t), ONES), 1.2, 1e-3, long_chart=False)
+            c = sample_d_curve((lambda t: s * g(t), ONES), 1.2, 1e-3)
             return c.points[:, 1]
 
         d1 = (y_of(ds) - y_of(-ds)) / (2 * ds)
