@@ -25,17 +25,19 @@ from .serialize import SCHEMA_VERSION, write_csv, write_json
 
 KAPPA_SWEEP = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 # the run settings (flags and --config keys); for those with a range, what a
-# value must be and the test of it
+# value must be and the test of it, checked in order
 _KEYS = ("preset", "kappa", "T", "dt", "trials", "seed", "tol",
          "samples", "orbits", "out", "format", "p0")
-_POSITIVE = ("finite and positive", lambda v: np.isfinite(v) & (v > 0))
-_COUNT = ("at least 1", lambda v: v >= 1)
-_RANGES = {"T": ("a finite nonzero number", lambda v: np.isfinite(v) & (v != 0)),
+_INTEGER = lambda v: np.isfinite(v) & (v == np.floor(v))
+_POSITIVE = (("finite and positive", lambda v: np.isfinite(v) & (v > 0)),)
+_COUNT = (("an integer", _INTEGER), ("at least 1", lambda v: v >= 1))
+_RANGES = {"T": (("a finite nonzero number", lambda v: np.isfinite(v) & (v != 0)),),
            "dt": _POSITIVE, "tol": _POSITIVE,
            "samples": _COUNT, "trials": _COUNT, "orbits": _COUNT,
-           "seed": ("an integer, at least 0",
-                    lambda v: np.isfinite(v) & (v >= 0) & (v == np.floor(v))),
-           "p0": ("comma-separated numbers", np.isfinite)}
+           # verify's Halton indices run from seed + 101 on, and must fit in int64
+           "seed": (("an integer, at least 0", lambda v: _INTEGER(v) & (v >= 0)),
+                    (f"at most {2 ** 62}", lambda v: v <= 2 ** 62)),
+           "p0": (("comma-separated numbers", np.isfinite),)}
 
 
 def _manifest_from_args(args, **ranges) -> dict:
@@ -56,18 +58,27 @@ def _manifest_from_args(args, **ranges) -> dict:
             manifest[key] = val
     if isinstance(manifest.get("p0"), str):
         manifest["p0"] = manifest["p0"].split(",")
-    for key, (want, ok) in {**_RANGES, **ranges}.items():
-        try:
-            good = key not in manifest or np.all(ok(np.asarray(manifest[key], dtype=float)))
-        except (TypeError, ValueError):
-            good = False
-        if not good:
-            raise ConfigError(f"{key} must be {want}, got {manifest[key]!r}")
+    for key, checks in {**_RANGES, **ranges}.items():
+        for want, ok in checks:
+            try:
+                good = key not in manifest or np.all(ok(np.asarray(manifest[key], dtype=float)))
+            except (TypeError, ValueError):
+                good = False
+            if not good:
+                raise ConfigError(f"{key} must be {want}, got {manifest[key]!r}")
     manifest.setdefault("seed", 0)
     manifest.setdefault("format", "json")
     if manifest.get("format") not in ("json", "csv"):
         raise ConfigError("--format must be json or csv")
     return manifest
+
+
+def _horizon(manifest, T: float, dt: float) -> tuple[float, float]:
+    """The run's T and dt, defaults given; a step longer than |T| is refused."""
+    T, dt = float(manifest.get("T", T)), float(manifest.get("dt", dt))
+    if dt > abs(T):
+        raise ConfigError(f"dt must be at most |T|, got dt={dt!r} with T={T!r}")
+    return T, dt
 
 
 def _build(manifest) -> dict:
@@ -124,11 +135,11 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     manifest = _manifest_from_args(args)
+    T, dt = _horizon(manifest, 20.0, 1e-2)
     s = _build(manifest)["structure"]
     with _rank_failures_named(s, manifest["preset"]):
         est = dyn.estimate_global_type(s, n_orbits=int(manifest.get("orbits", 3)),
-                                       T_max=float(manifest.get("T", 20.0)),
-                                       dt=float(manifest.get("dt", 1e-2)))
+                                       T_max=T, dt=dt)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "preset": manifest["preset"],
@@ -146,9 +157,8 @@ def cmd_classify(args) -> int:
 
 def cmd_orbit(args) -> int:
     manifest = _manifest_from_args(args)
+    T, dt = _horizon(manifest, 5.0, 1e-3)
     s = _build(manifest)["structure"]
-    T = float(manifest.get("T", 5.0))
-    dt = float(manifest.get("dt", 1e-3))
     # by default a tenth of the chart box past its center, or a Lie model's base point
     p0 = np.array(manifest["p0"], dtype=float) if "p0" in manifest else s.model.point(0.6)
     if p0.shape[-1:] != (s.model.dim,):
@@ -180,8 +190,7 @@ def cmd_orbit(args) -> int:
 def cmd_rigidity(args) -> int:
     manifest = _manifest_from_args(args, T=_POSITIVE)     # D-curves run forward in time
     trials = int(manifest.get("trials", 1000))
-    T = float(manifest.get("T", 1.0))
-    dt = float(manifest.get("dt", 1e-3))
+    T, dt = _horizon(manifest, 1.0, 1e-3)
     seed = int(manifest["seed"])
     probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed)
 
@@ -210,12 +219,11 @@ def cmd_report(args) -> int:
     preset = manifest.get("preset", "kappa-sweep")
     if preset != "kappa-sweep":
         raise ConfigError("report supports --preset kappa-sweep")
+    T, dt = _horizon(manifest, 20.0, 1e-2)
     rows = []
     for kappa in KAPPA_SWEEP:
         built = build_preset("lorentz-magnetic-lie", kappa=kappa)
-        est = dyn.estimate_global_type(built["structure"], n_orbits=1,
-                                       T_max=float(manifest.get("T", 20.0)),
-                                       dt=float(manifest.get("dt", 1e-2)))
+        est = dyn.estimate_global_type(built["structure"], n_orbits=1, T_max=T, dt=dt)
         c = kappa * (kappa + 1.0)
         expected = "elliptic" if c > 0 else ("parabolic" if c == 0 else "hyperbolic")
         rows.append({

@@ -32,11 +32,14 @@ broadcasts against any batch of points.
 
 Points are numpy arrays.  A frame function takes a batch ``(n, dim)``; a
 :class:`ChartVectorField` and the protocol methods also accept a single point
-``(dim,)``, and the protocol methods always return a leading batch axis.
+``(dim,)``, and the protocol methods always return a leading batch axis.  A
+chart ``flow`` integrates the section's ``field``, which for a constant
+section is one frame call and a sum over its nonzero coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -235,6 +238,11 @@ class ChartModel:
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (self.dim, 2):
             raise DimensionMismatch("box must be (dim, 2)")
+        # the box test's bounds, infinite on the periodic coordinates, which
+        # never leave the chart; read-only periods keep the bounds theirs
+        self.periodic = MappingProxyType(dict(self.periodic))
+        self._lo, self._hi = self.box.T.copy()
+        self._lo[list(self.periodic)], self._hi[list(self.periodic)] = -np.inf, np.inf
 
     @property
     def kind(self) -> str:
@@ -250,36 +258,49 @@ class ChartModel:
             raise ValueError("chart sections need a point")
         return self._values(sections, _as_batch(pts, self.dim)[0])
 
-    def _values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
-        """``values`` at a batch already shaped (n, dim)."""
+    def _frame_at(self, pts: np.ndarray) -> np.ndarray:
+        """The frame at a batch already shaped (n, dim): (n, dim, dim)."""
         F = np.asarray(self.frame(pts), dtype=float)
         if F.shape != (pts.shape[0], self.dim, self.dim):
             raise DimensionMismatch(f"frame returned {F.shape}, expected "
                                     f"{(pts.shape[0], self.dim, self.dim)}")
+        return F
+
+    def _values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
+        """``values`` at a batch already shaped (n, dim)."""
+        F = self._frame_at(pts)
         co = np.empty((pts.shape[0], len(sections), self.dim))
         for k, s in enumerate(sections):
             c = s.coeff_at(pts)
             if c.shape[-1] != self.dim:
                 raise DimensionMismatch("section does not match the model frame")
             co[:, k] = c
+        # sum_i c_i F_i in frame order, one frame field at a time
         out = np.zeros((pts.shape[0], len(sections), self.dim))
-        # sum_i c_i F_i in frame order.  Up to a few hundred coefficients one
-        # multiply forms every product, since numpy's per-call cost dominates
-        # there (a single-point field in the orbit RK4); larger stacks multiply
-        # one frame field at a time, which is faster from about 300 on
-        if co.size <= 256:
-            terms = co[:, :, :, None] * F[:, None]
-            for i in range(self.dim):
-                out += terms[:, :, i]
-        else:
-            for i in range(self.dim):
-                out += co[:, :, i:i + 1] * F[:, None, i, :]
+        for i in range(self.dim):
+            out += co[:, :, i:i + 1] * F[:, None, i, :]
         return out
 
     def field(self, section: "Section") -> ChartVectorField:
-        """The section as an evaluable chart field, one point or a batch."""
-        return ChartVectorField(self.dim, lambda pts: self._values([section], pts)[:, 0],
-                                name=section.name or "section")
+        """The section as an evaluable chart field, one point or a batch.
+
+        A constant section is fused: one frame call, then sum c_i F_i over
+        its nonzero c_i in frame order from zero.  Where the frame is finite
+        that is :meth:`values` bit for bit: its zero terms add nothing.
+        """
+        if not section.is_constant:
+            return ChartVectorField(self.dim, lambda pts: self._values([section], pts)[:, 0],
+                                    name=section.name or "section")
+        if len(row := section.constant_coeffs()) != self.dim:
+            raise DimensionMismatch("section does not match the model frame")
+        terms = [(i, float(c)) for i, c in enumerate(row) if c != 0]
+
+        def components(pts):
+            F, out = self._frame_at(pts), np.zeros(pts.shape)
+            for i, c in terms:
+                out += c * F[:, i]
+            return out
+        return ChartVectorField(self.dim, components, name=section.name or "section")
 
     def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
                  pts: np.ndarray) -> np.ndarray:
@@ -302,13 +323,14 @@ class ChartModel:
 
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Whether each point lies in the padded box; periodic coordinates
-        are not checked."""
+        are unbounded, and NaN lies nowhere."""
         pts, single = _as_batch(p, self.dim)
-        inside = (pts >= self.box[:, 0] - pad) & (pts <= self.box[:, 1] + pad)
-        if self.periodic:
-            inside[:, list(self.periodic)] = True
-        ok = inside.all(axis=1)
+        ok = self._inside(pts, pad)
         return ok[0] if single else ok
+
+    def _inside(self, pts: np.ndarray, pad: float) -> np.ndarray:
+        """``contains`` at a batch already shaped (n, dim)."""
+        return ((pts >= self._lo - pad) & (pts <= self._hi + pad)).all(axis=1)
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [lo, lo + period)."""
@@ -364,9 +386,10 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
 
     ``T`` is one signed horizon or one per row of equal size; every row takes
     n = round(|T| / dt) steps of T / n.  With a chart ``model`` a row stops at
-    the first step whose point leaves the box; periodic coordinates never
-    leave it.  Returns (times, points (B, n + 1, dim), NaN past each row's
-    end, steps kept per row); each row is bit-identical to a one-row run.
+    the first step whose point leaves the box (``contains`` with pad 1e-9);
+    a step to NaN or inf raises :class:`NonFiniteEvaluation`.  Returns (times,
+    points (B, n + 1, dim), NaN past each row's end, steps kept per row);
+    each row is bit-identical to a one-row run.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     times, nsteps = _time_grid(T, dt)
@@ -381,8 +404,10 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
         k3 = f(p + half * k2)
         k4 = f(p + h * k3)
         p = p + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(p).all():
+            raise NonFiniteEvaluation(f"orbit reached NaN or inf at step {k + 1} of {nsteps}")
         if model is not None:
-            inside = model.contains(p, pad=1e-9)
+            inside = model._inside(p, 1e-9)
             if not inside.all():
                 kept[live[~inside]] = k
                 live, p = live[inside], p[inside]

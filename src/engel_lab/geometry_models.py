@@ -36,7 +36,8 @@ class ConformalSurface:
     """Metric lambda (dx^2 + dy^2) on a chart box in R^2.
 
     ``dlog``/``d2log`` are the analytic derivatives of log(lambda):
-    dlog(pts) -> (..., 2) and d2log(pts) -> (..., 3) ordered (xx, xy, yy).
+    dlog(pts) -> (n, 2) and d2log(pts) -> (n, 3) ordered (xx, xy, yy), at a
+    batch (n, 2) that ``lam_at``, ``dlog_at`` and ``d2log_at`` shape.
     ``kappa`` is the Gauss curvature of a constant-curvature surface,
     declared as a number, or ``None``; :func:`gauss_curvature` always
     computes the curvature from lambda.
@@ -83,9 +84,9 @@ def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarr
 def flat_surface(half: float = np.pi, periodic: bool = True) -> ConformalSurface:
     per = {0: 2 * half, 1: 2 * half} if periodic else {}
     return ConformalSurface(
-        lam=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-        dlog=lambda pts: np.zeros(np.atleast_2d(pts).shape),
-        d2log=lambda pts: np.zeros((np.atleast_2d(pts).shape[0], 3)),
+        lam=lambda pts: np.ones(len(pts)),
+        dlog=lambda pts: np.zeros(pts.shape),
+        d2log=lambda pts: np.zeros((len(pts), 3)),
         box=[[-half, half], [-half, half]],
         kappa=0.0,
         periodic=per,
@@ -108,19 +109,16 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
         half = 1.2 if kappa > 0 else 0.68 / np.sqrt(-kappa)
 
     def lam(pts):
-        pts = np.atleast_2d(pts)
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         return 4.0 / (1.0 + kappa * r2) ** 2
 
     def dlog(pts):
-        pts = np.atleast_2d(pts)
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         g = -4.0 * kappa / (1.0 + kappa * r2)
         return g[:, None] * pts[:, :2]
 
     def d2log(pts):
         # with q = 1 + kappa r^2: d_ij log(lambda) = a delta_ij + b x_i x_j / q^2
-        pts = np.atleast_2d(pts)
         x, y = pts[:, 0], pts[:, 1]
         q = 1.0 + kappa * (x * x + y * y)
         a, b, q2 = -4.0 * kappa / q, 8.0 * kappa ** 2, q ** 2
@@ -140,19 +138,16 @@ def bump_surface(a: float = 0.7, s: float = 0.9, half: float = 0.8) -> Conformal
     s2 = float(s) ** 2
 
     def g(pts):
-        pts = np.atleast_2d(pts)
         return a * np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2) / (2 * s2))
 
     def lam(pts):
         return np.exp(g(pts))
 
     def dlog(pts):
-        pts = np.atleast_2d(pts)
         gg = g(pts)
         return np.stack([gg * (-pts[:, 0] / s2), gg * (-pts[:, 1] / s2)], axis=-1)
 
     def d2log(pts):
-        pts = np.atleast_2d(pts)
         x, y = pts[:, 0], pts[:, 1]
         gg = g(pts)
         fxx = gg * (x * x / s2 ** 2 - 1.0 / s2)
@@ -175,16 +170,13 @@ def table_surface(xs, ys, lam_grid, name: str = "table") -> ConformalSurface:
     sp = RectBivariateSpline(xs, ys, grid, kx=3, ky=3)
 
     def lam(pts):
-        pts = np.atleast_2d(pts)
         return np.exp(sp.ev(pts[:, 0], pts[:, 1]))
 
     def dlog(pts):
-        pts = np.atleast_2d(pts)
         return np.stack([sp.ev(pts[:, 0], pts[:, 1], dx=1),
                          sp.ev(pts[:, 0], pts[:, 1], dy=1)], axis=-1)
 
     def d2log(pts):
-        pts = np.atleast_2d(pts)
         return np.stack([sp.ev(pts[:, 0], pts[:, 1], dx=2),
                          sp.ev(pts[:, 0], pts[:, 1], dx=1, dy=1),
                          sp.ev(pts[:, 0], pts[:, 1], dy=2)], axis=-1)

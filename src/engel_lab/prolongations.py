@@ -13,7 +13,7 @@ the suspension build one rotating plane that differs only in its angle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ _CURVATURE_TOL = 1e-6     # ... and its largest |d(beta) - i_w vol|
 _PATH_CHECKS = 64         # propellor_structure: fiber times of the line-path checks
 _TWIST_CHECKS = 40        # suspension: base points of the twist-profile checks
 _TWIST_TOL = 1e-6         # ... and its largest |rho(0, v)|
+_EYE4 = np.eye(4)         # the prequantum frame before its beta column
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +222,8 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
 
     def frame(pts):
         # rows h_i = d/dq_i - beta_i d/dtheta, then Theta = d/dtheta
-        F = np.zeros((len(pts), 4, 4))
-        F[:, :3, :3] = np.eye(3)
+        F = np.repeat(_EYE4[None], len(pts), axis=0)
         F[:, :3, 3] = -np.asarray(beta(pts[:, :3]), dtype=float)
-        F[:, 3, 3] = 1.0
         return F
 
     model = fiber_chart(base, frame, f"prequantum({base.name})")
@@ -264,10 +263,10 @@ def _sections_parallel(model, a: Section, b: Section) -> bool:
 
 
 def _beta(pts):
-    """The connection 1-form -q2 dq1, with d(beta) = dq1 ^ dq2."""
-    pts = np.atleast_2d(pts)
-    zero = np.zeros(pts.shape[0])
-    return np.stack([-pts[:, 1], zero, zero], axis=-1)
+    """The connection 1-form -q2 dq1, with d(beta) = dq1 ^ dq2, at points (n, 3)."""
+    out = np.zeros((len(pts), 3))
+    out[:, 0] = -pts[:, 1]
+    return out
 
 
 def _unit_density(pts):
@@ -393,7 +392,7 @@ def propellor_structure(monodromy: np.ndarray,
     s.provenance = "propellor"
     # the W-flow only moves t; everything entering the transport is
     # 1-periodic in t in the equivariant frame, so long orbits may wrap
-    s.model.periodic[2] = 1.0
+    s.model = replace(s.model, periodic={**s.model.periodic, 2: 1.0})
     s.aux.update({"monodromy": m, "log_monodromy": L, "line_path": path})
     return contact, s
 

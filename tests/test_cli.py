@@ -148,11 +148,35 @@ class TestOutOfRangeInput:
         (["verify", "--preset", "darboux", "--samples", "5", "--seed", "-200"],
          "seed must be an integer, at least 0"),
         (["rigidity", "--seed", "-3"], "seed must be an integer, at least 0"),
+        # seed + 101 is the first Halton index, an int64
+        (["verify", "--preset", "darboux", "--seed", "9223372036854775800"],
+         "seed must be at most 4611686018427387904"),
+        # a step longer than the horizon would be cut to it
+        (["orbit", "--preset", "darboux", "-T", "1", "--dt", "5"], "dt must be at most |T|"),
+        (["rigidity", "-T", "1", "--dt", "2"], "dt must be at most |T|"),
+        (["classify", "--preset", "darboux", "--dt", "30"], "dt must be at most |T|"),
     ])
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv, why):
         assert run([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {why}, got ")
         assert not any(tmp_path.iterdir())
+
+    def test_dt_message_names_both_values(self, tmp_path, capsys):
+        assert run(["orbit", "--preset", "darboux", "-T", "-1", "--dt", "5",
+                    "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: dt must be at most |T|, got dt=5.0 with T=-1.0\n")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("verify", "samples", 2.5), ("verify", "samples", math.inf),
+        ("rigidity", "trials", 1.5), ("classify", "orbits", math.inf)])
+    def test_manifest_counts_are_integers(self, tmp_path, capsys, command, key, value):
+        # 2.5 samples would run 2, and an infinite count cannot be converted
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"preset": "darboux", key: value}))
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be an integer, got {value!r}\n"
+        assert not out.exists()
 
     def test_unknown_manifest_key_exit_2(self, tmp_path, capsys):
         # a misspelled key would leave its setting at the default; rigidity's

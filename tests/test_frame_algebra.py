@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engel_lab.config import DEFAULTS
-from engel_lab.errors import DimensionMismatch, EmptyInput
+from engel_lab.errors import DimensionMismatch, EmptyInput, NonFiniteEvaluation
 from engel_lab.frame_algebra import (
     ChartModel,
     ChartVectorField,
@@ -235,14 +235,37 @@ def test_distribution_spec_validate(rng):
 
 class TestModelProtocol:
     def test_chart_values_match_per_section_fields(self, preset_cache):
-        # one values call over several sections agrees with each realized field
-        s = preset_cache("lorentz-magnetic", kappa=-0.5)["structure"]
-        pts = sample_box(s.model, 7)
-        sections = [*s.E_span, s.W_section]
-        vals = s.model.values(sections, pts)
-        assert vals.shape == (7, 4, 4)
-        for k, sec in enumerate(sections):
-            assert np.array_equal(vals[:, k], s.model.field(sec)(pts))
+        # on every chart preset, one values call over all its sections agrees
+        # with each realized field, the fused one of a constant section
+        # included, at one point and in a batch
+        for name in [p for p in preset_names() if not p.endswith("-lie")]:
+            s = preset_cache(name)["structure"]
+            sections = [*s.D_span, *s.E_span, s.W_section, s.transverse_section]
+            assert any(sec.is_constant for sec in sections), name
+            pts = sample_box(s.model, 7)
+            vals = s.model.values(sections, pts)
+            assert vals.shape == (7, len(sections), s.model.dim)
+            for k, sec in enumerate(sections):
+                f = s.model.field(sec)
+                assert np.array_equal(vals[:, k], f(pts)), (name, sec.name)
+                one = s.model.values([sec], pts[3])[0, 0]
+                assert np.array_equal(one, f(pts[3])), (name, sec.name)
+
+    def test_orbit_through_a_nan_frame_raises(self):
+        # the frame is NaN past x = 0.5, inside the box: a NaN is no chart exit
+        model = ChartModel(2, [[-1, 1], [-1, 1]],
+                           lambda p: np.where((p[:, 0] > 0.5)[:, None, None], np.nan, np.eye(2)))
+        with pytest.raises(NonFiniteEvaluation, match="at step 50 of 100"):
+            model.flow(Section((1, 0), "dx"), np.zeros(2), 1.0, 0.01)
+
+    def test_box_test_skips_the_periodic_coordinates(self):
+        model = ChartModel(2, [[-1, 1], [0, 1]], coordinate_frame(2), periodic={1: 1.0})
+        pts = np.array([[0.5, 7.0], [1.5, 0.5], [np.nan, 0.5], [1.0 + 1e-10, -3.0]])
+        assert np.array_equal(model.contains(pts), [True, False, False, False])
+        assert np.array_equal(model.contains(pts, pad=1e-9), [True, False, False, True])
+        assert model.contains(pts[0]) and not model.contains(pts[1])
+        with pytest.raises(TypeError):     # the bounds of the box test keep their periods
+            model.periodic[0] = 2.0
 
     def test_vector_coefficients_match_tuple(self):
         s = darboux_standard()
