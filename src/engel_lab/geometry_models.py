@@ -31,21 +31,39 @@ from .frame_algebra import ChartModel, LieModel
 TWO_PI = 2.0 * np.pi
 
 
+def _columns(pts: np.ndarray) -> list:
+    """The coordinate columns of points (n, dim): the floats of a single
+    point, where numpy's per-call cost would be most of a frame evaluation,
+    else (n,) views.  Formulas on columns square by multiplying and take
+    cos, sin, exp and other powers from numpy ufuncs, whose results do not
+    depend on the batch size, so a point and a batch row agree bit for bit
+    (a float's ``**`` is not numpy's power)."""
+    return pts[0].tolist() if len(pts) == 1 else list(pts.T)
+
+
+def _block(rows) -> np.ndarray:
+    """Rows of column entries (from :func:`_columns`) as an (n, r, c) array."""
+    B = np.array(rows, dtype=float)
+    return B[None] if B.ndim == 2 else np.moveaxis(B, -1, 0)
+
+
 @dataclass
 class ConformalSurface:
     """Metric lambda (dx^2 + dy^2) on a chart box in R^2.
 
-    ``dlog``/``d2log`` are the analytic derivatives of log(lambda):
-    dlog(pts) -> (n, 2) and d2log(pts) -> (n, 3) ordered (xx, xy, yy), at a
-    batch (n, 2) that ``lam_at``, ``dlog_at`` and ``d2log_at`` shape.
+    ``lam_dlog(x, y) -> (lambda, d_x log(lambda), d_y log(lambda))`` takes
+    coordinate columns (see :func:`_columns`), so the frame of a single point
+    computes lambda and its first log-derivatives from shared
+    subexpressions in floats.  ``d2log(pts) -> (n, 3)`` gives the second
+    log-derivatives ordered (xx, xy, yy) at a batch (n, 2).  ``lam_at``,
+    ``dlog_at`` and ``d2log_at`` evaluate a batch of points.
     ``kappa`` is the Gauss curvature of a constant-curvature surface,
     declared as a number, or ``None``; :func:`gauss_curvature` always
     computes the curvature from lambda.
     """
 
-    lam: Callable[[np.ndarray], np.ndarray]
+    lam_dlog: Callable
     box: np.ndarray
-    dlog: Callable[[np.ndarray], np.ndarray]
     d2log: Callable[[np.ndarray], np.ndarray]
     kappa: Optional[float] = None
     periodic: dict = field(default_factory=dict)
@@ -54,14 +72,20 @@ class ConformalSurface:
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
 
-    def lam_at(self, pts: np.ndarray) -> np.ndarray:
-        val = np.asarray(self.lam(np.atleast_2d(pts)), dtype=float)
-        if not (np.isfinite(val) & (val > 0)).all():
+    def lam_dlog_at(self, x, y) -> tuple:
+        """``lam_dlog`` at coordinate columns, lambda finite and positive."""
+        lam, dx, dy = self.lam_dlog(x, y)
+        if not (np.isfinite(lam) & (lam > 0)).all():
             raise NonFiniteEvaluation("conformal factor must be finite and positive")
-        return val
+        return lam, dx, dy
+
+    def lam_at(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(pts)
+        return np.asarray(self.lam_dlog_at(pts[:, 0], pts[:, 1])[0], dtype=float)
 
     def dlog_at(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.dlog(np.atleast_2d(pts)), dtype=float)
+        pts = np.atleast_2d(pts)
+        return np.stack(self.lam_dlog_at(pts[:, 0], pts[:, 1])[1:], axis=-1)
 
     def d2log_at(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.d2log(np.atleast_2d(pts)), dtype=float)
@@ -84,8 +108,7 @@ def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarr
 def flat_surface(half: float = np.pi, periodic: bool = True) -> ConformalSurface:
     per = {0: 2 * half, 1: 2 * half} if periodic else {}
     return ConformalSurface(
-        lam=lambda pts: np.ones(len(pts)),
-        dlog=lambda pts: np.zeros(pts.shape),
+        lam_dlog=lambda x, y: (np.ones_like(x), np.zeros_like(x), np.zeros_like(y)),
         d2log=lambda pts: np.zeros((len(pts), 3)),
         box=[[-half, half], [-half, half]],
         kappa=0.0,
@@ -108,14 +131,10 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
         # projected null geodesics (horocycles reach r ~ 0.8 r_sing)
         half = 1.2 if kappa > 0 else 0.68 / np.sqrt(-kappa)
 
-    def lam(pts):
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        return 4.0 / (1.0 + kappa * r2) ** 2
-
-    def dlog(pts):
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        g = -4.0 * kappa / (1.0 + kappa * r2)
-        return g[:, None] * pts[:, :2]
+    def lam_dlog(x, y):
+        q = 1.0 + kappa * (x * x + y * y)
+        g = -4.0 * kappa / q
+        return 4.0 / (q * q), g * x, g * y
 
     def d2log(pts):
         # with q = 1 + kappa r^2: d_ij log(lambda) = a delta_ij + b x_i x_j / q^2
@@ -129,7 +148,7 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
         return out
 
     name = {1.0: "sphere", -1.0: "disk"}.get(kappa, f"constant({kappa:g})")
-    return ConformalSurface(lam=lam, dlog=dlog, d2log=d2log, kappa=kappa,
+    return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log, kappa=kappa,
                             box=[[-half, half], [-half, half]], name=name)
 
 
@@ -137,25 +156,22 @@ def bump_surface(a: float = 0.7, s: float = 0.9, half: float = 0.8) -> Conformal
     """log(lambda) = a exp(-r^2 / (2 s^2)): smooth variable curvature."""
     s2 = float(s) ** 2
 
-    def g(pts):
-        return a * np.exp(-(pts[:, 0] ** 2 + pts[:, 1] ** 2) / (2 * s2))
+    def g(x, y):
+        return a * np.exp(-(x * x + y * y) / (2 * s2))
 
-    def lam(pts):
-        return np.exp(g(pts))
-
-    def dlog(pts):
-        gg = g(pts)
-        return np.stack([gg * (-pts[:, 0] / s2), gg * (-pts[:, 1] / s2)], axis=-1)
+    def lam_dlog(x, y):
+        gg = g(x, y)
+        return np.exp(gg), gg * (-x / s2), gg * (-y / s2)
 
     def d2log(pts):
         x, y = pts[:, 0], pts[:, 1]
-        gg = g(pts)
+        gg = g(x, y)
         fxx = gg * (x * x / s2 ** 2 - 1.0 / s2)
         fyy = gg * (y * y / s2 ** 2 - 1.0 / s2)
         fxy = gg * (x * y / s2 ** 2)
         return np.stack([fxx, fxy, fyy], axis=-1)
 
-    return ConformalSurface(lam=lam, dlog=dlog, d2log=d2log,
+    return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log,
                             box=[[-half, half], [-half, half]], name="bump")
 
 
@@ -169,19 +185,15 @@ def table_surface(xs, ys, lam_grid, name: str = "table") -> ConformalSurface:
     grid = np.log(np.asarray(lam_grid, dtype=float))
     sp = RectBivariateSpline(xs, ys, grid, kx=3, ky=3)
 
-    def lam(pts):
-        return np.exp(sp.ev(pts[:, 0], pts[:, 1]))
-
-    def dlog(pts):
-        return np.stack([sp.ev(pts[:, 0], pts[:, 1], dx=1),
-                         sp.ev(pts[:, 0], pts[:, 1], dy=1)], axis=-1)
+    def lam_dlog(x, y):
+        return np.exp(sp.ev(x, y)), sp.ev(x, y, dx=1), sp.ev(x, y, dy=1)
 
     def d2log(pts):
         return np.stack([sp.ev(pts[:, 0], pts[:, 1], dx=2),
                          sp.ev(pts[:, 0], pts[:, 1], dx=1, dy=1),
                          sp.ev(pts[:, 0], pts[:, 1], dy=2)], axis=-1)
 
-    return ConformalSurface(lam=lam, dlog=dlog, d2log=d2log,
+    return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log,
                             box=[[xs[0], xs[-1]], [ys[0], ys[-1]]], name=name)
 
 
@@ -234,10 +246,13 @@ def fiber_chart(base, frame: Callable[[np.ndarray], np.ndarray], name: str,
 
 @dataclass
 class UnitTangentChart:
-    """Chart model (x, y, phi) of S^1(T Sigma) with frame (X, Y, Z)."""
+    """Chart model (x, y, phi) of S^1(T Sigma) with frame (X, Y, Z);
+    ``horizontal(x, y, phi)`` gives the rows X and Y as entry triples of
+    coordinate columns."""
 
     surface: ConformalSurface
     model: ChartModel
+    horizontal: Callable
 
 
 def unit_tangent_frames(s: ConformalSurface) -> UnitTangentChart:
@@ -247,23 +262,24 @@ def unit_tangent_frames(s: ConformalSurface) -> UnitTangentChart:
     rotate by +pi/2, Z = d/dphi.  The connection coefficient enters through
     u = log(lambda)/2:  lift(v) = v + (u_y v_x - u_x v_y) d/phi.
     The conformal factor, its log-derivatives and the fiber rotation are
-    evaluated once per frame evaluation.
+    evaluated once per frame evaluation, on coordinate columns.
     """
-    def frame(pts):
-        xy = pts[:, :2]
-        lam = s.lam_at(xy)
-        du = 0.5 * s.dlog_at(xy)
-        ux, uy = du[:, 0], du[:, 1]
-        sc = lam ** -0.5
-        c, si = np.cos(pts[:, 2]), np.sin(pts[:, 2])
+    def horizontal(x, y, phi):
+        lam, dx, dy = s.lam_dlog_at(x, y)
+        ux, uy, sc = 0.5 * dx, 0.5 * dy, np.power(lam, -0.5)
+        c, si = np.cos(phi), np.sin(phi)
         sc_c, sc_s = sc * c, sc * si
+        return ((sc_c, sc_s, sc * (uy * c - ux * si)),        # X
+                (-sc_s, sc_c, -sc * (uy * si + ux * c)))      # Y
+
+    def frame(pts):
         F = np.zeros((len(pts), 3, 3))
-        F[:, 0, 0], F[:, 0, 1], F[:, 0, 2] = sc_c, sc_s, sc * (uy * c - ux * si)     # X
-        F[:, 1, 0], F[:, 1, 1], F[:, 1, 2] = -sc_s, sc_c, -sc * (uy * si + ux * c)   # Y
-        F[:, 2, 2] = 1.0                                                             # Z
+        F[:, :2] = _block(horizontal(*_columns(pts)))
+        F[:, 2, 2] = 1.0                                      # Z = d/dphi
         return F
 
-    return UnitTangentChart(surface=s, model=fiber_chart(s, frame, f"S1T({s.name})"))
+    return UnitTangentChart(surface=s, model=fiber_chart(s, frame, f"S1T({s.name})"),
+                            horizontal=horizontal)
 
 
 @dataclass
@@ -376,13 +392,14 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
     so [Theta, Xt] = Yt and [Theta, Yt] = -Xt.
     """
     def frame(pts):
-        # rows Xt, Yt (X, Y rotated by theta), Zt = Z, Theta = d/dtheta
-        F3 = ut.model.frame(pts[:, :3])
-        X, Y = F3[:, 0], F3[:, 1]
-        c, si = np.cos(pts[:, 3:]), np.sin(pts[:, 3:])
+        # rows Xt = c X + s Y and Yt = c Y - s X (X, Y rotated by theta),
+        # Zt = Z, Theta = d/dtheta
+        x, y, phi, theta = _columns(pts)
+        X, Y = ut.horizontal(x, y, phi)
+        c, si = np.cos(theta), np.sin(theta)
         F = np.zeros((len(pts), 4, 4))
-        F[:, 0, :3] = c * X + si * Y
-        F[:, 1, :3] = -si * X + c * Y
+        F[:, :2, :3] = _block([[c * a + si * b for a, b in zip(X, Y)],
+                               [c * b - si * a for a, b in zip(X, Y)]])
         F[:, 2, 2] = F[:, 3, 3] = 1.0
         return F
 

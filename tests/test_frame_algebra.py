@@ -237,7 +237,7 @@ class TestModelProtocol:
     def test_chart_values_match_per_section_fields(self, preset_cache):
         # on every chart preset, one values call over all its sections agrees
         # with each realized field, the fused one of a constant section
-        # included, at one point and in a batch
+        # included, at one point and in a batch, and the point with its row
         for name in [p for p in preset_names() if not p.endswith("-lie")]:
             s = preset_cache(name)["structure"]
             sections = [*s.D_span, *s.E_span, s.W_section, s.transverse_section]
@@ -250,6 +250,7 @@ class TestModelProtocol:
                 assert np.array_equal(vals[:, k], f(pts)), (name, sec.name)
                 one = s.model.values([sec], pts[3])[0, 0]
                 assert np.array_equal(one, f(pts[3])), (name, sec.name)
+                assert np.array_equal(one, vals[3, k]), (name, sec.name)
 
     def test_orbit_through_a_nan_frame_raises(self):
         # the frame is NaN past x = 0.5, inside the box: a NaN is no chart exit

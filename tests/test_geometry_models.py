@@ -94,6 +94,24 @@ class TestUnitTangentFrames:
             assert np.abs(ZY + X(p)).max() < 1e-6
             assert np.abs(XY - kappa * Z(p)).max() < 1e-5
 
+    @pytest.mark.parametrize("cfg", [
+        {"catalog": "flat"}, {"catalog": "sphere"}, {"catalog": "disk"},
+        {"catalog": "constant", "params": {"kappa": -0.5}}, {"catalog": "bump"}, "table",
+    ], ids=["flat", "sphere", "disk", "constant", "bump", "table"])
+    def test_one_point_matches_its_batch_row(self, cfg, rng):
+        # a single point is evaluated on floats and a batch on arrays; the
+        # unit tangent and magnetic frames agree to the bit
+        if cfg == "table":
+            xs, ys = np.linspace(-0.8, 0.8, 40), np.linspace(-0.7, 0.9, 30)
+            s = table_surface(xs, ys, np.exp(0.3 * np.sin(np.add.outer(xs, 2 * ys))))
+        else:
+            s = surface_from_config(cfg)
+        ut = unit_tangent_frames(s)
+        pts = rng.uniform([-0.5, -0.5, 0, 0], [0.5, 0.5, 2 * np.pi, 2 * np.pi], (200, 4))
+        for model, P in ((ut.model, pts[:, :3]), (magnetic_extension(ut).model, pts)):
+            one = np.stack([model.frame(p[None])[0] for p in P])
+            assert np.array_equal(one, model.frame(P))
+
     def test_variable_curvature_bracket(self, rng):
         surf = bump_surface()
         ut = unit_tangent_frames(surf)
