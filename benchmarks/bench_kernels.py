@@ -44,10 +44,11 @@ def bench_transport(n_steps=200_000):
 
 
 def bench_field(sizes=(1, 1000)):
-    """Wall time of one evaluation of the characteristic field W (one
-    ``model.values`` call): on lorentz-magnetic, whose W is a constant
-    section, at one point and in a batch; on magnetic-bump, whose W evaluates
-    the Gauss curvature, at one point."""
+    """Wall time of one evaluation of the characteristic field W as the
+    chart RK4 of ``ChartModel.flow`` evaluates it (one call of
+    ``model.field(W)`` on a (B, dim) batch): on lorentz-magnetic, whose W is
+    a constant section and takes the fused path, at B = 1 and B = 1000; on
+    magnetic-bump, whose W evaluates the Gauss curvature, at B = 1."""
     from engel_lab.engel_verify import sample_box
     from engel_lab.presets import build_preset
 
@@ -56,8 +57,8 @@ def bench_field(sizes=(1, 1000)):
     rows = []
     for name, params, B in cases:
         s = build_preset(name, **params)["structure"]
-        pts = sample_box(s.model, B)
-        t, _ = timeit(lambda: [s.model.values([s.W_section], pts) for _ in range(20)])
+        pts, field = sample_box(s.model, B), s.model.field(s.W_section)
+        t, _ = timeit(lambda: [field(pts) for _ in range(20)])
         rows.append((f"field W B={B} {name}", t / 20))
     return rows
 

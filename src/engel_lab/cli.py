@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands bind the construction presets to the verification, dynamics, and
-rigidity experiments and emit deterministic JSON/CSV artifacts.  Exit codes:
-0 success (and verification pass), 1 verification failure, 2 configuration
-error.
+rigidity experiments and emit deterministic JSON/CSV artifacts.  Each
+command's settings (flags and ``--config`` keys, defaults and checks) are
+declared once, in :data:`_COMMANDS`.  Exit codes: 0 success (and verification
+pass), 1 verification failure, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -18,85 +19,74 @@ import numpy as np
 
 from . import characteristic_dynamics as dyn
 from . import rigidity_lab as rig
+from .config import DEFAULTS
 from .engel_verify import verify_engel
 from .errors import AmbiguousClass, ConfigError, EngelLabError, FrameDegenerate
 from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
 
 KAPPA_SWEEP = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
-# the run settings (flags and --config keys); for those with a range, what a
-# value must be and the test of it, checked in order
-_KEYS = ("preset", "kappa", "T", "dt", "trials", "seed", "tol",
-         "samples", "orbits", "out", "format", "p0")
+# what a value must be and the test of it on the value as floats, checked in order
 _INTEGER = lambda v: np.isfinite(v) & (v == np.floor(v))
+_NONZERO = (("a finite nonzero number", lambda v: np.isfinite(v) & (v != 0)),)
 _POSITIVE = (("finite and positive", lambda v: np.isfinite(v) & (v > 0)),)
 _COUNT = (("an integer", _INTEGER), ("at least 1", lambda v: v >= 1))
-_RANGES = {"T": (("a finite nonzero number", lambda v: np.isfinite(v) & (v != 0)),),
-           "dt": _POSITIVE, "tol": _POSITIVE,
-           "samples": _COUNT, "trials": _COUNT, "orbits": _COUNT,
-           # verify's Halton indices run from seed + 101 on, and must fit in int64
-           "seed": (("an integer, at least 0", lambda v: _INTEGER(v) & (v >= 0)),
-                    (f"at most {2 ** 62}", lambda v: v <= 2 ** 62)),
-           "p0": (("comma-separated numbers", np.isfinite),)}
+_SEED = (("an integer, at least 0", lambda v: _INTEGER(v) & (v >= 0)),
+         # verify's Halton indices run from seed + 101 on, and must fit in int64
+         (f"at most {2 ** 62}", lambda v: v <= 2 ** 62))
 
 
-def _manifest_from_args(args, **ranges) -> dict:
-    """The flags over the ``--config`` manifest, checked by ``{**_RANGES, **ranges}``."""
+def _manifest_from_args(args) -> dict:
+    """The command's settings: the flags over the ``--config`` manifest, each
+    checked by its entry in :data:`_COMMANDS`, and the defaults of the unset
+    ones.  The output directory is created once they are all checked."""
+    settings = {**_COMMANDS[args.command][2], "out": _OUT}
     manifest = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             manifest = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(manifest, dict):
             raise ConfigError("config manifest must be a JSON object")
-        if unknown := set(manifest) - set(_KEYS):
+        if unknown := set(manifest) - set(settings):
             raise ConfigError(f"config {args.config} has unknown keys {sorted(unknown)}")
-    for key in _KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            manifest[key] = val
+    manifest.update((key, val) for key in settings if (val := getattr(args, key)) is not None)
     if isinstance(manifest.get("p0"), str):
         manifest["p0"] = manifest["p0"].split(",")
-    for key, checks in {**_RANGES, **ranges}.items():
+    for key, (_, _, default, checks, opts) in settings.items():
+        if key not in manifest:
+            manifest[key] = default
+            continue
+        if "choices" in opts and manifest[key] not in opts["choices"]:
+            raise ConfigError(f"{key} must be one of {', '.join(opts['choices'])}, "
+                              f"got {manifest[key]!r}")
+        if "type" in opts and type(manifest[key]) not in (int, float):   # not a bool or string
+            raise ConfigError(f"{key} must be a number, got {manifest[key]!r}")
         for want, ok in checks:
             try:
-                good = key not in manifest or np.all(ok(np.asarray(manifest[key], dtype=float)))
+                good = np.all(ok(np.asarray(manifest[key], dtype=float)))
             except (TypeError, ValueError):
                 good = False
             if not good:
                 raise ConfigError(f"{key} must be {want}, got {manifest[key]!r}")
-    manifest.setdefault("seed", 0)
-    manifest.setdefault("format", "json")
-    if manifest.get("format") not in ("json", "csv"):
-        raise ConfigError("--format must be json or csv")
+    if "preset" in settings and manifest["preset"] is None:
+        raise ConfigError("a --preset is required")
+    if manifest.get("kappa") is not None and manifest["preset"] not in KAPPA_PRESETS:
+        raise ConfigError(f"preset {manifest['preset']!r} does not take --kappa")
+    if "dt" in settings and (dt := float(manifest["dt"])) > abs(T := float(manifest["T"])):
+        raise ConfigError(f"dt must be at most |T|, got dt={dt!r} with T={T!r}")
+    try:
+        (out := Path(manifest["out"])).mkdir(parents=True, exist_ok=True)
+    except (OSError, TypeError) as e:
+        raise ConfigError(f"cannot create output directory {manifest['out']!r}: {e}")
+    manifest["out"] = out
     return manifest
 
 
-def _horizon(manifest, T: float, dt: float) -> tuple[float, float]:
-    """The run's T and dt, defaults given; a step longer than |T| is refused."""
-    T, dt = float(manifest.get("T", T)), float(manifest.get("dt", dt))
-    if dt > abs(T):
-        raise ConfigError(f"dt must be at most |T|, got dt={dt!r} with T={T!r}")
-    return T, dt
-
-
 def _build(manifest) -> dict:
-    name = manifest.get("preset")
-    if not name:
-        raise ConfigError("a --preset is required")
-    overrides = {}
-    if manifest.get("kappa") is not None:
-        if name not in KAPPA_PRESETS:
-            raise ConfigError(f"preset {name!r} does not take --kappa")
-        overrides["kappa"] = float(manifest["kappa"])
-    return build_preset(name, **overrides)
-
-
-def _outdir(manifest) -> Path:
-    out = Path(manifest.get("out") or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    kappa = {} if manifest["kappa"] is None else {"kappa": float(manifest["kappa"])}
+    return build_preset(manifest["preset"], **kappa)
 
 
 def _failed_ranks(summary: dict) -> str:
@@ -117,14 +107,13 @@ def _rank_failures_named(s, preset: str):
         raise FrameDegenerate(f"{e}: {preset} is not Engel, {_failed_ranks(report.summary)}") from e
 
 
-def cmd_verify(args) -> int:
-    manifest = _manifest_from_args(args)
+def cmd_verify(manifest) -> int:
     report = verify_engel(_build(manifest)["structure"],
-                          n_samples=int(manifest.get("samples", 1000)),
-                          tol=float(manifest.get("tol", 1e-8)), skip=100 + int(manifest["seed"]))
+                          n_samples=int(manifest["samples"]), tol=float(manifest["tol"]),
+                          skip=100 + int(manifest["seed"]))
     doc = report.to_json_dict()
     doc["preset"] = manifest["preset"]
-    out = _outdir(manifest) / f"verify_{manifest['preset']}.json"
+    out = manifest["out"] / f"verify_{manifest['preset']}.json"
     write_json(out, doc)
     s = doc["summary"]
     detail = (f"ranks (2,3,4) at {s['n_samples']} points, {s['n_marginal']} marginal"
@@ -133,41 +122,38 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_classify(args) -> int:
-    manifest = _manifest_from_args(args)
-    T, dt = _horizon(manifest, 20.0, 1e-2)
+def cmd_classify(manifest) -> int:
     s = _build(manifest)["structure"]
     with _rank_failures_named(s, manifest["preset"]):
-        est = dyn.estimate_global_type(s, n_orbits=int(manifest.get("orbits", 3)),
-                                       T_max=T, dt=dt)
+        est = dyn.estimate_global_type(s, n_orbits=int(manifest["orbits"]),
+                                       T_max=float(manifest["T"]), dt=float(manifest["dt"]))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "preset": manifest["preset"],
-        "kappa": manifest.get("kappa"),
+        "kappa": manifest["kappa"],
         "type": est.kind,
         "genuine": est.genuine,
         "label": est.label(),
         "evidence": est.evidence,
     }
-    out = _outdir(manifest) / f"classify_{manifest['preset']}.json"
+    out = manifest["out"] / f"classify_{manifest['preset']}.json"
     write_json(out, doc)
     print(f"{manifest['preset']}: {est.label()} -> {out}")
     return 0
 
 
-def cmd_orbit(args) -> int:
-    manifest = _manifest_from_args(args)
-    T, dt = _horizon(manifest, 5.0, 1e-3)
+def cmd_orbit(manifest) -> int:
     s = _build(manifest)["structure"]
     # by default a tenth of the chart box past its center, or a Lie model's base point
-    p0 = np.array(manifest["p0"], dtype=float) if "p0" in manifest else s.model.point(0.6)
+    p0 = s.model.point(0.6) if manifest["p0"] is None else np.array(manifest["p0"], dtype=float)
     if p0.shape[-1:] != (s.model.dim,):
         raise ConfigError(f"p0 must be {s.model.dim} numbers, got {manifest['p0']!r}")
     with _rank_failures_named(s, manifest["preset"]):
-        [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, T, dt)
+        [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, float(manifest["T"]),
+                                                        float(manifest["dt"]))
         orbit = dyn.transport_EmodW(s, orbit)
         dev = dyn.developing_map(orbit)
-    out = _outdir(manifest)
+    out = manifest["out"]
     if manifest["format"] == "csv":
         path = out / f"orbit_{manifest['preset']}.csv"
         orbit.to_csv(path)
@@ -187,11 +173,9 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def cmd_rigidity(args) -> int:
-    manifest = _manifest_from_args(args, T=_POSITIVE)     # D-curves run forward in time
-    trials = int(manifest.get("trials", 1000))
-    T, dt = _horizon(manifest, 1.0, 1e-3)
-    seed = int(manifest["seed"])
+def cmd_rigidity(manifest) -> int:
+    trials, seed = int(manifest["trials"]), int(manifest["seed"])
+    T, dt = float(manifest["T"]), float(manifest["dt"])
     probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed)
 
     U = rig.random_admissible_table(np.random.default_rng(seed), 100, T, dt)
@@ -206,7 +190,7 @@ def cmd_rigidity(args) -> int:
         "inaba_max_residual": float(max(residuals)),
         "inaba_n_curves": len(residuals),
     }
-    out = _outdir(manifest) / "rigidity.json"
+    out = manifest["out"] / "rigidity.json"
     write_json(out, doc)
     print(f"rigidity: {probe['n_outside_accessible']} of {trials} endpoints outside "
           f"A+ u AW, max cone value {probe['max_cone_value']:.3e}, "
@@ -214,12 +198,8 @@ def cmd_rigidity(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    manifest = _manifest_from_args(args)
-    preset = manifest.get("preset", "kappa-sweep")
-    if preset != "kappa-sweep":
-        raise ConfigError("report supports --preset kappa-sweep")
-    T, dt = _horizon(manifest, 20.0, 1e-2)
+def cmd_report(manifest) -> int:
+    T, dt = float(manifest["T"]), float(manifest["dt"])
     rows = []
     for kappa in KAPPA_SWEEP:
         built = build_preset("lorentz-magnetic-lie", kappa=kappa)
@@ -234,7 +214,7 @@ def cmd_report(args) -> int:
             "genuine": est.genuine,
             "agrees": est.kind == expected,
         })
-    out = _outdir(manifest)
+    out = manifest["out"]
     if manifest["format"] == "csv":
         path = out / "kappa_sweep.csv"
         write_csv(path, ["kappa", "kappa_kappa_plus_1", "agrees"],
@@ -252,60 +232,74 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
+def _setting(flag, text, default=None, checks=(), **opts):
+    """A setting: its flag and help text, its default, its checks and its other
+    argparse options.  A flag parses to None, so it never hides a manifest value."""
+    return flag, text, default, checks, opts
+
+
+_PRESET = _setting("--preset", "named construction preset", choices=preset_names())
+_KAPPA = _setting("--kappa", "curvature parameter of the lorentz-* presets and "
+                  "suspension-geodesic", None, (("a finite number", np.isfinite),), type=float)
+_FORMAT = _setting("--format", "artifact format", "json", choices=("json", "csv"))
+_OUT = _setting("--out", "output directory", ".")
+
+
+def _grid(T, dt, T_checks=_NONZERO):
+    """The horizon and step settings of a command that integrates."""
+    return {"T": _setting("-T", "time horizon", T, T_checks, type=float),
+            "dt": _setting("--dt", "integration step", dt, _POSITIVE, type=float)}
+
+
+# Each command: its function, its help, and the settings it reads, which are
+# its flags and its manifest keys; every command also takes --out and --config.
+_COMMANDS = {
+    "verify": (cmd_verify, "check ranks (2,3,4) at sample points", {
+        "preset": _PRESET, "kappa": _KAPPA,
+        "samples": _setting("--samples", "sample points", 1000, _COUNT, type=int),
+        "tol": _setting("--tol", "rank tolerance", DEFAULTS.rank_tol, _POSITIVE, type=float),
+        "seed": _setting("--seed", "Halton sequence offset", 0, _SEED, type=int)}),
+    "classify": (cmd_classify, "estimate the global dynamic type", {
+        "preset": _PRESET, "kappa": _KAPPA, **_grid(20.0, 1e-2),
+        "orbits": _setting("--orbits", "orbits to integrate", 3, _COUNT, type=int)}),
+    "orbit": (cmd_orbit, "integrate a characteristic orbit", {
+        "preset": _PRESET, "kappa": _KAPPA, **_grid(5.0, 1e-3),
+        "p0": _setting("--p0", "comma-separated start point (default: a tenth of the chart "
+                       "box past its center, or a Lie model's base point)", None,
+                       (("comma-separated numbers", np.isfinite),)),
+        "format": _FORMAT}),
+    "rigidity": (cmd_rigidity, "accessible-set and integral-identity probes", {
+        **_grid(1.0, 1e-3, _POSITIVE),     # D-curves run forward in time
+        "trials": _setting("--trials", "random D-curves probed", 1000, _COUNT, type=int),
+        "seed": _setting("--seed", "random control seed", 0, _SEED, type=int)}),
+    "report": (cmd_report, "kappa-sweep table for the sign law", {
+        "preset": _setting("--preset", "the table", "kappa-sweep", choices=("kappa-sweep",)),
+        **_grid(20.0, 1e-2), "format": _FORMAT}),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing fills a new
-    namespace on every call and leaves the parser unchanged."""
+    """The argument parser, built once per process from :data:`_COMMANDS`:
+    parsing fills a new namespace on every call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="engel-lab",
         description="Engel structures: construction, verification, and "
                     "Cauchy-characteristic dynamics at desk scale.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, kappa=True):
-        p.add_argument("--preset", choices=preset_names() + ["kappa-sweep"],
-                       help="named construction preset")
-        if kappa:
-            p.add_argument("--kappa", type=float, default=None,
-                           help="curvature parameter for lorentz-* presets")
-        p.add_argument("-T", dest="T", type=float, default=None, help="time horizon")
-        p.add_argument("--dt", type=float, default=None, help="integration step")
-        p.add_argument("--tol", type=float, default=None, help="rank tolerance")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--config", default=None, help="JSON run manifest")
-
-    p = sub.add_parser("verify", help="check ranks (2,3,4) at sample points")
-    common(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("classify", help="estimate the global dynamic type")
-    common(p)
-    p.add_argument("--orbits", type=int, default=None)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("orbit", help="integrate a characteristic orbit")
-    common(p)
-    p.add_argument("--p0", default=None, help="comma-separated start point")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("rigidity", help="accessible-set and integral-identity probes")
-    common(p, kappa=False)
-    p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(func=cmd_rigidity)
-
-    p = sub.add_parser("report", help="kappa-sweep table for the sign law")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    for name, (_, text, settings) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for key, (flag, text, default, _, opts) in {**settings, "out": _OUT}.items():
+            text += "" if default is None else f" (default: {default})"
+            p.add_argument(flag, dest=key, help=text, **opts)
+        p.add_argument("--config", help="JSON run manifest, keyed by the settings above")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][0](_manifest_from_args(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

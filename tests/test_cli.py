@@ -123,8 +123,29 @@ class TestParser:
         want = verify_engel(build_preset("darboux")["structure"], n_samples=20, skip=100)
         assert np.array_equal([rec["point"] for rec in doc["records"]], want.points)
         args = _parser().parse_args(["orbit", "--preset", "darboux"])
-        assert (args.p0, args.kappa, args.T, args.dt, args.seed, args.out) == (None,) * 6
+        assert (args.p0, args.kappa, args.T, args.dt, args.out) == (None,) * 5
         assert not hasattr(args, "samples")
+
+    def test_each_command_takes_the_settings_it_reads(self):
+        # 34 flags and 29 manifest keys over the five commands
+        want = {"verify": {"--preset", "--kappa", "--samples", "--tol", "--seed"},
+                "classify": {"--preset", "--kappa", "-T", "--dt", "--orbits"},
+                "orbit": {"--preset", "--kappa", "-T", "--dt", "--p0", "--format"},
+                "rigidity": {"-T", "--dt", "--trials", "--seed"},
+                "report": {"--preset", "-T", "--dt", "--format"}}
+        [sub] = [a for a in _parser()._actions if a.dest == "command"]
+        for command, flags in want.items():
+            have = {f for a in sub.choices[command]._actions for f in a.option_strings}
+            assert have == flags | {"--out", "--config", "-h", "--help"}
+            assert set(cli._COMMANDS[command][2]) == {f.lstrip("-") for f in flags}
+
+    def test_help_prints_the_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["rigidity", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for text in ("time horizon (default: 1.0)", "integration step (default: 0.001)",
+                     "(default: 1000)", "(default: 0)", "output directory (default: .)"):
+            assert text in out
 
 
 class TestOutOfRangeInput:
@@ -155,6 +176,15 @@ class TestOutOfRangeInput:
         (["orbit", "--preset", "darboux", "-T", "1", "--dt", "5"], "dt must be at most |T|"),
         (["rigidity", "-T", "1", "--dt", "2"], "dt must be at most |T|"),
         (["classify", "--preset", "darboux", "--dt", "30"], "dt must be at most |T|"),
+        # a non-finite kappa would fail inside the preset or the orbit
+        (["verify", "--preset", "lorentz-magnetic", "--kappa=nan"],
+         "kappa must be a finite number"),
+        (["verify", "--preset", "lorentz-magnetic", "--kappa=inf"],
+         "kappa must be a finite number"),
+        (["verify", "--preset", "lorentz-magnetic", "--kappa=-inf"],
+         "kappa must be a finite number"),
+        (["classify", "--preset", "lorentz-magnetic-lie", "--kappa=nan"],
+         "kappa must be a finite number"),
     ])
     def test_exit_2_before_any_work(self, tmp_path, capsys, argv, why):
         assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -173,9 +203,23 @@ class TestOutOfRangeInput:
     def test_manifest_counts_are_integers(self, tmp_path, capsys, command, key, value):
         # 2.5 samples would run 2, and an infinite count cannot be converted
         cfg, out = tmp_path / "run.json", tmp_path / "out"
-        cfg.write_text(json.dumps({"preset": "darboux", key: value}))
+        # rigidity reads no preset
+        preset = {} if command == "rigidity" else {"preset": "darboux"}
+        cfg.write_text(json.dumps({**preset, key: value}))
         assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {key} must be an integer, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("verify", "samples", True), ("verify", "seed", "3"), ("classify", "kappa", None),
+        ("rigidity", "T", [1.0])])
+    def test_manifest_numbers_are_numbers(self, tmp_path, capsys, command, key, value):
+        # true would run 1 sample, and "3" would pass as the seed 3
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        preset = {} if command == "rigidity" else {"preset": "lorentz-magnetic-lie"}
+        cfg.write_text(json.dumps({**preset, key: value}))
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key} must be a number, got {value!r}\n"
         assert not out.exists()
 
     def test_unknown_manifest_key_exit_2(self, tmp_path, capsys):
@@ -189,6 +233,55 @@ class TestOutOfRangeInput:
             assert capsys.readouterr().err == (
                 f"config error: config {cfg} has unknown keys ['{key}']\n")
         assert not out.exists()
+
+    # the 14 settings that a command took as a flag and a manifest key but never read
+    UNREAD = [("verify", "T", 3), ("verify", "dt", 0.5), ("verify", "format", "csv"),
+              ("classify", "tol", 1e-30), ("classify", "seed", 99), ("classify", "format", "csv"),
+              ("orbit", "tol", 1), ("orbit", "seed", 4),
+              ("rigidity", "preset", "propellor-cat"), ("rigidity", "tol", 5),
+              ("rigidity", "format", "csv"),
+              ("report", "kappa", 7), ("report", "seed", 3), ("report", "tol", 2)]
+
+    @pytest.mark.parametrize("command, key, value", UNREAD)
+    def test_unread_flag_exit_2(self, tmp_path, capsys, command, key, value):
+        flag = "-T" if key == "T" else f"--{key}"
+        preset = ["--preset", "darboux"] if command in ("verify", "classify", "orbit") else []
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            run([command, *preset, flag, str(value), "--out", str(out)])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", UNREAD)
+    def test_unread_manifest_key_exit_2(self, tmp_path, capsys, command, key, value):
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        preset = {"preset": "darboux"} if command in ("verify", "classify", "orbit") else {}
+        cfg.write_text(json.dumps({**preset, key: value}))
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config {cfg} has unknown keys ['{key}']\n")
+        assert not out.exists()
+
+    def test_manifest_kappa_must_be_finite(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        cfg.write_text('{"preset": "lorentz-magnetic-lie", "kappa": NaN}')
+        assert run(["classify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: kappa must be a finite number, got nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unwritable_out_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, below):
+        def verify(*args, **kwargs):
+            raise AssertionError("verified before the output directory was made")
+
+        monkeypatch.setattr(cli, "verify_engel", verify)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        assert run(["verify", "--preset", "darboux", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create output directory {str(out)!r}: ")
 
     def test_config_p0_is_checked_like_the_option(self, tmp_path):
         cfg = tmp_path / "run.json"
