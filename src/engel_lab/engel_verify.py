@@ -232,7 +232,7 @@ def darboux_standard() -> EngelStructure:
     D = [Section((0, 0, 0, 1), "W"), Section((1, 0, 0, 0), "X")]
     E = D + [Section((0, 0, 1, 0), "Z")]
     # flow-invariant E/W frame (d/dx + z d/dy, d/dz): developing angle = arctan w
-    e1 = Section((1, 0, lambda pts: -np.atleast_2d(pts)[:, 3], 0), "X-wZ")
+    e1 = Section(lambda pts: (1, 0, -pts[:, 3], 0), "X-wZ")
     e2 = Section((0, 0, 1, 0), "Z")
     return EngelStructure(
         model=model,
@@ -262,9 +262,7 @@ def darboux_long() -> EngelStructure:
         4, [[-2, 2], [-2, 2], [-2, 2], [0.0, 2 * np.pi]], frame,
         periodic={3: 2 * np.pi}, orbit_periods={3: np.pi}, name="darboux-long")
 
-    cos_t = lambda pts: np.cos(np.atleast_2d(pts)[:, 3])
-    sin_t = lambda pts: np.sin(np.atleast_2d(pts)[:, 3])
-    C = Section((cos_t, 0, sin_t, 0), "C")
+    C = Section(lambda pts: (np.cos(pts[:, 3]), 0, np.sin(pts[:, 3]), 0), "C")
     D = [Section((0, 0, 0, 1), "T"), C]
     E = [Section((0, 0, 0, 1), "T"), Section((1, 0, 0, 0), "Xbar"),
          Section((0, 0, 1, 0), "Z")]

@@ -7,10 +7,11 @@ Every model in this package is parallelizable and comes in one of two kinds:
   components of frame field ``i``, or
 * a :class:`LieModel` given by exact structure constants on an abstract frame.
 
-Distribution sections are frame-coefficient combinations (coefficients either
-constants or functions of the chart point), which is all the constructions
-here need: brackets of such sections reduce to frame brackets plus directional
-derivatives of coefficients, and both are computable.
+Distribution sections are frame-coefficient combinations: a constant row, or
+one function of a batch of chart points returning all the coefficient columns,
+so work the columns share runs once per evaluation.  That is all the
+constructions here need: brackets of such sections reduce to frame brackets
+plus directional derivatives of coefficients, and both are computable.
 
 Both model kinds answer one batched protocol, so consumers never branch on
 the kind.  A Lie model is homogeneous: it answers one row, a batch of 1 that
@@ -46,10 +47,6 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import DimensionMismatch, EmptyInput, FrameDegenerate, NonFiniteEvaluation
-
-Coefficient = Union[float, int, Callable[[np.ndarray], np.ndarray]]
-Coefficients = Union[Sequence[Coefficient], Callable[[np.ndarray], np.ndarray]]
-
 
 def _as_batch(p: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     """Return ``(points of shape (n, dim), was_single)``."""
@@ -446,21 +443,27 @@ def frame_coords(frame: np.ndarray, vecs: np.ndarray, degenerate: str) -> np.nda
 class Section:
     """A frame-coefficient combination sum_i c_i(p) e_i.
 
-    ``coeffs`` holds one scalar or callable of the chart points per frame
-    field, or is one callable mapping points (n, dim) to all coefficients
-    (n, dim) at once.  On a Lie model only constant coefficients are
+    ``coeffs`` is either a constant row of numbers, one per frame field, or
+    one function of the chart points (n, dim) that returns the coefficient
+    columns in frame order, each an (n,) array or a number (a (dim, n) array
+    is such a sequence of columns).  On a Lie model only a constant row is
     meaningful.
     """
 
-    def __init__(self, coeffs: Coefficients, name: str = ""):
-        self.coeffs = coeffs if callable(coeffs) else tuple(coeffs)
+    def __init__(self, coeffs, name: str = ""):
         self.name = name
-        self._row = (np.array([float(c) for c in self.coeffs])
-                     if self.is_constant else None)
+        if callable(coeffs):
+            self.coeffs, self._row = coeffs, None
+            return
+        self.coeffs = tuple(coeffs)
+        if any(callable(c) for c in self.coeffs):
+            raise TypeError(f"section {name!r}: coefficients are a row of numbers or one "
+                            "function of the points returning all columns, not a mix")
+        self._row = np.array([float(c) for c in self.coeffs])
 
     @property
     def is_constant(self) -> bool:
-        return not callable(self.coeffs) and not any(callable(c) for c in self.coeffs)
+        return self._row is not None
 
     def constant_coeffs(self) -> np.ndarray:
         if self._row is None:
@@ -469,18 +472,17 @@ class Section:
 
     def coeff_at(self, p: np.ndarray) -> np.ndarray:
         """Coefficient vector(s) at p: shape (len,) or (n, len); read-only for
-        a constant section."""
+        a constant section.  A function is called once, on a batch (n, dim)."""
         p = np.asarray(p, dtype=float)
         single = p.ndim == 1
         pts = p[None, :] if single else p
         if self._row is not None:
             out = np.broadcast_to(self._row, (pts.shape[0], len(self._row)))
-        elif callable(self.coeffs):
-            out = np.asarray(self.coeffs(pts), dtype=float)
         else:
-            out = np.empty((pts.shape[0], len(self.coeffs)))
-            for j, c in enumerate(self.coeffs):
-                out[:, j] = c(pts) if callable(c) else float(c)
+            cols = self.coeffs(pts)
+            out = np.empty((pts.shape[0], len(cols)))
+            for j, c in enumerate(cols):
+                out[:, j] = c
         return out[0] if single else out
 
     def __repr__(self):

@@ -323,7 +323,7 @@ class LorentzExtension:
     v_metric: np.ndarray
 
     def kappa_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+        """kappa at a batch of points (n, dim): (n,)."""
         if callable(self.kappa):
             return np.asarray(self.kappa(pts), dtype=float)
         return np.full(pts.shape[0], float(self.kappa))
@@ -361,7 +361,7 @@ def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
         surface = ut.surface
         model = fiber_chart(ut.model, frame, f"{kind}({surface.name})")
         kappa = surface.kappa if surface.kappa is not None else (
-            lambda pts: gauss_curvature(surface, np.atleast_2d(pts)[:, :2]))
+            lambda pts: gauss_curvature(surface, pts[:, :2]))
     return LorentzExtension(kind=kind, base=ut, model=model, kappa=kappa,
                             m_metric_diag=np.array(m_metric_diag),
                             v_metric=np.diag([1.0, 1.0, -1.0]))

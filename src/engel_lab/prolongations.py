@@ -118,10 +118,13 @@ def _rotating_plane(model: ChartModel, angle: Callable, provenance: str,
     the E/W frame is (l1, l2)."""
     W = Section((1, 0, 0, 0), "W")
     l1, l2 = Section((0, 1, 0, 0), "l1"), Section((0, 0, 1, 0), "l2")
-    cos_f = lambda pts: np.cos(angle(np.atleast_2d(pts)))
-    sin_f = lambda pts: np.sin(angle(np.atleast_2d(pts)))
+
+    def plane(pts):
+        f = angle(pts)
+        return 0, np.cos(f), np.sin(f), 0
+
     return EngelStructure(
-        model=model, D_span=[W, Section((0, cos_f, sin_f, 0), "C")],
+        model=model, D_span=[W, Section(plane, "C")],
         E_span=[W, l1, l2], W_section=W,
         transverse_section=Section((0, 0, 0, 1), "R"),
         provenance=provenance, emw_frame=(l1, l2), aux=aux)
@@ -166,13 +169,12 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
         tau = Section((1, 0, 0, 0), "X")
     elif ext.kind == "magnetic":
         if callable(ext.kappa):
-            theta_coeff = lambda pts: -(1.0 + ext.kappa_at(np.atleast_2d(pts)))
+            W = Section(lambda pts: (1, 0, 1, -(1.0 + ext.kappa_at(pts))), "W")
         else:
-            theta_coeff = -(1.0 + float(ext.kappa))
+            W = Section((1, 0, 1, -(1.0 + float(ext.kappa))), "W")
         D = [Section((1, 0, 1, 0), "L"), Section((0, 0, 0, 1), "Theta")]
         E = [Section((1, 0, 1, 0), "L"), Section((0, 1, 0, 0), "Yt"),
              Section((0, 0, 0, 1), "Theta")]
-        W = Section((1, 0, 1, theta_coeff), "W")
         emw = (Section((0, 0, 0, 1), "Theta"), Section((0, 1, 0, 0), "Yt"))
         tau = Section((1, 0, 0, 0), "Xt")
     else:
@@ -234,12 +236,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
         # of the base section gives all four
         if s.is_constant:
             return Section((*s.coeffs, 0.0), name)
-
-        def coeffs(pts):
-            out = np.zeros((len(pts), 4))
-            out[:, :3] = base.values([s], pts[:, :3])[:, 0]
-            return out
-        return Section(coeffs, name)
+        return Section(lambda pts: (*base.values([s], pts[:, :3])[:, 0].T, 0), name)
 
     D = [lift_section(c.xi[0], "h-xi1"), lift_section(c.xi[1], "h-xi2")]
     E = [Section((1, 0, 0, 0), "h1"), Section((0, 1, 0, 0), "h2"),
@@ -270,7 +267,7 @@ def _beta(pts):
 
 
 def _unit_density(pts):
-    return np.ones(np.atleast_2d(pts).shape[0])
+    return np.ones(len(pts))
 
 
 def prequantum_local() -> EngelStructure:
@@ -282,8 +279,7 @@ def prequantum_local() -> EngelStructure:
     """
     base = ChartModel(3, [[-2, 2]] * 3, coordinate_frame(3), name="prequantum-base")
     xi = (Section((0, 0, 1), "dw"),
-          Section((lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-                   lambda pts: np.atleast_2d(pts)[:, 2], 0), "X0"))
+          Section(lambda pts: (1, pts[:, 2], 0), "X0"))
     c = ContactModel(model=base, xi=xi, transverse=Section((0, 1, 0), "dz"))
     c.validate()
     s = prequantum_prolongation(c, w_bar=Section((0, 0, 1), "dw"),
@@ -319,7 +315,8 @@ def _logm2(m: np.ndarray) -> np.ndarray:
 
 
 def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
-    """Equivariant rotating line path (a, b)(t) = phi^t . (cos, sin)(2 pi turns t).
+    """Equivariant rotating line path (a, b)(t) = phi^t . (cos, sin)(2 pi turns t),
+    mapping fiber times (n,) to (n, 2).
 
     Equivariant as a vector field for every integer ``turns``; rotation stays
     monotone as long as 2 pi turns exceeds the angular rate of log(monodromy).
@@ -327,7 +324,6 @@ def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
     L = _logm2(monodromy)
 
     def path(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
         u = np.stack([np.cos(2 * np.pi * turns * t),
                       np.sin(2 * np.pi * turns * t)], axis=-1)
         return np.einsum("nij,nj->ni", expm2(t[:, None, None] * L), u)
@@ -354,12 +350,11 @@ def propellor_structure(monodromy: np.ndarray,
     path = line_path if line_path is not None else propellor_line_path(m, turns=turns)
 
     ts = np.linspace(0.0, 1.0, _PATH_CHECKS)
-    ab0 = np.atleast_2d(path(ts))
-    ab1 = np.atleast_2d(path(ts + 1.0))
+    ab0, ab1 = path(ts), path(ts + 1.0)
     if np.abs(ab1 - ab0 @ m.T).max() > 1e-8:
         raise EquivarianceError("line path is not equivariant under the monodromy")
     dt = 1e-6
-    abp = (np.atleast_2d(path(ts + dt)) - np.atleast_2d(path(ts - dt))) / (2 * dt)
+    abp = (path(ts + dt) - path(ts - dt)) / (2 * dt)
     omega = ab0[:, 0] * abp[:, 1] - ab0[:, 1] * abp[:, 0]
     if np.abs(omega).min() < 1e-10 or np.sign(omega).min() != np.sign(omega).max():
         raise NotContact("line path angular velocity must keep a single sign")
@@ -367,23 +362,17 @@ def propellor_structure(monodromy: np.ndarray,
     base = ChartModel(3, [[0, 1], [0, 1], [0, 1]], coordinate_frame(3),
                       periodic={0: 1.0, 1: 1.0}, name="propellor-base")
 
-    a_of = lambda pts: np.atleast_2d(path(np.atleast_2d(pts)[:, 2]))[:, 0]
-    b_of = lambda pts: np.atleast_2d(path(np.atleast_2d(pts)[:, 2]))[:, 1]
-    xi = (Section((a_of, b_of, 0), "l"), Section((0, 0, 1), "dt"))
+    def normal(pts):
+        a, b = path(pts[:, 2]).T
+        return -b, a, 0
 
-    contact = ContactModel(model=base, xi=xi,
-                           transverse=Section(
-                               ((lambda pts: -b_of(pts)), a_of, 0), "n"))
+    xi = (Section(lambda pts: (*path(pts[:, 2]).T, 0), "l"), Section((0, 0, 1), "dt"))
+    contact = ContactModel(model=base, xi=xi, transverse=Section(normal, "n"))
     contact.validate()
 
     def frame_column(j, name) -> Section:
         # phi^t(e_j): one exponential per evaluation gives both coefficients
-        def coeffs(pts):
-            pts = np.atleast_2d(pts)
-            out = np.zeros((pts.shape[0], 4))
-            out[:, :2] = expm2(pts[:, 2, None, None] * L)[:, :, j]
-            return out
-        return Section(coeffs, name)
+        return Section(lambda pts: (*expm2(pts[:, 2, None, None] * L)[:, :, j].T, 0, 0), name)
 
     P, Q = frame_column(0, "hP"), frame_column(1, "hQ")
 
@@ -417,19 +406,16 @@ def bi_engel_pair(monodromy: np.ndarray = ((2, 1), (1, 1)),
     vs = vecs.real[:, order[1]]
     lmu = np.log(mu)
 
-    def eig_sec(vec, rate, name):
-        def cx(pts):
-            return np.exp(rate * np.atleast_2d(pts)[:, 2]) * vec[0]
-        def cy(pts):
-            return np.exp(rate * np.atleast_2d(pts)[:, 2]) * vec[1]
-        return Section((cx, cy, 0, 0), name)
+    def eig_cols(vec, rate, pts):
+        # the x and y coefficient columns of exp(rate t) vec, (2, n)
+        return np.exp(rate * pts[:, 2]) * vec[:, None]
 
-    U = eig_sec(vu, -lmu, "hU")
-    S = eig_sec(vs, +lmu, "hS")
+    U = Section(lambda pts: (*eig_cols(vu, -lmu, pts), 0, 0), "hU")
+    S = Section(lambda pts: (*eig_cols(vs, +lmu, pts), 0, 0), "hS")
 
     def diag_sec(sign):
-        return Section(lambda pts: U.coeff_at(pts) + sign * S.coeff_at(pts),
-                       f"hU{'+' if sign > 0 else '-'}hS")
+        return Section(lambda pts: (*(eig_cols(vu, -lmu, pts) + sign * eig_cols(vs, +lmu, pts)),
+                                    0, 0), f"hU{'+' if sign > 0 else '-'}hS")
 
     W = Section((0, 0, 1, 0), "hW")
     pair = []
@@ -514,17 +500,17 @@ def suspension(sd: SuspensionData) -> EngelStructure:
 
     model = fiber_chart(base, frame, f"suspension({base.name})", hi=1.0, period=None)
 
-    angle = lambda pts: np.atleast_1d(sd.rho(pts[:, 3], pts[:, :3]))
-    return _rotating_plane(model, angle, "suspension", {"suspension": sd})
+    return _rotating_plane(model, lambda pts: sd.rho(pts[:, 3], pts[:, :3]), "suspension",
+                           {"suspension": sd})
 
 
 def suspension_identity(K: int = 1) -> EngelStructure:
     """Suspension of contact R^3 by the identity, rho = K pi t (reproduces Cartan)."""
     c = standard_contact_r3()
-    ident = lambda pts: np.atleast_2d(pts).copy()
-    dident = lambda pts: np.broadcast_to(np.eye(3), (np.atleast_2d(pts).shape[0], 3, 3)).copy()
+    ident = lambda pts: pts.copy()
+    dident = lambda pts: np.broadcast_to(np.eye(3), (len(pts), 3, 3)).copy()
     sd = SuspensionData(contact=c, phi=ident, dphi=dident, phi_inv=ident,
-                        rho=lambda t, v: K * np.pi * np.atleast_1d(t), K=K)
+                        rho=lambda t, v: K * np.pi * t, K=K)
     s = suspension(sd)
     s.provenance = "suspension_identity"
     return s
@@ -544,33 +530,24 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
                         f"suspension-geodesic(k={kappa:g})", period=None)
 
     k = float(kappa)
+    r = np.sqrt(abs(k))
 
-    def ab(t):
-        t = np.atleast_1d(t)
+    def pushed(pts):
+        # exp(t [[0, -1], [kappa, 0]]) as (column 0, column 1): the flow
+        # pushes Y forward to column 0 and Z to column 1 of the (Y, Z) plane
+        t = pts[:, 3]
         if k > 0:
-            r = np.sqrt(k)
-            return -np.sin(r * t) / r, np.cos(r * t)
+            c, s = np.cos(r * t), np.sin(r * t)
+            return (c, r * s), (-s / r, c)
         if k < 0:
-            r = np.sqrt(-k)
-            return -np.sinh(r * t) / r, np.cosh(r * t)
-        return -t, np.ones_like(t)
+            c, s = np.cosh(r * t), np.sinh(r * t)
+            return (c, -r * s), (-s / r, c)
+        return (np.ones_like(t), np.zeros_like(t)), (-t, np.ones_like(t))
 
-    def ab_y(t):
-        # flow-pushforward of Y: V' = [X, V] with V(0) = Y
-        t = np.atleast_1d(t)
-        if k > 0:
-            r = np.sqrt(k)
-            return np.cos(r * t), r * np.sin(r * t)
-        if k < 0:
-            r = np.sqrt(-k)
-            return np.cosh(r * t), -r * np.sinh(r * t)
-        return np.ones_like(t), np.zeros_like(t)
+    def pushed_section(j, name):
+        return Section(lambda pts: (0, 0, *pushed(pts)[j]), name)
 
-    a_c = lambda pts: ab(np.atleast_2d(pts)[:, 3])[0]
-    b_c = lambda pts: ab(np.atleast_2d(pts)[:, 3])[1]
-    ay_c = lambda pts: ab_y(np.atleast_2d(pts)[:, 3])[0]
-    by_c = lambda pts: ab_y(np.atleast_2d(pts)[:, 3])[1]
-    D = [Section((1, 0, 0, 0), "T"), Section((0, 0, a_c, b_c), "C")]
+    D = [Section((1, 0, 0, 0), "T"), pushed_section(1, "C")]
     E = [Section((1, 0, 0, 0), "T"), Section((0, 0, 1, 0), "Y"),
          Section((0, 0, 0, 1), "Z")]
     # the E/W frame must be the flow-equivariant one: on a mapping-torus
@@ -580,5 +557,5 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
         W_section=Section((1, 0, 0, 0), "T"),
         transverse_section=Section((0, 1, 0, 0), "X"),
         provenance="suspension_geodesic",
-        emw_frame=(Section((0, 0, ay_c, by_c), "Ys"), Section((0, 0, a_c, b_c), "Zs")),
+        emw_frame=(pushed_section(0, "Ys"), pushed_section(1, "Zs")),
         aux={"ut": ut, "kappa": k})

@@ -269,15 +269,27 @@ class TestModelProtocol:
             model.periodic[0] = 2.0
 
     def test_vector_coefficients_match_tuple(self):
+        # columns returned as a mix of numbers and (n,) arrays, or as one
+        # hand-built (dim, n) array, give the same section
         s = darboux_standard()
         pts = sample_box(s.model, 5)
-        tup = Section((1, 0, lambda p: -np.atleast_2d(p)[:, 3], 0))
+        tup = Section(lambda p: (1, 0, -p[:, 3], 0))
         vec = Section(lambda p: np.stack([np.ones(len(p)), np.zeros(len(p)),
-                                          -p[:, 3], np.zeros(len(p))], axis=1))
-        assert not vec.is_constant
+                                          -p[:, 3], np.zeros(len(p))]))
+        assert not tup.is_constant and not vec.is_constant
+        assert np.array_equal(tup.coeff_at(pts), vec.coeff_at(pts))
+        assert np.array_equal(tup.coeff_at(pts[2]), vec.coeff_at(pts)[2])
         assert np.array_equal(s.model.values([tup], pts), s.model.values([vec], pts))
         assert np.array_equal(s.model.brackets([tup, s.W_section], [(0, 1)], pts),
                               s.model.brackets([vec, s.W_section], [(0, 1)], pts))
+        # sum_i c_i F_i accumulated from zero in frame order, by hand
+        F = s.model.frame(pts)
+        want = F[:, 0] + 0.0 * F[:, 1] + (-pts[:, 3, None]) * F[:, 2] + 0.0 * F[:, 3]
+        assert np.array_equal(s.model.values([tup], pts)[:, 0], want)
+
+    def test_tuple_holding_a_callable_is_refused(self):
+        with pytest.raises(TypeError, match="row of numbers or one function"):
+            Section((1, 0, lambda p: -p[:, 3], 0), "X-wZ")
 
     def test_constant_section_row(self):
         sec = Section((1, 0, -2.5, 0))
@@ -329,7 +341,7 @@ class TestModelProtocol:
         # from zero in frame order
         B, C, M = rng.standard_normal((3, 4, 4))
         model = ChartModel(4, [[-1, 1]] * 4, lambda p: np.cos(p[:, None, :] * B + C))
-        sections = [Section(lambda p, j=j: np.sin(p @ M + j)) for j in range(3)]
+        sections = [Section(lambda p, j=j: np.sin(p @ M + j).T) for j in range(3)]
         for pts in (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, (50, 4))):
             F = model.frame(pts)
             co = np.stack([s.coeff_at(pts) for s in sections], axis=1)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from engel_lab._kernels import expm2
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_long, line_angle, sample_box, verify_engel
 from engel_lab.errors import (
@@ -26,6 +27,7 @@ from engel_lab.prolongations import (
     propellor_structure,
     standard_contact_r3,
     suspension,
+    suspension_geodesic,
     suspension_identity,
 )
 from engel_lab.characteristic_dynamics import (
@@ -273,6 +275,20 @@ class TestSuspension:
             _, (path,), _ = _rk4_orbits(lambda q: ut.model.frame(q)[:, 0], p0[:3], t, dt)
             mapped = np.concatenate([path[-1], [t]])
             assert np.abs(mapped - orb_p.points[i]).max() < 1e-8
+
+    @pytest.mark.parametrize("kappa", [-0.7, 0.0, 0.7])
+    def test_geodesic_pushforward_is_the_flow_exponential(self, kappa):
+        # C = Zs and Ys are the columns of exp(t [[0, -1], [kappa, 0]]) in the
+        # (Y, Z) plane: the pushforwards of Z and Y along V' = [X, V]
+        s = suspension_geodesic(kappa)
+        pts = sample_box(s.model, 64)
+        want = expm2(pts[:, 3, None, None] * np.array([[0.0, -1.0], [kappa, 0.0]]))
+        Ys, Zs = s.emw_frame
+        for sec, j in ((Ys, 0), (Zs, 1), (s.D_span[1], 1)):
+            got = sec.coeff_at(pts)
+            assert not got[:, :2].any(), sec.name
+            err = np.linalg.norm(got[:, 2:] - want[:, :, j], axis=1)
+            assert (err <= 1e-13 * np.linalg.norm(want[:, :, j], axis=1)).all(), sec.name
 
     def test_shear_contactomorphism_suspension(self):
         # phi(x, y, z) = (x, y + g(x), z + g'(x)) preserves ker(dy - z dx)
