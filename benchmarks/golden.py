@@ -5,7 +5,15 @@ Run from each checkout, then compare the two directories:
 
     python3 benchmarks/golden.py --out /tmp/golden-a
     python3 benchmarks/golden.py --out /tmp/golden-b     # other checkout
-    diff -r /tmp/golden-a /tmp/golden-b
+    diff -r /tmp/golden-a /tmp/golden-b                  # byte for byte
+    python3 benchmarks/golden.py --compare /tmp/golden-a /tmp/golden-b
+
+``--compare A B`` reads every JSON and CSV number of the two trees as a
+float (``%.17g`` writes 5.2e16 as integer text) and allows a relative
+deviation up to ``--rtol`` (default 1e-9); keys, strings, booleans, nulls,
+the file list and every other file, ``console.txt`` included, must match
+exactly.  It prints each file that differs with its largest deviation and
+where it occurs, and exits 1 on any difference past the bound.
 
 The script imports ``engel_lab`` from the ``src/`` of its own checkout and
 runs every command in-process through ``engel_lab.cli.main``, each into its
@@ -20,8 +28,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
+import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,10 +73,98 @@ def run(argv: list, out: Path) -> str:
     return text.replace(str(out), "OUT")
 
 
+def _deviation(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def _walk(a, b, where: str):
+    """Yield ``(where, relative deviation)`` for each pair of numbers in two
+    parsed JSON values, and ``(where, None)`` for each other difference."""
+    if type(a) is float and type(b) is float:
+        yield where, _deviation(a, b)
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            yield f"{where} keys", None
+        else:
+            for k in a:
+                yield from _walk(a[k], b[k], f"{where}.{k}" if where else k)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            yield f"{where} length", None
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from _walk(x, y, f"{where}[{i}]")
+    elif type(a) is not type(b) or a != b:
+        yield where, None
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _csv_rows(path: Path) -> list:
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    return rows[:1] + [[_cell(c) for c in row] for row in rows[1:]]
+
+
+def _differences(a: Path, b: Path):
+    """The ``_walk`` pairs of two artifacts: numbers in JSON and CSV, and
+    every other file as one text."""
+    if a.suffix == ".json":
+        load = lambda p: json.loads(p.read_text(), parse_int=float)
+        return _walk(load(a), load(b), "")
+    if a.suffix == ".csv":
+        return _walk(_csv_rows(a), _csv_rows(b), "rows")
+    lines = zip_longest(a.read_text().splitlines(), b.read_text().splitlines())
+    return [(f"line {i + 1}", None) for i, (x, y) in enumerate(lines) if x != y][:1]
+
+
+def compare(root_a: Path, root_b: Path, rtol: float) -> int:
+    files_a = {p.relative_to(root_a) for p in root_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(root_b) for p in root_b.rglob("*") if p.is_file()}
+    failed = 0
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {root_a if rel in files_a else root_b}")
+        failed += 1
+    same = 0
+    for rel in sorted(files_a & files_b):
+        a, b = root_a / rel, root_b / rel
+        if a.read_bytes() == b.read_bytes():
+            same += 1
+            continue
+        worst, where, other = 0.0, "", []
+        for w, dev in _differences(a, b):
+            if dev is None:
+                other.append(w)
+            elif dev > worst:
+                worst, where = dev, w
+        bad = bool(other) or worst > rtol
+        failed += bad
+        parts = [f"largest deviation {worst:.3g} at {where}"] if where else []
+        parts += [f"differs at {', '.join(other[:5])}"] if other else []
+        print(f"{rel}: {'; '.join(parts) or 'same numbers'}" + (" FAIL" if bad else ""))
+    total = len(files_a | files_b)
+    print(f"golden compare: {total} files, {same} identical, {total - same - failed} within "
+          f"relative {rtol:g}, {failed} failing")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True, help="directory to write the artifacts into")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="directory to write the artifacts into")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="compare two artifact trees instead of writing one")
+    parser.add_argument("--rtol", type=float, default=1e-9,
+                        help="largest relative deviation of a number in --compare "
+                             "(default: %(default)g)")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*map(Path, args.compare), args.rtol)
     root = Path(args.out)
     cmds = commands()
     for i, cmd in enumerate(cmds):
