@@ -293,25 +293,17 @@ def prequantum_local() -> EngelStructure:
 # ---------------------------------------------------------------------------
 
 def _logm2(m: np.ndarray) -> np.ndarray:
-    """Real logarithm of a 2x2 unimodular matrix with positive eigenvalues
-    (identity, unipotent, or hyperbolic with trace > 2)."""
+    """Real logarithm of a 2x2 unimodular matrix with trace > -2, the inverse
+    of :func:`expm2`: with tr/2 = cosh(a), a imaginary when |tr| < 2,
+    log m = a / sinh(a) (m - (tr/2) I), and m - I when a = 0."""
     m = np.asarray(m, dtype=float)
-    tr = m[0, 0] + m[1, 1]
-    if np.allclose(m, np.eye(2), atol=1e-12):
-        return np.zeros((2, 2))
-    if abs(tr - 2.0) < 1e-12:
-        n = m - np.eye(2)
-        if np.abs(n @ n).max() > 1e-10:
-            raise ConfigError("trace-2 monodromy is not unipotent")
-        return n
-    if tr > 2.0:
-        evals, vecs = np.linalg.eig(m)
-        if np.iscomplexobj(evals) and np.abs(evals.imag).max() > 1e-12:
-            raise ConfigError("monodromy eigenvalues are not real")
-        evals = evals.real
-        vecs = vecs.real
-        return (vecs @ np.diag(np.log(evals)) @ np.linalg.inv(vecs)).real
-    raise ConfigError("propellor supports identity, unipotent, or trace > 2 monodromy")
+    if abs(np.linalg.det(m) - 1.0) > 1e-12:
+        raise ConfigError("monodromy must be unimodular")
+    half_tr = 0.5 * (m[0, 0] + m[1, 1])
+    if half_tr <= -1.0:
+        raise ConfigError(f"monodromy trace {2 * half_tr:g} <= -2 has no real logarithm")
+    a = np.arccosh(complex(half_tr))
+    return (a / np.sinh(a)).real * (m - half_tr * np.eye(2)) if a else m - np.eye(2)
 
 
 def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
@@ -344,8 +336,6 @@ def propellor_structure(monodromy: np.ndarray,
     holonomy is visible on a single chart.
     """
     m = np.asarray(monodromy, dtype=float)
-    if abs(np.linalg.det(m) - 1.0) > 1e-12:
-        raise ConfigError("monodromy must be unimodular")
     L = _logm2(m)
     path = line_path if line_path is not None else propellor_line_path(m, turns=turns)
 

@@ -6,6 +6,7 @@ from engel_lab._kernels import expm2
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_long, line_angle, sample_box, verify_engel
 from engel_lab.errors import (
+    ConfigError,
     CurvatureMismatch,
     EquivarianceError,
     NotContact,
@@ -20,10 +21,12 @@ from engel_lab.geometry_models import (
 )
 from engel_lab.prolongations import (
     SuspensionData,
+    _logm2,
     bi_engel_pair,
     cartan_prolongation,
     lorentz_prolongation,
     prequantum_prolongation,
+    propellor_line_path,
     propellor_structure,
     standard_contact_r3,
     suspension,
@@ -35,7 +38,7 @@ from engel_lab.characteristic_dynamics import (
     transport_EmodW,
 )
 from engel_lab.engel_verify import cauchy_characteristic
-from engel_lab.presets import preset_names
+from engel_lab.presets import CAT_MAP, SHEAR_MAP, preset_names
 
 
 class TestCartan:
@@ -199,6 +202,26 @@ class TestPropellor:
     def test_three_monodromies_verify(self, preset_cache):
         for name in ("propellor-identity", "propellor-parabolic", "propellor-cat"):
             assert verify_engel(preset_cache(name)["structure"], n_samples=250).passed
+
+    @pytest.mark.parametrize("m", [np.eye(2), SHEAR_MAP, CAT_MAP] + [
+        ((1 + s, 1), (s, 1)) for s in (-1, -0.1, -1e-3, 0, 1e-3, 0.1, 1)])
+    def test_log_monodromy_inverts_expm2(self, m):
+        # m(s) = [[1 + s, 1], [s, 1]] has det 1 and trace 2 + s: elliptic for
+        # s < 0, the shear at s = 0, hyperbolic for s > 0 (the cat map at 1)
+        m = np.asarray(m, dtype=float)
+        assert np.abs(expm2(_logm2(m)[None])[0] - m).max() <= 1e-14
+
+    def test_elliptic_monodromy_verifies(self):
+        # trace 1.9: the closed-form logarithm needs no extra case
+        _, s = propellor_structure(np.array([[0.9, 1.0], [-0.1, 1.0]]))
+        assert verify_engel(s, n_samples=100).passed
+
+    def test_log_monodromy_refusals(self):
+        for m in (-np.eye(2), [[-3.0, 1.0], [-1.0, 0.0]]):     # det 1, trace -2 and -3
+            with pytest.raises(ConfigError, match="<= -2"):
+                _logm2(np.asarray(m))
+        with pytest.raises(ConfigError, match="unimodular"):
+            propellor_line_path(np.diag([2.0, 1.0]))
 
     def test_contact_model_validates(self):
         contact, _ = propellor_structure(np.eye(2))
