@@ -289,21 +289,12 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
                       dets=dets, meta=meta)
 
 
-def closed_form_exp(A: np.ndarray, rescaled: bool = False) -> Callable:
+def closed_form_exp(A: np.ndarray) -> Callable:
+    """t -> exp(t A) for a trace-free constant generator A."""
     A = np.asarray(A, dtype=float)
     if abs(np.trace(A)) > 1e-12:
         raise FrameDegenerate("closed form expects a trace-free generator")
-    K = np.sqrt(abs(np.linalg.det(A)))   # the rate of the cos or cosh form
-    if rescaled and K > 0:
-        S = np.diag([K, 1.0])
-        Sinv = np.diag([1.0 / K, 1.0])
-    else:
-        S = Sinv = np.eye(2)
-
-    def M(t: float) -> np.ndarray:
-        return Sinv @ expm2(float(t) * A[None])[0] @ S
-
-    return M
+    return lambda t: expm2(float(t) * A[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,6 @@ def cmd_orbit(manifest) -> int:
     s = _build(manifest)["structure"]
     # by default a tenth of the chart box past its center, or a Lie model's base point
     p0 = s.model.point(0.6) if manifest["p0"] is None else np.array(manifest["p0"], dtype=float)
-    if p0.shape[-1:] != (s.model.dim,):
-        raise ConfigError(f"p0 must be {s.model.dim} numbers, got {manifest['p0']!r}")
     with _rank_failures_named(s, manifest["preset"]):
         [(orbit, truncated)] = dyn.orbits_within_chart(s, p0, float(manifest["T"]),
                                                         float(manifest["dt"]))
@@ -181,8 +179,7 @@ def cmd_rigidity(manifest) -> int:
     U = rig.random_admissible_table(np.random.default_rng(seed), 100, T, dt)
     paths = rig.sample_d_curves_batch(U, np.ones_like(U), T, dt)
     times = np.linspace(0.0, T, paths.shape[1])
-    residuals = [rig.inaba_identity_check(rig.DCurve(times, pts, (None, None)))
-                 for pts in paths]
+    residuals = [rig.inaba_identity_check(rig.DCurve(times, pts)) for pts in paths]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
@@ -266,7 +263,9 @@ _COMMANDS = {
         "preset": _PRESET, "kappa": _KAPPA, **_grid(5.0, 1e-3),
         "p0": _setting("--p0", "comma-separated start point (default: a tenth of the chart "
                        "box past its center, or a Lie model's base point)", None,
-                       (("comma-separated numbers", np.isfinite),)),
+                       # every preset's model is 4-dimensional
+                       (("comma-separated numbers", np.isfinite),
+                        ("4 numbers", lambda v: v.shape == (4,)))),
         "format": _FORMAT}),
     "rigidity": (cmd_rigidity, "accessible-set and integral-identity probes", {
         **_grid(1.0, 1e-3, _POSITIVE),     # D-curves run forward in time
@@ -299,6 +298,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+    except SystemExit as e:     # argparse exits 2 on a usage error, 0 after --help
+        return e.code
+    try:
         return _COMMANDS[args.command][0](_manifest_from_args(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -74,7 +74,6 @@ def boundary_cone_value(p: np.ndarray) -> float:
 class DCurve:
     times: np.ndarray
     points: np.ndarray            # (n, 4): (x, y, z, w) or (x, y, z, theta)
-    controls: tuple               # (u, v) callables
     long_chart: bool = False
 
     def tangency_residual(self) -> float:
@@ -117,8 +116,7 @@ def sample_d_curves(controls: Sequence, T: float, dt: float,
     starts = np.broadcast_to(np.asarray(start, dtype=float), (len(controls), 4))
     paths = sample_d_curves_batch(U, V, T, dt, start=starts, long_chart=long_chart)
     times = np.linspace(0.0, T, nsteps + 1)
-    return [DCurve(times=times, points=pts, controls=tuple(c), long_chart=long_chart)
-            for pts, c in zip(paths, controls)]
+    return [DCurve(times=times, points=pts, long_chart=long_chart) for pts in paths]
 
 
 def sample_d_curve(controls, T: float, dt: float,
@@ -326,7 +324,7 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
                              s * np.asarray(fpp(xs), dtype=float)], axis=1)
 
         for s in (_DS, -_DS):
-            c = DCurve(times=xs, points=curve(s), controls=(None, None))
+            c = DCurve(times=xs, points=curve(s))
             if c.tangency_residual() > max(_TANGENCY_TOL, 10 * abs(s) * _DT ** 2):
                 raise VariationNotDCurve("jet-graph variation failed tangency")
         deriv = (curve(_DS)[:, 1] - curve(-_DS)[:, 1]) / (2 * _DS)

@@ -244,19 +244,22 @@ class TestMagnus:
 
 class TestClosedForm:
     def test_elliptic_half_turn(self, preset_cache):
-        # kappa = 1: K = sqrt(2); at t = pi / K the rescaled matrix is -I
+        # kappa = 1: K = sqrt(2); at t = pi / K the matrix in the frame
+        # rescaled by diag(K, 1) is -I
         s = preset_cache("lorentz-magnetic-lie", kappa=1.0)["structure"]
-        M = closed_form_exp(transport_generator(s), rescaled=True)
-        out = M(np.pi / np.sqrt(2.0))
+        M = closed_form_exp(transport_generator(s))
+        K = np.sqrt(2.0)
+        out = np.diag([1.0 / K, 1.0]) @ M(np.pi / K) @ np.diag([K, 1.0])
         assert np.abs(out + np.eye(2)).max() < 1e-12
 
     def test_hyperbolic_cosh_form(self, preset_cache):
         # kappa = -0.5: K = 0.5, t = 2 gives [[cosh 1, sinh 1], [sinh 1, cosh 1]]
         s = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]
-        M = closed_form_exp(transport_generator(s), rescaled=True)
+        M = closed_form_exp(transport_generator(s))
         want = np.array([[np.cosh(1.0), np.sinh(1.0)],
                          [np.sinh(1.0), np.cosh(1.0)]])
-        assert np.abs(M(2.0) - want).max() < 1e-12
+        out = np.diag([2.0, 1.0]) @ M(2.0) @ np.diag([0.5, 1.0])     # diag(K, 1), K = 0.5
+        assert np.abs(out - want).max() < 1e-12
 
     def test_parabolic_unipotent(self, preset_cache):
         s = preset_cache("lorentz-magnetic-lie", kappa=-1.0)["structure"]

@@ -140,8 +140,7 @@ class TestParser:
             assert set(cli._COMMANDS[command][2]) == {f.lstrip("-") for f in flags}
 
     def test_help_prints_the_defaults(self, capsys):
-        with pytest.raises(SystemExit):
-            run(["rigidity", "--help"])
+        assert run(["rigidity", "--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
         for text in ("time horizon (default: 1.0)", "integration step (default: 0.001)",
                      "(default: 1000)", "(default: 0)", "output directory (default: .)"):
@@ -190,6 +189,13 @@ class TestOutOfRangeInput:
         assert run([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {why}, got ")
         assert not any(tmp_path.iterdir())
+
+    def test_short_p0_creates_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        assert run(["orbit", "--preset", "darboux", "--p0", "0,0,0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: p0 must be 4 numbers, got ['0', '0', '0']\n")
+        assert not out.exists()
 
     def test_dt_message_names_both_values(self, tmp_path, capsys):
         assert run(["orbit", "--preset", "darboux", "-T", "-1", "--dt", "5",
@@ -247,9 +253,7 @@ class TestOutOfRangeInput:
         flag = "-T" if key == "T" else f"--{key}"
         preset = ["--preset", "darboux"] if command in ("verify", "classify", "orbit") else []
         out = tmp_path / "out"
-        with pytest.raises(SystemExit) as e:
-            run([command, *preset, flag, str(value), "--out", str(out)])
-        assert e.value.code == 2
+        assert run([command, *preset, flag, str(value), "--out", str(out)]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 

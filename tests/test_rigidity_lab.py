@@ -236,7 +236,7 @@ class TestInabaIdentity:
         pts = np.zeros((1001, 4))
         pts[:, 3] = t
         pts[1:, 2] = 0.05
-        c = DCurve(times=t, points=pts, controls=(None, None))
+        c = DCurve(times=t, points=pts)
         with pytest.raises(SingularIntegrand):
             inaba_identity_check(c)
 
