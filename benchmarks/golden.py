@@ -10,7 +10,7 @@ Run from each checkout, then compare the two directories:
 
 ``--compare A B`` reads every JSON and CSV number of the two trees as a
 float (``%.17g`` writes 5.2e16 as integer text) and allows a relative
-deviation up to ``--rtol`` (default 1e-9); keys, strings, booleans, nulls,
+deviation up to ``RTOL``; keys, strings, booleans, nulls,
 the file list and every other file, ``console.txt`` included, must match
 exactly.  It prints each file that differs with its largest deviation and
 where it occurs, and exits 1 on any difference past the bound.
@@ -43,6 +43,7 @@ from engel_lab.presets import preset_names  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 WORKLOAD_SEEDS = (1, 2)
+RTOL = 1e-9     # --compare: the largest relative deviation of a number
 ORBITS = (
     ["--preset", "lorentz-magnetic", "--kappa", "-0.5", "-T", "5"],
     ["--preset", "lorentz-product", "--kappa", "0", "-T", "2"],
@@ -113,7 +114,7 @@ def _csv_rows(path: Path) -> list:
 
 def _differences(a: Path, b: Path):
     """The ``_walk`` pairs of two artifacts: numbers in JSON and CSV, and
-    every other file as one text."""
+    the first differing line of any other file."""
     if a.suffix == ".json":
         load = lambda p: json.loads(p.read_text(), parse_int=float)
         return _walk(load(a), load(b), "")
@@ -123,7 +124,7 @@ def _differences(a: Path, b: Path):
     return [(f"line {i + 1}", None) for i, (x, y) in enumerate(lines) if x != y][:1]
 
 
-def compare(root_a: Path, root_b: Path, rtol: float) -> int:
+def compare(root_a: Path, root_b: Path) -> int:
     files_a = {p.relative_to(root_a) for p in root_a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(root_b) for p in root_b.rglob("*") if p.is_file()}
     failed = 0
@@ -142,14 +143,14 @@ def compare(root_a: Path, root_b: Path, rtol: float) -> int:
                 other.append(w)
             elif dev > worst:
                 worst, where = dev, w
-        bad = bool(other) or worst > rtol
+        bad = bool(other) or worst > RTOL
         failed += bad
         parts = [f"largest deviation {worst:.3g} at {where}"] if where else []
         parts += [f"differs at {', '.join(other[:5])}"] if other else []
         print(f"{rel}: {'; '.join(parts) or 'same numbers'}" + (" FAIL" if bad else ""))
     total = len(files_a | files_b)
     print(f"golden compare: {total} files, {same} identical, {total - same - failed} within "
-          f"relative {rtol:g}, {failed} failing")
+          f"relative {RTOL:g}, {failed} failing")
     return 1 if failed else 0
 
 
@@ -159,12 +160,12 @@ def main(argv=None) -> int:
     mode.add_argument("--out", help="directory to write the artifacts into")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
                       help="compare two artifact trees instead of writing one")
-    parser.add_argument("--rtol", type=float, default=1e-9,
-                        help="largest relative deviation of a number in --compare "
-                             "(default: %(default)g)")
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*map(Path, args.compare), args.rtol)
+        roots = [Path(d) for d in args.compare]
+        if missing := [str(d) for d in roots if not d.is_dir()]:
+            parser.error(f"not a directory: {', '.join(missing)}")
+        return compare(*roots)
     root = Path(args.out)
     cmds = commands()
     for i, cmd in enumerate(cmds):

@@ -92,21 +92,9 @@ class TestCauchy:
             g = rng.normal(size=(3, 3)) + 2 * np.eye(3)
             if abs(np.linalg.det(g)) < 1e-2:
                 continue
-            new_E = []
-            for i in range(3):
-                coeffs = []
-                for k in range(4):
-                    base = [s.E_span[j].coeffs[k] for j in range(3)]
-                    if all(not callable(c) for c in base):
-                        coeffs.append(float(g[i] @ np.array([float(c) for c in base])))
-                    else:
-                        def mix(pts, i=i, k=k):
-                            vals = np.stack([
-                                s.E_span[j].coeff_at(pts)[..., k] for j in range(3)],
-                                axis=-1)
-                            return vals @ g[i]
-                        coeffs.append(mix)
-                new_E.append(Section(tuple(coeffs)))
+            # the darboux E span is constant: recombine its rows
+            rows = np.stack([e.constant_coeffs() for e in s.E_span])
+            new_E = [Section(tuple(g[i] @ rows)) for i in range(3)]
             s2 = darboux_standard()
             s2.E_span = new_E
             w1 = cauchy_characteristic(s2, p)
