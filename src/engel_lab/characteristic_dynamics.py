@@ -571,6 +571,10 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
             elif lin_r2 > r2_exp and lin_r2 > _R2_MIN:
                 kind = "parabolic"
                 lines, why = _parabolic_line(Mn[-1], _LINE_ANGLE_TOL)
+            else:
+                ev["demoted"] = (f"sigma1 grows but fits no growth law: r2_exp = {r2_exp:.4g}, "
+                                 f"lin_r2 = {lin_r2:.4g} (need > {_R2_MIN:g}), "
+                                 f"slope = {slope:.4g} (exponential needs > {_C_MIN:g})")
         elif distortion < _DISTORTION_BOUND:
             kind = "elliptic"
             # a bounded sigma1 proves nothing if the chart cut it while rising
@@ -579,6 +583,9 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
                 ev["demoted"] = (f"sigma1 still rising ({sigma1[0]:.4g} -> {sigma1[-1]:.4g}) "
                                  f"at the chart cut t_cut = {t_cut:.4g}")
                 kind = "unknown"
+        else:
+            ev["demoted"] = (f"sigma1 not growing (monotone fraction {monotone:.4g}) and "
+                             f"distortion {distortion:.4g} >= {_DISTORTION_BOUND:g}")
         genuine = None
         if kind in ("parabolic", "hyperbolic") and lines:
             d = _dw_coords(s, model.wrap(orbit.points))

@@ -489,20 +489,6 @@ class Section:
         return f"Section({self.name or self.coeffs})"
 
 
-@dataclass
-class DistributionSpec:
-    """A distribution given by spanning sections over a frame model."""
-
-    model: FrameModel
-    span: Sequence[Section]
-
-    def validate(self, pts: np.ndarray = None) -> None:
-        """Spanning sections must stay linearly independent at the samples."""
-        rank, _ = rank_with_margin(self.model.values(self.span, pts), DEFAULTS.rank_tol)
-        if not np.all(rank == len(self.span)):
-            raise DimensionMismatch("spanning sections lose independence at a sample")
-
-
 # ---------------------------------------------------------------------------
 # ranks
 # ---------------------------------------------------------------------------
@@ -528,16 +514,3 @@ def distribution_rank(vectors: Sequence[np.ndarray]) -> int:
     rank, _ = rank_with_margin(mat, DEFAULTS.rank_tol)
     return int(rank)
 
-
-def derived_distribution(d: DistributionSpec, p: np.ndarray = None) -> list[np.ndarray]:
-    """Spanning set of D_p + [D, D]_p, reduced by rank.
-
-    Returns an orthonormal basis (rows) of the span of the section values
-    together with all pairwise section brackets at ``p``.
-    """
-    k = len(d.span)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    mat = np.vstack([d.model.values(d.span, p)[0], d.model.brackets(d.span, pairs, p)[0]])
-    u, sv, vt = np.linalg.svd(mat, full_matrices=False)
-    r = int((sv > DEFAULTS.rank_tol).sum())
-    return [vt[i] for i in range(r)]

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteEvaluation, SignatureError
+from .errors import NonFiniteEvaluation, SignatureError
 from .frame_algebra import ChartModel, LieModel
 
 TWO_PI = 2.0 * np.pi
@@ -102,7 +102,7 @@ def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# surface catalog
+# surfaces
 # ---------------------------------------------------------------------------
 
 def flat_surface(half: float = np.pi, periodic: bool = True) -> ConformalSurface:
@@ -195,32 +195,6 @@ def table_surface(xs, ys, lam_grid, name: str = "table") -> ConformalSurface:
 
     return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log,
                             box=[[xs[0], xs[-1]], [ys[0], ys[-1]]], name=name)
-
-
-_CATALOG = {
-    "flat": lambda params: flat_surface(**params),
-    "sphere": lambda params: constant_curvature_surface(1.0, **params),
-    "disk": lambda params: constant_curvature_surface(-1.0, **params),
-    "constant": lambda params: constant_curvature_surface(**params),
-    "bump": lambda params: bump_surface(**params),
-}
-
-
-def surface_from_config(cfg: dict) -> ConformalSurface:
-    """Build a surface from a declarative config entry.
-
-    ``{"catalog": "constant", "params": {"kappa": -0.5}}`` or
-    ``{"table": {"xs": [...], "ys": [...], "lam": [[...]]}}``.
-    """
-    if "catalog" in cfg:
-        kind = cfg["catalog"]
-        if kind not in _CATALOG:
-            raise ConfigError(f"unknown surface {kind!r}; have {sorted(_CATALOG)}")
-        return _CATALOG[kind](cfg.get("params", {}))
-    if "table" in cfg:
-        t = cfg["table"]
-        return table_surface(t["xs"], t["ys"], t["lam"], name=cfg.get("name", "table"))
-    raise ConfigError("surface config needs a 'catalog' or 'table' entry")
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +301,6 @@ class LorentzExtension:
         if callable(self.kappa):
             return np.asarray(self.kappa(pts), dtype=float)
         return np.full(pts.shape[0], float(self.kappa))
-
-    def pullback_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pullback metric on frame-coefficient vectors over the M-frame."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return np.einsum("...i,i,...i->...", a, self.m_metric_diag, b)
 
     def check_signature(self) -> bool:
         ev = np.linalg.eigvalsh(self.v_metric)

@@ -611,6 +611,16 @@ class TestGlobalType:
         assert orbit["demoted"].startswith("sigma1 still rising")
         assert "t_cut = 0.58" in orbit["demoted"]
 
+    def test_growth_that_fits_no_law_names_its_fits(self, preset_cache):
+        # lorentz-product orbit 1 leaves the chart at t 1.75 with a growing
+        # sigma1 whose best fit, the linear one, stays below r2 0.99
+        s = preset_cache("lorentz-product", kappa=0.5)["structure"]
+        orbit = estimate_global_type(s, n_orbits=3, T_max=20.0, dt=1e-2).evidence["orbits"][1]
+        assert (orbit["kind"], orbit["t_end"]) == ("unknown", 1.75)
+        assert orbit["demoted"] == (
+            "sigma1 grows but fits no growth law: r2_exp = 0.9837, lin_r2 = 0.9899 "
+            "(need > 0.99), slope = 0.1704 (exponential needs > 0.05)")
+
     @pytest.mark.parametrize("name,params", [
         ("darboux", {}), ("lorentz-product", {"kappa": 1.0}), ("suspension-identity", {})])
     def test_cut_orbit_with_flat_sigma1_stays_elliptic(self, preset_cache, name, params):

@@ -65,6 +65,11 @@ class TestVerify:
         rep = verify_engel(s, n_samples=20, tol=1e-8)
         assert rep.summary["n_marginal"] == 20
         assert not rep.passed   # rank [D, D] collapses for this pair
+        # an exactly dependent pair is decided, not flagged: rank D is 1
+        s.D_span = [Section((1, 0, 0, 0)), Section((2, 0, 0, 0))]
+        rep = verify_engel(s, n_samples=20)
+        assert np.all(rep.rank_D == 1) and rep.summary["n_marginal"] == 0
+        assert not rep.passed
 
 
 class TestCauchy:
@@ -134,10 +139,12 @@ def test_line_angle_keeps_small_angles():
 
 class TestDarbouxModels:
     def test_E_annihilates_defining_form(self, rng):
-        # E = ker(dy - z dx): every E section pairs to zero with the form
+        # E = ker(dy - z dx): every E section and the bracket [D_1, D_2]
+        # pair to zero with the form, so D + [D, D] is E
         s = darboux_standard()
         pts = rng.uniform(-1.5, 1.5, (50, 4))
-        Ev = s.model.values(s.E_span, pts)
+        Ev = np.concatenate([s.model.values(s.E_span, pts),
+                             s.model.brackets(s.D_span, [(0, 1)], pts)], axis=1)
         form = np.zeros((50, 4))
         form[:, 1] = 1.0
         form[:, 0] = -pts[:, 2]

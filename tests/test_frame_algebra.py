@@ -9,12 +9,10 @@ from engel_lab.errors import DimensionMismatch, EmptyInput, NonFiniteEvaluation
 from engel_lab.frame_algebra import (
     ChartModel,
     ChartVectorField,
-    DistributionSpec,
     Section,
     bracket_chart,
     bracket_lie,
     coordinate_frame,
-    derived_distribution,
     distribution_rank,
     fd_jacobian,
     halton_points,
@@ -168,39 +166,6 @@ class TestRanks:
         assert distribution_rank(list(vecs)) == distribution_rank(list(g @ vecs))
 
 
-class TestDerivedDistribution:
-    def test_standard_engel_has_rank3_with_dz(self):
-        s = darboux_standard()
-        spec = DistributionSpec(s.model, s.D_span)
-        p = np.array([0.5, -0.3, 0.2, 0.8])
-        span = derived_distribution(spec, p)
-        assert len(span) == 3
-        # d/dz lies in the span
-        basis = np.vstack(span)
-        resid = np.array([0, 0, 1.0, 0]) - basis.T @ (basis @ np.array([0, 0, 1.0, 0]))
-        assert np.linalg.norm(resid) < 1e-8
-
-    def test_integrable_pair_stays_rank2(self):
-        s = darboux_standard()
-        spec = DistributionSpec(s.model, [Section((0, 1, 0, 0)), Section((0, 0, 1, 0))])
-        span = derived_distribution(spec, np.zeros(4))
-        assert len(span) == 2
-
-    def test_E_derives_to_rank4(self):
-        s = darboux_standard()
-        spec = DistributionSpec(s.model, s.E_span)
-        span = derived_distribution(spec, np.array([0.1, 0.1, 0.4, -0.2]))
-        assert len(span) == 4
-
-    def test_lie_model_distribution(self, magnetic):
-        # D = <Xt + Zt, Theta> on the exact frame derives to rank 3
-        from engel_lab.frame_algebra import Section
-        spec = DistributionSpec(magnetic, [Section((1, 0, 1, 0)),
-                                           Section((0, 0, 0, 1))])
-        span = derived_distribution(spec)
-        assert len(span) == 3
-
-
 def test_fd_jacobian_batched_shape():
     f = ef_X()
     pts = np.zeros((7, 4))
@@ -221,16 +186,6 @@ def test_halton_refuses_negative_skip():
 def test_bracket_chart_refuses_unstacked_values():
     with pytest.raises(DimensionMismatch):
         bracket_chart(ef_X(), [(0, 0)], np.zeros((3, 4)))
-
-
-def test_distribution_spec_validate(rng):
-    s = darboux_standard()
-    spec = DistributionSpec(s.model, s.D_span)
-    spec.validate(rng.uniform(-1, 1, (20, 4)))
-    from engel_lab.errors import DimensionMismatch as DM
-    bad = DistributionSpec(s.model, [Section((1, 0, 0, 0)), Section((2, 0, 0, 0))])
-    with pytest.raises(DM):
-        bad.validate(np.zeros((1, 4)))
 
 
 class TestModelProtocol:

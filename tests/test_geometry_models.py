@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from engel_lab.errors import ConfigError
 from engel_lab.frame_algebra import bracket_chart, fd_jacobian
 from engel_lab.geometry_models import (
     ConstantCurvatureUT,
@@ -12,13 +11,26 @@ from engel_lab.geometry_models import (
     gauss_curvature,
     magnetic_extension,
     product_extension,
-    surface_from_config,
     table_surface,
     unit_tangent_frames,
 )
 
 from conftest import frame_fields
 
+
+def _table():
+    xs, ys = np.linspace(-0.8, 0.8, 40), np.linspace(-0.7, 0.9, 30)
+    return table_surface(xs, ys, np.exp(0.3 * np.sin(np.add.outer(xs, 2 * ys))))
+
+
+SURFACES = {
+    "flat": flat_surface,
+    "sphere": lambda: constant_curvature_surface(1.0),
+    "disk": lambda: constant_curvature_surface(-1.0),
+    "constant": lambda: constant_curvature_surface(-0.5),
+    "bump": bump_surface,
+    "table": _table,
+}
 
 class TestGaussCurvature:
     def test_flat_is_zero(self, rng):
@@ -46,17 +58,10 @@ class TestGaussCurvature:
         pts = rng.uniform(s.box[:, 0], s.box[:, 1], (200, 2))
         assert np.abs(gauss_curvature(s, pts) - kappa).max() <= 1e-14
 
-    @pytest.mark.parametrize("cfg", [
-        {"catalog": "flat"}, {"catalog": "sphere"}, {"catalog": "disk"},
-        {"catalog": "constant", "params": {"kappa": -0.5}}, {"catalog": "bump"}, "table",
-    ], ids=["flat", "sphere", "disk", "constant", "bump", "table"])
-    def test_analytic_log_derivatives_match_differences(self, cfg, rng):
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_analytic_log_derivatives_match_differences(self, surface, rng):
         # dlog and d2log against central differences of log(lambda)
-        if cfg == "table":
-            xs, ys = np.linspace(-0.8, 0.8, 40), np.linspace(-0.7, 0.9, 30)
-            s = table_surface(xs, ys, np.exp(0.3 * np.sin(np.add.outer(xs, 2 * ys))))
-        else:
-            s = surface_from_config(cfg)
+        s = SURFACES[surface]()
         pts = rng.uniform(-0.5, 0.5, (15, 2))
         h = 1e-4
         log_lam = lambda q: np.log(s.lam_at(q))
@@ -94,18 +99,11 @@ class TestUnitTangentFrames:
             assert np.abs(ZY + X(p)).max() < 1e-6
             assert np.abs(XY - kappa * Z(p)).max() < 1e-5
 
-    @pytest.mark.parametrize("cfg", [
-        {"catalog": "flat"}, {"catalog": "sphere"}, {"catalog": "disk"},
-        {"catalog": "constant", "params": {"kappa": -0.5}}, {"catalog": "bump"}, "table",
-    ], ids=["flat", "sphere", "disk", "constant", "bump", "table"])
-    def test_one_point_matches_its_batch_row(self, cfg, rng):
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_one_point_matches_its_batch_row(self, surface, rng):
         # a single point is evaluated on floats and a batch on arrays; the
         # unit tangent and magnetic frames agree to the bit
-        if cfg == "table":
-            xs, ys = np.linspace(-0.8, 0.8, 40), np.linspace(-0.7, 0.9, 30)
-            s = table_surface(xs, ys, np.exp(0.3 * np.sin(np.add.outer(xs, 2 * ys))))
-        else:
-            s = surface_from_config(cfg)
+        s = SURFACES[surface]()
         ut = unit_tangent_frames(s)
         pts = rng.uniform([-0.5, -0.5, 0, 0], [0.5, 0.5, 2 * np.pi, 2 * np.pi], (200, 4))
         for model, P in ((ut.model, pts[:, :3]), (magnetic_extension(ut).model, pts)):
@@ -187,14 +185,10 @@ class TestExtensions:
         ext = built["extension"]
         k = -0.5
         w = np.array([1.0, 0.0, 1.0, -(1 + k)])
-        assert abs(ext.pullback_inner(w, w)) < 1e-12
+        assert abs(w @ (ext.m_metric_diag * w)) < 1e-12
 
 
 class TestSurfaceConfig:
-    def test_catalog_entry(self):
-        s = surface_from_config({"catalog": "constant", "params": {"kappa": -0.5}})
-        assert abs(gauss_curvature(s, np.array([0.1, 0.2])) + 0.5) < 1e-8
-
     def test_table_surface_reproduces_curvature(self):
         xs = np.linspace(-0.8, 0.8, 60)
         ys = np.linspace(-0.8, 0.8, 60)
@@ -203,7 +197,3 @@ class TestSurfaceConfig:
         s = table_surface(xs, ys, grid)
         pts = np.array([[0.1, -0.2], [0.3, 0.25], [-0.4, 0.1]])
         assert np.abs(gauss_curvature(s, pts) - 1.0).max() < 1e-4
-
-    def test_unknown_catalog_raises(self):
-        with pytest.raises(ConfigError):
-            surface_from_config({"catalog": "klein-bottle"})

@@ -83,7 +83,8 @@ class TestCartan:
 class TestLorentz:
     @pytest.mark.parametrize("kappa", [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0])
     def test_both_kinds_verify(self, preset_cache, kappa):
-        for kind in ("lorentz-product", "lorentz-magnetic"):
+        for kind in ("lorentz-product", "lorentz-magnetic",
+                     "lorentz-product-lie", "lorentz-magnetic-lie"):
             rep = verify_engel(preset_cache(kind, kappa=kappa)["structure"],
                                n_samples=200)
             assert rep.passed, f"{kind} kappa={kappa}: {rep.summary}"
