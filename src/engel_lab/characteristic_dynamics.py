@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._kernels import expm2, transport_rk4
-from .config import DEFAULTS
 from .engel_verify import EngelStructure, line_angle
 from .errors import (
     AmbiguousClass,
@@ -38,6 +37,7 @@ from .serialize import write_csv
 _ANGLE_GUARD = np.pi / 2    # largest mod-pi increment of a lifted angle
 _CLASS_TOL = 1e-6           # projective classes: band around |tr| = 2, pi multiples, +-I
 _MONO_TOL = 1e-12           # smallest angle step of a strictly increasing developing map
+_CLOSE_EPS = 1e-6           # chart distance of a closed orbit's return
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +129,6 @@ def _exit_time(times: np.ndarray, kept: int) -> Optional[float]:
     return None if kept == n else (kept + 1) * (times[-1] / n)
 
 
-def _trace(s: EngelStructure, times, points, dt: float) -> OrbitTrace:
-    return OrbitTrace(times=times, points=points,
-                      meta={"provenance": s.provenance, "dt": dt, "kind": s.model.kind})
-
-
 def integrate_orbits(s: EngelStructure, starts: np.ndarray, T, dt: float):
     """Integrate the characteristic field from all ``starts`` in one batch.
 
@@ -154,7 +149,7 @@ def integrate_characteristic(s: EngelStructure, p0: np.ndarray, T: float,
     times, pts, kept = integrate_orbits(s, p0, T, dt)
     if (t_exit := _exit_time(times, kept[0])) is not None:
         raise ChartExit(t_exit)
-    return _trace(s, times, pts[0], dt)
+    return OrbitTrace(times, pts[0])
 
 
 def orbits_within_chart(s: EngelStructure, starts: np.ndarray, T: float,
@@ -175,7 +170,7 @@ def orbits_within_chart(s: EngelStructure, starts: np.ndarray, T: float,
             n = max(1, int(round(abs(t_cut) / dt)))
             if n > k:
                 raise ChartExit(t_exit)
-        out.append((_trace(s, times[:n + 1], p[:n + 1], dt), t_cut))
+        out.append((OrbitTrace(times[:n + 1], p[:n + 1]), t_cut))
     return out
 
 
@@ -188,8 +183,8 @@ def two_sided_orbit(s: EngelStructure, p0: np.ndarray, T: float,
     for t, k in zip(times, kept):
         if (t_exit := _exit_time(t, k)) is not None:
             raise ChartExit(t_exit)
-    return _trace(s, np.concatenate([times[0, ::-1], times[1, 1:]]),
-                  np.concatenate([pts[0, ::-1], pts[1, 1:]]), dt)
+    return OrbitTrace(np.concatenate([times[0, ::-1], times[1, 1:]]),
+                      np.concatenate([pts[0, ::-1], pts[1, 1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +278,8 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
         with np.errstate(divide="ignore"):
             raw = np.where(u[:, 0] == 0, np.pi / 2, np.arctan(u[:, 1] / u[:, 0]))
         angle = lift_angle_mod_pi(raw)
-    meta = dict(orbit.meta)
-    meta["emw_frame"] = tuple(sec.name for sec in s.emw_frame)
     return OrbitTrace(times=times, points=orbit.points, M=M, angle=angle,
-                      dets=dets, meta=meta)
+                      dets=dets, meta=dict(orbit.meta))
 
 
 def closed_form_exp(A: np.ndarray) -> Callable:
@@ -307,7 +300,7 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     integration to t_max; raises :class:`ChartExit` without a return.
 
     T is the first local minimum of the wrapped distance to p0 after 10 dt
-    whose refined parabola vertex lies within ``DEFAULTS.orbit_close_eps``.
+    whose refined parabola vertex lies within ``_CLOSE_EPS``.
     E/W is transported along the stored steps up to the last sample t_j < T,
     then over one RK4 step of T - t_j.  Returns the lift and the transported
     orbit up to t_j, with T as ``meta["return_time"]``."""
@@ -315,7 +308,7 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
         # a straight-line exponential orbit never returns
         raise NotImplementedError("closed-orbit detection needs a chart model")
     orbit = integrate_characteristic(s, p0, t_max, dt)
-    times, d, eps = orbit.times, s.model.distance(orbit.points, p0), DEFAULTS.orbit_close_eps
+    times, d, eps = orbit.times, s.model.distance(orbit.points, p0), _CLOSE_EPS
     h = times[1] - times[0]
     k = np.arange(max(2, int(np.ceil(10 * dt / h))), len(d) - 1)
     # candidate local minima, decided by the refined parabola vertex of the
@@ -332,7 +325,7 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     T = float((times[k] + shift * h)[np.argmax(hit)])
 
     j = int(np.searchsorted(np.abs(times), abs(T))) - 1     # |t_j| < |T| <= |t_{j + 1}|
-    orbit = transport_EmodW(s, _trace(s, times[:j + 1], orbit.points[:j + 1], dt))
+    orbit = transport_EmodW(s, OrbitTrace(times[:j + 1], orbit.points[:j + 1]))
     last = transport_EmodW(s, integrate_characteristic(s, orbit.points[j], T - times[j],
                                                        abs(T - times[j])), angles=False)
     M = last.normalized_M()[-1] @ orbit.normalized_M()[-1]
@@ -346,7 +339,6 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
         F = np.diag([1.0, -1.0])
         M = F @ M @ F
         winding = -winding
-        orbit.meta["orientation_flipped"] = True
     return HolonomyLift(matrix=M, winding=winding), orbit
 
 
@@ -408,7 +400,6 @@ def _parabolic_sign(M: np.ndarray) -> int:
 class DevelopingMap:
     theta: np.ndarray
     length: float
-    flipped: bool
 
 
 def developing_map(orbit: OrbitTrace) -> DevelopingMap:
@@ -420,16 +411,13 @@ def developing_map(orbit: OrbitTrace) -> DevelopingMap:
     if orbit.angle is None:
         raise FrameDegenerate("orbit has no transport data")
     theta = orbit.angle.copy()
-    flipped = False
     if theta[-1] < theta[0]:
         theta = -theta
-        flipped = True
     d = np.diff(theta)
     if np.any(d <= _MONO_TOL):
         raise MonotonicityViolation(
             f"developing angle not strictly increasing (min step {d.min():.3e})")
-    return DevelopingMap(theta=theta, length=float(theta[-1] - theta[0]),
-                         flipped=flipped)
+    return DevelopingMap(theta=theta, length=float(theta[-1] - theta[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +510,9 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     """Finite-sample estimate of the elliptic/parabolic/hyperbolic type.
 
     Per orbit: while the top singular value sigma1 of the det-normalized
-    transport grows, fit its log for exponential growth (hyperbolic) and
-    sigma1 itself for linear shear (parabolic); otherwise check that the
+    transport grows, fit its log (exponential growth: hyperbolic) and sigma1
+    itself (linear shear: parabolic) against the elapsed time |t|, so a
+    negative ``T_max`` reads like a positive one; otherwise check that the
     conformal distortion sigma1^2 stays bounded (elliptic).  Genuine vs
     trans is decided by whether the D/W line meets the detected invariant
     line fields along the samples.
@@ -543,7 +532,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         n = len(orbit.times)
         sel = np.unique(np.linspace(n // 4, n - 1, 24).astype(int))
         Mn = orbit.normalized_M()[sel]
-        tsel = orbit.times[sel]
+        tsel = np.abs(orbit.times[sel])    # elapsed time: a backward orbit grows too
         sigma1 = np.linalg.svd(Mn, compute_uv=False)[:, 0]
         # |det Mn| = 1, so sigma1 / sigma2 = sigma1^2; the smaller singular
         # value itself drowns in rounding once sigma1 passes about 1e8

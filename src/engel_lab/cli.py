@@ -19,9 +19,9 @@ import numpy as np
 
 from . import characteristic_dynamics as dyn
 from . import rigidity_lab as rig
-from .config import DEFAULTS
 from .engel_verify import verify_engel
 from .errors import AmbiguousClass, ConfigError, EngelLabError, FrameDegenerate
+from .frame_algebra import RANK_TOL
 from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
 
@@ -254,7 +254,7 @@ _COMMANDS = {
     "verify": (cmd_verify, "check ranks (2,3,4) at sample points", {
         "preset": _PRESET, "kappa": _KAPPA,
         "samples": _setting("--samples", "sample points", 1000, _COUNT, type=int),
-        "tol": _setting("--tol", "rank tolerance", DEFAULTS.rank_tol, _POSITIVE, type=float),
+        "tol": _setting("--tol", "rank tolerance", RANK_TOL, _POSITIVE, type=float),
         "seed": _setting("--seed", "Halton sequence offset", 0, _SEED, type=int)}),
     "classify": (cmd_classify, "estimate the global dynamic type", {
         "preset": _PRESET, "kappa": _KAPPA, **_grid(20.0, 1e-2),

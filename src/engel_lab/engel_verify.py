@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
-from .frame_algebra import ChartModel, FrameModel, Section, frame_coords, rank_with_margin
+from .frame_algebra import (FD_STEP, RANK_TOL, ChartModel, FrameModel, Section, frame_coords,
+                            rank_with_margin)
 from .frame_algebra import sample_box  # re-exported: the acceptance suite imports it here
 from .serialize import SCHEMA_VERSION, Records
 
@@ -32,7 +32,8 @@ class EngelStructure:
 
     ``emw_frame`` is the construction's preferred complement of W inside E,
     used as the working frame of E/W by the dynamics module.  ``aux`` carries
-    construction-specific payloads (curvature functions, metrics, deck data).
+    construction data that the tests read back (a contact model, a connection
+    form, a monodromy logarithm, a unit tangent bundle).
     """
 
     model: FrameModel
@@ -140,7 +141,7 @@ def cauchy_characteristic(s: EngelStructure, p: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(p)
     vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
     brEE = s.model.brackets(s.E_span, _E_PAIRS, pts)
-    wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], DEFAULTS.rank_tol)
+    wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], RANK_TOL)
     if not ok.all():
         raise DegenerateKernel("bracket pairing on E has rank < 2")
     wvec /= np.linalg.norm(wvec, axis=-1, keepdims=True)
@@ -155,7 +156,7 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
     point-independent and it emits a single record at its base point.
     Marginal rank decisions are flagged, never silently resolved.
     """
-    tol = DEFAULTS.rank_tol if tol is None else float(tol)
+    tol = RANK_TOL if tol is None else float(tol)
     if not (np.isfinite(tol) and tol > 0):    # tol < 0 would count every singular value
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if n_samples < 1:
@@ -197,7 +198,7 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
     }
     return VerificationReport(
         provenance=s.provenance,
-        tolerances={"rank_tol": tol, "fd_step": DEFAULTS.h},
+        tolerances={"rank_tol": tol, "fd_step": FD_STEP},
         points=pts,
         rank_D=rank_D,
         rank_E=rank_E,

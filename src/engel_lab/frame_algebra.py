@@ -45,8 +45,12 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import DimensionMismatch, EmptyInput, FrameDegenerate, NonFiniteEvaluation
+
+FD_STEP = 1e-5          # central-difference step for jacobians of vector fields
+RANK_TOL = 1e-8         # singular values above this count toward a rank
+_MARGINAL_BAND = 10.0   # a rank is marginal if a singular value is within this factor of tol
+
 
 def _as_batch(p: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
     """Return ``(points of shape (n, dim), was_single)``."""
@@ -110,14 +114,14 @@ def bracket_chart(f: Callable[[np.ndarray], np.ndarray], pairs: Sequence[tuple[i
 
     ``f`` maps points (n, dim) to stacked chart components (n, k, dim).  It is
     called once at ``p`` and 2 dim times for the central-difference jacobian
-    of step ``DEFAULTS.h``.  Returns (n, P, dim), or (P, dim) for a single point.
+    of step ``FD_STEP``.  Returns (n, P, dim), or (P, dim) for a single point.
     """
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
     vals = np.asarray(f(pts), dtype=float)
     if vals.ndim != 3 or vals.shape[::2] != pts.shape:
         raise DimensionMismatch(f"sections returned {vals.shape} at points {pts.shape}")
-    J = fd_jacobian(f, pts, DEFAULTS.h)
+    J = fd_jacobian(f, pts, FD_STEP)
     a, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
     out = (np.einsum("npij,npj->npi", J[:, b], vals[:, a])
            - np.einsum("npij,npj->npi", J[:, a], vals[:, b]))
@@ -497,20 +501,19 @@ def rank_with_margin(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     """Batched rank of stacked row vectors, plus a marginal flag.
 
     ``vectors`` has shape (..., k, dim).  A decision is marginal when some
-    singular value falls within a factor ``DEFAULTS.marginal_band`` of ``tol``.
+    singular value falls within a factor ``_MARGINAL_BAND`` of ``tol``.
     """
-    band = DEFAULTS.marginal_band
     sv = np.linalg.svd(np.asarray(vectors, dtype=float), compute_uv=False)
     rank = (sv > tol).sum(axis=-1)
-    marginal = ((sv > tol / band) & (sv < tol * band)).any(axis=-1)
+    marginal = ((sv > tol / _MARGINAL_BAND) & (sv < tol * _MARGINAL_BAND)).any(axis=-1)
     return rank, marginal
 
 
 def distribution_rank(vectors: Sequence[np.ndarray]) -> int:
-    """Number of singular values of the stacked matrix above ``DEFAULTS.rank_tol``."""
+    """Number of singular values of the stacked matrix above ``RANK_TOL``."""
     if len(list(vectors)) == 0:
         raise EmptyInput("no vectors supplied")
     mat = np.vstack([np.asarray(v, dtype=float) for v in vectors])
-    rank, _ = rank_with_margin(mat, DEFAULTS.rank_tol)
+    rank, _ = rank_with_margin(mat, RANK_TOL)
     return int(rank)
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NonFiniteEvaluation, SignatureError
+from .errors import NonFiniteEvaluation
 from .frame_algebra import ChartModel, LieModel
 
 TWO_PI = 2.0 * np.pi
@@ -105,14 +105,13 @@ def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarr
 # surfaces
 # ---------------------------------------------------------------------------
 
-def flat_surface(half: float = np.pi, periodic: bool = True) -> ConformalSurface:
-    per = {0: 2 * half, 1: 2 * half} if periodic else {}
+def flat_surface(half: float = np.pi) -> ConformalSurface:
     return ConformalSurface(
         lam_dlog=lambda x, y: (np.ones_like(x), np.zeros_like(x), np.zeros_like(y)),
         d2log=lambda pts: np.zeros((len(pts), 3)),
         box=[[-half, half], [-half, half]],
         kappa=0.0,
-        periodic=per,
+        periodic={0: 2 * half, 1: 2 * half},
         name="flat")
 
 
@@ -294,19 +293,12 @@ class LorentzExtension:
     model: Union[ChartModel, LieModel]
     kappa: Union[float, Callable]
     m_metric_diag: np.ndarray
-    v_metric: np.ndarray
 
     def kappa_at(self, pts: np.ndarray) -> np.ndarray:
         """kappa at a batch of points (n, dim): (n,)."""
         if callable(self.kappa):
             return np.asarray(self.kappa(pts), dtype=float)
         return np.full(pts.shape[0], float(self.kappa))
-
-    def check_signature(self) -> bool:
-        ev = np.linalg.eigvalsh(self.v_metric)
-        if not (np.sum(ev > 0) == 2 and np.sum(ev < 0) == 1):
-            raise SignatureError("V-frame metric is not of signature (+,+,-)")
-        return True
 
 
 def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
@@ -331,8 +323,7 @@ def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
         kappa = surface.kappa if surface.kappa is not None else (
             lambda pts: gauss_curvature(surface, pts[:, :2]))
     return LorentzExtension(kind=kind, base=ut, model=model, kappa=kappa,
-                            m_metric_diag=np.array(m_metric_diag),
-                            v_metric=np.diag([1.0, 1.0, -1.0]))
+                            m_metric_diag=np.array(m_metric_diag))
 
 
 def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> LorentzExtension:

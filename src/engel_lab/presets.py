@@ -1,9 +1,9 @@
 """Named construction presets shared by the CLI and the test suite.
 
-Every preset builder returns a dict with at least ``structure``; Lorentz
-presets also expose the underlying ``extension`` and kappa.  Chart and exact
-Lie realizations of the constant-curvature families are separate presets so
-the numerical and closed-form paths can cross-validate.
+Every preset builder returns a dict with ``structure``; Lorentz presets also
+expose the underlying ``extension``.  Chart and exact Lie realizations of the
+constant-curvature families are separate presets so the numerical and
+closed-form paths can cross-validate.
 """
 from __future__ import annotations
 
@@ -52,8 +52,7 @@ def _lorentz(kind: str, kappa: float, exact: bool):
     base = ConstantCurvatureUT(kappa) if exact else unit_tangent_frames(
         constant_curvature_surface(kappa))
     ext = product_extension(base) if kind == "product" else magnetic_extension(base)
-    s = lorentz_prolongation(ext)
-    return {"structure": s, "extension": ext, "kappa": kappa}
+    return {"structure": lorentz_prolongation(ext), "extension": ext}
 
 
 def _magnetic_bump():
@@ -97,6 +96,4 @@ def preset_names() -> list:
 def build_preset(name: str, **overrides) -> dict:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    out = _PRESETS[name](overrides)
-    out.setdefault("name", name)
-    return out
+    return _PRESETS[name](overrides)

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._kernels import expm2
-from .config import DEFAULTS
 from .engel_verify import EngelStructure
 from .errors import (
     ConfigError,
@@ -30,6 +29,8 @@ from .errors import (
     TwistMonotonicityError,
 )
 from .frame_algebra import (
+    FD_STEP,
+    RANK_TOL,
     ChartModel,
     Section,
     coordinate_frame,
@@ -68,7 +69,7 @@ class ContactModel:
         pts = self.model.sample(n_samples)
         br = self.model.brackets(self.xi, [(0, 1)], pts)
         stack = np.concatenate([self.model.values(self.xi, pts), br], axis=1)
-        rank, _ = rank_with_margin(stack, DEFAULTS.rank_tol)
+        rank, _ = rank_with_margin(stack, RANK_TOL)
         if not np.all(rank == 3):
             raise NotContact("xi + [xi, xi] fails to have rank 3 at a sample point")
 
@@ -111,8 +112,7 @@ def _legendrian_frame(c: ContactModel) -> Callable:
     return _fiber_frame(lambda q: c.model.values([l1, l2, c.transverse], q))
 
 
-def _rotating_plane(model: ChartModel, angle: Callable, provenance: str,
-                    aux: dict) -> EngelStructure:
+def _rotating_plane(model: ChartModel, angle: Callable, provenance: str) -> EngelStructure:
     """D = <W, cos(f) l1 + sin(f) l2> for the angle f(pts) on a chart with the
     frame (W, l1, l2, R) of :func:`_legendrian_frame`: E = <W, l1, l2>, and
     the E/W frame is (l1, l2)."""
@@ -127,7 +127,7 @@ def _rotating_plane(model: ChartModel, angle: Callable, provenance: str,
         model=model, D_span=[W, Section(plane, "C")],
         E_span=[W, l1, l2], W_section=W,
         transverse_section=Section((0, 0, 0, 1), "R"),
-        provenance=provenance, emw_frame=(l1, l2), aux=aux)
+        provenance=provenance, emw_frame=(l1, l2))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def cartan_prolongation(c: ContactModel) -> EngelStructure:
     frame = _legendrian_frame(c)
     c.validate()
     model = fiber_chart(c.model, frame, f"cartan({c.model.name})", orbit_periods={3: np.pi})
-    return _rotating_plane(model, lambda pts: pts[:, 3], "cartan_prolongation", {"contact": c})
+    return _rotating_plane(model, lambda pts: pts[:, 3], "cartan_prolongation")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,6 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
     characteristic is Xt + Zt - (1 + kappa) Theta, a constant section when
     kappa is a number (Lie models and constant-curvature charts).
     """
-    ext.check_signature()
     model = ext.model
     if ext.kind == "product":
         D = [Section((1, 0, 0, 1), "W"), Section((0, 0, 1, 0), "Z")]
@@ -183,8 +182,7 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
         model=model, D_span=D, E_span=E, W_section=W,
         transverse_section=tau,
         provenance=f"lorentz_prolongation[{ext.kind}]",
-        emw_frame=emw,
-        aux={"extension": ext})
+        emw_frame=emw)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     """
     base = c.model
     pts = base.sample(_CURVATURE_CHECKS)
-    J = fd_jacobian(beta, pts, DEFAULTS.h)      # J[:, j, i] = d_i beta_j
+    J = fd_jacobian(beta, pts, FD_STEP)      # J[:, j, i] = d_i beta_j
     db = np.swapaxes(J, 1, 2) - J               # (d beta)_ij = d_i beta_j - d_j beta_i
     wv = base.values([w_bar], pts)[:, 0]
     rho = np.asarray(vol(pts), dtype=float)
@@ -250,7 +248,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
         transverse_section=Section((0, 0, 0, 1), "Theta"),
         provenance="prequantum_prolongation",
         emw_frame=emw,
-        aux={"contact": c, "beta": beta, "vol": vol})
+        aux={"contact": c, "beta": beta})
 
 
 def _sections_parallel(model, a: Section, b: Section) -> bool:
@@ -372,7 +370,7 @@ def propellor_structure(monodromy: np.ndarray,
     # the W-flow only moves t; everything entering the transport is
     # 1-periodic in t in the equivariant frame, so long orbits may wrap
     s.model = replace(s.model, periodic={**s.model.periodic, 2: 1.0})
-    s.aux.update({"monodromy": m, "log_monodromy": L, "line_path": path})
+    s.aux["log_monodromy"] = L
     return contact, s
 
 
@@ -417,8 +415,7 @@ def bi_engel_pair(monodromy: np.ndarray = ((2, 1), (1, 1)),
             W_section=W,
             transverse_section=s.transverse_section,
             provenance=f"bi_engel[{'+' if sign > 0 else '-'}]",
-            emw_frame=(U, S),
-            aux=dict(s.aux))
+            emw_frame=(U, S))
         pair.append(st)
     return pair[0], pair[1]
 
@@ -490,8 +487,7 @@ def suspension(sd: SuspensionData) -> EngelStructure:
 
     model = fiber_chart(base, frame, f"suspension({base.name})", hi=1.0, period=None)
 
-    return _rotating_plane(model, lambda pts: sd.rho(pts[:, 3], pts[:, :3]), "suspension",
-                           {"suspension": sd})
+    return _rotating_plane(model, lambda pts: sd.rho(pts[:, 3], pts[:, :3]), "suspension")
 
 
 def suspension_identity(K: int = 1) -> EngelStructure:
@@ -548,4 +544,4 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
         transverse_section=Section((0, 1, 0, 0), "X"),
         provenance="suspension_geodesic",
         emw_frame=(pushed_section(0, "Ys"), pushed_section(1, "Zs")),
-        aux={"ut": ut, "kappa": k})
+        aux={"ut": ut})

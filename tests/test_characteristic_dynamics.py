@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from engel_lab import characteristic_dynamics as dyn
 from engel_lab._kernels import expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
+    _CLOSE_EPS,
     HolonomyLift,
     classify_projective,
     closed_form_exp,
@@ -22,7 +23,6 @@ from engel_lab.characteristic_dynamics import (
     two_sided_orbit,
 )
 from engel_lab.cli import KAPPA_SWEEP
-from engel_lab.config import DEFAULTS
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.errors import AmbiguousClass, ChartExit, MonotonicityViolation, StepTooLarge
 from engel_lab.frame_algebra import _rk4_orbits
@@ -399,8 +399,7 @@ class TestClosedOrbits:
     @pytest.mark.parametrize("key", CLOSED)
     def test_return_time_matches_scalar_search(self, closed_orbit, key):
         s, _, orbit, [(full, (times, pts, _)), _] = closed_orbit(key)
-        want = first_return_reference(s.model, full[1], times, pts[0], 1e-3,
-                                      DEFAULTS.orbit_close_eps)
+        want = first_return_reference(s.model, full[1], times, pts[0], 1e-3, _CLOSE_EPS)
         assert orbit.meta["return_time"] == want
 
     def test_no_return_within_t_max(self, preset_cache):
@@ -409,7 +408,7 @@ class TestClosedOrbits:
         p0 = np.array([0.2, -0.1, 0.3, 0.0])
         orbit = integrate_characteristic(s, p0, 2.0, 1e-2)
         assert first_return_reference(s.model, p0, orbit.times, orbit.points, 1e-2,
-                                      DEFAULTS.orbit_close_eps) is None
+                                      _CLOSE_EPS) is None
         with pytest.raises(ChartExit):
             closed_orbit_holonomy(s, p0, dt=1e-2, t_max=2.0)
 
@@ -580,6 +579,16 @@ class TestGlobalType:
         s = preset_cache(name)["structure"]
         est = estimate_global_type(s, n_orbits=2, T_max=20.0, dt=1e-2)
         assert (est.kind, est.genuine) == want
+
+    @pytest.mark.parametrize("name,kappa", [*(("lorentz-magnetic-lie", k) for k in KAPPA_SWEEP),
+                                            ("propellor-cat", None)])
+    def test_negative_horizon_gives_the_same_label(self, preset_cache, name, kappa):
+        # growth is fitted against elapsed time, so sigma1 growing along a
+        # backward orbit reads as growth, not as a negative slope
+        s = preset_cache(name, **({} if kappa is None else {"kappa": kappa}))["structure"]
+        fwd, bwd = (estimate_global_type(s, n_orbits=2, T_max=T, dt=1e-2) for T in (20.0, -20.0))
+        assert fwd.kind != "unknown"
+        assert bwd.label() == fwd.label()
 
     def test_evidence_is_free_of_rounding_noise(self, preset_cache):
         # the propellor-cat orbits share one holonomy, so their distortions

@@ -437,6 +437,10 @@ class TestReportCommand:
         doc = json.loads((tmp_path / "kappa_sweep.json").read_text())
         assert all(r["agrees"] for r in doc["rows"])
 
+    def test_negative_horizon_reproduces_the_sign_law(self, tmp_path, capsys):
+        assert run(["report", "-T", "-20", "--out", str(tmp_path)]) == 0
+        assert "sign law reproduced" in capsys.readouterr().out
+
 
 class TestSerializer:
     def test_seventeen_digit_floats(self):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engel_lab.config import DEFAULTS
 from engel_lab.errors import DimensionMismatch, EmptyInput, NonFiniteEvaluation
 from engel_lab.frame_algebra import (
+    FD_STEP,
     ChartModel,
     ChartVectorField,
     Section,
@@ -358,7 +358,7 @@ class TestModelProtocol:
         assert br.shape == (20, len(pairs), s.model.dim)
         for k, (i, j) in enumerate(pairs):
             fa, fb = s.model.field(sections[i]), s.model.field(sections[j])
-            Ja, Jb = (fd_jacobian(f, pts, DEFAULTS.h) for f in (fa, fb))
+            Ja, Jb = (fd_jacobian(f, pts, FD_STEP) for f in (fa, fb))
             one = np.einsum("nij,nj->ni", Jb, fa(pts)) - np.einsum("nij,nj->ni", Ja, fb(pts))
             assert np.array_equal(br[:, k], one), (sections[i].name, sections[j].name)
         assert np.array_equal(s.model.brackets(sections, pairs, pts[0]), br[:1])
