@@ -1,12 +1,13 @@
-"""Time the integration kernels, one field evaluation, one batched section
-bracket call, one transport generator call, one characteristic RK4 step,
-one closed-orbit holonomy, the writing of one verify artifact and the
-construction of every preset.
+"""Time the integration kernels, the rigidity probe (with its memory peak),
+one field evaluation, one batched section bracket call, one transport
+generator call, one characteristic RK4 step, one closed-orbit holonomy, the
+writing of one verify artifact and the construction of every preset.
 
 Run:  python benchmarks/bench_kernels.py
 """
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,26 @@ def bench_dcurves(n_curves=1000, n_steps=1000):
     starts = np.zeros((n_curves, 4))
     t, _ = timeit(_kernels.dcurve_rk4, U, V, starts, 1.0 / n_steps)
     return f"dcurve_rk4 B={n_curves} {n_steps} steps", t
+
+
+def bench_probe(trials=(1000, 10_000)):
+    """Wall time and tracemalloc peak of one ``rigidity_probe`` (T = 1,
+    dt = 1e-3) at each trial count.  The probe integrates its curves a block
+    at a time and keeps their endpoints, so the peak does not grow with the
+    trials."""
+    from engel_lab.rigidity_lab import rigidity_probe
+
+    rows = []
+    for n in trials:
+        t, _ = timeit(rigidity_probe, n_trials=n, repeat=3)
+        tracemalloc.start()
+        try:
+            rigidity_probe(n_trials=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows.append((f"rigidity_probe {n} trials", t, peak))
+    return rows
 
 
 def bench_transport(n_steps=200_000):
@@ -156,6 +177,8 @@ def main():
                                                  for B in (1, 8)]
     for name, t in dcurves + [bench_transport()]:
         print(f"{name:<34s} {t * 1e3:9.2f}ms")
+    for name, t, peak in bench_probe():
+        print(f"{name:<34s} {t * 1e3:9.2f}ms, peak {peak / 1e6:.1f} MB")
     for name, t in bench_field():
         print(f"{name:<34s} {t * 1e6:9.1f}us per evaluation")
     name, t = bench_brackets()

@@ -22,7 +22,8 @@ exit code, stdout and stderr, with the output directory written as ``OUT``.
 
 The commands are: the tasks of the four benchmark workloads
 (``perfbench/workloads.py``) at fixed seeds, ``classify`` for every chart
-preset at the CLI defaults, and chart and Lie orbits as JSON and CSV.
+preset at the CLI defaults, chart and Lie orbits as JSON and CSV, and two
+``rigidity`` runs at edge-case trial counts.
 """
 from __future__ import annotations
 
@@ -52,6 +53,9 @@ ORBITS = (
     ["--preset", "lorentz-magnetic-lie", "--kappa", "-1", "-T", "10"],
     ["--preset", "lorentz-product-lie", "--kappa", "0.5", "-T", "10"],
 )
+# rigidity edge cases: fewer trials than the 100 integral-identity curves,
+# and a trial count that is no multiple of the probe's block
+RIGIDITY = (["--trials", "60", "--seed", "3"], ["--trials", "250", "--seed", "5"])
 
 
 def commands() -> list:
@@ -62,6 +66,7 @@ def commands() -> list:
     cmds += [["classify", "--preset", p] for p in preset_names() if not p.endswith("-lie")]
     for args in ORBITS:
         cmds += [["orbit", *args], ["orbit", *args, "--format", "csv"]]
+    cmds += [["rigidity", *args] for args in RIGIDITY]
     return cmds
 
 

@@ -174,10 +174,9 @@ def cmd_orbit(manifest) -> int:
 def cmd_rigidity(manifest) -> int:
     trials, seed = int(manifest["trials"]), int(manifest["seed"])
     T, dt = float(manifest["T"]), float(manifest["dt"])
-    probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed)
-
-    U = rig.random_admissible_table(np.random.default_rng(seed), 100, T, dt)
-    paths = rig.sample_d_curves_batch(U, np.ones_like(U), T, dt)
+    # the integral identity is checked on the first 100 probe curves
+    probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed, keep=100)
+    paths = probe.pop("paths")
     times = np.linspace(0.0, T, paths.shape[1])
     residuals = [rig.inaba_identity_check(rig.DCurve(times, pts)) for pts in paths]
     doc = {

@@ -358,11 +358,23 @@ def propellor_structure(monodromy: np.ndarray,
     contact = ContactModel(model=base, xi=xi, transverse=Section(normal, "n"))
     contact.validate()
 
-    def frame_column(j, name) -> Section:
-        # phi^t(e_j): one exponential per evaluation gives both coefficients
-        return Section(lambda pts: (*expm2(pts[:, 2, None, None] * L)[:, :, j].T, 0, 0), name)
+    pending = {}
 
-    P, Q = frame_column(0, "hP"), frame_column(1, "hQ")
+    def rotation(t):
+        # phi^t at the fiber times t (n,).  hP and hQ are its two columns, and
+        # a values call asks for both at the same times: the first computes
+        # the exponential and leaves it here, keyed by the bytes of t, and
+        # the second takes it, so no exponential outlives its values call
+        key = t.tobytes()
+        if key in pending:
+            return pending.pop(key)
+        pending.clear()
+        E = pending[key] = expm2(t[:, None, None] * L)
+        return E
+
+    # phi^t(e_1) and phi^t(e_2)
+    P = Section(lambda pts: (*rotation(pts[:, 2])[:, :, 0].T, 0, 0), "hP")
+    Q = Section(lambda pts: (*rotation(pts[:, 2])[:, :, 1].T, 0, 0), "hQ")
 
     s = prequantum_prolongation(contact, w_bar=Section((0, 0, 1), "dt"),
                                 vol=_unit_density, beta=_beta, emw=(P, Q))

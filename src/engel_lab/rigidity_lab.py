@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import dcurve_rk4
+from ._kernels import _DCURVE_BLOCK, dcurve_rk4
 from .errors import NotNull, SingularIntegrand, StepTooLarge, VariationNotDCurve
 from .frame_algebra import _rk4_orbits
 from .geometry_models import ConformalSurface, unit_tangent_frames
@@ -177,6 +177,9 @@ _DS = 1e-4              # variations: step in s of the central differences
 _DT = 1e-3              # variations: curve step
 _TANGENCY_TOL = 1e-6    # largest tangency residual of a deformed D-curve
 _NULL_TOL = 1e-8        # null-defect bound, or 1e3 dt^2 where that is larger
+# curves per block of rigidity_probe: whole kernel blocks, and a block's
+# controls and paths (0.5 and 1 MB at 1,000 steps) stay in cache
+_PROBE_BLOCK = 4 * _DCURVE_BLOCK
 
 
 def _control_modes(rng: np.random.Generator):
@@ -198,39 +201,67 @@ def random_admissible_controls(rng: np.random.Generator):
     return u, (lambda t: np.ones_like(np.atleast_1d(t), dtype=float))
 
 
-def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: float) -> np.ndarray:
-    """u of ``n`` successive ``random_admissible_controls(rng)`` on the
-    half-step grid of (T, dt), one row per curve (v = 1).
+def _cos_modes(tgrid: np.ndarray) -> np.ndarray:
+    return np.cos(np.pi * np.arange(1, 4)[:, None] * tgrid)
+
+
+def _control_block(rng: np.random.Generator, n: int, tgrid: np.ndarray,
+                   cos_modes: np.ndarray) -> np.ndarray:
+    """u of the next ``n`` ``random_admissible_controls(rng)`` on ``tgrid``,
+    one row per curve; ``cos_modes[f - 1]`` is cos(pi f t) on ``tgrid``.
 
     The draws come from ``rng`` in the same order and the modes are summed
     in the same order, so each row equals the closure's values bit for bit.
-    Rows are summed 64 at a time, to keep the temporaries small.
     """
-    _, tgrid = _half_step_grid(T, dt)
     coeffs, freqs = map(np.array, zip(*(_control_modes(rng) for _ in range(n))))
-    cos_modes = np.cos(np.pi * np.arange(1, 4)[:, None] * tgrid)
     U = np.zeros((n, tgrid.size))
-    for lo in range(0, n, 64):
-        rows = slice(lo, lo + 64)
-        for a, f in zip(coeffs[rows].T, freqs[rows].T):
-            U[rows] += a[:, None] * tgrid * cos_modes[f - 1]
+    term = np.empty_like(U)
+    for a, f in zip(coeffs.T, freqs.T):
+        np.multiply(a[:, None], tgrid, out=term)
+        term *= cos_modes[f - 1]
+        U += term
     return U
 
 
+def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: float) -> np.ndarray:
+    """u of ``n`` successive ``random_admissible_controls(rng)`` on the
+    half-step grid of (T, dt), one row per curve (v = 1), built in one
+    block (``_control_block``)."""
+    _, tgrid = _half_step_grid(T, dt)
+    return _control_block(rng, n, tgrid, _cos_modes(tgrid))
+
+
 def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
-                   seed: int = 0) -> dict:
+                   seed: int = 0, *, keep: int = 0) -> dict:
     """Two experiments behind the rigidity of W-curves.
 
     (a) every admissible nontrivial D-curve from the origin ends strictly
     inside the cone (region A+); (b) along the family u = eps sin(pi t),
     |y(T)| = O(eps^2) while sup |z| = O(eps), so forcing y(T) to zero forces
     the curve onto the W-axis.
+
+    The curves of (a) are drawn from ``default_rng(seed)`` and integrated
+    ``_PROBE_BLOCK`` at a time, keeping only their endpoints, so memory does
+    not grow with ``n_trials``.  ``paths`` holds the first ``keep`` curves
+    of the same seeded sequence in full, (keep, nsteps + 1, 4); when ``keep``
+    exceeds ``n_trials`` the sequence is drawn and integrated that far, and
+    its endpoints past ``n_trials`` stay out of (a).  Each curve is
+    integrated once.
     """
-    U = random_admissible_table(np.random.default_rng(seed), n_trials, T, dt)
-    ends = sample_d_curves_batch(U, np.broadcast_to(1.0, U.shape), T, dt)[:, -1, :]
+    rng = np.random.default_rng(seed)
+    nsteps, tgrid = _half_step_grid(T, dt)
+    cos_modes = _cos_modes(tgrid)
+    ends = np.empty((n_trials, 4))
+    paths = np.empty((keep, nsteps + 1, 4))
+    n = max(n_trials, keep)
+    for lo in range(0, n, _PROBE_BLOCK):
+        U = _control_block(rng, min(_PROBE_BLOCK, n - lo), tgrid, cos_modes)
+        block = sample_d_curves_batch(U, np.broadcast_to(1.0, U.shape), T, dt)
+        e, kept = ends[lo:lo + _PROBE_BLOCK], paths[lo:lo + _PROBE_BLOCK]
+        e[:] = block[:len(e), -1]
+        kept[:] = block[:len(kept)]
     regions = access_regions(ends).tolist()
 
-    _, tgrid = _half_step_grid(T, dt)
     U = _EPS_GRID[:, None] * np.sin(np.pi * tgrid)
     sweep = [{
         "eps": float(eps),
@@ -247,6 +278,7 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
         "sweep": sweep,
         "y_over_eps2": [s["abs_yT"] / s["eps"] ** 2 for s in sweep],
         "z_over_eps": [s["sup_z"] / s["eps"] for s in sweep],
+        "paths": paths,
     }
 
 

@@ -224,6 +224,28 @@ class TestPropellor:
         with pytest.raises(ConfigError, match="unimodular"):
             propellor_line_path(np.diag([2.0, 1.0]))
 
+    def test_frame_one_exponential_per_batch(self, monkeypatch):
+        # hP and hQ are the two columns of phi^t = exp(t L): one values call
+        # over both computes the exponential once, and gives the values of
+        # one exponential per section bit for bit
+        from engel_lab import prolongations
+        _, s = propellor_structure(CAT_MAP)
+        P, Q = s.emw_frame
+        L = s.aux["log_monodromy"]
+        own = [Section(lambda pts, j=j: (*expm2(pts[:, 2, None, None] * L)[:, :, j].T, 0, 0))
+               for j in (0, 1)]
+        pts = sample_box(s.model, 50)
+        calls = []
+        monkeypatch.setattr(prolongations, "expm2", lambda O: calls.append(len(O)) or expm2(O))
+        got = s.model.values([P, Q], pts)
+        assert calls == [50]
+        assert np.array_equal(got, s.model.values(own, pts))
+        # a bracket: one exponential per values call of its central
+        # differences, 1 + 2 dim
+        calls.clear()
+        s.model.brackets([P, Q], [(0, 1)], pts)
+        assert calls == [50] * (1 + 2 * s.model.dim)
+
     def test_contact_model_validates(self):
         contact, _ = propellor_structure(np.eye(2))
         contact.validate(n_samples=40)

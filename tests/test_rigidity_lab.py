@@ -1,5 +1,6 @@
 """Accessible sets, the integral identity, and infinitesimal rigidity."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,38 @@ class TestRigidityProbe:
         tgrid = np.linspace(0.0, 1.0, 2001)
         want = [random_admissible_controls(rng)[0](tgrid) for _ in range(70)]
         assert np.array_equal(U, want)
+
+    def test_memory_flat_in_trials(self):
+        # the curves go through in blocks and only their endpoints are kept,
+        # so ten times the trials stay within 1.5 times the peak (a probe
+        # that holds every curve at once grows about tenfold)
+        def peak(n):
+            tracemalloc.start()
+            try:
+                rigidity_probe(T=1.0, n_trials=n, dt=1e-3, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2000) <= 1.5 * peak(200)
+
+    @pytest.mark.parametrize("trials, curves", [(1000, 1008), (60, 108)])
+    def test_cli_integrates_each_curve_once(self, tmp_path, monkeypatch, trials, curves):
+        # the trials (at least the 100 integral-identity curves) and the 8
+        # sweep curves: the identity reads the probe's paths, it does not
+        # draw and integrate its curves again
+        from engel_lab import rigidity_lab
+        from engel_lab.cli import main
+        rows = []
+
+        def counting(u_half, v_half, starts, dt, long_chart=False):
+            rows.append(len(starts))
+            return dcurve_rk4(u_half, v_half, starts, dt, long_chart=long_chart)
+
+        monkeypatch.setattr(rigidity_lab, "dcurve_rk4", counting)
+        assert main(["rigidity", "--trials", str(trials), "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert sum(rows) == curves
 
     def test_thousand_trials_stay_accessible(self):
         probe = rigidity_probe(T=1.0, n_trials=1000, dt=1e-3, seed=7)
