@@ -39,8 +39,8 @@ def bench_dcurves(n_curves=1000, n_steps=1000):
 def bench_probe(trials=(1000, 10_000)):
     """Wall time and tracemalloc peak of one ``rigidity_probe`` (T = 1,
     dt = 1e-3) at each trial count.  The probe integrates its curves a block
-    at a time and keeps their endpoints, so the peak does not grow with the
-    trials."""
+    at a time and keeps their endpoints and the first 100 paths, so the peak
+    does not grow with the trials."""
     from engel_lab.rigidity_lab import rigidity_probe
 
     rows = []

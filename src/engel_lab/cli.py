@@ -174,8 +174,8 @@ def cmd_orbit(manifest) -> int:
 def cmd_rigidity(manifest) -> int:
     trials, seed = int(manifest["trials"]), int(manifest["seed"])
     T, dt = float(manifest["T"]), float(manifest["dt"])
-    # the integral identity is checked on the first 100 probe curves
-    probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed, keep=100)
+    # the integral identity is checked on the probe's leading curves
+    probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed)
     paths = probe.pop("paths")
     times = np.linspace(0.0, T, paths.shape[1])
     residuals = [rig.inaba_identity_check(rig.DCurve(times, pts)) for pts in paths]

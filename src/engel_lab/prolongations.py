@@ -364,7 +364,8 @@ def propellor_structure(monodromy: np.ndarray,
         # phi^t at the fiber times t (n,).  hP and hQ are its two columns, and
         # a values call asks for both at the same times: the first computes
         # the exponential and leaves it here, keyed by the bytes of t, and
-        # the second takes it, so no exponential outlives its values call
+        # the second takes it.  A lone hP or hQ evaluation leaves its
+        # exponential here until the next call
         key = t.tobytes()
         if key in pending:
             return pending.pop(key)

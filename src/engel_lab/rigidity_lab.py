@@ -180,6 +180,7 @@ _NULL_TOL = 1e-8        # null-defect bound, or 1e3 dt^2 where that is larger
 # curves per block of rigidity_probe: whole kernel blocks, and a block's
 # controls and paths (0.5 and 1 MB at 1,000 steps) stay in cache
 _PROBE_BLOCK = 4 * _DCURVE_BLOCK
+_IDENTITY_CURVES = 100  # leading probe curves returned in full, for the integral identity
 
 
 def _control_modes(rng: np.random.Generator):
@@ -232,7 +233,7 @@ def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: floa
 
 
 def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
-                   seed: int = 0, *, keep: int = 0) -> dict:
+                   seed: int = 0) -> dict:
     """Two experiments behind the rigidity of W-curves.
 
     (a) every admissible nontrivial D-curve from the origin ends strictly
@@ -242,18 +243,18 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
 
     The curves of (a) are drawn from ``default_rng(seed)`` and integrated
     ``_PROBE_BLOCK`` at a time, keeping only their endpoints, so memory does
-    not grow with ``n_trials``.  ``paths`` holds the first ``keep`` curves
-    of the same seeded sequence in full, (keep, nsteps + 1, 4); when ``keep``
-    exceeds ``n_trials`` the sequence is drawn and integrated that far, and
-    its endpoints past ``n_trials`` stay out of (a).  Each curve is
-    integrated once.
+    not grow with ``n_trials``.  ``paths`` holds the first
+    ``_IDENTITY_CURVES`` curves of the same seeded sequence in full,
+    (_IDENTITY_CURVES, nsteps + 1, 4); when ``n_trials`` is smaller the
+    sequence is drawn and integrated that far, and its endpoints past
+    ``n_trials`` stay out of (a).  Each curve is integrated once.
     """
     rng = np.random.default_rng(seed)
     nsteps, tgrid = _half_step_grid(T, dt)
     cos_modes = _cos_modes(tgrid)
     ends = np.empty((n_trials, 4))
-    paths = np.empty((keep, nsteps + 1, 4))
-    n = max(n_trials, keep)
+    paths = np.empty((_IDENTITY_CURVES, nsteps + 1, 4))
+    n = max(n_trials, _IDENTITY_CURVES)
     for lo in range(0, n, _PROBE_BLOCK):
         U = _control_block(rng, min(_PROBE_BLOCK, n - lo), tgrid, cos_modes)
         block = sample_d_curves_batch(U, np.broadcast_to(1.0, U.shape), T, dt)

@@ -242,8 +242,9 @@ class TestInabaIdentity:
             inaba_identity_check(c)
 
     def test_cli_batch_matches_single_curves(self, tmp_path):
-        # the CLI integrates its 100 curves in one batch; each must equal
-        # the curve integrated on its own from the same seed
+        # the CLI reads its 100 identity curves from the probe, which
+        # integrates them in blocks; each must equal the curve integrated
+        # on its own from the same seed
         from engel_lab.cli import main
         assert main(["rigidity", "--trials", "60", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
