@@ -1,7 +1,8 @@
 """Time the integration kernels, the rigidity probe (with its memory peak),
 one field evaluation, one batched section bracket call, one transport
 generator call, one characteristic RK4 step, one closed-orbit holonomy, the
-writing of one verify artifact and the construction of every preset.
+writing of one verify artifact and of one orbit CSV, and the construction of
+every preset.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -160,6 +161,20 @@ def bench_verify_artifact(n=1000):
     return f"verify artifact, {n} records", t
 
 
+def bench_orbit_csv(T=20.0, dt=1e-3):
+    """Wall time of writing one orbit CSV of T / dt + 1 rows (20,001 at the
+    defaults): the transported lorentz-magnetic-lie orbit from the base
+    point, as ``orbit --format csv`` writes it (time, point, M and angle)."""
+    from engel_lab.characteristic_dynamics import integrate_characteristic, transport_EmodW
+    from engel_lab.presets import build_preset
+
+    s = build_preset("lorentz-magnetic-lie", kappa=-0.5)["structure"]
+    orbit = transport_EmodW(s, integrate_characteristic(s, np.zeros(4), T, dt))
+    with tempfile.TemporaryDirectory() as d:
+        t, _ = timeit(orbit.to_csv, Path(d) / "orbit.csv")
+    return f"orbit csv, {len(orbit.times)} rows", t
+
+
 def bench_presets():
     """Wall time of building every preset once at its defaults, as
     ``build_preset`` does at the start of each CLI task."""
@@ -189,8 +204,8 @@ def main():
         print(f"{name:<34s} {t * 1e6:9.1f}us per RK4 step")
     name, t = bench_closed_orbit()
     print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
-    name, t = bench_verify_artifact()
-    print(f"{name:<34s} {t * 1e3:9.2f}ms per write")
+    for name, t in (bench_verify_artifact(), bench_orbit_csv()):
+        print(f"{name:<34s} {t * 1e3:9.2f}ms per write")
     name, t = bench_presets()
     print(f"{name:<34s} {t * 1e3:9.2f}ms")
 

@@ -129,7 +129,7 @@ def _exit_time(times: np.ndarray, kept: int) -> Optional[float]:
     return None if kept == n else (kept + 1) * (times[-1] / n)
 
 
-def integrate_orbits(s: EngelStructure, starts: np.ndarray, T, dt: float):
+def integrate_orbits(s: EngelStructure, starts: np.ndarray, T: float, dt: float):
     """Integrate the characteristic field from all ``starts`` in one batch.
 
     Returns the model's ``flow`` of W, (times, points (B, n + 1, dim), steps
@@ -177,14 +177,13 @@ def orbits_within_chart(s: EngelStructure, starts: np.ndarray, T: float,
 def two_sided_orbit(s: EngelStructure, p0: np.ndarray, T: float,
                     dt: float) -> OrbitTrace:
     """Orbit of total length T centered at p0, for a p0 mid-chart whose
-    one-sided orbit of the full length would leave.  Both halves run as one
-    batch; a chart exit of the backward half is reported first."""
-    times, pts, kept = integrate_orbits(s, [p0, p0], [-T / 2.0, T / 2.0], dt)
-    for t, k in zip(times, kept):
-        if (t_exit := _exit_time(t, k)) is not None:
-            raise ChartExit(t_exit)
-    return OrbitTrace(np.concatenate([times[0, ::-1], times[1, 1:]]),
-                      np.concatenate([pts[0, ::-1], pts[1, 1:]]))
+    one-sided orbit of the full length would leave: the one-sided orbits
+    of -T/2 and T/2 joined at p0.  The backward half runs first, so its
+    chart exit is the one reported."""
+    back = integrate_characteristic(s, p0, -T / 2.0, dt)
+    fwd = integrate_characteristic(s, p0, T / 2.0, dt)
+    return OrbitTrace(np.concatenate([back.times[::-1], fwd.times[1:]]),
+                      np.concatenate([back.points[::-1], fwd.points[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +380,11 @@ def classify_projective(h: HolonomyLift) -> ProjectiveType:
 
 
 def _parabolic_sign(M: np.ndarray) -> int:
-    """Direction in which a parabolic matrix pushes non-fixed lines."""
+    """Direction in which a parabolic matrix pushes non-fixed lines: with Mn
+    = +-M of positive trace, Mn - I = x y^T, y = mu J x (J the quarter turn),
+    so det[v, Mn v] = -(y . v)^2 / mu has the sign of Mn10 - Mn01 = -mu |x|^2."""
     Mn = M if np.trace(M) > 0 else -M
-    N = Mn - np.eye(2)
-    _, _, vt = np.linalg.svd(N)
-    fixed = vt[-1]
-    v = np.array([-fixed[1], fixed[0]])
-    Mv = Mn @ v
-    cross = v[0] * Mv[1] - v[1] * Mv[0]
-    return 1 if cross >= 0 else -1
+    return 1 if Mn[1, 0] - Mn[0, 1] >= 0 else -1
 
 
 # ---------------------------------------------------------------------------

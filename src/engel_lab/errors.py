@@ -22,7 +22,7 @@ class DegenerateKernel(EngelLabError):
 
 
 class SignatureError(EngelLabError):
-    """A Lorentz extension failed its (+,+,-) signature invariant."""
+    """A Lorentz extension names a kind that no construction knows."""
 
 
 class NotContact(EngelLabError):

@@ -177,11 +177,11 @@ class LieModel:
         """The base point, (1, dim): every point of the model looks the same."""
         return self.point()
 
-    def flow(self, section: "Section", starts: np.ndarray, T, dt: float):
+    def flow(self, section: "Section", starts: np.ndarray, T: float, dt: float):
         """The lines start + t * section on the time grid of :func:`_rk4_orbits`;
         every row keeps all its steps."""
         times, nsteps = _time_grid(T, dt)
-        pts = np.atleast_2d(starts)[:, None, :] + times[..., None] * section.constant_coeffs()
+        pts = np.atleast_2d(starts)[:, None, :] + times[:, None] * section.constant_coeffs()
         return times, pts, np.full(len(pts), nsteps)
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
@@ -317,7 +317,7 @@ class ChartModel:
         """``n`` Halton points of the box, (n, dim): :func:`sample_box`."""
         return sample_box(self, n, skip=skip)
 
-    def flow(self, section: "Section", starts: np.ndarray, T, dt: float):
+    def flow(self, section: "Section", starts: np.ndarray, T: float, dt: float):
         """RK4 orbits of the section from every row of ``starts``, each stopped
         at its chart exit: :func:`_rk4_orbits`."""
         return _rk4_orbits(self.field(section), starts, T, dt, self)
@@ -382,19 +382,19 @@ def sample_box(model: FrameModel, n: int, skip: int = 100) -> np.ndarray:
     return model.point(halton_points(n, model.dim, skip=skip))
 
 
-def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
+def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None):
     """Classical RK4 from every row of ``starts`` (B, dim) at once.
 
-    ``T`` is one signed horizon or one per row of equal size; every row takes
-    n = round(|T| / dt) steps of T / n.  With a chart ``model`` a row stops at
-    the first step whose point leaves the box (``contains`` with pad 1e-9);
-    a step to NaN or inf raises :class:`NonFiniteEvaluation`.  Returns (times,
-    points (B, n + 1, dim), NaN past each row's end, steps kept per row);
-    each row is bit-identical to a one-row run.
+    Every row takes n = round(|T| / dt) steps of T / n, T signed.  With a
+    chart ``model`` a row stops at the first step whose point leaves the box
+    (``contains`` with pad 1e-9); a step to NaN or inf raises
+    :class:`NonFiniteEvaluation`.  Returns (times (n + 1,), points
+    (B, n + 1, dim), NaN past each row's end, steps kept per row); each row
+    is bit-identical to a one-row run.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     times, nsteps = _time_grid(T, dt)
-    h = np.broadcast_to(times[..., -1:] / nsteps, (len(starts), 1))
+    h = times[-1] / nsteps
     pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
     pts[:, 0] = p = starts
     half, sixth = 0.5 * h, h / 6.0
@@ -412,17 +412,15 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T, dt: float, model=None):
             if not inside.all():
                 kept[live[~inside]] = k
                 live, p = live[inside], p[inside]
-                h, half, sixth = h[inside], half[inside], sixth[inside]
                 if not live.size:
                     break
         pts[live, k + 1] = p
     return times, pts, kept
 
 
-def _time_grid(T, dt: float):
-    T = np.asarray(T, dtype=float)
-    nsteps = max(1, int(round(float(np.abs(T).max()) / dt)))
-    return np.linspace(0.0, T, nsteps + 1, axis=-1), nsteps
+def _time_grid(T: float, dt: float):
+    nsteps = max(1, int(round(abs(T) / dt)))
+    return np.linspace(0.0, T, nsteps + 1), nsteps
 
 
 def frame_coords(frame: np.ndarray, vecs: np.ndarray, degenerate: str) -> np.ndarray:

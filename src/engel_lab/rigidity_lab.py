@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._kernels import _DCURVE_BLOCK, dcurve_rk4
-from .errors import NotNull, SingularIntegrand, StepTooLarge, VariationNotDCurve
+from .errors import DimensionMismatch, NotNull, SingularIntegrand, StepTooLarge, VariationNotDCurve
 from .frame_algebra import _rk4_orbits
 from .geometry_models import ConformalSurface, unit_tangent_frames
 
@@ -94,45 +94,34 @@ class DCurve:
 
 
 def _half_step_grid(T: float, dt: float):
-    nsteps = max(1, int(round(T / dt)))
+    """round(T / dt) steps of a D-curve of length T and their half-step grid."""
+    if not (T > 0 and 0 < dt <= T):
+        raise StepTooLarge(f"need T > 0 and 0 < dt <= T, got T={T:g}, dt={dt:g}")
+    nsteps = int(round(T / dt))
     return nsteps, np.linspace(0.0, T, 2 * nsteps + 1)
-
-
-def _on_grid(f, tgrid) -> np.ndarray:
-    return np.broadcast_to(np.atleast_1d(np.asarray(f(tgrid), dtype=float)), tgrid.shape)
-
-
-def sample_d_curves(controls: Sequence, T: float, dt: float,
-                    start=(0.0, 0.0, 0.0, 0.0), long_chart: bool = False) -> list:
-    """Integrate the control ODE for each (u, v) pair in one kernel call;
-    tangency holds by construction."""
-    if dt <= 0 or T <= 0:
-        raise StepTooLarge("T and dt must be positive")
-    if dt > T:
-        raise StepTooLarge("dt exceeds the curve length")
-    nsteps, tgrid = _half_step_grid(T, dt)
-    U = np.array([_on_grid(u, tgrid) for u, _ in controls])
-    V = np.array([_on_grid(v, tgrid) for _, v in controls])
-    starts = np.broadcast_to(np.asarray(start, dtype=float), (len(controls), 4))
-    paths = sample_d_curves_batch(U, V, T, dt, start=starts, long_chart=long_chart)
-    times = np.linspace(0.0, T, nsteps + 1)
-    return [DCurve(times=times, points=pts, long_chart=long_chart) for pts in paths]
 
 
 def sample_d_curve(controls, T: float, dt: float,
                    start=(0.0, 0.0, 0.0, 0.0)) -> DCurve:
     """Integrate the control ODE in the standard chart (tangent by construction)."""
-    return sample_d_curves([controls], T, dt, start=start)[0]
+    nsteps, tgrid = _half_step_grid(T, dt)
+    U, V = (np.broadcast_to(np.asarray(c(tgrid), dtype=float), tgrid.shape) for c in controls)
+    pts = sample_d_curves_batch(U[None], V[None], T, dt, start=np.asarray(start)[None])[0]
+    return DCurve(times=np.linspace(0.0, T, nsteps + 1), points=pts)
 
 
 def sample_d_curves_batch(u_values: np.ndarray, v_values: np.ndarray,
                           T: float, dt: float, start=None,
                           long_chart: bool = False) -> np.ndarray:
-    """Batched variant: control values already on the half-step grid."""
-    nsteps = (u_values.shape[1] - 1) // 2
-    B = u_values.shape[0]
-    if start is None:
-        start = np.zeros((B, 4))
+    """Integrate the control ODE for every row of the control tables, one row
+    per curve on the half-step grid of (T, dt): 2 round(T / dt) + 1 columns.
+    Returns the paths (batch, round(T / dt) + 1, 4); ``start`` (batch, 4)
+    defaults to the origin."""
+    nsteps, tgrid = _half_step_grid(T, dt)
+    if u_values.shape != v_values.shape or u_values.shape[1:] != tgrid.shape:
+        raise DimensionMismatch(f"control tables {u_values.shape} and {v_values.shape}; "
+                                f"T={T:g} and dt={dt:g} need {tgrid.size} columns")
+    start = np.zeros((len(u_values), 4)) if start is None else start
     return dcurve_rk4(u_values, v_values, start, T / nsteps, long_chart=long_chart)
 
 
@@ -188,48 +177,43 @@ def _control_modes(rng: np.random.Generator):
     return rng.uniform(-_AMPLITUDE, _AMPLITUDE, size=_N_MODES), rng.integers(1, 4, size=_N_MODES)
 
 
+def _control_sums(coeffs: np.ndarray, freqs: np.ndarray, t: np.ndarray,
+                  cos_modes: np.ndarray) -> np.ndarray:
+    """sum_k (a_k t) cos(pi f_k t) on the 1-D grid ``t``, one row per row of
+    the mode amplitudes ``coeffs`` and frequencies ``freqs`` (n, modes);
+    ``cos_modes[f - 1]`` is cos(pi f t) on ``t``.  The modes are added in
+    order from zero."""
+    U = np.zeros((len(coeffs), t.size))
+    term = np.empty_like(U)
+    for a, f in zip(coeffs.T, freqs.T):
+        np.multiply(a[:, None], t, out=term)
+        term *= cos_modes[f - 1]
+        U += term
+    return U
+
+
+def _cos_modes(t: np.ndarray) -> np.ndarray:
+    return np.cos(np.pi * np.arange(1, 4)[:, None] * t)
+
+
 def random_admissible_controls(rng: np.random.Generator):
     """Smooth u with u(t) = O(t) near zero (and v = 1), for the w = t class."""
     coeffs, freqs = _control_modes(rng)
 
     def u(t):
         t = np.atleast_1d(t)
-        out = np.zeros_like(t, dtype=float)
-        for a, f in zip(coeffs, freqs):
-            out += a * t * np.cos(np.pi * f * t)
-        return out
+        return _control_sums(coeffs[None], freqs[None], t, _cos_modes(t))[0]
 
     return u, (lambda t: np.ones_like(np.atleast_1d(t), dtype=float))
-
-
-def _cos_modes(tgrid: np.ndarray) -> np.ndarray:
-    return np.cos(np.pi * np.arange(1, 4)[:, None] * tgrid)
 
 
 def _control_block(rng: np.random.Generator, n: int, tgrid: np.ndarray,
                    cos_modes: np.ndarray) -> np.ndarray:
     """u of the next ``n`` ``random_admissible_controls(rng)`` on ``tgrid``,
-    one row per curve; ``cos_modes[f - 1]`` is cos(pi f t) on ``tgrid``.
-
-    The draws come from ``rng`` in the same order and the modes are summed
-    in the same order, so each row equals the closure's values bit for bit.
-    """
+    one row per curve, from the same draws in the same order and by the same
+    sums, so each row equals the closure's values bit for bit."""
     coeffs, freqs = map(np.array, zip(*(_control_modes(rng) for _ in range(n))))
-    U = np.zeros((n, tgrid.size))
-    term = np.empty_like(U)
-    for a, f in zip(coeffs.T, freqs.T):
-        np.multiply(a[:, None], tgrid, out=term)
-        term *= cos_modes[f - 1]
-        U += term
-    return U
-
-
-def random_admissible_table(rng: np.random.Generator, n: int, T: float, dt: float) -> np.ndarray:
-    """u of ``n`` successive ``random_admissible_controls(rng)`` on the
-    half-step grid of (T, dt), one row per curve (v = 1), built in one
-    block (``_control_block``)."""
-    _, tgrid = _half_step_grid(T, dt)
-    return _control_block(rng, n, tgrid, _cos_modes(tgrid))
+    return _control_sums(coeffs, freqs, tgrid, cos_modes)
 
 
 def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
@@ -323,23 +307,21 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
         g = perturbation if perturbation is not None else (
             lambda t: np.sin(2.0 * np.atleast_1d(t)) + 0.5 * np.cos(3.0 * np.atleast_1d(t)))
 
-        def controls(s):
-            # the s^2 term breaks the even parity of y in s, so the central
-            # difference genuinely measures a small quantity instead of an
-            # exact cancellation; the first-order field is still s*g
-            u = lambda t: (s * np.asarray(g(t), dtype=float)
-                           + s * s * np.asarray(g(t), dtype=float) ** 2)
-            return u, (lambda t: np.ones_like(np.atleast_1d(t), dtype=float))
-
         tgrid = np.linspace(0.0, length, max(1, int(round(length / _DT))) + 1)
         norm = float(np.abs(np.asarray(g(tgrid), dtype=float)).max())
         if norm == 0.0:
             return {"max_dy_ds": 0.0, "norm": 0.0, "per_time": np.zeros_like(tgrid)}
-        curves = sample_d_curves([controls(s) for s in (_DS, -_DS, _DS / 2, -_DS / 2)],
-                                 length, _DT, long_chart=True)
-        if any(c.tangency_residual() > _TANGENCY_TOL for c in curves):
+        # the s^2 term breaks the even parity of y in s, so the central
+        # difference genuinely measures a small quantity instead of an
+        # exact cancellation; the first-order field is still s*g
+        _, thalf = _half_step_grid(length, _DT)
+        gh = np.broadcast_to(np.asarray(g(thalf), dtype=float), thalf.shape)
+        U = np.array([s * gh + s * s * gh ** 2 for s in (_DS, -_DS, _DS / 2, -_DS / 2)])
+        paths = sample_d_curves_batch(U, np.ones_like(U), length, _DT, long_chart=True)
+        if any(DCurve(tgrid, p, long_chart=True).tangency_residual() > _TANGENCY_TOL
+               for p in paths):
             raise VariationNotDCurve("deformed curve left the D-curve class")
-        y_p, y_m, y_hp, y_hm = (c.points[:, 1] for c in curves)
+        y_p, y_m, y_hp, y_hm = paths[:, :, 1]
         d1 = (y_p - y_m) / (2 * _DS)
         d2 = (y_hp - y_hm) / _DS
         deriv = (4.0 * d2 - d1) / 3.0

@@ -6,18 +6,18 @@ out.  JSON artifacts are strict JSON: NaN and +-inf become ``null`` and
 strings are escaped as the standard library does.  Key order is the
 insertion order of the dicts we build, which is fixed by construction.
 
-A finite float array is written in one ``%`` call: a template with one
-``%.17g`` per element, nested as the array's shape, applied to the flat
-values (``"%.17g" % x`` and ``format(x, ".17g")`` are the same CPython
-routine).  Arrays with NaN or +-inf and non-float arrays take the per-element
-path.  ``write_csv`` builds its rows from the same template; a column with
-non-finite values writes ``NaN``/``Infinity``/``-Infinity`` there.
+Arrays are written in one ``%`` call each.  One helper gives the format
+and the values of an array: ``%.17g`` and the floats when every value is a
+finite float (``"%.17g" % x`` and ``format(x, ".17g")`` are the same CPython
+routine), ``%d`` and the ints for an integer array, and otherwise ``%s`` with
+the text of each value, which spells NaN and +-inf ``null`` in JSON and
+``NaN``/``Infinity``/``-Infinity`` in CSV.  A JSON array is a template with
+one format per element, nested as the array's shape; a CSV file repeats one
+row template of its column formats.
 
 A :class:`Records` table (field name -> array whose first axis is the row)
 is written as the JSON list of per-row objects, in one ``%`` call as well:
-one row template (``%.17g`` for a finite float column, ``%d`` for an int
-column, ``%s`` with preformatted ``true``/``false`` or ``null`` strings for a
-bool column or a float column holding NaN or +-inf, nested ``[...]`` for a
+one row template from the formats of its columns (nested ``[...]`` for a
 column with more axes), repeated once per row and applied to the column
 values interleaved row by row.  The text is the same as that of the list of
 per-row dicts of Python scalars, so no per-row dict is ever built.
@@ -32,9 +32,6 @@ import numpy as np
 
 SCHEMA_VERSION = 2
 
-_FLOAT = "%.17g"
-
-
 def _fmt_float(x: float) -> str:
     if math.isfinite(x):
         return format(x, ".17g")
@@ -43,7 +40,7 @@ def _fmt_float(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def _array_template(shape: tuple, fmt: str = _FLOAT) -> str:
+def _array_template(shape: tuple, fmt: str) -> str:
     """``%``-template writing an array of ``shape`` as nested JSON lists."""
     t = fmt
     for n in reversed(shape):
@@ -66,16 +63,16 @@ class Records:
         self.n = lengths.pop() if lengths else 0
 
 
-def _column(a: np.ndarray) -> tuple:
-    """``(format, slots)`` of one column: the format of each value and one
-    list of values per position in a row, row-major over the row shape."""
-    slots = a.reshape(len(a), math.prod(a.shape[1:])).T.tolist()
+def _formatted(a: np.ndarray, text) -> tuple:
+    """``(format, values)`` writing the values of ``a`` in C order:
+    ``%.17g`` and the floats if all are finite floats, ``%d`` and the ints
+    for an integer array, otherwise ``%s`` and ``text`` of each value."""
+    values = a.ravel().tolist()
     if a.dtype.kind == "f" and np.isfinite(a).all():
-        return _FLOAT, slots
+        return "%.17g", values
     if a.dtype.kind in "iu":
-        return "%d", slots
-    # bools, and floats with NaN or +-inf: "true"/"false"/"null" strings
-    return "%s", [[dumps_canonical(x) for x in s] for s in slots]
+        return "%d", values
+    return "%s", [text(x) for x in values]
 
 
 def _dumps_records(r: Records) -> str:
@@ -83,10 +80,12 @@ def _dumps_records(r: Records) -> str:
         return "[]"
     pieces, slots = [], []
     for k, a in r.columns.items():
-        fmt, col = _column(a)
+        fmt, values = _formatted(a, dumps_canonical)
         key = encode_basestring(str(k)).replace("%", "%%")
         pieces.append(f"{key}: {_array_template(a.shape[1:], fmt)}")
-        slots += col
+        # one list of values per position in a row
+        m = math.prod(a.shape[1:])
+        slots += [values[j::m] for j in range(m)]
     row = "{" + ", ".join(pieces) + "}"
     return ("[" + ", ".join([row] * r.n) + "]") % tuple(chain.from_iterable(zip(*slots)))
 
@@ -106,9 +105,8 @@ def dumps_canonical(obj) -> str:
     if isinstance(obj, str):
         return encode_basestring(obj)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return _array_template(obj.shape) % tuple(obj.ravel().tolist())
-        return dumps_canonical(obj.tolist())
+        fmt, values = _formatted(obj, dumps_canonical)
+        return _array_template(obj.shape, fmt) % tuple(values)
     if isinstance(obj, Records):
         return _dumps_records(obj)
     if isinstance(obj, (list, tuple)):
@@ -133,15 +131,8 @@ def write_json(path, obj) -> None:
 
 
 def write_csv(path, header, columns) -> None:
-    fmts, values = [], []
-    for c in columns:
-        c = np.asarray(c, dtype=float)
-        if np.isfinite(c).all():
-            fmts.append(_FLOAT)
-            values.append(c.tolist())
-        else:
-            fmts.append("%s")
-            values.append([_fmt_float(x) for x in c.tolist()])
+    fmts, values = zip(*(_formatted(np.asarray(c, dtype=float), _fmt_float)
+                         for c in columns))
     row = ",".join(fmts) + "\n"
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")

@@ -9,6 +9,7 @@ from engel_lab._kernels import expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
     _CLOSE_EPS,
     HolonomyLift,
+    _parabolic_sign,
     classify_projective,
     closed_form_exp,
     closed_orbit_holonomy,
@@ -104,8 +105,9 @@ class TestIntegrate:
             integrate_characteristic(s, s.model.point(0.6), 5.0, 1e-3)
         assert exc.value.t_exit == 2.073
 
-    def test_two_sided_matches_separate_orbits(self, preset_cache):
-        s = preset_cache("lorentz-magnetic", kappa=-1.0)["structure"]
+    @pytest.mark.parametrize("name", ["lorentz-magnetic", "lorentz-magnetic-lie"])
+    def test_two_sided_matches_separate_orbits(self, preset_cache, name):
+        s = preset_cache(name, kappa=-1.0)["structure"]
         p0 = np.array([0.0, 0.0, np.pi / 2, 0.0])
         orbit = two_sided_orbit(s, p0, 1.0, 1e-2)
         back = integrate_characteristic(s, p0, -0.5, 1e-2)
@@ -310,6 +312,20 @@ class TestClassify:
         m = np.array([[1.0 + 1e-9, 0.0], [0.0, 1.0 - 1e-9]])
         t = classify_projective(HolonomyLift(m, np.pi))
         assert t.kind == "elliptic" and abs(t.length - np.pi) < 1e-9
+
+    def test_parabolic_sign_of_shears(self, rng):
+        # a lower shear pushes lines counterclockwise, an upper one clockwise;
+        # conjugation keeps the push if it keeps orientation
+        for c in (1e-3, 0.7, 40.0):
+            for m, want in ((np.array([[1.0, 0.0], [c, 1.0]]), 1),
+                            (np.array([[1.0, c], [0.0, 1.0]]), -1)):
+                assert _parabolic_sign(m) == _parabolic_sign(-m) == want
+                for _ in range(50):
+                    g = rng.normal(size=(2, 2))
+                    while abs(np.linalg.det(g)) < 0.1:
+                        g = rng.normal(size=(2, 2))
+                    conj = g @ m @ np.linalg.inv(g)
+                    assert _parabolic_sign(conj) == want * np.sign(np.linalg.det(g))
 
     def test_conjugation_invariance(self, rng):
         # the classification is by PSL(2,R) conjugacy class

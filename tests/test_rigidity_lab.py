@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from engel_lab._kernels import _DCURVE_BLOCK, dcurve_rk4, transport_rk4
-from engel_lab.errors import NotNull, SingularIntegrand
+from engel_lab.errors import DimensionMismatch, NotNull, SingularIntegrand, StepTooLarge
 from engel_lab.geometry_models import constant_curvature_surface, flat_surface
 from engel_lab.rigidity_lab import (
     AccessRegion,
+    _control_block,
+    _cos_modes,
     access_regions,
     accessible_membership,
     boundary_cone_value,
@@ -19,9 +21,9 @@ from engel_lab.rigidity_lab import (
     infinitesimal_rigidity_check,
     null_variation_check,
     random_admissible_controls,
-    random_admissible_table,
     rigidity_probe,
     sample_d_curve,
+    sample_d_curves_batch,
 )
 
 from conftest import rel_err, sequential_transport
@@ -264,12 +266,22 @@ class TestInabaIdentity:
 
 class TestRigidityProbe:
     def test_control_table_rows_equal_closures(self):
-        # one table row per closure, from the same draws and bit for bit
-        U = random_admissible_table(np.random.default_rng(4), 70, 1.0, 1e-3)
-        rng = np.random.default_rng(4)
+        # one block row per closure, from the same draws and bit for bit
         tgrid = np.linspace(0.0, 1.0, 2001)
-        want = [random_admissible_controls(rng)[0](tgrid) for _ in range(70)]
-        assert np.array_equal(U, want)
+        U = _control_block(np.random.default_rng(4), 70, tgrid, _cos_modes(tgrid))
+        rng = np.random.default_rng(4)
+        controls = [random_admissible_controls(rng)[0] for _ in range(70)]
+        assert np.array_equal(U, [u(tgrid) for u in controls])
+        # off the grid each closure is the sum of its modes, added in order
+        rng = np.random.default_rng(4)
+        t = np.random.default_rng(5).uniform(-0.5, 3.0, 257)
+        for u in controls:
+            coeffs, freqs = rng.uniform(-1, 1, size=3), rng.integers(1, 4, size=3)
+            want = np.zeros_like(t)
+            for a, f in zip(coeffs, freqs):
+                want += a * t * np.cos(np.pi * f * t)
+            assert np.array_equal(u(t), want)
+            assert np.array_equal(u(t[7]), want[7:8])
 
     def test_memory_flat_in_trials(self):
         # the curves go through in blocks and only their endpoints are kept,
@@ -338,6 +350,20 @@ class TestRigidityProbe:
             assert abs(entry["abs_yT"] - abs(c.points[-1, 1])) == 0.0
             assert abs(entry["sup_z"] - np.abs(c.points[:, 2]).max()) == 0.0
             assert abs(entry["cone_value"] - boundary_cone_value(c.points[-1])) == 0.0
+
+    def test_table_width_must_match_the_step(self):
+        # 2001 columns are the half-step grid of dt = 1e-3, not of dt = 0.25
+        U = np.zeros((2, 2001))
+        assert sample_d_curves_batch(U, np.ones_like(U), 1.0, 1e-3).shape == (2, 1001, 4)
+        with pytest.raises(DimensionMismatch, match="need 9"):
+            sample_d_curves_batch(U, np.ones_like(U), 1.0, 0.25)
+        with pytest.raises(DimensionMismatch):
+            sample_d_curves_batch(U, np.ones((2, 2003)), 1.0, 1e-3)
+        for T, dt in [(0.0, 1e-3), (-1.0, 1e-3), (1.0, 0.0), (1.0, -1e-3), (1.0, 2.0)]:
+            with pytest.raises(StepTooLarge):
+                sample_d_curves_batch(U, np.ones_like(U), T, dt)
+            with pytest.raises(StepTooLarge):
+                sample_d_curve((ZEROS, ONES), T, dt)
 
     def test_zero_control_is_w_curve(self):
         c = sample_d_curve((ZEROS, ONES), 1.0, 1e-3)
