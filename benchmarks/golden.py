@@ -22,8 +22,8 @@ exit code, stdout and stderr, with the output directory written as ``OUT``.
 
 The commands are: the tasks of the four benchmark workloads
 (``perfbench/workloads.py``) at fixed seeds, ``classify`` for every chart
-preset at the CLI defaults, chart and Lie orbits as JSON and CSV, and two
-``rigidity`` runs at edge-case trial counts.
+preset at the CLI defaults, chart and Lie orbits as JSON and CSV, two
+``rigidity`` runs at edge-case trial counts, and the ``report`` table as CSV.
 """
 from __future__ import annotations
 
@@ -67,6 +67,7 @@ def commands() -> list:
     for args in ORBITS:
         cmds += [["orbit", *args], ["orbit", *args, "--format", "csv"]]
     cmds += [["rigidity", *args] for args in RIGIDITY]
+    cmds += [["report", "--format", "csv"]]
     return cmds
 
 

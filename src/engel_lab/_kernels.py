@@ -2,7 +2,8 @@
 
 ``dcurve_rk4`` integrates the D-curve control ODE by classical RK4 as four
 prefix sums (``np.cumsum``), one per coordinate, so no Python loop runs over
-the steps.  ``transport_rk4`` solves the
+the steps.  Both kernels take their samples on the half-step grid of
+``frame_algebra._time_grid``.  ``transport_rk4`` solves the
 E/W transport M' = A(t) M with 4th-order Magnus steps: every step is one
 2x2 exponential (``expm2``), and the steps are multiplied together by a
 log-depth prefix product, so no Python loop runs over the steps.

@@ -30,7 +30,7 @@ from .errors import (
     MonotonicityViolation,
     StepTooLarge,
 )
-from .frame_algebra import _rk4_orbits, frame_coords
+from .frame_algebra import _rk4_orbits, _time_grid, frame_coords
 from .geometry_models import LorentzExtension
 from .serialize import write_csv
 
@@ -137,8 +137,6 @@ def integrate_orbits(s: EngelStructure, starts: np.ndarray, T: float, dt: float)
     On a Lie model the orbit of a constant section is the straight line t * W
     in exponential coordinates based at the start point.
     """
-    if dt <= 0:
-        raise StepTooLarge("dt must be positive")
     return s.model.flow(s.W_section, starts, T, dt)
 
 
@@ -156,7 +154,7 @@ def orbits_within_chart(s: EngelStructure, starts: np.ndarray, T: float,
                         dt: float) -> list[tuple[OrbitTrace, Optional[float]]]:
     """One batch of orbits, each cut back from its chart exit.
 
-    An orbit that left the chart keeps its first round(|t_cut| / dt) steps,
+    An orbit that left the chart keeps the steps that :func:`_time_grid` gives
     t_cut = max(|t_exit| - 2 dt, 10 dt) signed like T.  Returns (orbit, t_cut)
     per start, t_cut None for an orbit that stayed inside; raises
     :class:`ChartExit` if an orbit kept fewer steps.
@@ -167,7 +165,7 @@ def orbits_within_chart(s: EngelStructure, starts: np.ndarray, T: float,
         t_exit, t_cut, n = _exit_time(times, k), None, len(times) - 1
         if t_exit is not None:
             t_cut = np.copysign(max(abs(t_exit) - 2 * dt, 10 * dt), t_exit)
-            n = max(1, int(round(abs(t_cut) / dt)))
+            n = _time_grid(t_cut, dt)[0]
             if n > k:
                 raise ChartExit(t_exit)
         out.append((OrbitTrace(times[:n + 1], p[:n + 1]), t_cut))
@@ -336,8 +334,7 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     if winding < 0:
         # orient so D/W rotates positively: flip the second frame leg
         F = np.diag([1.0, -1.0])
-        M = F @ M @ F
-        winding = -winding
+        M, winding = F @ M @ F, -winding
     return HolonomyLift(matrix=M, winding=winding), orbit
 
 
@@ -517,10 +514,12 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     orbit whose sigma1 still rises below the growth floor is ``unknown``,
     not elliptic.
     """
+    if n_orbits < 1:
+        raise ValueError(f"n_orbits must be >= 1, got {n_orbits}")
     model = s.model
     mid = model.point(0.5)
     # keep margins; a Lie model has one start, its base point
-    starts = mid + 0.5 * (model.sample(max(n_orbits, 1), skip=300) - mid)
+    starts = mid + 0.5 * (model.sample(n_orbits, skip=300) - mid)
     verdicts, evidence = [], []
     for orbit, t_cut in orbits_within_chart(s, starts, T_max, dt):
         orbit = transport_EmodW(s, orbit, angles=False)
@@ -545,8 +544,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
               "lin_r2": lin_r2, "monotone_fraction": monotone,
               "max_distortion": distortion,
               "t_end": float(orbit.times[-1])}
-        kind = "unknown"
-        lines = why = None
+        kind, lines, why = "unknown", None, None
         if growing:
             # exponential vs linear growth decided by which law fits better
             if r2_exp >= lin_r2 and slope > _C_MIN and r2_exp > _R2_MIN:
@@ -573,8 +571,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         genuine = None
         if kind in ("parabolic", "hyperbolic") and lines:
             d = _dw_coords(s, model.wrap(orbit.points))
-            crossings = 0
-            min_dist = np.inf
+            crossings, min_dist = 0, np.inf
             for ln in lines:
                 # signed angular offset of D/W from the invariant line, mod pi
                 delta = np.mod(np.arctan2(d[:, 1], d[:, 0])

@@ -21,7 +21,7 @@ from . import characteristic_dynamics as dyn
 from . import rigidity_lab as rig
 from .engel_verify import verify_engel
 from .errors import AmbiguousClass, ConfigError, EngelLabError, FrameDegenerate
-from .frame_algebra import RANK_TOL
+from .frame_algebra import RANK_TOL, _time_grid
 from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
 
@@ -177,7 +177,7 @@ def cmd_rigidity(manifest) -> int:
     # the integral identity is checked on the probe's leading curves
     probe = rig.rigidity_probe(T=T, n_trials=trials, dt=dt, seed=seed)
     paths = probe.pop("paths")
-    times = np.linspace(0.0, T, paths.shape[1])
+    times = _time_grid(T, dt)[1][::2]
     residuals = [rig.inaba_identity_check(rig.DCurve(times, pts)) for pts in paths]
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -50,7 +50,8 @@ class ChartExit(EngelLabError):
 
 
 class StepTooLarge(EngelLabError):
-    """An integration step tripped a continuity guard."""
+    """An integration step tripped a continuity guard, or a horizon T or step
+    dt is invalid: T not finite, or dt not finite and positive."""
 
 
 class FrameDegenerate(EngelLabError):

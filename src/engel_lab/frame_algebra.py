@@ -45,7 +45,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, FrameDegenerate, NonFiniteEvaluation
+from .errors import (ChartExit, DimensionMismatch, EmptyInput, FrameDegenerate,
+                     NonFiniteEvaluation, StepTooLarge)
 
 FD_STEP = 1e-5          # central-difference step for jacobians of vector fields
 RANK_TOL = 1e-8         # singular values above this count toward a rank
@@ -178,11 +179,11 @@ class LieModel:
         return self.point()
 
     def flow(self, section: "Section", starts: np.ndarray, T: float, dt: float):
-        """The lines start + t * section on the time grid of :func:`_rk4_orbits`;
+        """The lines start + t * section at the step times of :func:`_time_grid`;
         every row keeps all its steps."""
-        times, nsteps = _time_grid(T, dt)
-        pts = np.atleast_2d(starts)[:, None, :] + times[:, None] * section.constant_coeffs()
-        return times, pts, np.full(len(pts), nsteps)
+        nsteps, grid = _time_grid(T, dt)
+        pts = np.atleast_2d(starts)[:, None, :] + grid[::2, None] * section.constant_coeffs()
+        return grid[::2], pts, np.full(len(pts), nsteps)
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
         """No periodic coordinates: the identity."""
@@ -385,16 +386,19 @@ def sample_box(model: FrameModel, n: int, skip: int = 100) -> np.ndarray:
 def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None):
     """Classical RK4 from every row of ``starts`` (B, dim) at once.
 
-    Every row takes n = round(|T| / dt) steps of T / n, T signed.  With a
-    chart ``model`` a row stops at the first step whose point leaves the box
-    (``contains`` with pad 1e-9); a step to NaN or inf raises
+    Every row takes the n steps of T / n of :func:`_time_grid`, T signed.
+    With a chart ``model`` a start outside the box (``contains`` with pad
+    1e-9) raises :class:`ChartExit` at t = 0, and a row stops at the first
+    step whose point leaves it; a step to NaN or inf raises
     :class:`NonFiniteEvaluation`.  Returns (times (n + 1,), points
     (B, n + 1, dim), NaN past each row's end, steps kept per row); each row
     is bit-identical to a one-row run.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    times, nsteps = _time_grid(T, dt)
-    h = times[-1] / nsteps
+    nsteps, grid = _time_grid(T, dt)
+    if model is not None and not (inside := model._inside(starts, 1e-9)).all():
+        raise ChartExit(0.0, f"start {starts[np.argmin(inside)]} lies outside the chart box")
+    h = T / nsteps
     pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
     pts[:, 0] = p = starts
     half, sixth = 0.5 * h, h / 6.0
@@ -415,12 +419,18 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None
                 if not live.size:
                     break
         pts[live, k + 1] = p
-    return times, pts, kept
+    return grid[::2], pts, kept
 
 
-def _time_grid(T: float, dt: float):
+def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
+    """The step rule of every integrator: n = max(1, round(|T| / dt)) steps
+    of T / n, T signed, and their half-step grid linspace(0, T, 2n + 1), whose
+    even entries are the step times linspace(0, T, n + 1) bit for bit.  Raises
+    :class:`StepTooLarge` unless T is finite and dt finite and positive."""
+    if not (np.isfinite(T) and np.isfinite(dt) and dt > 0):
+        raise StepTooLarge(f"need a finite T and a finite dt > 0, got T={T:g}, dt={dt:g}")
     nsteps = max(1, int(round(abs(T) / dt)))
-    return np.linspace(0.0, T, nsteps + 1), nsteps
+    return nsteps, np.linspace(0.0, T, 2 * nsteps + 1)
 
 
 def frame_coords(frame: np.ndarray, vecs: np.ndarray, degenerate: str) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Named construction presets shared by the CLI and the test suite.
 
 Every preset builder returns a dict with ``structure``; Lorentz presets also
-expose the underlying ``extension``.  Chart and exact Lie realizations of the
-constant-curvature families are separate presets so the numerical and
-closed-form paths can cross-validate.
+expose the underlying ``extension``.  A builder's keyword parameters are the
+settings its preset takes, with their defaults.  Chart and exact Lie
+realizations of the constant-curvature families are separate presets so the
+numerical and closed-form paths can cross-validate.
 """
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -48,52 +51,56 @@ def _integrable_counterexample() -> EngelStructure:
         emw_frame=(Section((0, 1, 0, 0), "e1"), Section((1, 1, 0, 0), "e0+e1")))
 
 
-def _lorentz(kind: str, kappa: float, exact: bool):
-    base = ConstantCurvatureUT(kappa) if exact else unit_tangent_frames(
-        constant_curvature_surface(kappa))
-    ext = product_extension(base) if kind == "product" else magnetic_extension(base)
+def _prolonged(ext):
     return {"structure": lorentz_prolongation(ext), "extension": ext}
 
 
-def _magnetic_bump():
-    ext = magnetic_extension(unit_tangent_frames(bump_surface()))
-    return {"structure": lorentz_prolongation(ext), "extension": ext}
+def _lorentz(kind: str, exact: bool):
+    def build(kappa=1.0):
+        base = ConstantCurvatureUT(kappa) if exact else unit_tangent_frames(
+            constant_curvature_surface(kappa))
+        return _prolonged(product_extension(base) if kind == "product"
+                          else magnetic_extension(base))
+    return build
 
 
 def _propellor(monodromy):
-    return lambda o: {"structure": propellor_structure(
-        np.array(monodromy, dtype=float), turns=int(o.get("turns", 1)))[1]}
+    return lambda turns=1: {"structure": propellor_structure(
+        np.array(monodromy, dtype=float), turns=int(turns))[1]}
 
 
 _PRESETS = {
-    "darboux": lambda o: {"structure": darboux_standard()},
-    "long-darboux": lambda o: {"structure": darboux_long()},
-    "cartan-r3": lambda o: {"structure": cartan_prolongation(standard_contact_r3())},
-    "lorentz-product": lambda o: _lorentz("product", o.get("kappa", 1.0), exact=False),
-    "lorentz-product-lie": lambda o: _lorentz("product", o.get("kappa", 1.0), exact=True),
-    "lorentz-magnetic": lambda o: _lorentz("magnetic", o.get("kappa", 1.0), exact=False),
-    "lorentz-magnetic-lie": lambda o: _lorentz("magnetic", o.get("kappa", 1.0), exact=True),
-    "magnetic-bump": lambda o: _magnetic_bump(),
-    "prequantum-local": lambda o: {"structure": prequantum_local()},
+    "darboux": lambda: {"structure": darboux_standard()},
+    "long-darboux": lambda: {"structure": darboux_long()},
+    "cartan-r3": lambda: {"structure": cartan_prolongation(standard_contact_r3())},
+    "lorentz-product": _lorentz("product", exact=False),
+    "lorentz-product-lie": _lorentz("product", exact=True),
+    "lorentz-magnetic": _lorentz("magnetic", exact=False),
+    "lorentz-magnetic-lie": _lorentz("magnetic", exact=True),
+    "magnetic-bump": lambda: _prolonged(magnetic_extension(unit_tangent_frames(bump_surface()))),
+    "prequantum-local": lambda: {"structure": prequantum_local()},
     "propellor-identity": _propellor(np.eye(2)),
     "propellor-parabolic": _propellor(SHEAR_MAP),
     "propellor-cat": _propellor(CAT_MAP),
-    "bi-engel-cat": lambda o: {"structure": bi_engel_pair(np.array(CAT_MAP, dtype=float))[0]},
-    "suspension-identity": lambda o: {"structure": suspension_identity()},
-    "suspension-geodesic": lambda o: {"structure": suspension_geodesic(o.get("kappa", -1.0))},
-    "integrable-counterexample": lambda o: {"structure": _integrable_counterexample()},
+    "bi-engel-cat": lambda: {"structure": bi_engel_pair(np.array(CAT_MAP, dtype=float))[0]},
+    "suspension-identity": lambda: {"structure": suspension_identity()},
+    "suspension-geodesic": lambda kappa=-1.0: {"structure": suspension_geodesic(kappa)},
+    "integrable-counterexample": lambda: {"structure": _integrable_counterexample()},
 }
-
-KAPPA_PRESETS = ("lorentz-product", "lorentz-product-lie",
-                 "lorentz-magnetic", "lorentz-magnetic-lie",
-                 "suspension-geodesic")
+KAPPA_PRESETS = tuple(name for name, build in _PRESETS.items()
+                      if "kappa" in inspect.signature(build).parameters)
 
 
 def preset_names() -> list:
     return sorted(_PRESETS)
 
 
-def build_preset(name: str, **overrides) -> dict:
+def build_preset(name: str, **settings) -> dict:
+    """The preset's dict, built with ``settings``, which its builder must take."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-    return _PRESETS[name](overrides)
+    takes = list(inspect.signature(_PRESETS[name]).parameters)
+    if unknown := sorted(set(settings) - set(takes)):
+        raise ConfigError(f"preset {name!r} takes {', '.join(takes) or 'no settings'}, "
+                          f"not {', '.join(unknown)}")
+    return _PRESETS[name](**settings)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels import _DCURVE_BLOCK, dcurve_rk4
 from .errors import DimensionMismatch, NotNull, SingularIntegrand, StepTooLarge, VariationNotDCurve
-from .frame_algebra import _rk4_orbits
+from .frame_algebra import _rk4_orbits, _time_grid
 from .geometry_models import ConformalSurface, unit_tangent_frames
 
 
@@ -79,45 +79,32 @@ class DCurve:
     def tangency_residual(self) -> float:
         """Midpoint residuals of the defining 1-forms along the samples."""
         p = self.points
-        dx = np.diff(p[:, 0])
-        dy = np.diff(p[:, 1])
-        dz = np.diff(p[:, 2])
-        zm = 0.5 * (p[:-1, 2] + p[1:, 2])
+        dx, dy, dz, _ = np.diff(p, axis=0).T
+        zm, wm = 0.5 * (p[:-1, 2:] + p[1:, 2:]).T      # wm is the angle in the long chart
         r1 = dy - zm * dx
-        if self.long_chart:
-            tm = 0.5 * (p[:-1, 3] + p[1:, 3])
-            r2 = np.cos(tm) * dz - np.sin(tm) * dx
-        else:
-            wm = 0.5 * (p[:-1, 3] + p[1:, 3])
-            r2 = dz - wm * dx
+        r2 = np.cos(wm) * dz - np.sin(wm) * dx if self.long_chart else dz - wm * dx
         return float(max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0)))
-
-
-def _half_step_grid(T: float, dt: float):
-    """round(T / dt) steps of a D-curve of length T and their half-step grid."""
-    if not (T > 0 and 0 < dt <= T):
-        raise StepTooLarge(f"need T > 0 and 0 < dt <= T, got T={T:g}, dt={dt:g}")
-    nsteps = int(round(T / dt))
-    return nsteps, np.linspace(0.0, T, 2 * nsteps + 1)
 
 
 def sample_d_curve(controls, T: float, dt: float,
                    start=(0.0, 0.0, 0.0, 0.0)) -> DCurve:
     """Integrate the control ODE in the standard chart (tangent by construction)."""
-    nsteps, tgrid = _half_step_grid(T, dt)
+    _, tgrid = _time_grid(T, dt)
     U, V = (np.broadcast_to(np.asarray(c(tgrid), dtype=float), tgrid.shape) for c in controls)
     pts = sample_d_curves_batch(U[None], V[None], T, dt, start=np.asarray(start)[None])[0]
-    return DCurve(times=np.linspace(0.0, T, nsteps + 1), points=pts)
+    return DCurve(times=tgrid[::2], points=pts)
 
 
 def sample_d_curves_batch(u_values: np.ndarray, v_values: np.ndarray,
                           T: float, dt: float, start=None,
                           long_chart: bool = False) -> np.ndarray:
     """Integrate the control ODE for every row of the control tables, one row
-    per curve on the half-step grid of (T, dt): 2 round(T / dt) + 1 columns.
-    Returns the paths (batch, round(T / dt) + 1, 4); ``start`` (batch, 4)
-    defaults to the origin."""
-    nsteps, tgrid = _half_step_grid(T, dt)
+    per curve on the half-step grid of :func:`_time_grid`, 2n + 1 columns for
+    its n steps; a D-curve runs forward, so T > 0 and dt <= T.  Returns the
+    paths (batch, n + 1, 4); ``start`` (batch, 4) defaults to the origin."""
+    nsteps, tgrid = _time_grid(T, dt)
+    if dt > T:
+        raise StepTooLarge(f"a D-curve needs 0 < dt <= T, got T={T:g}, dt={dt:g}")
     if u_values.shape != v_values.shape or u_values.shape[1:] != tgrid.shape:
         raise DimensionMismatch(f"control tables {u_values.shape} and {v_values.shape}; "
                                 f"T={T:g} and dt={dt:g} need {tgrid.size} columns")
@@ -234,7 +221,9 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
     ``n_trials`` stay out of (a).  Each curve is integrated once.
     """
     rng = np.random.default_rng(seed)
-    nsteps, tgrid = _half_step_grid(T, dt)
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    nsteps, tgrid = _time_grid(T, dt)
     cos_modes = _cos_modes(tgrid)
     ends = np.empty((n_trials, 4))
     paths = np.empty((_IDENTITY_CURVES, nsteps + 1, 4))
@@ -273,17 +262,11 @@ def rigidity_probe(T: float = 1.0, n_trials: int = 1000, dt: float = 1e-3,
 
 def bump_profile(eps: float = 1.0):
     """(f, f', f'') with f = (1 - (x/eps)^2)^4 on [-eps, eps], sup |f| = 1."""
-    def f(x):
-        xi = np.clip(np.atleast_1d(x) / eps, -1.0, 1.0)
-        return (1.0 - xi ** 2) ** 4
-
-    def fp(x):
-        xi = np.clip(np.atleast_1d(x) / eps, -1.0, 1.0)
-        return -8.0 * xi * (1.0 - xi ** 2) ** 3 / eps
-
-    def fpp(x):
-        xi = np.clip(np.atleast_1d(x) / eps, -1.0, 1.0)
-        return (-8.0 * (1.0 - xi ** 2) ** 3 + 48.0 * xi ** 2 * (1.0 - xi ** 2) ** 2) / eps ** 2
+    xi = lambda x: np.clip(np.atleast_1d(x) / eps, -1.0, 1.0)
+    f = lambda x: (1.0 - xi(x) ** 2) ** 4
+    fp = lambda x: -8.0 * xi(x) * (1.0 - xi(x) ** 2) ** 3 / eps
+    fpp = lambda x: (-8.0 * (1.0 - xi(x) ** 2) ** 3
+                     + 48.0 * xi(x) ** 2 * (1.0 - xi(x) ** 2) ** 2) / eps ** 2
 
     return f, fp, fpp
 
@@ -307,14 +290,14 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
         g = perturbation if perturbation is not None else (
             lambda t: np.sin(2.0 * np.atleast_1d(t)) + 0.5 * np.cos(3.0 * np.atleast_1d(t)))
 
-        tgrid = np.linspace(0.0, length, max(1, int(round(length / _DT))) + 1)
+        _, thalf = _time_grid(length, _DT)
+        tgrid = thalf[::2]
         norm = float(np.abs(np.asarray(g(tgrid), dtype=float)).max())
         if norm == 0.0:
             return {"max_dy_ds": 0.0, "norm": 0.0, "per_time": np.zeros_like(tgrid)}
         # the s^2 term breaks the even parity of y in s, so the central
         # difference genuinely measures a small quantity instead of an
         # exact cancellation; the first-order field is still s*g
-        _, thalf = _half_step_grid(length, _DT)
         gh = np.broadcast_to(np.asarray(g(thalf), dtype=float), thalf.shape)
         U = np.array([s * gh + s * s * gh ** 2 for s in (_DS, -_DS, _DS / 2, -_DS / 2)])
         paths = sample_d_curves_batch(U, np.ones_like(U), length, _DT, long_chart=True)
@@ -330,7 +313,7 @@ def infinitesimal_rigidity_check(kind: str, *, length: float = 4.71238898038469,
 
     if kind == "transverse":
         f, fp, fpp = bump_profile(1.0)
-        xs = np.linspace(-1.0, 1.0, max(3, int(round(2.0 / _DT)) + 1))
+        xs = _time_grid(2.0, _DT)[1][::2] - 1.0     # the steps of x from -1 to 1
         fx = np.asarray(f(xs), dtype=float)
         norm = float(np.abs(fx).max())
 
@@ -367,8 +350,7 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     """
     ut = unit_tangent_frames(surface)
     X = lambda p: ut.model.frame(p)[:, 0]
-    times, pts3, _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, _DT)
-    pts3 = pts3[0]
+    times, (pts3,), _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, _DT)
     xy = pts3[:, :2]
     phi = pts3[:, 2]
     lam = surface.lam_at(xy)
@@ -381,6 +363,7 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     eta_t = np.atleast_2d(eta(times))
     if np.abs(eta_t[0]).max() > 1e-12:
         raise NotNull("variation must fix the starting point")
+    interior = slice(2, -2)
 
     def theta_of(s):
         curve = xy + s * eta_t
@@ -390,14 +373,12 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
         # null defect of the lifted curve: dh(B', B') - (theta')^2
         thdot = np.gradient(theta, _DT)
         defect = surface.lam_at(curve) * (vel ** 2).sum(axis=1) - thdot ** 2
-        interior = slice(2, -2)
         if np.abs(defect[interior]).max() > max(_NULL_TOL, 1e3 * _DT ** 2):
             raise NotNull("null constraint drifted beyond tolerance")
         return theta
 
     dtheta_ds = (theta_of(_DS) - theta_of(-_DS)) / (2 * _DS)
     pairing = lam * np.einsum("ni,ni->n", beta_dot, eta_t) - dtheta_ds
-    interior = slice(2, -2)
     return {
         "t": times,
         "pairing": pairing,

@@ -1,5 +1,7 @@
 """Characteristic flow, E/W transport, projective classification, and the
 global type estimator."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -19,6 +21,7 @@ from engel_lab.characteristic_dynamics import (
     integrate_characteristic,
     integrate_orbits,
     lift_angle_mod_pi,
+    orbits_within_chart,
     transport_EmodW,
     transport_generator,
     two_sided_orbit,
@@ -60,6 +63,14 @@ class TestIntegrate:
         s = darboux_standard()
         with pytest.raises(ChartExit):
             integrate_characteristic(s, np.zeros(4), 5.0, 1e-2)
+
+    def test_exit_within_ten_steps_cannot_be_cut_back(self):
+        # W = d/dw from w = 1.95 leaves the box [-2, 2]^4 at t = 0.06, before
+        # the shortest cut orbit of 10 dt
+        s = darboux_standard()
+        with pytest.raises(ChartExit) as e:
+            orbits_within_chart(s, np.array([0.0, 0.0, 0.0, 1.95]), 1.0, 1e-2)
+        assert e.value.t_exit == pytest.approx(0.06)
 
     @pytest.mark.parametrize("name, kw, T, n_exits", [
         ("propellor-cat", {}, 1.0, 0),
@@ -418,6 +429,17 @@ class TestClosedOrbits:
         want = first_return_reference(s.model, full[1], times, pts[0], 1e-3, _CLOSE_EPS)
         assert orbit.meta["return_time"] == want
 
+    def test_negative_winding_is_oriented_positively(self, preset_cache):
+        # swapping the two legs of the E/W frame reverses the D/W rotation;
+        # the lift flips the second leg back and gives the same class
+        s = preset_cache("cartan-r3")["structure"]
+        swapped = dataclasses.replace(s, emw_frame=s.emw_frame[::-1])
+        h, orbit = closed_orbit_holonomy(swapped, np.array(CLOSED["cartan"][2]), dt=1e-2,
+                                         t_max=4.0)
+        assert orbit.angle[-1] < orbit.angle[0]
+        t = classify_projective(h)
+        assert t.kind == "elliptic" and abs(t.length - np.pi) < 1e-6
+
     def test_no_return_within_t_max(self, preset_cache):
         # the Cartan fiber closes after pi
         s = preset_cache("cartan-r3")["structure"]
@@ -524,6 +546,11 @@ class TestGlobalType:
         s = preset_cache("lorentz-product-lie", kappa=kappa)["structure"]
         est = estimate_global_type(s, n_orbits=1, T_max=20.0, dt=1e-2)
         assert est.kind == want
+
+    def test_no_orbits_raises(self, preset_cache):
+        s = preset_cache("lorentz-magnetic-lie", kappa=1.0)["structure"]
+        with pytest.raises(ValueError, match="n_orbits must be >= 1, got 0"):
+            estimate_global_type(s, n_orbits=0)
 
     def test_thresholds_in_evidence(self, preset_cache):
         s = preset_cache("lorentz-magnetic-lie", kappa=1.0)["structure"]

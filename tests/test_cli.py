@@ -14,10 +14,10 @@ from hypothesis.extra import numpy as hnp
 
 from engel_lab.characteristic_dynamics import integrate_orbits
 from engel_lab import cli
-from engel_lab.cli import _parser, main
+from engel_lab.cli import KAPPA_SWEEP, _parser, main
 from engel_lab.engel_verify import verify_engel
-from engel_lab.errors import FrameDegenerate
-from engel_lab.presets import build_preset, preset_names
+from engel_lab.errors import ConfigError, FrameDegenerate
+from engel_lab.presets import KAPPA_PRESETS, build_preset, preset_names
 from engel_lab.serialize import Records, _fmt_float, dumps_canonical, write_csv
 
 
@@ -437,9 +437,34 @@ class TestReportCommand:
         doc = json.loads((tmp_path / "kappa_sweep.json").read_text())
         assert all(r["agrees"] for r in doc["rows"])
 
+    def test_kappa_sweep_csv(self, tmp_path, capsys):
+        assert run(["report", "--format", "csv", "--out", str(tmp_path)]) == 0
+        assert "sign law reproduced" in capsys.readouterr().out
+        header, *rows = (tmp_path / "kappa_sweep.csv").read_text().splitlines()
+        assert header == "kappa,kappa_kappa_plus_1,agrees"
+        cells = [[float(c) for c in row.split(",")] for row in rows]
+        assert [c[0] for c in cells] == list(KAPPA_SWEEP)
+        assert [c[1] for c in cells] == [k * (k + 1.0) for k in KAPPA_SWEEP]
+        assert [c[2] for c in cells] == [1.0] * len(KAPPA_SWEEP)
+
     def test_negative_horizon_reproduces_the_sign_law(self, tmp_path, capsys):
         assert run(["report", "-T", "-20", "--out", str(tmp_path)]) == 0
         assert "sign law reproduced" in capsys.readouterr().out
+
+
+class TestPresets:
+    def test_misspelled_setting_is_refused(self):
+        # once built the kappa = 1 structure without a word
+        with pytest.raises(ConfigError, match="preset 'lorentz-magnetic' takes kappa, not kapa"):
+            build_preset("lorentz-magnetic", kapa=-0.5)
+
+    def test_setting_the_preset_does_not_read_is_refused(self):
+        with pytest.raises(ConfigError, match="preset 'darboux' takes no settings, not kappa"):
+            build_preset("darboux", kappa=3.0)
+
+    def test_kappa_presets_are_those_that_take_kappa(self):
+        assert KAPPA_PRESETS == ("lorentz-product", "lorentz-product-lie", "lorentz-magnetic",
+                                 "lorentz-magnetic-lie", "suspension-geodesic")
 
 
 class TestSerializer:

@@ -315,6 +315,10 @@ class TestRigidityProbe:
                      "--out", str(tmp_path)]) == 0
         assert sum(rows) == curves
 
+    def test_no_trials_raises(self):
+        with pytest.raises(ValueError, match="n_trials must be >= 1, got 0"):
+            rigidity_probe(n_trials=0)
+
     def test_thousand_trials_stay_accessible(self):
         probe = rigidity_probe(T=1.0, n_trials=1000, dt=1e-3, seed=7)
         assert probe["n_outside_accessible"] == 0
