@@ -1,5 +1,5 @@
 """Engel-condition verification, Cauchy characteristic extraction, and the
-two Darboux normal-form structures.
+standard Darboux normal form.
 
 A candidate structure passes when at every sampled point
 
@@ -211,7 +211,7 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
 
 
 # ---------------------------------------------------------------------------
-# Darboux models
+# Darboux model
 # ---------------------------------------------------------------------------
 
 def darboux_standard() -> EngelStructure:
@@ -245,34 +245,3 @@ def darboux_standard() -> EngelStructure:
         emw_frame=(e1, e2),
     )
 
-
-def darboux_long() -> EngelStructure:
-    """The long Engel-Darboux structure on [-2, 2]^3 x S^1.
-
-    D is cut out by dy - z dx and cos(th) dz - sin(th) dx; its restriction to
-    th in (-pi/2, pi/2) is isomorphic to the standard structure via w = tan th.
-    The plane field repeats after th -> th + pi, so orbits close at pi.
-    """
-    def frame(pts):
-        # rows Xbar = d/dx + z d/dy, Y, Z, T
-        F = np.tile(np.eye(4), (len(pts), 1, 1))
-        F[:, 0, 1] = pts[:, 2]
-        return F
-
-    model = ChartModel(
-        4, [[-2, 2], [-2, 2], [-2, 2], [0.0, 2 * np.pi]], frame,
-        periodic={3: 2 * np.pi}, orbit_periods={3: np.pi}, name="darboux-long")
-
-    C = Section(lambda pts: (np.cos(pts[:, 3]), 0, np.sin(pts[:, 3]), 0), "C")
-    D = [Section((0, 0, 0, 1), "T"), C]
-    E = [Section((0, 0, 0, 1), "T"), Section((1, 0, 0, 0), "Xbar"),
-         Section((0, 0, 1, 0), "Z")]
-    return EngelStructure(
-        model=model,
-        D_span=D,
-        E_span=E,
-        W_section=Section((0, 0, 0, 1), "T"),
-        transverse_section=Section((0, 1, 0, 0), "Y"),
-        provenance="darboux_long",
-        emw_frame=(Section((1, 0, 0, 0), "Xbar"), Section((0, 0, 1, 0), "Z")),
-    )

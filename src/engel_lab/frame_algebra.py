@@ -31,11 +31,12 @@ broadcasts against any batch of points.
 * ``wrap(pts)``: the chart's periodic coordinates wrapped into the box, or
   the identity on a Lie model.
 
-Points are numpy arrays.  A frame function takes a batch ``(n, dim)``; a
-:class:`ChartVectorField` and the protocol methods also accept a single point
-``(dim,)``, and the protocol methods always return a leading batch axis.  A
-chart ``flow`` integrates the section's ``field``, which for a constant
-section is one frame call and a sum over its nonzero coefficients.
+Points are numpy arrays, always a batch ``(n, dim)``: a frame function, a
+:class:`ChartVectorField`, a section's coefficients and every protocol method
+take one, and a chart refuses a single point ``(dim,)`` with
+:class:`DimensionMismatch`.  Only :func:`bracket_chart` also takes a single
+point.  A chart ``flow`` integrates the section's ``field``, which for a
+constant section is one frame call and a sum over its nonzero coefficients.
 """
 from __future__ import annotations
 
@@ -53,39 +54,32 @@ RANK_TOL = 1e-8         # singular values above this count toward a rank
 _MARGINAL_BAND = 10.0   # a rank is marginal if a singular value is within this factor of tol
 
 
-def _as_batch(p: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    """Return ``(points of shape (n, dim), was_single)``."""
+def _points(p: np.ndarray, dim: int) -> np.ndarray:
+    """``p`` as a batch of chart points (n, dim); raises
+    :class:`DimensionMismatch` for a single point or a wrong width."""
+    if p is None:
+        raise ValueError("chart sections need points")
     p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        if p.shape[0] != dim:
-            raise DimensionMismatch(f"point has length {p.shape[0]}, expected {dim}")
-        return p[None, :], True
-    if p.shape[-1] != dim:
-        raise DimensionMismatch(f"points have width {p.shape[-1]}, expected {dim}")
-    return p, False
+    if p.ndim != 2 or p.shape[1] != dim:
+        raise DimensionMismatch(f"points have shape {p.shape}, expected (n, {dim})")
+    return p
 
 
 class ChartVectorField:
     """An evaluable vector field on a coordinate chart: a realized section.
 
-    ``components`` maps points (n, dim) to chart components (n, dim); a
-    single point (dim,) gives one vector.
+    ``components`` maps points (n, dim) to chart components (n, dim).
     """
 
-    def __init__(self, dim, components, name=""):
-        self.dim = int(dim)
+    def __init__(self, components, name=""):
         self.components = components
         self.name = name
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        pts, single = _as_batch(p, self.dim)
-        out = np.asarray(self.components(pts), dtype=float)
-        if out.shape != pts.shape:
-            out = np.broadcast_to(out, pts.shape).copy()
-        return out[0] if single else out
+        return self.components(p)
 
     def __repr__(self):
-        return f"ChartVectorField({self.name or 'anonymous'}, dim={self.dim})"
+        return f"ChartVectorField({self.name or 'anonymous'})"
 
 
 def coordinate_frame(dim: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -256,20 +250,7 @@ class ChartModel:
         The frame and each section's coefficients are evaluated once; the
         components accumulate as sum_i c_i F_i in frame order.
         """
-        if pts is None:
-            raise ValueError("chart sections need a point")
-        return self._values(sections, _as_batch(pts, self.dim)[0])
-
-    def _frame_at(self, pts: np.ndarray) -> np.ndarray:
-        """The frame at a batch already shaped (n, dim): (n, dim, dim)."""
-        F = np.asarray(self.frame(pts), dtype=float)
-        if F.shape != (pts.shape[0], self.dim, self.dim):
-            raise DimensionMismatch(f"frame returned {F.shape}, expected "
-                                    f"{(pts.shape[0], self.dim, self.dim)}")
-        return F
-
-    def _values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
-        """``values`` at a batch already shaped (n, dim)."""
+        pts = _points(pts, self.dim)
         F = self._frame_at(pts)
         co = np.empty((pts.shape[0], len(sections), self.dim))
         for k, s in enumerate(sections):
@@ -283,15 +264,23 @@ class ChartModel:
             out += co[:, :, i:i + 1] * F[:, None, i, :]
         return out
 
+    def _frame_at(self, pts: np.ndarray) -> np.ndarray:
+        """The frame at a batch already shaped (n, dim): (n, dim, dim)."""
+        F = np.asarray(self.frame(pts), dtype=float)
+        if F.shape != (pts.shape[0], self.dim, self.dim):
+            raise DimensionMismatch(f"frame returned {F.shape}, expected "
+                                    f"{(pts.shape[0], self.dim, self.dim)}")
+        return F
+
     def field(self, section: "Section") -> ChartVectorField:
-        """The section as an evaluable chart field, one point or a batch.
+        """The section as an evaluable chart field of a batch (n, dim).
 
         A constant section is fused: one frame call, then sum c_i F_i over
         its nonzero c_i in frame order from zero.  Where the frame is finite
         that is :meth:`values` bit for bit: its zero terms add nothing.
         """
         if not section.is_constant:
-            return ChartVectorField(self.dim, lambda pts: self._values([section], pts)[:, 0],
+            return ChartVectorField(lambda pts: self.values([section], pts)[:, 0],
                                     name=section.name or "section")
         if len(row := section.constant_coeffs()) != self.dim:
             raise DimensionMismatch("section does not match the model frame")
@@ -302,13 +291,13 @@ class ChartModel:
             for i, c in terms:
                 out += c * F[:, i]
             return out
-        return ChartVectorField(self.dim, components, name=section.name or "section")
+        return ChartVectorField(components, name=section.name or "section")
 
     def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
                  pts: np.ndarray) -> np.ndarray:
         """Chart brackets of the section pairs at the points: (n, P, dim),
         from one central-difference jacobian of all the section values."""
-        return bracket_chart(lambda q: self.values(sections, q), pairs, np.atleast_2d(pts))
+        return bracket_chart(lambda q: self.values(sections, q), pairs, _points(pts, self.dim))
 
     def point(self, u) -> np.ndarray:
         """The point at unit-box coordinates ``u`` (..., dim): lo + u (hi - lo)."""
@@ -326,22 +315,16 @@ class ChartModel:
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Whether each point lies in the padded box; periodic coordinates
         are unbounded, and NaN lies nowhere."""
-        pts, single = _as_batch(p, self.dim)
-        ok = self._inside(pts, pad)
-        return ok[0] if single else ok
-
-    def _inside(self, pts: np.ndarray, pad: float) -> np.ndarray:
-        """``contains`` at a batch already shaped (n, dim)."""
+        pts = _points(p, self.dim)
         return ((pts >= self._lo - pad) & (pts <= self._hi + pad)).all(axis=1)
 
     def wrap(self, p: np.ndarray) -> np.ndarray:
         """Wrap periodic coordinates into [lo, lo + period)."""
-        pts, single = _as_batch(p, self.dim)
-        out = pts.copy()
+        out = _points(p, self.dim).copy()
         for j, per in self.periodic.items():
             lo = self.box[j, 0]
             out[:, j] = lo + np.mod(out[:, j] - lo, per)
-        return out[0] if single else out
+        return out
 
     def distance(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Chart distance with periodic (and orbit-period) wrapping: one
@@ -396,7 +379,7 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     nsteps, grid = _time_grid(T, dt)
-    if model is not None and not (inside := model._inside(starts, 1e-9)).all():
+    if model is not None and not (inside := model.contains(starts, 1e-9)).all():
         raise ChartExit(0.0, f"start {starts[np.argmin(inside)]} lies outside the chart box")
     h = T / nsteps
     pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
@@ -412,7 +395,7 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None
         if not np.isfinite(p).all():
             raise NonFiniteEvaluation(f"orbit reached NaN or inf at step {k + 1} of {nsteps}")
         if model is not None:
-            inside = model._inside(p, 1e-9)
+            inside = model.contains(p, 1e-9)
             if not inside.all():
                 kept[live[~inside]] = k
                 live, p = live[inside], p[inside]
@@ -426,9 +409,13 @@ def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
     """The step rule of every integrator: n = max(1, round(|T| / dt)) steps
     of T / n, T signed, and their half-step grid linspace(0, T, 2n + 1), whose
     even entries are the step times linspace(0, T, n + 1) bit for bit.  Raises
-    :class:`StepTooLarge` unless T is finite and dt finite and positive."""
+    :class:`StepTooLarge` unless T is finite, dt finite and positive, and
+    |T| / dt below half the largest array index, so that 2n + 1 is one."""
     if not (np.isfinite(T) and np.isfinite(dt) and dt > 0):
         raise StepTooLarge(f"need a finite T and a finite dt > 0, got T={T:g}, dt={dt:g}")
+    if not abs(T) / dt < np.iinfo(np.intp).max / 2:
+        raise StepTooLarge(f"T={T:g} at dt={dt:g} needs {abs(T) / dt:g} steps, "
+                           "more than an array can hold")
     nsteps = max(1, int(round(abs(T) / dt)))
     return nsteps, np.linspace(0.0, T, 2 * nsteps + 1)
 
@@ -482,20 +469,16 @@ class Section:
             raise DimensionMismatch(f"section {self.name!r} has non-constant coefficients")
         return self._row.copy()
 
-    def coeff_at(self, p: np.ndarray) -> np.ndarray:
-        """Coefficient vector(s) at p: shape (len,) or (n, len); read-only for
-        a constant section.  A function is called once, on a batch (n, dim)."""
-        p = np.asarray(p, dtype=float)
-        single = p.ndim == 1
-        pts = p[None, :] if single else p
+    def coeff_at(self, pts: np.ndarray) -> np.ndarray:
+        """Coefficient vectors at the points (n, dim): (n, len), read-only for
+        a constant section.  A function is called once, on the whole batch."""
         if self._row is not None:
-            out = np.broadcast_to(self._row, (pts.shape[0], len(self._row)))
-        else:
-            cols = self.coeffs(pts)
-            out = np.empty((pts.shape[0], len(cols)))
-            for j, c in enumerate(cols):
-                out[:, j] = c
-        return out[0] if single else out
+            return np.broadcast_to(self._row, (len(pts), len(self._row)))
+        cols = self.coeffs(pts)
+        out = np.empty((len(pts), len(cols)))
+        for j, c in enumerate(cols):
+            out[:, j] = c
+        return out
 
     def __repr__(self):
         return f"Section({self.name or self.coeffs})"

@@ -12,7 +12,7 @@ import inspect
 
 import numpy as np
 
-from .engel_verify import EngelStructure, darboux_long, darboux_standard
+from .engel_verify import EngelStructure, darboux_standard
 from .errors import ConfigError
 from .frame_algebra import ChartModel, Section, coordinate_frame
 from .geometry_models import (
@@ -51,6 +51,16 @@ def _integrable_counterexample() -> EngelStructure:
         emw_frame=(Section((0, 1, 0, 0), "e1"), Section((1, 1, 0, 0), "e0+e1")))
 
 
+def _long_darboux() -> EngelStructure:
+    """The long Engel-Darboux structure on [-2, 2]^3 x S^1: the Cartan
+    prolongation of (R^3, ker(dy - z dx)), D = <d/dth, cos(th) Xbar +
+    sin(th) d/dz>.  On th in (-pi/2, pi/2) it is the standard structure via
+    w = tan th."""
+    s = cartan_prolongation(standard_contact_r3())
+    s.provenance = "darboux_long"
+    return s
+
+
 def _prolonged(ext):
     return {"structure": lorentz_prolongation(ext), "extension": ext}
 
@@ -71,7 +81,7 @@ def _propellor(monodromy):
 
 _PRESETS = {
     "darboux": lambda: {"structure": darboux_standard()},
-    "long-darboux": lambda: {"structure": darboux_long()},
+    "long-darboux": lambda: {"structure": _long_darboux()},
     "cartan-r3": lambda: {"structure": cartan_prolongation(standard_contact_r3())},
     "lorentz-product": _lorentz("product", exact=False),
     "lorentz-product-lie": _lorentz("product", exact=True),

@@ -252,7 +252,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
 
 
 def _sections_parallel(model, a: Section, b: Section) -> bool:
-    va, vb = model.values([a, b], model.box.mean(axis=1))[0]
+    va, vb = model.values([a, b], model.box.mean(axis=1)[None])[0]
     cross = np.linalg.norm(va) * np.linalg.norm(vb) - abs(float(va @ vb))
     return cross < 1e-10
 

@@ -6,7 +6,6 @@ import pytest
 
 from engel_lab.engel_verify import (
     cauchy_characteristic,
-    darboux_long,
     darboux_standard,
     line_angle,
     sample_box,
@@ -14,6 +13,7 @@ from engel_lab.engel_verify import (
 )
 from engel_lab.errors import DimensionMismatch
 from engel_lab.frame_algebra import Section
+from engel_lab.presets import build_preset
 from engel_lab.serialize import dumps_canonical
 
 
@@ -28,7 +28,7 @@ class TestVerify:
         assert rep.summary["max_cauchy_angle_error"] < 1e-9
 
     def test_long_darboux_passes(self):
-        assert verify_engel(darboux_long(), n_samples=400).passed
+        assert verify_engel(build_preset("long-darboux")["structure"], n_samples=400).passed
 
     def test_integrable_counterexample_fails_with_rank2(self, preset_cache):
         rep = verify_engel(preset_cache("integrable-counterexample")["structure"],
@@ -81,7 +81,7 @@ class TestCauchy:
         assert np.max(line_angle(w, ref)) < 1e-6
 
     def test_long_gives_dtheta(self, rng):
-        s = darboux_long()
+        s = build_preset("long-darboux")["structure"]
         pts = rng.uniform(-1, 1, (20, 4))
         pts[:, 3] = rng.uniform(0, 2 * np.pi, 20)
         w = cauchy_characteristic(s, pts)
@@ -114,7 +114,7 @@ class TestCauchy:
 
     def test_w_line_contained_in_D(self, rng):
         # flag inclusion: the kernel line lies in span(D)
-        s = darboux_long()
+        s = build_preset("long-darboux")["structure"]
         pts = rng.uniform(-1, 1, (10, 4))
         pts[:, 3] = rng.uniform(0, 2 * np.pi, 10)
         w = cauchy_characteristic(s, pts)
@@ -154,7 +154,7 @@ class TestDarbouxModels:
     def test_tan_theta_conjugates_long_to_standard(self, rng):
         # pushforward under (x, y, z, th) -> (x, y, z, tan th) carries the
         # long-chart plane field to the standard one
-        long = darboux_long()
+        long = build_preset("long-darboux")["structure"]
         std = darboux_standard()
         for _ in range(20):
             p = rng.uniform(-1, 1, 4)

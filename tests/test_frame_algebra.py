@@ -24,18 +24,17 @@ from engel_lab.presets import preset_names
 
 def ef_X():
     def comp(pts):
-        pts = np.atleast_2d(pts)
         out = np.zeros_like(pts)
         out[:, 0] = 1.0
         out[:, 1] = pts[:, 2]
         out[:, 2] = pts[:, 3]
         return out
-    return ChartVectorField(4, comp, name="X")
+    return ChartVectorField(comp, name="X")
 
 
 def const_field(vec):
     v = np.asarray(vec, dtype=float)
-    return ChartVectorField(4, lambda pts: np.broadcast_to(v, np.atleast_2d(pts).shape).copy())
+    return ChartVectorField(lambda pts: np.broadcast_to(v, pts.shape).copy())
 
 
 def stacked(*fields):
@@ -64,13 +63,12 @@ class TestBracketChart:
     def test_antisymmetry_random_fields(self, rng):
         def trig_field(coeffs):
             def comp(pts):
-                pts = np.atleast_2d(pts)
                 out = np.zeros_like(pts)
                 for i in range(4):
                     out[:, i] = (coeffs[i, 0] * np.sin(pts[:, (i + 1) % 4])
                                  + coeffs[i, 1] * pts[:, i] ** 2)
                 return out
-            return ChartVectorField(4, comp)
+            return ChartVectorField(comp)
 
         for _ in range(10):
             a = trig_field(rng.uniform(-1, 1, (4, 2)))
@@ -141,8 +139,7 @@ class TestLieModel:
 
 class TestRanks:
     def test_rank_examples(self):
-        p = np.zeros(4)
-        X = ef_X()(p)
+        X = ef_X()(np.zeros((1, 4)))[0]
         dw = np.array([0, 0, 0, 1.0])
         dz = np.array([0, 0, 1.0, 0])
         dy = np.array([0, 1.0, 0, 0])
@@ -192,7 +189,8 @@ class TestModelProtocol:
     def test_chart_values_match_per_section_fields(self, preset_cache):
         # on every chart preset, one values call over all its sections agrees
         # with each realized field, the fused one of a constant section
-        # included, at one point and in a batch, and the point with its row
+        # included, on a batch and on a one-point batch, and that point with
+        # its row
         for name in [p for p in preset_names() if not p.endswith("-lie")]:
             s = preset_cache(name)["structure"]
             sections = [*s.D_span, *s.E_span, s.W_section, s.transverse_section]
@@ -203,8 +201,8 @@ class TestModelProtocol:
             for k, sec in enumerate(sections):
                 f = s.model.field(sec)
                 assert np.array_equal(vals[:, k], f(pts)), (name, sec.name)
-                one = s.model.values([sec], pts[3])[0, 0]
-                assert np.array_equal(one, f(pts[3])), (name, sec.name)
+                one = s.model.values([sec], pts[3:4])[0, 0]
+                assert np.array_equal(one, f(pts[3:4])[0]), (name, sec.name)
                 assert np.array_equal(one, vals[3, k]), (name, sec.name)
 
     def test_orbit_through_a_nan_frame_raises(self):
@@ -219,7 +217,8 @@ class TestModelProtocol:
         pts = np.array([[0.5, 7.0], [1.5, 0.5], [np.nan, 0.5], [1.0 + 1e-10, -3.0]])
         assert np.array_equal(model.contains(pts), [True, False, False, False])
         assert np.array_equal(model.contains(pts, pad=1e-9), [True, False, False, True])
-        assert model.contains(pts[0]) and not model.contains(pts[1])
+        assert np.array_equal(model.contains(pts[:1]), [True])
+        assert np.array_equal(model.contains(pts[1:2]), [False])
         with pytest.raises(TypeError):     # the bounds of the box test keep their periods
             model.periodic[0] = 2.0
 
@@ -233,7 +232,7 @@ class TestModelProtocol:
                                           -p[:, 3], np.zeros(len(p))]))
         assert not tup.is_constant and not vec.is_constant
         assert np.array_equal(tup.coeff_at(pts), vec.coeff_at(pts))
-        assert np.array_equal(tup.coeff_at(pts[2]), vec.coeff_at(pts)[2])
+        assert np.array_equal(tup.coeff_at(pts[2:3]), vec.coeff_at(pts)[2:3])
         assert np.array_equal(s.model.values([tup], pts), s.model.values([vec], pts))
         assert np.array_equal(s.model.brackets([tup, s.W_section], [(0, 1)], pts),
                               s.model.brackets([vec, s.W_section], [(0, 1)], pts))
@@ -250,7 +249,7 @@ class TestModelProtocol:
         sec = Section((1, 0, -2.5, 0))
         pts = np.zeros((3, 4))
         assert np.array_equal(sec.coeff_at(pts), np.tile([1.0, 0.0, -2.5, 0.0], (3, 1)))
-        assert np.array_equal(sec.coeff_at(pts[0]), [1.0, 0.0, -2.5, 0.0])
+        assert np.array_equal(sec.coeff_at(pts[:1]), [[1.0, 0.0, -2.5, 0.0]])
         row = sec.constant_coeffs()
         row[0] = 7.0
         assert sec.constant_coeffs()[0] == 1.0 and sec.coeff_at(pts)[0, 0] == 1.0
@@ -263,11 +262,24 @@ class TestModelProtocol:
             assert np.array_equal(magnetic.values([a, b], p), [[[1, 0, 1, 0], [0, 0, 0, 1]]])
         expected = [bracket_lie(magnetic, a.constant_coeffs(), b.constant_coeffs()),
                     bracket_lie(magnetic, b.constant_coeffs(), a.constant_coeffs())]
-        for p in (pts, None):
+        for p in (pts, pts[0], None):
             assert np.array_equal(magnetic.brackets([a, b], [(0, 1), (1, 0)], p), [expected])
         assert np.array_equal(magnetic.sample(7), np.zeros((1, 4)))
         assert np.array_equal(magnetic.point(0.6), np.zeros((1, 4)))
         assert np.array_equal(magnetic.wrap(pts), pts)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (3, 5)])
+    @pytest.mark.parametrize("method", ["values", "brackets", "contains", "wrap"])
+    def test_chart_takes_batches_of_its_width_only(self, method, shape):
+        # a single point or a batch of another width is refused: read as a
+        # batch, a single point would lose its batch axis in bracket_chart
+        s = darboux_standard()
+        call = {"values": lambda p: s.model.values(s.D_span, p),
+                "brackets": lambda p: s.model.brackets(s.D_span, [(0, 1)], p),
+                "contains": s.model.contains, "wrap": s.model.wrap}[method]
+        assert call(np.zeros((3, 4))).shape[0] == 3
+        with pytest.raises(DimensionMismatch, match=r"expected \(n, 4\)"):
+            call(np.zeros(shape))
 
     def test_chart_model_needs_points(self):
         s = darboux_standard()
@@ -361,4 +373,4 @@ class TestModelProtocol:
             Ja, Jb = (fd_jacobian(f, pts, FD_STEP) for f in (fa, fb))
             one = np.einsum("nij,nj->ni", Jb, fa(pts)) - np.einsum("nij,nj->ni", Ja, fb(pts))
             assert np.array_equal(br[:, k], one), (sections[i].name, sections[j].name)
-        assert np.array_equal(s.model.brackets(sections, pairs, pts[0]), br[:1])
+        assert np.array_equal(s.model.brackets(sections, pairs, pts[:1]), br[:1])

@@ -83,9 +83,9 @@ class TestUnitTangentFrames:
         X, Y, Z = frame_fields(ut.model)
         p = np.array([0.3, -0.2, 0.7])
         c, s = np.cos(0.7), np.sin(0.7)
-        assert np.allclose(X(p), [c, s, 0])
-        assert np.allclose(Y(p), [-s, c, 0])
-        assert np.allclose(Z(p), [0, 0, 1])
+        assert np.allclose(X(p[None])[0], [c, s, 0])
+        assert np.allclose(Y(p[None])[0], [-s, c, 0])
+        assert np.allclose(Z(p[None])[0], [0, 0, 1])
         assert np.abs(bracket_chart(ut.model.frame, [(0, 1)], p)).max() < 1e-9
 
     @pytest.mark.parametrize("kappa", [1.0, -1.0, -0.5, 0.5, -2.0])
@@ -96,9 +96,9 @@ class TestUnitTangentFrames:
         for _ in range(4):
             p = rng.uniform([-half, -half, 0], [half, half, 2 * np.pi])
             ZX, ZY, XY = bracket_chart(ut.model.frame, [(2, 0), (2, 1), (0, 1)], p)
-            assert np.abs(ZX - Y(p)).max() < 1e-6
-            assert np.abs(ZY + X(p)).max() < 1e-6
-            assert np.abs(XY - kappa * Z(p)).max() < 1e-5
+            assert np.abs(ZX - Y(p[None])[0]).max() < 1e-6
+            assert np.abs(ZY + X(p[None])[0]).max() < 1e-6
+            assert np.abs(XY - kappa * Z(p[None])[0]).max() < 1e-5
 
     @pytest.mark.parametrize("surface", SURFACES)
     def test_one_point_matches_its_batch_row(self, surface, rng):
@@ -119,7 +119,7 @@ class TestUnitTangentFrames:
             p = rng.uniform([-0.5, -0.5, 0], [0.5, 0.5, 2 * np.pi])
             k = gauss_curvature(surf, p[:2])
             XY = bracket_chart(ut.model.frame, [(0, 1)], p)[0]
-            assert np.abs(XY - k * Z(p)).max() < 1e-5
+            assert np.abs(XY - k * Z(p[None])[0]).max() < 1e-5
 
 
 class TestLiePresets:
@@ -161,7 +161,7 @@ class TestExtensions:
         eta = np.diag([1.0, 1.0, -1.0])
         for _ in range(5):
             p = rng.uniform([-1, -1, 0], [1, 1, 6.2])
-            F = np.stack([X3(p), Y3(p), Z3(p)], axis=1)
+            F = np.stack([X3(p[None])[0], Y3(p[None])[0], Z3(p[None])[0]], axis=1)
             # metric tensor reconstructed from frame + coefficients
             g = np.linalg.inv(F).T @ eta @ np.linalg.inv(F)
             assert np.allclose(g, eta, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 
 from engel_lab._kernels import expm2
 from engel_lab.cli import KAPPA_SWEEP
-from engel_lab.engel_verify import darboux_long, line_angle, sample_box, verify_engel
+from engel_lab.engel_verify import line_angle, sample_box, verify_engel
 from engel_lab.errors import (
     ConfigError,
     CurvatureMismatch,
@@ -42,16 +42,6 @@ from engel_lab.presets import CAT_MAP, SHEAR_MAP, preset_names
 
 
 class TestCartan:
-    def test_matches_long_darboux_pointwise(self, preset_cache, rng):
-        cartan = preset_cache("cartan-r3")["structure"]
-        long = darboux_long()
-        for _ in range(10):
-            p = rng.uniform(-1, 1, 4)
-            p[3] = rng.uniform(0, np.pi)
-            Dc = cartan.model.values(cartan.D_span, p[None])[0]
-            Dl = long.model.values(long.D_span, p[None])[0]
-            assert np.abs(Dc - Dl).max() < 1e-9
-
     def test_passes_verification(self, preset_cache):
         assert verify_engel(preset_cache("cartan-r3")["structure"],
                             n_samples=300).passed
@@ -432,7 +422,7 @@ _LAYOUTS = {
     "darboux": (4, [[-2, 2]] * 4, {}, {}, "darboux-standard"),
     "integrable-counterexample": (4, [[-1, 1]] * 4, {}, {}, "integrable"),
     "long-darboux": (4, [[-2, 2], [-2, 2], [-2, 2], [0, TAU]], {3: TAU}, {3: np.pi},
-                     "darboux-long"),
+                     "cartan(contact-r3)"),
     "lorentz-magnetic": (4, [[-1.2, 1.2], [-1.2, 1.2], [0, TAU], [0, TAU]],
                          {2: TAU, 3: TAU}, {}, "magnetic(sphere)"),
     "lorentz-product": (4, [[-1.2, 1.2], [-1.2, 1.2], [0, TAU], [0, TAU]],

@@ -1,23 +1,25 @@
-"""README's Library example runs against the package root and gives the
-results its comments state."""
+"""README's Library examples run against the package root and give the
+results their comments state."""
 import ast
 from pathlib import Path
+
+import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_example() -> str:
-    """The first fenced python block after the ``## Library`` heading."""
+def library_blocks() -> list:
+    """The first two fenced python blocks after the ``## Library`` heading:
+    the example and the model protocol."""
     text = README.read_text().split("## Library", 1)[1]
-    return text.split("```python\n", 1)[1].split("```", 1)[0]
+    return [block.split("```", 1)[0] for block in text.split("```python\n")[1:3]]
 
 
-def test_library_example_gives_its_stated_results():
-    # run the block statement by statement and pair the value of each
-    # expression with the Python literal its trailing comment states
-    src = library_example()
+def run_stated(src: str, ns: dict) -> list:
+    """Run ``src`` statement by statement in ``ns`` and pair the value of
+    each expression with the Python literal its trailing comment states."""
     lines = src.splitlines()
-    ns, stated = {}, []
+    stated = []
     for node in ast.parse(src).body:
         if not isinstance(node, ast.Expr):
             exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
@@ -28,4 +30,24 @@ def test_library_example_gives_its_stated_results():
             stated.append((got, ast.literal_eval(comment.strip())))
         except (ValueError, SyntaxError):
             pass    # no comment, or one in words
+    return stated
+
+
+@pytest.fixture(scope="module")
+def example():
+    """The example's namespace and its stated results."""
+    ns = {}
+    return ns, run_stated(library_blocks()[0], ns)
+
+
+def test_library_example_gives_its_stated_results(example):
+    _, stated = example
     assert stated == [(True, True), ("Hyperbolic (genuine)", "Hyperbolic (genuine)")]
+
+
+def test_protocol_example_gives_its_stated_shapes(example):
+    # with ``s`` and ``lie`` from the example, every line states its shape
+    ns, _ = example
+    stated = run_stated(library_blocks()[1], dict(ns))
+    assert stated == [((5, 3, 4),) * 2, ((1, 1, 4),) * 2, ((5, 3, 4),) * 2,
+                      ((1000, 4),) * 2, ((1, 3, 4),) * 2, ((1, 4),) * 2]

@@ -1,5 +1,7 @@
 """The one step rule of every integrator (``frame_algebra._time_grid``) and the
 checks every integrating entry point inherits from it."""
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,19 @@ class TestStepRule:
                 grid = _time_grid(T, abs(T) / n)[1]
                 assert len(grid) == 2 * n + 1
                 assert np.array_equal(grid[::2], np.linspace(0.0, T, n + 1))
+
+    # only steps whose grid numpy refuses before allocating: a dt whose grid
+    # fits the address space but not the memory would fill the memory instead
+    @pytest.mark.parametrize("dt, steps", [(5e-324, "inf"), (1e-300, "1e+300")])
+    def test_more_steps_than_an_array_holds_raise(self, dt, steps):
+        with pytest.raises(StepTooLarge, match=re.escape(f"T=-1 at dt={dt:g} needs {steps} steps")):
+            _time_grid(-1.0, dt)
+
+    def test_cli_reports_a_tiny_step_without_a_traceback(self, tmp_path, capsys):
+        assert main(["orbit", "--preset", "darboux", "-T", "1", "--dt", "5e-324",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: T=1 at dt=4.94066e-324 needs inf steps, more than an array can hold\n")
 
 
 # every integrating entry point, as a function of (T, dt)
