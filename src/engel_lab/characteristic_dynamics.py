@@ -26,6 +26,7 @@ from .errors import (
     AmbiguousClass,
     ChartExit,
     DegenerateKernel,
+    DimensionMismatch,
     FrameDegenerate,
     MonotonicityViolation,
     StepTooLarge,
@@ -49,8 +50,9 @@ class OrbitTrace:
     """A sampled characteristic orbit with optional E/W transport data.
 
     ``M`` holds the raw transported matrices (M[0] = I); ``dets`` their
-    determinants; ``angle`` the continuous lifted angle of D/W developed in
-    the fiber over the starting point.
+    determinants, one per matrix, required with ``M`` (else
+    :class:`DimensionMismatch`); ``angle`` the continuous lifted angle of D/W
+    developed in the fiber over the starting point.
     """
 
     times: np.ndarray
@@ -60,14 +62,17 @@ class OrbitTrace:
     dets: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the determinants are exp of the summed Magnus traces, accurate where
+        # the algebraic determinant of a large hyperbolic M cancels away
+        if self.M is not None and np.shape(self.dets) != (len(self.M),):
+            raise DimensionMismatch(f"{len(self.M)} transport matrices need as many "
+                                    f"determinants, got shape {np.shape(self.dets)}")
+
     def normalized_M(self) -> np.ndarray:
         if self.M is None:
             raise FrameDegenerate("orbit has no transport data")
-        # the stored determinants are exp of the summed Magnus traces, which
-        # stay accurate when the matrix entries are too large for the
-        # algebraic determinant
-        d = self.dets if self.dets is not None else np.linalg.det(self.M)
-        return self.M / np.sqrt(np.abs(d))[:, None, None]
+        return self.M / np.sqrt(np.abs(self.dets))[:, None, None]
 
     def to_csv(self, path) -> None:
         dim = self.points.shape[1]

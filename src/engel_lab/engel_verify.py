@@ -127,25 +127,21 @@ def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol:
 def cauchy_characteristic(s: EngelStructure, p: np.ndarray) -> np.ndarray:
     """Unit vector spanning the kernel of the bracket pairing on E at ``p``.
 
-    Accepts a single point or a batch (on a Lie model ``None`` is the origin,
-    its base point); the sign is aligned with the structure's declared W
-    section.  Raises :class:`DegenerateKernel` when the pairing has rank < 2
-    (E is not even-contact there) and :class:`FrameDegenerate` when E and the
-    transverse section do not span TM.
+    Accepts a single point or a batch, or ``None``, which goes to the model
+    as its points: a Lie model's base point, refused on a chart with
+    :class:`DimensionMismatch`.  The sign is aligned with the structure's
+    declared W section.  Raises :class:`DegenerateKernel` when the pairing
+    has rank < 2 (E is not even-contact there) and :class:`FrameDegenerate`
+    when E and the transverse section do not span TM.
     """
-    if p is None:
-        if s.model.kind != "lie":
-            raise DimensionMismatch("a chart model needs a point")
-        p = np.zeros(s.model.dim)
-    p = np.asarray(p, dtype=float)
-    pts = np.atleast_2d(p)
+    pts = None if p is None else np.atleast_2d(np.asarray(p, dtype=float))
     vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
     brEE = s.model.brackets(s.E_span, _E_PAIRS, pts)
     wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], RANK_TOL)
     if not ok.all():
         raise DegenerateKernel("bracket pairing on E has rank < 2")
     wvec /= np.linalg.norm(wvec, axis=-1, keepdims=True)
-    return wvec[0] if p.ndim == 1 else wvec
+    return wvec if np.ndim(p) == 2 else wvec[0]
 
 
 def verify_engel(s: EngelStructure, n_samples: int = 1000,

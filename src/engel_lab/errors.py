@@ -10,7 +10,9 @@ class NonFiniteEvaluation(EngelLabError):
 
 
 class DimensionMismatch(EngelLabError):
-    """Coefficient vectors do not match the frame size."""
+    """Coefficient vectors do not match the frame size, points or transport
+    determinants are missing or misshapen, or structure constants are not
+    those of a Lie algebra."""
 
 
 class EmptyInput(EngelLabError):

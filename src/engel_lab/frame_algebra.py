@@ -33,7 +33,7 @@ broadcasts against any batch of points.
 
 Points are numpy arrays, always a batch ``(n, dim)``: a frame function, a
 :class:`ChartVectorField`, a section's coefficients and every protocol method
-take one, and a chart refuses a single point ``(dim,)`` with
+take one, and a chart refuses no points or a single point ``(dim,)`` with
 :class:`DimensionMismatch`.  Only :func:`bracket_chart` also takes a single
 point.  A chart ``flow`` integrates the section's ``field``, which for a
 constant section is one frame call and a sum over its nonzero coefficients.
@@ -56,9 +56,7 @@ _MARGINAL_BAND = 10.0   # a rank is marginal if a singular value is within this 
 
 def _points(p: np.ndarray, dim: int) -> np.ndarray:
     """``p`` as a batch of chart points (n, dim); raises
-    :class:`DimensionMismatch` for a single point or a wrong width."""
-    if p is None:
-        raise ValueError("chart sections need points")
+    :class:`DimensionMismatch` for no point, a single point or a wrong width."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[1] != dim:
         raise DimensionMismatch(f"points have shape {p.shape}, expected (n, {dim})")
@@ -131,7 +129,11 @@ def bracket_chart(f: Callable[[np.ndarray], np.ndarray], pairs: Sequence[tuple[i
 
 @dataclass
 class LieModel:
-    """Exact structure constants: [e_i, e_j] = sum_k c[k, i, j] e_k."""
+    """Exact structure constants: [e_i, e_j] = sum_k c[k, i, j] e_k.
+
+    Raises :class:`DimensionMismatch` when made from constants whose
+    antisymmetry or Jacobi defect passes 1e-12 max|c| or 1e-12 max|c|^2.
+    """
 
     names: Sequence[str]
     c: np.ndarray
@@ -141,14 +143,15 @@ class LieModel:
         n = len(self.names)
         if self.c.shape != (n, n, n):
             raise DimensionMismatch("structure constants must be (n, n, n)")
+        scale = np.abs(self.c).max()
+        if self.antisymmetry_defect() > 1e-12 * scale:
+            raise DimensionMismatch("structure constants are not antisymmetric")
+        if self.jacobi_defect() > 1e-12 * scale ** 2:
+            raise DimensionMismatch("structure constants violate the Jacobi identity")
 
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    @property
-    def kind(self) -> str:
-        return "lie"
 
     def values(self, sections: Sequence["Section"], pts=None) -> np.ndarray:
         """Constant frame coefficients as one row, (1, k, dim), at any points."""
@@ -193,12 +196,6 @@ class LieModel:
         cyc = t + np.transpose(t, (0, 2, 3, 1)) + np.transpose(t, (0, 3, 1, 2))
         return float(np.abs(cyc).max())
 
-    def validate(self, tol: float = 1e-12) -> None:
-        if self.antisymmetry_defect() > tol:
-            raise DimensionMismatch("structure constants are not antisymmetric")
-        if self.jacobi_defect() > tol:
-            raise DimensionMismatch("structure constants violate the Jacobi identity")
-
 
 def bracket_lie(m: LieModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Exact bracket of constant-coefficient sections of a Lie frame: the
@@ -239,10 +236,6 @@ class ChartModel:
         self.periodic = MappingProxyType(dict(self.periodic))
         self._lo, self._hi = self.box.T.copy()
         self._lo[list(self.periodic)], self._hi[list(self.periodic)] = -np.inf, np.inf
-
-    @property
-    def kind(self) -> str:
-        return "chart"
 
     def values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
         """Chart components of the sections at the points: (n, k, dim).

@@ -35,10 +35,12 @@ from .frame_algebra import (
     Section,
     coordinate_frame,
     fd_jacobian,
+    frame_coords,
     rank_with_margin,
 )
 from .geometry_models import LorentzExtension, constant_curvature_surface, fiber_chart, unit_tangent_frames
 
+_CONTACT_CHECKS = 50      # ContactModel: points of the rank(xi + [xi, xi]) = 3 check
 _CURVATURE_CHECKS = 50    # prequantum_prolongation: points of the d(beta) = i_w vol check
 _CURVATURE_TOL = 1e-6     # ... and its largest |d(beta) - i_w vol|
 _PATH_CHECKS = 64         # propellor_structure: fiber times of the line-path checks
@@ -57,7 +59,9 @@ class ContactModel:
 
     ``xi`` spans the contact planes, ``transverse`` is Reeb-transverse
     (anything spanning TM/xi works), and ``legendrian_frame`` trivializes xi
-    when available (required by Cartan and the suspension).
+    when available (required by Cartan and the suspension).  Raises
+    :class:`NotContact` when made unless rank(xi + [xi, xi]) = 3 at
+    ``_CONTACT_CHECKS`` Halton points of the chart.
     """
 
     model: ChartModel
@@ -65,8 +69,8 @@ class ContactModel:
     transverse: Section
     legendrian_frame: Optional[Sequence[Section]] = None
 
-    def validate(self, n_samples: int = 50) -> None:
-        pts = self.model.sample(n_samples)
+    def __post_init__(self):
+        pts = self.model.sample(_CONTACT_CHECKS)
         br = self.model.brackets(self.xi, [(0, 1)], pts)
         stack = np.concatenate([self.model.values(self.xi, pts), br], axis=1)
         rank, _ = rank_with_margin(stack, RANK_TOL)
@@ -142,7 +146,6 @@ def cartan_prolongation(c: ContactModel) -> EngelStructure:
     a closed orbit, and the plane field repeats after theta -> theta + pi.
     """
     frame = _legendrian_frame(c)
-    c.validate()
     model = fiber_chart(c.model, frame, f"cartan({c.model.name})", orbit_periods={3: np.pi})
     return _rotating_plane(model, lambda pts: pts[:, 3], "cartan_prolongation")
 
@@ -279,7 +282,6 @@ def prequantum_local() -> EngelStructure:
     xi = (Section((0, 0, 1), "dw"),
           Section(lambda pts: (1, pts[:, 2], 0), "X0"))
     c = ContactModel(model=base, xi=xi, transverse=Section((0, 1, 0), "dz"))
-    c.validate()
     s = prequantum_prolongation(c, w_bar=Section((0, 0, 1), "dw"),
                                 vol=_unit_density, beta=_beta)
     s.provenance = "prequantum_local"
@@ -356,7 +358,6 @@ def propellor_structure(monodromy: np.ndarray,
 
     xi = (Section(lambda pts: (*path(pts[:, 2]).T, 0), "l"), Section((0, 0, 1), "dt"))
     contact = ContactModel(model=base, xi=xi, transverse=Section(normal, "n"))
-    contact.validate()
 
     pending = {}
 
@@ -464,7 +465,8 @@ class SuspensionData:
         J = np.asarray(self.dphi(pre), dtype=float)
         pushed = np.einsum("nij,nj->ni", J, v)
         basis = base.values([l1, l2, self.contact.transverse], pts)
-        coef = np.einsum("nkd,nd->nk", np.linalg.pinv(np.swapaxes(basis, 1, 2)), pushed)
+        coef = frame_coords(basis, pushed[:, None], "the Legendrian frame and the "
+                            "transverse section do not span TM")[:, 0]
         return np.mod(np.arctan2(coef[:, 1], coef[:, 0]), np.pi)
 
 
@@ -476,7 +478,6 @@ def suspension(sd: SuspensionData) -> EngelStructure:
     """
     c = sd.contact
     frame = _legendrian_frame(c)
-    c.validate()
     base = c.model
     pts = base.sample(_TWIST_CHECKS)
     r0 = np.atleast_1d(sd.rho(np.zeros(pts.shape[0]), pts))

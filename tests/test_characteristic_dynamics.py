@@ -28,7 +28,8 @@ from engel_lab.characteristic_dynamics import (
 )
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_standard, sample_box
-from engel_lab.errors import AmbiguousClass, ChartExit, MonotonicityViolation, StepTooLarge
+from engel_lab.errors import (AmbiguousClass, ChartExit, DimensionMismatch,
+                              MonotonicityViolation, StepTooLarge)
 from engel_lab.frame_algebra import _rk4_orbits
 
 from conftest import first_return_reference, rel_err, sequential_transport
@@ -521,9 +522,15 @@ class TestDeveloping:
         orbit_like = __import__("engel_lab").characteristic_dynamics.OrbitTrace(
             times=np.linspace(0, 1, 5), points=np.zeros((5, 4)),
             M=np.broadcast_to(np.eye(2), (5, 2, 2)).copy(),
-            angle=np.array([0.0, 0.1, 0.05, 0.2, 0.3]))
+            angle=np.array([0.0, 0.1, 0.05, 0.2, 0.3]), dets=np.ones(5))
         with pytest.raises(MonotonicityViolation):
             developing_map(orbit_like)
+
+    def test_transport_needs_its_determinants(self):
+        M = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+        for dets in (None, np.ones(4)):
+            with pytest.raises(DimensionMismatch, match="5 transport matrices"):
+                dyn.OrbitTrace(np.linspace(0, 1, 5), np.zeros((5, 4)), M=M, dets=dets)
 
     def test_angle_guard(self):
         with pytest.raises(StepTooLarge):
@@ -613,6 +620,12 @@ class TestGlobalType:
         (_, why_m), (_, why_n) = dyn._invariant_lines([M], 1e-3), dyn._invariant_lines([N], 1e-3)
         assert why_m == why_n == "repeated eigen-direction (within 0.001 rad)"
 
+    def test_moving_eigen_direction_gives_no_lines(self):
+        # cat map and diag(2, 1/2): both hyperbolic, with different eigenlines
+        lines, why = dyn._invariant_lines([np.array([[2.0, 1.0], [1.0, 1.0]]),
+                                           np.diag([2.0, 0.5])], 1e-3)
+        assert lines is None and why == "eigen-direction 0 moves by 0.554 rad along the orbit"
+
     @pytest.mark.parametrize("name,want", [
         ("propellor-identity", ("elliptic", None)),
         ("propellor-parabolic", ("parabolic", False)),
@@ -672,6 +685,16 @@ class TestGlobalType:
         assert orbit["demoted"] == (
             "sigma1 grows but fits no growth law: r2_exp = 0.9837, lin_r2 = 0.9899 "
             "(need > 0.99), slope = 0.1704 (exponential needs > 0.05)")
+
+    def test_bounded_but_distorted_sigma1_is_unknown(self, preset_cache):
+        # kappa = 99.5: sigma1 oscillates fast at distortion about 1e4, past
+        # the elliptic bound, with no growth to fit
+        s = preset_cache("lorentz-magnetic-lie", kappa=99.5)["structure"]
+        est = estimate_global_type(s, n_orbits=1, T_max=20.0, dt=1e-2)
+        (orbit,) = est.evidence["orbits"]
+        assert est.kind == orbit["kind"] == "unknown"
+        assert orbit["demoted"].startswith("sigma1 not growing (monotone fraction ")
+        assert orbit["max_distortion"] >= 1e3
 
     @pytest.mark.parametrize("name,params", [
         ("darboux", {}), ("lorentz-product", {"kappa": 1.0}), ("suspension-identity", {})])

@@ -1,4 +1,5 @@
 """Exit-code contract, artifact determinism, and malformed-config handling."""
+import importlib.util
 import json
 import math
 import os
@@ -138,6 +139,16 @@ class TestParser:
             have = {f for a in sub.choices[command]._actions for f in a.option_strings}
             assert have == flags | {"--out", "--config", "-h", "--help"}
             assert set(cli._COMMANDS[command][2]) == {f.lstrip("-") for f in flags}
+
+    def test_every_benchmark_command_line_is_accepted(self, tmp_path):
+        # benchmarks/golden.py runs the tasks of the four benchmark workloads
+        # at two seeds plus its extra runs: each line parses and passes the
+        # settings checks, so no benchmark task exits 2.  Nothing is run
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "golden.py"
+        spec = importlib.util.spec_from_file_location("golden", path)
+        spec.loader.exec_module(golden := importlib.util.module_from_spec(spec))
+        for argv in golden.commands():
+            cli._manifest_from_args(_parser().parse_args([*argv, "--out", str(tmp_path)]))
 
     def test_help_prints_the_defaults(self, capsys):
         assert run(["rigidity", "--help"]) == 0

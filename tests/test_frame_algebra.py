@@ -9,6 +9,7 @@ from engel_lab.frame_algebra import (
     FD_STEP,
     ChartModel,
     ChartVectorField,
+    LieModel,
     Section,
     bracket_chart,
     bracket_lie,
@@ -124,13 +125,28 @@ class TestLieModel:
         assert np.allclose(bracket_lie(magnetic, W, Th), -Yt)
 
     def test_jacobi_and_antisymmetry_exact(self, magnetic):
-        magnetic.validate(tol=1e-12)
+        LieModel(magnetic.names, magnetic.c)
         assert magnetic.antisymmetry_defect() == 0.0
         assert magnetic.jacobi_defect() < 1e-15
 
     def test_jacobi_holds_for_every_curvature(self):
-        for k in (-3.0, -1.0, 0.0, 0.7, 2.5):
-            ConstantCurvatureUT(k).lie.validate(tol=1e-12)
+        # each construction checks its own constants, the 3- and the 4-frame
+        for k in (-3.0, -1.0, 0.0, 0.7, 2.5, 99.5):
+            magnetic_extension(ConstantCurvatureUT(k))
+
+    def test_broken_jacobi_refused_when_made(self):
+        # [e0, e1] = e1 and [e1, e2] = e0: antisymmetric, Jacobi defect 1
+        c = np.zeros((3, 3, 3))
+        c[1, 0, 1], c[1, 1, 0] = 1.0, -1.0
+        c[0, 1, 2], c[0, 2, 1] = 1.0, -1.0
+        with pytest.raises(DimensionMismatch, match="Jacobi"):
+            LieModel(("e0", "e1", "e2"), c)
+
+    def test_broken_antisymmetry_refused_when_made(self):
+        c = np.zeros((3, 3, 3))
+        c[2, 0, 1] = 1.0
+        with pytest.raises(DimensionMismatch, match="antisymmetric"):
+            LieModel(("e0", "e1", "e2"), c)
 
     def test_dimension_mismatch(self, magnetic):
         with pytest.raises(DimensionMismatch):
@@ -183,6 +199,12 @@ def test_halton_refuses_negative_skip():
 def test_bracket_chart_refuses_unstacked_values():
     with pytest.raises(DimensionMismatch):
         bracket_chart(ef_X(), [(0, 0)], np.zeros((3, 4)))
+
+
+def test_bracket_chart_refuses_an_infinite_field():
+    inf = ChartVectorField(lambda pts: np.full(pts.shape, np.inf))
+    with pytest.raises(NonFiniteEvaluation), np.errstate(invalid="ignore"):
+        bracket_chart(stacked(ef_X(), inf), [(0, 1)], np.zeros((2, 4)))
 
 
 class TestModelProtocol:
@@ -283,8 +305,11 @@ class TestModelProtocol:
 
     def test_chart_model_needs_points(self):
         s = darboux_standard()
-        with pytest.raises(ValueError):
-            s.model.values(s.D_span, None)
+        for call in (lambda: s.model.values(s.D_span, None),
+                     lambda: s.model.brackets(s.D_span, [(0, 1)], None),
+                     lambda: s.model.contains(None), lambda: s.model.wrap(None)):
+            with pytest.raises(DimensionMismatch):
+                call()
 
     @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
     def test_frame_is_batched_and_row_independent(self, preset_cache, name):

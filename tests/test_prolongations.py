@@ -12,7 +12,7 @@ from engel_lab.errors import (
     NotContact,
     TwistMonotonicityError,
 )
-from engel_lab.frame_algebra import Section
+from engel_lab.frame_algebra import ChartModel, Section, coordinate_frame
 from engel_lab.geometry_models import (
     bump_surface,
     gauss_curvature,
@@ -20,6 +20,7 @@ from engel_lab.geometry_models import (
     unit_tangent_frames,
 )
 from engel_lab.prolongations import (
+    ContactModel,
     SuspensionData,
     _logm2,
     bi_engel_pair,
@@ -62,6 +63,12 @@ class TestCartan:
                                          np.pi, 1e-3)
         orbit = transport_EmodW(s, orbit)
         assert np.abs(orbit.M[-1] - np.eye(2)).max() < 1e-9
+
+    def test_integrable_planes_are_no_contact_model(self):
+        # xi = <d/dx, d/dy> on R^3 is integrable: rank(xi + [xi, xi]) = 2
+        base = ChartModel(3, [[-1, 1]] * 3, coordinate_frame(3))
+        with pytest.raises(NotContact):
+            ContactModel(base, (Section((1, 0, 0)), Section((0, 1, 0))), Section((0, 0, 1)))
 
     def test_needs_legendrian_frame(self):
         c = standard_contact_r3()
@@ -238,7 +245,7 @@ class TestPropellor:
 
     def test_contact_model_validates(self):
         contact, _ = propellor_structure(np.eye(2))
-        contact.validate(n_samples=40)
+        ContactModel(contact.model, contact.xi, contact.transverse)
 
     def test_equivariance_enforced(self):
         bad_path = lambda t: np.stack(
@@ -446,7 +453,8 @@ _LAYOUTS = {
 
 class TestChartLayouts:
     def test_every_chart_preset_is_listed(self, preset_cache):
-        charts = {n for n in preset_names() if preset_cache(n)["structure"].model.kind == "chart"}
+        charts = {n for n in preset_names()
+                  if isinstance(preset_cache(n)["structure"].model, ChartModel)}
         assert charts == set(_LAYOUTS)
 
     @pytest.mark.parametrize("name", sorted(_LAYOUTS))
