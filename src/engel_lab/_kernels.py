@@ -6,7 +6,9 @@ the steps.  Both kernels take their samples on the half-step grid of
 ``frame_algebra._time_grid``.  ``transport_rk4`` solves the
 E/W transport M' = A(t) M with 4th-order Magnus steps: every step is one
 2x2 exponential (``expm2``), and the steps are multiplied together by a
-log-depth prefix product, so no Python loop runs over the steps.
+log-depth prefix product, so no Python loop runs over the steps.  Its 2x2
+products are elementwise products and sums on the entry planes (2, 2, n)
+with no BLAS call, so their bits do not depend on the BLAS kernel.
 ``tests/test_rigidity_lab.py`` checks the D-curve kernel against a scalar
 reference copy and the prefix product against the sequential one.
 """
@@ -103,6 +105,15 @@ def expm2(O: np.ndarray) -> np.ndarray:
                     + sinhc.real[:, None, None] * N)
 
 
+def _matmul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for 2x2 matrices stored as entry planes (2, 2, n).
+
+    Entry (i, j) is x_i0 y_0j + x_i1 y_1j: the products and the sum of a
+    matmul without FMA, in its order, with no BLAS call.
+    """
+    return x[:, 0, None] * y[None, 0] + x[:, 1, None] * y[None, 1]
+
+
 def transport_rk4(A_half: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve M' = A(t) M, M(0) = I, with A sampled on the half-step grid.
 
@@ -115,23 +126,27 @@ def transport_rk4(A_half: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray
 
     from its samples at the start, middle and end, and M_k = E_k ... E_1
     with E_k = exp(Omega_k), formed by an inclusive prefix product in
-    log2(nsteps) batched matmuls.  det M_k = exp(sum of tr Omega_j), which
-    stays accurate where the algebraic determinant of a huge hyperbolic
-    matrix cancels away.
+    log2(nsteps) levels.  The exponents and the prefix product are formed on
+    the entry planes (2, 2, nsteps) by ``_matmul_planes``, so no BLAS call
+    runs and the bits do not depend on the BLAS kernel; M is stacked once,
+    at the end.  det M_k = exp(sum of tr Omega_j), which stays accurate
+    where the algebraic determinant of a huge hyperbolic matrix cancels
+    away.
     """
-    A_half = np.asarray(A_half, dtype=float)
+    A = np.asarray(A_half, dtype=float).transpose(1, 2, 0).copy()
     dt = float(dt)
-    A0, Am, A1 = A_half[0:-2:2], A_half[1::2], A_half[2::2]
-    omega = dt / 6.0 * (A0 + 4.0 * Am + A1) + dt * dt / 12.0 * (A1 @ A0 - A0 @ A1)
-    M = np.empty((len(omega) + 1, 2, 2))
-    M[0] = np.eye(2)
-    M[1:] = expm2(omega)
-    P = M[1:]
+    A0, Am, A1 = A[..., 0:-2:2], A[..., 1::2], A[..., 2::2]
+    omega = (dt / 6.0 * (A0 + 4.0 * Am + A1)
+             + dt * dt / 12.0 * (_matmul_planes(A1, A0) - _matmul_planes(A0, A1)))
+    del A, A0, Am, A1       # the copy of A need not live through expm2 and the scan
+    P = expm2(omega.transpose(2, 0, 1)).transpose(1, 2, 0).copy()
     s = 1
-    while s < len(P):
+    while s < P.shape[-1]:
         # P[k] becomes the product of E_k down to E_{k-2s+1}
-        P[s:] = P[s:] @ P[:-s]
+        P[..., s:] = _matmul_planes(P[..., s:], P[..., :-s])
         s *= 2
-    tr = omega[:, 0, 0] + omega[:, 1, 1]
-    dets = np.exp(np.concatenate([[0.0], np.cumsum(tr)]))
+    M = np.empty((P.shape[-1] + 1, 2, 2))
+    M[0] = np.eye(2)
+    M[1:] = P.transpose(2, 0, 1)
+    dets = np.exp(np.concatenate([[0.0], np.cumsum(omega[0, 0] + omega[1, 1])]))
     return M, dets

@@ -93,10 +93,12 @@ def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     d = pts.shape[1]
     cols = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        cols.append((np.asarray(f(pts + e)) - np.asarray(f(pts - e))) / (2.0 * h))
+    # inf - inf gives NaN without a warning: the callers check finiteness
+    with np.errstate(invalid="ignore"):
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = h
+            cols.append((np.asarray(f(pts + e)) - np.asarray(f(pts - e))) / (2.0 * h))
     return np.stack(cols, axis=-1)
 
 
@@ -132,7 +134,8 @@ class LieModel:
     """Exact structure constants: [e_i, e_j] = sum_k c[k, i, j] e_k.
 
     Raises :class:`DimensionMismatch` when made from constants whose
-    antisymmetry or Jacobi defect passes 1e-12 max|c| or 1e-12 max|c|^2.
+    antisymmetry or Jacobi defect passes 1e-12 max|c| or 1e-12 max|c|^2, or
+    is NaN.
     """
 
     names: Sequence[str]
@@ -144,9 +147,10 @@ class LieModel:
         if self.c.shape != (n, n, n):
             raise DimensionMismatch("structure constants must be (n, n, n)")
         scale = np.abs(self.c).max()
-        if self.antisymmetry_defect() > 1e-12 * scale:
+        # written as not <= so that a NaN constant is refused too
+        if not self.antisymmetry_defect() <= 1e-12 * scale:
             raise DimensionMismatch("structure constants are not antisymmetric")
-        if self.jacobi_defect() > 1e-12 * scale ** 2:
+        if not self.jacobi_defect() <= 1e-12 * scale ** 2:
             raise DimensionMismatch("structure constants violate the Jacobi identity")
 
     @property

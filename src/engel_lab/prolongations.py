@@ -219,7 +219,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     iv[:, 1, 2] = rho * wv[:, 0]
     iv[:, 2, 1] = -iv[:, 1, 2]
     defect = float(np.abs(db - iv).max())
-    if defect > _CURVATURE_TOL:
+    if not defect <= _CURVATURE_TOL:    # a NaN defect is refused too
         raise CurvatureMismatch(
             f"d(beta) differs from i_w vol by {defect:.3e} (tol {_CURVATURE_TOL:g})")
 

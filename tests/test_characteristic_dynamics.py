@@ -1,11 +1,17 @@
 """Characteristic flow, E/W transport, projective classification, and the
 global type estimator."""
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import engel_lab
 from engel_lab import characteristic_dynamics as dyn
 from engel_lab._kernels import expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
@@ -231,6 +237,25 @@ class TestMagnus:
         M, dets = transport_rk4(A, 1e-2)
         assert M.shape == (41, 2, 2) and dets.shape == (41,)
         assert np.abs(np.linalg.det(M) / dets - 1.0).max() < 1e-12
+
+    @pytest.mark.skipif(platform.machine() != "x86_64",
+                        reason="OPENBLAS_CORETYPE names x86_64 kernels")
+    def test_bits_do_not_depend_on_the_blas_kernel(self):
+        # the same seeded 1000-step transport in two child processes, one on
+        # OpenBLAS's non-FMA Prescott kernel and one on the kernel it detects
+        code = ("import sys, numpy as np; from engel_lab._kernels import transport_rk4; "
+                "A = np.random.default_rng(7).normal(scale=0.3, size=(2001, 2, 2)); "
+                "M, dets = transport_rk4(A, 1e-2); "
+                "sys.stdout.buffer.write(M.tobytes() + dets.tobytes())")
+        src = str(Path(engel_lab.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        children = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                     env={**env, **extra})
+                    for extra in ({"OPENBLAS_CORETYPE": "Prescott"}, {})]
+        outs = [child.communicate(timeout=60)[0] for child in children]
+        assert all(child.returncode == 0 for child in children)
+        assert len(outs[0]) == 8 * (4 * 1001 + 1001) and outs[0] == outs[1]
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_long_lie_orbit_matches_closed_form(self, preset_cache, kappa):

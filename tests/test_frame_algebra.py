@@ -142,6 +142,12 @@ class TestLieModel:
         with pytest.raises(DimensionMismatch, match="Jacobi"):
             LieModel(("e0", "e1", "e2"), c)
 
+    def test_nan_structure_constant_refused_when_made(self):
+        c = np.zeros((3, 3, 3))
+        c[2, 0, 1], c[2, 1, 0] = np.nan, -1.0
+        with pytest.raises(DimensionMismatch):
+            LieModel(("e0", "e1", "e2"), c)
+
     def test_broken_antisymmetry_refused_when_made(self):
         c = np.zeros((3, 3, 3))
         c[2, 0, 1] = 1.0
@@ -201,9 +207,11 @@ def test_bracket_chart_refuses_unstacked_values():
         bracket_chart(ef_X(), [(0, 0)], np.zeros((3, 4)))
 
 
+@pytest.mark.filterwarnings("error")
 def test_bracket_chart_refuses_an_infinite_field():
+    # NonFiniteEvaluation is the only signal: no RuntimeWarning before it
     inf = ChartVectorField(lambda pts: np.full(pts.shape, np.inf))
-    with pytest.raises(NonFiniteEvaluation), np.errstate(invalid="ignore"):
+    with pytest.raises(NonFiniteEvaluation):
         bracket_chart(stacked(ef_X(), inf), [(0, 1)], np.zeros((2, 4)))
 
 

@@ -195,6 +195,14 @@ class TestPrequantum:
                                     vol=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
                                     beta=bad_beta)
 
+    def test_nan_curvature_raises(self):
+        from engel_lab.prolongations import prequantum_local
+        c = prequantum_local().aux["contact"]
+        with pytest.raises(CurvatureMismatch):
+            prequantum_prolongation(c, w_bar=Section((0, 0, 1)),
+                                    vol=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
+                                    beta=lambda pts: np.full(np.atleast_2d(pts).shape, np.nan))
+
 
 class TestPropellor:
     def test_three_monodromies_verify(self, preset_cache):
