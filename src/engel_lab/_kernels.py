@@ -9,12 +9,18 @@ E/W transport M' = A(t) M with 4th-order Magnus steps: every step is one
 log-depth prefix product, so no Python loop runs over the steps.  Its 2x2
 products are elementwise products and sums on the entry planes (2, 2, n)
 with no BLAS call, so their bits do not depend on the BLAS kernel.
+``closed_form_exp`` is t -> exp(t A) for one fixed generator A; ``expm2``
+serves the Magnus exponents, which change from step to step.
 ``tests/test_rigidity_lab.py`` checks the D-curve kernel against a scalar
 reference copy and the prefix product against the sequential one.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
+
+from .errors import FrameDegenerate
 
 # there is no numba path; the constant stays for the provenance record
 # that perfbench/run.py writes
@@ -103,6 +109,30 @@ def expm2(O: np.ndarray) -> np.ndarray:
     scale = np.exp(half_tr)[:, None, None]
     return scale * (np.cosh(r).real[:, None, None] * np.eye(2)
                     + sinhc.real[:, None, None] * N)
+
+
+def closed_form_exp(A: np.ndarray) -> Callable:
+    """t -> exp(t A) for a fixed trace-free 2x2 generator A.  A number t gives
+    (2, 2), times (n,) give (n, 2, 2), and every entry is elementwise, so the
+    matrix at one time is its row of a batch bit for bit.
+
+    With r^2 = -det A, A^2 = r^2 I and exp(t A) = c I + s A, where (c, s) is
+    (cosh rt, sinh(rt)/r), (cos rt, sin(rt)/r) or (1, t) as r^2 > 0, < 0, = 0.
+    """
+    A = np.asarray(A, dtype=float)
+    if abs(A[0, 0] + A[1, 1]) > 1e-12:
+        raise FrameDegenerate("closed form expects a trace-free generator")
+    r2 = A[0, 1] * A[1, 0] - A[0, 0] * A[1, 1]
+    r = np.sqrt(abs(r2))
+    cos, sin = (np.cosh, np.sinh) if r2 > 0 else (np.cos, np.sin)
+
+    def exp(t):
+        t = np.asarray(t, dtype=float)
+        c, s = (cos(r * t), sin(r * t) / r) if r2 else (np.ones_like(t), t)
+        return np.stack([c + s * A[0, 0], s * A[0, 1], s * A[1, 0], c + s * A[1, 1]],
+                        axis=-1).reshape(t.shape + (2, 2))
+
+    return exp
 
 
 def _matmul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -16,11 +16,12 @@ cos/cosh/unipotent in the rescaled frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import expm2, transport_rk4
+# closed_form_exp is read from here by the oracles of the tests and benchmarks
+from ._kernels import closed_form_exp, transport_rk4
 from .engel_verify import EngelStructure, line_angle
 from .errors import (
     AmbiguousClass,
@@ -282,14 +283,6 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
         angle = lift_angle_mod_pi(raw)
     return OrbitTrace(times=times, points=orbit.points, M=M, angle=angle,
                       dets=dets, meta=dict(orbit.meta))
-
-
-def closed_form_exp(A: np.ndarray) -> Callable:
-    """t -> exp(t A) for a trace-free constant generator A."""
-    A = np.asarray(A, dtype=float)
-    if abs(np.trace(A)) > 1e-12:
-        raise FrameDegenerate("closed form expects a trace-free generator")
-    return lambda t: expm2(float(t) * A[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import characteristic_dynamics as dyn
 from . import rigidity_lab as rig
 from .engel_verify import verify_engel
-from .errors import AmbiguousClass, ConfigError, EngelLabError, FrameDegenerate
+from .errors import ConfigError, EngelLabError, FrameDegenerate
 from .frame_algebra import RANK_TOL, _time_grid
 from .presets import KAPPA_PRESETS, build_preset, preset_names
 from .serialize import SCHEMA_VERSION, write_csv, write_json
@@ -304,9 +304,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except AmbiguousClass as e:
-        print(f"ambiguous classification: {e}", file=sys.stderr)
-        return 1
     except EngelLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

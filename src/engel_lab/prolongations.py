@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import expm2
+from ._kernels import closed_form_exp
 from .engel_verify import EngelStructure
 from .errors import (
     ConfigError,
@@ -294,8 +294,8 @@ def prequantum_local() -> EngelStructure:
 
 def _logm2(m: np.ndarray) -> np.ndarray:
     """Real logarithm of a 2x2 unimodular matrix with trace > -2, the inverse
-    of :func:`expm2`: with tr/2 = cosh(a), a imaginary when |tr| < 2,
-    log m = a / sinh(a) (m - (tr/2) I), and m - I when a = 0."""
+    of :func:`closed_form_exp` at t = 1: with tr/2 = cosh(a), a imaginary
+    when |tr| < 2, log m = a / sinh(a) (m - (tr/2) I), and m - I when a = 0."""
     m = np.asarray(m, dtype=float)
     if abs(np.linalg.det(m) - 1.0) > 1e-12:
         raise ConfigError("monodromy must be unimodular")
@@ -313,12 +313,12 @@ def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
     Equivariant as a vector field for every integer ``turns``; rotation stays
     monotone as long as 2 pi turns exceeds the angular rate of log(monodromy).
     """
-    L = _logm2(monodromy)
+    phi = closed_form_exp(_logm2(monodromy))
 
     def path(t):
         u = np.stack([np.cos(2 * np.pi * turns * t),
                       np.sin(2 * np.pi * turns * t)], axis=-1)
-        return np.einsum("nij,nj->ni", expm2(t[:, None, None] * L), u)
+        return np.einsum("nij,nj->ni", phi(t), u)
 
     return path
 
@@ -359,24 +359,10 @@ def propellor_structure(monodromy: np.ndarray,
     xi = (Section(lambda pts: (*path(pts[:, 2]).T, 0), "l"), Section((0, 0, 1), "dt"))
     contact = ContactModel(model=base, xi=xi, transverse=Section(normal, "n"))
 
-    pending = {}
-
-    def rotation(t):
-        # phi^t at the fiber times t (n,).  hP and hQ are its two columns, and
-        # a values call asks for both at the same times: the first computes
-        # the exponential and leaves it here, keyed by the bytes of t, and
-        # the second takes it.  A lone hP or hQ evaluation leaves its
-        # exponential here until the next call
-        key = t.tobytes()
-        if key in pending:
-            return pending.pop(key)
-        pending.clear()
-        E = pending[key] = expm2(t[:, None, None] * L)
-        return E
-
-    # phi^t(e_1) and phi^t(e_2)
-    P = Section(lambda pts: (*rotation(pts[:, 2])[:, :, 0].T, 0, 0), "hP")
-    Q = Section(lambda pts: (*rotation(pts[:, 2])[:, :, 1].T, 0, 0), "hQ")
+    # phi^t(e_1) and phi^t(e_2), the columns of phi^t = exp(t L)
+    phi = closed_form_exp(L)
+    P = Section(lambda pts: (*phi(pts[:, 2])[:, :, 0].T, 0, 0), "hP")
+    Q = Section(lambda pts: (*phi(pts[:, 2])[:, :, 1].T, 0, 0), "hQ")
 
     s = prequantum_prolongation(contact, w_bar=Section((0, 0, 1), "dt"),
                                 vol=_unit_density, beta=_beta, emw=(P, Q))
@@ -529,23 +515,12 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
     model = fiber_chart(ut.model, _fiber_frame(ut.model.frame),
                         f"suspension-geodesic(k={kappa:g})", period=None)
 
-    k = float(kappa)
-    r = np.sqrt(abs(k))
-
-    def pushed(pts):
-        # exp(t [[0, -1], [kappa, 0]]) as (column 0, column 1): the flow
-        # pushes Y forward to column 0 and Z to column 1 of the (Y, Z) plane
-        t = pts[:, 3]
-        if k > 0:
-            c, s = np.cos(r * t), np.sin(r * t)
-            return (c, r * s), (-s / r, c)
-        if k < 0:
-            c, s = np.cosh(r * t), np.sinh(r * t)
-            return (c, -r * s), (-s / r, c)
-        return (np.ones_like(t), np.zeros_like(t)), (-t, np.ones_like(t))
+    # the flow pushes Y forward to column 0 and Z to column 1 of
+    # exp(t [[0, -1], [kappa, 0]]) in the (Y, Z) plane
+    flow = closed_form_exp([[0.0, -1.0], [float(kappa), 0.0]])
 
     def pushed_section(j, name):
-        return Section(lambda pts: (0, 0, *pushed(pts)[j]), name)
+        return Section(lambda pts: (0, 0, *flow(pts[:, 3])[:, :, j].T), name)
 
     D = [Section((1, 0, 0, 0), "T"), pushed_section(1, "C")]
     E = [Section((1, 0, 0, 0), "T"), Section((0, 0, 1, 0), "Y"),

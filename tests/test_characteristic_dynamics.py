@@ -35,8 +35,8 @@ from engel_lab.characteristic_dynamics import (
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.errors import (AmbiguousClass, ChartExit, DimensionMismatch,
-                              MonotonicityViolation, StepTooLarge)
-from engel_lab.frame_algebra import _rk4_orbits
+                              FrameDegenerate, MonotonicityViolation, StepTooLarge)
+from engel_lab.frame_algebra import Section, _rk4_orbits
 
 from conftest import first_return_reference, rel_err, sequential_transport
 
@@ -168,6 +168,14 @@ class TestTransport:
             s = preset_cache("lorentz-product-lie", kappa=kappa)["structure"]
             A = transport_generator(s)
             assert np.array_equal(A, [[0.0, 1.0], [-kappa, 0.0]])
+
+    def test_generator_refuses_brackets_outside_E(self):
+        # with W = X and the frame (d/dw, Z), [X, Z] = -Y leaves E
+        s = dataclasses.replace(darboux_standard(), W_section=Section((1, 0, 0, 0), "X"),
+                                emw_frame=(Section((0, 0, 0, 1), "dw"),
+                                           Section((0, 0, 1, 0), "Z")))
+        with pytest.raises(FrameDegenerate, match="does not lie in E"):
+            transport_generator(s, sample_box(s.model, 10))
 
     @pytest.mark.parametrize("name", ["lorentz-magnetic", "lorentz-product"])
     @pytest.mark.parametrize("kappa", KAPPA_SWEEP)

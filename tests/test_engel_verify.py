@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from engel_lab.engel_verify import (
+    EngelStructure,
     cauchy_characteristic,
     darboux_standard,
     line_angle,
     sample_box,
     verify_engel,
 )
-from engel_lab.errors import DimensionMismatch
-from engel_lab.frame_algebra import Section
+from engel_lab.errors import DegenerateKernel, DimensionMismatch
+from engel_lab.frame_algebra import ChartModel, Section, coordinate_frame
 from engel_lab.presets import build_preset
 from engel_lab.serialize import dumps_canonical
 
@@ -111,6 +112,17 @@ class TestCauchy:
                               cauchy_characteristic(lie, np.zeros(4)))
         with pytest.raises(DimensionMismatch):
             cauchy_characteristic(darboux_standard(), None)
+
+    def test_integrable_E_has_no_characteristic(self):
+        # E = <d0, d1, d2> on a coordinate chart: every bracket vanishes, so
+        # the pairing on E has rank 0
+        d = [Section(tuple(row), f"d{i}") for i, row in enumerate(np.eye(4))]
+        s = EngelStructure(model=ChartModel(4, [[-1, 1]] * 4, coordinate_frame(4)),
+                           D_span=d[:2], E_span=d[:3], W_section=d[0],
+                           transverse_section=d[3], provenance="coordinates",
+                           emw_frame=d[1:3])
+        with pytest.raises(DegenerateKernel, match="rank < 2"):
+            cauchy_characteristic(s, np.zeros(4))
 
     def test_w_line_contained_in_D(self, rng):
         # flag inclusion: the kernel line lies in span(D)

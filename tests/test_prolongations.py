@@ -1,18 +1,26 @@
 """The four constructions and their cross-identifications."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from engel_lab._kernels import expm2
+from engel_lab._kernels import closed_form_exp, expm2
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import line_angle, sample_box, verify_engel
 from engel_lab.errors import (
     ConfigError,
     CurvatureMismatch,
     EquivarianceError,
+    FrameDegenerate,
     NotContact,
     TwistMonotonicityError,
 )
-from engel_lab.frame_algebra import ChartModel, Section, coordinate_frame
+from engel_lab.frame_algebra import (
+    RANK_TOL,
+    ChartModel,
+    Section,
+    coordinate_frame,
+    rank_with_margin,
+)
 from engel_lab.geometry_models import (
     bump_surface,
     gauss_curvature,
@@ -40,6 +48,10 @@ from engel_lab.characteristic_dynamics import (
 )
 from engel_lab.engel_verify import cauchy_characteristic
 from engel_lab.presets import CAT_MAP, SHEAR_MAP, preset_names
+
+from conftest import rel_err
+
+ELLIPTIC_MAP = ((0.9, 1.0), (-0.1, 1.0))    # det 1, trace 1.9
 
 
 class TestCartan:
@@ -216,10 +228,11 @@ class TestPropellor:
         # s < 0, the shear at s = 0, hyperbolic for s > 0 (the cat map at 1)
         m = np.asarray(m, dtype=float)
         assert np.abs(expm2(_logm2(m)[None])[0] - m).max() <= 1e-14
+        assert np.abs(closed_form_exp(_logm2(m))(1.0) - m).max() <= 1e-14
 
     def test_elliptic_monodromy_verifies(self):
         # trace 1.9: the closed-form logarithm needs no extra case
-        _, s = propellor_structure(np.array([[0.9, 1.0], [-0.1, 1.0]]))
+        _, s = propellor_structure(np.array(ELLIPTIC_MAP))
         assert verify_engel(s, n_samples=100).passed
 
     def test_log_monodromy_refusals(self):
@@ -229,27 +242,49 @@ class TestPropellor:
         with pytest.raises(ConfigError, match="unimodular"):
             propellor_line_path(np.diag([2.0, 1.0]))
 
-    def test_frame_one_exponential_per_batch(self, monkeypatch):
-        # hP and hQ are the two columns of phi^t = exp(t L): one values call
-        # over both computes the exponential once, and gives the values of
-        # one exponential per section bit for bit
-        from engel_lab import prolongations
-        _, s = propellor_structure(CAT_MAP)
-        P, Q = s.emw_frame
-        L = s.aux["log_monodromy"]
-        own = [Section(lambda pts, j=j: (*expm2(pts[:, 2, None, None] * L)[:, :, j].T, 0, 0))
-               for j in (0, 1)]
+    @pytest.mark.parametrize("A, m", [
+        ([[0.0, -1.0], [0.7, 0.0]], None), ([[0.0, 1.0], [0.0, 0.0]], None),
+        ([[0.0, -1.0], [-0.7, 0.0]], None),
+        (None, CAT_MAP), (None, SHEAR_MAP), (None, ELLIPTIC_MAP)])
+    def test_closed_form_exp_matches_expm(self, A, m):
+        # det A > 0, = 0 and < 0, then the log monodromies m of the three
+        # propellor classes; a batch row is the call at its time, bit for bit
+        A = np.array(A) if m is None else _logm2(np.asarray(m, dtype=float))
+        phi = closed_form_exp(A)
+        ts = np.array([-2.5, -0.3, 0.0, 1e-3, 0.5, 1.0, 3.0])
+        batch = phi(ts)
+        assert batch.shape == (len(ts), 2, 2)
+        for t, row in zip(ts, batch):
+            assert phi(t).shape == (2, 2)
+            assert np.array_equal(phi(t), row)
+            assert rel_err(row, expm(t * A)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [SHEAR_MAP, CAT_MAP, ELLIPTIC_MAP])
+    def test_frame_is_the_exponential_columns(self, m):
+        # hP and hQ are the columns of phi^t = exp(t L), bit for bit (the
+        # shear and the elliptic map tell columns from rows)
+        _, s = propellor_structure(np.asarray(m, dtype=float))
         pts = sample_box(s.model, 50)
-        calls = []
-        monkeypatch.setattr(prolongations, "expm2", lambda O: calls.append(len(O)) or expm2(O))
-        got = s.model.values([P, Q], pts)
-        assert calls == [50]
-        assert np.array_equal(got, s.model.values(own, pts))
-        # a bracket: one exponential per values call of its central
-        # differences, 1 + 2 dim
-        calls.clear()
-        s.model.brackets([P, Q], [(0, 1)], pts)
-        assert calls == [50] * (1 + 2 * s.model.dim)
+        E = closed_form_exp(s.aux["log_monodromy"])(pts[:, 2])
+        for sec, j in zip(s.emw_frame, (0, 1)):
+            got = sec.coeff_at(pts)
+            assert np.array_equal(got[:, :2], E[:, :, j]), sec.name
+            assert not got[:, 2:].any(), sec.name
+
+    def test_closed_form_exp_refuses_a_traced_generator(self):
+        with pytest.raises(FrameDegenerate, match="trace-free"):
+            closed_form_exp(np.eye(2))
+
+    @pytest.mark.parametrize("m", [np.eye(2), SHEAR_MAP, CAT_MAP])
+    def test_contact_transverse_section_completes_the_planes(self, m):
+        # (l, dt, n) spans the tangent space of the base with a clear margin;
+        # propellor_structure passes its own E/W frame, so no run reads n
+        contact, _ = propellor_structure(np.asarray(m, dtype=float))
+        base = contact.model
+        pts = base.sample(200)
+        rank, marginal = rank_with_margin(
+            base.values([*contact.xi, contact.transverse], pts), RANK_TOL)
+        assert (rank == 3).all() and not marginal.any()
 
     def test_contact_model_validates(self):
         contact, _ = propellor_structure(np.eye(2))
@@ -293,6 +328,16 @@ class TestSuspension:
         sd = SuspensionData(contact=c, phi=ident, dphi=dident, phi_inv=ident,
                             rho=lambda t, v: np.pi * np.atleast_1d(t) ** 2, K=1)
         with pytest.raises(TwistMonotonicityError):
+            suspension(sd)
+
+    def test_twist_must_start_at_zero(self):
+        c = standard_contact_r3()
+        ident = lambda pts: np.atleast_2d(pts).copy()
+        dident = lambda pts: np.broadcast_to(
+            np.eye(3), (np.atleast_2d(pts).shape[0], 3, 3)).copy()
+        sd = SuspensionData(contact=c, phi=ident, dphi=dident, phi_inv=ident,
+                            rho=lambda t, v: np.pi * np.atleast_1d(t) + 0.1, K=1)
+        with pytest.raises(TwistMonotonicityError, match=r"rho\(0, v\) must vanish"):
             suspension(sd)
 
     def test_wrong_twist_count_rejected(self):
@@ -425,6 +470,11 @@ class TestSuspension:
         Ep = plus.model.values(plus.E_span, pts)
         Em = minus.model.values(minus.E_span, pts)
         assert np.array_equal(Ep, Em)
+
+    @pytest.mark.parametrize("m", [np.eye(2), SHEAR_MAP])
+    def test_bi_engel_pair_needs_a_hyperbolic_monodromy(self, m):
+        with pytest.raises(ConfigError, match="hyperbolic"):
+            bi_engel_pair(np.asarray(m, dtype=float))
 
 
 TAU = 2 * np.pi
