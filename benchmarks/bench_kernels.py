@@ -65,16 +65,20 @@ def bench_transport(n_steps=200_000):
     return f"transport_rk4 {n_steps // 1000}k steps", t
 
 
-def bench_field(sizes=(1, 1000)):
+def bench_field(sizes=(1, 3, 1000)):
     """Wall time of one evaluation of the characteristic field W as the
     chart RK4 of ``ChartModel.flow`` evaluates it (one call of
-    ``model.field(W)`` on a (B, dim) batch): on lorentz-magnetic, whose W is
-    a constant section and takes the fused path, at B = 1 and B = 1000; on
-    magnetic-bump, whose W evaluates the Gauss curvature, at B = 1."""
+    ``model.field(W)`` on a (B, dim) batch): on lorentz-magnetic and
+    propellor-cat, whose W are constant sections and take the fused path, at
+    each B of ``sizes`` (1, 3 and 1000: the batches of ``orbit``,
+    ``classify`` and ``verify``); on magnetic-bump, whose W evaluates the
+    Gauss curvature, at B = 1."""
     from engel_lab.engel_verify import sample_box
     from engel_lab.presets import build_preset
 
-    cases = [("lorentz-magnetic", {"kappa": -0.5}, B) for B in sizes]
+    cases = [(name, params, B) for name, params in (("lorentz-magnetic", {"kappa": -0.5}),
+                                                    ("propellor-cat", {}))
+             for B in sizes]
     cases.append(("magnetic-bump", {}, 1))
     rows = []
     for name, params, B in cases:

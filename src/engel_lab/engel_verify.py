@@ -21,6 +21,7 @@ from .errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
 from .frame_algebra import (FD_STEP, RANK_TOL, ChartModel, FrameModel, Section, frame_coords,
                             rank_with_margin)
 from .frame_algebra import sample_box  # re-exported: the acceptance suite imports it here
+from .geometry_models import _columns
 from .serialize import SCHEMA_VERSION, Records
 
 _E_PAIRS = ((0, 1), (0, 2), (1, 2))   # the brackets [e_i, e_j] of the E span
@@ -217,14 +218,12 @@ def darboux_standard() -> EngelStructure:
     pair of 1-forms dy - z dx and dz - w dx, E by dy - z dx alone, and the
     Cauchy characteristic is d/dw.
     """
-    def frame(pts):
+    def rows(pts):
         # rows X = d/dx + z d/dy + w d/dz, Y, Z, W
-        F = np.tile(np.eye(4), (len(pts), 1, 1))
-        F[:, 0, 1] = pts[:, 2]
-        F[:, 0, 2] = pts[:, 3]
-        return F
+        _, _, z, w = _columns(pts)
+        return (1, z, w, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
-    model = ChartModel(4, [[-2, 2]] * 4, frame, name="darboux-standard")
+    model = ChartModel(4, [[-2, 2]] * 4, rows, name="darboux-standard")
 
     D = [Section((0, 0, 0, 1), "W"), Section((1, 0, 0, 0), "X")]
     E = D + [Section((0, 0, 1, 0), "Z")]

@@ -3,7 +3,8 @@
 Every model in this package is parallelizable and comes in one of two kinds:
 
 * a :class:`ChartModel` on a coordinate box whose global frame is one batched
-  function ``frame(pts (n, dim)) -> (n, dim, dim)``, row ``i`` the chart
+  function ``rows(pts (n, dim))``: ``dim`` rows of ``dim`` entries, each a
+  number, an (n,) column or a float at a single point, row ``i`` the chart
   components of frame field ``i``, or
 * a :class:`LieModel` given by exact structure constants on an abstract frame.
 
@@ -52,6 +53,7 @@ from .errors import (ChartExit, DimensionMismatch, EmptyInput, FrameDegenerate,
 FD_STEP = 1e-5          # central-difference step for jacobians of vector fields
 RANK_TOL = 1e-8         # singular values above this count toward a rank
 _MARGINAL_BAND = 10.0   # a rank is marginal if a singular value is within this factor of tol
+_BIG = np.finfo(float).max   # box-test bound of an unbounded coordinate: NaN and inf fail it
 
 
 def _points(p: np.ndarray, dim: int) -> np.ndarray:
@@ -80,10 +82,10 @@ class ChartVectorField:
         return f"ChartVectorField({self.name or 'anonymous'})"
 
 
-def coordinate_frame(dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The coordinate frame d/dq_i as a batched frame function."""
-    eye = np.eye(dim)
-    return lambda pts: np.broadcast_to(eye, (len(pts), dim, dim))
+def coordinate_frame(dim: int) -> Callable[[np.ndarray], tuple]:
+    """The coordinate frame d/dq_i as a frame function: constant rows."""
+    rows = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return lambda pts: rows
 
 
 def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
@@ -215,18 +217,18 @@ def bracket_lie(m: LieModel, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class ChartModel:
     """A chart box with a designated global frame.
 
-    ``frame`` maps points (n, dim) to the frame at each point, (n, dim, dim):
-    row ``i`` holds the chart components of frame field ``i``.  ``periodic``
-    maps a coordinate index to its period (used by samplers and wrapped
-    distances).  ``orbit_periods`` declares periods after which the
-    *structure* closes up along that coordinate, which may be shorter than the
-    chart period (the projectivized fiber of the Cartan prolongation closes
-    after pi while the angle chart runs to 2*pi).
+    ``rows`` maps points (n, dim) to the frame, ``dim`` rows of ``dim``
+    entries (see the module docstring).  ``periodic`` maps a coordinate index
+    to its period (used by samplers and wrapped distances).  ``orbit_periods``
+    declares periods after which the *structure* closes up along that
+    coordinate, which may be shorter than the chart period (the projectivized
+    fiber of the Cartan prolongation closes after pi while the angle chart
+    runs to 2*pi).
     """
 
     dim: int
     box: np.ndarray
-    frame: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray], Sequence]
     periodic: dict = field(default_factory=dict)
     orbit_periods: dict = field(default_factory=dict)
     name: str = ""
@@ -235,46 +237,57 @@ class ChartModel:
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (self.dim, 2):
             raise DimensionMismatch("box must be (dim, 2)")
-        # the box test's bounds, infinite on the periodic coordinates, which
-        # never leave the chart; read-only periods keep the bounds theirs
+        # the box test's bounds, the largest floats on the periodic coordinates,
+        # which never leave the chart; read-only periods keep the bounds theirs
         self.periodic = MappingProxyType(dict(self.periodic))
         self._lo, self._hi = self.box.T.copy()
-        self._lo[list(self.periodic)], self._hi[list(self.periodic)] = -np.inf, np.inf
+        self._lo[list(self.periodic)], self._hi[list(self.periodic)] = -_BIG, _BIG
 
     def values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
         """Chart components of the sections at the points: (n, k, dim).
 
-        The frame and each section's coefficients are evaluated once; the
-        components accumulate as sum_i c_i F_i in frame order.
+        The frame and each section's coefficients are evaluated once, as entry
+        planes (point axis innermost), and sum_i c_i F_i accumulates in frame order.
         """
         pts = _points(pts, self.dim)
-        F = self._frame_at(pts)
-        co = np.empty((pts.shape[0], len(sections), self.dim))
+        F = self.frame(pts).transpose(1, 2, 0)
+        co = np.empty((len(sections), self.dim, len(pts)))
         for k, s in enumerate(sections):
             c = s.coeff_at(pts)
             if c.shape[-1] != self.dim:
                 raise DimensionMismatch("section does not match the model frame")
-            co[:, k] = c
-        # sum_i c_i F_i in frame order, one frame field at a time
-        out = np.zeros((pts.shape[0], len(sections), self.dim))
+            co[k] = c.T
+        out = np.zeros(co.shape)
         for i in range(self.dim):
-            out += co[:, :, i:i + 1] * F[:, None, i, :]
-        return out
+            out += co[:, i, None] * F[i]
+        return np.ascontiguousarray(out.transpose(2, 0, 1))  # C order: einsum's sums use it
 
-    def _frame_at(self, pts: np.ndarray) -> np.ndarray:
-        """The frame at a batch already shaped (n, dim): (n, dim, dim)."""
-        F = np.asarray(self.frame(pts), dtype=float)
-        if F.shape != (pts.shape[0], self.dim, self.dim):
-            raise DimensionMismatch(f"frame returned {F.shape}, expected "
-                                    f"{(pts.shape[0], self.dim, self.dim)}")
-        return F
+    def frame(self, pts: np.ndarray) -> np.ndarray:
+        """The frame as one array (n, dim, dim), row ``i`` the chart components
+        of frame field ``i``: a view of its entry planes (dim, dim, n)."""
+        rows = self._rows_at(pts := _points(pts, self.dim))
+        if len(pts) == 1 and not any(isinstance(e, np.ndarray) for row in rows for e in row):
+            return np.array(rows, dtype=float)[None]    # one point, numbers only
+        F = np.zeros((self.dim, self.dim, len(pts)))
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if type(e) is not int or e:     # an int entry 0 is in place already
+                    F[i, j] = e
+        return F.transpose(2, 0, 1)
+
+    def _rows_at(self, pts: np.ndarray) -> Sequence:
+        """The frame rows at a batch (n, dim), checked to be dim rows of dim entries."""
+        rows, dim = self.rows(pts), self.dim
+        if (lengths := [*map(len, rows)]) != [dim] * dim:
+            raise DimensionMismatch(f"frame rows have {lengths} entries, not {dim} rows of {dim}")
+        return rows
 
     def field(self, section: "Section") -> ChartVectorField:
         """The section as an evaluable chart field of a batch (n, dim).
 
-        A constant section is fused: one frame call, then sum c_i F_i over
-        its nonzero c_i in frame order from zero.  Where the frame is finite
-        that is :meth:`values` bit for bit: its zero terms add nothing.
+        A constant section is fused: sum c_i F_i over its nonzero c_i from zero
+        in frame order on the frame's entries, int entries 0 skipped, which is
+        :meth:`values` bit for bit where the frame is finite.
         """
         if not section.is_constant:
             return ChartVectorField(lambda pts: self.values([section], pts)[:, 0],
@@ -284,9 +297,13 @@ class ChartModel:
         terms = [(i, float(c)) for i, c in enumerate(row) if c != 0]
 
         def components(pts):
-            F, out = self._frame_at(pts), np.zeros(pts.shape)
-            for i, c in terms:
-                out += c * F[:, i]
+            rows, out = self._rows_at(pts), np.empty(pts.shape)
+            for j in range(self.dim):
+                acc = 0.0
+                for i, c in terms:
+                    if type(e := rows[i][j]) is not int or e:
+                        acc = acc + c * e
+                out[:, j] = acc
             return out
         return ChartVectorField(components, name=section.name or "section")
 
@@ -311,7 +328,7 @@ class ChartModel:
 
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Whether each point lies in the padded box; periodic coordinates
-        are unbounded, and NaN lies nowhere."""
+        are bounded only by the largest float, and NaN and inf lie nowhere."""
         pts = _points(p, self.dim)
         return ((pts >= self._lo - pad) & (pts <= self._hi + pad)).all(axis=1)
 
@@ -378,6 +395,7 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None
     nsteps, grid = _time_grid(T, dt)
     if model is not None and not (inside := model.contains(starts, 1e-9)).all():
         raise ChartExit(0.0, f"start {starts[np.argmin(inside)]} lies outside the chart box")
+    lo, hi = (-_BIG, _BIG) if model is None else (model._lo - 1e-9, model._hi + 1e-9)
     h = T / nsteps
     pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
     pts[:, 0] = p = starts
@@ -389,15 +407,14 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None
         k3 = f(p + half * k2)
         k4 = f(p + h * k3)
         p = p + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(p).all():
-            raise NonFiniteEvaluation(f"orbit reached NaN or inf at step {k + 1} of {nsteps}")
-        if model is not None:
-            inside = model.contains(p, 1e-9)
-            if not inside.all():
-                kept[live[~inside]] = k
-                live, p = live[inside], p[inside]
-                if not live.size:
-                    break
+        if not (ok := (p >= lo) & (p <= hi)).all():
+            if not np.isfinite(p).all():
+                raise NonFiniteEvaluation(f"orbit reached NaN or inf at step {k + 1} of {nsteps}")
+            inside = ok.all(axis=1)
+            kept[live[~inside]] = k
+            live, p = live[inside], p[inside]
+            if not live.size:
+                break
         pts[live, k + 1] = p
     return grid[::2], pts, kept
 

@@ -34,17 +34,12 @@ TWO_PI = 2.0 * np.pi
 def _columns(pts: np.ndarray) -> list:
     """The coordinate columns of points (n, dim): the floats of a single
     point, where numpy's per-call cost would be most of a frame evaluation,
-    else (n,) views.  Formulas on columns square by multiplying and take
-    cos, sin, exp and other powers from numpy ufuncs, whose results do not
-    depend on the batch size, so a point and a batch row agree bit for bit
-    (a float's ``**`` is not numpy's power)."""
+    else (n,) views; a frame returns its rows of entries computed from them.
+    Formulas on columns square by multiplying and take cos, sin, exp and
+    other powers from numpy ufuncs, whose results do not depend on the batch
+    size, so a point and a batch row agree bit for bit (a float's ``**`` is
+    not numpy's power)."""
     return pts[0].tolist() if len(pts) == 1 else list(pts.T)
-
-
-def _block(rows) -> np.ndarray:
-    """Rows of column entries (from :func:`_columns`) as an (n, r, c) array."""
-    B = np.array(rows, dtype=float)
-    return B[None] if B.ndim == 2 else np.moveaxis(B, -1, 0)
 
 
 @dataclass
@@ -75,7 +70,8 @@ class ConformalSurface:
     def lam_dlog_at(self, x, y) -> tuple:
         """``lam_dlog`` at coordinate columns, lambda finite and positive."""
         lam, dx, dy = self.lam_dlog(x, y)
-        if not (np.isfinite(lam) & (lam > 0)).all():
+        ok = 0.0 < lam < np.inf if isinstance(lam, float) else ((lam > 0) & (lam < np.inf)).all()
+        if not ok:      # a single point's float is tested without numpy's per-call cost
             raise NonFiniteEvaluation("conformal factor must be finite and positive")
         return lam, dx, dy
 
@@ -200,7 +196,7 @@ def table_surface(xs, ys, lam_grid, name: str = "table") -> ConformalSurface:
 # fiber charts and unit tangent bundles
 # ---------------------------------------------------------------------------
 
-def fiber_chart(base, frame: Callable[[np.ndarray], np.ndarray], name: str,
+def fiber_chart(base, rows: Callable[[np.ndarray], tuple], name: str,
                 hi: float = TWO_PI, period: Optional[float] = TWO_PI,
                 orbit_periods: Optional[dict] = None) -> ChartModel:
     """Chart of the base box times a last fiber coordinate in [0, hi].
@@ -213,7 +209,7 @@ def fiber_chart(base, frame: Callable[[np.ndarray], np.ndarray], name: str,
     periodic = {int(k): v for k, v in base.periodic.items()}
     if period is not None:
         periodic[dim - 1] = period
-    return ChartModel(dim, np.vstack([base.box, [0.0, hi]]), frame, periodic=periodic,
+    return ChartModel(dim, np.vstack([base.box, [0.0, hi]]), rows, periodic=periodic,
                       orbit_periods=orbit_periods or {}, name=name)
 
 
@@ -245,13 +241,10 @@ def unit_tangent_frames(s: ConformalSurface) -> UnitTangentChart:
         return ((sc_c, sc_s, sc * (uy * c - ux * si)),        # X
                 (-sc_s, sc_c, -sc * (uy * si + ux * c)))      # Y
 
-    def frame(pts):
-        F = np.zeros((len(pts), 3, 3))
-        F[:, :2] = _block(horizontal(*_columns(pts)))
-        F[:, 2, 2] = 1.0                                      # Z = d/dphi
-        return F
+    def rows(pts):
+        return (*horizontal(*_columns(pts)), (0, 0, 1))       # Z = d/dphi
 
-    return UnitTangentChart(surface=s, model=fiber_chart(s, frame, f"S1T({s.name})"),
+    return UnitTangentChart(surface=s, model=fiber_chart(s, rows, f"S1T({s.name})"),
                             horizontal=horizontal)
 
 
@@ -303,13 +296,13 @@ class LorentzExtension:
 
 def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
                names: tuple, m_metric_diag: list, theta_brackets: dict,
-               frame: Callable[[np.ndarray], np.ndarray]) -> LorentzExtension:
+               rows: Callable[[np.ndarray], tuple]) -> LorentzExtension:
     """The extension of ``kind`` over a Lie or a chart unit tangent bundle.
 
     Lie twin: the (X, Y, Z) structure constants of ``ut`` plus
     [Theta, e_j] = v e_k for each ``(k, j): v`` in ``theta_brackets``.
-    Chart: ``frame`` on the unit tangent chart times the theta circle, with
-    the surface's declared kappa, else its computed Gauss curvature.
+    Chart: the frame ``rows`` on the unit tangent chart times the theta
+    circle, with the surface's declared kappa, else its computed Gauss curvature.
     """
     if isinstance(ut, ConstantCurvatureUT):
         c = np.zeros((4, 4, 4))
@@ -319,7 +312,7 @@ def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
         model, kappa = LieModel(names, c), ut.kappa
     else:
         surface = ut.surface
-        model = fiber_chart(ut.model, frame, f"{kind}({surface.name})")
+        model = fiber_chart(ut.model, rows, f"{kind}({surface.name})")
         kappa = surface.kappa if surface.kappa is not None else (
             lambda pts: gauss_curvature(surface, pts[:, :2]))
     return LorentzExtension(kind=kind, base=ut, model=model, kappa=kappa,
@@ -332,15 +325,13 @@ def product_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Loren
     Theta commutes with X, Y, Z; the null line over (sigma, theta) in the
     v-direction is <v + d/dtheta>.
     """
-    def frame(pts):
+    def rows(pts):
         # rows X, Y, Z embedded, then Theta = d/dtheta
-        F = np.zeros((len(pts), 4, 4))
-        F[:, :3, :3] = ut.model.frame(pts[:, :3])
-        F[:, 3, 3] = 1.0
-        return F
+        X, Y = ut.horizontal(*_columns(pts)[:3])
+        return (*X, 0), (*Y, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
     return _extension("product", ut, ("X", "Y", "Z", "Theta"),
-                      [1.0, 1.0, 0.0, -1.0], {}, frame)
+                      [1.0, 1.0, 0.0, -1.0], {}, rows)
 
 
 def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> LorentzExtension:
@@ -350,17 +341,15 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
     Xt = cos(theta) X + sin(theta) Y, Yt its rotate, Zt = Z, Theta vertical,
     so [Theta, Xt] = Yt and [Theta, Yt] = -Xt.
     """
-    def frame(pts):
+    def rows(pts):
         # rows Xt = c X + s Y and Yt = c Y - s X (X, Y rotated by theta),
         # Zt = Z, Theta = d/dtheta
         x, y, phi, theta = _columns(pts)
         X, Y = ut.horizontal(x, y, phi)
         c, si = np.cos(theta), np.sin(theta)
-        F = np.zeros((len(pts), 4, 4))
-        F[:, :2, :3] = _block([[c * a + si * b for a, b in zip(X, Y)],
-                               [c * b - si * a for a, b in zip(X, Y)]])
-        F[:, 2, 2] = F[:, 3, 3] = 1.0
-        return F
+        return ((*(c * a + si * b for a, b in zip(X, Y)), 0),
+                (*(c * b - si * a for a, b in zip(X, Y)), 0),
+                (0, 0, 1, 0), (0, 0, 0, 1))
 
     return _extension("magnetic", ut, ("Xt", "Yt", "Zt", "Theta"),
-                      [1.0, 1.0, -1.0, 0.0], {(1, 0): 1.0, (0, 1): -1.0}, frame)
+                      [1.0, 1.0, -1.0, 0.0], {(1, 0): 1.0, (0, 1): -1.0}, rows)

@@ -14,6 +14,7 @@ the suspension build one rotating plane that differs only in its angle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,8 @@ from .frame_algebra import (
     frame_coords,
     rank_with_margin,
 )
-from .geometry_models import LorentzExtension, constant_curvature_surface, fiber_chart, unit_tangent_frames
+from .geometry_models import (LorentzExtension, _columns, constant_curvature_surface, fiber_chart,
+                              unit_tangent_frames)
 
 _CONTACT_CHECKS = 50      # ContactModel: points of the rank(xi + [xi, xi]) = 3 check
 _CURVATURE_CHECKS = 50    # prequantum_prolongation: points of the d(beta) = i_w vol check
@@ -46,14 +48,13 @@ _CURVATURE_TOL = 1e-6     # ... and its largest |d(beta) - i_w vol|
 _PATH_CHECKS = 64         # propellor_structure: fiber times of the line-path checks
 _TWIST_CHECKS = 40        # suspension: base points of the twist-profile checks
 _TWIST_TOL = 1e-6         # ... and its largest |rho(0, v)|
-_EYE4 = np.eye(4)         # the prequantum frame before its beta column
 
 
 # ---------------------------------------------------------------------------
 # contact models
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ContactModel:
     """A 3-dimensional frame model with a designated contact plane field.
 
@@ -61,7 +62,7 @@ class ContactModel:
     (anything spanning TM/xi works), and ``legendrian_frame`` trivializes xi
     when available (required by Cartan and the suspension).  Raises
     :class:`NotContact` when made unless rank(xi + [xi, xi]) = 3 at
-    ``_CONTACT_CHECKS`` Halton points of the chart.
+    ``_CONTACT_CHECKS`` Halton points of the chart; frozen, so it can be shared.
     """
 
     model: ChartModel
@@ -78,16 +79,16 @@ class ContactModel:
             raise NotContact("xi + [xi, xi] fails to have rank 3 at a sample point")
 
 
+@cache
 def standard_contact_r3() -> ContactModel:
     """(R^3, ker(dy - z dx)) on the chart box [-2, 2]^3, with the Legendrian
-    frame (d/dx + z d/dy, d/dz)."""
-    def frame(pts):
+    frame (d/dx + z d/dy, d/dz): one model per process, checked once."""
+    def rows(pts):
         # rows Xbar = d/dx + z d/dy, Y, Z
-        F = np.tile(np.eye(3), (len(pts), 1, 1))
-        F[:, 0, 1] = pts[:, 2]
-        return F
+        z = _columns(pts)[2]
+        return (1, z, 0), (0, 1, 0), (0, 0, 1)
 
-    model = ChartModel(3, [[-2.0, 2.0]] * 3, frame, name="contact-r3")
+    model = ChartModel(3, [[-2.0, 2.0]] * 3, rows, name="contact-r3")
     l1 = Section((1, 0, 0), "Xbar")
     l2 = Section((0, 0, 1), "Z")
     return ContactModel(model=model, xi=(l1, l2),
@@ -96,15 +97,10 @@ def standard_contact_r3() -> ContactModel:
 
 
 def _fiber_frame(base_rows: Callable) -> Callable:
-    """Frame (d/d(fiber), three base rows) on a base chart times a fiber
+    """Frame rows (d/d(fiber), three base rows) on a base chart times a fiber
     coordinate, the fiber coordinate last; ``base_rows`` maps base points
-    (n, 3) to the chart components of the three base fields (n, 3, 3)."""
-    def frame(pts):
-        F = np.zeros((len(pts), 4, 4))
-        F[:, 0, 3] = 1.0
-        F[:, 1:, :3] = base_rows(pts[:, :3])
-        return F
-    return frame
+    (n, 3) to the three rows of three entries of the base fields."""
+    return lambda pts: ((0, 0, 0, 1), *((*r, 0) for r in base_rows(pts[:, :3])))
 
 
 def _legendrian_frame(c: ContactModel) -> Callable:
@@ -113,7 +109,7 @@ def _legendrian_frame(c: ContactModel) -> Callable:
     if c.legendrian_frame is None:
         raise NotContact("a rotating-plane construction needs a Legendrian frame")
     l1, l2 = c.legendrian_frame
-    return _fiber_frame(lambda q: c.model.values([l1, l2, c.transverse], q))
+    return _fiber_frame(lambda q: c.model.values([l1, l2, c.transverse], q).transpose(1, 2, 0))
 
 
 def _rotating_plane(model: ChartModel, angle: Callable, provenance: str) -> EngelStructure:
@@ -223,13 +219,12 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
         raise CurvatureMismatch(
             f"d(beta) differs from i_w vol by {defect:.3e} (tol {_CURVATURE_TOL:g})")
 
-    def frame(pts):
+    def rows(pts):
         # rows h_i = d/dq_i - beta_i d/dtheta, then Theta = d/dtheta
-        F = np.repeat(_EYE4[None], len(pts), axis=0)
-        F[:, :3, 3] = -np.asarray(beta(pts[:, :3]), dtype=float)
-        return F
+        b1, b2, b3 = _columns(-np.asarray(beta(pts[:, :3]), dtype=float))
+        return (1, 0, 0, b1), (0, 1, 0, b2), (0, 0, 1, b3), (0, 0, 0, 1)
 
-    model = fiber_chart(base, frame, f"prequantum({base.name})")
+    model = fiber_chart(base, rows, f"prequantum({base.name})")
 
     def lift_section(s: Section, name) -> Section:
         # base-frame coefficients must be chart components for the h-frame:
@@ -512,7 +507,7 @@ def suspension_geodesic(kappa: float = -1.0) -> EngelStructure:
     of the time-2 pi map; it is isomorphic to the product Lorentz extension.
     """
     ut = unit_tangent_frames(constant_curvature_surface(kappa))
-    model = fiber_chart(ut.model, _fiber_frame(ut.model.frame),
+    model = fiber_chart(ut.model, _fiber_frame(ut.model.rows),
                         f"suspension-geodesic(k={kappa:g})", period=None)
 
     # the flow pushes Y forward to column 0 and Z to column 1 of

@@ -18,7 +18,7 @@ from engel_lab.frame_algebra import (
     fd_jacobian,
     halton_points,
 )
-from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT
+from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT, _columns
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.presets import preset_names
 
@@ -237,8 +237,11 @@ class TestModelProtocol:
 
     def test_orbit_through_a_nan_frame_raises(self):
         # the frame is NaN past x = 0.5, inside the box: a NaN is no chart exit
-        model = ChartModel(2, [[-1, 1], [-1, 1]],
-                           lambda p: np.where((p[:, 0] > 0.5)[:, None, None], np.nan, np.eye(2)))
+        def rows(p):
+            nan = np.where(p[:, 0] > 0.5, np.nan, 0.0)
+            return (1 + nan, nan), (nan, 1 + nan)
+
+        model = ChartModel(2, [[-1, 1], [-1, 1]], rows)
         with pytest.raises(NonFiniteEvaluation, match="at step 50 of 100"):
             model.flow(Section((1, 0), "dx"), np.zeros(2), 1.0, 0.01)
 
@@ -337,23 +340,55 @@ class TestModelProtocol:
 
     def test_values_sum_in_frame_order(self, rng):
         # a dense frame and dense coefficients, so any other summation order
-        # shows: one point and a batch both give sum_i c_i F_i accumulated
-        # from zero in frame order
+        # shows: one point (float entries) and a batch (columns) both give
+        # sum_i c_i F_i accumulated from zero in frame order, in values and
+        # in the fused field of a constant section
         B, C, M = rng.standard_normal((3, 4, 4))
-        model = ChartModel(4, [[-1, 1]] * 4, lambda p: np.cos(p[:, None, :] * B + C))
+        model = ChartModel(4, [[-1, 1]] * 4, lambda p: [[np.cos(x * B[i, j] + C[i, j])
+                                                          for j, x in enumerate(_columns(p))]
+                                                         for i in range(4)])
         sections = [Section(lambda p, j=j: np.sin(p @ M + j).T) for j in range(3)]
+        dense = Section(tuple(rng.standard_normal(4)))
         for pts in (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, (50, 4))):
             F = model.frame(pts)
-            co = np.stack([s.coeff_at(pts) for s in sections], axis=1)
+            co = np.stack([s.coeff_at(pts) for s in [*sections, dense]], axis=1)
             want = np.zeros(co.shape)
             for i in range(4):
                 want += co[:, :, i:i + 1] * F[:, None, i, :]
-            assert np.array_equal(model.values(sections, pts), want)
+            assert np.array_equal(model.values(sections, pts), want[:, :3])
+            assert model.field(dense)(pts).tobytes() == want[:, 3].tobytes()
 
-    def test_frame_of_wrong_shape_is_refused(self):
-        model = ChartModel(4, [[-1, 1]] * 4, coordinate_frame(3))
-        with pytest.raises(DimensionMismatch):
-            model.values([Section((1, 0, 0, 0))], np.zeros((2, 4)))
+    @pytest.mark.parametrize("rows", [
+        coordinate_frame(3), lambda p: (*coordinate_frame(4)(p)[:3], (0, 0, 1))])
+    def test_frame_of_wrong_shape_is_refused(self, rows):
+        # three rows on a 4-dim chart, or four rows of which one has three
+        # entries: values, the fused field and the whole frame refuse them
+        model = ChartModel(4, [[-1, 1]] * 4, rows)
+        dx = Section((1, 0, 0, 0))
+        for pts in (np.zeros((1, 4)), np.zeros((2, 4))):
+            for call in (lambda: model.values([dx], pts), lambda: model.field(dx)(pts),
+                         lambda: model.frame(pts)):
+                with pytest.raises(DimensionMismatch, match="frame rows have"):
+                    call()
+
+    @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
+    def test_constant_field_is_the_whole_frame_sum(self, preset_cache, name):
+        # the fused field skips zero coefficients and int entries 0 and
+        # works on floats at one point; the sum here keeps every term of
+        # sum_i c_i F_i, from zero in frame order, on the whole frame array
+        s = preset_cache(name)["structure"]
+        sections = [sec for sec in (*s.D_span, *s.E_span, s.W_section, s.transverse_section)
+                    if sec.is_constant]
+        assert sections, name
+        for B in (1, 3, 64):
+            pts = sample_box(s.model, B)
+            F = s.model.frame(pts)
+            for sec in sections:
+                want = np.zeros((B, s.model.dim))
+                for i, c in enumerate(sec.constant_coeffs()):
+                    want += c * F[:, i]
+                got = s.model.field(sec)(pts)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (B, sec.name)
 
     @pytest.mark.parametrize("name", ["lorentz-magnetic", "lorentz-product"])
     @pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.5, 1.0])

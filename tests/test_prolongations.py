@@ -1,4 +1,6 @@
 """The four constructions and their cross-identifications."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -83,8 +85,7 @@ class TestCartan:
             ContactModel(base, (Section((1, 0, 0)), Section((0, 1, 0))), Section((0, 0, 1)))
 
     def test_needs_legendrian_frame(self):
-        c = standard_contact_r3()
-        c.legendrian_frame = None
+        c = dataclasses.replace(standard_contact_r3(), legendrian_frame=None)
         with pytest.raises(NotContact):
             cartan_prolongation(c)
 
@@ -461,7 +462,6 @@ class TestSuspension:
 
     def test_bi_engel_pair_shares_E(self):
         plus, minus = bi_engel_pair()
-        assert plus.E_span is not minus.E_span or True
         assert [sec.name for sec in plus.E_span] == [sec.name for sec in minus.E_span]
         assert verify_engel(plus, n_samples=200).passed
         assert verify_engel(minus, n_samples=200).passed
@@ -470,6 +470,12 @@ class TestSuspension:
         Ep = plus.model.values(plus.E_span, pts)
         Em = minus.model.values(minus.E_span, pts)
         assert np.array_equal(Ep, Em)
+        # two different D planes inside it: <W, u + s> and <W, u - s> span
+        # W, u and s together
+        D = np.concatenate([plus.model.values(plus.D_span, pts),
+                            minus.model.values(minus.D_span, pts)], axis=1)
+        rank, marginal = rank_with_margin(D, RANK_TOL)
+        assert np.all(rank == 3) and not marginal.any()
 
     @pytest.mark.parametrize("m", [np.eye(2), SHEAR_MAP])
     def test_bi_engel_pair_needs_a_hyperbolic_monodromy(self, m):
