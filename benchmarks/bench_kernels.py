@@ -1,6 +1,7 @@
 """Time the integration kernels, the rigidity probe (with its memory peak),
 one field evaluation, one batched section bracket call, one transport
-generator call, one characteristic RK4 step, one closed-orbit holonomy, the
+generator call, one characteristic RK4 step, one constant-field chart flow,
+one closed-orbit holonomy, the
 writing of one verify artifact and of one orbit CSV, and the construction of
 every preset.
 
@@ -137,6 +138,24 @@ def bench_characteristic(n_steps=200):
     return rows
 
 
+def bench_flow(T=20.0, dt=1e-2):
+    """Wall time of one ``integrate_orbits`` call of a characteristic field
+    that is constant in its chart, so ``ChartModel.flow`` takes one prefix
+    sum per row instead of the RK4 loop: on propellor-cat from B = 3 starts
+    (the batch of ``classify``) and on cartan-r3 from one start, at T = 20
+    and dt = 1e-2 (2,000 steps) by default."""
+    from engel_lab.characteristic_dynamics import integrate_orbits
+    from engel_lab.engel_verify import sample_box
+    from engel_lab.presets import build_preset
+
+    rows = []
+    for name, B in (("propellor-cat", 3), ("cartan-r3", 1)):
+        s = build_preset(name)["structure"]
+        t, _ = timeit(integrate_orbits, s, sample_box(s.model, B), T, dt)
+        rows.append((f"constant flow B={B} {name}", t))
+    return rows
+
+
 def bench_closed_orbit():
     """Wall time of one ``closed_orbit_holonomy`` call on the flat-torus
     orbit (lorentz-product, kappa = 0, from (0, 0.4, 0, 0), dt 1e-3, t_max
@@ -206,6 +225,8 @@ def main():
         print(f"{name:<48s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_characteristic():
         print(f"{name:<34s} {t * 1e6:9.1f}us per RK4 step")
+    for name, t in bench_flow():
+        print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     name, t = bench_closed_orbit()
     print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in (bench_verify_artifact(), bench_orbit_csv()):

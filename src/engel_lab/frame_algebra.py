@@ -5,7 +5,8 @@ Every model in this package is parallelizable and comes in one of two kinds:
 * a :class:`ChartModel` on a coordinate box whose global frame is one batched
   function ``rows(pts (n, dim))``: ``dim`` rows of ``dim`` entries, each a
   number, an (n,) column or a float at a single point, row ``i`` the chart
-  components of frame field ``i``, or
+  components of frame field ``i``.  An entry that is an int is the same
+  number at every point; an entry that varies is never an int, or
 * a :class:`LieModel` given by exact structure constants on an abstract frame.
 
 Distribution sections are frame-coefficient combinations: a constant row, or
@@ -37,7 +38,9 @@ Points are numpy arrays, always a batch ``(n, dim)``: a frame function, a
 take one, and a chart refuses no points or a single point ``(dim,)`` with
 :class:`DimensionMismatch`.  Only :func:`bracket_chart` also takes a single
 point.  A chart ``flow`` integrates the section's ``field``, which for a
-constant section is one frame call and a sum over its nonzero coefficients.
+constant section is one frame call and a sum over its nonzero coefficients;
+where those coefficients read only int entries the field is constant in the
+chart, and every orbit is one prefix sum of the RK4 increment.
 """
 from __future__ import annotations
 
@@ -112,10 +115,12 @@ def bracket_chart(f: Callable[[np.ndarray], np.ndarray], pairs: Sequence[tuple[i
     ``f`` maps points (n, dim) to stacked chart components (n, k, dim).  It is
     called once at ``p`` and 2 dim times for the central-difference jacobian
     of step ``FD_STEP``.  Returns (n, P, dim), or (P, dim) for a single point.
+    The values are copied to C order first: ``np.einsum`` sums a strided
+    operand in another order, and a batch row must equal its one-row call.
     """
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
-    vals = np.asarray(f(pts), dtype=float)
+    vals = np.ascontiguousarray(f(pts), dtype=float)
     if vals.ndim != 3 or vals.shape[::2] != pts.shape:
         raise DimensionMismatch(f"sections returned {vals.shape} at points {pts.shape}")
     J = fd_jacobian(f, pts, FD_STEP)
@@ -247,7 +252,9 @@ class ChartModel:
         """Chart components of the sections at the points: (n, k, dim).
 
         The frame and each section's coefficients are evaluated once, as entry
-        planes (point axis innermost), and sum_i c_i F_i accumulates in frame order.
+        planes (point axis innermost), and sum_i c_i F_i accumulates in frame
+        order; the result is a view of its planes (k, dim, n), not a C-ordered
+        array (:func:`bracket_chart` makes its own copy).
         """
         pts = _points(pts, self.dim)
         F = self.frame(pts).transpose(1, 2, 0)
@@ -260,7 +267,7 @@ class ChartModel:
         out = np.zeros(co.shape)
         for i in range(self.dim):
             out += co[:, i, None] * F[i]
-        return np.ascontiguousarray(out.transpose(2, 0, 1))  # C order: einsum's sums use it
+        return out.transpose(2, 0, 1)
 
     def frame(self, pts: np.ndarray) -> np.ndarray:
         """The frame as one array (n, dim, dim), row ``i`` the chart components
@@ -290,22 +297,37 @@ class ChartModel:
         :meth:`values` bit for bit where the frame is finite.
         """
         if not section.is_constant:
-            return ChartVectorField(lambda pts: self.values([section], pts)[:, 0],
-                                    name=section.name or "section")
-        if len(row := section.constant_coeffs()) != self.dim:
-            raise DimensionMismatch("section does not match the model frame")
-        terms = [(i, float(c)) for i, c in enumerate(row) if c != 0]
+            # C order, as the fused path allocates it: values are a strided view
+            return ChartVectorField(
+                lambda pts: np.ascontiguousarray(self.values([section], pts)[:, 0]),
+                name=section.name or "section")
+        terms = self._terms(section)
 
         def components(pts):
             rows, out = self._rows_at(pts), np.empty(pts.shape)
             for j in range(self.dim):
-                acc = 0.0
-                for i, c in terms:
-                    if type(e := rows[i][j]) is not int or e:
-                        acc = acc + c * e
-                out[:, j] = acc
+                out[:, j] = _entry_sum(terms, rows, j)
             return out
         return ChartVectorField(components, name=section.name or "section")
+
+    def _terms(self, section: "Section") -> list:
+        """The nonzero coefficients (i, c_i) of a constant section, in frame order."""
+        if len(row := section.constant_coeffs()) != self.dim:
+            raise DimensionMismatch("section does not match the model frame")
+        return [(i, float(c)) for i, c in enumerate(row) if c != 0]
+
+    def _constant_velocity(self, section: "Section"):
+        """The chart components (dim,) of a section that is constant in the
+        chart, else None: a constant section whose nonzero coefficients read
+        only int entries, which are the same number at every point, so its
+        field at the box midpoint is its field everywhere, bit for bit."""
+        if not section.is_constant:
+            return None
+        terms = self._terms(section)
+        rows = self._rows_at(self.point(np.full((1, self.dim), 0.5)))
+        if not all(type(e) is int for i, _ in terms for e in rows[i]):
+            return None
+        return np.array([_entry_sum(terms, rows, j) for j in range(self.dim)])
 
     def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
                  pts: np.ndarray) -> np.ndarray:
@@ -323,7 +345,15 @@ class ChartModel:
 
     def flow(self, section: "Section", starts: np.ndarray, T: float, dt: float):
         """RK4 orbits of the section from every row of ``starts``, each stopped
-        at its chart exit: :func:`_rk4_orbits`."""
+        at its chart exit: :func:`_rk4_orbits` of its :meth:`field`.
+
+        A section that is constant in the chart (a constant section whose
+        nonzero coefficients read only int frame entries, such as a
+        coordinate field) takes :func:`_constant_orbits`, the same result bit
+        for bit as one prefix sum per row; every other section steps the loop.
+        """
+        if (v := self._constant_velocity(section)) is not None:
+            return _constant_orbits(v, starts, T, dt, self)
         return _rk4_orbits(self.field(section), starts, T, dt, self)
 
     def contains(self, p: np.ndarray, pad: float = 0.0) -> np.ndarray:
@@ -380,6 +410,28 @@ def sample_box(model: FrameModel, n: int, skip: int = 100) -> np.ndarray:
     return model.point(halton_points(n, model.dim, skip=skip))
 
 
+def _entry_sum(terms: list, rows: Sequence, j: int):
+    """Entry ``j`` of sum c_i F_i over ``terms`` (i, c_i), from zero in frame
+    order, int entries 0 skipped: a float, or an (n,) column."""
+    acc = 0.0
+    for i, c in terms:
+        if type(e := rows[i][j]) is not int or e:
+            acc = acc + c * e
+    return acc
+
+
+def _orbit_setup(starts: np.ndarray, T: float, dt: float, model):
+    """What every chart orbit starts from: the starts (B, dim), the step count
+    and half-step grid of :func:`_time_grid` and the padded box bounds, after
+    :class:`ChartExit` at t = 0 for a start outside the box."""
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    nsteps, grid = _time_grid(T, dt)
+    if model is not None and not (inside := model.contains(starts, 1e-9)).all():
+        raise ChartExit(0.0, f"start {starts[np.argmin(inside)]} lies outside the chart box")
+    lo, hi = (-_BIG, _BIG) if model is None else (model._lo - 1e-9, model._hi + 1e-9)
+    return starts, nsteps, grid, lo, hi
+
+
 def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None):
     """Classical RK4 from every row of ``starts`` (B, dim) at once.
 
@@ -391,11 +443,7 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None
     (B, n + 1, dim), NaN past each row's end, steps kept per row); each row
     is bit-identical to a one-row run.
     """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    nsteps, grid = _time_grid(T, dt)
-    if model is not None and not (inside := model.contains(starts, 1e-9)).all():
-        raise ChartExit(0.0, f"start {starts[np.argmin(inside)]} lies outside the chart box")
-    lo, hi = (-_BIG, _BIG) if model is None else (model._lo - 1e-9, model._hi + 1e-9)
+    starts, nsteps, grid, lo, hi = _orbit_setup(starts, T, dt, model)
     h = T / nsteps
     pts = np.full((len(starts), nsteps + 1, starts.shape[1]), np.nan)
     pts[:, 0] = p = starts
@@ -416,6 +464,35 @@ def _rk4_orbits(f: Callable, starts: np.ndarray, T: float, dt: float, model=None
             if not live.size:
                 break
         pts[live, k + 1] = p
+    return grid[::2], pts, kept
+
+
+def _constant_orbits(v: np.ndarray, starts: np.ndarray, T: float, dt: float, model):
+    """:func:`_rk4_orbits` of the constant field ``v`` (dim,) on a chart
+    ``model``, bit for bit, with no loop over the steps.
+
+    Every RK4 step of a constant field adds the same increment
+    h/6 (v + 2v + 2v + v), and ``np.cumsum`` adds it to each start left to
+    right, as the loop does.  A row's first point outside the padded box ends
+    it, as in the loop; NaN or inf there raises :class:`NonFiniteEvaluation`
+    at the earliest such step of any row.
+    """
+    starts, nsteps, grid, lo, hi = _orbit_setup(starts, T, dt, model)
+    sixth = T / nsteps / 6.0
+    pts = np.empty((len(starts), nsteps + 1, starts.shape[1]))
+    pts[:, 0] = starts
+    pts[:, 1:] = sixth * (v + 2 * v + 2 * v + v)
+    with np.errstate(over="ignore", invalid="ignore"):   # past a row's end, or reported below
+        np.cumsum(pts, axis=1, out=pts)
+    outside = ~((pts[:, 1:] >= lo) & (pts[:, 1:] <= hi)).all(axis=2)     # (B, n) per step
+    kept = np.where(outside.any(axis=1), outside.argmax(axis=1), nsteps)
+    if (left := kept < nsteps).any():
+        rows = np.flatnonzero(left)
+        bad = ~np.isfinite(pts[rows, kept[rows] + 1]).all(axis=1)
+        if bad.any():
+            step = kept[rows[bad]].min() + 1
+            raise NonFiniteEvaluation(f"orbit reached NaN or inf at step {step} of {nsteps}")
+        pts[np.arange(nsteps + 1) > kept[:, None]] = np.nan
     return grid[::2], pts, kept
 
 

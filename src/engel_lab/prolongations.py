@@ -105,11 +105,17 @@ def _fiber_frame(base_rows: Callable) -> Callable:
 
 def _legendrian_frame(c: ContactModel) -> Callable:
     """The fiber frame (d/d(fiber), l1, l2, transverse) over a contact model
-    with a Legendrian frame (l1, l2)."""
+    with a Legendrian frame (l1, l2): base rows of (n,) columns, or of
+    floats at a single point, as :func:`~engel_lab.geometry_models._columns`
+    hands them."""
     if c.legendrian_frame is None:
         raise NotContact("a rotating-plane construction needs a Legendrian frame")
-    l1, l2 = c.legendrian_frame
-    return _fiber_frame(lambda q: c.model.values([l1, l2, c.transverse], q).transpose(1, 2, 0))
+    sections = [*c.legendrian_frame, c.transverse]
+
+    def base_rows(q):
+        v = c.model.values(sections, q)
+        return v[0].tolist() if len(q) == 1 else v.transpose(1, 2, 0)
+    return _fiber_frame(base_rows)
 
 
 def _rotating_plane(model: ChartModel, angle: Callable, provenance: str) -> EngelStructure:
@@ -193,9 +199,13 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
                             emw: Optional[Sequence[Section]] = None) -> EngelStructure:
     """Engel structure on V x S^1 from a connection with curvature i_W vol.
 
-    The base chart frame must be the coordinate frame: ``beta`` returns the
-     1-form coefficients (beta_1, beta_2, beta_3) and ``vol`` the scalar
-    density rho in vol = rho dq1^dq2^dq3.  E is the horizontal distribution
+    The base chart frame must be the coordinate frame: ``beta(q1, q2, q3)``
+    takes coordinate columns (see :func:`~engel_lab.geometry_models._columns`)
+    and returns the 1-form coefficients (beta_1, beta_2, beta_3), each a
+    column, a float at one point, or the int 0 where it vanishes identically
+    (an int frame entry, so a lift that reads only such rows flows as a
+    constant field); ``vol`` gives the scalar density rho in
+    vol = rho dq1^dq2^dq3.  E is the horizontal distribution
     ker(dtheta + beta), D its intersection with the lifted contact planes,
     and W the horizontal lift of the Legendrian field w_bar.  The caller
     asserts that w_bar preserves vol; the curvature relation
@@ -203,7 +213,8 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     """
     base = c.model
     pts = base.sample(_CURVATURE_CHECKS)
-    J = fd_jacobian(beta, pts, FD_STEP)      # J[:, j, i] = d_i beta_j
+    # beta's columns as one (n, 3) array for the jacobian, J[:, j, i] = d_i beta_j
+    J = fd_jacobian(Section(lambda q: beta(*q.T)).coeff_at, pts, FD_STEP)
     db = np.swapaxes(J, 1, 2) - J               # (d beta)_ij = d_i beta_j - d_j beta_i
     wv = base.values([w_bar], pts)[:, 0]
     rho = np.asarray(vol(pts), dtype=float)
@@ -221,8 +232,8 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
 
     def rows(pts):
         # rows h_i = d/dq_i - beta_i d/dtheta, then Theta = d/dtheta
-        b1, b2, b3 = _columns(-np.asarray(beta(pts[:, :3]), dtype=float))
-        return (1, 0, 0, b1), (0, 1, 0, b2), (0, 0, 1, b3), (0, 0, 0, 1)
+        b1, b2, b3 = beta(*_columns(pts)[:3])
+        return (1, 0, 0, -b1), (0, 1, 0, -b2), (0, 0, 1, -b3), (0, 0, 0, 1)
 
     model = fiber_chart(base, rows, f"prequantum({base.name})")
 
@@ -255,11 +266,10 @@ def _sections_parallel(model, a: Section, b: Section) -> bool:
     return cross < 1e-10
 
 
-def _beta(pts):
-    """The connection 1-form -q2 dq1, with d(beta) = dq1 ^ dq2, at points (n, 3)."""
-    out = np.zeros((len(pts), 3))
-    out[:, 0] = -pts[:, 1]
-    return out
+def _beta(q1, q2, q3):
+    """The connection 1-form -q2 dq1, with d(beta) = dq1 ^ dq2, at coordinate
+    columns: its coefficients (-q2, 0, 0)."""
+    return -q2, 0, 0
 
 
 def _unit_density(pts):

@@ -20,7 +20,8 @@ def test_every_bench_runs_at_tiny_sizes(bench):
     rows = [bench.bench_dcurves(n_curves=2, n_steps=10), bench.bench_transport(n_steps=100),
             *bench.bench_probe(trials=(10,)), *bench.bench_field(sizes=(1, 10)),
             bench.bench_brackets(B=10), *bench.bench_generator(B=11),
-            *bench.bench_characteristic(n_steps=5), bench.bench_verify_artifact(n=10),
+            *bench.bench_characteristic(n_steps=5), *bench.bench_flow(T=0.1),
+            bench.bench_verify_artifact(n=10),
             bench.bench_orbit_csv(T=0.1, dt=1e-2), bench.bench_presets()]
     for name, t, *_ in rows:
         assert isinstance(name, str) and t > 0, name

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engel_lab.errors import DimensionMismatch, EmptyInput, NonFiniteEvaluation
+from engel_lab import frame_algebra
+from engel_lab.errors import ChartExit, DimensionMismatch, EmptyInput, NonFiniteEvaluation
 from engel_lab.frame_algebra import (
     FD_STEP,
     ChartModel,
@@ -17,6 +18,7 @@ from engel_lab.frame_algebra import (
     distribution_rank,
     fd_jacobian,
     halton_points,
+    _rk4_orbits,
 )
 from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT, _columns
 from engel_lab.engel_verify import darboux_standard, sample_box
@@ -102,6 +104,25 @@ class TestBracketChart:
         for h in (1e-3, 1e-4):
             err = np.abs(fd_jacobian(comp, p, h) - jac(p)).max()
             assert err < 5.0 * h ** 2
+
+    def test_strided_values_give_the_rows_of_one_point_calls(self, rng):
+        # dense values computed as planes (k, dim, n) and returned as their
+        # transposed view (n, k, dim): every batch row of the brackets still
+        # equals its one-row call and the brackets of the C-ordered values
+        B, C = rng.standard_normal((2, 3, 4, 4))
+
+        def planes(pts):
+            return np.sin(np.einsum("kij,nj->kin", B, pts) + C.sum(axis=2)[..., None])
+
+        strided = lambda pts: planes(pts).transpose(2, 0, 1)
+        assert not strided(np.zeros((5, 4))).flags.c_contiguous
+        contiguous = lambda pts: np.ascontiguousarray(strided(pts))
+        pairs = [(0, 1), (0, 2), (1, 2), (2, 0)]
+        pts = rng.uniform(-1, 1, (40, 4))
+        br = bracket_chart(strided, pairs, pts)
+        assert np.array_equal(br, bracket_chart(contiguous, pairs, pts))
+        for i in range(len(pts)):
+            assert np.array_equal(br[i], bracket_chart(strided, pairs, pts[i]))
 
 
 @pytest.fixture(scope="module")
@@ -442,3 +463,82 @@ class TestModelProtocol:
             one = np.einsum("nij,nj->ni", Jb, fa(pts)) - np.einsum("nij,nj->ni", Ja, fb(pts))
             assert np.array_equal(br[:, k], one), (sections[i].name, sections[j].name)
         assert np.array_equal(s.model.brackets(sections, pairs, pts[:1]), br[:1])
+
+
+CHART_PRESETS = [p for p in preset_names() if not p.endswith("-lie")]
+LOOP_PRESETS = ("lorentz-magnetic", "lorentz-product", "magnetic-bump")
+
+
+def same_orbits(a, b):
+    """Two (times, points, kept) flows agree bit for bit, NaN tails included."""
+    return all(x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+class TestConstantFlow:
+    @pytest.mark.parametrize("name", CHART_PRESETS)
+    def test_flow_is_the_rk4_loop_bit_for_bit(self, preset_cache, name):
+        # forward, backward and long enough that darboux and
+        # suspension-identity rows leave the box and cartan-r3 and
+        # propellor-cat rows run past their periodic coordinate
+        s = preset_cache(name)["structure"]
+        model, W = s.model, s.W_section
+        assert (model._constant_velocity(W) is None) == (name in LOOP_PRESETS)
+        starts = sample_box(model, 3)
+        for T in (1.5, -1.5, 8.0):
+            got = model.flow(W, starts, T, 0.05)
+            want = _rk4_orbits(model.field(W), starts, T, 0.05, model)
+            assert same_orbits(got, want), (name, T)
+            _, pts, kept = got
+            if T == 8.0 and name in ("darboux", "suspension-identity"):
+                assert (kept < 160).all() and np.isnan(pts[:, -1]).all()
+            if T == 8.0 and name in ("cartan-r3", "propellor-cat"):
+                assert (kept == 160).all() and (pts[:, -1] > model.box[:, 1]).any(axis=1).all()
+
+    def test_rows_that_leave_and_rows_that_stay(self, preset_cache):
+        # one batch whose rows leave at different steps or not at all, on a
+        # constant field of two coordinate rows whose RK4 increment rounds
+        model = preset_cache("darboux")["structure"].model
+        W = Section((0, 0, 0.3, 0.7), "0.3 d/dz + 0.7 d/dw")
+        starts = np.array([[0, 0, 0, w] for w in (-1.9, 0.0, 1.0, 1.99)], dtype=float)
+        got = model.flow(W, starts, 3.7, 0.013)
+        assert same_orbits(got, _rk4_orbits(model.field(W), starts, 3.7, 0.013, model))
+        assert np.array_equal(got[2] < 285, [False, True, True, True])
+
+    @pytest.mark.parametrize("name", ["darboux", "prequantum-local", "lorentz-magnetic"])
+    def test_start_outside_the_box_exits_at_zero(self, preset_cache, name):
+        # coordinate 0 is not periodic on these charts
+        s = preset_cache(name)["structure"]
+        starts = sample_box(s.model, 2)
+        starts[1, 0] = s.model.box[0, 1] + 0.5
+        for flow in (lambda: s.model.flow(s.W_section, starts, 1.0, 0.1),
+                     lambda: _rk4_orbits(s.model.field(s.W_section), starts, 1.0, 0.1, s.model)):
+            with pytest.raises(ChartExit) as err:
+                flow()
+            assert err.value.t_exit == 0.0 and "outside the chart box" in str(err.value)
+
+    def test_infinite_coefficient_raises_at_step_one(self, preset_cache):
+        model = preset_cache("darboux")["structure"].model
+        W = Section((0, 0, 0, np.inf), "inf W")
+        assert model._constant_velocity(W) is not None
+        starts = sample_box(model, 2)
+        for flow in (lambda: model.flow(W, starts, 1.0, 0.1),
+                     lambda: _rk4_orbits(model.field(W), starts, 1.0, 0.1, model)):
+            with pytest.raises(NonFiniteEvaluation, match="at step 1 of 10"):
+                flow()
+
+    def test_a_field_reading_a_column_steps_the_loop(self, preset_cache, monkeypatch):
+        # lorentz-magnetic's W reads the frame rows X and Y, whose entries are
+        # columns: its flow runs the RK4 loop; propellor-cat's W = d/dq3 does not
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _rk4_orbits(*args, **kwargs)
+
+        monkeypatch.setattr(frame_algebra, "_rk4_orbits", counted)
+        for name, loops in (("lorentz-magnetic", True), ("propellor-cat", False)):
+            s = preset_cache(name)["structure"]
+            calls.clear()
+            s.model.flow(s.W_section, sample_box(s.model, 2), 0.2, 0.1)
+            assert len(calls) == int(loops), name

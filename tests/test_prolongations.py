@@ -180,9 +180,21 @@ class TestPrequantum:
         beta = s.aux["beta"]
         pts = rng.uniform(-1, 1, (20, 4))
         w = s.model.values([s.W_section], pts)[:, 0]
-        b = np.atleast_2d(beta(pts[:, :3]))
+        b = np.empty((20, 3))
+        for j, col in enumerate(beta(*pts[:, :3].T)):
+            b[:, j] = col
         pairing = w[:, 3] + np.einsum("ni,ni->n", b, w[:, :3])
         assert np.abs(pairing).max() < 1e-9
+
+    @pytest.mark.parametrize("name", ["prequantum-local", "propellor-cat", "bi-engel-cat"])
+    def test_vanishing_beta_coefficients_are_int_entries(self, preset_cache, name):
+        # beta = -q2 dq1: the rows h2 and h3 read int entries only, at one
+        # point and on a batch, so W = h3 is constant in the chart
+        model = preset_cache(name)["structure"].model
+        for n in (1, 5):
+            rows = model.rows(sample_box(model, n))
+            for row, want in zip(rows[1:], [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]):
+                assert [type(e) for e in row] == [int] * 4 and tuple(row) == want
 
     def test_constant_base_section_lifts_to_a_constant_section(self, preset_cache):
         # xi[0] = d/dw is constant, xi[1] = d/dx + w d/dz is not
@@ -200,9 +212,7 @@ class TestPrequantum:
         from engel_lab.prolongations import prequantum_local
         s = prequantum_local()
         c = s.aux["contact"]
-        bad_beta = lambda pts: np.stack(
-            [np.atleast_2d(pts)[:, 1], np.zeros(np.atleast_2d(pts).shape[0]),
-             np.zeros(np.atleast_2d(pts).shape[0])], axis=-1)
+        bad_beta = lambda q1, q2, q3: (q2, 0, 0)
         with pytest.raises(CurvatureMismatch):
             prequantum_prolongation(c, w_bar=Section((0, 0, 1)),
                                     vol=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
@@ -214,7 +224,7 @@ class TestPrequantum:
         with pytest.raises(CurvatureMismatch):
             prequantum_prolongation(c, w_bar=Section((0, 0, 1)),
                                     vol=lambda pts: np.ones(np.atleast_2d(pts).shape[0]),
-                                    beta=lambda pts: np.full(np.atleast_2d(pts).shape, np.nan))
+                                    beta=lambda q1, q2, q3: (np.nan, np.nan, np.nan))
 
 
 class TestPropellor:
