@@ -72,15 +72,18 @@ def bench_field(sizes=(1, 3, 1000)):
     ``model.field(W)`` on a (B, dim) batch): on lorentz-magnetic and
     propellor-cat, whose W are constant sections and take the fused path, at
     each B of ``sizes`` (1, 3 and 1000: the batches of ``orbit``,
-    ``classify`` and ``verify``); on magnetic-bump, whose W evaluates the
-    Gauss curvature, at B = 1."""
+    ``classify`` and ``verify``); at B = 1 and 3 on magnetic-bump, whose W
+    evaluates the Gauss curvature, and on lorentz-product, a control whose
+    frame is the plain horizontal frame of the magnetic one."""
     from engel_lab.engel_verify import sample_box
     from engel_lab.presets import build_preset
 
     cases = [(name, params, B) for name, params in (("lorentz-magnetic", {"kappa": -0.5}),
                                                     ("propellor-cat", {}))
              for B in sizes]
-    cases.append(("magnetic-bump", {}, 1))
+    cases += [(name, params, B) for name, params in (("magnetic-bump", {}),
+                                                     ("lorentz-product", {"kappa": -0.5}))
+              for B in (1, 3)]
     rows = []
     for name, params, B in cases:
         s = build_preset(name, **params)["structure"]

@@ -260,10 +260,10 @@ class ChartModel:
         F = self.frame(pts).transpose(1, 2, 0)
         co = np.empty((len(sections), self.dim, len(pts)))
         for k, s in enumerate(sections):
-            c = s.coeff_at(pts)
-            if c.shape[-1] != self.dim:
+            c = s._row[:, None] if s.is_constant else s.coeff_at(pts).T
+            if len(c) != self.dim:
                 raise DimensionMismatch("section does not match the model frame")
-            co[k] = c.T
+            co[k] = c
         out = np.zeros(co.shape)
         for i in range(self.dim):
             out += co[:, i, None] * F[i]

@@ -16,7 +16,9 @@ constant-curvature surface declares.
 
 Every chart that adds a last fiber coordinate to a base is laid out by
 :func:`fiber_chart`; both extensions build their Lie twin and their chart
-through one body, :func:`_extension`.
+through one body, :func:`_extension`.  The magnetic frame rotates the
+horizontal one by theta, Xt = cos(theta) X + sin(theta) Y, and is evaluated
+as the horizontal frame at fiber angle phi + theta.
 """
 from __future__ import annotations
 
@@ -277,8 +279,9 @@ class LorentzExtension:
     For the product kind V = Sigma x S^1 and the M-frame is (X, Y, Z, Theta)
     with pullback metric diag(1, 1, 0, -1); for the magnetic kind
     V = S^1(T Sigma) with dg = dh + (-dtheta^2) across the horizontal/vertical
-    splitting, the M-frame is the rotated (Xt, Yt, Zt, Theta) and the pullback
-    metric is diag(1, 1, -1, 0).  In both V-frames the metric is diag(1,1,-1).
+    splitting, the M-frame is the rotated (Xt, Yt, Zt, Theta), Xt = cos(theta) X
+    + sin(theta) Y evaluated as the horizontal frame at phi + theta, and the
+    pullback metric is diag(1, 1, -1, 0).  In both V-frames it is diag(1,1,-1).
     """
 
     kind: str
@@ -338,18 +341,15 @@ def magnetic_extension(ut: Union[UnitTangentChart, ConstantCurvatureUT]) -> Lore
     """dg = dh + (-dtheta^2) on V = S^1(T Sigma) across the splitting.
 
     The M-frame rotates the horizontal fields by the null angle theta:
-    Xt = cos(theta) X + sin(theta) Y, Yt its rotate, Zt = Z, Theta vertical,
-    so [Theta, Xt] = Yt and [Theta, Yt] = -Xt.
+    Xt = cos(theta) X + sin(theta) Y, Yt = cos(theta) Y - sin(theta) X,
+    Zt = Z, Theta vertical, so [Theta, Xt] = Yt and [Theta, Yt] = -Xt.  By
+    the angle-sum formulas Xt and Yt are the horizontal rows at phi + theta,
+    which is how the chart evaluates them.
     """
     def rows(pts):
-        # rows Xt = c X + s Y and Yt = c Y - s X (X, Y rotated by theta),
-        # Zt = Z, Theta = d/dtheta
         x, y, phi, theta = _columns(pts)
-        X, Y = ut.horizontal(x, y, phi)
-        c, si = np.cos(theta), np.sin(theta)
-        return ((*(c * a + si * b for a, b in zip(X, Y)), 0),
-                (*(c * b - si * a for a, b in zip(X, Y)), 0),
-                (0, 0, 1, 0), (0, 0, 0, 1))
+        Xt, Yt = ut.horizontal(x, y, phi + theta)
+        return (*Xt, 0), (*Yt, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
     return _extension("magnetic", ut, ("Xt", "Yt", "Zt", "Theta"),
                       [1.0, 1.0, -1.0, 0.0], {(1, 0): 1.0, (0, 1): -1.0}, rows)

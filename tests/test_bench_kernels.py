@@ -25,3 +25,6 @@ def test_every_bench_runs_at_tiny_sizes(bench):
             bench.bench_orbit_csv(T=0.1, dt=1e-2), bench.bench_presets()]
     for name, t, *_ in rows:
         assert isinstance(name, str) and t > 0, name
+    names = {row[0] for row in rows}
+    assert {f"field W B={B} {preset}" for B in (1, 3)
+            for preset in ("magnetic-bump", "lorentz-product")} <= names

@@ -376,8 +376,16 @@ class TestModelProtocol:
             want = np.zeros(co.shape)
             for i in range(4):
                 want += co[:, :, i:i + 1] * F[:, None, i, :]
-            assert np.array_equal(model.values(sections, pts), want[:, :3])
+            assert np.array_equal(model.values([*sections, dense], pts), want)
             assert model.field(dense)(pts).tobytes() == want[:, 3].tobytes()
+
+    def test_section_of_wrong_length_is_refused(self):
+        # three coefficients on a 4-dim chart, as a row or as columns
+        s = darboux_standard()
+        for sec in (Section((1, 0, 0)), Section(lambda p: (p[:, 0], 0, 1))):
+            for pts in (np.zeros((1, 4)), np.zeros((2, 4))):
+                with pytest.raises(DimensionMismatch, match="does not match the model frame"):
+                    s.model.values([s.W_section, sec], pts)
 
     @pytest.mark.parametrize("rows", [
         coordinate_frame(3), lambda p: (*coordinate_frame(4)(p)[:3], (0, 0, 1))])

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from engel_lab.cli import KAPPA_SWEEP
-from engel_lab.frame_algebra import bracket_chart, fd_jacobian
+from engel_lab.frame_algebra import bracket_chart, fd_jacobian, sample_box
 from engel_lab.geometry_models import (
     ConstantCurvatureUT,
     bump_surface,
@@ -179,6 +179,50 @@ class TestExtensions:
         built = preset_cache(name, kappa=kappa)
         w = np.asarray(built["structure"].W_section.constant_coeffs(), dtype=float)
         assert abs(w @ (built["extension"].m_metric_diag * w)) < 1e-12
+
+
+MAGNETIC = [("lorentz-magnetic", {"kappa": k}) for k in (-1.0, -0.5, 0.5, 1.0)] + [
+    ("magnetic-bump", {})]
+
+
+class TestMagneticFrame:
+    """The magnetic rows are the horizontal rows at phi + theta, which by the
+    angle-sum formulas is the rotate of X(phi), Y(phi) by theta."""
+
+    @staticmethod
+    def _at(preset_cache, name, settings, n):
+        ext = preset_cache(name, **settings)["extension"]
+        return ext, sample_box(ext.model, 64)[:n]
+
+    @pytest.mark.parametrize("n", [64, 1])
+    @pytest.mark.parametrize("name, settings", MAGNETIC)
+    def test_rows_are_the_rotated_horizontal_rows(self, preset_cache, name, settings, n):
+        ext, pts = self._at(preset_cache, name, settings, n)
+        x, y, phi, theta = pts[0].tolist() if n == 1 else pts.T
+        X, Y = (np.array(r, dtype=float).reshape(3, -1) for r in ext.base.horizontal(x, y, phi))
+        c, s = np.cos(theta), np.sin(theta)
+        want = np.stack([c * X + s * Y, c * Y - s * X]).transpose(2, 0, 1)    # (n, 2, 3)
+        got = ext.model.frame(pts)[:, :2]
+        assert not got[..., 3].any()
+        # the entry scale counts |phi + theta|: its rounding, half an ulp of
+        # the angle, reaches cos and sin of it
+        scale = np.abs(want).max(axis=(1, 2)) * np.maximum(1.0, pts[:, 2] + pts[:, 3])
+        err = np.abs(got[..., :3] - want).max(axis=(1, 2))
+        assert (err <= 4 * np.finfo(float).eps * scale).all()
+
+    @pytest.mark.parametrize("n", [64, 1])
+    @pytest.mark.parametrize("name, settings", MAGNETIC)
+    def test_chart_brackets(self, preset_cache, name, settings, n):
+        # [Theta, Xt] = Yt, [Theta, Yt] = -Xt, [Xt, Yt] = kappa Zt, with the
+        # Gauss curvature at each point on magnetic-bump
+        ext, pts = self._at(preset_cache, name, settings, n)
+        F = ext.model.frame(pts)
+        pairs = [(3, 0), (3, 1), (0, 1)]
+        TX, TY, XY = bracket_chart(ext.model.frame, pairs, pts).transpose(1, 0, 2)
+        kappa = ext.kappa_at(pts)[:, None]
+        assert np.abs(TX - F[:, 1]).max() < 1e-8
+        assert np.abs(TY + F[:, 0]).max() < 1e-8
+        assert np.abs(XY - kappa * F[:, 2]).max() < 1e-8
 
 
 class TestSurfaceConfig:
