@@ -1,9 +1,9 @@
 """Time the integration kernels, the rigidity probe (with its memory peak),
-one field evaluation, one batched section bracket call, one transport
-generator call, one characteristic RK4 step, one constant-field chart flow,
-one closed-orbit holonomy, the
-writing of one verify artifact and of one orbit CSV, and the construction of
-every preset.
+one field evaluation, one ``values`` call of seven sections, one batched
+section bracket call, one transport generator call, one characteristic RK4
+step, one constant-field chart flow, one closed-orbit holonomy, the writing
+of one verify artifact and of one orbit CSV, and the construction of every
+preset.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -90,6 +90,26 @@ def bench_field(sizes=(1, 3, 1000)):
         pts, field = sample_box(s.model, B), s.model.field(s.W_section)
         t, _ = timeit(lambda: [field(pts) for _ in range(20)])
         rows.append((f"field W B={B} {name}", t / 20))
+    return rows
+
+
+def bench_values(sizes=(1, 3, 1000)):
+    """Wall time of one ``model.values`` call of the seven sections E, the
+    transverse section, W and D, as ``verify`` and the transport generator
+    stack them: on lorentz-magnetic, cartan-r3 and propellor-cat at each B
+    of ``sizes``."""
+    from engel_lab.engel_verify import sample_box
+    from engel_lab.presets import build_preset
+
+    rows = []
+    for name, params in (("lorentz-magnetic", {"kappa": -0.5}), ("cartan-r3", {}),
+                         ("propellor-cat", {})):
+        s = build_preset(name, **params)["structure"]
+        sections = [*s.E_span, s.transverse_section, s.W_section, *s.D_span]
+        for B in sizes:
+            pts = sample_box(s.model, B)
+            t, _ = timeit(lambda: [s.model.values(sections, pts) for _ in range(20)])
+            rows.append((f"values of 7 B={B} {name}", t / 20))
     return rows
 
 
@@ -222,6 +242,8 @@ def main():
         print(f"{name:<34s} {t * 1e3:9.2f}ms, peak {peak / 1e6:.1f} MB")
     for name, t in bench_field():
         print(f"{name:<34s} {t * 1e6:9.1f}us per evaluation")
+    for name, t in bench_values():
+        print(f"{name:<34s} {t * 1e6:9.1f}us per call")
     name, t = bench_brackets()
     print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_generator():

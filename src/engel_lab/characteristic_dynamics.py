@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     FrameDegenerate,
     MonotonicityViolation,
+    NonFiniteEvaluation,
     StepTooLarge,
 )
 from .frame_algebra import _rk4_orbits, _time_grid, frame_coords
@@ -98,6 +99,8 @@ class HolonomyLift:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
+        if not np.isfinite([*m.ravel(), self.winding]).all():
+            raise NonFiniteEvaluation("holonomy matrix and winding must be finite")
         d = float(np.linalg.det(m))
         if d <= 0:
             raise DegenerateKernel("holonomy matrix must have positive determinant")
@@ -231,6 +234,8 @@ def lift_angle_mod_pi(raw: np.ndarray) -> np.ndarray:
     """Continuous lift of a mod-pi angle sequence; increments must stay
     below ``_ANGLE_GUARD`` (step-size check)."""
     raw = np.asarray(raw, dtype=float)
+    if not np.isfinite(raw).all():
+        raise NonFiniteEvaluation(f"angle {np.argmin(np.isfinite(raw))} is NaN or inf")
     inc = np.mod(np.diff(raw) + np.pi / 2, np.pi) - np.pi / 2
     if np.any(np.abs(inc) > _ANGLE_GUARD - 1e-9):
         raise StepTooLarge("angle increment exceeded the continuity guard")
@@ -250,6 +255,8 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     ``angles=False`` skips the developing-angle pullback (the inverse
     transport loses all precision once a hyperbolic M(t) has condition
     number near 1/eps, and the global-type estimator does not need it).
+    Raises :class:`NonFiniteEvaluation` at the first t where M or det M
+    leaves the finite floats.
     """
     times = orbit.times
     dt_signed = times[1] - times[0]
@@ -265,7 +272,11 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     pts_half[0::2] = pts
     pts_half[1::2] = sub[:, 1]
     A_half = np.broadcast_to(transport_generator(s, pts_half), (2 * n + 1, 2, 2))
-    M, dets = transport_rk4(A_half, dt_signed)
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below
+        M, dets = transport_rk4(A_half, dt_signed)
+    if not (ok := np.isfinite(M).all(axis=(1, 2)) & (dets > 0) & (dets < np.inf)).all():
+        raise NonFiniteEvaluation(f"E/W transport M or det M leaves the finite floats "
+                                  f"at t = {times[np.argmin(ok)]:.6g}")
     angle = None
     if angles:
         d = _dw_coords(s, pts)
@@ -404,7 +415,7 @@ def developing_map(orbit: OrbitTrace) -> DevelopingMap:
     if theta[-1] < theta[0]:
         theta = -theta
     d = np.diff(theta)
-    if np.any(d <= _MONO_TOL):
+    if not np.all(d > _MONO_TOL):      # a NaN step is refused too
         raise MonotonicityViolation(
             f"developing angle not strictly increasing (min step {d.min():.3e})")
     return DevelopingMap(theta=theta, length=float(theta[-1] - theta[0]))
@@ -441,8 +452,11 @@ def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     A = np.stack([t, np.ones_like(t)], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     pred = A @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below
+        ss_res = float(np.sum((y - pred) ** 2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if not np.isfinite([*coef, ss_res, ss_tot]).all():
+        raise NonFiniteEvaluation(f"growth fit up to t = {t.max():.6g} leaves the finite floats")
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(coef[0]), r2
 
@@ -510,7 +524,8 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     start points are integrated in one batch, and an orbit that leaves the
     chart is cut back from its exit by :func:`orbits_within_chart`; a cut
     orbit whose sigma1 still rises below the growth floor is ``unknown``,
-    not elliptic.
+    not elliptic.  Where sigma1^2 or a growth-fit statistic leaves the
+    finite floats it raises :class:`NonFiniteEvaluation`, not a verdict.
     """
     if n_orbits < 1:
         raise ValueError(f"n_orbits must be >= 1, got {n_orbits}")
@@ -528,6 +543,9 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         sigma1 = np.linalg.svd(Mn, compute_uv=False)[:, 0]
         # |det Mn| = 1, so sigma1 / sigma2 = sigma1^2; the smaller singular
         # value itself drowns in rounding once sigma1 passes about 1e8
+        if not (fin := sigma1 <= 1e154).all():    # sigma1^2 below the largest float
+            raise NonFiniteEvaluation(f"distortion sigma1^2 leaves the finite floats at "
+                                      f"t = {orbit.times[sel][np.argmin(fin)]:.6g}")
         distortion = float(np.max(sigma1 ** 2))
         monotone = float(np.mean(np.diff(sigma1) >= -1e-12)) if len(sigma1) > 1 else 1.0
         growing = (sigma1[-1] > 1.3 and sigma1[-1] >= 0.95 * sigma1.max()

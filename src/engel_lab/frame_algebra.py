@@ -19,8 +19,8 @@ Both model kinds answer one batched protocol, so consumers never branch on
 the kind.  A Lie model is homogeneous: it answers one row, a batch of 1 that
 broadcasts against any batch of points.
 
-* ``values(sections, pts) -> (n, k, dim)``: chart components of each section
-  (chart) or its constant frame coefficients (Lie);
+* ``values(sections, pts) -> (n, k, dim)``: chart components of each section,
+  filled from its ``entries`` (chart), or its constant frame coefficients (Lie);
 * ``brackets(sections, pairs, pts) -> (n, P, dim)``: the bracket of each
   section pair ``(a, b)`` in ``pairs``.  On a chart all of them come from one
   central-difference jacobian of the stacked section values
@@ -37,10 +37,11 @@ Points are numpy arrays, always a batch ``(n, dim)``: a frame function, a
 :class:`ChartVectorField`, a section's coefficients and every protocol method
 take one, and a chart refuses no points or a single point ``(dim,)`` with
 :class:`DimensionMismatch`.  Only :func:`bracket_chart` also takes a single
-point.  A chart ``flow`` integrates the section's ``field``, which for a
-constant section is one frame call and a sum over its nonzero coefficients;
-where those coefficients read only int entries the field is constant in the
-chart, and every orbit is one prefix sum of the RK4 increment.
+point.  A chart combines a section with its frame in one place,
+:meth:`ChartModel.entries`.  A chart ``flow`` integrates the section's
+``field``; where a constant section's nonzero coefficients read only int
+entries the field is constant in the chart, and every orbit is one prefix sum
+of the RK4 increment.
 """
 from __future__ import annotations
 
@@ -249,32 +250,27 @@ class ChartModel:
         self._lo[list(self.periodic)], self._hi[list(self.periodic)] = -_BIG, _BIG
 
     def values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
-        """Chart components of the sections at the points: (n, k, dim).
-
-        The frame and each section's coefficients are evaluated once, as entry
-        planes (point axis innermost), and sum_i c_i F_i accumulates in frame
-        order; the result is a view of its planes (k, dim, n), not a C-ordered
-        array (:func:`bracket_chart` makes its own copy).
-        """
+        """Chart components of the sections at the points: (n, k, dim), one
+        C-ordered array filled from :meth:`entries`."""
         pts = _points(pts, self.dim)
-        F = self.frame(pts).transpose(1, 2, 0)
-        co = np.empty((len(sections), self.dim, len(pts)))
-        for k, s in enumerate(sections):
-            c = s._row[:, None] if s.is_constant else s.coeff_at(pts).T
-            if len(c) != self.dim:
-                raise DimensionMismatch("section does not match the model frame")
-            co[k] = c
-        out = np.zeros(co.shape)
-        for i in range(self.dim):
-            out += co[:, i, None] * F[i]
-        return out.transpose(2, 0, 1)
+        out = np.empty((len(pts), len(sections), self.dim))
+        for k, comps in enumerate(self.entries(sections, pts)):
+            for j, e in enumerate(comps):
+                out[:, k, j] = e
+        return out
+
+    def entries(self, sections: Sequence["Section"], pts: np.ndarray) -> list:
+        """Each section's ``dim`` chart components at the points as entries of
+        a frame row's kinds, from one frame call: component ``j`` is the
+        :func:`_entry_sum` of column ``j`` over the section's coefficients."""
+        rows = self._rows_at(pts := _points(pts, self.dim))
+        return [[_entry_sum(terms, rows, j) for j in range(self.dim)]
+                for terms in (self._terms(s, pts) for s in sections)]
 
     def frame(self, pts: np.ndarray) -> np.ndarray:
         """The frame as one array (n, dim, dim), row ``i`` the chart components
         of frame field ``i``: a view of its entry planes (dim, dim, n)."""
         rows = self._rows_at(pts := _points(pts, self.dim))
-        if len(pts) == 1 and not any(isinstance(e, np.ndarray) for row in rows for e in row):
-            return np.array(rows, dtype=float)[None]    # one point, numbers only
         F = np.zeros((self.dim, self.dim, len(pts)))
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
@@ -290,17 +286,12 @@ class ChartModel:
         return rows
 
     def field(self, section: "Section") -> ChartVectorField:
-        """The section as an evaluable chart field of a batch (n, dim).
-
-        A constant section is fused: sum c_i F_i over its nonzero c_i from zero
-        in frame order on the frame's entries, int entries 0 skipped, which is
-        :meth:`values` bit for bit where the frame is finite.
-        """
+        """The section as an evaluable chart field of a batch (n, dim):
+        :meth:`values` of the one section, whose terms a constant section
+        computes once."""
         if not section.is_constant:
-            # C order, as the fused path allocates it: values are a strided view
-            return ChartVectorField(
-                lambda pts: np.ascontiguousarray(self.values([section], pts)[:, 0]),
-                name=section.name or "section")
+            return ChartVectorField(lambda pts: self.values([section], pts)[:, 0],
+                                    name=section.name or "section")
         terms = self._terms(section)
 
         def components(pts):
@@ -310,24 +301,23 @@ class ChartModel:
             return out
         return ChartVectorField(components, name=section.name or "section")
 
-    def _terms(self, section: "Section") -> list:
-        """The nonzero coefficients (i, c_i) of a constant section, in frame order."""
-        if len(row := section.constant_coeffs()) != self.dim:
+    def _terms(self, section: "Section", pts: np.ndarray = None) -> list:
+        """A section's coefficients (i, c_i) in frame order, zero numbers
+        dropped: its constant floats, or its columns at the points."""
+        cols = section._row.tolist() if section.is_constant else section.coeffs(pts)
+        if len(cols) != self.dim:
             raise DimensionMismatch("section does not match the model frame")
-        return [(i, float(c)) for i, c in enumerate(row) if c != 0]
+        return [(i, c) for i, c in enumerate(cols) if isinstance(c, np.ndarray) or c]
 
     def _constant_velocity(self, section: "Section"):
         """The chart components (dim,) of a section that is constant in the
         chart, else None: a constant section whose nonzero coefficients read
         only int entries, which are the same number at every point, so its
         field at the box midpoint is its field everywhere, bit for bit."""
-        if not section.is_constant:
-            return None
-        terms = self._terms(section)
-        rows = self._rows_at(self.point(np.full((1, self.dim), 0.5)))
-        if not all(type(e) is int for i, _ in terms for e in rows[i]):
-            return None
-        return np.array([_entry_sum(terms, rows, j) for j in range(self.dim)])
+        rows = self._rows_at(mid := self.point(np.full((1, self.dim), 0.5)))
+        if section.is_constant and all(type(e) is int for i, _ in self._terms(section)
+                                       for e in rows[i]):
+            return self.values([section], mid)[0, 0]
 
     def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
                  pts: np.ndarray) -> np.ndarray:
@@ -412,7 +402,8 @@ def sample_box(model: FrameModel, n: int, skip: int = 100) -> np.ndarray:
 
 def _entry_sum(terms: list, rows: Sequence, j: int):
     """Entry ``j`` of sum c_i F_i over ``terms`` (i, c_i), from zero in frame
-    order, int entries 0 skipped: a float, or an (n,) column."""
+    order, int entries 0 skipped: the one rule that combines a section with a
+    chart frame.  A number, a float at one point, or an (n,) column."""
     acc = 0.0
     for i, c in terms:
         if type(e := rows[i][j]) is not int or e:

@@ -105,17 +105,13 @@ def _fiber_frame(base_rows: Callable) -> Callable:
 
 def _legendrian_frame(c: ContactModel) -> Callable:
     """The fiber frame (d/d(fiber), l1, l2, transverse) over a contact model
-    with a Legendrian frame (l1, l2): base rows of (n,) columns, or of
-    floats at a single point, as :func:`~engel_lab.geometry_models._columns`
-    hands them."""
+    with a Legendrian frame (l1, l2): the base rows are the sections'
+    :meth:`~engel_lab.frame_algebra.ChartModel.entries`, the kinds of entry
+    the contact frame hands over."""
     if c.legendrian_frame is None:
         raise NotContact("a rotating-plane construction needs a Legendrian frame")
     sections = [*c.legendrian_frame, c.transverse]
-
-    def base_rows(q):
-        v = c.model.values(sections, q)
-        return v[0].tolist() if len(q) == 1 else v.transpose(1, 2, 0)
-    return _fiber_frame(base_rows)
+    return _fiber_frame(lambda q: c.model.entries(sections, q))
 
 
 def _rotating_plane(model: ChartModel, angle: Callable, provenance: str) -> EngelStructure:
@@ -239,11 +235,11 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
 
     def lift_section(s: Section, name) -> Section:
         # base-frame coefficients must be chart components for the h-frame:
-        # a constant section keeps its coefficients, otherwise one evaluation
-        # of the base section gives all four
+        # a constant section keeps its coefficients, otherwise the base
+        # section's chart entries are its first three
         if s.is_constant:
             return Section((*s.coeffs, 0.0), name)
-        return Section(lambda pts: (*base.values([s], pts[:, :3])[:, 0].T, 0), name)
+        return Section(lambda pts: (*base.entries([s], pts[:, :3])[0], 0), name)
 
     D = [lift_section(c.xi[0], "h-xi1"), lift_section(c.xi[1], "h-xi2")]
     E = [Section((1, 0, 0, 0), "h1"), Section((0, 1, 0, 0), "h2"),

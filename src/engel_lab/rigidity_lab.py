@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernels import _DCURVE_BLOCK, dcurve_rk4
 from .errors import DimensionMismatch, NotNull, SingularIntegrand, StepTooLarge, VariationNotDCurve
-from .frame_algebra import _rk4_orbits, _time_grid
+from .frame_algebra import Section, _rk4_orbits, _time_grid
 from .geometry_models import ConformalSurface, unit_tangent_frames
 
 
@@ -349,7 +349,7 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     s-derivative of the (vanishing) null defect.
     """
     ut = unit_tangent_frames(surface)
-    X = lambda p: ut.model.frame(p)[:, 0]
+    X = ut.model.field(Section((1, 0, 0), "X"))
     times, (pts3,), _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, _DT)
     xy = pts3[:, :2]
     phi = pts3[:, 2]

@@ -19,6 +19,7 @@ def test_every_bench_runs_at_tiny_sizes(bench):
     # bench_closed_orbit has no size argument and takes about 1.5 s
     rows = [bench.bench_dcurves(n_curves=2, n_steps=10), bench.bench_transport(n_steps=100),
             *bench.bench_probe(trials=(10,)), *bench.bench_field(sizes=(1, 10)),
+            *bench.bench_values(sizes=(1, 10)),
             bench.bench_brackets(B=10), *bench.bench_generator(B=11),
             *bench.bench_characteristic(n_steps=5), *bench.bench_flow(T=0.1),
             bench.bench_verify_artifact(n=10),
@@ -28,3 +29,5 @@ def test_every_bench_runs_at_tiny_sizes(bench):
     names = {row[0] for row in rows}
     assert {f"field W B={B} {preset}" for B in (1, 3)
             for preset in ("magnetic-bump", "lorentz-product")} <= names
+    assert {f"values of 7 B={B} {preset}" for B in (1, 10)
+            for preset in ("lorentz-magnetic", "cartan-r3", "propellor-cat")} <= names

@@ -34,8 +34,9 @@ from engel_lab.characteristic_dynamics import (
 )
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import darboux_standard, sample_box
-from engel_lab.errors import (AmbiguousClass, ChartExit, DimensionMismatch,
-                              FrameDegenerate, MonotonicityViolation, StepTooLarge)
+from engel_lab.errors import (AmbiguousClass, ChartExit, DegenerateKernel, DimensionMismatch,
+                              FrameDegenerate, MonotonicityViolation, NonFiniteEvaluation,
+                              StepTooLarge)
 from engel_lab.frame_algebra import Section, _rk4_orbits
 
 from conftest import first_return_reference, rel_err, sequential_transport
@@ -223,6 +224,16 @@ class TestTransport:
         orbit = transport_EmodW(s, orbit, angles=False)
         assert np.abs(orbit.dets - 1.0).max() < 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_names_its_first_time(self, preset_cache):
+        # at kappa = -0.5 M grows like e^(t/2) and leaves the finite floats
+        # near t = 2 log(max float) = 1419.6: reported there, never as NaN
+        s = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]
+        orbit = integrate_characteristic(s, np.zeros(4), 1500.0, 0.05)
+        for angles in (True, False):
+            with pytest.raises(NonFiniteEvaluation, match=r"finite floats at t = 14(19|20)\.\d+$"):
+                transport_EmodW(s, orbit, angles=angles)
+
 
 class TestMagnus:
     GENERATORS = {
@@ -352,6 +363,21 @@ class TestClassify:
         m = np.array([[1.9, 0.9], [-0.9, 0.1]])
         with pytest.raises(AmbiguousClass):
             classify_projective(HolonomyLift(m, np.pi + 1e-9))
+
+    def test_non_finite_matrix_is_refused(self):
+        # a NaN determinant passes a test written as d <= 0, and the all-NaN
+        # matrix it leaves once classified as parabolic
+        for m in ([[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+            with pytest.raises(NonFiniteEvaluation, match="matrix and winding must be finite"):
+                HolonomyLift(m, 1.0)
+        with pytest.raises(DegenerateKernel, match="positive determinant"):
+            HolonomyLift([[0.0, 0.0], [0.0, 1.0]], 1.0)
+
+    def test_non_finite_winding_is_refused(self):
+        # a NaN winding once ended in a bare ValueError from round()
+        for w in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteEvaluation, match="matrix and winding must be finite"):
+                classify_projective(HolonomyLift(np.eye(2), w))
 
     def test_near_identity_is_elliptic_not_ambiguous(self):
         m = np.array([[1.0 + 1e-9, 0.0], [0.0, 1.0 - 1e-9]])
@@ -569,6 +595,19 @@ class TestDeveloping:
         with pytest.raises(StepTooLarge):
             lift_angle_mod_pi(np.array([0.0, np.pi / 2 - 1e-12]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_angle_is_refused(self):
+        # a NaN step compares false with every bound: neither the guard of
+        # the lift nor the monotonicity test of the developing map may pass it
+        raw = np.array([0.0, np.nan, 0.2])
+        with pytest.raises(NonFiniteEvaluation, match="angle 1 is NaN or inf"):
+            lift_angle_mod_pi(raw)
+        orbit = dyn.OrbitTrace(times=np.linspace(0, 1, 3), points=np.zeros((3, 4)),
+                               M=np.broadcast_to(np.eye(2), (3, 2, 2)).copy(),
+                               angle=raw, dets=np.ones(3))
+        with pytest.raises(MonotonicityViolation):
+            developing_map(orbit)
+
 
 class TestGlobalType:
     @pytest.mark.parametrize("kappa,want", [
@@ -745,6 +784,23 @@ class TestGlobalType:
         est = estimate_global_type(s, n_orbits=3, T_max=20.0, dt=1e-2)
         assert est.kind in ("elliptic", "unknown")
 
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_reported_not_classified(self, preset_cache):
+        # sigma1 ~ e^(t/2) at kappa = -0.5: its square leaves the finite
+        # floats past t = log(max float) = 709.8, named at the first sample
+        # after it; the growth fits once read inf and NaN there and demoted
+        # the orbit to unknown
+        s = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]
+        with pytest.raises(NonFiniteEvaluation, match=r"sigma1\^2 leaves the finite floats at "
+                                                      r"t = 7\d\d"):
+            estimate_global_type(s, n_orbits=1, T_max=1000.0, dt=0.05)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_overflow_is_reported(self):
+        t = np.arange(4.0)
+        with pytest.raises(NonFiniteEvaluation, match="growth fit up to t = 3 "):
+            dyn._linear_fit(t, np.array([0.0, 1e300, -1e300, 1e300]))
 
 class TestGeodesicProjection:
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])

@@ -409,6 +409,20 @@ class TestOrbitCommand:
         assert np.array_equal(doc["points"], pts[0, :n])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, why", [
+    # sigma1 ~ e^(t/2) at kappa = -0.5: its square overflows past t = 709.8,
+    # M itself past t = 1419.6; neither is read as a growth law or an angle
+    (["classify", "-T", "1400", "--dt", "0.05"], "distortion sigma1^2 leaves the finite floats"),
+    (["orbit", "-T", "2000", "--dt", "0.02"], "E/W transport M or det M leaves the finite floats"),
+])
+def test_transport_overflow_exits_1(tmp_path, capsys, argv, why):
+    code = run([*argv, "--preset", "lorentz-magnetic-lie", "--kappa", "-0.5",
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: {why} at t = ") and "Warning" not in err
+
+
 class TestRigidityCommand:
     def test_small_run(self, tmp_path, capsys):
         code = run(["rigidity", "--trials", "60", "--out", str(tmp_path)])

@@ -362,8 +362,8 @@ class TestModelProtocol:
     def test_values_sum_in_frame_order(self, rng):
         # a dense frame and dense coefficients, so any other summation order
         # shows: one point (float entries) and a batch (columns) both give
-        # sum_i c_i F_i accumulated from zero in frame order, in values and
-        # in the fused field of a constant section
+        # sum_i c_i F_i accumulated from zero in frame order, in entries, in
+        # values and in the field of a constant section
         B, C, M = rng.standard_normal((3, 4, 4))
         model = ChartModel(4, [[-1, 1]] * 4, lambda p: [[np.cos(x * B[i, j] + C[i, j])
                                                           for j, x in enumerate(_columns(p))]
@@ -377,6 +377,9 @@ class TestModelProtocol:
             for i in range(4):
                 want += co[:, :, i:i + 1] * F[:, None, i, :]
             assert np.array_equal(model.values([*sections, dense], pts), want)
+            entries = np.array([[np.broadcast_to(e, len(pts)) for e in comps]
+                                for comps in model.entries([*sections, dense], pts)])
+            assert entries.transpose(2, 0, 1).tobytes() == want.tobytes()
             assert model.field(dense)(pts).tobytes() == want[:, 3].tobytes()
 
     def test_section_of_wrong_length_is_refused(self):
@@ -402,22 +405,29 @@ class TestModelProtocol:
 
     @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
     def test_constant_field_is_the_whole_frame_sum(self, preset_cache, name):
-        # the fused field skips zero coefficients and int entries 0 and
-        # works on floats at one point; the sum here keeps every term of
-        # sum_i c_i F_i, from zero in frame order, on the whole frame array
+        # entries skip zero coefficients and int entries 0 and work on floats
+        # at one point; the sum here keeps every term of sum_i c_i F_i, from
+        # zero in frame order, on the whole frame array, for every section of
+        # the preset, a non-constant one through its coefficient columns
         s = preset_cache(name)["structure"]
-        sections = [sec for sec in (*s.D_span, *s.E_span, s.W_section, s.transverse_section)
-                    if sec.is_constant]
-        assert sections, name
+        sections = [*s.D_span, *s.E_span, s.W_section, s.transverse_section, *s.emw_frame]
         for B in (1, 3, 64):
             pts = sample_box(s.model, B)
             F = s.model.frame(pts)
-            for sec in sections:
-                want = np.zeros((B, s.model.dim))
-                for i, c in enumerate(sec.constant_coeffs()):
-                    want += c * F[:, i]
+            want = np.zeros((B, len(sections), s.model.dim))
+            for k, sec in enumerate(sections):
+                co = sec.coeff_at(pts)
+                for i in range(s.model.dim):
+                    want[:, k] += co[:, i, None] * F[:, i]
+            got = s.model.values(sections, pts)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), B
+            entries = np.array([[np.broadcast_to(e, B) for e in comps]
+                                for comps in s.model.entries(sections, pts)])
+            assert entries.transpose(2, 0, 1).tobytes() == want.tobytes(), B
+            for k, sec in enumerate(sections):
                 got = s.model.field(sec)(pts)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (B, sec.name)
+                assert got.shape == want[:, k].shape, (B, sec.name)
+                assert got.tobytes() == want[:, k].tobytes(), (B, sec.name)
 
     @pytest.mark.parametrize("name", ["lorentz-magnetic", "lorentz-product"])
     @pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.5, 1.0])
