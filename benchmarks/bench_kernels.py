@@ -1,9 +1,9 @@
 """Time the integration kernels, the rigidity probe (with its memory peak),
 one field evaluation, one ``values`` call of seven sections, one batched
-section bracket call, one transport generator call, one characteristic RK4
-step, one constant-field chart flow, one closed-orbit holonomy, the writing
-of one verify artifact and of one orbit CSV, and the construction of every
-preset.
+section bracket call, one Cauchy pairing kernel, one transport generator
+call, one characteristic RK4 step, one constant-field chart flow, one
+closed-orbit holonomy, the writing of one verify artifact and of one orbit
+CSV, and the construction of every preset.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -126,6 +126,27 @@ def bench_brackets(B=1000):
     return f"E brackets B={B}", t
 
 
+def bench_pairing(B=1000):
+    """Wall time of one ``_pairing_kernel`` call at B points, as
+    ``verify_engel`` makes it: the closed-form kernel of d alpha on E from
+    the E and transverse values and the three E brackets, on lorentz-magnetic
+    and propellor-cat."""
+    from engel_lab.engel_verify import _E_PAIRS, _pairing_kernel, sample_box
+    from engel_lab.frame_algebra import RANK_TOL
+    from engel_lab.presets import build_preset
+
+    rows = []
+    for name, params in (("lorentz-magnetic", {"kappa": -0.5}), ("propellor-cat", {})):
+        s = build_preset(name, **params)["structure"]
+        pts = sample_box(s.model, B)
+        vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
+        brEE = s.model.brackets(s.E_span, _E_PAIRS, pts)
+        t, _ = timeit(lambda: [_pairing_kernel(vals[:, :4], brEE, vals[:, 4], RANK_TOL)
+                               for _ in range(20)])
+        rows.append((f"pairing B={B} {name}", t / 20))
+    return rows
+
+
 def bench_generator(B=4001):
     """Wall time of one ``transport_generator`` call at B points (about the
     half-step grid of a T = 20 orbit at dt = 1e-2): on propellor-cat, one
@@ -246,6 +267,8 @@ def main():
         print(f"{name:<34s} {t * 1e6:9.1f}us per call")
     name, t = bench_brackets()
     print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
+    for name, t in bench_pairing():
+        print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_generator():
         print(f"{name:<48s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_characteristic():

@@ -40,6 +40,7 @@ from .serialize import write_csv
 _ANGLE_GUARD = np.pi / 2    # largest mod-pi increment of a lifted angle
 _CLASS_TOL = 1e-6           # projective classes: band around |tr| = 2, pi multiples, +-I
 _MONO_TOL = 1e-12           # smallest angle step of a strictly increasing developing map
+_MONO_ULPS = 4              # a developing angle step may fall this many ulps below 0
 _CLOSE_EPS = 1e-6           # chart distance of a closed orbit's return
 
 
@@ -401,13 +402,20 @@ def _parabolic_sign(M: np.ndarray) -> int:
 class DevelopingMap:
     theta: np.ndarray
     length: float
+    n_flat: int = 0                   # steps in [-floor, _MONO_TOL]
+    first_flat_t: Optional[float] = None
 
 
 def developing_map(orbit: OrbitTrace) -> DevelopingMap:
     """Lifted angle path of D/W and its projective length.
 
     Oriented so the angle increases; strictly monotone for any verified
-    Engel structure (the developing map is a submersion).
+    Engel structure (the developing map is a submersion).  A step below
+    -floor, a few ulps of the angle scale max(|theta|, pi), or a NaN step
+    raises :class:`MonotonicityViolation`.  Steps in [-floor, _MONO_TOL] are
+    flagged, not refused: the steps of an angle converging to an invariant
+    line fall to rounding.  Their count and the time at the start of the
+    first are ``n_flat`` and ``first_flat_t``.
     """
     if orbit.angle is None:
         raise FrameDegenerate("orbit has no transport data")
@@ -415,10 +423,13 @@ def developing_map(orbit: OrbitTrace) -> DevelopingMap:
     if theta[-1] < theta[0]:
         theta = -theta
     d = np.diff(theta)
-    if not np.all(d > _MONO_TOL):      # a NaN step is refused too
+    floor = _MONO_ULPS * np.spacing(max(np.abs(theta).max(), np.pi))
+    if not np.all(d >= -floor):      # a NaN step or angle is refused too
         raise MonotonicityViolation(
-            f"developing angle not strictly increasing (min step {d.min():.3e})")
-    return DevelopingMap(theta=theta, length=float(theta[-1] - theta[0]))
+            f"developing angle decreases (min step {d.min():.3e}, floor {floor:.1e})")
+    flat = np.flatnonzero(d <= _MONO_TOL)
+    return DevelopingMap(theta=theta, length=float(theta[-1] - theta[0]), n_flat=flat.size,
+                         first_flat_t=float(orbit.times[flat[0]]) if flat.size else None)
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,10 @@ def cmd_orbit(manifest) -> int:
             "developing_length": dev.length,
         })
     note = f" (truncated at chart exit t={truncated:g})" if truncated else ""
+    flat = (f"; {dev.n_flat} flat steps from t={dev.first_flat_t:g}"
+            if dev.n_flat else "")
     print(f"{manifest['preset']}: orbit T={orbit.times[-1]:g}{note} developing "
-          f"length {dev.length:.6g} (monotone) -> {path}")
+          f"length {dev.length:.6g} (monotone{flat}) -> {path}")
     return 0
 
 

@@ -7,8 +7,11 @@ A candidate structure passes when at every sampled point
 
 the first two being the defining non-integrability conditions and the last
 forcing the even contact structure to be maximally non-integrable.  The
-Cauchy characteristic is recovered numerically as the kernel of the skew
-bracket pairing on E read against a declared transverse direction.
+Cauchy characteristic W is the kernel of d alpha on E, where alpha(v) =
+det(e_1, e_2, e_3, v) is the 1-form with kernel E.  It is read in closed
+form against a declared transverse direction T: the skew pairing b_ij =
+alpha([e_i, e_j]) / alpha(T) on E has the kernel b_23 e_1 - b_13 e_2 +
+b_12 e_3, its Hodge dual, and rank 2 where |b| >= tol.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
-from .frame_algebra import (FD_STEP, RANK_TOL, ChartModel, FrameModel, Section, frame_coords,
-                            rank_with_margin)
+from .frame_algebra import FD_STEP, RANK_TOL, ChartModel, FrameModel, Section, rank_with_margin
 from .frame_algebra import sample_box  # re-exported: the acceptance suite imports it here
 from .geometry_models import _columns
 from .serialize import SCHEMA_VERSION, Records
@@ -102,38 +104,60 @@ def line_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where((nu * nv)[:, 0] == 0, np.pi / 2, angle)
 
 
+def _annihilator(E: np.ndarray) -> np.ndarray:
+    """Components (n, 4) of the 1-form alpha(v) = det(e_1, e_2, e_3, v) whose
+    kernel is the span of the rows of ``E`` (n, 3, 4): the signed 3x3 minors
+    of ``E``, expanded along e_3 over the six 2x2 minors of e_1 and e_2."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = np.moveaxis(E, 0, -1)
+    p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    return np.stack([c2 * p13 - c1 * p23 - c3 * p12,
+                     c0 * p23 - c2 * p03 + c3 * p02,
+                     c1 * p03 - c0 * p13 - c3 * p01,
+                     c0 * p12 - c1 * p02 + c2 * p01], axis=-1)
+
+
 def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol: float):
-    """Kernel of the skew bracket pairing on E, batched over points.
+    """Kernel of the skew pairing d alpha on E, batched over points, in closed form.
 
     ``basis`` stacks the values of (e_1, e_2, e_3, transverse), shape
-    (n, 4, dim); ``brEE`` stacks the brackets [e_1, e_2], [e_1, e_3],
-    [e_2, e_3], shape (n, 3, dim).  The pairing B_ij is the transverse component
-    of [e_i, e_j], from one square solve in that frame of TM.  Returns the
-    unnormalized kernel vector (n, dim), signed along the declared W values
-    ``wdecl``, and the mask of points where the pairing has rank 2.  Raises
-    :class:`FrameDegenerate` where E and the transverse section are no frame.
+    (n, 4, 4); ``brEE`` stacks the brackets [e_1, e_2], [e_1, e_3],
+    [e_2, e_3], shape (n, 3, 4).  With alpha(v) = det(e_1, e_2, e_3, v), the
+    form with kernel E, the pairing is b_ij = alpha([e_i, e_j]) / alpha(T) =
+    -d alpha(e_i, e_j) / alpha(T): the T-component of [e_i, e_j] in the frame
+    (e_1, e_2, e_3, T).  The kernel of the skew 3x3 matrix (b_ij) is its
+    Hodge dual, W = b_23 e_1 - b_13 e_2 + b_12 e_3, and its singular values
+    are (|b|, |b|, 0), so it has rank 2 exactly where |b| >= ``tol``.
+    Returns W unnormalized (n, 4), signed along the declared W values
+    ``wdecl``, and that rank-2 mask.  Raises :class:`FrameDegenerate` where
+    |alpha(T)| is at most 1e-10 of the product of the row lengths of
+    ``basis``: E and the transverse section are no frame of TM.
     """
-    coef = frame_coords(basis, brEE, "E and the transverse section do not span TM")[:, :, 3]
-    B = np.zeros((len(coef), 3, 3))
-    for k, (i, j) in enumerate(_E_PAIRS):
-        B[:, i, j] = coef[:, k]
-        B[:, j, i] = -coef[:, k]
-    _, sv, vt = np.linalg.svd(B)
-    wvec = np.einsum("nk,nkd->nd", vt[:, -1, :], basis[:, :3])
+    alpha = _annihilator(basis[:, :3])
+    aT = np.einsum("nd,nd->n", alpha, basis[:, 3])
+    scale = np.sqrt(np.einsum("nkd,nkd->nk", basis, basis)).prod(axis=-1)
+    if not np.all(np.abs(aT) > 1e-10 * scale):
+        raise FrameDegenerate("E and the transverse section do not span TM")
+    b12, b13, b23 = np.einsum("nkd,nd->kn", brEE, alpha) / aT
+    wvec = (b23[:, None] * basis[:, 0] - b13[:, None] * basis[:, 1]
+            + b12[:, None] * basis[:, 2])
     sign = np.sign(np.einsum("nd,nd->n", wvec, wdecl))
     sign[sign == 0] = 1.0
-    return wvec * sign[:, None], sv[:, 1] >= tol
+    return wvec * sign[:, None], np.sqrt(b12 * b12 + b13 * b13 + b23 * b23) >= tol
 
 
 def cauchy_characteristic(s: EngelStructure, p: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the kernel of the bracket pairing on E at ``p``.
+    """Unit vector spanning the kernel of d alpha on E at ``p``.
 
-    Accepts a single point or a batch, or ``None``, which goes to the model
-    as its points: a Lie model's base point, refused on a chart with
-    :class:`DimensionMismatch`.  The sign is aligned with the structure's
-    declared W section.  Raises :class:`DegenerateKernel` when the pairing
-    has rank < 2 (E is not even-contact there) and :class:`FrameDegenerate`
-    when E and the transverse section do not span TM.
+    With alpha(v) = det(e_1, e_2, e_3, v) and b_ij = alpha([e_i, e_j]) /
+    alpha(T) for the transverse section T, the kernel is b_23 e_1 - b_13 e_2
+    + b_12 e_3 (see :func:`_pairing_kernel`).  Accepts a single point or a
+    batch, or ``None``, which goes to the model as its points: a Lie model's
+    base point, refused on a chart with :class:`DimensionMismatch`.  The sign
+    is aligned with the structure's declared W section.  Raises
+    :class:`DegenerateKernel` when the pairing has rank < 2, |b| < RANK_TOL
+    (E is not even-contact there), and :class:`FrameDegenerate` when E and
+    the transverse section do not span TM.
     """
     pts = None if p is None else np.atleast_2d(np.asarray(p, dtype=float))
     vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
@@ -179,7 +203,7 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
     try:
         wvec, ok = _pairing_kernel(vals[:, :4], brEE, vals[:, 4], tol)
         angle[ok] = line_angle(wvec, vals[:, 4])[ok]
-    except (FrameDegenerate, np.linalg.LinAlgError, ValueError):
+    except FrameDegenerate:
         pass   # degenerate declared data; the rank records carry the failure
 
     marginal = marg_D | marg_E | marg_EE

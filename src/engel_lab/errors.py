@@ -61,7 +61,7 @@ class FrameDegenerate(EngelLabError):
 
 
 class MonotonicityViolation(EngelLabError):
-    """A developing-map angle failed to be strictly monotone."""
+    """A developing-map angle steps back by more than rounding, or is NaN."""
 
 
 class AmbiguousClass(EngelLabError):

@@ -585,6 +585,20 @@ class TestDeveloping:
         with pytest.raises(MonotonicityViolation):
             developing_map(orbit_like)
 
+    def test_rounding_steps_are_flagged_not_refused(self):
+        # the floor is 4 ulps of pi here: a step of -1e-15 or 1e-13 is flat
+        # (counted, with the time it starts), a step of -1e-14 a violation
+        def path(angle):
+            return dyn.OrbitTrace(times=np.linspace(0, 1, 6), points=np.zeros((6, 4)),
+                                  M=np.broadcast_to(np.eye(2), (6, 2, 2)).copy(),
+                                  angle=np.array(angle), dets=np.ones(6))
+
+        dev = developing_map(path([0.0, 0.1, 0.2, 0.2 - 1e-15, 0.2 + 1e-13, 0.3]))
+        assert (dev.n_flat, dev.first_flat_t, dev.length) == (2, 0.4, 0.3)
+        assert developing_map(path([0.0, 0.1, 0.2, 0.25, 0.3, 0.4])).n_flat == 0
+        with pytest.raises(MonotonicityViolation):
+            developing_map(path([0.0, 0.1, 0.2, 0.2 - 1e-14, 0.25, 0.3]))
+
     def test_transport_needs_its_determinants(self):
         M = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
         for dets in (None, np.ones(4)):

@@ -423,6 +423,19 @@ def test_transport_overflow_exits_1(tmp_path, capsys, argv, why):
     assert code == 1 and err.startswith(f"error: {why} at t = ") and "Warning" not in err
 
 
+@pytest.mark.parametrize("T", ["30", "40", "60"])
+def test_converged_orbit_is_flagged_not_refused(tmp_path, capsys, T):
+    # the D/W angle of this hyperbolic orbit converges to the invariant line
+    # at arctan 2: from t = 23.5 its steps fall below 1e-12 and then to
+    # rounding of either sign, which the console line counts as flat steps
+    code = run(["orbit", "--preset", "lorentz-magnetic-lie", "--kappa", "-0.5", "-T", T,
+                "--dt", "0.02", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0 and " flat steps from t=23.5) -> " in out
+    doc = json.loads((tmp_path / "orbit_lorentz-magnetic-lie.json").read_text())
+    assert abs(doc["developing_length"] - np.arctan(2)) < 1e-12
+
+
 class TestRigidityCommand:
     def test_small_run(self, tmp_path, capsys):
         code = run(["rigidity", "--trials", "60", "--out", str(tmp_path)])

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from engel_lab.engel_verify import (
+    _E_PAIRS,
     EngelStructure,
+    _pairing_kernel,
     cauchy_characteristic,
     darboux_standard,
     line_angle,
     sample_box,
     verify_engel,
 )
-from engel_lab.errors import DegenerateKernel, DimensionMismatch
-from engel_lab.frame_algebra import ChartModel, Section, coordinate_frame
-from engel_lab.presets import build_preset
+from engel_lab.errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
+from engel_lab.frame_algebra import RANK_TOL, ChartModel, Section, coordinate_frame, frame_coords
+from engel_lab.presets import build_preset, preset_names
 from engel_lab.serialize import dumps_canonical
 
 
@@ -135,6 +137,88 @@ class TestCauchy:
             q, _ = np.linalg.qr(Dv[i].T)
             resid = w[i] - q @ (q.T @ w[i])
             assert np.linalg.norm(resid) < 1e-6
+
+
+
+def reference_pairing(basis, brEE):
+    """The pairing b = (b12, b13, b23), (n, 3): the transverse coordinate of
+    each [e_i, e_j] from one square solve in the frame (e_1, e_2, e_3, T)."""
+    return frame_coords(basis, brEE, "E and the transverse section do not span TM")[:, :, 3]
+
+
+def reference_pairing_kernel(basis, brEE, wdecl, tol):
+    """The kernel of the pairing by a full SVD of the skew matrix (b_ij),
+    signed along ``wdecl``, and the mask sv[1] >= tol."""
+    coef = reference_pairing(basis, brEE)
+    B = np.zeros((len(coef), 3, 3))
+    for k, (i, j) in enumerate(_E_PAIRS):
+        B[:, i, j] = coef[:, k]
+        B[:, j, i] = -coef[:, k]
+    _, sv, vt = np.linalg.svd(B)
+    wvec = np.einsum("nk,nkd->nd", vt[:, -1, :], basis[:, :3])
+    sign = np.sign(np.einsum("nd,nd->n", wvec, wdecl))
+    sign[sign == 0] = 1.0
+    return wvec * sign[:, None], sv[:, 1] >= tol
+
+
+def pairing_inputs(s, n):
+    """(basis, brackets, declared W) at ``n`` Halton points of the model, as
+    ``verify_engel`` passes them to the pairing."""
+    pts = s.model.sample(n)
+    vals = s.model.values([*s.E_span, s.transverse_section, s.W_section], pts)
+    return vals[:, :4], s.model.brackets(s.E_span, _E_PAIRS, pts), vals[:, 4]
+
+
+PAIRING_PRESETS = [name for name in preset_names() if name != "integrable-counterexample"]
+
+
+class TestClosedFormPairing:
+    @pytest.mark.parametrize("name", PAIRING_PRESETS)
+    def test_matches_solve_and_svd(self, preset_cache, name):
+        basis, brEE, wdecl = pairing_inputs(preset_cache(name)["structure"], 64)
+        want, want_ok = reference_pairing_kernel(basis, brEE, wdecl, RANK_TOL)
+        got, ok = _pairing_kernel(basis, brEE, wdecl, RANK_TOL)
+        assert np.array_equal(ok, want_ok) and ok.all()
+        assert line_angle(got, want).max() <= 1e-13
+        assert np.all(np.einsum("nd,nd->n", got, want) > 0)    # the same sign
+
+    @pytest.mark.parametrize("name", ["lorentz-magnetic", "propellor-cat"])
+    def test_rank_mask_at_the_tolerance(self, preset_cache, name):
+        # singular values of a skew 3x3 matrix are (|b|, |b|, 0): the mask
+        # |b| >= tol decides as sv[1] >= tol does, a part in 1e6 either side
+        basis, brEE, wdecl = pairing_inputs(preset_cache(name)["structure"], 64)
+        side = np.where(np.arange(64) % 2 == 0, 1.0, -1.0)
+        b = np.linalg.norm(reference_pairing(basis, brEE), axis=1)
+        scaled = brEE * (RANK_TOL * (1 + 1e-6 * side) / b)[:, None, None]
+        _, want = reference_pairing_kernel(basis, scaled, wdecl, RANK_TOL)
+        _, got = _pairing_kernel(basis, scaled, wdecl, RANK_TOL)
+        assert np.array_equal(want, side > 0)
+        assert np.array_equal(got, want)
+
+    def test_no_linalg_call(self, preset_cache, monkeypatch):
+        inputs = pairing_inputs(preset_cache("lorentz-magnetic")["structure"], 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for fn in ("det", "solve", "svd", "norm", "inv", "qr", "lstsq", "eig", "eigh"):
+            monkeypatch.setattr(np.linalg, fn, refuse)
+        _, ok = _pairing_kernel(*inputs, RANK_TOL)
+        assert ok.all()
+
+    @pytest.mark.parametrize("name", ["darboux", "lorentz-magnetic-lie"])
+    def test_angle_error_is_exactly_zero(self, preset_cache, name):
+        rep = verify_engel(preset_cache(name)["structure"], n_samples=200)
+        assert np.all(rep.cauchy_angle_error == 0.0)
+        assert rep.summary["max_cauchy_angle_error"] == 0.0
+
+    def test_counterexample_frame_is_refused_and_angles_null(self, preset_cache):
+        s = preset_cache("integrable-counterexample")["structure"]
+        with pytest.raises(FrameDegenerate, match="do not span TM"):
+            _pairing_kernel(*pairing_inputs(s, 8), RANK_TOL)
+        doc = json.loads(dumps_canonical(verify_engel(s, n_samples=8).to_json_dict()))
+        assert doc["summary"]["max_cauchy_angle_error"] is None
+        assert [rec["cauchy_angle_error"] for rec in doc["records"]] == [None] * 8
 
 
 def test_line_angle_keeps_small_angles():
