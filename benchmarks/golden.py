@@ -52,6 +52,7 @@ ORBITS = (
     ["--preset", "propellor-cat", "-T", "1", "--dt", "0.01"],
     ["--preset", "lorentz-magnetic-lie", "--kappa", "-1", "-T", "10"],
     ["--preset", "lorentz-product-lie", "--kappa", "0.5", "-T", "10"],
+    ["--preset", "magnetic-bump", "-T", "2"],
 )
 # rigidity edge cases: fewer trials than the 100 integral-identity curves,
 # and a trial count that is no multiple of the probe's block

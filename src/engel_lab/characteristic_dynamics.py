@@ -535,8 +535,10 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
     start points are integrated in one batch, and an orbit that leaves the
     chart is cut back from its exit by :func:`orbits_within_chart`; a cut
     orbit whose sigma1 still rises below the growth floor is ``unknown``,
-    not elliptic.  Where sigma1^2 or a growth-fit statistic leaves the
-    finite floats it raises :class:`NonFiniteEvaluation`, not a verdict.
+    not elliptic.  A sigma1^2 past the largest float is an infinite
+    distortion, and the linear law is fitted to sigma1 scaled by a power of
+    two; where a growth-fit statistic still leaves the finite floats it
+    raises :class:`NonFiniteEvaluation`, not a verdict.
     """
     if n_orbits < 1:
         raise ValueError(f"n_orbits must be >= 1, got {n_orbits}")
@@ -553,11 +555,10 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         tsel = np.abs(orbit.times[sel])    # elapsed time: a backward orbit grows too
         sigma1 = np.linalg.svd(Mn, compute_uv=False)[:, 0]
         # |det Mn| = 1, so sigma1 / sigma2 = sigma1^2; the smaller singular
-        # value itself drowns in rounding once sigma1 passes about 1e8
-        if not (fin := sigma1 <= 1e154).all():    # sigma1^2 below the largest float
-            raise NonFiniteEvaluation(f"distortion sigma1^2 leaves the finite floats at "
-                                      f"t = {orbit.times[sel][np.argmin(fin)]:.6g}")
-        distortion = float(np.max(sigma1 ** 2))
+        # value itself drowns in rounding once sigma1 passes about 1e8.  Past
+        # the largest float the distortion is inf, which is not elliptic
+        with np.errstate(over="ignore"):
+            distortion = float(np.max(sigma1 ** 2))
         monotone = float(np.mean(np.diff(sigma1) >= -1e-12)) if len(sigma1) > 1 else 1.0
         growing = (sigma1[-1] > 1.3 and sigma1[-1] >= 0.95 * sigma1.max()
                    and monotone > 0.9)
@@ -566,7 +567,11 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         slope = r2_exp = lin_slope = lin_r2 = None
         if growing:
             slope, r2_exp = _linear_fit(tsel, np.log(sigma1))
-            lin_slope, lin_r2 = _linear_fit(tsel, sigma1)
+            # sigma1 scaled by a power of two below 1, exactly, so the fit's
+            # squares stay finite however far sigma1 has grown
+            k = int(np.frexp(sigma1.max())[1])
+            lin_slope, lin_r2 = _linear_fit(tsel, np.ldexp(sigma1, -k))
+            lin_slope = float(np.ldexp(lin_slope, k))
         ev = {"slope": slope, "r2_exp": r2_exp, "lin_slope": lin_slope,
               "lin_r2": lin_r2, "monotone_fraction": monotone,
               "max_distortion": distortion,
@@ -666,12 +671,11 @@ def geodesic_projection_check(ext: LorentzExtension, orbit: OrbitTrace) -> dict:
     acc = _fd1(vel, dt)
     speed2 = (vel ** 2).sum(axis=1)
     psidot = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed2
-    du = 0.5 * surface.dlog_at(xy)
-    omega = du[:, 1] * vel[:, 0] - du[:, 0] * vel[:, 1]
+    lam, dx, dy = surface.lam_dlog_at(xy[:, 0], xy[:, 1])
+    omega = 0.5 * dy * vel[:, 0] - 0.5 * dx * vel[:, 1]
     kappa_g = psidot - omega
     kappa = ext.kappa_at(orbit.points)
     phidot = _fd1(orbit.points[:, 3], dt)
-    lam = surface.lam_at(xy)
     speed = np.sqrt(lam * speed2)
     r1 = kappa_g + kappa
     r2 = kappa_g - (phidot + 1.0)

@@ -164,6 +164,8 @@ def cmd_orbit(manifest) -> int:
             "points": orbit.points,
             "angle": orbit.angle,
             "developing_length": dev.length,
+            "n_flat": dev.n_flat,
+            "first_flat_t": dev.first_flat_t,
         })
     note = f" (truncated at chart exit t={truncated:g})" if truncated else ""
     flat = (f"; {dev.n_flat} flat steps from t={dev.first_flat_t:g}"

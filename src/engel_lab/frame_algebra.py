@@ -229,7 +229,9 @@ class ChartModel:
     declares periods after which the *structure* closes up along that
     coordinate, which may be shorter than the chart period (the projectivized
     fiber of the Cartan prolongation closes after pi while the angle chart
-    runs to 2*pi).
+    runs to 2*pi).  Raises :class:`DimensionMismatch` when made unless the
+    frame at the box midpoint, as one point and as a batch, is ``dim`` rows
+    of ``dim`` entries.
     """
 
     dim: int
@@ -248,6 +250,12 @@ class ChartModel:
         self.periodic = MappingProxyType(dict(self.periodic))
         self._lo, self._hi = self.box.T.copy()
         self._lo[list(self.periodic)], self._hi[list(self.periodic)] = -_BIG, _BIG
+        # the frame's shape, once: at the box midpoint as one point and as a batch
+        mid = self.point(np.full((1, self.dim), 0.5))
+        for pts in (mid, np.repeat(mid, 2, axis=0)):
+            if (lengths := [*map(len, self.rows(pts))]) != [self.dim] * self.dim:
+                raise DimensionMismatch(f"frame rows have {lengths} entries, "
+                                        f"not {self.dim} rows of {self.dim}")
 
     def values(self, sections: Sequence["Section"], pts: np.ndarray) -> np.ndarray:
         """Chart components of the sections at the points: (n, k, dim), one
@@ -263,27 +271,20 @@ class ChartModel:
         """Each section's ``dim`` chart components at the points as entries of
         a frame row's kinds, from one frame call: component ``j`` is the
         :func:`_entry_sum` of column ``j`` over the section's coefficients."""
-        rows = self._rows_at(pts := _points(pts, self.dim))
+        rows = self.rows(pts := _points(pts, self.dim))
         return [[_entry_sum(terms, rows, j) for j in range(self.dim)]
                 for terms in (self._terms(s, pts) for s in sections)]
 
     def frame(self, pts: np.ndarray) -> np.ndarray:
         """The frame as one array (n, dim, dim), row ``i`` the chart components
         of frame field ``i``: a view of its entry planes (dim, dim, n)."""
-        rows = self._rows_at(pts := _points(pts, self.dim))
+        rows = self.rows(pts := _points(pts, self.dim))
         F = np.zeros((self.dim, self.dim, len(pts)))
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
                 if type(e) is not int or e:     # an int entry 0 is in place already
                     F[i, j] = e
         return F.transpose(2, 0, 1)
-
-    def _rows_at(self, pts: np.ndarray) -> Sequence:
-        """The frame rows at a batch (n, dim), checked to be dim rows of dim entries."""
-        rows, dim = self.rows(pts), self.dim
-        if (lengths := [*map(len, rows)]) != [dim] * dim:
-            raise DimensionMismatch(f"frame rows have {lengths} entries, not {dim} rows of {dim}")
-        return rows
 
     def field(self, section: "Section") -> ChartVectorField:
         """The section as an evaluable chart field of a batch (n, dim):
@@ -295,7 +296,7 @@ class ChartModel:
         terms = self._terms(section)
 
         def components(pts):
-            rows, out = self._rows_at(pts), np.empty(pts.shape)
+            rows, out = self.rows(pts), np.empty(pts.shape)
             for j in range(self.dim):
                 out[:, j] = _entry_sum(terms, rows, j)
             return out
@@ -314,7 +315,7 @@ class ChartModel:
         chart, else None: a constant section whose nonzero coefficients read
         only int entries, which are the same number at every point, so its
         field at the box midpoint is its field everywhere, bit for bit."""
-        rows = self._rows_at(mid := self.point(np.full((1, self.dim), 0.5)))
+        rows = self.rows(mid := self.point(np.full((1, self.dim), 0.5)))
         if section.is_constant and all(type(e) is int for i, _ in self._terms(section)
                                        for e in rows[i]):
             return self.values([section], mid)[0, 0]

@@ -10,9 +10,11 @@ horizontal fields satisfy
 
 Constant-curvature models exist twice: as exact Lie models (for closed-form
 holonomy) and as chart realizations via lambda = 4 / (1 + kappa r^2)^2, so
-the exact and numerical paths cross-validate.  A chart frame comes from
-lambda and its analytic log-derivatives; a chart W takes the kappa a
-constant-curvature surface declares.
+the exact and numerical paths cross-validate.  A surface is two functions
+of coordinate columns, ``lam_dlog`` and ``d2log``, as a frame's entries are.
+A chart frame comes from lambda and its analytic log-derivatives; a chart W
+takes the kappa a constant-curvature surface declares, else
+:func:`gauss_curvature` on the x, y columns, float arithmetic at one point.
 
 Every chart that adds a last fiber coordinate to a base is laid out by
 :func:`fiber_chart`; both extensions build their Lie twin and their chart
@@ -46,14 +48,13 @@ def _columns(pts: np.ndarray) -> list:
 
 @dataclass
 class ConformalSurface:
-    """Metric lambda (dx^2 + dy^2) on a chart box in R^2.
+    """Metric lambda (dx^2 + dy^2) on a chart box in R^2, given as two
+    functions of coordinate columns (see :func:`_columns`).
 
-    ``lam_dlog(x, y) -> (lambda, d_x log(lambda), d_y log(lambda))`` takes
-    coordinate columns (see :func:`_columns`), so the frame of a single point
-    computes lambda and its first log-derivatives from shared
-    subexpressions in floats.  ``d2log(pts) -> (n, 3)`` gives the second
-    log-derivatives ordered (xx, xy, yy) at a batch (n, 2).  ``lam_at``,
-    ``dlog_at`` and ``d2log_at`` evaluate a batch of points.
+    ``lam_dlog(x, y) -> (lambda, d_x log(lambda), d_y log(lambda))`` and
+    ``d2log(x, y) -> (xx, xy, yy)``, the second log-derivatives, each compute
+    from shared subexpressions, in floats at a single point and on (n,)
+    columns at a batch.  :meth:`lam_dlog_at` is the checked reader.
     ``kappa`` is the Gauss curvature of a constant-curvature surface,
     declared as a number, or ``None``; :func:`gauss_curvature` always
     computes the curvature from lambda.
@@ -61,7 +62,7 @@ class ConformalSurface:
 
     lam_dlog: Callable
     box: np.ndarray
-    d2log: Callable[[np.ndarray], np.ndarray]
+    d2log: Callable
     kappa: Optional[float] = None
     periodic: dict = field(default_factory=dict)
     name: str = ""
@@ -77,26 +78,15 @@ class ConformalSurface:
             raise NonFiniteEvaluation("conformal factor must be finite and positive")
         return lam, dx, dy
 
-    def lam_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.asarray(self.lam_dlog_at(pts[:, 0], pts[:, 1])[0], dtype=float)
 
-    def dlog_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.stack(self.lam_dlog_at(pts[:, 0], pts[:, 1])[1:], axis=-1)
-
-    def d2log_at(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.d2log(np.atleast_2d(pts)), dtype=float)
-
-
-def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarray]:
-    """kappa = -Laplace(log lambda) / (2 lambda)."""
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
-    d2 = s.d2log_at(pts)
-    k = -(d2[:, 0] + d2[:, 2]) / (2.0 * s.lam_at(pts))
+def gauss_curvature(s: ConformalSurface, x, y) -> Union[float, np.ndarray]:
+    """kappa = -Laplace(log lambda) / (2 lambda) at coordinate columns: a
+    float at a single point, (n,) at a batch."""
+    xx, _, yy = s.d2log(x, y)
+    k = -(xx + yy) / (2.0 * s.lam_dlog_at(x, y)[0])
     if not np.isfinite(k).all():
         raise NonFiniteEvaluation("curvature evaluation produced NaN or inf")
-    return float(k[0]) if np.asarray(p).ndim == 1 else k
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +96,7 @@ def gauss_curvature(s: ConformalSurface, p: np.ndarray) -> Union[float, np.ndarr
 def flat_surface(half: float = np.pi) -> ConformalSurface:
     return ConformalSurface(
         lam_dlog=lambda x, y: (np.ones_like(x), np.zeros_like(x), np.zeros_like(y)),
-        d2log=lambda pts: np.zeros((len(pts), 3)),
+        d2log=lambda x, y: (np.zeros_like(x), np.zeros_like(x), np.zeros_like(y)),
         box=[[-half, half], [-half, half]],
         kappa=0.0,
         periodic={0: 2 * half, 1: 2 * half},
@@ -133,16 +123,11 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
         g = -4.0 * kappa / q
         return 4.0 / (q * q), g * x, g * y
 
-    def d2log(pts):
+    def d2log(x, y):
         # with q = 1 + kappa r^2: d_ij log(lambda) = a delta_ij + b x_i x_j / q^2
-        x, y = pts[:, 0], pts[:, 1]
         q = 1.0 + kappa * (x * x + y * y)
-        a, b, q2 = -4.0 * kappa / q, 8.0 * kappa ** 2, q ** 2
-        out = np.empty((len(x), 3))
-        out[:, 0] = a + b * x * x / q2    # xx
-        out[:, 1] = b * x * y / q2        # xy
-        out[:, 2] = a + b * y * y / q2    # yy
-        return out
+        a, b, q2 = -4.0 * kappa / q, 8.0 * (kappa * kappa), q * q
+        return a + b * x * x / q2, b * x * y / q2, a + b * y * y / q2
 
     name = {1.0: "sphere", -1.0: "disk"}.get(kappa, f"constant({kappa:g})")
     return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log, kappa=kappa,
@@ -151,7 +136,7 @@ def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSur
 
 def bump_surface(a: float = 0.7, s: float = 0.9, half: float = 0.8) -> ConformalSurface:
     """log(lambda) = a exp(-r^2 / (2 s^2)): smooth variable curvature."""
-    s2 = float(s) ** 2
+    s2 = float(s) * float(s)
 
     def g(x, y):
         return a * np.exp(-(x * x + y * y) / (2 * s2))
@@ -160,13 +145,11 @@ def bump_surface(a: float = 0.7, s: float = 0.9, half: float = 0.8) -> Conformal
         gg = g(x, y)
         return np.exp(gg), gg * (-x / s2), gg * (-y / s2)
 
-    def d2log(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        gg = g(x, y)
-        fxx = gg * (x * x / s2 ** 2 - 1.0 / s2)
-        fyy = gg * (y * y / s2 ** 2 - 1.0 / s2)
-        fxy = gg * (x * y / s2 ** 2)
-        return np.stack([fxx, fxy, fyy], axis=-1)
+    def d2log(x, y):
+        gg, s4 = g(x, y), s2 * s2
+        return (gg * (x * x / s4 - 1.0 / s2),       # xx
+                gg * (x * y / s4),                  # xy
+                gg * (y * y / s4 - 1.0 / s2))       # yy
 
     return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log,
                             box=[[-half, half], [-half, half]], name="bump")
@@ -185,10 +168,8 @@ def table_surface(xs, ys, lam_grid, name: str = "table") -> ConformalSurface:
     def lam_dlog(x, y):
         return np.exp(sp.ev(x, y)), sp.ev(x, y, dx=1), sp.ev(x, y, dy=1)
 
-    def d2log(pts):
-        return np.stack([sp.ev(pts[:, 0], pts[:, 1], dx=2),
-                         sp.ev(pts[:, 0], pts[:, 1], dx=1, dy=1),
-                         sp.ev(pts[:, 0], pts[:, 1], dy=2)], axis=-1)
+    def d2log(x, y):
+        return sp.ev(x, y, dx=2), sp.ev(x, y, dx=1, dy=1), sp.ev(x, y, dy=2)
 
     return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log,
                             box=[[xs[0], xs[-1]], [ys[0], ys[-1]]], name=name)
@@ -292,9 +273,8 @@ class LorentzExtension:
 
     def kappa_at(self, pts: np.ndarray) -> np.ndarray:
         """kappa at a batch of points (n, dim): (n,)."""
-        if callable(self.kappa):
-            return np.asarray(self.kappa(pts), dtype=float)
-        return np.full(pts.shape[0], float(self.kappa))
+        return np.full(len(pts), self.kappa(pts) if callable(self.kappa) else self.kappa,
+                       dtype=float)
 
 
 def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
@@ -317,7 +297,7 @@ def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
         surface = ut.surface
         model = fiber_chart(ut.model, rows, f"{kind}({surface.name})")
         kappa = surface.kappa if surface.kappa is not None else (
-            lambda pts: gauss_curvature(surface, pts[:, :2]))
+            lambda pts: gauss_curvature(surface, *_columns(pts)[:2]))
     return LorentzExtension(kind=kind, base=ut, model=model, kappa=kappa,
                             m_metric_diag=np.array(m_metric_diag))
 

@@ -169,7 +169,7 @@ def lorentz_prolongation(ext: LorentzExtension) -> EngelStructure:
         tau = Section((1, 0, 0, 0), "X")
     elif ext.kind == "magnetic":
         if callable(ext.kappa):
-            W = Section(lambda pts: (1, 0, 1, -(1.0 + ext.kappa_at(pts))), "W")
+            W = Section(lambda pts: (1, 0, 1, -(1.0 + ext.kappa(pts))), "W")
         else:
             W = Section((1, 0, 1, -(1.0 + float(ext.kappa))), "W")
         D = [Section((1, 0, 1, 0), "L"), Section((0, 0, 0, 1), "Theta")]
@@ -209,19 +209,13 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     """
     base = c.model
     pts = base.sample(_CURVATURE_CHECKS)
-    # beta's columns as one (n, 3) array for the jacobian, J[:, j, i] = d_i beta_j
+    # beta's columns as one (n, 3) array for the jacobian, J[:, j, i] = d_i beta_j;
+    # in the coordinate frame d(beta) = i_w vol reads curl beta = rho w
     J = fd_jacobian(Section(lambda q: beta(*q.T)).coeff_at, pts, FD_STEP)
-    db = np.swapaxes(J, 1, 2) - J               # (d beta)_ij = d_i beta_j - d_j beta_i
-    wv = base.values([w_bar], pts)[:, 0]
-    rho = np.asarray(vol(pts), dtype=float)
-    iv = np.zeros_like(db)
-    iv[:, 0, 1] = rho * wv[:, 2]
-    iv[:, 1, 0] = -iv[:, 0, 1]
-    iv[:, 0, 2] = -rho * wv[:, 1]
-    iv[:, 2, 0] = -iv[:, 0, 2]
-    iv[:, 1, 2] = rho * wv[:, 0]
-    iv[:, 2, 1] = -iv[:, 1, 2]
-    defect = float(np.abs(db - iv).max())
+    curl = np.stack([J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0],
+                     J[:, 1, 0] - J[:, 0, 1]], axis=-1)
+    rho = np.asarray(vol(pts), dtype=float)[..., None]
+    defect = float(np.abs(curl - rho * base.values([w_bar], pts)[:, 0]).max())
     if not defect <= _CURVATURE_TOL:    # a NaN defect is refused too
         raise CurvatureMismatch(
             f"d(beta) differs from i_w vol by {defect:.3e} (tol {_CURVATURE_TOL:g})")

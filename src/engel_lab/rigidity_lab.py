@@ -353,7 +353,7 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     times, (pts3,), _ = _rk4_orbits(X, np.asarray(p0, dtype=float), T, _DT)
     xy = pts3[:, :2]
     phi = pts3[:, 2]
-    lam = surface.lam_at(xy)
+    lam = surface.lam_dlog_at(xy[:, 0], xy[:, 1])[0]
     beta_dot = (lam ** -0.5)[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
     if eta is None:
@@ -368,11 +368,12 @@ def null_variation_check(surface: ConformalSurface, p0=(0.0, 0.0, 0.3),
     def theta_of(s):
         curve = xy + s * eta_t
         vel = np.gradient(curve, _DT, axis=0)
-        speed = np.sqrt(surface.lam_at(curve) * (vel ** 2).sum(axis=1))
+        metric = surface.lam_dlog_at(curve[:, 0], curve[:, 1])[0] * (vel ** 2).sum(axis=1)
+        speed = np.sqrt(metric)
         theta = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * _DT)])
         # null defect of the lifted curve: dh(B', B') - (theta')^2
         thdot = np.gradient(theta, _DT)
-        defect = surface.lam_at(curve) * (vel ** 2).sum(axis=1) - thdot ** 2
+        defect = metric - thdot ** 2
         if np.abs(defect[interior]).max() > max(_NULL_TOL, 1e3 * _DT ** 2):
             raise NotNull("null constraint drifted beyond tolerance")
         return theta

@@ -800,15 +800,17 @@ class TestGlobalType:
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflow_is_reported_not_classified(self, preset_cache):
+    def test_overflowing_distortion_is_still_classified(self, preset_cache):
         # sigma1 ~ e^(t/2) at kappa = -0.5: its square leaves the finite
-        # floats past t = log(max float) = 709.8, named at the first sample
-        # after it; the growth fits once read inf and NaN there and demoted
-        # the orbit to unknown
+        # floats past t = log(max float) = 709.8, an infinite distortion that
+        # is not elliptic; the linear law is fitted to sigma1 scaled by a
+        # power of two, so the orbit still reads as hyperbolic
         s = preset_cache("lorentz-magnetic-lie", kappa=-0.5)["structure"]
-        with pytest.raises(NonFiniteEvaluation, match=r"sigma1\^2 leaves the finite floats at "
-                                                      r"t = 7\d\d"):
-            estimate_global_type(s, n_orbits=1, T_max=1000.0, dt=0.05)
+        est = estimate_global_type(s, n_orbits=1, T_max=1000.0, dt=0.05)
+        [ev] = est.evidence["orbits"]
+        assert est.label() == "Hyperbolic (genuine)"
+        assert abs(ev["slope"] - 0.5) < 1e-9 and ev["r2_exp"] > 0.999999
+        assert ev["max_distortion"] == np.inf and np.isfinite(ev["lin_slope"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fit_overflow_is_reported(self):

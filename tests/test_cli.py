@@ -411,9 +411,8 @@ class TestOrbitCommand:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, why", [
-    # sigma1 ~ e^(t/2) at kappa = -0.5: its square overflows past t = 709.8,
-    # M itself past t = 1419.6; neither is read as a growth law or an angle
-    (["classify", "-T", "1400", "--dt", "0.05"], "distortion sigma1^2 leaves the finite floats"),
+    # M grows like e^(t/2) at kappa = -0.5 and leaves the finite floats past
+    # t = 1419.6; it is not read as an angle
     (["orbit", "-T", "2000", "--dt", "0.02"], "E/W transport M or det M leaves the finite floats"),
 ])
 def test_transport_overflow_exits_1(tmp_path, capsys, argv, why):
@@ -423,17 +422,41 @@ def test_transport_overflow_exits_1(tmp_path, capsys, argv, why):
     assert code == 1 and err.startswith(f"error: {why} at t = ") and "Warning" not in err
 
 
-@pytest.mark.parametrize("T", ["30", "40", "60"])
-def test_converged_orbit_is_flagged_not_refused(tmp_path, capsys, T):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_distortion_is_classified(tmp_path, capsys):
+    # sigma1 ~ e^(t/2) at kappa = -0.5: its square overflows past t = 709.8,
+    # an infinite distortion written as null, while both growth laws are fitted
+    code = run(["classify", "-T", "1400", "--dt", "0.05", "--preset", "lorentz-magnetic-lie",
+                "--kappa", "-0.5", "--out", str(tmp_path)])
+    assert code == 0 and ": Hyperbolic (genuine) -> " in capsys.readouterr().out
+    doc = json.loads((tmp_path / "classify_lorentz-magnetic-lie.json").read_text())
+    [ev] = doc["evidence"]["orbits"]
+    assert abs(ev["slope"] - 0.5) < 1e-9 and ev["max_distortion"] is None
+
+
+@pytest.mark.parametrize("T, n_flat", [("30", 325), ("40", 825), ("60", 1825)])
+def test_converged_orbit_is_flagged_not_refused(tmp_path, capsys, T, n_flat):
     # the D/W angle of this hyperbolic orbit converges to the invariant line
     # at arctan 2: from t = 23.5 its steps fall below 1e-12 and then to
-    # rounding of either sign, which the console line counts as flat steps
+    # rounding of either sign, which the console line and the artifact count
+    # as flat steps
     code = run(["orbit", "--preset", "lorentz-magnetic-lie", "--kappa", "-0.5", "-T", T,
                 "--dt", "0.02", "--out", str(tmp_path)])
     out = capsys.readouterr().out
-    assert code == 0 and " flat steps from t=23.5) -> " in out
+    assert code == 0 and f"; {n_flat} flat steps from t=23.5) -> " in out
     doc = json.loads((tmp_path / "orbit_lorentz-magnetic-lie.json").read_text())
     assert abs(doc["developing_length"] - np.arctan(2)) < 1e-12
+    assert doc["n_flat"] == n_flat and abs(doc["first_flat_t"] - 23.5) <= 0.02
+
+
+def test_orbit_json_without_flat_steps(tmp_path):
+    # before the angle converges no step is flat: the artifact says 0 and null
+    # after the developing length
+    code = run(["orbit", "--preset", "lorentz-magnetic-lie", "--kappa", "-0.5", "-T", "20",
+                "--dt", "0.02", "--out", str(tmp_path)])
+    doc = json.loads((tmp_path / "orbit_lorentz-magnetic-lie.json").read_text())
+    assert code == 0 and list(doc)[-3:] == ["developing_length", "n_flat", "first_flat_t"]
+    assert doc["n_flat"] == 0 and doc["first_flat_t"] is None
 
 
 class TestRigidityCommand:

@@ -391,17 +391,14 @@ class TestModelProtocol:
                     s.model.values([s.W_section, sec], pts)
 
     @pytest.mark.parametrize("rows", [
-        coordinate_frame(3), lambda p: (*coordinate_frame(4)(p)[:3], (0, 0, 1))])
+        coordinate_frame(3), lambda p: (*coordinate_frame(4)(p)[:3], (0, 0, 1)),
+        lambda p: coordinate_frame(3 if len(p) == 1 else 4)(p),
+        lambda p: coordinate_frame(4 if len(p) == 1 else 3)(p)])
     def test_frame_of_wrong_shape_is_refused(self, rows):
         # three rows on a 4-dim chart, or four rows of which one has three
-        # entries: values, the fused field and the whole frame refuse them
-        model = ChartModel(4, [[-1, 1]] * 4, rows)
-        dx = Section((1, 0, 0, 0))
-        for pts in (np.zeros((1, 4)), np.zeros((2, 4))):
-            for call in (lambda: model.values([dx], pts), lambda: model.field(dx)(pts),
-                         lambda: model.frame(pts)):
-                with pytest.raises(DimensionMismatch, match="frame rows have"):
-                    call()
+        # entries, at one point or at a batch: the model refuses them when made
+        with pytest.raises(DimensionMismatch, match="frame rows have"):
+            ChartModel(4, [[-1, 1]] * 4, rows)
 
     @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
     def test_constant_field_is_the_whole_frame_sum(self, preset_cache, name):

@@ -37,18 +37,18 @@ class TestGaussCurvature:
     def test_flat_is_zero(self, rng):
         s = flat_surface()
         pts = rng.uniform(-1, 1, (20, 2))
-        assert np.abs(gauss_curvature(s, pts)).max() < 1e-12
+        assert np.abs(gauss_curvature(s, *pts.T)).max() < 1e-12
 
     def test_round_sphere_factor(self, rng):
         # lambda = 4 / (1 + r^2)^2 has curvature exactly 1
         s = constant_curvature_surface(1.0)
         pts = rng.uniform(-0.6, 0.6, (30, 2))
-        assert np.abs(gauss_curvature(s, pts) - 1.0).max() < 1e-6
+        assert np.abs(gauss_curvature(s, *pts.T) - 1.0).max() < 1e-6
 
     def test_poincare_disk_factor(self, rng):
         s = constant_curvature_surface(-1.0)
         pts = rng.uniform(-0.5, 0.5, (30, 2))
-        assert np.abs(gauss_curvature(s, pts) + 1.0).max() < 1e-6
+        assert np.abs(gauss_curvature(s, *pts.T) + 1.0).max() < 1e-6
 
     @pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.5, 1.0, 2.0])
     def test_one_pass_curvature_is_the_generic_formula(self, kappa, rng):
@@ -57,7 +57,7 @@ class TestGaussCurvature:
         s = constant_curvature_surface(kappa)
         assert s.kappa == kappa
         pts = rng.uniform(s.box[:, 0], s.box[:, 1], (200, 2))
-        assert np.abs(gauss_curvature(s, pts) - kappa).max() <= 1e-14
+        assert np.abs(gauss_curvature(s, *pts.T) - kappa).max() <= 1e-14
 
     @pytest.mark.parametrize("surface", SURFACES)
     def test_analytic_log_derivatives_match_differences(self, surface, rng):
@@ -65,16 +65,28 @@ class TestGaussCurvature:
         s = SURFACES[surface]()
         pts = rng.uniform(-0.5, 0.5, (15, 2))
         h = 1e-4
-        log_lam = lambda q: np.log(s.lam_at(q))
-        assert np.abs(s.dlog_at(pts) - fd_jacobian(log_lam, pts, h)).max() < 1e-6
+        log_lam = lambda q: np.log(s.lam_dlog_at(*q.T)[0])
+        dlog = np.stack(s.lam_dlog_at(*pts.T)[1:], axis=-1)
+        assert np.abs(dlog - fd_jacobian(log_lam, pts, h)).max() < 1e-6
         hess = fd_jacobian(lambda q: fd_jacobian(log_lam, q, h), pts, h)
         want = np.stack([hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]], axis=-1)
-        assert np.abs(s.d2log_at(pts) - want).max() < 1e-5
+        assert np.abs(np.stack(s.d2log(*pts.T), axis=-1) - want).max() < 1e-5
+
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_surface_one_point_matches_its_batch_row(self, surface, rng):
+        # surface functions take coordinate columns: floats at one point,
+        # (n,) at a batch; a row of the batch equals its point to the bit
+        s = SURFACES[surface]()
+        pts = rng.uniform(-0.5, 0.5, (32, 2))
+        batch = (*s.lam_dlog_at(*pts.T), *s.d2log(*pts.T), gauss_curvature(s, *pts.T))
+        for i, (x, y) in enumerate(pts.tolist()):
+            one = (*s.lam_dlog_at(x, y), *s.d2log(x, y), gauss_curvature(s, x, y))
+            row = np.array([b[i] for b in batch])
+            assert row.tobytes() == np.array(one, dtype=float).tobytes()
 
     def test_translation_invariance_for_flat(self):
         s = flat_surface()
-        assert gauss_curvature(s, np.array([0.0, 0.0])) == gauss_curvature(
-            s, np.array([0.5, -0.4]))
+        assert gauss_curvature(s, 0.0, 0.0) == gauss_curvature(s, 0.5, -0.4)
 
 
 class TestUnitTangentFrames:
@@ -117,7 +129,7 @@ class TestUnitTangentFrames:
         X, Y, Z = frame_fields(ut.model)
         for _ in range(4):
             p = rng.uniform([-0.5, -0.5, 0], [0.5, 0.5, 2 * np.pi])
-            k = gauss_curvature(surf, p[:2])
+            k = gauss_curvature(surf, *p[:2])
             XY = bracket_chart(ut.model.frame, [(0, 1)], p)[0]
             assert np.abs(XY - k * Z(p[None])[0]).max() < 1e-5
 
@@ -230,7 +242,7 @@ class TestSurfaceConfig:
         xs = np.linspace(-0.8, 0.8, 60)
         ys = np.linspace(-0.8, 0.8, 60)
         ref = constant_curvature_surface(1.0, half=0.8)
-        grid = np.array([[ref.lam_at(np.array([[x, y]]))[0] for y in ys] for x in xs])
+        grid = np.array([[ref.lam_dlog_at(x, y)[0] for y in ys] for x in xs])
         s = table_surface(xs, ys, grid)
         pts = np.array([[0.1, -0.2], [0.3, 0.25], [-0.4, 0.1]])
-        assert np.abs(gauss_curvature(s, pts) - 1.0).max() < 1e-4
+        assert np.abs(gauss_curvature(s, *pts.T) - 1.0).max() < 1e-4

@@ -148,8 +148,21 @@ class TestLorentz:
         frame_vals = np.swapaxes(s.model.frame(pts), 1, 2)
         coef = np.einsum("nkd,nd->nk", np.linalg.pinv(frame_vals), w)
         coef /= coef[:, 0:1]
-        want = -(1.0 + gauss_curvature(surf, pts[:, :2]))
+        want = -(1.0 + gauss_curvature(surf, pts[:, 0], pts[:, 1]))
         assert np.abs(coef[:, 3] - want).max() < 1e-5
+
+    def test_variable_curvature_W_one_point_is_its_batch_row(self, preset_cache):
+        # kappa is float arithmetic at one point, an (n,) column at a batch;
+        # W's field and values at a point equal its row of the batch to the bit
+        s = preset_cache("magnetic-bump")["structure"]
+        pts = s.model.sample(64)
+        field = s.model.field(s.W_section)
+        batch_field, batch_values = field(pts), s.model.values([s.W_section], pts)
+        for i, p in enumerate(pts):
+            assert isinstance(s.W_section.coeffs(p[None])[3], float)
+            assert field(p[None]).tobytes() == batch_field[i:i + 1].tobytes()
+            assert (s.model.values([s.W_section], p[None]).tobytes()
+                    == batch_values[i:i + 1].tobytes())
 
 
 class TestPrequantum:
