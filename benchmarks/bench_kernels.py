@@ -147,20 +147,22 @@ def bench_pairing(B=1000):
     return rows
 
 
-def bench_generator(B=4001):
-    """Wall time of one ``transport_generator`` call at B points (about the
-    half-step grid of a T = 20 orbit at dt = 1e-2): on propellor-cat, one
-    square frame solve per point after central-difference brackets, and on
-    lorentz-magnetic-lie, one exact row for all points."""
+def bench_generator(sizes=(1, 3, 4001)):
+    """Wall time of one ``transport_generator`` call: on propellor-cat at B =
+    1, 3 and 4001 points (one orbit, the batch of ``classify``, and about the
+    half-step grid of a T = 20 orbit at dt = 1e-2), central-difference
+    brackets and Cramer's rule in the frame at every point; and on
+    lorentz-magnetic-lie at B = 4001, one exact row for all points."""
     from engel_lab.characteristic_dynamics import transport_generator
     from engel_lab.presets import build_preset
 
     rows = []
-    for name in ("propellor-cat", "lorentz-magnetic-lie"):
+    for name, batch in (("propellor-cat", sizes), ("lorentz-magnetic-lie", sizes[-1:])):
         s = build_preset(name)["structure"]
-        pts = np.broadcast_to(s.model.sample(B), (B, s.model.dim))
-        t, _ = timeit(transport_generator, s, pts)
-        rows.append((f"transport_generator B={B} {name}", t))
+        for B in batch:
+            pts = np.broadcast_to(s.model.sample(B), (B, s.model.dim))
+            t, _ = timeit(transport_generator, s, pts)
+            rows.append((f"transport_generator B={B} {name}", t))
     return rows
 
 

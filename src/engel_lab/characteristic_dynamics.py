@@ -102,11 +102,12 @@ class HolonomyLift:
         m = np.asarray(self.matrix, dtype=float)
         if not np.isfinite([*m.ravel(), self.winding]).all():
             raise NonFiniteEvaluation("holonomy matrix and winding must be finite")
-        d = float(np.linalg.det(m))
+        d = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         if d <= 0:
             raise DegenerateKernel("holonomy matrix must have positive determinant")
         self.matrix = m / np.sqrt(d)
-        if abs(np.linalg.det(self.matrix) - 1.0) > 1e-9:
+        (a, b), (c, e) = self.matrix
+        if abs(a * e - b * c - 1.0) > 1e-9:
             raise DegenerateKernel("determinant normalization failed")
         self.winding = float(self.winding)
 
@@ -203,9 +204,9 @@ def transport_generator(s: EngelStructure, pts: np.ndarray = None) -> np.ndarray
 
     Batched over points, (n, 2, 2); a Lie model answers one row that
     broadcasts over any points, and without points A itself, (2, 2).  The
-    coordinates come from one square solve in the frame (e1, e2, W,
-    transverse) of TM.  Raises :class:`FrameDegenerate` when (e1, e2, W) fails
-    to resolve the brackets.
+    coordinates come from Cramer's rule in the frame (e1, e2, W, transverse)
+    of TM.  Raises :class:`FrameDegenerate` when (e1, e2, W) fails to resolve
+    the brackets.
     """
     e1, e2 = s.emw_frame
     frame = [e1, e2, s.W_section, s.transverse_section]
@@ -336,8 +337,10 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     last = transport_EmodW(s, integrate_characteristic(s, orbit.points[j], T - times[j],
                                                        abs(T - times[j])), angles=False)
     M = last.normalized_M()[-1] @ orbit.normalized_M()[-1]
-    # the D/W line at the return point, pulled back into the fiber over p0
-    u = np.linalg.solve(M, _dw_coords(s, s.model.wrap(last.points[-1:]))[0])
+    # the D/W line at the return point, pulled back into the fiber over p0 by
+    # adj(M) = det(M) M^{-1}, which has the angle of M^{-1} as det M > 0
+    ((a, b), (c, e)), (d0, d1) = M, _dw_coords(s, s.model.wrap(last.points[-1:]))[0]
+    u = (e * d0 - b * d1, a * d1 - c * d0)
     winding = float(lift_angle_mod_pi([orbit.angle[-1], np.arctan2(u[1], u[0])])[-1]
                     - orbit.angle[0])
     orbit.meta["return_time"] = T

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
-from .frame_algebra import FD_STEP, RANK_TOL, ChartModel, FrameModel, Section, rank_with_margin
+from .frame_algebra import (FD_STEP, RANK_TOL, ChartModel, FrameModel, Section, _annihilator,
+                            _check_frame, rank_with_margin)
 from .frame_algebra import sample_box  # re-exported: the acceptance suite imports it here
 from .geometry_models import _columns
 from .serialize import SCHEMA_VERSION, Records
@@ -104,19 +105,6 @@ def line_angle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where((nu * nv)[:, 0] == 0, np.pi / 2, angle)
 
 
-def _annihilator(E: np.ndarray) -> np.ndarray:
-    """Components (n, 4) of the 1-form alpha(v) = det(e_1, e_2, e_3, v) whose
-    kernel is the span of the rows of ``E`` (n, 3, 4): the signed 3x3 minors
-    of ``E``, expanded along e_3 over the six 2x2 minors of e_1 and e_2."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = np.moveaxis(E, 0, -1)
-    p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
-    p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
-    return np.stack([c2 * p13 - c1 * p23 - c3 * p12,
-                     c0 * p23 - c2 * p03 + c3 * p02,
-                     c1 * p03 - c0 * p13 - c3 * p01,
-                     c0 * p12 - c1 * p02 + c2 * p01], axis=-1)
-
-
 def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol: float):
     """Kernel of the skew pairing d alpha on E, batched over points, in closed form.
 
@@ -135,9 +123,7 @@ def _pairing_kernel(basis: np.ndarray, brEE: np.ndarray, wdecl: np.ndarray, tol:
     """
     alpha = _annihilator(basis[:, :3])
     aT = np.einsum("nd,nd->n", alpha, basis[:, 3])
-    scale = np.sqrt(np.einsum("nkd,nkd->nk", basis, basis)).prod(axis=-1)
-    if not np.all(np.abs(aT) > 1e-10 * scale):
-        raise FrameDegenerate("E and the transverse section do not span TM")
+    _check_frame(aT, basis, "E and the transverse section do not span TM")
     b12, b13, b23 = np.einsum("nkd,nd->kn", brEE, alpha) / aT
     wvec = (b23[:, None] * basis[:, 0] - b13[:, None] * basis[:, 1]
             + b12[:, None] * basis[:, 2])

@@ -1,4 +1,4 @@
-"""Vector fields, frames, Lie brackets, and distribution ranks.
+"""Vector fields, frames, Lie brackets, frame coordinates, and distribution ranks.
 
 Every model in this package is parallelizable and comes in one of two kinds:
 
@@ -41,7 +41,8 @@ point.  A chart combines a section with its frame in one place,
 :meth:`ChartModel.entries`.  A chart ``flow`` integrates the section's
 ``field``; where a constant section's nonzero coefficients read only int
 entries the field is constant in the chart, and every orbit is one prefix sum
-of the RK4 increment.
+of the RK4 increment.  Coordinates in a frame of TM are Cramer's rule on 3x3
+minors (:func:`frame_coords`), with no LAPACK call.
 """
 from __future__ import annotations
 
@@ -503,19 +504,48 @@ def _time_grid(T: float, dt: float) -> tuple[int, np.ndarray]:
     return nsteps, np.linspace(0.0, T, 2 * nsteps + 1)
 
 
+def _annihilator(E: np.ndarray) -> np.ndarray:
+    """Components (..., 4) of the 1-form alpha(v) = det(e_1, e_2, e_3, v) whose
+    kernel is the span of the rows of ``E`` (..., 3, 4): the signed 3x3 minors
+    of ``E``, expanded along e_3 over the six 2x2 minors of e_1 and e_2."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = np.moveaxis(E, (-2, -1), (0, 1))
+    p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    return np.stack([c2 * p13 - c1 * p23 - c3 * p12,
+                     c0 * p23 - c2 * p03 + c3 * p02,
+                     c1 * p03 - c0 * p13 - c3 * p01,
+                     c0 * p12 - c1 * p02 + c2 * p01], axis=-1)
+
+
+def _check_frame(det: np.ndarray, frame: np.ndarray, degenerate: str) -> None:
+    """Raises :class:`FrameDegenerate`, message ``degenerate``, where |``det``| is
+    at most 1e-10 of the product of the row lengths of ``frame`` (n, dim, dim)."""
+    scale = np.sqrt(np.einsum("nkd,nkd->nk", frame, frame)).prod(axis=-1)
+    if not np.all(np.abs(det) > 1e-10 * scale):
+        raise FrameDegenerate(degenerate)
+
+
 def frame_coords(frame: np.ndarray, vecs: np.ndarray, degenerate: str) -> np.ndarray:
     """Coordinates of ``vecs`` (n, m, dim) in the rows of ``frame`` (n, dim,
-    dim), a basis of TM at every point: one square solve per point, (n, m, dim).
+    dim), a basis of TM at every point, by Cramer's rule: (n, m, dim).
 
-    Raises :class:`FrameDegenerate` with the message ``degenerate`` up front
-    where |det frame| is at most 1e-10 of the product of its row lengths.
+    Coordinate k is v . cof_k / det, the cofactor rows cof_k being
+    (-alpha_234, alpha_134, -alpha_124, alpha_123) in dim 4, alpha_abc the
+    :func:`_annihilator` of rows a, b, c, and f_2 x f_3, f_3 x f_1, f_1 x f_2
+    in dim 3; det = f_dim . cof_dim.  Raises :class:`DimensionMismatch` in any
+    other dim, and :func:`_check_frame`'s :class:`FrameDegenerate` up front.
     """
-    frame = np.asarray(frame, dtype=float)
-    scale = np.prod(np.linalg.norm(frame, axis=-1), axis=-1)
-    if not np.all(np.abs(np.linalg.det(frame)) > 1e-10 * scale):
-        raise FrameDegenerate(degenerate)
-    return np.swapaxes(np.linalg.solve(np.swapaxes(frame, -1, -2),
-                                       np.swapaxes(vecs, -1, -2)), -1, -2)
+    if frame.shape[1:] not in ((3, 3), (4, 4)):
+        raise DimensionMismatch(f"frames must be (n, 3, 3) or (n, 4, 4), got {frame.shape}")
+    if frame.shape[1] == 4:
+        cof = (_annihilator(frame[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]])
+               * [[-1.0], [1.0], [-1.0], [1.0]])
+    else:
+        (a0, a1, a2), (b0, b1, b2) = np.moveaxis(frame[:, [[1, 2, 0], [2, 0, 1]]], (1, 3), (0, 1))
+        cof = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    det = np.einsum("nd,nd->n", frame[:, -1], cof[:, -1])
+    _check_frame(det, frame, degenerate)
+    return np.einsum("nmd,nkd->nmk", vecs, cof) / det[:, None, None]
 
 
 # ---------------------------------------------------------------------------

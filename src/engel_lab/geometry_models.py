@@ -155,26 +155,6 @@ def bump_surface(a: float = 0.7, s: float = 0.9, half: float = 0.8) -> Conformal
                             box=[[-half, half], [-half, half]], name="bump")
 
 
-def table_surface(xs, ys, lam_grid, name: str = "table") -> ConformalSurface:
-    """Surface from a sampled conformal factor; a bicubic spline supplies the
-    log-lambda derivatives."""
-    from scipy.interpolate import RectBivariateSpline
-
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    grid = np.log(np.asarray(lam_grid, dtype=float))
-    sp = RectBivariateSpline(xs, ys, grid, kx=3, ky=3)
-
-    def lam_dlog(x, y):
-        return np.exp(sp.ev(x, y)), sp.ev(x, y, dx=1), sp.ev(x, y, dy=1)
-
-    def d2log(x, y):
-        return sp.ev(x, y, dx=2), sp.ev(x, y, dx=1, dy=1), sp.ev(x, y, dy=2)
-
-    return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log,
-                            box=[[xs[0], xs[-1]], [ys[0], ys[-1]]], name=name)
-
-
 # ---------------------------------------------------------------------------
 # fiber charts and unit tangent bundles
 # ---------------------------------------------------------------------------

@@ -17,6 +17,14 @@ def rel_err(M, want):
     return (np.abs(M - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))).max()
 
 
+def lapack_coords(frame, vecs):
+    """Coordinates of ``vecs`` (n, m, dim) in the rows of ``frame`` (n, dim,
+    dim) from one LAPACK square solve per point, the reference for Cramer's
+    rule in ``frame_coords``."""
+    return np.swapaxes(np.linalg.solve(np.swapaxes(frame, -1, -2), np.swapaxes(vecs, -1, -2)),
+                       -1, -2)
+
+
 def sequential_transport(A_half, dt):
     """The Magnus steps of ``transport_rk4`` multiplied one at a time, left
     to right: M_k = E_k M_{k-1}."""

@@ -21,7 +21,7 @@ def test_every_bench_runs_at_tiny_sizes(bench):
             *bench.bench_probe(trials=(10,)), *bench.bench_field(sizes=(1, 10)),
             *bench.bench_values(sizes=(1, 10)),
             bench.bench_brackets(B=10), *bench.bench_pairing(B=10),
-            *bench.bench_generator(B=11),
+            *bench.bench_generator(sizes=(1, 11)),
             *bench.bench_characteristic(n_steps=5), *bench.bench_flow(T=0.1),
             bench.bench_verify_artifact(n=10),
             bench.bench_orbit_csv(T=0.1, dt=1e-2), bench.bench_presets()]
@@ -33,3 +33,5 @@ def test_every_bench_runs_at_tiny_sizes(bench):
     assert {f"values of 7 B={B} {preset}" for B in (1, 10)
             for preset in ("lorentz-magnetic", "cartan-r3", "propellor-cat")} <= names
     assert {f"pairing B=10 {preset}" for preset in ("lorentz-magnetic", "propellor-cat")} <= names
+    assert {"transport_generator B=1 propellor-cat", "transport_generator B=11 propellor-cat",
+            "transport_generator B=11 lorentz-magnetic-lie"} <= names

@@ -157,8 +157,8 @@ class TestIntegrate:
 class TestTransport:
     @pytest.mark.parametrize("kappa", KAPPAS + (-3.0, -1.5, 2.0))
     def test_magnetic_generator(self, preset_cache, kappa):
-        # A = [[0, -kappa(kappa+1)], [1, 0]] in the (Theta, Yt) frame; the
-        # square solve in the exact frame gives every entry to the last bit
+        # A = [[0, -kappa(kappa+1)], [1, 0]] in the (Theta, Yt) frame; Cramer's
+        # rule in the exact frame gives every entry to the last bit
         s = preset_cache("lorentz-magnetic-lie", kappa=kappa)["structure"]
         c = kappa * (kappa + 1.0)
         assert np.array_equal(transport_generator(s), [[0.0, -c], [1.0, 0.0]])
@@ -260,21 +260,31 @@ class TestMagnus:
     @pytest.mark.skipif(platform.machine() != "x86_64",
                         reason="OPENBLAS_CORETYPE names x86_64 kernels")
     def test_bits_do_not_depend_on_the_blas_kernel(self):
-        # the same seeded 1000-step transport in two child processes, one on
-        # OpenBLAS's non-FMA Prescott kernel and one on the kernel it detects
-        code = ("import sys, numpy as np; from engel_lab._kernels import transport_rk4; "
-                "A = np.random.default_rng(7).normal(scale=0.3, size=(2001, 2, 2)); "
-                "M, dets = transport_rk4(A, 1e-2); "
-                "sys.stdout.buffer.write(M.tobytes() + dets.tobytes())")
+        # each program runs in two child processes, one on OpenBLAS's non-FMA
+        # Prescott kernel and one on the kernel it detects: a seeded 1000-step
+        # transport, and the E/W generator and the D/W line, both read by
+        # frame_coords, at 4001 Halton points of three chart presets
+        transport = ("import sys, numpy as np; from engel_lab._kernels import transport_rk4; "
+                     "A = np.random.default_rng(7).normal(scale=0.3, size=(2001, 2, 2)); "
+                     "M, dets = transport_rk4(A, 1e-2); "
+                     "sys.stdout.buffer.write(M.tobytes() + dets.tobytes())")
+        frames = ("import sys; from engel_lab.presets import build_preset; "
+                  "from engel_lab.characteristic_dynamics import _dw_coords, transport_generator\n"
+                  "for name, kw in (('propellor-cat', {}), ('lorentz-magnetic', {'kappa': -0.5}), "
+                  "('magnetic-bump', {})):\n"
+                  "    s = build_preset(name, **kw)['structure']; pts = s.model.sample(4001)\n"
+                  "    sys.stdout.buffer.write(transport_generator(s, pts).tobytes() "
+                  "+ _dw_coords(s, pts).tobytes())")
         src = str(Path(engel_lab.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        children = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                                     env={**env, **extra})
-                    for extra in ({"OPENBLAS_CORETYPE": "Prescott"}, {})]
-        outs = [child.communicate(timeout=60)[0] for child in children]
-        assert all(child.returncode == 0 for child in children)
-        assert len(outs[0]) == 8 * (4 * 1001 + 1001) and outs[0] == outs[1]
+        for code, size in ((transport, 8 * (4 * 1001 + 1001)), (frames, 8 * 3 * 4001 * (4 + 2))):
+            children = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                         env={**env, **extra})
+                        for extra in ({"OPENBLAS_CORETYPE": "Prescott"}, {})]
+            outs = [child.communicate(timeout=60)[0] for child in children]
+            assert all(child.returncode == 0 for child in children)
+            assert len(outs[0]) == size and outs[0] == outs[1]
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_long_lie_orbit_matches_closed_form(self, preset_cache, kappa):

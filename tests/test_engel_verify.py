@@ -15,9 +15,11 @@ from engel_lab.engel_verify import (
     verify_engel,
 )
 from engel_lab.errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
-from engel_lab.frame_algebra import RANK_TOL, ChartModel, Section, coordinate_frame, frame_coords
+from engel_lab.frame_algebra import RANK_TOL, ChartModel, Section, coordinate_frame
 from engel_lab.presets import build_preset, preset_names
 from engel_lab.serialize import dumps_canonical
+
+from conftest import lapack_coords
 
 
 class TestVerify:
@@ -142,8 +144,12 @@ class TestCauchy:
 
 def reference_pairing(basis, brEE):
     """The pairing b = (b12, b13, b23), (n, 3): the transverse coordinate of
-    each [e_i, e_j] from one square solve in the frame (e_1, e_2, e_3, T)."""
-    return frame_coords(basis, brEE, "E and the transverse section do not span TM")[:, :, 3]
+    each [e_i, e_j] from one LAPACK square solve in the frame (e_1, e_2, e_3,
+    T), refused where |det| is at most 1e-10 of the product of row lengths."""
+    scale = np.prod(np.linalg.norm(basis, axis=-1), axis=-1)
+    if not np.all(np.abs(np.linalg.det(basis)) > 1e-10 * scale):
+        raise FrameDegenerate("E and the transverse section do not span TM")
+    return lapack_coords(basis, brEE)[:, :, 3]
 
 
 def reference_pairing_kernel(basis, brEE, wdecl, tol):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engel_lab import frame_algebra
-from engel_lab.errors import ChartExit, DimensionMismatch, EmptyInput, NonFiniteEvaluation
+from engel_lab.errors import (ChartExit, DimensionMismatch, EmptyInput, FrameDegenerate,
+                              NonFiniteEvaluation)
 from engel_lab.frame_algebra import (
     FD_STEP,
     ChartModel,
@@ -17,12 +18,15 @@ from engel_lab.frame_algebra import (
     coordinate_frame,
     distribution_rank,
     fd_jacobian,
+    frame_coords,
     halton_points,
     _rk4_orbits,
 )
 from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT, _columns
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.presets import preset_names
+
+from conftest import lapack_coords
 
 
 def ef_X():
@@ -204,6 +208,71 @@ class TestRanks:
         if abs(np.linalg.det(g)) < 1e-3:
             return
         assert distribution_rank(list(vecs)) == distribution_rank(list(g @ vecs))
+
+
+def residual_ratio(frame, vecs, coef):
+    """|c F - v| / (|c| |F|) for every vector, |F| the Frobenius norm."""
+    resid = np.linalg.norm(np.einsum("nmk,nkd->nmd", coef, frame) - vecs, axis=-1)
+    return resid / (np.linalg.norm(coef, axis=-1) * np.linalg.norm(frame, axis=(1, 2))[:, None])
+
+
+def frames_at_the_refusal(rng, n, dim, factor):
+    """``n`` frames whose |det| is ``factor`` times 1e-10 of the product of
+    their row lengths: the last row is a point of the other rows' span plus
+    t times its unit normal, t solving |t det(f_1, ..., n)| = factor 1e-10
+    prod |f_i| sqrt(|g|^2 + t^2)."""
+    frame = rng.normal(size=(n, dim, dim))
+    normal = np.linalg.svd(frame[:, :-1])[2][:, -1]           # (n, dim), unit
+    g = np.einsum("nk,nkd->nd", rng.normal(size=(n, dim - 1)), frame[:, :-1])
+    d0 = np.abs(np.linalg.det(np.concatenate([frame[:, :-1], normal[:, None]], axis=1)))
+    k = factor * 1e-10 * np.prod(np.linalg.norm(frame[:, :-1], axis=-1), axis=-1)
+    t = k * np.linalg.norm(g, axis=-1) / np.sqrt(d0 * d0 - k * k)
+    frame[:, -1] = g + t[:, None] * normal
+    return frame
+
+
+class TestFrameCoords:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_random_frames_match_the_solve(self, rng, dim):
+        frame, vecs = rng.normal(size=(2000, dim, dim)), rng.normal(size=(2000, 3, dim))
+        coef = frame_coords(frame, vecs, "no frame")
+        assert coef.shape == (2000, 3, dim)
+        assert residual_ratio(frame, vecs, coef).max() <= 1e-13
+        want = lapack_coords(frame, vecs)
+        assert (np.linalg.norm(coef - want, axis=-1)
+                <= 1e-9 * np.linalg.norm(want, axis=-1)).all()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_frames_just_above_the_refusal(self, rng, dim):
+        frame = frames_at_the_refusal(rng, 200, dim, 1.01)
+        vecs = rng.normal(size=(200, 2, dim))
+        assert residual_ratio(frame, vecs, frame_coords(frame, vecs, "no frame")).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_frames_just_below_the_refusal(self, rng, dim):
+        # each frame is refused alone and spoils a batch of good frames
+        good = rng.normal(size=(8, dim, dim))
+        for bad in frames_at_the_refusal(rng, 20, dim, 0.99):
+            for frame in (bad[None], np.concatenate([good, bad[None]])):
+                with pytest.raises(FrameDegenerate, match="^the caller's message$"):
+                    frame_coords(frame, np.ones((len(frame), 1, dim)), "the caller's message")
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_other_dimensions_are_refused(self, dim):
+        with pytest.raises(DimensionMismatch):
+            frame_coords(np.eye(dim)[None], np.ones((1, 1, dim)), "no frame")
+
+    def test_no_linalg_call(self, rng, monkeypatch):
+        inputs = {dim: (rng.normal(size=(16, dim, dim)), rng.normal(size=(16, 2, dim)))
+                  for dim in (3, 4)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for fn in ("det", "solve", "svd", "norm", "inv", "qr", "lstsq", "eig", "eigh"):
+            monkeypatch.setattr(np.linalg, fn, refuse)
+        for frame, vecs in inputs.values():
+            assert np.isfinite(frame_coords(frame, vecs, "no frame")).all()
 
 
 def test_fd_jacobian_batched_shape():

@@ -12,16 +12,10 @@ from engel_lab.geometry_models import (
     gauss_curvature,
     magnetic_extension,
     product_extension,
-    table_surface,
     unit_tangent_frames,
 )
 
 from conftest import frame_fields
-
-
-def _table():
-    xs, ys = np.linspace(-0.8, 0.8, 40), np.linspace(-0.7, 0.9, 30)
-    return table_surface(xs, ys, np.exp(0.3 * np.sin(np.add.outer(xs, 2 * ys))))
 
 
 SURFACES = {
@@ -30,7 +24,6 @@ SURFACES = {
     "disk": lambda: constant_curvature_surface(-1.0),
     "constant": lambda: constant_curvature_surface(-0.5),
     "bump": bump_surface,
-    "table": _table,
 }
 
 class TestGaussCurvature:
@@ -236,13 +229,3 @@ class TestMagneticFrame:
         assert np.abs(TY + F[:, 0]).max() < 1e-8
         assert np.abs(XY - kappa * F[:, 2]).max() < 1e-8
 
-
-class TestSurfaceConfig:
-    def test_table_surface_reproduces_curvature(self):
-        xs = np.linspace(-0.8, 0.8, 60)
-        ys = np.linspace(-0.8, 0.8, 60)
-        ref = constant_curvature_surface(1.0, half=0.8)
-        grid = np.array([[ref.lam_dlog_at(x, y)[0] for y in ys] for x in xs])
-        s = table_surface(xs, ys, grid)
-        pts = np.array([[0.1, -0.2], [0.3, 0.25], [-0.4, 0.1]])
-        assert np.abs(gauss_curvature(s, *pts.T) - 1.0).max() < 1e-4
