@@ -1,6 +1,6 @@
 """Time the integration kernels, the rigidity probe (with its memory peak),
 one field evaluation, one ``values`` call of seven sections, one batched
-section bracket call, one Cauchy pairing kernel, one transport generator
+complex-step section bracket call, one Cauchy pairing kernel, one transport generator
 call, one characteristic RK4 step, one constant-field chart flow, one
 closed-orbit holonomy, the writing of one verify artifact and of one orbit
 CSV, and the construction of every preset.
@@ -113,17 +113,21 @@ def bench_values(sizes=(1, 3, 1000)):
     return rows
 
 
-def bench_brackets(B=1000):
+def bench_brackets(sizes=(1, 3, 1000, 4001)):
     """Wall time of the three E brackets [e_i, e_j] on lorentz-magnetic in
-    one ``model.brackets`` call: one central-difference jacobian of the
-    stacked section values."""
+    one ``model.brackets`` call, at each B of ``sizes`` (one orbit, the batch
+    of ``classify``, ``verify``, and one transport generator call): the
+    complex step, one call of the stacked section values per coordinate."""
     from engel_lab.engel_verify import sample_box
     from engel_lab.presets import build_preset
 
     s = build_preset("lorentz-magnetic", kappa=-0.5)["structure"]
-    pts = sample_box(s.model, B)
-    t, _ = timeit(s.model.brackets, s.E_span, [(0, 1), (0, 2), (1, 2)], pts)
-    return f"E brackets B={B}", t
+    rows = []
+    for B in sizes:
+        pts = sample_box(s.model, B)
+        t, _ = timeit(s.model.brackets, s.E_span, [(0, 1), (0, 2), (1, 2)], pts)
+        rows.append((f"E brackets B={B} complex-step", t))
+    return rows
 
 
 def bench_pairing(B=1000):
@@ -150,7 +154,7 @@ def bench_pairing(B=1000):
 def bench_generator(sizes=(1, 3, 4001)):
     """Wall time of one ``transport_generator`` call: on propellor-cat at B =
     1, 3 and 4001 points (one orbit, the batch of ``classify``, and about the
-    half-step grid of a T = 20 orbit at dt = 1e-2), central-difference
+    half-step grid of a T = 20 orbit at dt = 1e-2), complex-step
     brackets and Cramer's rule in the frame at every point; and on
     lorentz-magnetic-lie at B = 4001, one exact row for all points."""
     from engel_lab.characteristic_dynamics import transport_generator
@@ -267,8 +271,8 @@ def main():
         print(f"{name:<34s} {t * 1e6:9.1f}us per evaluation")
     for name, t in bench_values():
         print(f"{name:<34s} {t * 1e6:9.1f}us per call")
-    name, t = bench_brackets()
-    print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
+    for name, t in bench_brackets():
+        print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_pairing():
         print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_generator():

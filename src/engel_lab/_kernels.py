@@ -114,7 +114,7 @@ def expm2(O: np.ndarray) -> np.ndarray:
 def closed_form_exp(A: np.ndarray) -> Callable:
     """t -> exp(t A) for a fixed trace-free 2x2 generator A.  A number t gives
     (2, 2), times (n,) give (n, 2, 2), and every entry is elementwise, so the
-    matrix at one time is its row of a batch bit for bit.
+    matrix at one time is its row of a batch bit for bit; complex t stays complex.
 
     With r^2 = -det A, A^2 = r^2 I and exp(t A) = c I + s A, where (c, s) is
     (cosh rt, sinh(rt)/r), (cos rt, sin(rt)/r) or (1, t) as r^2 > 0, < 0, = 0.
@@ -127,7 +127,7 @@ def closed_form_exp(A: np.ndarray) -> Callable:
     cos, sin = (np.cosh, np.sinh) if r2 > 0 else (np.cos, np.sin)
 
     def exp(t):
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
         c, s = (cos(r * t), sin(r * t) / r) if r2 else (np.ones_like(t), t)
         return np.stack([c + s * A[0, 0], s * A[0, 1], s * A[1, 0], c + s * A[1, 1]],
                         axis=-1).reshape(t.shape + (2, 2))

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateKernel, DimensionMismatch, FrameDegenerate
-from .frame_algebra import (FD_STEP, RANK_TOL, ChartModel, FrameModel, Section, _annihilator,
+from .frame_algebra import (RANK_TOL, ChartModel, FrameModel, Section, _annihilator,
                             _check_frame, rank_with_margin)
 from .frame_algebra import sample_box  # re-exported: the acceptance suite imports it here
 from .geometry_models import _columns
@@ -205,7 +205,7 @@ def verify_engel(s: EngelStructure, n_samples: int = 1000,
     }
     return VerificationReport(
         provenance=s.provenance,
-        tolerances={"rank_tol": tol, "fd_step": FD_STEP},
+        tolerances={"rank_tol": tol, "jacobian": "complex-step"},
         points=pts,
         rank_D=rank_D,
         rank_E=rank_E,

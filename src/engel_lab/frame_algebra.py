@@ -4,7 +4,7 @@ Every model in this package is parallelizable and comes in one of two kinds:
 
 * a :class:`ChartModel` on a coordinate box whose global frame is one batched
   function ``rows(pts (n, dim))``: ``dim`` rows of ``dim`` entries, each a
-  number, an (n,) column or a float at a single point, row ``i`` the chart
+  number, an (n,) column or a float at a single real point, row ``i`` the chart
   components of frame field ``i``.  An entry that is an int is the same
   number at every point; an entry that varies is never an int, or
 * a :class:`LieModel` given by exact structure constants on an abstract frame.
@@ -22,8 +22,8 @@ broadcasts against any batch of points.
 * ``values(sections, pts) -> (n, k, dim)``: chart components of each section,
   filled from its ``entries`` (chart), or its constant frame coefficients (Lie);
 * ``brackets(sections, pairs, pts) -> (n, P, dim)``: the bracket of each
-  section pair ``(a, b)`` in ``pairs``.  On a chart all of them come from one
-  central-difference jacobian of the stacked section values
+  section pair ``(a, b)`` in ``pairs``.  On a chart all of them come from the
+  complex step of the stacked section values, one coordinate at a time
   (:func:`bracket_chart`); on a Lie model each is the exact
   structure-constant contraction :func:`bracket_lie`;
 * ``point(u)``, ``sample(n, skip)``: the point at unit-box coordinates ``u``
@@ -37,12 +37,14 @@ Points are numpy arrays, always a batch ``(n, dim)``: a frame function, a
 :class:`ChartVectorField`, a section's coefficients and every protocol method
 take one, and a chart refuses no points or a single point ``(dim,)`` with
 :class:`DimensionMismatch`.  Only :func:`bracket_chart` also takes a single
-point.  A chart combines a section with its frame in one place,
-:meth:`ChartModel.entries`.  A chart ``flow`` integrates the section's
-``field``; where a constant section's nonzero coefficients read only int
-entries the field is constant in the chart, and every orbit is one prefix sum
-of the RK4 increment.  Coordinates in a frame of TM are Cramer's rule on 3x3
-minors (:func:`frame_coords`), with no LAPACK call.
+point.  Entries and coefficients are analytic and keep complex points complex:
+``values``, ``frame`` and ``coeff_at`` allocate in the points' dtype.  A chart
+combines a section with its frame in one place, :meth:`ChartModel.entries`.
+A chart ``flow`` integrates the section's ``field``; where a constant
+section's nonzero coefficients read only int entries the field is constant in
+the chart, and every orbit is one prefix sum of the RK4 increment.
+Coordinates in a frame of TM are Cramer's rule on 3x3 minors
+(:func:`frame_coords`), with no LAPACK call.
 """
 from __future__ import annotations
 
@@ -55,16 +57,15 @@ import numpy as np
 from .errors import (ChartExit, DimensionMismatch, EmptyInput, FrameDegenerate,
                      NonFiniteEvaluation, StepTooLarge)
 
-FD_STEP = 1e-5          # central-difference step for jacobians of vector fields
 RANK_TOL = 1e-8         # singular values above this count toward a rank
 _MARGINAL_BAND = 10.0   # a rank is marginal if a singular value is within this factor of tol
 _BIG = np.finfo(float).max   # box-test bound of an unbounded coordinate: NaN and inf fail it
 
 
 def _points(p: np.ndarray, dim: int) -> np.ndarray:
-    """``p`` as a batch of chart points (n, dim); raises
-    :class:`DimensionMismatch` for no point, a single point or a wrong width."""
-    p = np.asarray(p, dtype=float)
+    """``p`` as a batch of chart points (n, dim), complex or else float;
+    raises :class:`DimensionMismatch` for no point, a single point or a wrong width."""
+    p = np.asarray(p, dtype=complex if np.iscomplexobj(p) else float)
     if p.ndim != 2 or p.shape[1] != dim:
         raise DimensionMismatch(f"points have shape {p.shape}, expected (n, {dim})")
     return p
@@ -93,20 +94,18 @@ def coordinate_frame(dim: int) -> Callable[[np.ndarray], tuple]:
     return lambda pts: rows
 
 
-def fd_jacobian(f, pts: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference jacobian, batched over points: the shape of
-    ``f(pts)`` with a trailing ``dim`` axis, entry ``[..., j]`` the
-    derivative along coordinate ``j``."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    d = pts.shape[1]
-    cols = []
-    # inf - inf gives NaN without a warning: the callers check finiteness
-    with np.errstate(invalid="ignore"):
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            cols.append((np.asarray(f(pts + e)) - np.asarray(f(pts - e))) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+def complex_step(f, pts: np.ndarray):
+    """For each coordinate ``j`` of the real points (n, dim), ``f`` at the
+    points plus 1e-30 i along ``j`` as (real part, imaginary part / 1e-30):
+    for an analytic ``f``, its values and its derivative along ``j`` to
+    rounding.  Raises :class:`TypeError` where ``f`` is real at complex
+    points: its derivative would read 0."""
+    for j in range(pts.shape[1]):
+        z = pts.astype(complex)
+        z[:, j] += 1e-30j
+        if not np.iscomplexobj(v := np.asarray(f(z))):
+            raise TypeError(f"real values at complex points: a {v.dtype} allocation on the path")
+        yield v.real, v.imag / 1e-30
 
 
 def bracket_chart(f: Callable[[np.ndarray], np.ndarray], pairs: Sequence[tuple[int, int]],
@@ -114,21 +113,22 @@ def bracket_chart(f: Callable[[np.ndarray], np.ndarray], pairs: Sequence[tuple[i
     """Lie brackets [f_a, f_b] = Df_b.f_a - Df_a.f_b for each ``(a, b)`` in
     ``pairs``, at ``p`` (single point or batch).
 
-    ``f`` maps points (n, dim) to stacked chart components (n, k, dim).  It is
-    called once at ``p`` and 2 dim times for the central-difference jacobian
-    of step ``FD_STEP``.  Returns (n, P, dim), or (P, dim) for a single point.
-    The values are copied to C order first: ``np.einsum`` sums a strided
-    operand in another order, and a batch row must equal its one-row call.
+    ``f`` maps points (n, dim) to stacked chart components (n, k, dim) and is
+    analytic: the values are the real part of the first call of
+    :func:`complex_step`, and each derivative column is contracted with them
+    as it arrives, in coordinate order, so a batch row equals its one-row
+    call.  Returns (n, P, dim), or (P, dim) for a single point.
     """
     p = np.asarray(p, dtype=float)
     pts = np.atleast_2d(p)
-    vals = np.ascontiguousarray(f(pts), dtype=float)
-    if vals.ndim != 3 or vals.shape[::2] != pts.shape:
-        raise DimensionMismatch(f"sections returned {vals.shape} at points {pts.shape}")
-    J = fd_jacobian(f, pts, FD_STEP)
     a, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    out = (np.einsum("npij,npj->npi", J[:, b], vals[:, a])
-           - np.einsum("npij,npj->npi", J[:, a], vals[:, b]))
+    out = 0.0
+    with np.errstate(invalid="ignore"):     # inf - inf gives NaN: reported below
+        for j, (real, d) in enumerate(complex_step(f, pts)):
+            vals = real.copy() if j == 0 else vals   # frees the complex values of call 0
+            if vals.ndim != 3 or vals.shape[::2] != pts.shape:
+                raise DimensionMismatch(f"sections returned {vals.shape} at points {pts.shape}")
+            out = out + (d[:, b] * vals[:, a, j, None] - d[:, a] * vals[:, b, j, None])
     if not np.all(np.isfinite(out)):
         raise NonFiniteEvaluation("bracket evaluation produced NaN or inf")
     return out[0] if p.ndim == 1 else out
@@ -262,7 +262,7 @@ class ChartModel:
         """Chart components of the sections at the points: (n, k, dim), one
         C-ordered array filled from :meth:`entries`."""
         pts = _points(pts, self.dim)
-        out = np.empty((len(pts), len(sections), self.dim))
+        out = np.empty((len(pts), len(sections), self.dim), dtype=pts.dtype)
         for k, comps in enumerate(self.entries(sections, pts)):
             for j, e in enumerate(comps):
                 out[:, k, j] = e
@@ -280,7 +280,7 @@ class ChartModel:
         """The frame as one array (n, dim, dim), row ``i`` the chart components
         of frame field ``i``: a view of its entry planes (dim, dim, n)."""
         rows = self.rows(pts := _points(pts, self.dim))
-        F = np.zeros((self.dim, self.dim, len(pts)))
+        F = np.zeros((self.dim, self.dim, len(pts)), dtype=pts.dtype)
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
                 if type(e) is not int or e:     # an int entry 0 is in place already
@@ -324,7 +324,7 @@ class ChartModel:
     def brackets(self, sections: Sequence["Section"], pairs: Sequence[tuple[int, int]],
                  pts: np.ndarray) -> np.ndarray:
         """Chart brackets of the section pairs at the points: (n, P, dim),
-        from one central-difference jacobian of all the section values."""
+        from the complex step of all the section values."""
         return bracket_chart(lambda q: self.values(sections, q), pairs, _points(pts, self.dim))
 
     def point(self, u) -> np.ndarray:
@@ -588,7 +588,7 @@ class Section:
         if self._row is not None:
             return np.broadcast_to(self._row, (len(pts), len(self._row)))
         cols = self.coeffs(pts)
-        out = np.empty((len(pts), len(cols)))
+        out = np.empty((len(pts), len(cols)), dtype=pts.dtype)
         for j, c in enumerate(cols):
             out[:, j] = c
         return out

@@ -36,14 +36,14 @@ TWO_PI = 2.0 * np.pi
 
 
 def _columns(pts: np.ndarray) -> list:
-    """The coordinate columns of points (n, dim): the floats of a single
+    """The coordinate columns of points (n, dim): the floats of a single real
     point, where numpy's per-call cost would be most of a frame evaluation,
     else (n,) views; a frame returns its rows of entries computed from them.
     Formulas on columns square by multiplying and take cos, sin, exp and
     other powers from numpy ufuncs, whose results do not depend on the batch
     size, so a point and a batch row agree bit for bit (a float's ``**`` is
-    not numpy's power)."""
-    return pts[0].tolist() if len(pts) == 1 else list(pts.T)
+    not numpy's power, nor Python complex arithmetic numpy's)."""
+    return pts[0].tolist() if len(pts) == 1 and pts.dtype == float else list(pts.T)
 
 
 @dataclass
@@ -71,9 +71,10 @@ class ConformalSurface:
         self.box = np.asarray(self.box, dtype=float)
 
     def lam_dlog_at(self, x, y) -> tuple:
-        """``lam_dlog`` at coordinate columns, lambda finite and positive."""
+        """``lam_dlog`` at coordinate columns, lambda's real part finite and positive."""
         lam, dx, dy = self.lam_dlog(x, y)
-        ok = 0.0 < lam < np.inf if isinstance(lam, float) else ((lam > 0) & (lam < np.inf)).all()
+        ok = (0.0 < lam < np.inf if isinstance(lam, float)
+              else ((lam.real > 0) & (lam.real < np.inf)).all())
         if not ok:      # a single point's float is tested without numpy's per-call cost
             raise NonFiniteEvaluation("conformal factor must be finite and positive")
         return lam, dx, dy

@@ -30,12 +30,11 @@ from .errors import (
     TwistMonotonicityError,
 )
 from .frame_algebra import (
-    FD_STEP,
     RANK_TOL,
     ChartModel,
     Section,
+    complex_step,
     coordinate_frame,
-    fd_jacobian,
     frame_coords,
     rank_with_margin,
 )
@@ -205,15 +204,14 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
     ker(dtheta + beta), D its intersection with the lifted contact planes,
     and W the horizontal lift of the Legendrian field w_bar.  The caller
     asserts that w_bar preserves vol; the curvature relation
-    d(beta) = i_{w_bar} vol is checked at samples.
+    d(beta) = i_{w_bar} vol is checked at samples by the complex step: beta is
+    analytic, as every frame entry is.
     """
     base = c.model
     pts = base.sample(_CURVATURE_CHECKS)
-    # beta's columns as one (n, 3) array for the jacobian, J[:, j, i] = d_i beta_j;
-    # in the coordinate frame d(beta) = i_w vol reads curl beta = rho w
-    J = fd_jacobian(Section(lambda q: beta(*q.T)).coeff_at, pts, FD_STEP)
-    curl = np.stack([J[:, 2, 1] - J[:, 1, 2], J[:, 0, 2] - J[:, 2, 0],
-                     J[:, 1, 0] - J[:, 0, 1]], axis=-1)
+    # beta's columns and their derivatives d_j: d(beta) = i_w vol reads curl beta = rho w
+    d0, d1, d2 = (d for _, d in complex_step(Section(lambda q: beta(*q.T)).coeff_at, pts))
+    curl = np.stack([d1[:, 2] - d2[:, 1], d2[:, 0] - d0[:, 2], d0[:, 1] - d1[:, 0]], axis=-1)
     rho = np.asarray(vol(pts), dtype=float)[..., None]
     defect = float(np.abs(curl - rho * base.values([w_bar], pts)[:, 0]).max())
     if not defect <= _CURVATURE_TOL:    # a NaN defect is refused too

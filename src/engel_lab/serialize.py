@@ -30,7 +30,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 def _fmt_float(x: float) -> str:
     if math.isfinite(x):

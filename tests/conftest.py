@@ -17,6 +17,21 @@ def rel_err(M, want):
     return (np.abs(M - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))).max()
 
 
+def fd_jacobian(f, pts, h):
+    """Central-difference jacobian, batched over points: the shape of
+    ``f(pts)`` with a trailing ``dim`` axis, entry ``[..., j]`` the
+    derivative along coordinate ``j``; the independent reference for the
+    complex step in ``frame_algebra.complex_step``."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d = pts.shape[1]
+    cols = []
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = h
+        cols.append((np.asarray(f(pts + e)) - np.asarray(f(pts - e))) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
 def lapack_coords(frame, vecs):
     """Coordinates of ``vecs`` (n, m, dim) in the rows of ``frame`` (n, dim,
     dim) from one LAPACK square solve per point, the reference for Cramer's

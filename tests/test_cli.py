@@ -72,7 +72,7 @@ class TestVerifyCommand:
         r = verify_engel(build_preset(preset)["structure"], n_samples=50, tol=1e-8, skip=100)
         assert code == (0 if r.passed else 1)
         doc = {
-            "schema_version": 2,
+            "schema_version": 3,
             "provenance": r.provenance,
             "tolerances": r.tolerances,
             "passed": bool(r.passed),

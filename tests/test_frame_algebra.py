@@ -1,4 +1,6 @@
 """Brackets, ranks, and the Lie algebra models."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,25 +10,25 @@ from engel_lab import frame_algebra
 from engel_lab.errors import (ChartExit, DimensionMismatch, EmptyInput, FrameDegenerate,
                               NonFiniteEvaluation)
 from engel_lab.frame_algebra import (
-    FD_STEP,
     ChartModel,
     ChartVectorField,
     LieModel,
     Section,
     bracket_chart,
     bracket_lie,
+    complex_step,
     coordinate_frame,
     distribution_rank,
-    fd_jacobian,
     frame_coords,
     halton_points,
     _rk4_orbits,
 )
 from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT, _columns
+from engel_lab.characteristic_dynamics import transport_generator
 from engel_lab.engel_verify import darboux_standard, sample_box
 from engel_lab.presets import preset_names
 
-from conftest import lapack_coords
+from conftest import fd_jacobian, lapack_coords
 
 
 def ef_X():
@@ -84,8 +86,9 @@ class TestBracketChart:
             lhs, rhs = bracket_chart(stacked(a, b), [(0, 1), (1, 0)], p)
             assert np.abs(lhs + rhs).max() < 1e-9
 
-    def test_fd_matches_analytic_to_h_squared(self):
-        # polynomial field with hand-coded jacobian
+    def test_jacobians_match_analytic(self):
+        # polynomial field with hand-coded jacobian: the complex step to
+        # rounding, the central-difference reference to h^2
         def comp(pts):
             pts = np.atleast_2d(pts)
             out = np.zeros_like(pts)
@@ -105,6 +108,8 @@ class TestBracketChart:
             return J
 
         p = np.array([[0.4, -0.7, 0.2, 0.9]])
+        J = np.stack([d for _, d in complex_step(comp, p)], axis=-1)
+        assert np.abs(J - jac(p)).max() <= 1e-15
         for h in (1e-3, 1e-4):
             err = np.abs(fd_jacobian(comp, p, h) - jac(p)).max()
             assert err < 5.0 * h ** 2
@@ -127,6 +132,9 @@ class TestBracketChart:
         assert np.array_equal(br, bracket_chart(contiguous, pairs, pts))
         for i in range(len(pts)):
             assert np.array_equal(br[i], bracket_chart(strided, pairs, pts[i]))
+
+
+CHART_PRESETS = [p for p in preset_names() if not p.endswith("-lie")]
 
 
 @pytest.fixture(scope="module")
@@ -275,14 +283,18 @@ class TestFrameCoords:
             assert np.isfinite(frame_coords(frame, vecs, "no frame")).all()
 
 
-def test_fd_jacobian_batched_shape():
+def test_complex_step_batched_shape(rng):
+    # one (value, derivative) pair per coordinate, each the shape of f(pts);
+    # stacked sections keep their axis, and the value is f at the points
     f = ef_X()
-    pts = np.zeros((7, 4))
-    assert fd_jacobian(f, pts, 1e-5).shape == (7, 4, 4)
-    # stacked sections keep their axis: (n, k, dim) -> (n, k, dim, dim)
-    J = fd_jacobian(stacked(f, const_field([0, 1, 0, 0])), pts, 1e-5)
-    assert J.shape == (7, 2, 4, 4)
-    assert np.array_equal(J[:, 0], fd_jacobian(f, pts, 1e-5))
+    pts = rng.uniform(-1, 1, (7, 4))
+    one = list(complex_step(f, pts))
+    both = list(complex_step(stacked(f, const_field([0, 1, 0, 0])), pts))
+    assert len(one) == len(both) == 4
+    for (v, d), (vs, ds) in zip(one, both):
+        assert v.shape == d.shape == (7, 4) and vs.shape == ds.shape == (7, 2, 4)
+        assert np.array_equal(v, f(pts)) and np.array_equal(vs[:, 0], v)
+        assert np.array_equal(ds[:, 0], d) and not ds[:, 1].any()
 
 
 def test_halton_refuses_negative_skip():
@@ -295,6 +307,24 @@ def test_halton_refuses_negative_skip():
 def test_bracket_chart_refuses_unstacked_values():
     with pytest.raises(DimensionMismatch):
         bracket_chart(ef_X(), [(0, 0)], np.zeros((3, 4)))
+
+
+def test_bracket_chart_refuses_a_float_allocation(preset_cache):
+    # a frame copied into a float array drops the imaginary part of the
+    # complex step, which would read as a zero bracket
+    model = preset_cache("lorentz-magnetic")["structure"].model
+    pts = sample_box(model, 5)
+
+    def float_frame(q):
+        F = np.zeros((len(q), 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            F[:] = model.frame(q)
+        return F
+
+    assert np.abs(bracket_chart(model.frame, [(0, 1)], pts)).max() > 0.1
+    with pytest.raises(TypeError, match="real values at complex points"):
+        bracket_chart(float_frame, [(0, 1)], pts)
 
 
 @pytest.mark.filterwarnings("error")
@@ -512,8 +542,8 @@ class TestModelProtocol:
         coef = np.linalg.solve(frame[:, None], br[..., None])[..., 0]
         exact = lie.model.brackets(twins, pairs, pts)
         err = np.abs(coef - exact).max(axis=(0, 2))
-        assert err.max() < 1e-8, [(sections[i].name, sections[j].name, e)
-                                  for (i, j), e in zip(pairs, err) if e >= 1e-8]
+        assert err.max() < 1e-13, [(sections[i].name, sections[j].name, e)
+                                   for (i, j), e in zip(pairs, err) if e >= 1e-13]
 
     @pytest.mark.parametrize("name, closes_after", [
         ("cartan-r3", np.pi), ("propellor-cat", 2 * np.pi), ("darboux", None)])
@@ -533,8 +563,8 @@ class TestModelProtocol:
     @pytest.mark.parametrize("name", [p for p in preset_names() if not p.endswith("-lie")])
     def test_batched_brackets_equal_one_pair_calls(self, preset_cache, name):
         # a section's values row does not depend on the other sections in the
-        # call, so one call over all pairs is bit-identical to one pair at a
-        # time from two separately realized fields
+        # call, and each pair contracts its own derivative columns, so one
+        # call over all pairs is bit-identical to one pair of sections at a time
         s = preset_cache(name)["structure"]
         sections = [*s.D_span, *s.E_span, s.W_section]
         pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
@@ -542,14 +572,46 @@ class TestModelProtocol:
         br = s.model.brackets(sections, pairs, pts)
         assert br.shape == (20, len(pairs), s.model.dim)
         for k, (i, j) in enumerate(pairs):
-            fa, fb = s.model.field(sections[i]), s.model.field(sections[j])
-            Ja, Jb = (fd_jacobian(f, pts, FD_STEP) for f in (fa, fb))
-            one = np.einsum("nij,nj->ni", Jb, fa(pts)) - np.einsum("nij,nj->ni", Ja, fb(pts))
+            one = s.model.brackets([sections[i], sections[j]], [(0, 1)], pts)[:, 0]
             assert np.array_equal(br[:, k], one), (sections[i].name, sections[j].name)
         assert np.array_equal(s.model.brackets(sections, pairs, pts[:1]), br[:1])
 
+    @pytest.mark.parametrize("name", CHART_PRESETS)
+    def test_complex_step_brackets_match_central_differences(self, preset_cache, name):
+        # every frame entry and coefficient on the path is analytic, so the
+        # complex-step bracket of each D/E/W pair is a central difference at
+        # h = 1e-5 up to that difference's error; an abs, a comparison or a
+        # mod on the path would break the complex step and show here
+        s = preset_cache(name)["structure"]
+        sections = [*s.D_span, *s.E_span, s.W_section]
+        pairs = np.array([(i, j) for i in range(6) for j in range(6) if i != j])
+        pts = sample_box(s.model, 50)
+        values = lambda q: s.model.values(sections, q)
+        J, vals = fd_jacobian(values, pts, 1e-5), values(pts)
+        a, b = pairs.T
+        fd = (np.einsum("npij,npj->npi", J[:, b], vals[:, a])
+              - np.einsum("npij,npj->npi", J[:, a], vals[:, b]))
+        err = np.abs(s.model.brackets(sections, pairs, pts) - fd).max(axis=(1, 2))
+        assert (err <= 1e-8 * np.abs(fd).max(axis=(1, 2))).all(), err.max()
 
-CHART_PRESETS = [p for p in preset_names() if not p.endswith("-lie")]
+    @pytest.mark.parametrize("name", CHART_PRESETS)
+    def test_bracket_and_generator_rows_equal_one_point_calls(self, preset_cache, name):
+        # a single complex point takes the columns of a batch, not Python
+        # scalars, so every row is its one-point call bit for bit; the
+        # integrable counterexample has no E/W transport
+        s = preset_cache(name)["structure"]
+        sections = [*s.D_span, *s.E_span, s.W_section]
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        pts = sample_box(s.model, 64)
+        calls = [lambda q: s.model.brackets(sections, pairs, q)]
+        if name != "integrable-counterexample":
+            calls.append(lambda q: transport_generator(s, q))
+        for call in calls:
+            rows = call(pts)
+            for i in range(len(pts)):
+                assert rows[i].tobytes() == call(pts[i:i + 1])[0].tobytes(), i
+
+
 LOOP_PRESETS = ("lorentz-magnetic", "lorentz-product", "magnetic-bump")
 
 

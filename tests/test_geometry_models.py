@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from engel_lab.cli import KAPPA_SWEEP
-from engel_lab.frame_algebra import bracket_chart, fd_jacobian, sample_box
+from engel_lab.frame_algebra import bracket_chart, sample_box
 from engel_lab.geometry_models import (
     ConstantCurvatureUT,
     bump_surface,
@@ -15,7 +15,7 @@ from engel_lab.geometry_models import (
     unit_tangent_frames,
 )
 
-from conftest import frame_fields
+from conftest import fd_jacobian, frame_fields
 
 
 SURFACES = {
