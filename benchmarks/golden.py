@@ -15,6 +15,14 @@ the file list and every other file, ``console.txt`` included, must match
 exactly.  It prints each file that differs with its largest deviation and
 where it occurs, and exits 1 on any difference past the bound.
 
+No artifact may depend on the BLAS kernel.  To check, run the script twice
+in one checkout, once on OpenBLAS's non-FMA Prescott kernel and once on the
+kernel it detects; ``diff -r`` of the two trees must be empty:
+
+    OPENBLAS_CORETYPE=Prescott python3 benchmarks/golden.py --out /tmp/golden-prescott
+    python3 benchmarks/golden.py --out /tmp/golden-detected
+    diff -r /tmp/golden-prescott /tmp/golden-detected
+
 The script imports ``engel_lab`` from the ``src/`` of its own checkout and
 runs every command in-process through ``engel_lab.cli.main``, each into its
 own subdirectory ``NNN/``.  ``NNN/console.txt`` holds the command line, the

@@ -136,7 +136,7 @@ def closed_form_exp(A: np.ndarray) -> Callable:
 
 
 def _matmul_planes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for 2x2 matrices stored as entry planes (2, 2, n).
+    """x @ y for 2x2 matrices, as (2, 2) or as entry planes (2, 2, n).
 
     Entry (i, j) is x_i0 y_0j + x_i1 y_1j: the products and the sum of a
     matmul without FMA, in its order, with no BLAS call.

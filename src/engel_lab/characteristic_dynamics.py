@@ -12,6 +12,9 @@ a frame (e1, e2) of E/W is
 which for the magnetic extension in the frame (Theta, Yt) is the constant
 matrix [[0, -kappa(kappa+1)], [1, 0]] and reproduces the closed forms
 cos/cosh/unipotent in the rescaled frame.
+
+No decision calls LAPACK or BLAS: the 2x2 algebra of E/W is closed forms on
+the four entries, and the growth fits are centred sums.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 # closed_form_exp is read from here by the oracles of the tests and benchmarks
-from ._kernels import closed_form_exp, transport_rk4
+from ._kernels import _matmul_planes, closed_form_exp, transport_rk4
 from .engel_verify import EngelStructure, line_angle
 from .errors import (
     AmbiguousClass,
@@ -336,7 +339,7 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     orbit = transport_EmodW(s, OrbitTrace(times[:j + 1], orbit.points[:j + 1]))
     last = transport_EmodW(s, integrate_characteristic(s, orbit.points[j], T - times[j],
                                                        abs(T - times[j])), angles=False)
-    M = last.normalized_M()[-1] @ orbit.normalized_M()[-1]
+    M = _matmul_planes(last.normalized_M()[-1], orbit.normalized_M()[-1])
     # the D/W line at the return point, pulled back into the fiber over p0 by
     # adj(M) = det(M) M^{-1}, which has the angle of M^{-1} as det M > 0
     ((a, b), (c, e)), (d0, d1) = M, _dw_coords(s, s.model.wrap(last.points[-1:]))[0]
@@ -346,8 +349,7 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     orbit.meta["return_time"] = T
     if winding < 0:
         # orient so D/W rotates positively: flip the second frame leg
-        F = np.diag([1.0, -1.0])
-        M, winding = F @ M @ F, -winding
+        M, winding = M * [[1.0, -1.0], [-1.0, 1.0]], -winding
     return HolonomyLift(matrix=M, winding=winding), orbit
 
 
@@ -359,8 +361,7 @@ def classify_projective(h: HolonomyLift) -> ProjectiveType:
     cases (trace within ``_CLASS_TOL`` of +-2 while the winding sits within
     it of a pi multiple) raise :class:`AmbiguousClass` rather than guessing.
     """
-    M = h.matrix
-    w = h.winding
+    M, w = h.matrix, h.winding
     if w < 0:
         raise AmbiguousClass("winding must be oriented positively")
     tau = float(np.trace(M))
@@ -460,26 +461,39 @@ class GlobalTypeEstimate:
 
 
 def _linear_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and R^2 of y against t."""
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    A = np.stack([t, np.ones_like(t)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
+    """Least-squares slope and R^2 of y against t, from centred sums."""
     with np.errstate(over="ignore", invalid="ignore"):     # reported below
-        ss_res = float(np.sum((y - pred) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if not np.isfinite([*coef, ss_res, ss_tot]).all():
+        tc, yc = t - t.mean(), y - y.mean()
+        slope = float(np.sum(tc * yc) / np.sum(tc * tc))
+        ss_res, ss_tot = float(np.sum((yc - slope * tc) ** 2)), float(np.sum(yc * yc))
+    if not np.isfinite([slope, ss_res, ss_tot]).all():
         raise NonFiniteEvaluation(f"growth fit up to t = {t.max():.6g} leaves the finite floats")
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
+    return slope, 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
-def _unit_line(v: np.ndarray) -> np.ndarray:
-    """The unit vector of the line through ``v`` with angle in (-pi/2, pi/2],
-    so a line is reported with one sign whatever the solver returned."""
-    v = v / np.linalg.norm(v)
-    return -v if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v
+def _sigma1(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each 2x2 matrix of a stack (..., 2, 2): the
+    moduli of its conformal and anticonformal parts, from halved entries."""
+    (a, b), (c, d) = np.moveaxis(0.5 * M, (-2, -1), (0, 1))
+    return np.hypot(a + d, c - b) + np.hypot(a - d, b + c)
+
+
+def _eigen_lines(M: np.ndarray):
+    """(image, plus, minus, rho, spread) of a 2x2 matrix M scaled exactly by a
+    power of two: N = M - (tr/2) I has N^2 = rho^2 I, the eigenvalues tr/2 +-
+    rho the lines of N +- rho I (rho 0 where rho^2 < 0), ``image`` that of N,
+    each the larger column (the first on a tie) at an angle in (-pi/2, pi/2].
+    rho is in M's scale, signed like rho^2; spread = sqrt|rho^2| / sigma1(N)."""
+    k = int(np.frexp(np.abs(M).max())[1])
+    (a, b), (c, d) = np.ldexp(M, -k)
+    p = 0.5 * (a - d)
+    N, rho2 = np.array([[p, b], [c, -p]]), p * p + b * c
+    rho, lines = np.sqrt(max(rho2, 0.0)) * np.eye(2), []
+    for X in (N, N + rho, N - rho):
+        v = X[:, np.argmax(norms := np.hypot(*X))] / norms.max()
+        lines.append(-v if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v)
+    return (*lines, float(np.copysign(np.ldexp(np.sqrt(abs(rho2)), k), rho2)),
+            float(np.sqrt(abs(rho2)) / _sigma1(N)))
 
 
 def _invariant_lines(Ms: Sequence[np.ndarray], angle_tol: float):
@@ -487,40 +501,29 @@ def _invariant_lines(Ms: Sequence[np.ndarray], angle_tol: float):
     (lines, None), or (None, the reason there are none)."""
     lines = []
     for M in Ms:
-        evals, vecs = np.linalg.eig(M)
-        if (imag := np.abs(evals.imag).max()) > 1e-9:
-            return None, f"complex eigenvalues (|imag| {imag:.3g})"
-        idx = np.argsort(evals.real)[::-1]
-        pair = [_unit_line(vecs.real[:, i]) for i in idx]
-        if float(line_angle(pair[0][None, :], pair[1][None, :])[0]) <= angle_tol:
+        _, *pair, rho, _ = _eigen_lines(M)
+        if -rho > 1e-9:
+            return None, f"complex eigenvalues (|imag| {-rho:.3g})"
+        if float(line_angle(*pair)[0]) <= angle_tol:
             # the gap itself is rounding noise; the threshold reads the same every run
             return None, f"repeated eigen-direction (within {angle_tol:g} rad)"
         lines.append(pair)
-    out = []
     for k in range(2):
-        ref = lines[-1][k]
         for lk in lines[:-1]:
-            if (angle := float(line_angle(lk[k][None, :], ref[None, :])[0])) > angle_tol:
+            if (angle := float(line_angle(lk[k], lines[-1][k])[0])) > angle_tol:
                 return None, f"eigen-direction {k} moves by {angle:.3g} rad along the orbit"
-        out.append(ref)
-    return out, None
+    return lines[-1], None
 
 
 def _parabolic_line(M: np.ndarray, angle_tol: float):
     """Invariant line of a near-parabolic matrix as ([line], None), or (None,
-    the reason).
-
-    The line is the image of the nilpotent part N = M - (tr/2) I, its top left
-    singular vector.  Unlike the eigenvectors of M, which move like the square
-    root of the trace error, it is well conditioned.  sqrt|N^2| / |N| bounds
-    the angle between the two eigen-directions; past ``angle_tol`` M has no
-    single invariant line.
-    """
-    N = M - 0.5 * np.trace(M) * np.eye(2)
-    u, sv, _ = np.linalg.svd(N)
-    if (spread := np.sqrt(np.abs(N @ N).max()) / sv[0]) > angle_tol:
+    the reason): the image of N = M - (tr/2) I, well conditioned where the
+    eigenvectors of M move like the square root of the trace error.  Past a
+    spread sqrt|N^2| / |N| of ``angle_tol``, M has no single invariant line."""
+    image, _, _, _, spread = _eigen_lines(M)
+    if spread > angle_tol:
         return None, f"not unipotent: sqrt|N^2|/|N| = {spread:.3g}"
-    return [_unit_line(u[:, 0])], None
+    return [image], None
 
 
 def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
@@ -556,7 +559,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
         sel = np.unique(np.linspace(n // 4, n - 1, 24).astype(int))
         Mn = orbit.normalized_M()[sel]
         tsel = np.abs(orbit.times[sel])    # elapsed time: a backward orbit grows too
-        sigma1 = np.linalg.svd(Mn, compute_uv=False)[:, 0]
+        sigma1 = _sigma1(Mn)
         # |det Mn| = 1, so sigma1 / sigma2 = sigma1^2; the smaller singular
         # value itself drowns in rounding once sigma1 passes about 1e8.  Past
         # the largest float the distortion is inf, which is not elliptic

@@ -297,7 +297,8 @@ class ChartModel:
         terms = self._terms(section)
 
         def components(pts):
-            rows, out = self.rows(pts), np.empty(pts.shape)
+            rows = self.rows(pts)
+            out = np.empty(pts.shape, complex if np.iscomplexobj(pts) else float)
             for j in range(self.dim):
                 out[:, j] = _entry_sum(terms, rows, j)
             return out

@@ -10,6 +10,8 @@ plane field repeats after a half turn), while the chart itself runs to 2*pi;
 a suspension's fiber is mapping-torus time, with no period.  Each chart is
 laid out by :func:`~engel_lab.geometry_models.fiber_chart`, and Cartan and
 the suspension build one rotating plane that differs only in its angle.
+A monodromy's logarithm, determinant and eigen-lines are closed forms on
+its four entries, with no LAPACK call.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._kernels import closed_form_exp
+from .characteristic_dynamics import _eigen_lines
 from .engel_verify import EngelStructure
 from .errors import (
     ConfigError,
@@ -290,7 +293,7 @@ def _logm2(m: np.ndarray) -> np.ndarray:
     of :func:`closed_form_exp` at t = 1: with tr/2 = cosh(a), a imaginary
     when |tr| < 2, log m = a / sinh(a) (m - (tr/2) I), and m - I when a = 0."""
     m = np.asarray(m, dtype=float)
-    if abs(np.linalg.det(m) - 1.0) > 1e-12:
+    if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) > 1e-12:
         raise ConfigError("monodromy must be unimodular")
     half_tr = 0.5 * (m[0, 0] + m[1, 1])
     if half_tr <= -1.0:
@@ -380,12 +383,10 @@ def bi_engel_pair(monodromy: np.ndarray = ((2, 1), (1, 1)),
     if m[0, 0] + m[1, 1] <= 2.0 + 1e-12:
         raise ConfigError("bi-Engel pair needs a hyperbolic monodromy")
     contact, s = propellor_structure(m, turns=turns)
-    evals, vecs = np.linalg.eig(m)
-    order = np.argsort(evals.real)[::-1]
-    mu = float(evals.real[order[0]])
-    vu = vecs.real[:, order[0]]
-    vs = vecs.real[:, order[1]]
-    lmu = np.log(mu)
+    # the unstable line vu and the stable line vs, oriented so det[vu, vs] > 0
+    _, vu, vs, rho, _ = _eigen_lines(m)
+    vs = vs if vu[0] * vs[1] > vu[1] * vs[0] else -vs
+    lmu = np.log(0.5 * (m[0, 0] + m[1, 1]) + rho)
 
     def eig_cols(vec, rate, pts):
         # the x and y coefficient columns of exp(rate t) vec, (2, n)
@@ -399,18 +400,12 @@ def bi_engel_pair(monodromy: np.ndarray = ((2, 1), (1, 1)),
                                     0, 0), f"hU{'+' if sign > 0 else '-'}hS")
 
     W = Section((0, 0, 1, 0), "hW")
-    pair = []
-    for sign in (+1, -1):
-        st = EngelStructure(
-            model=s.model,
-            D_span=[W, diag_sec(sign)],
-            E_span=list(s.E_span),
-            W_section=W,
-            transverse_section=s.transverse_section,
-            provenance=f"bi_engel[{'+' if sign > 0 else '-'}]",
-            emw_frame=(U, S))
-        pair.append(st)
-    return pair[0], pair[1]
+    plus, minus = (EngelStructure(model=s.model, D_span=[W, diag_sec(sign)],
+                                  E_span=list(s.E_span), W_section=W,
+                                  transverse_section=s.transverse_section,
+                                  provenance=f"bi_engel[{'+' if sign > 0 else '-'}]",
+                                  emw_frame=(U, S)) for sign in (+1, -1))
+    return plus, minus
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,38 @@ def lapack_coords(frame, vecs):
                        -1, -2)
 
 
+def lapack_sigma1(M):
+    """Largest singular value of each 2x2 matrix from LAPACK's SVD, the
+    reference for the closed form in ``characteristic_dynamics._sigma1``."""
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
+
+
+def lapack_eigen(M):
+    """Eigenvalues of a 2x2 matrix from LAPACK's eig, larger real part first,
+    and their unit eigenvectors as columns: the reference for the lines
+    ``plus`` and ``minus`` of ``characteristic_dynamics._eigen_lines``."""
+    evals, vecs = np.linalg.eig(M)
+    order = np.argsort(evals.real)[::-1]
+    return evals[order], vecs[:, order]
+
+
+def lapack_image(M):
+    """The top left singular vector of N = M - (tr/2) I from LAPACK's SVD and
+    sqrt|N^2| / |N|: the reference for ``image`` and ``spread`` of
+    ``characteristic_dynamics._eigen_lines`` near a parabolic M."""
+    N = M - 0.5 * np.trace(M) * np.eye(2)
+    u, sv, _ = np.linalg.svd(N)
+    return u[:, 0], np.sqrt(np.abs(N @ N).max()) / sv[0]
+
+
+def lapack_fit(t, y):
+    """Least-squares slope and R^2 of y against t from LAPACK's lstsq on the
+    columns (t, 1), the reference for ``characteristic_dynamics._linear_fit``."""
+    A = np.stack([t, np.ones_like(t)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return coef[0], 1.0 - np.sum((y - A @ coef) ** 2) / np.sum((y - y.mean()) ** 2)
+
+
 def sequential_transport(A_half, dt):
     """The Magnus steps of ``transport_rk4`` multiplied one at a time, left
     to right: M_k = E_k M_{k-1}."""

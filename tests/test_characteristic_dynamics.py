@@ -33,13 +33,14 @@ from engel_lab.characteristic_dynamics import (
     two_sided_orbit,
 )
 from engel_lab.cli import KAPPA_SWEEP
-from engel_lab.engel_verify import darboux_standard, sample_box
+from engel_lab.engel_verify import darboux_standard, line_angle, sample_box
 from engel_lab.errors import (AmbiguousClass, ChartExit, DegenerateKernel, DimensionMismatch,
                               FrameDegenerate, MonotonicityViolation, NonFiniteEvaluation,
                               StepTooLarge)
 from engel_lab.frame_algebra import Section, _rk4_orbits
 
-from conftest import first_return_reference, rel_err, sequential_transport
+from conftest import (first_return_reference, lapack_eigen, lapack_fit, lapack_image,
+                      lapack_sigma1, rel_err, sequential_transport)
 
 KAPPAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -262,8 +263,11 @@ class TestMagnus:
     def test_bits_do_not_depend_on_the_blas_kernel(self):
         # each program runs in two child processes, one on OpenBLAS's non-FMA
         # Prescott kernel and one on the kernel it detects: a seeded 1000-step
-        # transport, and the E/W generator and the D/W line, both read by
-        # frame_coords, at 4001 Halton points of three chart presets
+        # transport; the E/W generator and the D/W line, both read by
+        # frame_coords, at 4001 Halton points of three chart presets; and the
+        # 2x2 algebra of the dynamics: the classify artifacts of the two
+        # classify tasks of the dynamics benchmark and of bi-engel-cat, and
+        # the closed-orbit holonomy of the flat torus
         transport = ("import sys, numpy as np; from engel_lab._kernels import transport_rk4; "
                      "A = np.random.default_rng(7).normal(scale=0.3, size=(2001, 2, 2)); "
                      "M, dets = transport_rk4(A, 1e-2); "
@@ -275,16 +279,34 @@ class TestMagnus:
                   "    s = build_preset(name, **kw)['structure']; pts = s.model.sample(4001)\n"
                   "    sys.stdout.buffer.write(transport_generator(s, pts).tobytes() "
                   "+ _dw_coords(s, pts).tobytes())")
+        dynamics = ("import contextlib, io, sys, tempfile; from pathlib import Path\n"
+                    "import numpy as np; from engel_lab import cli\n"
+                    "from engel_lab.characteristic_dynamics import closed_orbit_holonomy\n"
+                    "from engel_lab.presets import build_preset\n"
+                    "cls = ['-T', '20.0', '--dt', '0.01', '--orbits', '3']\n"
+                    "with tempfile.TemporaryDirectory() as out:\n"
+                    "    for args in (['propellor-cat', *cls], "
+                    "['lorentz-magnetic', '--kappa', '-1', *cls], ['bi-engel-cat']):\n"
+                    "        with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "            rc = cli.main(['classify', '--preset', *args, '--out', out])\n"
+                    "        assert rc == 0\n"
+                    "        sys.stdout.buffer.write(Path(out, f'classify_{args[0]}.json')"
+                    ".read_bytes())\n"
+                    "s = build_preset('lorentz-product', kappa=0.0)['structure']\n"
+                    "h, _ = closed_orbit_holonomy(s, np.array([0.0, 0.4, 0.0, 0.0]), 1e-3, 8.0)\n"
+                    "sys.stdout.buffer.write(h.matrix.tobytes() + np.float64(h.winding).tobytes())")
         src = str(Path(engel_lab.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        for code, size in ((transport, 8 * (4 * 1001 + 1001)), (frames, 8 * 3 * 4001 * (4 + 2))):
+        for code, size in ((transport, 8 * (4 * 1001 + 1001)), (frames, 8 * 3 * 4001 * (4 + 2)),
+                           (dynamics, None)):
             children = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                                          env={**env, **extra})
                         for extra in ({"OPENBLAS_CORETYPE": "Prescott"}, {})]
             outs = [child.communicate(timeout=60)[0] for child in children]
             assert all(child.returncode == 0 for child in children)
-            assert len(outs[0]) == size and outs[0] == outs[1]
+            assert outs[0] and outs[0] == outs[1]
+            assert size is None or len(outs[0]) == size
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_long_lie_orbit_matches_closed_form(self, preset_cache, kappa):
@@ -693,8 +715,8 @@ class TestGlobalType:
         assert lines is None and why.startswith("not unipotent")
 
     def test_lines_are_reported_with_one_sign(self):
-        # the solvers return (-0.526, 0.851) and (-0.707, -0.707); every line
-        # is reported with its angle in (-pi/2, pi/2]
+        # the larger columns are (1, -1.618) of N - rho I and (-1, -1) of the
+        # shear's N; every line is reported with its angle in (-pi/2, pi/2]
         lines, _ = dyn._invariant_lines([np.array([[2.0, 1.0], [1.0, 1.0]])], 1e-3)
         (shear,), _ = dyn._parabolic_line(np.array([[0.0, 1.0], [-1.0, 2.0]]), 1e-3)
         (vertical,), _ = dyn._parabolic_line(np.array([[1.0, 0.0], [1.0, 1.0]]), 1e-3)
@@ -704,13 +726,13 @@ class TestGlobalType:
 
     def test_repeated_eigen_direction_gives_no_lines(self):
         # a unipotent matrix has eigenvalues [1, 1] and one eigen-direction,
-        # which eig returns twice; that is no pair of hyperbolic lines
+        # read twice from N +- 0 I; that is no pair of hyperbolic lines
         lines, why = dyn._invariant_lines([np.array([[1.0, 0.0], [1.0, 1.0]])], 1e-3)
         assert lines is None and why.startswith("repeated eigen-direction")
 
     def test_repeated_eigen_direction_reason_ignores_rounding(self):
-        # the two matrices differ by an ulp in their diagonals, and the
-        # eigen-directions returned by eig lie 7.4e-17 and 1.11e-16 rad apart
+        # the two matrices differ by an ulp in their diagonals, and their
+        # eigen-directions lie 0 and 1.11e-16 rad apart
         M = np.array([[1.0, 0.0], [3.0, 1.0]])
         N = np.array([[1.0 + 2.0 ** -52, 0.0], [3.0, 1.0 - 2.0 ** -53]])
         (_, why_m), (_, why_n) = dyn._invariant_lines([M], 1e-3), dyn._invariant_lines([N], 1e-3)
@@ -827,6 +849,86 @@ class TestGlobalType:
         t = np.arange(4.0)
         with pytest.raises(NonFiniteEvaluation, match="growth fit up to t = 3 "):
             dyn._linear_fit(t, np.array([0.0, 1e300, -1e300, 1e300]))
+
+EPS = np.finfo(float).eps
+
+
+class TestTwoByTwoAgainstLapack:
+    """The closed forms of the E/W plane's 2x2 algebra against LAPACK on
+    matrices scaled by 2^k, |k| <= 900, compared with LAPACK on the unscaled
+    matrix: lines and the spread do not depend on the scale, sigma1 and rho
+    scale with it exactly.  Bounds are in ulps times each quantity's
+    condition number."""
+
+    @pytest.fixture(scope="class")
+    def random_matrices(self):
+        rng = np.random.default_rng(38)
+        return rng.normal(size=(2000, 2, 2)), rng.integers(-900, 901, size=2000)
+
+    @pytest.fixture(scope="class")
+    def near_parabolic(self):
+        # conjugated shears +-[[1, s], [0, 1]] plus a perturbation of 1e-15
+        # to 1e-5: real or complex eigenvalue pairs split by up to ~3e-3
+        rng = np.random.default_rng(39)
+        out = []
+        for _ in range(500):
+            c, s = np.cos(th := rng.uniform(0, np.pi)), np.sin(th)
+            R = np.array([[c, -s], [s, c]])
+            J = rng.choice([-1, 1]) * np.array([[1.0, rng.uniform(0.1, 10) * rng.choice([-1, 1])],
+                                                [0.0, 1.0]])
+            out.append(R @ J @ R.T + 10 ** rng.uniform(-15, -5) * rng.normal(size=(2, 2)))
+        return np.array(out), rng.integers(-900, 901, size=500)
+
+    def test_sigma1_matches_the_svd(self, random_matrices):
+        m0, k = random_matrices
+        got = np.ldexp(dyn._sigma1(np.ldexp(m0, k[:, None, None])), -k)
+        assert np.abs(got / lapack_sigma1(m0) - 1.0).max() <= 8 * EPS
+        # halved entries keep the sums finite at the top of the float range
+        assert dyn._sigma1(np.ldexp(np.eye(2), 1023)) == 2.0 ** 1023
+
+    def test_eigen_lines_and_rho_match_eig(self, random_matrices):
+        m0, k = random_matrices
+        n_complex = 0
+        for m, kk in zip(m0, k):
+            evals, vecs = lapack_eigen(m)
+            _, plus, minus, rho, _ = dyn._eigen_lines(np.ldexp(m, kk))
+            # rho is half the eigenvalue gap, or minus the imaginary part
+            half_gap = 0.5 * (evals[0] - evals[1])
+            want = half_gap.real if half_gap.real > 0 else -abs(half_gap.imag)
+            cond = lapack_sigma1(m) / abs(want)
+            assert abs(np.ldexp(rho, -kk) - want) <= 8 * EPS * lapack_sigma1(m) * cond
+            if np.iscomplexobj(evals) and evals.imag.any():
+                n_complex += 1
+                continue
+            for line, v in ((plus, vecs[:, 0]), (minus, vecs[:, 1])):
+                assert line_angle(line, v)[0] <= 8 * EPS * cond
+                assert line[0] > 0 or (line[0] == 0 and line[1] > 0)
+        assert 300 < n_complex < 1000
+
+    def test_image_and_spread_match_the_svd_near_a_parabolic(self, near_parabolic):
+        m0, k = near_parabolic
+        for m, kk in zip(m0, k):
+            u, spread_want = lapack_image(m)
+            image, *_, spread = dyn._eigen_lines(np.ldexp(m, kk))
+            # the larger column of N and N's top singular vector part by
+            # about spread^2; spread^2 = |rho^2| / |N|^2 is good to rounding
+            assert line_angle(image, u)[0] <= 2 * (spread ** 2 + EPS)
+            assert abs(spread ** 2 - spread_want ** 2) <= 8 * EPS
+        assert np.mean([dyn._parabolic_line(m, 1e-3)[0] is not None for m in m0]) > 0.9
+
+    def test_linear_fit_matches_lstsq(self):
+        # y scaled by 2^k, |k| <= 400, so every square stays a full float
+        rng = np.random.default_rng(40)
+        for _ in range(500):
+            t = np.sort(rng.uniform(0, 20, 24))
+            y = (rng.normal() * t + 10 * rng.normal()
+                 + 10 ** rng.uniform(-6, 1) * rng.normal(size=24))
+            k = int(rng.integers(-400, 401))
+            slope, r2 = dyn._linear_fit(t, np.ldexp(y, k))
+            slope_want, r2_want = lapack_fit(t, y)
+            assert abs(np.ldexp(slope, -k) - slope_want) <= 16 * EPS * np.abs(y).max() / t.std()
+            assert abs(r2 - r2_want) <= 64 * EPS
+
 
 class TestGeodesicProjection:
     @pytest.mark.parametrize("kappa", [1.0, 0.0, -1.0])

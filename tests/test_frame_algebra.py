@@ -595,6 +595,23 @@ class TestModelProtocol:
         assert (err <= 1e-8 * np.abs(fd).max(axis=(1, 2))).all(), err.max()
 
     @pytest.mark.parametrize("name", CHART_PRESETS)
+    def test_realized_field_takes_the_complex_step(self, preset_cache, name):
+        # model.field allocates in the points' dtype, as model.values does, so
+        # the complex step through a realized W field is the complex step of
+        # W's values; a float allocation would drop the imaginary part
+        s = preset_cache(name)["structure"]
+        pts = sample_box(s.model, 16)
+        field = s.model.field(s.W_section)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            got = list(complex_step(field, pts))
+        want = list(complex_step(lambda q: s.model.values([s.W_section], q)[:, 0], pts))
+        for (v, d), (v_want, d_want) in zip(got, want, strict=True):
+            assert v.tobytes() == v_want.tobytes() and d.tobytes() == d_want.tobytes()
+        real = s.model.values([s.W_section], pts)[:, 0]
+        assert field(pts).dtype == float and field(pts).tobytes() == real.tobytes()
+
+    @pytest.mark.parametrize("name", CHART_PRESETS)
     def test_bracket_and_generator_rows_equal_one_point_calls(self, preset_cache, name):
         # a single complex point takes the columns of a batch, not Python
         # scalars, so every row is its one-point call bit for bit; the

@@ -500,6 +500,19 @@ class TestSuspension:
         rank, marginal = rank_with_margin(D, RANK_TOL)
         assert np.all(rank == 3) and not marginal.any()
 
+    def test_bi_engel_pair_keeps_its_orientation(self):
+        # at t = 0 the E/W frame (U, S) is the unstable and the stable line of
+        # the cat map, (U, S) positively oriented: flipping S would swap the
+        # D planes <W, U + S> and <W, U - S> of the pair
+        plus, minus = bi_engel_pair()
+        p = np.array([[0.2, 0.3, 0.0, 0.5]])
+        (U, S), (D_plus, D_minus) = [[sec.coeff_at(p)[0, :2] for sec in secs] for secs in
+                                     (plus.emw_frame, (plus.D_span[1], minus.D_span[1]))]
+        golden = (1 + np.sqrt(5)) / 2
+        assert np.allclose(U, np.array([golden, 1.0]) / np.hypot(golden, 1.0), rtol=0, atol=1e-15)
+        assert np.allclose(S, np.array([-1.0, golden]) / np.hypot(golden, 1.0), rtol=0, atol=1e-15)
+        assert np.array_equal(D_plus, U + S) and np.array_equal(D_minus, U - S)
+
     @pytest.mark.parametrize("m", [np.eye(2), SHEAR_MAP])
     def test_bi_engel_pair_needs_a_hyperbolic_monodromy(self, m):
         with pytest.raises(ConfigError, match="hyperbolic"):
