@@ -36,7 +36,7 @@ from .errors import (
     NonFiniteEvaluation,
     StepTooLarge,
 )
-from .frame_algebra import _rk4_orbits, _time_grid, frame_coords
+from .frame_algebra import _time_grid, frame_coords
 from .geometry_models import LorentzExtension
 from .serialize import write_csv
 
@@ -255,8 +255,10 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     """Solve M' = A(t) M along the orbit and track the lifted D/W angle.
 
     A(t) is sampled at the stored points and at the step midpoints, which
-    one half-length RK4 substep regenerates from every stored point, and M
-    is built from 4th-order Magnus steps (``_kernels.transport_rk4``).
+    ``model.flow`` of W regenerates by one half-length step from every stored
+    point (a midpoint outside the padded chart box reads NaN and raises
+    :class:`NonFiniteEvaluation`), and M is built from 4th-order Magnus
+    steps (``_kernels.transport_rk4``).
     ``angles=False`` skips the developing-angle pullback (the inverse
     transport loses all precision once a hyperbolic M(t) has condition
     number near 1/eps, and the global-type estimator does not need it).
@@ -267,12 +269,11 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     dt_signed = times[1] - times[0]
     n = len(times) - 1
 
-    # midpoint stage positions: one RK4 substep of half length from every
+    # midpoint stage positions: one flow step of half length from every
     # stored point, all points as one batch
     pts = s.model.wrap(orbit.points)
     h = dt_signed / 2.0
-    W = lambda p: s.model.values([s.W_section], p)[:, 0]
-    _, sub, _ = _rk4_orbits(W, pts[:-1], h, abs(h))
+    _, sub, _ = s.model.flow(s.W_section, pts[:-1], h, abs(h))
     pts_half = np.empty((2 * n + 1, s.model.dim))
     pts_half[0::2] = pts
     pts_half[1::2] = sub[:, 1]
@@ -446,6 +447,7 @@ _R2_MIN = 0.99            # fit quality for growth laws
 _DISTORTION_BOUND = 1e3   # largest sigma1^2 of an elliptic orbit
 _LINE_ANGLE_TOL = 1e-3    # eigen-directions closer than this are one line
 _CROSS_EPS = 1e-3         # min D/W distance to an invariant line
+_ZERO_ENTRY = 4 * np.finfo(float).eps    # a unit line's entry that reads as 0 in its sign
 
 
 @dataclass
@@ -482,7 +484,9 @@ def _eigen_lines(M: np.ndarray):
     """(image, plus, minus, rho, spread) of a 2x2 matrix M scaled exactly by a
     power of two: N = M - (tr/2) I has N^2 = rho^2 I, the eigenvalues tr/2 +-
     rho the lines of N +- rho I (rho 0 where rho^2 < 0), ``image`` that of N,
-    each the larger column (the first on a tie) at an angle in (-pi/2, pi/2].
+    each the larger column (the first on a tie) as a unit vector whose first
+    entry is positive, or whose second is where the first is within 4 ulps of
+    0, so a line at rounding distance from the vertical has one sign.
     rho is in M's scale, signed like rho^2; spread = sqrt|rho^2| / sigma1(N)."""
     k = int(np.frexp(np.abs(M).max())[1])
     (a, b), (c, d) = np.ldexp(M, -k)
@@ -491,7 +495,7 @@ def _eigen_lines(M: np.ndarray):
     rho, lines = np.sqrt(max(rho2, 0.0)) * np.eye(2), []
     for X in (N, N + rho, N - rho):
         v = X[:, np.argmax(norms := np.hypot(*X))] / norms.max()
-        lines.append(-v if v[0] < 0 or (v[0] == 0 and v[1] < 0) else v)
+        lines.append(-v if (v[1] if abs(v[0]) <= _ZERO_ENTRY else v[0]) < 0 else v)
     return (*lines, float(np.copysign(np.ldexp(np.sqrt(abs(rho2)), k), rho2)),
             float(np.sqrt(abs(rho2)) / _sigma1(N)))
 

@@ -10,11 +10,12 @@ horizontal fields satisfy
 
 Constant-curvature models exist twice: as exact Lie models (for closed-form
 holonomy) and as chart realizations via lambda = 4 / (1 + kappa r^2)^2, so
-the exact and numerical paths cross-validate.  A surface is two functions
-of coordinate columns, ``lam_dlog`` and ``d2log``, as a frame's entries are.
-A chart frame comes from lambda and its analytic log-derivatives; a chart W
-takes the kappa a constant-curvature surface declares, else
-:func:`gauss_curvature` on the x, y columns, float arithmetic at one point.
+the exact and numerical paths cross-validate.  A surface is lambda with its
+log-gradient, ``lam_dlog``, and its Gauss curvature ``kappa``, each a closed
+form on coordinate columns, as a frame's entries are; ``kappa`` is a number
+on a constant-curvature surface.  A chart frame comes from lambda and its
+log-derivatives, and a chart W reads the surface's kappa on the x, y
+columns, float arithmetic at one point.
 
 Every chart that adds a last fiber coordinate to a base is laid out by
 :func:`fiber_chart`; both extensions build their Lie twin and their chart
@@ -48,22 +49,20 @@ def _columns(pts: np.ndarray) -> list:
 
 @dataclass
 class ConformalSurface:
-    """Metric lambda (dx^2 + dy^2) on a chart box in R^2, given as two
-    functions of coordinate columns (see :func:`_columns`).
+    """Metric lambda (dx^2 + dy^2) on a chart box in R^2, given by closed forms
+    on coordinate columns (see :func:`_columns`).
 
-    ``lam_dlog(x, y) -> (lambda, d_x log(lambda), d_y log(lambda))`` and
-    ``d2log(x, y) -> (xx, xy, yy)``, the second log-derivatives, each compute
+    ``lam_dlog(x, y) -> (lambda, d_x log(lambda), d_y log(lambda))`` computes
     from shared subexpressions, in floats at a single point and on (n,)
-    columns at a batch.  :meth:`lam_dlog_at` is the checked reader.
-    ``kappa`` is the Gauss curvature of a constant-curvature surface,
-    declared as a number, or ``None``; :func:`gauss_curvature` always
-    computes the curvature from lambda.
+    columns at a batch; :meth:`lam_dlog_at` is the checked reader.  ``kappa``
+    is the Gauss curvature -Laplace(log lambda) / (2 lambda): a number on a
+    constant-curvature surface, else a function ``kappa(x, y)`` of coordinate
+    columns, as ``lam_dlog`` is.
     """
 
     lam_dlog: Callable
     box: np.ndarray
-    d2log: Callable
-    kappa: Optional[float] = None
+    kappa: Union[float, Callable]
     periodic: dict = field(default_factory=dict)
     name: str = ""
 
@@ -79,81 +78,69 @@ class ConformalSurface:
             raise NonFiniteEvaluation("conformal factor must be finite and positive")
         return lam, dx, dy
 
-
-def gauss_curvature(s: ConformalSurface, x, y) -> Union[float, np.ndarray]:
-    """kappa = -Laplace(log lambda) / (2 lambda) at coordinate columns: a
-    float at a single point, (n,) at a batch."""
-    xx, _, yy = s.d2log(x, y)
-    k = -(xx + yy) / (2.0 * s.lam_dlog_at(x, y)[0])
-    if not np.isfinite(k).all():
-        raise NonFiniteEvaluation("curvature evaluation produced NaN or inf")
-    return k
+    def kappa_at(self, x, y):
+        """A variable ``kappa`` at coordinate columns, refused where not finite."""
+        k = self.kappa(x, y)
+        if not (abs(k) < np.inf if isinstance(k, float) else np.isfinite(k).all()):
+            raise NonFiniteEvaluation("curvature evaluation produced NaN or inf")
+        return k
 
 
 # ---------------------------------------------------------------------------
 # surfaces
 # ---------------------------------------------------------------------------
 
-def flat_surface(half: float = np.pi) -> ConformalSurface:
+def flat_surface() -> ConformalSurface:
+    """lambda = 1 on the square torus [-pi, pi]^2."""
     return ConformalSurface(
         lam_dlog=lambda x, y: (np.ones_like(x), np.zeros_like(x), np.zeros_like(y)),
-        d2log=lambda x, y: (np.zeros_like(x), np.zeros_like(x), np.zeros_like(y)),
-        box=[[-half, half], [-half, half]],
+        box=[[-np.pi, np.pi], [-np.pi, np.pi]],
         kappa=0.0,
-        periodic={0: 2 * half, 1: 2 * half},
+        periodic={0: TWO_PI, 1: TWO_PI},
         name="flat")
 
 
-def constant_curvature_surface(kappa: float, half: float = None) -> ConformalSurface:
+def constant_curvature_surface(kappa: float) -> ConformalSurface:
     """lambda = 4 / (1 + kappa r^2)^2 has Gauss curvature kappa.
 
-    For kappa < 0 the chart must stay inside r^2 < -1/kappa; the default box
-    keeps a comfortable margin.
+    For kappa < 0 the chart must stay inside r^2 < -1/kappa; the box keeps
+    a comfortable margin.
     """
     kappa = float(kappa)
     if kappa == 0.0:
-        return flat_surface(half=half if half is not None else np.pi)
-    if half is None:
-        # kappa < 0 charts must stay inside r < 1/sqrt(-kappa); the box is
-        # sized so its corners keep a 4% margin, wide enough for length-5
-        # projected null geodesics (horocycles reach r ~ 0.8 r_sing)
-        half = 1.2 if kappa > 0 else 0.68 / np.sqrt(-kappa)
+        return flat_surface()
+    # kappa < 0 charts must stay inside r < 1/sqrt(-kappa); the box is
+    # sized so its corners keep a 4% margin, wide enough for length-5
+    # projected null geodesics (horocycles reach r ~ 0.8 r_sing)
+    half = 1.2 if kappa > 0 else 0.68 / np.sqrt(-kappa)
 
     def lam_dlog(x, y):
         q = 1.0 + kappa * (x * x + y * y)
         g = -4.0 * kappa / q
         return 4.0 / (q * q), g * x, g * y
 
-    def d2log(x, y):
-        # with q = 1 + kappa r^2: d_ij log(lambda) = a delta_ij + b x_i x_j / q^2
-        q = 1.0 + kappa * (x * x + y * y)
-        a, b, q2 = -4.0 * kappa / q, 8.0 * (kappa * kappa), q * q
-        return a + b * x * x / q2, b * x * y / q2, a + b * y * y / q2
-
     name = {1.0: "sphere", -1.0: "disk"}.get(kappa, f"constant({kappa:g})")
-    return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log, kappa=kappa,
+    return ConformalSurface(lam_dlog=lam_dlog, kappa=kappa,
                             box=[[-half, half], [-half, half]], name=name)
 
 
-def bump_surface(a: float = 0.7, s: float = 0.9, half: float = 0.8) -> ConformalSurface:
-    """log(lambda) = a exp(-r^2 / (2 s^2)): smooth variable curvature."""
-    s2 = float(s) * float(s)
-
-    def g(x, y):
-        return a * np.exp(-(x * x + y * y) / (2 * s2))
+def bump_surface() -> ConformalSurface:
+    """log(lambda) = g = a exp(-r^2 / (2 s^2)), a = 0.7, s = 0.9, on
+    [-0.8, 0.8]^2: smooth variable curvature
+    kappa = -g (r^2 / s^4 - 2 / s^2) / (2 e^g)."""
+    a, s2 = 0.7, 0.9 * 0.9
 
     def lam_dlog(x, y):
-        gg = g(x, y)
-        return np.exp(gg), gg * (-x / s2), gg * (-y / s2)
+        g = a * np.exp(-(x * x + y * y) / (2 * s2))
+        return np.exp(g), g * (-x / s2), g * (-y / s2)
 
-    def d2log(x, y):
-        gg, s4 = g(x, y), s2 * s2
-        return (gg * (x * x / s4 - 1.0 / s2),       # xx
-                gg * (x * y / s4),                  # xy
-                gg * (y * y / s4 - 1.0 / s2))       # yy
+    def kappa(x, y):
+        r2 = x * x + y * y
+        g = a * np.exp(-r2 / (2 * s2))
+        return -(g * (r2 / (s2 * s2) - 2.0 / s2)) / (2.0 * np.exp(g))
 
-    return ConformalSurface(lam_dlog=lam_dlog, d2log=d2log,
-                            box=[[-half, half], [-half, half]], name="bump")
+    return ConformalSurface(lam_dlog=lam_dlog, kappa=kappa,
+                            box=[[-0.8, 0.8], [-0.8, 0.8]], name="bump")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +253,8 @@ def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
     Lie twin: the (X, Y, Z) structure constants of ``ut`` plus
     [Theta, e_j] = v e_k for each ``(k, j): v`` in ``theta_brackets``.
     Chart: the frame ``rows`` on the unit tangent chart times the theta
-    circle, with the surface's declared kappa, else its computed Gauss curvature.
+    circle, with the surface's kappa: its number, or
+    :meth:`ConformalSurface.kappa_at` on the x, y columns of the points.
     """
     if isinstance(ut, ConstantCurvatureUT):
         c = np.zeros((4, 4, 4))
@@ -277,8 +265,8 @@ def _extension(kind: str, ut: Union[UnitTangentChart, ConstantCurvatureUT],
     else:
         surface = ut.surface
         model = fiber_chart(ut.model, rows, f"{kind}({surface.name})")
-        kappa = surface.kappa if surface.kappa is not None else (
-            lambda pts: gauss_curvature(surface, *_columns(pts)[:2]))
+        kappa = surface.kappa if not callable(surface.kappa) else (
+            lambda pts: surface.kappa_at(*_columns(pts)[:2]))
     return LorentzExtension(kind=kind, base=ut, model=model, kappa=kappa,
                             m_metric_diag=np.array(m_metric_diag))
 

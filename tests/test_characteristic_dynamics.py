@@ -724,6 +724,35 @@ class TestGlobalType:
         assert np.allclose(shear, [np.sqrt(0.5)] * 2)
         assert np.array_equal(vertical, [0.0, 1.0])
 
+    @staticmethod
+    def _final_Ms(s, n_orbits):
+        # the last det-normalized transport of each orbit estimate_global_type runs
+        mid = s.model.point(0.5)
+        starts = mid + 0.5 * (s.model.sample(n_orbits, skip=300) - mid)
+        return [transport_EmodW(s, orbit, angles=False).normalized_M()[-1]
+                for orbit, _ in orbits_within_chart(s, starts, 20.0, 1e-2)]
+
+    def test_line_sign_survives_an_ulp_of_the_matrix(self, preset_cache):
+        # bi-engel-cat's stable line is vertical in its E/W frame, so its first
+        # entry is rounding, read as 0: the line points up.  A one-ulp move of
+        # any entry of M keeps the sign of each line's larger entry
+        for M in self._final_Ms(preset_cache("bi-engel-cat")["structure"], 3):
+            lines = dyn._eigen_lines(M)[:3]
+            assert [v[1] > 0 for v in lines if abs(v[0]) <= 4 * np.finfo(float).eps] == [True]
+            want = [np.sign(v[np.argmax(np.abs(v))]) for v in lines]
+            for i, j, to in np.ndindex(2, 2, 2):
+                Mp = M.copy()
+                Mp[i, j] = np.nextafter(M[i, j], (-np.inf, np.inf)[to])
+                got = [np.sign(v[np.argmax(np.abs(v))]) for v in dyn._eigen_lines(Mp)[:3]]
+                assert got == want
+
+    def test_stable_lines_of_bi_engel_cat_agree(self, preset_cache):
+        # the three orbits share one holonomy, and report one stable line
+        s = preset_cache("bi-engel-cat")["structure"]
+        orbits = estimate_global_type(s, n_orbits=3, T_max=20.0, dt=1e-2).evidence["orbits"]
+        stable = np.array([o["lines"][1] for o in orbits])
+        assert np.abs(stable - stable[0]).max() < 1e-15
+
     def test_repeated_eigen_direction_gives_no_lines(self):
         # a unipotent matrix has eigenvalues [1, 1] and one eigen-direction,
         # read twice from N +- 0 I; that is no pair of hyperbolic lines

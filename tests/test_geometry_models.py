@@ -1,15 +1,17 @@
 """Surfaces, unit tangent bundles, and Lorentzian extensions."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from engel_lab.cli import KAPPA_SWEEP
-from engel_lab.frame_algebra import bracket_chart, sample_box
+from engel_lab.errors import NonFiniteEvaluation
+from engel_lab.frame_algebra import bracket_chart, complex_step, sample_box
 from engel_lab.geometry_models import (
     ConstantCurvatureUT,
     bump_surface,
     constant_curvature_surface,
     flat_surface,
-    gauss_curvature,
     magnetic_extension,
     product_extension,
     unit_tangent_frames,
@@ -26,44 +28,67 @@ SURFACES = {
     "bump": bump_surface,
 }
 
+
+def kappa_of(s, x, y):
+    """The surface's kappa at coordinate columns: its number on a
+    constant-curvature surface, else its checked reader."""
+    return s.kappa_at(x, y) if callable(s.kappa) else s.kappa
+
+
+def laplacian_kappa(s, pts):
+    """-Laplace(log lambda) / (2 lambda) at points (n, 2), the Laplacian taken
+    by the complex step of the analytic log-gradient."""
+    dlog = lambda z: np.stack(s.lam_dlog(*z.T)[1:])         # (2, n)
+    lap = sum(d[j] for j, (_, d) in enumerate(complex_step(dlog, pts)))
+    return -lap / (2.0 * s.lam_dlog_at(*pts.T)[0])
+
+
 class TestGaussCurvature:
     def test_flat_is_zero(self, rng):
         s = flat_surface()
         pts = rng.uniform(-1, 1, (20, 2))
-        assert np.abs(gauss_curvature(s, *pts.T)).max() < 1e-12
+        assert s.kappa == 0.0
+        assert np.abs(laplacian_kappa(s, pts)).max() < 1e-12
 
     def test_round_sphere_factor(self, rng):
         # lambda = 4 / (1 + r^2)^2 has curvature exactly 1
         s = constant_curvature_surface(1.0)
         pts = rng.uniform(-0.6, 0.6, (30, 2))
-        assert np.abs(gauss_curvature(s, *pts.T) - 1.0).max() < 1e-6
+        assert s.kappa == 1.0
+        assert np.abs(laplacian_kappa(s, pts) - 1.0).max() < 1e-6
 
     def test_poincare_disk_factor(self, rng):
         s = constant_curvature_surface(-1.0)
         pts = rng.uniform(-0.5, 0.5, (30, 2))
-        assert np.abs(gauss_curvature(s, *pts.T) + 1.0).max() < 1e-6
+        assert s.kappa == -1.0
+        assert np.abs(laplacian_kappa(s, pts) + 1.0).max() < 1e-6
 
-    @pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.5, 1.0, 2.0])
-    def test_one_pass_curvature_is_the_generic_formula(self, kappa, rng):
-        # the declared kappa, which the chart extensions use as is, is the
-        # curvature of lambda by the generic formula, to rounding
-        s = constant_curvature_surface(kappa)
-        assert s.kappa == kappa
-        pts = rng.uniform(s.box[:, 0], s.box[:, 1], (200, 2))
-        assert np.abs(gauss_curvature(s, *pts.T) - kappa).max() <= 1e-14
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_kappa_is_the_structure_equation(self, surface):
+        # the declared kappa is the curvature of the unit tangent frame,
+        # [X, Y] = kappa Z by complex-step brackets, across the whole box
+        s = SURFACES[surface]()
+        ut = unit_tangent_frames(s)
+        pts = sample_box(ut.model, 500)
+        XY = bracket_chart(ut.model.frame, [(0, 1)], pts)[:, 0]
+        kappa = np.broadcast_to(kappa_of(s, *pts[:, :2].T), len(pts))
+        Z = ut.model.frame(pts)[:, 2]
+        err = np.abs(XY - kappa[:, None] * Z).max(axis=1)
+        assert (err <= 1e-13 * np.maximum(1.0, np.abs(kappa))).all()
 
     @pytest.mark.parametrize("surface", SURFACES)
     def test_analytic_log_derivatives_match_differences(self, surface, rng):
-        # dlog and d2log against central differences of log(lambda)
+        # dlog, and kappa = -Laplace(log lambda) / (2 lambda), against
+        # central differences of log(lambda)
         s = SURFACES[surface]()
         pts = rng.uniform(-0.5, 0.5, (15, 2))
         h = 1e-4
         log_lam = lambda q: np.log(s.lam_dlog_at(*q.T)[0])
-        dlog = np.stack(s.lam_dlog_at(*pts.T)[1:], axis=-1)
-        assert np.abs(dlog - fd_jacobian(log_lam, pts, h)).max() < 1e-6
+        lam, *dlog = s.lam_dlog_at(*pts.T)
+        assert np.abs(np.stack(dlog, axis=-1) - fd_jacobian(log_lam, pts, h)).max() < 1e-6
         hess = fd_jacobian(lambda q: fd_jacobian(log_lam, q, h), pts, h)
-        want = np.stack([hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]], axis=-1)
-        assert np.abs(np.stack(s.d2log(*pts.T), axis=-1) - want).max() < 1e-5
+        want = -(hess[:, 0, 0] + hess[:, 1, 1]) / (2.0 * lam)
+        assert np.abs(kappa_of(s, *pts.T) - want).max() < 1e-5
 
     @pytest.mark.parametrize("surface", SURFACES)
     def test_surface_one_point_matches_its_batch_row(self, surface, rng):
@@ -71,15 +96,19 @@ class TestGaussCurvature:
         # (n,) at a batch; a row of the batch equals its point to the bit
         s = SURFACES[surface]()
         pts = rng.uniform(-0.5, 0.5, (32, 2))
-        batch = (*s.lam_dlog_at(*pts.T), *s.d2log(*pts.T), gauss_curvature(s, *pts.T))
+        batch = (*s.lam_dlog_at(*pts.T), np.broadcast_to(kappa_of(s, *pts.T), len(pts)))
         for i, (x, y) in enumerate(pts.tolist()):
-            one = (*s.lam_dlog_at(x, y), *s.d2log(x, y), gauss_curvature(s, x, y))
+            one = (*s.lam_dlog_at(x, y), kappa_of(s, x, y))
+            assert isinstance(one[-1], float)
             row = np.array([b[i] for b in batch])
             assert row.tobytes() == np.array(one, dtype=float).tobytes()
 
-    def test_translation_invariance_for_flat(self):
-        s = flat_surface()
-        assert gauss_curvature(s, 0.0, 0.0) == gauss_curvature(s, 0.5, -0.4)
+    def test_nonfinite_kappa_is_refused(self):
+        # a variable kappa is read through its check, at one point and at a batch
+        s = dataclasses.replace(bump_surface(), kappa=lambda x, y: x * np.inf)
+        for x in (0.0, 0.5, np.zeros(3), np.full(3, 0.5)):
+            with pytest.raises(NonFiniteEvaluation), np.errstate(invalid="ignore"):
+                s.kappa_at(x, x)
 
 
 class TestUnitTangentFrames:
@@ -115,16 +144,6 @@ class TestUnitTangentFrames:
         for model, P in ((ut.model, pts[:, :3]), (magnetic_extension(ut).model, pts)):
             one = np.stack([model.frame(p[None])[0] for p in P])
             assert np.array_equal(one, model.frame(P))
-
-    def test_variable_curvature_bracket(self, rng):
-        surf = bump_surface()
-        ut = unit_tangent_frames(surf)
-        X, Y, Z = frame_fields(ut.model)
-        for _ in range(4):
-            p = rng.uniform([-0.5, -0.5, 0], [0.5, 0.5, 2 * np.pi])
-            k = gauss_curvature(surf, *p[:2])
-            XY = bracket_chart(ut.model.frame, [(0, 1)], p)[0]
-            assert np.abs(XY - k * Z(p[None])[0]).max() < 1e-5
 
 
 class TestLiePresets:

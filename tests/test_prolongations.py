@@ -25,7 +25,6 @@ from engel_lab.frame_algebra import (
 )
 from engel_lab.geometry_models import (
     bump_surface,
-    gauss_curvature,
     magnetic_extension,
     unit_tangent_frames,
 )
@@ -148,8 +147,28 @@ class TestLorentz:
         frame_vals = np.swapaxes(s.model.frame(pts), 1, 2)
         coef = np.einsum("nkd,nd->nk", np.linalg.pinv(frame_vals), w)
         coef /= coef[:, 0:1]
-        want = -(1.0 + gauss_curvature(surf, pts[:, 0], pts[:, 1]))
-        assert np.abs(coef[:, 3] - want).max() < 1e-5
+        want = -(1.0 + surf.kappa(pts[:, 0], pts[:, 1]))
+        assert np.abs(coef[:, 3] - want).max() < 1e-12
+
+    def test_variable_curvature_W_reads_its_surface_twice(self):
+        # one field call of W at one point of magnetic-bump calls lam_dlog
+        # once (the frame) and kappa once (W's Theta coefficient)
+        calls = {"lam_dlog": 0, "kappa": 0}
+
+        def counted(name, f):
+            def g(x, y):
+                calls[name] += 1
+                return f(x, y)
+            return g
+
+        bump = bump_surface()
+        surf = dataclasses.replace(bump, lam_dlog=counted("lam_dlog", bump.lam_dlog),
+                                   kappa=counted("kappa", bump.kappa))
+        s = lorentz_prolongation(magnetic_extension(unit_tangent_frames(surf)))
+        field, p = s.model.field(s.W_section), s.model.sample(1)
+        calls.update(lam_dlog=0, kappa=0)
+        field(p)
+        assert calls == {"lam_dlog": 1, "kappa": 1}
 
     def test_variable_curvature_W_one_point_is_its_batch_row(self, preset_cache):
         # kappa is float arithmetic at one point, an (n,) column at a batch;
