@@ -70,11 +70,14 @@ def bench_field(sizes=(1, 3, 1000)):
     """Wall time of one evaluation of the characteristic field W as the
     chart RK4 of ``ChartModel.flow`` evaluates it (one call of
     ``model.field(W)`` on a (B, dim) batch): on lorentz-magnetic and
-    propellor-cat, whose W are constant sections and take the fused path, at
-    each B of ``sizes`` (1, 3 and 1000: the batches of ``orbit``,
-    ``classify`` and ``verify``); at B = 1 and 3 on magnetic-bump, whose W
-    evaluates the Gauss curvature, and on lorentz-product, a control whose
-    frame is the plain horizontal frame of the magnetic one."""
+    propellor-cat, whose W are constant sections, at each B of ``sizes``
+    (1, 3 and 1000: the batches of ``orbit``, ``classify`` and ``verify``);
+    at B = 1 and 3 on magnetic-bump, whose W is not constant and evaluates
+    the Gauss curvature, and on lorentz-product, a control whose frame is the
+    plain horizontal frame of the magnetic one.  lorentz-product at kappa 0
+    is the flat control, the same frame on the flat torus: its surface must
+    hand floats at one point as the others do, and a 0-d array there takes
+    the array branch of ``lam_dlog_at``, several us per call at B = 1."""
     from engel_lab.engel_verify import sample_box
     from engel_lab.presets import build_preset
 
@@ -82,14 +85,16 @@ def bench_field(sizes=(1, 3, 1000)):
                                                     ("propellor-cat", {}))
              for B in sizes]
     cases += [(name, params, B) for name, params in (("magnetic-bump", {}),
-                                                     ("lorentz-product", {"kappa": -0.5}))
+                                                     ("lorentz-product", {"kappa": -0.5}),
+                                                     ("lorentz-product", {"kappa": 0.0}))
               for B in (1, 3)]
     rows = []
     for name, params, B in cases:
         s = build_preset(name, **params)["structure"]
         pts, field = sample_box(s.model, B), s.model.field(s.W_section)
         t, _ = timeit(lambda: [field(pts) for _ in range(20)])
-        rows.append((f"field W B={B} {name}", t / 20))
+        flat = " kappa=0" if params.get("kappa") == 0.0 else ""
+        rows.append((f"field W B={B} {name}{flat}", t / 20))
     return rows
 
 
@@ -268,7 +273,7 @@ def main():
     for name, t, peak in bench_probe():
         print(f"{name:<34s} {t * 1e3:9.2f}ms, peak {peak / 1e6:.1f} MB")
     for name, t in bench_field():
-        print(f"{name:<34s} {t * 1e6:9.1f}us per evaluation")
+        print(f"{name:<40s} {t * 1e6:9.1f}us per evaluation")
     for name, t in bench_values():
         print(f"{name:<34s} {t * 1e6:9.1f}us per call")
     for name, t in bench_brackets():

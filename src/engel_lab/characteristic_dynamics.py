@@ -250,6 +250,17 @@ def lift_angle_mod_pi(raw: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pullback_angle(M: np.ndarray, dets: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Angle in (-pi/2, pi/2] of each line d (n, 2) pulled back by M (n, 2, 2)
+    of determinant ``dets`` (n,): adj(M) d / det M, which is M^{-1} d.  The
+    cut is the vertical, so a line along the first frame vector reads 0
+    whatever the sign of a rounding-size second entry."""
+    adj = M[:, [[1, 0], [1, 0]], [[1, 1], [0, 0]]] * [[1.0, -1.0], [-1.0, 1.0]]
+    u = np.einsum("nij,nj->ni", adj, d) / dets[:, None]
+    with np.errstate(divide="ignore"):
+        return np.where(u[:, 0] == 0, np.pi / 2, np.arctan(u[:, 1] / u[:, 0]))
+
+
 def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
                     angles: bool = True) -> OrbitTrace:
     """Solve M' = A(t) M along the orbit and track the lifted D/W angle.
@@ -258,7 +269,8 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     ``model.flow`` of W regenerates by one half-length step from every stored
     point (a midpoint outside the padded chart box reads NaN and raises
     :class:`NonFiniteEvaluation`), and M is built from 4th-order Magnus
-    steps (``_kernels.transport_rk4``).
+    steps (``_kernels.transport_rk4``).  The D/W line at each stored point is
+    pulled back into the fiber over the start by :func:`_pullback_angle`.
     ``angles=False`` skips the developing-angle pullback (the inverse
     transport loses all precision once a hyperbolic M(t) has condition
     number near 1/eps, and the global-type estimator does not need it).
@@ -283,21 +295,7 @@ def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
     if not (ok := np.isfinite(M).all(axis=(1, 2)) & (dets > 0) & (dets < np.inf)).all():
         raise NonFiniteEvaluation(f"E/W transport M or det M leaves the finite floats "
                                   f"at t = {times[np.argmin(ok)]:.6g}")
-    angle = None
-    if angles:
-        d = _dw_coords(s, pts)
-        # adjugate inverse: M is unimodular, so M^{-1} = adj(M) / det(M)
-        adj = np.empty_like(M)
-        adj[:, 0, 0] = M[:, 1, 1]
-        adj[:, 0, 1] = -M[:, 0, 1]
-        adj[:, 1, 0] = -M[:, 1, 0]
-        adj[:, 1, 1] = M[:, 0, 0]
-        u = np.einsum("nij,nj->ni", adj, d) / dets[:, None]
-        # the line's angle in (-pi/2, pi/2]: a line along the first frame
-        # vector starts at 0 whatever the sign of a rounding-size u[1]
-        with np.errstate(divide="ignore"):
-            raw = np.where(u[:, 0] == 0, np.pi / 2, np.arctan(u[:, 1] / u[:, 0]))
-        angle = lift_angle_mod_pi(raw)
+    angle = lift_angle_mod_pi(_pullback_angle(M, dets, _dw_coords(s, pts))) if angles else None
     return OrbitTrace(times=times, points=orbit.points, M=M, angle=angle,
                       dets=dets, meta=dict(orbit.meta))
 
@@ -314,8 +312,9 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     T is the first local minimum of the wrapped distance to p0 after 10 dt
     whose refined parabola vertex lies within ``_CLOSE_EPS``.
     E/W is transported along the stored steps up to the last sample t_j < T,
-    then over one RK4 step of T - t_j.  Returns the lift and the transported
-    orbit up to t_j, with T as ``meta["return_time"]``."""
+    then over one RK4 step of T - t_j; the D/W line at the return is pulled
+    back by :func:`_pullback_angle`, as along the orbit.  Returns the lift and
+    the transported orbit up to t_j, with T as ``meta["return_time"]``."""
     if not hasattr(s.model, "distance"):
         # a straight-line exponential orbit never returns
         raise NotImplementedError("closed-orbit detection needs a chart model")
@@ -341,12 +340,10 @@ def closed_orbit_holonomy(s: EngelStructure, p0: np.ndarray, dt: float,
     last = transport_EmodW(s, integrate_characteristic(s, orbit.points[j], T - times[j],
                                                        abs(T - times[j])), angles=False)
     M = _matmul_planes(last.normalized_M()[-1], orbit.normalized_M()[-1])
-    # the D/W line at the return point, pulled back into the fiber over p0 by
-    # adj(M) = det(M) M^{-1}, which has the angle of M^{-1} as det M > 0
-    ((a, b), (c, e)), (d0, d1) = M, _dw_coords(s, s.model.wrap(last.points[-1:]))[0]
-    u = (e * d0 - b * d1, a * d1 - c * d0)
-    winding = float(lift_angle_mod_pi([orbit.angle[-1], np.arctan2(u[1], u[0])])[-1]
-                    - orbit.angle[0])
+    # the D/W line at the return point, pulled back into the fiber over p0;
+    # a det > 0 does not turn the line, so M's, near 1, is passed as 1
+    raw = _pullback_angle(M[None], np.ones(1), _dw_coords(s, s.model.wrap(last.points[-1:])))
+    winding = float(lift_angle_mod_pi([orbit.angle[-1], *raw])[-1] - orbit.angle[0])
     orbit.meta["return_time"] = T
     if winding < 0:
         # orient so D/W rotates positively: flip the second frame leg

@@ -38,8 +38,9 @@ Points are numpy arrays, always a batch ``(n, dim)``: a frame function, a
 take one, and a chart refuses no points or a single point ``(dim,)`` with
 :class:`DimensionMismatch`.  Only :func:`bracket_chart` also takes a single
 point.  Entries and coefficients are analytic and keep complex points complex:
-``values``, ``frame`` and ``coeff_at`` allocate in the points' dtype.  A chart
-combines a section with its frame in one place, :meth:`ChartModel.entries`.
+``values``, ``field``, ``frame`` and ``coeff_at`` allocate in the points'
+dtype.  A section meets its chart frame by one rule, :func:`_entry_sum`, in
+:meth:`ChartModel.entries` and in the one closure of :meth:`ChartModel.field`.
 A chart ``flow`` integrates the section's ``field``; where a constant
 section's nonzero coefficients read only int entries the field is constant in
 the chart, and every orbit is one prefix sum of the RK4 increment.
@@ -288,16 +289,15 @@ class ChartModel:
         return F.transpose(2, 0, 1)
 
     def field(self, section: "Section") -> ChartVectorField:
-        """The section as an evaluable chart field of a batch (n, dim):
-        :meth:`values` of the one section, whose terms a constant section
-        computes once."""
-        if not section.is_constant:
-            return ChartVectorField(lambda pts: self.values([section], pts)[:, 0],
-                                    name=section.name or "section")
-        terms = self._terms(section)
+        """The section as an evaluable chart field of a batch (n, dim), equal
+        bit for bit to its :meth:`values`: one frame call, then component
+        ``j`` is the :func:`_entry_sum` of column ``j`` in the points' dtype.
+        A constant section's terms are computed once, any other's per call."""
+        const = self._terms(section) if section.is_constant else None
 
         def components(pts):
             rows = self.rows(pts)
+            terms = self._terms(section, pts) if const is None else const
             out = np.empty(pts.shape, complex if np.iscomplexobj(pts) else float)
             for j in range(self.dim):
                 out[:, j] = _entry_sum(terms, rows, j)

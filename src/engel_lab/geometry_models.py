@@ -53,11 +53,11 @@ class ConformalSurface:
     on coordinate columns (see :func:`_columns`).
 
     ``lam_dlog(x, y) -> (lambda, d_x log(lambda), d_y log(lambda))`` computes
-    from shared subexpressions, in floats at a single point and on (n,)
-    columns at a batch; :meth:`lam_dlog_at` is the checked reader.  ``kappa``
-    is the Gauss curvature -Laplace(log lambda) / (2 lambda): a number on a
-    constant-curvature surface, else a function ``kappa(x, y)`` of coordinate
-    columns, as ``lam_dlog`` is.
+    from shared subexpressions: Python floats at one real point on every
+    surface, (n,) columns of the points' dtype at a batch, checked by
+    :meth:`lam_dlog_at`.  ``kappa`` is the Gauss curvature -Laplace(log
+    lambda) / (2 lambda): a number on a constant-curvature surface, else a
+    function ``kappa(x, y)`` of coordinate columns, as ``lam_dlog`` is.
     """
 
     lam_dlog: Callable
@@ -91,9 +91,10 @@ class ConformalSurface:
 # ---------------------------------------------------------------------------
 
 def flat_surface() -> ConformalSurface:
-    """lambda = 1 on the square torus [-pi, pi]^2."""
+    """lambda = 1 on the square torus [-pi, pi]^2, floats at one real point."""
     return ConformalSurface(
-        lam_dlog=lambda x, y: (np.ones_like(x), np.zeros_like(x), np.zeros_like(y)),
+        lam_dlog=lambda x, y: ((1.0, 0.0, 0.0) if isinstance(x, float) else
+                               (np.ones_like(x), np.zeros_like(x), np.zeros_like(y))),
         box=[[-np.pi, np.pi], [-np.pi, np.pi]],
         kappa=0.0,
         periodic={0: TWO_PI, 1: TWO_PI},

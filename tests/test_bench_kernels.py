@@ -29,7 +29,7 @@ def test_every_bench_runs_at_tiny_sizes(bench):
         assert isinstance(name, str) and t > 0, name
     names = {row[0] for row in rows}
     assert {f"field W B={B} {preset}" for B in (1, 3)
-            for preset in ("magnetic-bump", "lorentz-product")} <= names
+            for preset in ("magnetic-bump", "lorentz-product", "lorentz-product kappa=0")} <= names
     assert {f"values of 7 B={B} {preset}" for B in (1, 10)
             for preset in ("lorentz-magnetic", "cartan-r3", "propellor-cat")} <= names
     assert {"E brackets B=1 complex-step", "E brackets B=10 complex-step"} <= names

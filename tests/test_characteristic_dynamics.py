@@ -521,6 +521,16 @@ class TestClosedOrbits:
         want = first_return_reference(s.model, full[1], times, pts[0], 1e-3, _CLOSE_EPS)
         assert orbit.meta["return_time"] == want
 
+    def test_both_pullbacks_take_one_rule(self, preset_cache, monkeypatch):
+        # the D/W line along the transported orbit and at the return point
+        # are pulled back by one helper: one call per stored step, then one
+        s = preset_cache("cartan-r3")["structure"]
+        calls, real = [], dyn._pullback_angle
+        monkeypatch.setattr(dyn, "_pullback_angle",
+                            lambda M, dets, d: calls.append(len(M)) or real(M, dets, d))
+        _, orbit = closed_orbit_holonomy(s, np.array(CLOSED["cartan"][2]), dt=1e-2, t_max=4.0)
+        assert calls == [len(orbit.times), 1]
+
     def test_negative_winding_is_oriented_positively(self, preset_cache):
         # swapping the two legs of the E/W frame reverses the D/W rotation;
         # the lift flips the second leg back and gives the same class
@@ -944,6 +954,32 @@ class TestTwoByTwoAgainstLapack:
             assert line_angle(image, u)[0] <= 2 * (spread ** 2 + EPS)
             assert abs(spread ** 2 - spread_want ** 2) <= 8 * EPS
         assert np.mean([dyn._parabolic_line(m, 1e-3)[0] is not None for m in m0]) > 0.9
+
+    def test_pullback_angle_matches_solve(self):
+        # M^{-1} d from LAPACK's solve on the unscaled M, read as a line mod
+        # pi; M is scaled by 2^k, |k| <= 450, and its det by 2^2k, so the
+        # det stays a normal float.  A line's angle does not depend on the
+        # scale, and the bound is in ulps times the condition number of M
+        rng = np.random.default_rng(41)
+        m0, d = rng.normal(size=(2000, 2, 2)), rng.normal(size=(2000, 2))
+        m0[:, 0] *= np.sign(np.linalg.det(m0))[:, None]
+        k = rng.integers(-450, 451, size=2000)
+        det0 = m0[:, 0, 0] * m0[:, 1, 1] - m0[:, 0, 1] * m0[:, 1, 0]
+        got = dyn._pullback_angle(np.ldexp(m0, k[:, None, None]), np.ldexp(det0, 2 * k), d)
+        v = np.linalg.solve(m0, d[..., None])[..., 0]
+        err = np.abs(np.mod(got - np.arctan2(v[:, 1], v[:, 0]) + np.pi / 2, np.pi) - np.pi / 2)
+        sv = np.linalg.svd(m0, compute_uv=False)
+        assert ((got > -np.pi / 2) & (got <= np.pi / 2)).all()
+        assert (err <= 8 * EPS * sv[:, 0] / sv[:, 1]).all()
+
+    def test_line_along_the_first_vector_reads_zero(self):
+        # the cut is the vertical: a rounding-size second entry of either
+        # sign leaves a line along the first frame vector at 0, not near
+        # +-pi, and the vertical line reads pi/2
+        d = np.array([[1.0, 1e-17], [1.0, -1e-17], [-1.0, 1e-17], [-1.0, -1e-17],
+                      [0.0, 1.0], [0.0, -1.0]])
+        got = dyn._pullback_angle(np.broadcast_to(np.eye(2), (6, 2, 2)), np.ones(6), d)
+        assert np.abs(got[:4]).max() <= 1e-17 and (got[4:] == np.pi / 2).all()
 
     def test_linear_fit_matches_lstsq(self):
         # y scaled by 2^k, |k| <= 400, so every square stays a full float

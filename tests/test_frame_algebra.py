@@ -137,6 +137,12 @@ class TestBracketChart:
 CHART_PRESETS = [p for p in preset_names() if not p.endswith("-lie")]
 
 
+def structure_sections(s):
+    """Every section of an Engel structure: D, E, W, the transverse section
+    and the two E/W frame sections."""
+    return [*s.D_span, *s.E_span, s.W_section, s.transverse_section, *s.emw_frame]
+
+
 @pytest.fixture(scope="module")
 def magnetic():
     return magnetic_extension(ConstantCurvatureUT(-0.5)).model
@@ -597,19 +603,39 @@ class TestModelProtocol:
     @pytest.mark.parametrize("name", CHART_PRESETS)
     def test_realized_field_takes_the_complex_step(self, preset_cache, name):
         # model.field allocates in the points' dtype, as model.values does, so
-        # the complex step through a realized W field is the complex step of
-        # W's values; a float allocation would drop the imaginary part
+        # a realized field equals the values of its section byte for byte at
+        # one point, at a batch and through the complex step, for every
+        # section of the structure; a float allocation would drop the
+        # imaginary part
         s = preset_cache(name)["structure"]
         pts = sample_box(s.model, 16)
-        field = s.model.field(s.W_section)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            got = list(complex_step(field, pts))
-        want = list(complex_step(lambda q: s.model.values([s.W_section], q)[:, 0], pts))
-        for (v, d), (v_want, d_want) in zip(got, want, strict=True):
-            assert v.tobytes() == v_want.tobytes() and d.tobytes() == d_want.tobytes()
-        real = s.model.values([s.W_section], pts)[:, 0]
-        assert field(pts).dtype == float and field(pts).tobytes() == real.tobytes()
+        for sec in structure_sections(s):
+            field = s.model.field(sec)
+            values = lambda q: s.model.values([sec], q)[:, 0]
+            for q in (pts[:1], pts[:3]):
+                got = field(q)
+                assert got.dtype == float and got.tobytes() == values(q).tobytes(), sec.name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", np.exceptions.ComplexWarning)
+                got = list(complex_step(field, pts))
+            for (v, d), (v_want, d_want) in zip(got, complex_step(values, pts), strict=True):
+                assert v.tobytes() == v_want.tobytes() and d.tobytes() == d_want.tobytes()
+
+    @pytest.mark.parametrize("name", CHART_PRESETS)
+    def test_realized_field_calls_neither_values_nor_entries(self, preset_cache, name,
+                                                            monkeypatch):
+        # one closure evaluates every section: the frame rows once, then the
+        # section's terms; a frame built on another chart's entries (the
+        # rotating planes) still reads that chart's, not this one's
+        s = preset_cache(name)["structure"]
+        pts = sample_box(s.model, 3)
+        fields = [(sec.name, s.model.field(sec)) for sec in structure_sections(s)]
+        for method in ("values", "entries"):
+            monkeypatch.setattr(s.model, method, lambda *a, method=method: pytest.fail(
+                f"field evaluation called ChartModel.{method}"))
+        for sec_name, field in fields:
+            for q in (pts[:1], pts):
+                assert field(q).shape == q.shape, sec_name
 
     @pytest.mark.parametrize("name", CHART_PRESETS)
     def test_bracket_and_generator_rows_equal_one_point_calls(self, preset_cache, name):

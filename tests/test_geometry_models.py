@@ -103,6 +103,18 @@ class TestGaussCurvature:
             row = np.array([b[i] for b in batch])
             assert row.tobytes() == np.array(one, dtype=float).tobytes()
 
+    @pytest.mark.parametrize("surface", SURFACES)
+    def test_surface_hands_floats_at_one_point(self, surface, rng):
+        # every surface takes a frame's float path at one real point, and at
+        # a batch hands columns of the points' dtype, complex ones included
+        s = SURFACES[surface]()
+        x, y = rng.uniform(-0.5, 0.5, 2).tolist()
+        assert all(isinstance(v, float) for v in s.lam_dlog(x, y)), s.lam_dlog(x, y)
+        assert isinstance(kappa_of(s, x, y), float)
+        for cols in (rng.uniform(-0.5, 0.5, (2, 3)), rng.uniform(-0.5, 0.5, (2, 3)) + 1e-30j):
+            got = s.lam_dlog(*cols)
+            assert all(v.shape == (3,) and v.dtype == cols.dtype for v in got)
+
     def test_nonfinite_kappa_is_refused(self):
         # a variable kappa is read through its check, at one point and at a batch
         s = dataclasses.replace(bump_surface(), kappa=lambda x, y: x * np.inf)
