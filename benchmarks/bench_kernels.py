@@ -1,9 +1,10 @@
 """Time the integration kernels, the rigidity probe (with its memory peak),
 one field evaluation, one ``values`` call of seven sections, one batched
-complex-step section bracket call, one Cauchy pairing kernel, one transport generator
-call, one characteristic RK4 step, one constant-field chart flow, one
-closed-orbit holonomy, the writing of one verify artifact and of one orbit
-CSV, and the construction of every preset.
+complex-step section bracket call, one Cauchy pairing kernel, one rank test
+of a 1000-row stack, one transport generator call, one characteristic RK4
+step, one constant-field chart flow, one closed-orbit holonomy, the writing
+of one verify artifact and of one orbit CSV, and the construction of every
+preset.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -156,6 +157,26 @@ def bench_pairing(B=1000):
     return rows
 
 
+def bench_ranks(B=1000, shapes=((2, 4), (3, 4), (6, 4))):
+    """Wall time of one ``rank_with_margin`` call on B seeded Gaussian
+    matrices of each shape of ``verify_engel``'s stacks (D, D + [D, D] and
+    E + [E, E]): as drawn, where the minor certificate decides every row,
+    and at rank one short (a product of Gaussian factors of inner size
+    min(k, dim) - 1), where every row falls back on the SVD."""
+    from engel_lab.frame_algebra import RANK_TOL, rank_with_margin
+
+    rng = np.random.default_rng(4)
+    rows = []
+    for k, dim in shapes:
+        r = min(k, dim)
+        short = np.einsum("nkr,nrd->nkd", rng.normal(size=(B, k, r - 1)),
+                          rng.normal(size=(B, r - 1, dim)))
+        for kind, A in (("certified", rng.normal(size=(B, k, dim))), ("fallback", short)):
+            t, _ = timeit(lambda: [rank_with_margin(A, RANK_TOL) for _ in range(20)])
+            rows.append((f"rank B={B} ({k}, {dim}) {kind}", t / 20))
+    return rows
+
+
 def bench_generator(sizes=(1, 3, 4001)):
     """Wall time of one ``transport_generator`` call: on propellor-cat at B =
     1, 3 and 4001 points (one orbit, the batch of ``classify``, and about the
@@ -279,6 +300,8 @@ def main():
     for name, t in bench_brackets():
         print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_pairing():
+        print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
+    for name, t in bench_ranks():
         print(f"{name:<34s} {t * 1e3:9.2f}ms per call")
     for name, t in bench_generator():
         print(f"{name:<48s} {t * 1e3:9.2f}ms per call")

@@ -60,6 +60,7 @@ from .errors import (ChartExit, DimensionMismatch, EmptyInput, FrameDegenerate,
 
 RANK_TOL = 1e-8         # singular values above this count toward a rank
 _MARGINAL_BAND = 10.0   # a rank is marginal if a singular value is within this factor of tol
+_CERTIFY_FACTOR = 2.0   # a certified least singular value clears the band's top edge by this factor
 _BIG = np.finfo(float).max   # box-test bound of an unbounded coordinate: NaN and inf fail it
 
 
@@ -602,21 +603,59 @@ class Section:
 # ranks
 # ---------------------------------------------------------------------------
 
-def rank_with_margin(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batched rank of stacked row vectors, plus a marginal flag.
+def _certified(A: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each matrix of ``A`` (..., k, 4) passes the minor certificate of
+    :func:`rank_with_margin`; False everywhere for one row or another width."""
+    if A.shape[-1] != 4 or A.shape[-2] < 2:
+        return np.zeros(A.shape[:-2], dtype=bool)
+    with np.errstate(all="ignore"):     # zero, NaN and inf stacks fail the test below
+        F = np.sqrt(np.einsum("...kd,...kd->...", A, A))
+        U = A / F[..., None, None]      # unit Frobenius norm: no minor over- or underflows
+        if A.shape[-2] == 2:
+            i, j = np.triu_indices(4, 1)
+            m = U[..., 0, i] * U[..., 1, j] - U[..., 0, j] * U[..., 1, i]
+        elif A.shape[-2] == 3:
+            m = _annihilator(U)
+        else:
+            m = np.einsum("...kd,...d->...k", U[..., 3:, :], _annihilator(U[..., :3, :]))
+        vol = np.sqrt(np.einsum("...m,...m->...", m, m))
+        return (F > 1e-150) & (tol > 1e-12 * F) & (vol > _CERTIFY_FACTOR * _MARGINAL_BAND * tol / F)
 
-    ``vectors`` has shape (..., k, dim).  A decision is marginal when some
-    singular value falls within a factor ``_MARGINAL_BAND`` of ``tol``.
+
+def rank_with_margin(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Batched rank of stacked row vectors, plus a marginal flag: the number
+    of singular values above ``tol``, and whether one falls within a factor
+    ``_MARGINAL_BAND`` of it.  ``vectors`` has shape (..., k, dim).
+
+    Each matrix A with dim 4 first meets a certificate built from minors,
+    with no LAPACK call.  By Cauchy-Binet, sigma_1 ... sigma_r (r = min(k,
+    4)) is the root sum of squares of all r x r minors, and sigma_1 <=
+    |A|_F, so sigma_r >= vol / |A|_F^(r-1) for vol the root sum of squares
+    of any subset of them: the six 2x2 minors for k = 2, the
+    :func:`_annihilator` alpha of the rows (their 3x3 minors) for k = 3, and
+    alpha . r_j for k >= 4, alpha that of the first three rows and r_j each
+    further row (4x4 minors).  They are read on A / |A|_F, where a minor is
+    at most 1 and its rounding a few eps.  Where |A|_F > 1e-150, 1e-12 |A|_F
+    < tol and vol > ``_CERTIFY_FACTOR`` ``_MARGINAL_BAND`` tol |A|_F^(r-1),
+    every singular value is at least 20 tol, and the SVD's own error of a
+    few eps sigma_1 < 1e-3 tol cannot bring one to the band's top edge 10
+    tol: the rank is r and not marginal, as the SVD would report.  Every
+    other matrix (a rank deficit, a value near ``tol``, NaN or inf, a zero
+    or huge matrix, one row, another dim) takes the SVD rule itself.
     """
-    sv = np.linalg.svd(np.asarray(vectors, dtype=float), compute_uv=False)
-    rank = (sv > tol).sum(axis=-1)
-    marginal = ((sv > tol / _MARGINAL_BAND) & (sv < tol * _MARGINAL_BAND)).any(axis=-1)
-    return rank, marginal
+    A = np.asarray(vectors, dtype=float)
+    rank = np.full(A.shape[:-2], min(A.shape[-2:]))
+    marginal = np.zeros(A.shape[:-2], dtype=bool)
+    if (todo := ~_certified(A, tol)).any():
+        sv = np.linalg.svd(A[todo], compute_uv=False)
+        rank[todo] = (sv > tol).sum(axis=-1)
+        marginal[todo] = ((sv > tol / _MARGINAL_BAND) & (sv < tol * _MARGINAL_BAND)).any(axis=-1)
+    return rank[()], marginal[()]       # numpy scalars for one matrix (k, dim), as the SVD gives
 
 
 def distribution_rank(vectors: Sequence[np.ndarray]) -> int:
     """Number of singular values of the stacked matrix above ``RANK_TOL``."""
-    if len(list(vectors)) == 0:
+    if not (vectors := list(vectors)):
         raise EmptyInput("no vectors supplied")
     mat = np.vstack([np.asarray(v, dtype=float) for v in vectors])
     rank, _ = rank_with_margin(mat, RANK_TOL)

@@ -21,6 +21,7 @@ def test_every_bench_runs_at_tiny_sizes(bench):
             *bench.bench_probe(trials=(10,)), *bench.bench_field(sizes=(1, 10)),
             *bench.bench_values(sizes=(1, 10)),
             *bench.bench_brackets(sizes=(1, 10)), *bench.bench_pairing(B=10),
+            *bench.bench_ranks(B=10),
             *bench.bench_generator(sizes=(1, 11)),
             *bench.bench_characteristic(n_steps=5), *bench.bench_flow(T=0.1),
             bench.bench_verify_artifact(n=10),
@@ -34,5 +35,7 @@ def test_every_bench_runs_at_tiny_sizes(bench):
             for preset in ("lorentz-magnetic", "cartan-r3", "propellor-cat")} <= names
     assert {"E brackets B=1 complex-step", "E brackets B=10 complex-step"} <= names
     assert {f"pairing B=10 {preset}" for preset in ("lorentz-magnetic", "propellor-cat")} <= names
+    assert {f"rank B=10 {shape} {kind}" for shape in ((2, 4), (3, 4), (6, 4))
+            for kind in ("certified", "fallback")} <= names
     assert {"transport_generator B=1 propellor-cat", "transport_generator B=11 propellor-cat",
             "transport_generator B=11 lorentz-magnetic-lie"} <= names

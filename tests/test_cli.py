@@ -3,6 +3,8 @@ import importlib.util
 import json
 import math
 import os
+import platform
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from engel_lab.characteristic_dynamics import integrate_orbits
 from engel_lab import cli
 from engel_lab.cli import KAPPA_SWEEP, _parser, main
-from engel_lab.engel_verify import verify_engel
+from engel_lab.engel_verify import line_angle, verify_engel
 from engel_lab.errors import ConfigError, FrameDegenerate
 from engel_lab.presets import KAPPA_PRESETS, build_preset, preset_names
 from engel_lab.serialize import Records, _fmt_float, dumps_canonical, write_csv
@@ -634,3 +636,86 @@ class TestSerializer:
             rows = [",".join(_fmt_float(float(c[i])) for c in cols) + "\n"
                     for i in range(len(cols[0]))]
             assert (tmp_path / name).read_text() == ",".join(header) + "\n" + "".join(rows)
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "benchmarks" / "golden.py"
+# numpy's x86-64 dispatch levels below the detected one: X86_V3 (AVX2 and
+# FMA, AVX-512 off) and X86_V2 (AVX2 and FMA off too)
+DISPATCH_LEVELS = {"detected": None, "X86_V3": "X86_V4 AVX512_ICL AVX512_SPR",
+                   "X86_V2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+# writes each command's artifacts and console into its own NNN/, as golden.py does
+GOLDEN_CHILD = """\
+import json, runpy, sys
+from pathlib import Path
+golden = runpy.run_path(sys.argv[1])
+for i, cmd in enumerate(json.loads(sys.argv[3])):
+    out = Path(sys.argv[2], f"{i:03d}")
+    out.mkdir(parents=True)
+    (out / "console.txt").write_text(golden["run"](cmd, out))
+"""
+
+
+def typed_differences(a, b, key="", where=""):
+    """The paths at which two parsed JSON artifacts disagree past the
+    dispatch-level rules: every number to 1e-11 relative, an error-type
+    field (key ``*_error``) with an absolute floor of 4 eps, a ``lines``
+    entry as a line (``line_angle`` at most 1e-11), anything else exactly."""
+    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        for k in a:
+            yield from typed_differences(a[k], b[k], k, f"{where}.{k}")
+    elif key == "lines" and isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        angle = line_angle(np.array(a, dtype=float), np.array(b, dtype=float))
+        yield from (f"{where}[{i}]" for i in np.flatnonzero(~(angle <= 1e-11)))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from typed_differences(x, y, key, f"{where}[{i}]")
+    elif type(a) is float and type(b) is float:
+        floor = 4 * np.finfo(float).eps if key.endswith("_error") else 0.0
+        if not abs(a - b) <= max(1e-11 * max(abs(a), abs(b)), floor):
+            yield where
+    elif type(a) is not type(b) or a != b:
+        yield where
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="NPY_DISABLE_CPU_FEATURES names x86-64 levels")
+def test_artifacts_agree_across_numpy_dispatch_levels(tmp_path):
+    """Five ``benchmarks/golden.py`` commands (verify on three chart presets,
+    one classify, one orbit) run in child processes at numpy's detected
+    dispatch level, at X86_V3 and at X86_V2 agree by typed rules.
+
+    Their bytes are not yet pinned across levels: numpy's real ``exp``,
+    ``arctan2`` and kin, and below X86_V3 its complex multiply, give other
+    bits at each level.  So the rules are: identical file lists and
+    consoles (labels and exit codes), identical verify rank records, and
+    every number within :func:`typed_differences`.
+    """
+    cmds = [["verify", "--preset", "lorentz-magnetic", "--samples", "1000", "--seed", "144"],
+            ["verify", "--preset", "magnetic-bump", "--samples", "1000", "--seed", "311"],
+            ["verify", "--preset", "integrable-counterexample", "--samples", "1000",
+             "--seed", "950"],
+            ["classify", "--preset", "bi-engel-cat"],
+            ["orbit", "--preset", "magnetic-bump", "-T", "2"]]
+    assert all(cmd in runpy.run_path(str(GOLDEN))["commands"]() for cmd in cmds)
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    children = {level: subprocess.Popen(
+        [sys.executable, "-c", GOLDEN_CHILD, str(GOLDEN), str(tmp_path / level), json.dumps(cmds)],
+        env={**env, **({"NPY_DISABLE_CPU_FEATURES": off} if off else {})})
+        for level, off in DISPATCH_LEVELS.items()}
+    assert all(child.wait(timeout=60) == 0 for child in children.values())
+    trees = {level: {p.relative_to(tmp_path / level): p for p in (tmp_path / level).rglob("*")
+                     if p.is_file()} for level in DISPATCH_LEVELS}
+    want = trees.pop("detected")
+    assert len(want) == 2 * len(cmds)
+    for level, tree in trees.items():
+        assert sorted(tree) == sorted(want), level
+        for rel, path in want.items():
+            if rel.suffix != ".json":
+                assert tree[rel].read_text() == path.read_text(), (level, rel)
+                continue
+            a, b = (json.loads(p.read_text(), parse_int=float) for p in (path, tree[rel]))
+            assert list(typed_differences(a, b)) == [], (level, rel)
+            if rel.name.startswith("verify_"):
+                ranks = [[[r[k] for k in ("rank_D", "rank_E", "rank_EE", "marginal")]
+                          for r in doc["records"]] for doc in (a, b)]
+                assert ranks[0] == ranks[1], (level, rel)

@@ -13,6 +13,7 @@ from engel_lab.frame_algebra import (
     ChartModel,
     ChartVectorField,
     LieModel,
+    RANK_TOL,
     Section,
     bracket_chart,
     bracket_lie,
@@ -21,11 +22,12 @@ from engel_lab.frame_algebra import (
     distribution_rank,
     frame_coords,
     halton_points,
+    rank_with_margin,
     _rk4_orbits,
 )
 from engel_lab.geometry_models import magnetic_extension, ConstantCurvatureUT, _columns
 from engel_lab.characteristic_dynamics import transport_generator
-from engel_lab.engel_verify import darboux_standard, sample_box
+from engel_lab.engel_verify import darboux_standard, sample_box, verify_engel
 from engel_lab.presets import preset_names
 
 from conftest import fd_jacobian, lapack_coords
@@ -198,6 +200,44 @@ class TestLieModel:
             bracket_lie(magnetic, np.ones(3), np.ones(4))
 
 
+RANK_SHAPES = [(2, 4), (3, 4), (4, 4), (6, 4), (3, 3)]   # every caller's (k, dim)
+
+
+def near_dependent_rows(rng, n, k, dim, tol):
+    """``n`` Gaussian matrices (k, dim) of rank r - 1, r = min(k, dim), each
+    scaled by 10^u with u uniform in [-5, 5], whose row ``j`` (random per
+    matrix) then gains a unit direction times 10^v tol, v uniform in [-3, 3]:
+    their r-th singular value is at most that residual."""
+    r = min(k, dim)
+    A = np.einsum("nkr,nrd->nkd", rng.normal(size=(n, k, r - 1)), rng.normal(size=(n, r - 1, dim)))
+    A *= 10.0 ** rng.uniform(-5, 5, size=(n, 1, 1))
+    direction = rng.normal(size=(n, dim))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    A[np.arange(n), rng.integers(k, size=n)] += tol * 10.0 ** rng.uniform(-3, 3, size=(n, 1)) * direction
+    return A
+
+
+def svd_rank_outcome(A, tol):
+    """The SVD rule alone, the reference for ``rank_with_margin``'s minor
+    certificate: the count of singular values above ``tol`` and whether one
+    lies within a factor ``_MARGINAL_BAND`` of it, or "LinAlgError"."""
+    def rule(A, tol):
+        sv = np.linalg.svd(A, compute_uv=False)
+        band = (sv > tol / frame_algebra._MARGINAL_BAND) & (sv < tol * frame_algebra._MARGINAL_BAND)
+        return (sv > tol).sum(axis=-1), band.any(axis=-1)
+    return outcome(rule, A, tol)
+
+
+def outcome(rank_rule, A, tol):
+    """``rank_rule(A, tol)`` as a comparable value: (rank, marginal) as
+    lists, or "LinAlgError" where the SVD does not converge (a NaN entry)."""
+    try:
+        rank, marginal = rank_rule(A, tol)
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+    return np.asarray(rank).tolist(), np.asarray(marginal).tolist()
+
+
 class TestRanks:
     def test_rank_examples(self):
         X = ef_X()(np.zeros((1, 4)))[0]
@@ -207,10 +247,50 @@ class TestRanks:
         assert distribution_rank([X, dw]) == 2
         assert distribution_rank([X, dw, dz]) == 3
         assert distribution_rank([X, dw, dz, dy]) == 4
+        assert distribution_rank(iter([X, dw])) == 2
+        assert distribution_rank(v for v in (X, dw, dz)) == 3
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             distribution_rank([])
+        with pytest.raises(EmptyInput):
+            distribution_rank(iter([]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(RANK_SHAPES), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans())
+    def test_certificate_agrees_with_the_svd(self, shape, seed, nan):
+        # 400 matrices of one caller's shape, one rank short but for one row's
+        # residual of tol/1000 to 1000 tol, at scales 1e-5 to 1e5; some are
+        # zero or carry an inf, and with ``nan`` one carries a NaN, which
+        # makes the SVD raise either way
+        rng = np.random.default_rng(seed)
+        A = near_dependent_rows(rng, 400, *shape, RANK_TOL)
+        A[rng.random(400) < 0.05] = 0.0
+        A[rng.random(400) < 0.02, 0, 0] = np.inf
+        if nan:
+            A[rng.integers(400), -1, -1] = np.nan
+        want = svd_rank_outcome(A, RANK_TOL)
+        assert outcome(rank_with_margin, A, RANK_TOL) == want
+        # a single matrix (k, dim), as distribution_rank passes it
+        for i in range(0, 400, 80):
+            got = outcome(rank_with_margin, A[i], RANK_TOL)
+            assert got == svd_rank_outcome(A[i], RANK_TOL)
+            assert want == "LinAlgError" or got == (want[0][i], want[1][i])
+
+    def test_svd_runs_only_where_the_certificate_cannot_decide(self, preset_cache,
+                                                                monkeypatch):
+        passing = preset_cache("lorentz-magnetic")["structure"]
+        failing = preset_cache("integrable-counterexample")["structure"]
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(frame_algebra.np.linalg, "svd",
+                            lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+        assert verify_engel(passing, n_samples=1000).passed
+        assert shapes == []
+        # D = <X, W> has rank 2 everywhere; E and [E, E] fall short on every row
+        report = verify_engel(failing, n_samples=1000)
+        assert (report.rank_D == 2).all() and (report.rank_E < 3).all()
+        assert shapes == [(1000, 3, 4), (1000, 6, 4)]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
