@@ -157,7 +157,7 @@ def bench_pairing(B=1000):
     return rows
 
 
-def bench_ranks(B=1000, shapes=((2, 4), (3, 4), (6, 4))):
+def bench_ranks(B=1000):
     """Wall time of one ``rank_with_margin`` call on B seeded Gaussian
     matrices of each shape of ``verify_engel``'s stacks (D, D + [D, D] and
     E + [E, E]): as drawn, where the minor certificate decides every row,
@@ -167,7 +167,7 @@ def bench_ranks(B=1000, shapes=((2, 4), (3, 4), (6, 4))):
 
     rng = np.random.default_rng(4)
     rows = []
-    for k, dim in shapes:
+    for k, dim in ((2, 4), (3, 4), (6, 4)):
         r = min(k, dim)
         short = np.einsum("nkr,nrd->nkd", rng.normal(size=(B, k, r - 1)),
                           rng.normal(size=(B, r - 1, dim)))

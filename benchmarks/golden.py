@@ -10,10 +10,14 @@ Run from each checkout, then compare the two directories:
 
 ``--compare A B`` reads every JSON and CSV number of the two trees as a
 float (``%.17g`` writes 5.2e16 as integer text) and allows a relative
-deviation up to ``RTOL``; keys, strings, booleans, nulls,
-the file list and every other file, ``console.txt`` included, must match
-exactly.  It prints each file that differs with its largest deviation and
-where it occurs, and exits 1 on any difference past the bound.
+deviation up to ``RTOL``, with two typed rules: an error-type field (a key
+ending in ``_error``) within ``ERROR_FLOOR`` of the other deviates by 0,
+and an entry of ``lines`` deviates by its angle to the other line, as
+``line_angle`` measures it.  Keys, strings, booleans, nulls, the file list
+and every other file, ``console.txt`` included, must match exactly, and a
+NaN against a number is a difference.  It prints each file that differs
+with its largest deviation and where it occurs, and exits 1 on any
+difference past the bound.
 
 No artifact may depend on the BLAS kernel.  To check, run the script twice
 in one checkout, once on OpenBLAS's non-FMA Prescott kernel and once on the
@@ -40,19 +44,24 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from itertools import zip_longest
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from engel_lab import cli  # noqa: E402
+from engel_lab.engel_verify import line_angle  # noqa: E402
 from engel_lab.presets import preset_names  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 WORKLOAD_SEEDS = (1, 2)
 RTOL = 1e-9     # --compare: the largest relative deviation of a number
+ERROR_FLOOR = 4 * sys.float_info.epsilon    # --compare: error-type fields this close are equal
 ORBITS = (
     ["--preset", "lorentz-magnetic", "--kappa", "-0.5", "-T", "5"],
     ["--preset", "lorentz-product", "--kappa", "0", "-T", "2"],
@@ -89,27 +98,38 @@ def run(argv: list, out: Path) -> str:
     return text.replace(str(out), "OUT")
 
 
-def _deviation(a: float, b: float) -> float:
-    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+def _deviation(a: float, b: float) -> float | None:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    dev = abs(a - b) / max(abs(a), abs(b))
+    return None if math.isnan(dev) else dev     # NaN or inf against a number
 
 
-def _walk(a, b, where: str):
-    """Yield ``(where, relative deviation)`` for each pair of numbers in two
-    parsed JSON values, and ``(where, None)`` for each other difference."""
+def _walk(a, b, where: str, key: str = ""):
+    """Yield ``(where, deviation)`` for each pair of numbers in two parsed
+    JSON values, and ``(where, None)`` for each other difference.  The
+    deviation is relative, but 0 for an error-type field within
+    ``ERROR_FLOOR`` and the angle between the lines for an entry of
+    ``lines``.  ``key`` is the dict key the values sit under, through lists."""
     if type(a) is float and type(b) is float:
-        yield where, _deviation(a, b)
+        floor = ERROR_FLOOR if key.endswith("_error") else 0.0
+        yield where, 0.0 if abs(a - b) <= floor else _deviation(a, b)
+    elif (key == "lines" and isinstance(a, list) and isinstance(b, list) and a and a != b
+          and len(a) == len(b) and all(type(x) is float for x in a + b)):
+        angle = float(line_angle(np.array(a), np.array(b))[0])
+        yield where, None if math.isnan(angle) else angle
     elif isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
             yield f"{where} keys", None
         else:
             for k in a:
-                yield from _walk(a[k], b[k], f"{where}.{k}" if where else k)
+                yield from _walk(a[k], b[k], f"{where}.{k}" if where else k, k)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             yield f"{where} length", None
         else:
             for i, (x, y) in enumerate(zip(a, b)):
-                yield from _walk(x, y, f"{where}[{i}]")
+                yield from _walk(x, y, f"{where}[{i}]", key)
     elif type(a) is not type(b) or a != b:
         yield where, None
 

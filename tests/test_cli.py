@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from engel_lab.characteristic_dynamics import integrate_orbits
 from engel_lab import cli
 from engel_lab.cli import KAPPA_SWEEP, _parser, main
-from engel_lab.engel_verify import line_angle, verify_engel
+from engel_lab.engel_verify import verify_engel
 from engel_lab.errors import ConfigError, FrameDegenerate
 from engel_lab.presets import KAPPA_PRESETS, build_preset, preset_names
 from engel_lab.serialize import Records, _fmt_float, dumps_canonical, write_csv
@@ -655,28 +655,6 @@ for i, cmd in enumerate(json.loads(sys.argv[3])):
 """
 
 
-def typed_differences(a, b, key="", where=""):
-    """The paths at which two parsed JSON artifacts disagree past the
-    dispatch-level rules: every number to 1e-11 relative, an error-type
-    field (key ``*_error``) with an absolute floor of 4 eps, a ``lines``
-    entry as a line (``line_angle`` at most 1e-11), anything else exactly."""
-    if isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
-        for k in a:
-            yield from typed_differences(a[k], b[k], k, f"{where}.{k}")
-    elif key == "lines" and isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        angle = line_angle(np.array(a, dtype=float), np.array(b, dtype=float))
-        yield from (f"{where}[{i}]" for i in np.flatnonzero(~(angle <= 1e-11)))
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for i, (x, y) in enumerate(zip(a, b)):
-            yield from typed_differences(x, y, key, f"{where}[{i}]")
-    elif type(a) is float and type(b) is float:
-        floor = 4 * np.finfo(float).eps if key.endswith("_error") else 0.0
-        if not abs(a - b) <= max(1e-11 * max(abs(a), abs(b)), floor):
-            yield where
-    elif type(a) is not type(b) or a != b:
-        yield where
-
-
 @pytest.mark.skipif(platform.machine() != "x86_64",
                     reason="NPY_DISABLE_CPU_FEATURES names x86-64 levels")
 def test_artifacts_agree_across_numpy_dispatch_levels(tmp_path):
@@ -686,9 +664,12 @@ def test_artifacts_agree_across_numpy_dispatch_levels(tmp_path):
 
     Their bytes are not yet pinned across levels: numpy's real ``exp``,
     ``arctan2`` and kin, and below X86_V3 its complex multiply, give other
-    bits at each level.  So the rules are: identical file lists and
-    consoles (labels and exit codes), identical verify rank records, and
-    every number within :func:`typed_differences`.
+    bits at each level.  So the rules are those of ``golden.py --compare``
+    at a relative bound of 1e-11: identical file lists and consoles (labels
+    and exit codes), an error-type field within 4 eps, a line within an
+    angle of 1e-11, and every other number within 1e-11 relative.  The
+    verify rank records are integers and booleans, so these rules already
+    require them to be identical.
     """
     cmds = [["verify", "--preset", "lorentz-magnetic", "--samples", "1000", "--seed", "144"],
             ["verify", "--preset", "magnetic-bump", "--samples", "1000", "--seed", "311"],
@@ -696,13 +677,21 @@ def test_artifacts_agree_across_numpy_dispatch_levels(tmp_path):
              "--seed", "950"],
             ["classify", "--preset", "bi-engel-cat"],
             ["orbit", "--preset", "magnetic-bump", "-T", "2"]]
-    assert all(cmd in runpy.run_path(str(GOLDEN))["commands"]() for cmd in cmds)
+    golden = runpy.run_path(str(GOLDEN))
+    assert all(cmd in golden["commands"]() for cmd in cmds)
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     children = {level: subprocess.Popen(
         [sys.executable, "-c", GOLDEN_CHILD, str(GOLDEN), str(tmp_path / level), json.dumps(cmds)],
         env={**env, **({"NPY_DISABLE_CPU_FEATURES": off} if off else {})})
         for level, off in DISPATCH_LEVELS.items()}
-    assert all(child.wait(timeout=60) == 0 for child in children.values())
+    try:
+        codes = {level: child.wait(timeout=60) for level, child in children.items()}
+    finally:
+        for child in children.values():
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+    assert codes == dict.fromkeys(DISPATCH_LEVELS, 0)
     trees = {level: {p.relative_to(tmp_path / level): p for p in (tmp_path / level).rglob("*")
                      if p.is_file()} for level in DISPATCH_LEVELS}
     want = trees.pop("detected")
@@ -710,12 +699,6 @@ def test_artifacts_agree_across_numpy_dispatch_levels(tmp_path):
     for level, tree in trees.items():
         assert sorted(tree) == sorted(want), level
         for rel, path in want.items():
-            if rel.suffix != ".json":
-                assert tree[rel].read_text() == path.read_text(), (level, rel)
-                continue
-            a, b = (json.loads(p.read_text(), parse_int=float) for p in (path, tree[rel]))
-            assert list(typed_differences(a, b)) == [], (level, rel)
-            if rel.name.startswith("verify_"):
-                ranks = [[[r[k] for k in ("rank_D", "rank_E", "rank_EE", "marginal")]
-                          for r in doc["records"]] for doc in (a, b)]
-                assert ranks[0] == ranks[1], (level, rel)
+            bad = [where for where, dev in golden["_differences"](path, tree[rel])
+                   if dev is None or dev > 1e-11]
+            assert bad == [], (level, rel)
