@@ -9,8 +9,8 @@ E/W transport M' = A(t) M with 4th-order Magnus steps: every step is one
 log-depth prefix product, so no Python loop runs over the steps.  Its 2x2
 products are elementwise products and sums on the entry planes (2, 2, n)
 with no BLAS call, so their bits do not depend on the BLAS kernel.
-``closed_form_exp`` is t -> exp(t A) for one fixed generator A; ``expm2``
-serves the Magnus exponents, which change from step to step.
+``closed_form_exp`` (t -> exp(t A) for one fixed A) and ``expm2`` (the Magnus
+exponents, one per step) read ``_trace_split``, the one split of a 2x2 matrix.
 ``tests/test_rigidity_lab.py`` checks the D-curve kernel against a scalar
 reference copy and the prefix product against the sequential one.
 """
@@ -93,22 +93,27 @@ def dcurve_rk4(u_half: np.ndarray, v_half: np.ndarray, starts: np.ndarray,
     return out.transpose(1, 2, 0)
 
 
-def expm2(O: np.ndarray) -> np.ndarray:
-    """exp of every 2x2 matrix in ``O`` (n, 2, 2), in closed form.
+def _trace_split(M: np.ndarray):
+    """(h, N, rho2) of each 2x2 matrix [[a, b], [c, d]] of a stack (..., 2, 2): M = h I + N,
+    h = (a+d)/2, N = [[p, b], [c, -p]] exactly trace-free for p = (a-d)/2, N^2 = rho2 I
+    for rho2 = p^2 + bc = -det N, the eigenvalues h +- sqrt(rho2), and sign(rho2) the class."""
+    M = np.asarray(M, dtype=float)
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    p = 0.5 * (a - d)
+    return 0.5 * (a + d), np.stack([p, b, c, -p], axis=-1).reshape(M.shape), p * p + b * c
 
-    With N = O - (tr/2) I one has N^2 = r^2 I, r^2 = N00^2 + N01 N10, so
-    exp(O) = e^{tr/2} (cosh r I + sinh(r)/r N).  r is taken complex: an
-    imaginary r gives the cos/sin (elliptic) form, r = 0 the unipotent one.
-    """
-    O = np.asarray(O, dtype=float)
-    half_tr = 0.5 * (O[:, 0, 0] + O[:, 1, 1])
-    N = O - half_tr[:, None, None] * np.eye(2)
-    r = np.sqrt(N[:, 0, 0] ** 2 + N[:, 0, 1] * N[:, 1, 0] + 0j)
+
+def expm2(O: np.ndarray) -> np.ndarray:
+    """exp of every 2x2 matrix in ``O`` (n, 2, 2), in closed form: with O = h I + N
+    and N^2 = r^2 I from :func:`_trace_split`, exp(O) = e^h (cosh r I + sinh(r)/r N).
+    r is taken complex: an imaginary r gives the cos/sin (elliptic) form, r = 0
+    the unipotent one."""
+    h, N, r2 = _trace_split(O)
+    r = np.sqrt(r2 + 0j)
     sinhc = np.ones_like(r)
     np.divide(np.sinh(r), r, out=sinhc, where=r != 0)
-    scale = np.exp(half_tr)[:, None, None]
-    return scale * (np.cosh(r).real[:, None, None] * np.eye(2)
-                    + sinhc.real[:, None, None] * N)
+    return np.exp(h)[:, None, None] * (np.cosh(r).real[:, None, None] * np.eye(2)
+                                       + sinhc.real[:, None, None] * N)
 
 
 def closed_form_exp(A: np.ndarray) -> Callable:
@@ -116,20 +121,19 @@ def closed_form_exp(A: np.ndarray) -> Callable:
     (2, 2), times (n,) give (n, 2, 2), and every entry is elementwise, so the
     matrix at one time is its row of a batch bit for bit; complex t stays complex.
 
-    With r^2 = -det A, A^2 = r^2 I and exp(t A) = c I + s A, where (c, s) is
-    (cosh rt, sinh(rt)/r), (cos rt, sin(rt)/r) or (1, t) as r^2 > 0, < 0, = 0.
+    With A = h I + N by :func:`_trace_split`, |h| <= 5e-13 dropped, exp(t A) = c I + s N,
+    (c, s) = (cosh rt, sinh(rt)/r), (cos rt, sin(rt)/r) or (1, t) as r^2 > 0, < 0, = 0.
     """
-    A = np.asarray(A, dtype=float)
-    if abs(A[0, 0] + A[1, 1]) > 1e-12:
+    h, N, r2 = _trace_split(A)
+    if abs(h) > 5e-13:
         raise FrameDegenerate("closed form expects a trace-free generator")
-    r2 = A[0, 1] * A[1, 0] - A[0, 0] * A[1, 1]
     r = np.sqrt(abs(r2))
     cos, sin = (np.cosh, np.sinh) if r2 > 0 else (np.cos, np.sin)
 
     def exp(t):
         t = np.asarray(t, dtype=complex if np.iscomplexobj(t) else float)
         c, s = (cos(r * t), sin(r * t) / r) if r2 else (np.ones_like(t), t)
-        return np.stack([c + s * A[0, 0], s * A[0, 1], s * A[1, 0], c + s * A[1, 1]],
+        return np.stack([c + s * N[0, 0], s * N[0, 1], s * N[1, 0], c + s * N[1, 1]],
                         axis=-1).reshape(t.shape + (2, 2))
 
     return exp

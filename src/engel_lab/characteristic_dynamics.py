@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 # closed_form_exp is read from here by the oracles of the tests and benchmarks
-from ._kernels import _matmul_planes, closed_form_exp, transport_rk4
+from ._kernels import _matmul_planes, _trace_split, closed_form_exp, transport_rk4
 from .engel_verify import EngelStructure, line_angle
 from .errors import (
     AmbiguousClass,
@@ -479,16 +479,14 @@ def _sigma1(M: np.ndarray) -> np.ndarray:
 
 def _eigen_lines(M: np.ndarray):
     """(image, plus, minus, rho, spread) of a 2x2 matrix M scaled exactly by a
-    power of two: N = M - (tr/2) I has N^2 = rho^2 I, the eigenvalues tr/2 +-
-    rho the lines of N +- rho I (rho 0 where rho^2 < 0), ``image`` that of N,
-    each the larger column (the first on a tie) as a unit vector whose first
-    entry is positive, or whose second is where the first is within 4 ulps of
-    0, so a line at rounding distance from the vertical has one sign.
+    power of two: with M = h I + N split by :func:`_trace_split`, N^2 = rho^2 I,
+    the eigenvalues h +- rho the lines of N +- rho I (rho 0 where rho^2 < 0),
+    ``image`` that of N, each the larger column (the first on a tie) as a unit
+    vector whose first entry is positive, or whose second is where the first is
+    within 4 ulps of 0, so a line at rounding distance from the vertical has one sign.
     rho is in M's scale, signed like rho^2; spread = sqrt|rho^2| / sigma1(N)."""
     k = int(np.frexp(np.abs(M).max())[1])
-    (a, b), (c, d) = np.ldexp(M, -k)
-    p = 0.5 * (a - d)
-    N, rho2 = np.array([[p, b], [c, -p]]), p * p + b * c
+    _, N, rho2 = _trace_split(np.ldexp(M, -k))
     rho, lines = np.sqrt(max(rho2, 0.0)) * np.eye(2), []
     for X in (N, N + rho, N - rho):
         v = X[:, np.argmax(norms := np.hypot(*X))] / norms.max()

@@ -639,15 +639,17 @@ def rank_with_margin(vectors: np.ndarray, tol: float) -> tuple[np.ndarray, np.nd
     < tol and vol > ``_CERTIFY_FACTOR`` ``_MARGINAL_BAND`` tol |A|_F^(r-1),
     every singular value is at least 20 tol, and the SVD's own error of a
     few eps sigma_1 < 1e-3 tol cannot bring one to the band's top edge 10
-    tol: the rank is r and not marginal, as the SVD would report.  Every
-    other matrix (a rank deficit, a value near ``tol``, NaN or inf, a zero
-    or huge matrix, one row, another dim) takes the SVD rule itself.
+    tol: the rank is r and not marginal, as the SVD would report.  Every other
+    matrix (a rank deficit, a value near ``tol``, a zero or huge matrix, one row,
+    another dim) takes the SVD rule; one with NaN or inf raises NonFiniteEvaluation.
     """
     A = np.asarray(vectors, dtype=float)
     rank = np.full(A.shape[:-2], min(A.shape[-2:]))
     marginal = np.zeros(A.shape[:-2], dtype=bool)
     if (todo := ~_certified(A, tol)).any():
-        sv = np.linalg.svd(A[todo], compute_uv=False)
+        if bad := int((~np.isfinite(rest := A[todo])).any(axis=(-2, -1)).sum()):
+            raise NonFiniteEvaluation(f"rank of {bad} of {rank.size} matrices with NaN or inf")
+        sv = np.linalg.svd(rest, compute_uv=False)
         rank[todo] = (sv > tol).sum(axis=-1)
         marginal[todo] = ((sv > tol / _MARGINAL_BAND) & (sv < tol * _MARGINAL_BAND)).any(axis=-1)
     return rank[()], marginal[()]       # numpy scalars for one matrix (k, dim), as the SVD gives

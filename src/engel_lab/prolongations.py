@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import closed_form_exp
+from ._kernels import _trace_split, closed_form_exp
 from .characteristic_dynamics import _eigen_lines
 from .engel_verify import EngelStructure
 from .errors import (
@@ -290,27 +290,25 @@ def prequantum_local() -> EngelStructure:
 
 def _logm2(m: np.ndarray) -> np.ndarray:
     """Real logarithm of a 2x2 unimodular matrix with trace > -2, the inverse
-    of :func:`closed_form_exp` at t = 1: with tr/2 = cosh(a), a imaginary
-    when |tr| < 2, log m = a / sinh(a) (m - (tr/2) I), and m - I when a = 0."""
+    of :func:`closed_form_exp` at t = 1: for m = h I + N (:func:`_trace_split`)
+    and h = cosh(a), a imaginary when |h| < 1, log m = a / sinh(a) N, or N at a = 0."""
     m = np.asarray(m, dtype=float)
     if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) > 1e-12:
         raise ConfigError("monodromy must be unimodular")
-    half_tr = 0.5 * (m[0, 0] + m[1, 1])
-    if half_tr <= -1.0:
-        raise ConfigError(f"monodromy trace {2 * half_tr:g} <= -2 has no real logarithm")
-    a = np.arccosh(complex(half_tr))
-    return (a / np.sinh(a)).real * (m - half_tr * np.eye(2)) if a else m - np.eye(2)
+    h, N, _ = _trace_split(m)
+    if h <= -1.0:
+        raise ConfigError(f"monodromy trace {2 * h:g} <= -2 has no real logarithm")
+    a = np.arccosh(complex(h))
+    return (a / np.sinh(a)).real * N if a else N
 
 
-def propellor_line_path(monodromy: np.ndarray, turns: int = 1) -> Callable:
+def propellor_line_path(phi: Callable, turns: int = 1) -> Callable:
     """Equivariant rotating line path (a, b)(t) = phi^t . (cos, sin)(2 pi turns t),
-    mapping fiber times (n,) to (n, 2).
+    mapping fiber times (n,) to (n, 2), for phi = closed_form_exp(L), L the log monodromy.
 
     Equivariant as a vector field for every integer ``turns``; rotation stays
-    monotone as long as 2 pi turns exceeds the angular rate of log(monodromy).
+    monotone as long as 2 pi turns exceeds the angular rate of L.
     """
-    phi = closed_form_exp(_logm2(monodromy))
-
     def path(t):
         u = np.stack([np.cos(2 * np.pi * turns * t),
                       np.sin(2 * np.pi * turns * t)], axis=-1)
@@ -333,7 +331,8 @@ def propellor_structure(monodromy: np.ndarray,
     """
     m = np.asarray(monodromy, dtype=float)
     L = _logm2(m)
-    path = line_path if line_path is not None else propellor_line_path(m, turns=turns)
+    phi = closed_form_exp(L)
+    path = line_path if line_path is not None else propellor_line_path(phi, turns=turns)
 
     ts = np.linspace(0.0, 1.0, _PATH_CHECKS)
     ab0, ab1 = path(ts), path(ts + 1.0)
@@ -356,7 +355,6 @@ def propellor_structure(monodromy: np.ndarray,
     contact = ContactModel(model=base, xi=xi, transverse=Section(normal, "n"))
 
     # phi^t(e_1) and phi^t(e_2), the columns of phi^t = exp(t L)
-    phi = closed_form_exp(L)
     P = Section(lambda pts: (*phi(pts[:, 2])[:, :, 0].T, 0, 0), "hP")
     Q = Section(lambda pts: (*phi(pts[:, 2])[:, :, 1].T, 0, 0), "hQ")
 
@@ -379,14 +377,12 @@ def bi_engel_pair(monodromy: np.ndarray = ((2, 1), (1, 1)),
     diagonal planes <W, u + s> and <W, u - s> are both Engel for the same E,
     a bi-Engel pair of genuine-hyperbolic type.
     """
-    m = np.asarray(monodromy, dtype=float)
-    if m[0, 0] + m[1, 1] <= 2.0 + 1e-12:
+    if _trace_split(monodromy)[0] <= 1.0 + 5e-13:
         raise ConfigError("bi-Engel pair needs a hyperbolic monodromy")
-    contact, s = propellor_structure(m, turns=turns)
-    # the unstable line vu and the stable line vs, oriented so det[vu, vs] > 0
-    _, vu, vs, rho, _ = _eigen_lines(m)
-    vs = vs if vu[0] * vs[1] > vu[1] * vs[0] else -vs
-    lmu = np.log(0.5 * (m[0, 0] + m[1, 1]) + rho)
+    contact, s = propellor_structure(monodromy, turns=turns)
+    # L = log m has m's unstable line vu and stable line vs, at the rate rho(L) = log lambda_u
+    _, vu, vs, lmu, _ = _eigen_lines(s.aux["log_monodromy"])
+    vs = vs if vu[0] * vs[1] > vu[1] * vs[0] else -vs      # det[vu, vs] > 0
 
     def eig_cols(vec, rate, pts):
         # the x and y coefficient columns of exp(rate t) vec, (2, n)

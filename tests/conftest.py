@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from engel_lab._kernels import expm2
 from engel_lab.frame_algebra import Section
 from engel_lab.presets import build_preset
+
+
+def binade_entries(k_max):
+    """Hypothesis floats +-[0.5, 1) 2^k with |k| <= ``k_max``, or 0."""
+    return st.one_of(st.just(0.0), st.builds(
+        lambda sign, m, k: sign * np.ldexp(m, k), st.sampled_from([-1.0, 1.0]),
+        st.floats(0.5, 1.0, exclude_max=True), st.integers(-k_max, k_max)))
 
 
 def frame_fields(model):

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 import engel_lab
 from engel_lab import characteristic_dynamics as dyn
-from engel_lab._kernels import expm2, transport_rk4
+from engel_lab._kernels import _trace_split, expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
     _CLOSE_EPS,
     HolonomyLift,
@@ -39,8 +42,8 @@ from engel_lab.errors import (AmbiguousClass, ChartExit, DegenerateKernel, Dimen
                               StepTooLarge)
 from engel_lab.frame_algebra import Section, _rk4_orbits
 
-from conftest import (first_return_reference, lapack_eigen, lapack_fit, lapack_image,
-                      lapack_sigma1, rel_err, sequential_transport)
+from conftest import (binade_entries, first_return_reference, lapack_eigen, lapack_fit,
+                      lapack_image, lapack_sigma1, rel_err, sequential_transport)
 
 KAPPAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 
@@ -890,6 +893,36 @@ class TestGlobalType:
             dyn._linear_fit(t, np.array([0.0, 1e300, -1e300, 1e300]))
 
 EPS = np.finfo(float).eps
+
+ENTRY = binade_entries(100)     # every product of two entries is a normal float
+
+
+class TestTraceSplit:
+    """``_kernels._trace_split``, the one split M = h I + N of the 2x2 plane
+    that ``expm2``, ``closed_form_exp``, ``_logm2`` and ``_eigen_lines`` read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: hnp.arrays(float, (n, 2, 2), elements=ENTRY)))
+    def test_trace_free_part_and_rows(self, M):
+        h, N, rho2 = _trace_split(M)
+        assert np.array_equal(N[:, 0, 0], -N[:, 1, 1])
+        assert np.array_equal(N[:, 0, 1], M[:, 0, 1]) and np.array_equal(N[:, 1, 0], M[:, 1, 0])
+        # a row of the stack is its one-matrix call, bit for bit
+        for i, m in enumerate(M):
+            hi, Ni, rho2i = _trace_split(m)
+            assert (hi, rho2i) == (h[i], rho2[i]) and np.array_equal(Ni, N[i])
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, (2, 2), elements=ENTRY))
+    def test_eigenvalues_match_eig(self, m):
+        # h +- sqrt(rho^2) against LAPACK, in ulps times sigma1 times the
+        # eigenvalues' condition number sigma1 / (half their gap)
+        h, _, rho2 = _trace_split(m)
+        got = h + np.array([1.0, -1.0]) * np.sqrt(rho2 + 0j)
+        want = np.linalg.eigvals(m)
+        err = min(np.abs(got - want).max(), np.abs(got - want[::-1]).max())
+        sigma1, half_gap = lapack_sigma1(m), 0.5 * abs(want[0] - want[1])
+        assert err == 0 or err <= 8 * EPS * sigma1 * (sigma1 / half_gap if half_gap else np.inf)
 
 
 class TestTwoByTwoAgainstLapack:

@@ -1,4 +1,5 @@
 """Exit-code contract, artifact determinism, and malformed-config handling."""
+import ast
 import importlib.util
 import json
 import math
@@ -702,3 +703,27 @@ def test_artifacts_agree_across_numpy_dispatch_levels(tmp_path):
             bad = [where for where, dev in golden["_differences"](path, tree[rel])
                    if dev is None or dev > 1e-11]
             assert bad == [], (level, rel)
+
+
+def test_dispatch_sensitive_numpy_sites_do_not_grow():
+    """A ratchet on the references ``np.<f>`` in ``src/engel_lab/*.py``, f
+    one of the ufuncs whose real results differ in their last bits between
+    numpy's dispatch levels (``arccosh`` as the kin of ``cosh``), counted on
+    the syntax tree.
+
+    Each such site can make an artifact's bits depend on the host CPU (see
+    ``test_artifacts_agree_across_numpy_dispatch_levels``).  The count is an
+    upper bound on those sites: a reference on complex input, or one whose
+    result never reaches an artifact, counts too.  Evaluating such sites by
+    libm lowers it; lower ``LIMIT`` with them, and never raise it.
+    """
+    LIMIT = 20
+    sensitive = {"exp", "log", "arctan", "arctan2", "sinh", "cosh", "tan", "tanh", "expm1",
+                 "log1p", "cbrt", "power", "arccosh"}
+    src = Path(__file__).resolve().parents[1] / "src" / "engel_lab"
+    sites = [f"{path.name}:{node.lineno} np.{node.attr}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "np" and node.attr in sensitive]
+    assert len(sites) <= LIMIT, sites

@@ -219,22 +219,17 @@ def near_dependent_rows(rng, n, k, dim, tol):
 
 def svd_rank_outcome(A, tol):
     """The SVD rule alone, the reference for ``rank_with_margin``'s minor
-    certificate: the count of singular values above ``tol`` and whether one
-    lies within a factor ``_MARGINAL_BAND`` of it, or "LinAlgError"."""
-    def rule(A, tol):
-        sv = np.linalg.svd(A, compute_uv=False)
-        band = (sv > tol / frame_algebra._MARGINAL_BAND) & (sv < tol * frame_algebra._MARGINAL_BAND)
-        return (sv > tol).sum(axis=-1), band.any(axis=-1)
-    return outcome(rule, A, tol)
+    certificate on finite matrices: the count of singular values above
+    ``tol`` and whether one lies within a factor ``_MARGINAL_BAND`` of it,
+    as lists."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    band = (sv > tol / frame_algebra._MARGINAL_BAND) & (sv < tol * frame_algebra._MARGINAL_BAND)
+    return (sv > tol).sum(axis=-1).tolist(), band.any(axis=-1).tolist()
 
 
-def outcome(rank_rule, A, tol):
-    """``rank_rule(A, tol)`` as a comparable value: (rank, marginal) as
-    lists, or "LinAlgError" where the SVD does not converge (a NaN entry)."""
-    try:
-        rank, marginal = rank_rule(A, tol)
-    except np.linalg.LinAlgError:
-        return "LinAlgError"
+def outcome(A, tol):
+    """``rank_with_margin(A, tol)`` as lists, comparable with ``svd_rank_outcome``."""
+    rank, marginal = rank_with_margin(A, tol)
     return np.asarray(rank).tolist(), np.asarray(marginal).tolist()
 
 
@@ -256,27 +251,45 @@ class TestRanks:
         with pytest.raises(EmptyInput):
             distribution_rank(iter([]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_stack_has_no_rank(self, bad):
+        # the SVD reads an inf entry as rank 0 and raises LinAlgError on a
+        # NaN for the whole batch; a rank of such a stack is refused, typed
+        A = np.ones((3, 2, 4))
+        A[1, 0, 2] = bad
+        with pytest.raises(NonFiniteEvaluation, match="rank of 1 of 3 matrices"):
+            rank_with_margin(A, RANK_TOL)
+        with pytest.raises(NonFiniteEvaluation, match="rank of 1 of 1 matrices"):
+            rank_with_margin(A[1], RANK_TOL)
+        # a certified (full-rank) stack with one non-finite matrix is refused too
+        with pytest.raises(NonFiniteEvaluation, match="rank of 1 of 2 matrices"):
+            rank_with_margin(np.stack([np.eye(2, 4), A[1]]), RANK_TOL)
+        assert outcome(A[::2], RANK_TOL) == ([1, 1], [False, False])
+
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(RANK_SHAPES), st.integers(min_value=0, max_value=2**32 - 1),
            st.booleans())
     def test_certificate_agrees_with_the_svd(self, shape, seed, nan):
         # 400 matrices of one caller's shape, one rank short but for one row's
         # residual of tol/1000 to 1000 tol, at scales 1e-5 to 1e5; some are
-        # zero or carry an inf, and with ``nan`` one carries a NaN, which
-        # makes the SVD raise either way
+        # zero; the finite ones read as the SVD reads them, and a stack with
+        # an inf, or with ``nan`` a NaN, is refused with its count
         rng = np.random.default_rng(seed)
         A = near_dependent_rows(rng, 400, *shape, RANK_TOL)
         A[rng.random(400) < 0.05] = 0.0
         A[rng.random(400) < 0.02, 0, 0] = np.inf
         if nan:
             A[rng.integers(400), -1, -1] = np.nan
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        if n_bad := int((~finite).sum()):
+            with pytest.raises(NonFiniteEvaluation, match=f"rank of {n_bad} of 400 matrices"):
+                rank_with_margin(A, RANK_TOL)
+        A = A[finite]
         want = svd_rank_outcome(A, RANK_TOL)
-        assert outcome(rank_with_margin, A, RANK_TOL) == want
+        assert outcome(A, RANK_TOL) == want
         # a single matrix (k, dim), as distribution_rank passes it
-        for i in range(0, 400, 80):
-            got = outcome(rank_with_margin, A[i], RANK_TOL)
-            assert got == svd_rank_outcome(A[i], RANK_TOL)
-            assert want == "LinAlgError" or got == (want[0][i], want[1][i])
+        for i in range(0, len(A), 80):
+            assert outcome(A[i], RANK_TOL) == (want[0][i], want[1][i])
 
     def test_svd_runs_only_where_the_certificate_cannot_decide(self, preset_cache,
                                                                 monkeypatch):

@@ -1,11 +1,13 @@
 """The four constructions and their cross-identifications."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 from scipy.linalg import expm
 
-from engel_lab._kernels import closed_form_exp, expm2
+from engel_lab._kernels import _trace_split, closed_form_exp, expm2
 from engel_lab.cli import KAPPA_SWEEP
 from engel_lab.engel_verify import line_angle, sample_box, verify_engel
 from engel_lab.errors import (
@@ -36,7 +38,6 @@ from engel_lab.prolongations import (
     cartan_prolongation,
     lorentz_prolongation,
     prequantum_prolongation,
-    propellor_line_path,
     propellor_structure,
     standard_contact_r3,
     suspension,
@@ -44,15 +45,17 @@ from engel_lab.prolongations import (
     suspension_identity,
 )
 from engel_lab.characteristic_dynamics import (
+    _eigen_lines,
     integrate_characteristic,
     transport_EmodW,
 )
 from engel_lab.engel_verify import cauchy_characteristic
 from engel_lab.presets import CAT_MAP, SHEAR_MAP, preset_names
 
-from conftest import rel_err
+from conftest import binade_entries, rel_err
 
 ELLIPTIC_MAP = ((0.9, 1.0), (-0.1, 1.0))    # det 1, trace 1.9
+EPS = np.finfo(float).eps
 
 
 class TestCartan:
@@ -273,6 +276,23 @@ class TestPropellor:
         assert np.abs(expm2(_logm2(m)[None])[0] - m).max() <= 1e-14
         assert np.abs(closed_form_exp(_logm2(m))(1.0) - m).max() <= 1e-14
 
+    @settings(max_examples=300, deadline=None)
+    @given(binade_entries(5).filter(bool), binade_entries(5), binade_entries(5))
+    def test_log_monodromy_inverts_the_exponentials(self, x, y, z):
+        # m = [[x, y], [z, (1 + yz)/x]], unimodular to rounding, trace > -2;
+        # exp(log m) is m within ulps times cond m times (|L| / |N|)^2, the
+        # square of the log's amplification a / sinh(a) (near 1 away from
+        # trace -2, where a rounding of the half-trace moves a by 1/|sinh a|)
+        m = np.array([[x, y], [z, (1.0 + y * z) / x]])
+        h, N, _ = _trace_split(m)
+        assume(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - 1.0) <= 1e-12 and h > -1.0)
+        L = _logm2(m)
+        sv = np.linalg.svd(m, compute_uv=False)
+        amp = max(1.0, np.abs(L).max() / np.abs(N).max()) if N.any() else 1.0
+        bound = 8 * EPS * np.abs(m).max() * sv[0] / sv[1] * amp * amp
+        assert np.abs(expm2(L[None])[0] - m).max() <= bound
+        assert np.abs(closed_form_exp(L)(1.0) - m).max() <= bound
+
     def test_elliptic_monodromy_verifies(self):
         # trace 1.9: the closed-form logarithm needs no extra case
         _, s = propellor_structure(np.array(ELLIPTIC_MAP))
@@ -283,7 +303,7 @@ class TestPropellor:
             with pytest.raises(ConfigError, match="<= -2"):
                 _logm2(np.asarray(m))
         with pytest.raises(ConfigError, match="unimodular"):
-            propellor_line_path(np.diag([2.0, 1.0]))
+            propellor_structure(np.diag([2.0, 1.0]))
 
     @pytest.mark.parametrize("A, m", [
         ([[0.0, -1.0], [0.7, 0.0]], None), ([[0.0, 1.0], [0.0, 0.0]], None),
@@ -531,6 +551,20 @@ class TestSuspension:
         assert np.allclose(U, np.array([golden, 1.0]) / np.hypot(golden, 1.0), rtol=0, atol=1e-15)
         assert np.allclose(S, np.array([-1.0, golden]) / np.hypot(golden, 1.0), rtol=0, atol=1e-15)
         assert np.array_equal(D_plus, U + S) and np.array_equal(D_minus, U - S)
+
+    def test_bi_engel_rate_is_the_log_of_the_unstable_eigenvalue(self):
+        # the cat map's log monodromy L has the rate rho(L) = log((3 + sqrt 5)/2)
+        # = arccosh(3/2); the frame (U, S) of the pair is exp(-+rate t) times
+        # the lines at t = 0, bit for bit
+        _, s = propellor_structure(np.asarray(CAT_MAP, dtype=float))
+        rate = _eigen_lines(s.aux["log_monodromy"])[3]
+        assert abs(rate - math.acosh(1.5)) <= 2 * math.ulp(math.acosh(1.5))
+        plus, _ = bi_engel_pair()
+        pts = np.zeros((9, 4))
+        pts[:, 2] = t = np.linspace(-2.0, 2.0, 9)
+        U, S = (sec.coeff_at(pts)[:, :2] for sec in plus.emw_frame)
+        assert np.array_equal(U, np.exp(-rate * t)[:, None] * U[4])
+        assert np.array_equal(S, np.exp(rate * t)[:, None] * S[4])
 
     @pytest.mark.parametrize("m", [np.eye(2), SHEAR_MAP])
     def test_bi_engel_pair_needs_a_hyperbolic_monodromy(self, m):
