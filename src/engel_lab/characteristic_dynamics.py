@@ -250,15 +250,24 @@ def lift_angle_mod_pi(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pullback_angle(M: np.ndarray, dets: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Angle in (-pi/2, pi/2] of each line d (n, 2) pulled back by M (n, 2, 2)
-    of determinant ``dets`` (n,): adj(M) d / det M, which is M^{-1} d.  The
-    cut is the vertical, so a line along the first frame vector reads 0
-    whatever the sign of a rounding-size second entry."""
-    adj = M[:, [[1, 0], [1, 0]], [[1, 1], [0, 0]]] * [[1.0, -1.0], [-1.0, 1.0]]
-    u = np.einsum("nij,nj->ni", adj, d) / dets[:, None]
+def _line_angle(u: np.ndarray) -> np.ndarray:
+    """Angle in (-pi/2, pi/2] of the line of each row of u (n, 2), pi/2 where
+    u0 == 0.  The cut is the vertical, so a line along the first vector reads
+    0 whatever the sign of a rounding-size second entry."""
     with np.errstate(divide="ignore"):
         return np.where(u[:, 0] == 0, np.pi / 2, np.arctan(u[:, 1] / u[:, 0]))
+
+
+def _line_offset(d: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """Signed angle of each line d (n, 2) from a unit line ln: its angle in (ln, J ln)."""
+    return _line_angle(np.einsum("ij,nj->ni", [[ln[0], ln[1]], [-ln[1], ln[0]]], d))
+
+
+def _pullback_angle(M: np.ndarray, dets: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`_line_angle` of each line d (n, 2) pulled back by M (n, 2, 2)
+    of determinant ``dets`` (n,): adj(M) d / det M, which is M^{-1} d."""
+    adj = M[:, [[1, 0], [1, 0]], [[1, 1], [0, 0]]] * [[1.0, -1.0], [-1.0, 1.0]]
+    return _line_angle(np.einsum("nij,nj->ni", adj, d) / dets[:, None])
 
 
 def transport_EmodW(s: EngelStructure, orbit: OrbitTrace,
@@ -610,10 +619,7 @@ def estimate_global_type(s: EngelStructure, n_orbits: int = 5,
             d = _dw_coords(s, model.wrap(orbit.points))
             crossings, min_dist = 0, np.inf
             for ln in lines:
-                # signed angular offset of D/W from the invariant line, mod pi
-                delta = np.mod(np.arctan2(d[:, 1], d[:, 0])
-                               - np.arctan2(ln[1], ln[0]) + np.pi / 2,
-                               np.pi) - np.pi / 2
+                delta = _line_offset(d, ln)
                 min_dist = min(min_dist, float(np.abs(delta).min()))
                 flips = (np.sign(delta[:-1]) * np.sign(delta[1:]) < 0)
                 small = np.abs(np.diff(delta)) < np.pi / 2   # not a wrap artifact

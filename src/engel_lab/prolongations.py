@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._kernels import _trace_split, closed_form_exp
-from .characteristic_dynamics import _eigen_lines
-from .engel_verify import EngelStructure
+from .characteristic_dynamics import _eigen_lines, _line_angle
+from .engel_verify import EngelStructure, line_angle
 from .errors import (
     ConfigError,
     CurvatureMismatch,
@@ -253,8 +253,7 @@ def prequantum_prolongation(c: ContactModel, w_bar: Section,
 
 def _sections_parallel(model, a: Section, b: Section) -> bool:
     va, vb = model.values([a, b], model.box.mean(axis=1)[None])[0]
-    cross = np.linalg.norm(va) * np.linalg.norm(vb) - abs(float(va @ vb))
-    return cross < 1e-10
+    return line_angle(va, vb)[0] < 1e-8
 
 
 def _beta(q1, q2, q3):
@@ -323,11 +322,11 @@ def propellor_structure(monodromy: np.ndarray,
     """Mapping-torus contact model with a rotating fiberwise line field and
     its pre-quantum prolongation.
 
-    The suspension field d/dt is the Legendrian, volume-preserving field fed
-    to the pre-quantization (its dual closed 2-form is the fiber area
-    dx^dy).  The E/W working frame is the monodromy-equivariant frame
-    phi^t(e1), phi^t(e2), which is the frame in which the mapping-torus
-    holonomy is visible on a single chart.
+    The suspension field d/dt is the Legendrian, volume-preserving field fed to the
+    pre-quantization (its dual closed 2-form is the fiber area dx^dy).  The E/W working
+    frame is the monodromy-equivariant frame phi^t(e1), phi^t(e2), in which the
+    mapping-torus holonomy is visible on one chart.  ``line_path`` maps fiber times (n,)
+    to (n, 2) and is analytic: its rotation is read by the complex step.
     """
     m = np.asarray(monodromy, dtype=float)
     L = _logm2(m)
@@ -336,10 +335,9 @@ def propellor_structure(monodromy: np.ndarray,
 
     ts = np.linspace(0.0, 1.0, _PATH_CHECKS)
     ab0, ab1 = path(ts), path(ts + 1.0)
-    if np.abs(ab1 - ab0 @ m.T).max() > 1e-8:
+    if np.abs(ab1 - ab0 @ m.T).max() > 1e-8 * max(1.0, np.abs(ab1).max()):
         raise EquivarianceError("line path is not equivariant under the monodromy")
-    dt = 1e-6
-    abp = (path(ts + dt) - path(ts - dt)) / (2 * dt)
+    abp = path(ts + 1e-30j).imag / 1e-30
     omega = ab0[:, 0] * abp[:, 1] - ab0[:, 1] * abp[:, 0]
     if np.abs(omega).min() < 1e-10 or np.sign(omega).min() != np.sign(omega).max():
         raise NotContact("line path angular velocity must keep a single sign")
@@ -413,9 +411,9 @@ class SuspensionData:
     """Input data for the suspension construction.
 
     ``phi`` is a contactomorphism of the contact model, with jacobian
-    ``dphi`` and inverse ``phi_inv``; ``rho(t, v)`` is the twist profile and
-    ``K`` the twist count, with rho(0, v) = 0, rho(1, v) = K pi - d(v), and
-    d rho / dt > 0 for the measured twisting angle d of phi.
+    ``dphi`` and inverse ``phi_inv``; ``rho(t, v)`` is the twist profile and ``K`` the
+    twist count, with rho(0, v) = 0, rho(1, v) = K pi - d(v) for the measured twisting
+    angle d of phi, and d rho / dt > 0, read by the complex step: rho is analytic in t.
     """
 
     contact: ContactModel
@@ -437,7 +435,7 @@ class SuspensionData:
         basis = base.values([l1, l2, self.contact.transverse], pts)
         coef = frame_coords(basis, pushed[:, None], "the Legendrian frame and the "
                             "transverse section do not span TM")[:, 0]
-        return np.mod(np.arctan2(coef[:, 1], coef[:, 0]), np.pi)
+        return np.mod(_line_angle(coef[:, :2]), np.pi)
 
 
 def suspension(sd: SuspensionData) -> EngelStructure:
@@ -461,13 +459,9 @@ def suspension(sd: SuspensionData) -> EngelStructure:
     if mismatch.max() > 1e-3:
         raise TwistMonotonicityError(
             f"rho(1, v) differs from K pi - d(v) by up to {mismatch.max():.3e}")
-    eps = 1e-5
-    for tval in np.linspace(0.0, 1.0, 11):
-        tv = np.full(pts.shape[0], tval)
-        drho = (np.atleast_1d(sd.rho(tv + eps, pts))
-                - np.atleast_1d(sd.rho(tv - eps, pts))) / (2 * eps)
-        if drho.min() <= 0:
-            raise TwistMonotonicityError("d rho / dt must be positive")
+    tv = np.repeat(np.linspace(0.0, 1.0, 11), pts.shape[0]) + 1e-30j
+    if (np.asarray(sd.rho(tv, np.tile(pts, (11, 1)))).imag / 1e-30).min() <= 0:
+        raise TwistMonotonicityError("d rho / dt must be positive")
 
     model = fiber_chart(base, frame, f"suspension({base.name})", hi=1.0, period=None)
 

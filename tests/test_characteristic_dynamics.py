@@ -20,6 +20,8 @@ from engel_lab._kernels import _trace_split, expm2, transport_rk4
 from engel_lab.characteristic_dynamics import (
     _CLOSE_EPS,
     HolonomyLift,
+    OrbitTrace,
+    ProjectiveType,
     _parabolic_sign,
     classify_projective,
     closed_form_exp,
@@ -1013,6 +1015,27 @@ class TestTwoByTwoAgainstLapack:
                       [0.0, 1.0], [0.0, -1.0]])
         got = dyn._pullback_angle(np.broadcast_to(np.eye(2), (6, 2, 2)), np.ones(6), d)
         assert np.abs(got[:4]).max() <= 1e-17 and (got[4:] == np.pi / 2).all()
+        # so does a D/W vector along an invariant line with a normal entry of
+        # +-1e-17, and D/W normal to the line reads pi/2
+        for ln in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+            Jln = np.array([-ln[1], ln[0]])
+            got = dyn._line_offset(d[:, :1] * ln + d[:, 1:] * Jln, ln)
+            assert np.abs(got[:4]).max() <= 1e-17 and (got[4:] == np.pi / 2).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(float, 2, elements=ENTRY).filter(np.any),
+           st.lists(hnp.arrays(float, 2, elements=ENTRY).filter(np.any), min_size=1, max_size=8))
+    def test_genuine_offset_is_the_arctan2_difference(self, v, rows):
+        # the offset of D/W from a unit invariant line, read in the frame
+        # (ln, J ln), against the difference of the two arctan2 angles; both
+        # are lines, so they agree mod pi
+        ln, d = v / np.hypot(*v), np.array(rows)
+        got = dyn._line_offset(d, ln)
+        want = np.arctan2(d[:, 1], d[:, 0]) - np.arctan2(ln[1], ln[0])
+        err = np.abs(np.mod(got - want + np.pi / 2, np.pi) - np.pi / 2)
+        # arctan of a ratio below about -2^53 rounds to the open end, -pi/2
+        assert (np.abs(got) <= np.pi / 2).all()
+        assert err.max() <= 8 * np.spacing(np.pi)
 
     def test_linear_fit_matches_lstsq(self):
         # y scaled by 2^k, |k| <= 400, so every square stays a full float
@@ -1026,6 +1049,31 @@ class TestTwoByTwoAgainstLapack:
             slope_want, r2_want = lapack_fit(t, y)
             assert abs(np.ldexp(slope, -k) - slope_want) <= 16 * EPS * np.abs(y).max() / t.std()
             assert abs(r2 - r2_want) <= 64 * EPS
+
+
+class TestRefusals:
+    def test_orbit_without_transport_data(self):
+        orbit = OrbitTrace(times=np.zeros(2), points=np.zeros((2, 4)))
+        with pytest.raises(FrameDegenerate, match="no transport data"):
+            orbit.normalized_M()
+        with pytest.raises(FrameDegenerate, match="no transport data"):
+            developing_map(orbit)
+
+    def test_invalid_projective_types(self):
+        with pytest.raises(AmbiguousClass, match="n >= 1"):
+            ProjectiveType("trans-parabolic", n=0)
+        with pytest.raises(AmbiguousClass, match="requires a length"):
+            ProjectiveType("elliptic")
+
+    def test_negative_winding(self):
+        with pytest.raises(AmbiguousClass, match="oriented positively"):
+            classify_projective(HolonomyLift(np.eye(2), -1.0))
+
+    def test_projection_identities_need_the_magnetic_kind(self, preset_cache):
+        built = preset_cache("lorentz-product", kappa=-1.0)
+        orbit = integrate_characteristic(built["structure"], np.zeros(4), 0.1, 1e-2)
+        with pytest.raises(DegenerateKernel, match="magnetic kind"):
+            geodesic_projection_check(built["extension"], orbit)
 
 
 class TestGeodesicProjection:

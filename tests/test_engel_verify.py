@@ -1,4 +1,5 @@
 """Engel-condition verification and the Darboux models."""
+import dataclasses
 import json
 
 import numpy as np
@@ -51,6 +52,16 @@ class TestVerify:
         rec = doc["records"][0]
         assert set(rec) == {"point", "rank_D", "rank_E", "rank_EE",
                             "cauchy_angle_error", "marginal"}
+
+    def test_needs_two_D_and_three_E_sections(self):
+        s = darboux_standard()
+        for spans in ({"D_span": s.D_span[:1]}, {"E_span": s.E_span[:2]}):
+            with pytest.raises(DimensionMismatch, match="need 2 D sections and 3 E sections"):
+                dataclasses.replace(s, **spans)
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            verify_engel(darboux_standard(), n_samples=0)
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
     def test_tolerance_must_be_finite_and_positive(self, preset_cache, tol):

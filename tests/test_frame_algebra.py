@@ -195,6 +195,14 @@ class TestLieModel:
         with pytest.raises(DimensionMismatch, match="antisymmetric"):
             LieModel(("e0", "e1", "e2"), c)
 
+    def test_structure_constants_must_be_cubic(self):
+        with pytest.raises(DimensionMismatch, match=r"must be \(n, n, n\)"):
+            LieModel(("e0", "e1"), np.zeros((2, 2, 3)))
+
+    def test_section_must_match_the_frame(self, magnetic):
+        with pytest.raises(DimensionMismatch, match="does not match the model frame"):
+            magnetic.values([Section((1, 0, 0), "short")])
+
     def test_dimension_mismatch(self, magnetic):
         with pytest.raises(DimensionMismatch):
             bracket_lie(magnetic, np.ones(3), np.ones(4))
@@ -432,6 +440,20 @@ def test_bracket_chart_refuses_an_infinite_field():
     inf = ChartVectorField(lambda pts: np.full(pts.shape, np.inf))
     with pytest.raises(NonFiniteEvaluation):
         bracket_chart(stacked(ef_X(), inf), [(0, 1)], np.zeros((2, 4)))
+
+
+class TestModelRefusals:
+    def test_box_must_be_dim_by_two(self):
+        with pytest.raises(DimensionMismatch, match=r"box must be \(dim, 2\)"):
+            ChartModel(3, [[0, 1], [0, 1]], coordinate_frame(3))
+
+    def test_halton_needs_at_most_six_dimensions(self):
+        with pytest.raises(DimensionMismatch, match="dim <= 6"):
+            halton_points(4, 7)
+
+    def test_function_section_has_no_constant_coefficients(self):
+        with pytest.raises(DimensionMismatch, match="'f' has non-constant coefficients"):
+            Section(lambda pts: (pts[:, 0], 0, 0), "f").constant_coeffs()
 
 
 class TestModelProtocol:

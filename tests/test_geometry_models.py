@@ -43,6 +43,14 @@ def laplacian_kappa(s, pts):
     return -lap / (2.0 * s.lam_dlog_at(*pts.T)[0])
 
 
+class TestConformalFactor:
+    def test_nan_is_refused_at_a_float_point_and_at_a_batch(self):
+        disk = constant_curvature_surface(-1.0)
+        for x in (np.nan, np.array([0.0, np.nan])):
+            with pytest.raises(NonFiniteEvaluation, match="finite and positive"):
+                disk.lam_dlog_at(x, 0.0 * x)
+
+
 class TestGaussCurvature:
     def test_flat_is_zero(self, rng):
         s = flat_surface()

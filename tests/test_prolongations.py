@@ -16,6 +16,7 @@ from engel_lab.errors import (
     EquivarianceError,
     FrameDegenerate,
     NotContact,
+    SignatureError,
     TwistMonotonicityError,
 )
 from engel_lab.frame_algebra import (
@@ -93,6 +94,12 @@ class TestCartan:
 
 
 class TestLorentz:
+    def test_unknown_extension_kind(self, preset_cache):
+        ext = dataclasses.replace(preset_cache("lorentz-product", kappa=-1.0)["extension"],
+                                  kind="warped")
+        with pytest.raises(SignatureError, match="unknown extension kind 'warped'"):
+            lorentz_prolongation(ext)
+
     @pytest.mark.parametrize("kappa", [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0])
     def test_both_kinds_verify(self, preset_cache, kappa):
         for kind in ("lorentz-product", "lorentz-magnetic",
@@ -366,6 +373,26 @@ class TestPropellor:
             axis=-1)
         with pytest.raises(NotContact):
             propellor_structure(np.eye(2), line_path=frozen)
+
+    def test_reversing_rotation_rejected(self):
+        # theta(t) = 2 pi t + 1.5 sin 2 pi t is equivariant under the identity,
+        # and its rate 2 pi + 3 pi cos 2 pi t changes sign twice per period
+        def reversing(t):
+            theta = 2 * np.pi * t + 1.5 * np.sin(2 * np.pi * t)
+            return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        with pytest.raises(NotContact, match="single sign"):
+            propellor_structure(np.eye(2), line_path=reversing)
+
+    def test_equivariance_bound_is_relative(self):
+        # det m - 1 is 0 in floats, and the path's deviation from equivariance
+        # (about 1.7e-7) is rounding of its entries (up to 4.2e7); at turns = 1
+        # the rotation reverses, since rho(L) = log lambda_u > 2 pi
+        m = np.array([[0.7, 123.3], [77.1, (1 + 123.3 * 77.1) / 0.7]])
+        _, s = propellor_structure(m, turns=2)
+        rep = verify_engel(s, n_samples=200)
+        assert rep.passed and rep.summary["n_marginal"] == 0
+        with pytest.raises(NotContact, match="single sign"):
+            propellor_structure(m, turns=1)
 
 
 class TestSuspension:

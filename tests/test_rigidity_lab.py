@@ -10,6 +10,7 @@ from engel_lab.errors import DimensionMismatch, NotNull, SingularIntegrand, Step
 from engel_lab.geometry_models import constant_curvature_surface, flat_surface
 from engel_lab.rigidity_lab import (
     AccessRegion,
+    DCurve,
     _control_block,
     _cos_modes,
     access_regions,
@@ -207,6 +208,12 @@ class TestInabaIdentity:
         c = sample_d_curve((ZEROS, ONES), 1.0, 1e-3)
         assert inaba_identity_check(c) < 1e-15
 
+    def test_curve_must_start_at_the_origin(self):
+        c = sample_d_curve((ZEROS, ONES), 1.0, 1e-3)
+        moved = DCurve(times=c.times, points=c.points + [0.0, 1e-6, 0.0, 0.0])
+        with pytest.raises(SingularIntegrand, match="curve from the origin"):
+            inaba_identity_check(moved)
+
     def test_linear_control(self):
         c = sample_d_curve((lambda t: np.atleast_1d(t), ONES), 1.0, 1e-3)
         assert inaba_identity_check(c) < 1e-6
@@ -388,6 +395,10 @@ class TestInfinitesimalRigidity:
         f, _, _ = bump_profile(1.0)
         assert abs(out["max_dy_ds"] - np.abs(f(np.linspace(-1, 1, 2001))).max()) < 1e-9
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown kind 'spiral'"):
+            infinitesimal_rigidity_check("spiral")
+
     def test_zero_perturbation(self):
         out = infinitesimal_rigidity_check("w_curve", perturbation=lambda t: 0.0 * np.atleast_1d(t))
         assert out["max_dy_ds"] == 0.0
@@ -430,6 +441,16 @@ class TestNullVariation:
         out = null_variation_check(flat_surface(), p0=(0.0, 0.0, 0.4), T=2.0,
                                    eta=lambda t: np.zeros((np.atleast_1d(t).size, 2)))
         assert out["residual_max"] < 1e-14
+
+    def test_null_defect_drift_rejected(self):
+        # eta = (sin wt, 1 - cos wt): at w = 500 the trapezoid arclength falls
+        # behind the metric speed by more than the null tolerance, at 200 not
+        def eta(w):
+            return lambda t: np.stack([np.sin(w * np.atleast_1d(t)),
+                                       1.0 - np.cos(w * np.atleast_1d(t))], axis=-1)
+        null_variation_check(flat_surface(), T=3.0, eta=eta(200.0))
+        with pytest.raises(NotNull, match="null constraint drifted"):
+            null_variation_check(flat_surface(), T=3.0, eta=eta(500.0))
 
     def test_moving_start_rejected(self):
         with pytest.raises(NotNull):
